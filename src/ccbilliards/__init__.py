@@ -7,8 +7,8 @@ itinerary coding, trajectory unfolding with periodic-orbit search,
 expansiveness evidence probes, and phase-space topology reports, plus a
 CLI tying them together.
 
-Hot kernels are numba-compiled; set CCBILLIARDS_NUMBA=0 for the pure
-numpy/Python fallback.
+Hot kernels are numba-compiled when numba is installed; without it, or
+with CCBILLIARDS_NUMBA=0, the same source runs as pure numpy/Python.
 """
 
 from ._accel import NUMBA_ENABLED

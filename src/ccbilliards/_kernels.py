@@ -349,81 +349,48 @@ def step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze):
 
 
 @jit_kernel
-def collision_step_state(k, sa, su, sn, sl, sv0, sv1, verts,
-                         side0, s0, psi0, tmin, tol_v, graze):
-    p, v = boundary_embed(k, sa[side0], su[side0], s0, psi0)
-    return step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze)
-
-
-@jit_kernel
-def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
-                side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
+def _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
+                p, v, nmax, maxlen, tmin, tol_v, graze,
                 labels, svals, psis, flens):
-    """Iterate the collision map from a boundary state.
+    """Iterate the collision map from the interior ray (p, v).
 
     Fills per-bounce buffers and returns (n_done, status, vertex, length);
     length includes the final leg on a vertex hit.
     """
-    side = side0
-    s = s0
-    psi = psi0
     total = 0.0
     for i in range(nmax):
-        st, j, s1, psi1, tf, vtx = collision_step_state(
-            k, sa, su, sn, sl, sv0, sv1, verts, side, s, psi, tmin, tol_v, graze)
-        if st == STEP_VERTEX:
-            return i, STEP_VERTEX, vtx, total + tf
-        if st != STEP_OK:
-            return i, st, -1, total
-        labels[i] = j
-        svals[i] = s1
-        psis[i] = psi1
-        flens[i] = tf
-        total += tf
-        side = j
-        s = s1
-        psi = psi1
-        if total > maxlen:
-            return i + 1, STEP_MAXLEN, -1, total
-    return nmax, STEP_OK, -1, total
-
-
-@jit_kernel
-def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts,
-                     p0, v0, nmax, maxlen, tmin, tol_v, graze,
-                     labels, svals, psis, flens):
-    """Like trace_orbit, but launched from an arbitrary interior ray.
-
-    Used by the diagonal search, whose rays start at polygon vertices.
-    """
-    p = p0
-    v = v0
-    total = 0.0
-    first = True
-    side = -1
-    s = 0.0
-    psi = 0.0
-    for i in range(nmax):
-        if not first:
-            p, v = boundary_embed(k, sa[side], su[side], s, psi)
-        st, j, s1, psi1, tf, vtx = step_ray(
+        st, j, s, psi, tf, vtx = step_ray(
             k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze)
         if st == STEP_VERTEX:
             return i, STEP_VERTEX, vtx, total + tf
         if st != STEP_OK:
             return i, st, -1, total
         labels[i] = j
-        svals[i] = s1
-        psis[i] = psi1
+        svals[i] = s
+        psis[i] = psi
         flens[i] = tf
         total += tf
-        side = j
-        s = s1
-        psi = psi1
-        first = False
         if total > maxlen:
             return i + 1, STEP_MAXLEN, -1, total
+        if i + 1 < nmax:
+            p, v = boundary_embed(k, sa[j], su[j], s, psi)
     return nmax, STEP_OK, -1, total
+
+
+@jit_kernel
+def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
+                side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
+                labels, svals, psis, flens):
+    """Iterate the collision map from a boundary state (see _trace_loop)."""
+    p, v = boundary_embed(k, sa[side0], su[side0], s0, psi0)
+    return _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
+                       p, v, nmax, maxlen, tmin, tol_v, graze,
+                       labels, svals, psis, flens)
+
+
+# launched from an arbitrary interior ray; the diagonal search starts its
+# rays at polygon vertices
+trace_from_point = _trace_loop
 
 
 @jit_kernel
@@ -510,40 +477,22 @@ def _field_radius(field_id, y):
 
 
 @jit_kernel
-def _dp_step(field_id, k, pf, y, h, dim):
-    # one 5th-order Dormand-Prince step (no error estimate)
-    k1 = np.empty(dim)
-    k2 = np.empty(dim)
-    k3 = np.empty(dim)
-    k4 = np.empty(dim)
-    k5 = np.empty(dim)
-    k6 = np.empty(dim)
-    tmp = np.empty(dim)
-    out = np.empty(dim)
-    field_eval(field_id, k, pf, y, k1)
-    for i in range(dim):
-        tmp[i] = y[i] + h * (0.2 * k1[i])
-    field_eval(field_id, k, pf, tmp, k2)
-    for i in range(dim):
-        tmp[i] = y[i] + h * (3.0 / 40.0 * k1[i] + 9.0 / 40.0 * k2[i])
-    field_eval(field_id, k, pf, tmp, k3)
-    for i in range(dim):
-        tmp[i] = y[i] + h * (44.0 / 45.0 * k1[i] - 56.0 / 15.0 * k2[i]
-                             + 32.0 / 9.0 * k3[i])
-    field_eval(field_id, k, pf, tmp, k4)
-    for i in range(dim):
-        tmp[i] = y[i] + h * (19372.0 / 6561.0 * k1[i] - 25360.0 / 2187.0 * k2[i]
-                             + 64448.0 / 6561.0 * k3[i] - 212.0 / 729.0 * k4[i])
-    field_eval(field_id, k, pf, tmp, k5)
-    for i in range(dim):
-        tmp[i] = y[i] + h * (9017.0 / 3168.0 * k1[i] - 355.0 / 33.0 * k2[i]
-                             + 46732.0 / 5247.0 * k3[i] + 49.0 / 176.0 * k4[i]
-                             - 5103.0 / 18656.0 * k5[i])
-    field_eval(field_id, k, pf, tmp, k6)
-    for i in range(dim):
-        out[i] = y[i] + h * (35.0 / 384.0 * k1[i] + 500.0 / 1113.0 * k3[i]
-                             + 125.0 / 192.0 * k4[i] - 2187.0 / 6784.0 * k5[i]
-                             + 11.0 / 84.0 * k6[i])
+def _dense(y, ynew, k1, k3, k4, k5, k6, k7, h, th):
+    # Dormand-Prince 4th-order continuous extension at t + th h of the step
+    # y -> ynew (Hairer-Norsett-Wanner, Solving ODEs I, II.6; dopri5 contd5)
+    th1 = 1.0 - th
+    out = np.empty(y.shape[0])
+    for i in range(y.shape[0]):
+        dy = ynew[i] - y[i]
+        bspl = h * k1[i] - dy
+        r4 = dy - h * k7[i] - bspl
+        r5 = h * (-12715105075.0 / 11282082432.0 * k1[i]
+                  + 87487479700.0 / 32700410799.0 * k3[i]
+                  - 10690763975.0 / 1880347072.0 * k4[i]
+                  + 701980252875.0 / 199316789632.0 * k5[i]
+                  - 1453857185.0 / 822651844.0 * k6[i]
+                  + 69997945.0 / 29380423.0 * k7[i])
+        out[i] = y[i] + th * (dy + th1 * (bspl + th * (r4 + th1 * r5)))
     return out
 
 
@@ -553,8 +502,9 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     """Adaptive Dormand-Prince 5(4) with a radial exit window.
 
     Integration stops when the field radius leaves [rlo, rhi]; the crossing
-    is bisected inside the offending step.  Accepted states go to the
-    buffers when record != 0.  Returns (status, nrec, t_end, y_end).
+    is bisected on the step's dense output, which costs no further field
+    evaluations.  Accepted states go to the buffers when record != 0.
+    Returns (status, nrec, t_end, y_end).
     """
     dim = y0.shape[0]
     y = y0.copy()
@@ -630,13 +580,13 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
                 hi = 1.0
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    ytr = _dp_step(field_id, k, pf, y, mid * h, dim)
+                    ytr = _dense(y, ynew, k1, k3, k4, k5, k6, k7, h, mid)
                     rr = _field_radius(field_id, ytr)
                     if rr > rhi or rr < rlo:
                         hi = mid
                     else:
                         lo = mid
-                yex = _dp_step(field_id, k, pf, y, hi * h, dim)
+                yex = _dense(y, ynew, k1, k3, k4, k5, k6, k7, h, hi)
                 tex = t + hi * h
                 if record != 0 and nrec < cap:
                     tbuf[nrec] = tex

@@ -32,7 +32,8 @@ def _add_table_args(p):
     p.add_argument("--table", choices=["square", "hyperbolic-pentagon",
                                        "sphere-triangle"],
                    help="built-in table")
-    p.add_argument("--spec", help="polygon spec file (see README for the format)")
+    p.add_argument("--spec", help="polygon spec file (format: see the "
+                                  "ccbilliards.specfile docstring)")
     p.add_argument("--theta", type=float,
                    help="opening angle for sphere-triangle, radians")
     p.add_argument("--out", default=None,

@@ -87,11 +87,9 @@ def collision_step(b, poly):
     Returns the next BoundaryState, or a VertexHit when the trajectory
     lands within VERTEX_TOL of a vertex.
     """
-    _validate_state(poly, b)
-    sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
-    st, j, s, psi, tf, vtx = K.collision_step_state(
-        poly.k, sa, su, sn, sl, sv0, sv1, verts,
-        b.side - 1, b.s, b.psi, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL)
+    p, v = embed_state(poly, b)
+    st, j, s, psi, tf, vtx = K.step_ray(
+        poly.k, *poly.kernel_pack(), p, v, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL)
     if st == K.STEP_VERTEX:
         return VertexHit(int(vtx) + 1, float(tf))
     if st == K.STEP_GRAZING:
@@ -123,8 +121,15 @@ class TraceResult:
         return self.state(self.n_done - 1)
 
 
+def check_count(n):
+    """Reject a negative bounce count before it reaches the kernels."""
+    if n < 0:
+        raise ValueError(f"bounce count must be >= 0, got {n}")
+
+
 def trace(poly, b, n, max_length=math.inf):
     """Iterate the collision map n times from b, recording every bounce."""
+    check_count(n)
     _validate_state(poly, b)
     sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
     labels = np.empty(n, dtype=np.int64)
@@ -142,6 +147,7 @@ def trace(poly, b, n, max_length=math.inf):
 
 def trace_ray(poly, point, direction, n, max_length=math.inf):
     """Trace from an arbitrary interior ray (used by the diagonal search)."""
+    check_count(n)
     sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
     labels = np.empty(n, dtype=np.int64)
     svals = np.empty(n)

@@ -193,8 +193,8 @@ def closed_form_flow(s0, t, k, eps=None):
 
     gamma is returned unwrapped (continuous in t, including full windings
     around the vertex on the sphere); beta stays in its (0, pi) or
-    (pi, 2 pi) branch.  With ``eps`` given, leaving r < eps or reaching the
-    vertex raises :class:`ChartExitError` carrying the exit time and state.
+    (pi, 2 pi) branch.  With ``eps`` given, leaving r < eps raises
+    :class:`ChartExitError` carrying the exit time and state.
     """
     check_curvature(k)
     r0 = s0.r
@@ -287,41 +287,49 @@ def _radial_flow(s0, t, k, cb0):
 
 
 def _check_chart_window(s0, t, k, eps, sb0, cb0):
-    """Raise ChartExitError when r leaves (0, eps) during [0, t]."""
+    """Raise ChartExitError when r reaches eps between times 0 and t."""
     if s0.r >= eps:
         raise ChartExitError("initial state outside the chart", 0.0, s0)
-    exit_time = _scan_exit(s0, t, k, eps)
+    exit_time = _scan_exit(s0, t, k, eps, sb0, cb0)
     if exit_time is not None:
         state = closed_form_flow(s0, exit_time * (1 - 1e-12), k)
         raise ChartExitError("trajectory leaves the chart", exit_time, state)
 
 
-def _scan_exit(s0, t, k, eps):
-    """First time r(u) >= eps or r(u) <= 0 on [0, t], by sampling + bisection."""
-    n = 256
-    prev = 0.0
-    for i in range(1, n + 1):
-        u = t * i / n
-        try:
-            st = closed_form_flow(s0, u, k)
-            bad = st.r >= eps
-        except SingularFieldError:
-            bad = True
-        if bad:
-            lo, hi = prev, u
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                try:
-                    bad_mid = closed_form_flow(s0, mid, k).r >= eps
-                except SingularFieldError:
-                    bad_mid = True
-                if bad_mid:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev = u
-    return None
+def _scan_exit(s0, t, k, eps, sb0, cb0):
+    """First time u between 0 and t at which r(u) = eps, or None.
+
+    Along the geodesic cos_k r(u) = A cos_k u + B sin_k u with
+    A = cos_k r0 and B = -k sin_k r0 cos beta0 (for k = 0, r(u)^2 is the
+    quadratic r0^2 + 2 u r0 cos beta0 + u^2).  The root is taken in a
+    well-conditioned form.  Drop the perpendicular from the vertex to the
+    geodesic; its length d has sin_k d = sin_k r0 |sin beta0|.  The state
+    sits at signed arc x0 from its foot, and the circle r = eps meets the
+    geodesic at arcs +-x_eps, so u = x_eps - x0 forward in time and
+    u = -x_eps - x0 backward.  Passing through the vertex on a radial
+    trajectory is not an exit.
+    """
+    if k == 1 and eps > math.pi:
+        return None   # r never exceeds pi on the sphere
+    sr0 = K.sink(k, s0.r)
+    sd = sr0 * sb0
+    se = K.sink(k, eps)
+    q = (se - sd) * (se + sd)
+    if q < 0.0:
+        return None   # the geodesic stays inside the disc r < eps
+    x0 = _arctan_k(k, sr0 * cb0, K.cosk(k, s0.r))
+    x_eps = _arctan_k(k, math.sqrt(q), K.cosk(k, eps))
+    u = x_eps - x0 if t > 0.0 else -x_eps - x0
+    return u if abs(u) <= abs(t) else None
+
+
+def _arctan_k(k, y, x):
+    """The arc whose tan_k = sin_k / cos_k is y / x."""
+    if k == 1:
+        return math.atan2(y, x)
+    if k == -1:
+        return math.atanh(y / x)
+    return y / x
 
 
 # ---------------------------------------------------------------------------

@@ -115,18 +115,6 @@ def geodesic_at(g, t, k):
     return Tangent(q, w)
 
 
-def direction_to(p, q, k):
-    """Unit tangent at p pointing toward q."""
-    p = as_vec3(p)
-    q = as_vec3(q)
-    d = K.distance(k, p, q)
-    if d < POINT_TOL:
-        raise GeometryError("direction to a coincident point is undefined")
-    if k == 1 and d > math.pi - POINT_TOL:
-        raise GeometryError("direction to the antipode is undefined")
-    return K.log_map(k, p, q)
-
-
 def angle_between(u, v, k):
     """Unsigned angle in [0, pi] between tangents at a common base point."""
     if K.distance(k, u.point, v.point) > ON_CURVE_TOL:
@@ -356,11 +344,3 @@ def apply_isometry(mat, p, k):
             return q
     return K.renorm_point(k, q)
 
-
-def apply_isometry_tangent(mat, t, k):
-    q = apply_isometry(mat, t.point, k)
-    if k == 0:
-        d = np.array([*(mat[:2, :2] @ t.direction[:2]), 0.0])
-    else:
-        d = mat @ t.direction
-    return Tangent(q, K.renorm_tangent(k, q, d))

@@ -78,7 +78,6 @@ def presentation_from_counts(boundary_components, n_vertices):
 
 def pi1_presentation(poly):
     """Fundamental group of the compactified phase space over the table."""
-    g, chi = double_surface_invariants(poly)
     return presentation_from_counts(poly.boundary_components, poly.n_vertices)
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from . import _kernels as K
 from . import collision as C
 from . import geometry as G
-from .errors import GeometryError
 
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
@@ -108,6 +107,7 @@ def crossing_labels(poly, b, n):
 
 
 def crossing_labels_from_tangent(poly, p, v, n):
+    C.check_count(n)
     sa, su, sn, sl, _, _, _ = poly.kernel_pack()
     refl = reflection_pack(poly)
     labels = np.empty(max(n, 1), dtype=np.int64)
@@ -123,15 +123,6 @@ def reflection_pack(poly):
     return np.ascontiguousarray(
         np.stack([G.reflection_matrix(s.geodesic, poly.k)
                   for s in poly.sides]))
-
-
-def _transform_dir(mat, p, v, k):
-    q = G.apply_isometry(mat, p, k)
-    if k == 0:
-        d = np.array([*(mat[:2, :2] @ v[:2]), 0.0])
-    else:
-        d = mat @ v
-    return K.renorm_tangent(k, q, d)
 
 
 @dataclass(frozen=True)

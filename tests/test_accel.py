@@ -17,6 +17,7 @@ from ccbilliards import collision as C
 WORKLOAD = r"""
 import math
 from ccbilliards import BoundaryState, itinerary, square, sphere_triangle
+from ccbilliards import CartesianChartState, integrate_chart_flow
 from ccbilliards import collision as C
 import ccbilliards
 print("numba:", ccbilliards.NUMBA_ENABLED)
@@ -30,6 +31,15 @@ tr = C.trace(tri, BoundaryState(2, 0.3, 1.2), 40)
 for i in range(tr.n_done):
     print(int(tr.labels[i]), format(tr.svals[i], ".17g"),
           format(tr.psis[i], ".17g"))
+tr = C.trace_ray(tri, *C._launch(tri, 1, 0.37), 40, 20.0)
+print(tr.status, tr.vertex, format(tr.length, ".17g"))
+for i in range(tr.n_done):
+    print(int(tr.labels[i]), format(tr.svals[i], ".17g"),
+          format(tr.psis[i], ".17g"))
+traj = integrate_chart_flow(CartesianChartState(0.2, 0.0, 0.3), 5.0, 1.0, 1,
+                            eps=0.5)
+print(traj.exited, format(traj.exit_time, ".17g"),
+      *(format(x, ".17g") for x in traj.states[-1]))
 """
 
 

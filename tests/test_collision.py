@@ -5,7 +5,9 @@ import pytest
 
 from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
                          VertexHit, collision_step, conjugated_vertices,
-                         generalized_diagonals, itinerary, sphere_triangle)
+                         crossing_labels, generalized_diagonals, itinerary,
+                         sphere_triangle, unfold)
+from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import geometry as G
 
@@ -77,6 +79,38 @@ class TestCollisionStep:
                 assert again.s == pytest.approx(b.s, abs=1e-9)
                 assert again.psi == pytest.approx(b.psi, abs=1e-9)
                 checked += 1
+
+
+class TestTrace:
+    def test_ray_from_embedded_state_matches_trace(self, sq, pentagon, tri1):
+        # both entry points run the same loop: identical bits, every stop
+        cases = ((sq, BoundaryState(1, 0.37, 1.13), 40, math.inf),
+                 (sq, BoundaryState(1, 0.37, 1.13), 40, 5.0),
+                 (pentagon, BoundaryState(2, 0.3, 1.0), 40, math.inf),
+                 (tri1, BoundaryState(2, 0.3, 1.2), 40, math.inf),
+                 (tri1, BoundaryState(2, 0.4, math.pi / 2), 5, math.inf))
+        stops = set()
+        for poly, b, n, max_length in cases:
+            tr = C.trace(poly, b, n, max_length)
+            ray = C.trace_ray(poly, *C.embed_state(poly, b), n, max_length)
+            assert (ray.n_done, ray.status, ray.vertex, ray.length) == (
+                tr.n_done, tr.status, tr.vertex, tr.length)
+            for name in ("labels", "svals", "psis", "flights"):
+                np.testing.assert_array_equal(getattr(ray, name),
+                                              getattr(tr, name))
+            stops.add(tr.status)
+        assert stops == {K.STEP_OK, K.STEP_MAXLEN, K.STEP_VERTEX}
+
+
+@pytest.mark.parametrize("call", [
+    lambda poly, b: C.trace(poly, b, -1),
+    lambda poly, b: C.trace_ray(poly, *C.embed_state(poly, b), -1),
+    lambda poly, b: unfold(b, poly, -3),
+    lambda poly, b: crossing_labels(poly, b, -2),
+], ids=["trace", "trace_ray", "unfold", "crossing_labels"])
+def test_negative_count_rejected(sq, call):
+    with pytest.raises(ValueError, match="bounce count"):
+        call(sq, BoundaryState(1, 0.5, 1.0))
 
 
 class TestItinerary:

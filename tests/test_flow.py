@@ -155,11 +155,28 @@ class TestClosedForm:
                 assert out.beta == pytest.approx(s.beta, abs=1e-9)
 
     def test_chart_exit_reported(self):
+        s0 = ChartState(0.4, 0.0, 0.2)
+        for k in KS:
+            for t in (2.0, -2.0):
+                with pytest.raises(ChartExitError) as ei:
+                    closed_form_flow(s0, t, k, eps=0.5)
+                err = ei.value
+                assert 0.0 < err.exit_time / t < 1.0
+                assert err.state.r == pytest.approx(0.5, abs=1e-6)
+                assert closed_form_flow(s0, err.exit_time, k).r == (
+                    pytest.approx(0.5, rel=1e-12))
+
+    @pytest.mark.parametrize("t", [256 * TWO_PI, 256 * TWO_PI + 0.5])
+    def test_short_chart_trip_on_sphere(self, t):
+        # r(u) has period 2 pi: 256 evenly spaced samples of [0, t] all land
+        # where r = r0 for the first t, and the first sample past eps lies
+        # in a later period for the second
+        s0 = ChartState(0.1, 0.3, 1.0)
         with pytest.raises(ChartExitError) as ei:
-            closed_form_flow(ChartState(0.4, 0.0, 0.2), 2.0, 0, eps=0.5)
-        err = ei.value
-        assert 0.0 < err.exit_time < 2.0
-        assert err.state.r == pytest.approx(0.5, abs=1e-6)
+            closed_form_flow(s0, t, 1, eps=0.3)
+        assert ei.value.exit_time == pytest.approx(0.23415, abs=1e-5)
+        assert closed_form_flow(s0, ei.value.exit_time, 1).r == pytest.approx(
+            0.3, rel=1e-12)
 
     def test_vertex_crossing_flips_gamma(self):
         out = closed_form_flow(ChartState(1.0, 0.3, math.pi), 1.5, 0)
@@ -317,10 +334,30 @@ class TestIntegrateChartFlow:
                 assert abs(got.z - ref.z) < 1e-8
 
     def test_exit_flagged_at_radius(self):
-        traj = integrate_chart_flow(CartesianChartState(0.2, 0.0, 0.3),
-                                    5.0, 1.0, 0, eps=0.5)
-        assert traj.exited
-        assert math.hypot(*traj.states[-1][:2]) == pytest.approx(0.5, abs=1e-9)
+        for k in KS:
+            traj = integrate_chart_flow(CartesianChartState(0.2, 0.0, 0.3),
+                                        5.0, 1.0, k, eps=0.5)
+            assert traj.exited
+            assert traj.exit_time == traj.t[-1]
+            assert chart_extract(traj.final(), 1.0, k).r == pytest.approx(
+                0.5, abs=1e-9)
+
+    def test_exit_matches_closed_form_exit(self):
+        # rk45's dense-output exit and the closed-form root, through the
+        # time change
+        s0 = ChartState(0.2, 0.4, 0.3)
+        for k in KS:
+            traj = integrate_chart_flow(chart_embed(s0, 1.0, k), 50.0, 1.0, k,
+                                        eps=0.5, track_arc_time=True)
+            with pytest.raises(ChartExitError) as ei:
+                closed_form_flow(s0, 50.0, k, eps=0.5)
+            t_exit = ei.value.exit_time
+            assert traj.arc_time[-1] == pytest.approx(t_exit, abs=1e-8)
+            ref = chart_embed(closed_form_flow(s0, t_exit, k), 1.0, k)
+            got = traj.final()
+            assert abs(got.x - ref.x) < 1e-8
+            assert abs(got.y - ref.y) < 1e-8
+            assert abs(got.z - ref.z) < 1e-8
 
     def test_export_format(self, tmp_path):
         traj = integrate_chart_flow(CartesianChartState(0.1, 0.0, 1.0),
