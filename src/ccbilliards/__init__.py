@@ -9,6 +9,8 @@ CLI tying them together.
 
 Hot kernels are numba-compiled when numba is installed; without it, or
 with CCBILLIARDS_NUMBA=0, the same source runs as pure numpy/Python.
+The periodic-orbit seed sweep traces its samples together in a batched
+plain-numpy engine instead.
 """
 
 from ._accel import NUMBA_ENABLED

@@ -7,6 +7,10 @@ pure numpy/Python fallback: the same source is executed uncompiled, so
 results agree bit-for-bit up to libm differences.
 
 ``benchmarks/bench_kernels.py`` times the two paths against each other.
+
+The batched engine in :mod:`ccbilliards._batch` (the ``find_periodic``
+seed sweep) is plain numpy and is never compiled, whatever this flag says;
+how it compares with a numba-compiled scalar sweep is unmeasured.
 """
 
 import os

@@ -15,6 +15,11 @@ Everything here must stay nopython-compilable: floats, int64 flags and
 contiguous float64 arrays only.  Collision sides are passed as flat arrays
 (start point, unit start tangent, interior-positive plane functional,
 length, endpoint vertex ids).
+
+These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
+many rays at once in :mod:`ccbilliards._batch`, plain numpy that is never
+numba-compiled; whether the compiled scalar sweep would beat it on a
+machine with numba has not been measured.
 """
 
 import math

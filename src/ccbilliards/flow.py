@@ -65,6 +65,13 @@ def _check_theta(theta):
         raise GeometryError(f"vertex angle must be positive, got {theta}")
 
 
+def _check_eps(eps):
+    # nan compares false, so an unchecked nan radius would never be left
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise GeometryError(
+            f"chart radius eps must be finite and positive, got {eps}")
+
+
 def chart_forward(s, theta):
     """Wedge-to-disc chart; the circle r = 0 collapses gamma."""
     _check_theta(theta)
@@ -170,8 +177,7 @@ def reparameterization_factor(r, k, eps):
     check_curvature(k)
     if r < 0.0:
         raise GeometryError("radius must be nonnegative")
-    if not eps > 0.0:
-        raise GeometryError("chart radius eps must be positive")
+    _check_eps(eps)
     if r >= eps:
         return 1.0
     raw = K.sink(k, r)
@@ -197,6 +203,8 @@ def closed_form_flow(s0, t, k, eps=None):
     :class:`ChartExitError` carrying the exit time and state.
     """
     check_curvature(k)
+    if eps is not None:
+        _check_eps(eps)
     r0 = s0.r
     if r0 <= 0.0:
         raise SingularFieldError("closed-form flow requires r > 0")
@@ -366,6 +374,7 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     pf = math.pi / theta
     rhi = K.INF
     if eps is not None:
+        _check_eps(eps)
         rhi = K.sink(k, eps) if k != 0 else eps
     if k == 1:
         rhi = min(rhi, 1.0 - 1e-12)

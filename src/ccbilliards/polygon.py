@@ -120,6 +120,8 @@ def _embed_loop(k, coords, model):
     for j, c in enumerate(coords):
         c = tuple(float(x) for x in np.atleast_1d(c))
         try:
+            if not all(math.isfinite(x) for x in c):
+                raise GeometryError(f"non-finite coordinate in {c}")
             if model == "plane":
                 if len(c) != 2:
                     raise GeometryError(f"expected 2 coordinates, got {len(c)}")

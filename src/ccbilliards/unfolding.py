@@ -23,6 +23,7 @@ from . import _kernels as K
 from . import collision as C
 from . import geometry as G
 
+SWEEP_BLOCK = 2048            # seeds per trace_many call in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
@@ -133,7 +134,7 @@ class IsometryClass:
                               # reflection | parabolic
     angle: float | None = None
     length: float | None = None
-    axis: np.ndarray | None = None
+    axis: tuple | None = None  # unit 3-vector as floats, so reports compare
 
     def __str__(self):
         if self.kind == "rotation":
@@ -165,8 +166,9 @@ def classify_isometry(g, k, tol=CLASSIFY_TOL):
             d = _fixed_direction(lin)
             return IsometryClass("reflection", axis=d)
         if np.max(np.abs(lin - np.eye(2))) < tol:
-            return IsometryClass("translation", length=float(np.linalg.norm(tr)),
-                                 axis=np.array([*(tr / np.linalg.norm(tr)), 0.0]))
+            length = float(np.linalg.norm(tr))
+            return IsometryClass("translation", length=length,
+                                 axis=_float_tuple([*(tr / length), 0.0]))
         ang = math.atan2(lin[1, 0], lin[0, 0])
         return IsometryClass("rotation", angle=ang)
     det = float(np.linalg.det(g))
@@ -192,14 +194,18 @@ def classify_isometry(g, k, tol=CLASSIFY_TOL):
 def _fixed_direction(lin2):
     w, v = np.linalg.eigh((lin2 + lin2.T) / 2.0)
     d = v[:, int(np.argmax(w))]
-    return np.array([d[0], d[1], 0.0])
+    return _float_tuple([d[0], d[1], 0.0])
 
 
 def _rotation_axis(g):
     u, s, vt = np.linalg.svd(g - np.eye(3))
     axis = vt[-1]
     n = np.linalg.norm(axis)
-    return axis / n if n > 0 else axis
+    return _float_tuple(axis / n if n > 0 else axis)
+
+
+def _float_tuple(xs):
+    return tuple(float(x) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +329,12 @@ def find_periodic(poly, max_bounces, samples, seed):
     the return displacement and kept below a 1e-8 residual.  One report is
     kept per bounce sequence (up to rotation and reversal); a continuous
     family is represented by one member.
+
+    The sweep traces the samples together, SWEEP_BLOCK at a time, with
+    the batched numpy engine (``collision.trace_many``), which is never
+    numba-compiled; on a machine with numba it is unmeasured whether the
+    compiled scalar sweep would be faster.  Newton polish and everything
+    after it use the scalar ``trace``.
     """
     if max_bounces < 1 or samples < 1:
         raise ValueError("search bounds must be positive")
@@ -345,8 +357,7 @@ def find_periodic(poly, max_bounces, samples, seed):
                 psi = min(max(psi, 1e-3), math.pi - 1e-3)
                 states.append(C.BoundaryState(label, s, psi))
     reports = {}
-    for b in states:
-        tr = C.trace(poly, b, max_bounces)
+    for b, tr in _sweep(poly, states, max_bounces):
         for i in range(tr.n_done):
             if int(tr.labels[i]) != b.side:
                 continue
@@ -371,6 +382,15 @@ def find_periodic(poly, max_bounces, samples, seed):
                 float(np.sum(rtr.flights)), residual, hol)
             break
     return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
+
+
+def _sweep(poly, states, max_bounces):
+    """(state, trace) pairs, traced SWEEP_BLOCK states at a time."""
+    for lo in range(0, len(states), SWEEP_BLOCK):
+        block = states[lo:lo + SWEEP_BLOCK]
+        batch = C.trace_many(poly, block, max_bounces)
+        for r, b in enumerate(block):
+            yield b, batch.row(r)
 
 
 def _flat_direction_check(res, poly):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ccbilliards import hyperbolic_pentagon, sphere_triangle, square
+from ccbilliards import NUMBA_ENABLED, hyperbolic_pentagon, sphere_triangle, square
 from ccbilliards import geometry as G
+
+
+def pytest_report_header(config):
+    line = f"ccbilliards NUMBA_ENABLED: {NUMBA_ENABLED}"
+    if not NUMBA_ENABLED:
+        line += " (test_accel.py compares the pure-Python fallback with itself)"
+    return line
 
 
 @pytest.fixture(scope="session")

@@ -168,6 +168,20 @@ class TestGeneralizedDiagonals:
     def test_max_length_cutoff(self, sq):
         assert generalized_diagonals(sq, 0, 0.5, angles_per_vertex=32) == []
 
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_empty_fan_rejected(self, sq, tri1, angles):
+        with pytest.raises(ValueError):
+            generalized_diagonals(sq, 2, 4.0, angles_per_vertex=angles)
+        with pytest.raises(ValueError):
+            conjugated_vertices(tri1, 2, 4.0, angles_per_vertex=angles)
+
+    @pytest.mark.parametrize("max_length", [math.nan, 0.0, -1.0])
+    def test_bad_max_length_rejected(self, sq, tri1, max_length):
+        with pytest.raises(ValueError):
+            generalized_diagonals(sq, 2, max_length, angles_per_vertex=8)
+        with pytest.raises(ValueError):
+            conjugated_vertices(tri1, 2, max_length, angles_per_vertex=8)
+
     def test_every_diagonal_resimulates(self, tri1):
         ds = generalized_diagonals(tri1, 2, 6.0, angles_per_vertex=256)
         assert ds

@@ -379,3 +379,17 @@ def test_chart_round_trip_property(r, gamma, beta, theta):
     back = chart_inverse(chart_forward(s, theta), theta)
     assert back.r == pytest.approx(s.r, rel=1e-12, abs=1e-12)
     assert back.gamma == pytest.approx(s.gamma, abs=1e-9 * max(1, theta))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("k", KS)
+def test_bad_chart_radius_rejected(eps, k):
+    with pytest.raises(GeometryError):
+        closed_form_flow(ChartState(0.3, 0.0, 1.0), 1.0, k, eps=eps)
+    with pytest.raises(GeometryError):
+        closed_form_flow(ChartState(0.3, 0.0, 1.0), 0.0, k, eps=eps)
+    with pytest.raises(GeometryError):
+        integrate_chart_flow(CartesianChartState(0.2, 0.0, 0.3), 1.0, 1.0, k,
+                             eps=eps)
+    with pytest.raises(GeometryError):
+        reparameterization_factor(0.3, k, eps)

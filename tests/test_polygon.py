@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestBuild:
         sq = build_polygon(0, [(0, 0), (0, 1), (1, 1), (1, 0)])
         assert sq.reversed_input
         assert sq.angles == pytest.approx([math.pi / 2] * 4)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_vertex_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PolygonError, match="vertex 1: non-finite"):
+                build_polygon(0, [(0.0, 0.0), (bad, 0.0), (0.0, 1.0)])
+            with pytest.raises(PolygonError, match="vertex 2: non-finite"):
+                build_polygon(1, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                  (0.0, bad, 0.0)])
 
     def test_pentagon_right_angles(self, pentagon):
         assert pentagon.angles == pytest.approx([math.pi / 2] * 5, abs=1e-12)

@@ -164,3 +164,9 @@ class TestFindPeriodic:
     def test_bad_bounds_rejected(self, sq):
         with pytest.raises(ValueError):
             find_periodic(sq, 0, 10, seed=0)
+
+    def test_reports_compare_equal(self, sq):
+        # holonomy axes are float tuples, so whole reports support ==
+        reports = find_periodic(sq, 5, 10, 0)
+        assert any(r.holonomy.axis is not None for r in reports)
+        assert reports == find_periodic(sq, 5, 10, 0)
