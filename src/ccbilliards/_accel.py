@@ -7,6 +7,10 @@ pure numpy/Python fallback: the same source is executed uncompiled, so
 results agree bit-for-bit up to libm differences.
 
 ``benchmarks/bench_kernels.py`` times the two paths against each other.
+numba is an optional dependency (the ``jit`` extra).  The kernels pass
+3-vectors and side data as homogeneous float tuples, which are in numba's
+nopython subset, but the compiled path has not been tested or timed:
+every timing recorded for this package is for the fallback.
 
 The batched engine in :mod:`ccbilliards._batch` (the ``find_periodic``
 seed sweep) is plain numpy and is never compiled, whatever this flag says;

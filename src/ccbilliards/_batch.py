@@ -218,6 +218,8 @@ def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
     to n_done (0-based labels, -1 past the end; nan floats past the end).
     vertex is 0-based on STEP_VERTEX, else -1.
     """
+    sa, su, sn, sl, sv0, sv1, verts = (np.asarray(x) for x in
+                                       (sa, su, sn, sl, sv0, sv1, verts))
     nray = side0.shape[0]
     n_done = np.full(nray, nmax, dtype=np.int64)
     status = np.full(nray, STEP_OK, dtype=np.int64)

@@ -11,10 +11,20 @@ Geodesics are ``cos_k(t) p + sin_k(t) v`` with (cosh, sinh) for k = -1 and
 (1, t) for k = 0, which makes side intersections a one-variable root of
 ``a cos_k t + b sin_k t = 0`` in every curvature.
 
-Everything here must stay nopython-compilable: floats, int64 flags and
-contiguous float64 arrays only.  Collision sides are passed as flat arrays
-(start point, unit start tangent, interior-positive plane functional,
-length, endpoint vertex ids).
+Everything here must stay nopython-compilable: floats, int64 flags,
+homogeneous tuples and float64 arrays, no lists or dicts.  3-vectors are
+(x, y, z) float triples: the geometry helpers return tuples, and the
+collision kernels get their sides from ``Polygon.kernel_pack()`` as nested
+float tuples (start point, unit start tangent, interior-positive plane
+functional, length, endpoint vertex ids).  Uncompiled, this keeps the hot
+loop on Python floats, with no ``np.empty(3)`` per vector and no numpy
+scalar arithmetic, and gives the same bits as arrays would: every
+expression keeps its operation order, and ``x ** 2`` stays ``x ** 2``
+(numpy's float64 power and Python's agree bit for bit; ``x * x`` does
+not).  The entry kernels convert array or numpy-scalar arguments with
+``float()``.  Per-bounce outputs still go to caller-owned arrays.
+Compiled, a tuple's length is part of its type, so numba compiles the
+collision kernels once per side count.
 
 These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
 many rays at once in :mod:`ccbilliards._batch`, plain numpy that is never
@@ -80,75 +90,45 @@ def det3(a, b, c):
 
 @jit_kernel
 def renorm_point(k, p):
-    out = np.empty(3)
     if k == 1:
         n = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-        out[0] = p[0] / n
-        out[1] = p[1] / n
-        out[2] = p[2] / n
-    elif k == -1:
+        return p[0] / n, p[1] / n, p[2] / n
+    if k == -1:
         n = math.sqrt(p[2] ** 2 - p[0] ** 2 - p[1] ** 2)
-        out[0] = p[0] / n
-        out[1] = p[1] / n
-        out[2] = p[2] / n
-    else:
-        out[0] = p[0]
-        out[1] = p[1]
-        out[2] = 1.0
-    return out
+        return p[0] / n, p[1] / n, p[2] / n
+    return p[0], p[1], 1.0
 
 
 @jit_kernel
 def renorm_tangent(k, p, v):
-    out = np.empty(3)
     if k == 0:
         n = math.hypot(v[0], v[1])
-        out[0] = v[0] / n
-        out[1] = v[1] / n
-        out[2] = 0.0
-        return out
+        return v[0] / n, v[1] / n, 0.0
     c = mdot(k, v, p)
     if k == 1:
-        out[0] = v[0] - c * p[0]
-        out[1] = v[1] - c * p[1]
-        out[2] = v[2] - c * p[2]
+        o = (v[0] - c * p[0], v[1] - c * p[1], v[2] - c * p[2])
     else:
         # <p,p>_M = -1, so the tangential part is v + <v,p>_M p
-        out[0] = v[0] + c * p[0]
-        out[1] = v[1] + c * p[1]
-        out[2] = v[2] + c * p[2]
-    n = math.sqrt(abs(mdot(k, out, out)))
-    out[0] /= n
-    out[1] /= n
-    out[2] /= n
-    return out
+        o = (v[0] + c * p[0], v[1] + c * p[1], v[2] + c * p[2])
+    n = math.sqrt(abs(mdot(k, o, o)))
+    return o[0] / n, o[1] / n, o[2] / n
 
 
 @jit_kernel
 def geodesic_point(k, p, v, t):
     c = cosk(k, t)
     s = sink(k, t)
-    out = np.empty(3)
-    out[0] = c * p[0] + s * v[0]
-    out[1] = c * p[1] + s * v[1]
-    out[2] = c * p[2] + s * v[2]
-    return out
+    return c * p[0] + s * v[0], c * p[1] + s * v[1], c * p[2] + s * v[2]
 
 
 @jit_kernel
 def geodesic_dir(k, p, v, t):
-    out = np.empty(3)
     if k == 0:
-        out[0] = v[0]
-        out[1] = v[1]
-        out[2] = 0.0
-        return out
+        return v[0], v[1], 0.0
     c = cosk(k, t)
     s = sink(k, t)
-    out[0] = -k * s * p[0] + c * v[0]
-    out[1] = -k * s * p[1] + c * v[1]
-    out[2] = -k * s * p[2] + c * v[2]
-    return out
+    return (-k * s * p[0] + c * v[0], -k * s * p[1] + c * v[1],
+            -k * s * p[2] + c * v[2])
 
 
 @jit_kernel
@@ -174,22 +154,12 @@ def distance(k, a, b):
 @jit_kernel
 def perp(k, p, w):
     # +90 degree rotation of the tangent w in the oriented tangent plane at p
-    out = np.empty(3)
     if k == 0:
-        out[0] = -w[1]
-        out[1] = w[0]
-        out[2] = 0.0
-        return out
-    cx = p[1] * w[2] - p[2] * w[1]
-    cy = p[2] * w[0] - p[0] * w[2]
+        return -w[1], w[0], 0.0
     cz = p[0] * w[1] - p[1] * w[0]
-    out[0] = cx
-    out[1] = cy
-    if k == 1:
-        out[2] = cz
-    else:
-        out[2] = -cz
-    return out
+    if k != 1:
+        cz = -cz
+    return p[1] * w[2] - p[2] * w[1], p[2] * w[0] - p[0] * w[2], cz
 
 
 @jit_kernel
@@ -204,48 +174,31 @@ def signed_angle(k, p, u, v):
 def log_map(k, p, q):
     # unit tangent at p toward q; caller guarantees q != p (and q != -p on
     # the sphere)
-    out = np.empty(3)
     if k == 0:
-        out[0] = q[0] - p[0]
-        out[1] = q[1] - p[1]
-        out[2] = 0.0
-        n = math.hypot(out[0], out[1])
-        out[0] /= n
-        out[1] /= n
-        return out
+        d0 = q[0] - p[0]
+        d1 = q[1] - p[1]
+        n = math.hypot(d0, d1)
+        return d0 / n, d1 / n, 0.0
     c = mdot(k, q, p)
     if k == 1:
-        out[0] = q[0] - c * p[0]
-        out[1] = q[1] - c * p[1]
-        out[2] = q[2] - c * p[2]
+        o = (q[0] - c * p[0], q[1] - c * p[1], q[2] - c * p[2])
     else:
-        out[0] = q[0] + c * p[0]
-        out[1] = q[1] + c * p[1]
-        out[2] = q[2] + c * p[2]
-    n = math.sqrt(abs(mdot(k, out, out)))
-    out[0] /= n
-    out[1] /= n
-    out[2] /= n
-    return out
+        o = (q[0] + c * p[0], q[1] + c * p[1], q[2] + c * p[2])
+    n = math.sqrt(abs(mdot(k, o, o)))
+    return o[0] / n, o[1] / n, o[2] / n
 
 
 @jit_kernel
 def boundary_embed(k, a, u, s, psi):
     """Embed a boundary state: point at arc s on the side (a, u), direction
     rotated by psi from the side's forward tangent."""
-    bp = geodesic_point(k, a, u, s)
-    bp = renorm_point(k, bp)
-    w = geodesic_dir(k, a, u, s)
-    w = renorm_tangent(k, bp, w)
+    bp = renorm_point(k, geodesic_point(k, a, u, s))
+    w = renorm_tangent(k, bp, geodesic_dir(k, a, u, s))
     e2 = perp(k, bp, w)
     c = math.cos(psi)
     sn = math.sin(psi)
-    d = np.empty(3)
-    d[0] = c * w[0] + sn * e2[0]
-    d[1] = c * w[1] + sn * e2[1]
-    d[2] = c * w[2] + sn * e2[2]
-    d = renorm_tangent(k, bp, d)
-    return bp, d
+    d = (c * w[0] + sn * e2[0], c * w[1] + sn * e2[1], c * w[2] + sn * e2[2])
+    return bp, renorm_tangent(k, bp, d)
 
 
 @jit_kernel
@@ -304,11 +257,10 @@ def step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze):
     angle from the hit side's forward tangent; vertex is the 0-based vertex
     id on STEP_VERTEX, else -1.
     """
-    nsides = sl.shape[0]
     best_t = INF
     best_j = -1
     best_s = 0.0
-    for j in range(nsides):
+    for j in range(len(sl)):
         t, s = ray_side_hit(k, p, v, sa[j], su[j], sn[j], sl[j], tmin, tol_v)
         if t < best_t:
             best_t = t
@@ -316,32 +268,25 @@ def step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze):
             best_s = s
     if best_j < 0:
         return STEP_ESCAPED, -1, 0.0, 0.0, 0.0, -1
-    q = geodesic_point(k, p, v, best_t)
-    q = renorm_point(k, q)
+    q = renorm_point(k, geodesic_point(k, p, v, best_t))
     i0 = sv0[best_j]
     i1 = sv1[best_j]
     if distance(k, q, verts[i0]) < tol_v:
         return STEP_VERTEX, best_j, best_s, 0.0, best_t, i0
     if distance(k, q, verts[i1]) < tol_v:
         return STEP_VERTEX, best_j, best_s, 0.0, best_t, i1
-    w_in = geodesic_dir(k, p, v, best_t)
-    w_in = renorm_tangent(k, q, w_in)
-    r = np.empty(3)
+    w_in = renorm_tangent(k, q, geodesic_dir(k, p, v, best_t))
     if k == 0:
         sd0 = su[best_j]
         c2 = w_in[0] * sd0[0] + w_in[1] * sd0[1]
-        r[0] = 2.0 * c2 * sd0[0] - w_in[0]
-        r[1] = 2.0 * c2 * sd0[1] - w_in[1]
-        r[2] = 0.0
+        r = (2.0 * c2 * sd0[0] - w_in[0], 2.0 * c2 * sd0[1] - w_in[1], 0.0)
     else:
         nj = sn[best_j]
         c2 = mdot(k, w_in, nj)
-        r[0] = w_in[0] - 2.0 * c2 * nj[0]
-        r[1] = w_in[1] - 2.0 * c2 * nj[1]
-        r[2] = w_in[2] - 2.0 * c2 * nj[2]
+        r = (w_in[0] - 2.0 * c2 * nj[0], w_in[1] - 2.0 * c2 * nj[1],
+             w_in[2] - 2.0 * c2 * nj[2])
     r = renorm_tangent(k, q, r)
-    sd = geodesic_dir(k, sa[best_j], su[best_j], best_s)
-    sd = renorm_tangent(k, q, sd)
+    sd = renorm_tangent(k, q, geodesic_dir(k, sa[best_j], su[best_j], best_s))
     psi = signed_angle(k, q, sd, r)
     if psi < graze or psi > math.pi - graze:
         return STEP_GRAZING, best_j, best_s, psi, best_t, -1
@@ -362,10 +307,17 @@ def _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
     Fills per-bounce buffers and returns (n_done, status, vertex, length);
     length includes the final leg on a vertex hit.
     """
+    # arrays or numpy scalars in, Python floats through the loop
+    pt = (float(p[0]), float(p[1]), float(p[2]))
+    dv = (float(v[0]), float(v[1]), float(v[2]))
+    maxlen = float(maxlen)
+    tmin = float(tmin)
+    tol_v = float(tol_v)
+    graze = float(graze)
     total = 0.0
     for i in range(nmax):
         st, j, s, psi, tf, vtx = step_ray(
-            k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze)
+            k, sa, su, sn, sl, sv0, sv1, verts, pt, dv, tmin, tol_v, graze)
         if st == STEP_VERTEX:
             return i, STEP_VERTEX, vtx, total + tf
         if st != STEP_OK:
@@ -378,7 +330,7 @@ def _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
         if total > maxlen:
             return i + 1, STEP_MAXLEN, -1, total
         if i + 1 < nmax:
-            p, v = boundary_embed(k, sa[j], su[j], s, psi)
+            pt, dv = boundary_embed(k, sa[j], su[j], s, psi)
     return nmax, STEP_OK, -1, total
 
 
@@ -387,7 +339,7 @@ def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
                 side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
                 labels, svals, psis, flens):
     """Iterate the collision map from a boundary state (see _trace_loop)."""
-    p, v = boundary_embed(k, sa[side0], su[side0], s0, psi0)
+    p, v = boundary_embed(k, sa[side0], su[side0], float(s0), float(psi0))
     return _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
                        p, v, nmax, maxlen, tmin, tol_v, graze,
                        labels, svals, psis, flens)
@@ -402,20 +354,21 @@ trace_from_point = _trace_loop
 def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
     """Crossing labels of the unfolded straight line, pulled back stepwise.
 
-    refl holds one reflection matrix per side; matrices act on embedded
-    3-vectors for every curvature (homogeneous form when k = 0, where they
-    also transport directions since those have zero last component).
-    Never touches boundary (s, psi) coordinates: independent route to the
-    itinerary.
+    refl holds one reflection matrix per side, as a tuple of three row
+    tuples; matrices act on embedded 3-vectors for every curvature
+    (homogeneous form when k = 0, where they also transport directions
+    since those have zero last component).  Never touches boundary
+    (s, psi) coordinates: independent route to the itinerary.
     """
-    nsides = sl.shape[0]
-    p = p0.copy()
-    v = v0.copy()
+    p = (float(p0[0]), float(p0[1]), float(p0[2]))
+    v = (float(v0[0]), float(v0[1]), float(v0[2]))
+    tmin = float(tmin)
+    pad = float(pad)
     n_done = 0
     for m in range(nmax):
         best_t = INF
         best_j = -1
-        for j in range(nsides):
+        for j in range(len(sl)):
             t, s = ray_side_hit(k, p, v, sa[j], su[j], sn[j], sl[j], tmin, pad)
             if t < best_t:
                 best_t = t
@@ -424,18 +377,15 @@ def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
             return n_done
         labels[m] = best_j
         n_done = m + 1
-        q = geodesic_point(k, p, v, best_t)
-        q = renorm_point(k, q)
-        w = geodesic_dir(k, p, v, best_t)
-        w = renorm_tangent(k, q, w)
-        mat = refl[best_j]
-        p2 = np.empty(3)
-        v2 = np.empty(3)
-        for r in range(3):
-            p2[r] = mat[r, 0] * q[0] + mat[r, 1] * q[1] + mat[r, 2] * q[2]
-            v2[r] = mat[r, 0] * w[0] + mat[r, 1] * w[1] + mat[r, 2] * w[2]
-        p = renorm_point(k, p2)
-        v = renorm_tangent(k, p, v2)
+        q = renorm_point(k, geodesic_point(k, p, v, best_t))
+        w = renorm_tangent(k, q, geodesic_dir(k, p, v, best_t))
+        r0, r1, r2 = refl[best_j]
+        p = renorm_point(k, (r0[0] * q[0] + r0[1] * q[1] + r0[2] * q[2],
+                             r1[0] * q[0] + r1[1] * q[1] + r1[2] * q[2],
+                             r2[0] * q[0] + r2[1] * q[1] + r2[2] * q[2]))
+        v = renorm_tangent(k, p, (r0[0] * w[0] + r0[1] * w[1] + r0[2] * w[2],
+                                  r1[0] * w[0] + r1[1] * w[1] + r1[2] * w[2],
+                                  r2[0] * w[0] + r2[1] * w[1] + r2[2] * w[2]))
     return n_done
 
 

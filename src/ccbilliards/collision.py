@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _batch
 from . import _kernels as K
+from . import geometry as G
 from .errors import DegenerateStateError, GeometryError, PolygonError
 
 VERTEX_TOL = 1e-9     # vertex-hit cutoff, model length units
@@ -79,7 +80,7 @@ def embed_state(poly, b):
     side = _validate_state(poly, b)
     p, v = K.boundary_embed(poly.k, side.geodesic.point, side.geodesic.direction,
                             b.s, b.psi)
-    return p, v
+    return np.array(p), np.array(v)
 
 
 def collision_step(b, poly):
@@ -128,9 +129,16 @@ def check_count(n):
         raise ValueError(f"bounce count must be >= 0, got {n}")
 
 
+def _check_max_length(max_length):
+    # nan fails the test too: a nan bound would never stop a trace
+    if not max_length > 0:
+        raise ValueError(f"max_length must be > 0, got {max_length}")
+
+
 def trace(poly, b, n, max_length=math.inf):
     """Iterate the collision map n times from b, recording every bounce."""
     check_count(n)
+    _check_max_length(max_length)
     _validate_state(poly, b)
     sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
     labels = np.empty(n, dtype=np.int64)
@@ -181,6 +189,7 @@ def trace_many(poly, states, n, max_length=math.inf):
     counts, statuses and labels, and in (s, psi) up to rounding.
     """
     check_count(n)
+    _check_max_length(max_length)
     for b in states:
         _validate_state(poly, b)
     side0 = np.array([b.side - 1 for b in states], dtype=np.int64)
@@ -194,15 +203,24 @@ def trace_many(poly, states, n, max_length=math.inf):
 
 
 def trace_ray(poly, point, direction, n, max_length=math.inf):
-    """Trace from an arbitrary interior ray (used by the diagonal search)."""
+    """Trace from an arbitrary interior ray (used by the diagonal search).
+
+    The point and the direction must be finite 3-vectors, the direction
+    nonzero; otherwise GeometryError.
+    """
     check_count(n)
+    _check_max_length(max_length)
+    p = G.as_vec3(point)
+    v = G.as_vec3(direction)
+    if not (np.isfinite(p).all() and np.isfinite(v).all()):
+        raise GeometryError(f"non-finite ray: point {p}, direction {v}")
+    if not v.any():
+        raise GeometryError("zero ray direction")
     sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
     labels = np.empty(n, dtype=np.int64)
     svals = np.empty(n)
     psis = np.empty(n)
     flens = np.empty(n)
-    p = np.ascontiguousarray(point, dtype=np.float64)
-    v = np.ascontiguousarray(direction, dtype=np.float64)
     n_done, status, vtx, total = K.trace_from_point(
         poly.k, sa, su, sn, sl, sv0, sv1, verts,
         p, v, n, max_length, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL,
@@ -286,9 +304,9 @@ def _vertex_frame(poly, vi):
 def _launch(poly, vi, alpha):
     d0, _ = _vertex_frame(poly, vi)
     p = poly.vertices[vi]
-    e2 = K.perp(poly.k, p, d0)
+    e2 = np.array(K.perp(poly.k, p, d0))
     d = math.cos(alpha) * d0 + math.sin(alpha) * e2
-    return p, K.renorm_tangent(poly.k, p, d)
+    return p, np.array(K.renorm_tangent(poly.k, p, d))
 
 
 def _diagonal_signature(tr):
@@ -299,10 +317,14 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
     """Search for vertex-to-vertex trajectories.
 
     Shoots a fan of directions from every vertex (plus targeted shots at
-    the other vertices), brackets itinerary transitions, and bisects each
-    bracket down to the vertex-hit window.  Results are deduplicated by
-    bounce sequence and re-verified by forward simulation; the search is
-    complete only up to the angular resolution.
+    the other vertices) and brackets itinerary transitions between
+    neighbouring rays.  Each vertex then has a budget of
+    8 * angles_per_vertex bisection rays, spent on its transitions in fan
+    order: each bracket is bisected down to the vertex-hit window until
+    the budget runs out, and the remaining transitions are skipped
+    silently.  Every result is a traced ray that ended on a vertex, kept
+    once per bounce sequence and its reverse; nothing re-traces it.  The
+    search is complete only up to the angular resolution and the budget.
     """
     if max_bounces < 0 or not max_length > 0:
         raise ValueError("search bounds must be positive")

@@ -101,8 +101,8 @@ def _orbit_phase_points(poly, b, window):
             for frac in (0.25, 0.5, 0.75):
                 t = float(tr.flights[i]) * frac
                 q = K.renorm_point(poly.k, K.geodesic_point(poly.k, prev_p, prev_v, t))
-                w = K.renorm_tangent(poly.k, q,
-                                     K.geodesic_dir(poly.k, prev_p, prev_v, t))
+                w = np.array(K.renorm_tangent(
+                    poly.k, q, K.geodesic_dir(poly.k, prev_p, prev_v, t)))
                 pts.append((q, sign * w))
             prev_p, prev_v = C.embed_state(poly, tr.state(i))
             pts.append((prev_p, sign * prev_v))

@@ -53,7 +53,7 @@ def normalize_point(p, k):
     check_curvature(k)
     if point_defect(p, k) > 1e-6:
         raise GeometryError(f"point {p} is not near the k={k} model surface")
-    return K.renorm_point(k, p)
+    return np.array(K.renorm_point(k, p))
 
 
 def tangent_at(p, v, k):
@@ -63,7 +63,7 @@ def tangent_at(p, v, k):
     norm = math.sqrt(abs(K.mdot(k, v, v)))
     if norm < 1e-300:
         raise GeometryError("zero tangent vector")
-    return K.renorm_tangent(k, p, v)
+    return np.array(K.renorm_tangent(k, p, v))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def geodesic_through(a, b, k):
         raise GeometryError("coincident points do not determine a geodesic")
     if k == 1 and d > math.pi - 1e-9:
         raise GeometryError("antipodal points do not determine a unique geodesic")
-    return Geodesic(a, K.log_map(k, a, b))
+    return Geodesic(a, np.array(K.log_map(k, a, b)))
 
 
 def distance(a, b, k):
@@ -112,7 +112,7 @@ def geodesic_at(g, t, k):
     """Point and forward direction after arc length t along g."""
     q = K.renorm_point(k, K.geodesic_point(k, g.point, g.direction, t))
     w = K.renorm_tangent(k, q, K.geodesic_dir(k, g.point, g.direction, t))
-    return Tangent(q, w)
+    return Tangent(np.array(q), np.array(w))
 
 
 def angle_between(u, v, k):
@@ -137,9 +137,9 @@ def signed_angle(u, v, k):
 
 def rotate_tangent(t, angle, k):
     """Rotate a tangent CCW by ``angle`` within its tangent plane."""
-    e2 = K.perp(k, t.point, t.direction)
+    e2 = np.array(K.perp(k, t.point, t.direction))
     d = math.cos(angle) * t.direction + math.sin(angle) * e2
-    return Tangent(t.point, K.renorm_tangent(k, t.point, d))
+    return Tangent(t.point, np.array(K.renorm_tangent(k, t.point, d)))
 
 
 def side_normal(g, k):
@@ -154,7 +154,7 @@ def side_normal(g, k):
     if k == 0:
         m = np.array([-u[1], u[0], 0.0])
         return np.array([m[0], m[1], -(m[0] * p[0] + m[1] * p[1])])
-    n = K.perp(k, p, u)
+    n = np.array(K.perp(k, p, u))
     return n / math.sqrt(abs(K.mdot(k, n, n)))
 
 
@@ -190,7 +190,7 @@ def reflect(t, side, k):
         n = side_normal(side, k)
         c = K.mdot(k, d, n)
         r = d - 2.0 * c * n
-    return Tangent(t.point, K.renorm_tangent(k, t.point, r))
+    return Tangent(t.point, np.array(K.renorm_tangent(k, t.point, r)))
 
 
 def geodesic_side_intersection(g, side, side_len, k, t_min=1e-12):
@@ -342,5 +342,5 @@ def apply_isometry(mat, p, k):
         norm2 = q[2] ** 2 - q[0] ** 2 - q[1] ** 2
         if not 0.25 < norm2 < 4.0:
             return q
-    return K.renorm_point(k, q)
+    return np.array(K.renorm_point(k, q))
 

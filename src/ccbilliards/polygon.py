@@ -68,24 +68,27 @@ class Polygon:
         return sum(s.length for s in self.sides)
 
     def kernel_pack(self):
-        """Flat arrays consumed by the collision kernels."""
+        """Side data for the collision kernels, as nested tuples.
+
+        (sa, su, sn, sl, sv0, sv1, verts): per side the start point, unit
+        start tangent and interior-positive functional as (x, y, z) float
+        triples, the length, and the start and end vertex ids; then the
+        vertices as float triples.  Python floats keep the uncompiled
+        kernels off numpy scalar arithmetic; ``_batch`` turns each entry
+        into an array with ``np.asarray``.
+        """
         if self._pack is None:
-            n = len(self.sides)
-            sa = np.empty((n, 3))
-            su = np.empty((n, 3))
-            sn = np.empty((n, 3))
-            sl = np.empty(n)
-            sv0 = np.empty(n, dtype=np.int64)
-            sv1 = np.empty(n, dtype=np.int64)
-            for i, s in enumerate(self.sides):
-                sa[i] = s.geodesic.point
-                su[i] = s.geodesic.direction
-                sn[i] = s.normal
-                sl[i] = s.length
-                sv0[i] = s.start
-                sv1[i] = s.end
-            verts = np.ascontiguousarray(np.array(self.vertices))
-            self._pack = (sa, su, sn, sl, sv0, sv1, verts)
+            def vec(x):
+                return float(x[0]), float(x[1]), float(x[2])
+
+            sides = self.sides
+            self._pack = (tuple(vec(s.geodesic.point) for s in sides),
+                          tuple(vec(s.geodesic.direction) for s in sides),
+                          tuple(vec(s.normal) for s in sides),
+                          tuple(float(s.length) for s in sides),
+                          tuple(int(s.start) for s in sides),
+                          tuple(int(s.end) for s in sides),
+                          tuple(vec(p) for p in self.vertices))
         return self._pack
 
 
@@ -157,7 +160,7 @@ def _loop_sides_angles(k, pts, base_index, loop_id):
                                f"{base_index + (i + 1) % n} coincide")
         if k == 1 and d > math.pi - VERTEX_SEP_TOL:
             raise PolygonError(f"spherical side {base_index + i} has length >= pi")
-        g = G.Geodesic(a, K.log_map(k, a, b))
+        g = G.Geodesic(a, np.array(K.log_map(k, a, b)))
         sides.append(Side(base_index + i, base_index + (i + 1) % n, loop_id,
                           g, G.side_normal(g, k), float(d)))
     angles = []

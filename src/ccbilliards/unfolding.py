@@ -120,10 +120,10 @@ def crossing_labels_from_tangent(poly, p, v, n):
 
 
 def reflection_pack(poly):
-    """Stacked per-side reflection matrices for the crossing kernel."""
-    return np.ascontiguousarray(
-        np.stack([G.reflection_matrix(s.geodesic, poly.k)
-                  for s in poly.sides]))
+    """Per-side reflection matrices for the crossing kernel, as row tuples."""
+    return tuple(tuple(tuple(float(x) for x in row)
+                       for row in G.reflection_matrix(s.geodesic, poly.k))
+                 for s in poly.sides)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,36 @@ class TestTrace:
 def test_negative_count_rejected(sq, call):
     with pytest.raises(ValueError, match="bounce count"):
         call(sq, BoundaryState(1, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("max_length", [0.0, -1.0, math.nan, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda poly, b, m: C.trace(poly, b, 3, max_length=m),
+    lambda poly, b, m: C.trace_many(poly, [b], 3, max_length=m),
+    lambda poly, b, m: C.trace_ray(poly, *C.embed_state(poly, b), 3, m),
+], ids=["trace", "trace_many", "trace_ray"])
+def test_bad_max_length_rejected(sq, call, max_length):
+    # a nan bound used to disable the length stop silently
+    with pytest.raises(ValueError, match="max_length"):
+        call(sq, BoundaryState(1, 0.5, 1.0), max_length)
+
+
+@pytest.mark.parametrize("point, direction", [
+    ((math.nan, 0.5, 1.0), (1.0, 0.0, 0.0)),
+    ((math.inf, 0.5, 1.0), (1.0, 0.0, 0.0)),
+    ((0.5, 0.5, 1.0), (0.6, math.nan, 0.0)),
+    ((0.5, 0.5, 1.0), (-math.inf, 0.0, 0.0)),
+    ((0.5, 0.5, 1.0), (0.0, 0.0, 0.0)),
+    ((0.5, 0.5), (1.0, 0.0, 0.0)),
+], ids=["nan-point", "inf-point", "nan-direction", "inf-direction",
+        "zero-direction", "short-point"])
+def test_trace_ray_bad_input_rejected(sq, point, direction):
+    # these used to come back as status 3 with no bounce, some with a
+    # numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError):
+            C.trace_ray(sq, point, direction, 5)
 
 
 class TestItinerary:
