@@ -10,6 +10,7 @@ directory named by the CCBILLIARDS_OUTDIR environment variable.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -312,9 +313,14 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GeometryError, PolygonError, DegenerateStateError,

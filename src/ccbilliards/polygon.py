@@ -49,6 +49,7 @@ class Polygon:
     boundary_components: int
     reversed_input: bool = False
     _pack: tuple = field(default=None, repr=False)
+    _refl: tuple = field(default=None, repr=False)
 
     @property
     def n_vertices(self):
@@ -90,6 +91,18 @@ class Polygon:
                           tuple(int(s.end) for s in sides),
                           tuple(vec(p) for p in self.vertices))
         return self._pack
+
+    def reflection_pack(self):
+        """Per-side reflection matrices for the crossing kernel.
+
+        Nested float tuples, one 3x3 matrix of row tuples per side.
+        """
+        if self._refl is None:
+            self._refl = tuple(
+                tuple(tuple(float(x) for x in row)
+                      for row in G.reflection_matrix(s.geodesic, self.k))
+                for s in self.sides)
+        return self._refl
 
 
 @dataclass(frozen=True)

@@ -110,20 +110,13 @@ def crossing_labels(poly, b, n):
 def crossing_labels_from_tangent(poly, p, v, n):
     C.check_count(n)
     sa, su, sn, sl, _, _, _ = poly.kernel_pack()
-    refl = reflection_pack(poly)
+    refl = poly.reflection_pack()
     labels = np.empty(max(n, 1), dtype=np.int64)
     n_done = K.unfold_crossings(poly.k, sa, su, sn, sl, refl,
                                 np.ascontiguousarray(p, dtype=np.float64),
                                 np.ascontiguousarray(v, dtype=np.float64),
                                 n, C.FLIGHT_MIN, C.VERTEX_TOL, labels)
     return tuple(int(x) + 1 for x in labels[:n_done])
-
-
-def reflection_pack(poly):
-    """Per-side reflection matrices for the crossing kernel, as row tuples."""
-    return tuple(tuple(tuple(float(x) for x in row)
-                       for row in G.reflection_matrix(s.geodesic, poly.k))
-                 for s in poly.sides)
 
 
 @dataclass(frozen=True)
@@ -323,21 +316,37 @@ def _canonical_sequence(labels):
 def find_periodic(poly, max_bounces, samples, seed):
     """Seeded search for periodic billiard orbits.
 
-    Deterministic grid + jitter sampling of boundary states; a sample is a
-    candidate when some return to its starting side lands within 1e-4 in
-    (s, psi), and candidates are polished by a derivative-free Newton on
-    the return displacement and kept below a 1e-8 residual.  One report is
-    kept per bounce sequence (up to rotation and reversal); a continuous
-    family is represented by one member.
+    Deterministic grid + jitter sampling of boundary states.  The sweep
+    traces the samples together, SWEEP_BLOCK at a time, with the batched
+    numpy engine (``collision.trace_many``), and scans each block for
+    candidates in numpy as well: a return to the starting side that lands
+    within 1e-4 in (s, psi).  A candidate is polished by a derivative-free
+    Newton on the return displacement, and kept below a 1e-8 residual,
+    only when its bounce sequence in the sweep is new; one report is kept
+    per bounce sequence (up to rotation and reversal), so a continuous
+    family is represented by one member.  Each sample contributes at most
+    one report, from its first candidate that is not rejected.
 
-    The sweep traces the samples together, SWEEP_BLOCK at a time, with
-    the batched numpy engine (``collision.trace_many``), which is never
-    numba-compiled; on a machine with numba it is unmeasured whether the
-    compiled scalar sweep would be faster.  Newton polish and everything
-    after it use the scalar ``trace``.
+    The batch engine is never numba-compiled; on a machine with numba it
+    is unmeasured whether the compiled scalar sweep would be faster.
+    Newton polish and everything after it use the scalar ``trace``.
     """
     if max_bounces < 1 or samples < 1:
         raise ValueError("search bounds must be positive")
+    states = _sweep_states(poly, samples, seed)
+    reports = {}
+    for lo in range(0, len(states), SWEEP_BLOCK):
+        block = states[lo:lo + SWEEP_BLOCK]
+        batch = C.trace_many(poly, block, max_bounces)
+        hit = _near_returns(block, batch)
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            _polish_row(poly, block[r], batch.labels[r],
+                        np.flatnonzero(hit[r]).tolist(), reports)
+    return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
+
+
+def _sweep_states(poly, samples, seed):
+    """The boundary states ``find_periodic`` sweeps, in sweep order."""
     rng = np.random.default_rng(seed)
     ns = poly.n_sides
     states = []
@@ -356,41 +365,49 @@ def find_periodic(poly, max_bounces, samples, seed):
                 s = min(max(s, 1e-6 * L), (1 - 1e-6) * L)
                 psi = min(max(psi, 1e-3), math.pi - 1e-3)
                 states.append(C.BoundaryState(label, s, psi))
-    reports = {}
-    for b, tr in _sweep(poly, states, max_bounces):
-        for i in range(tr.n_done):
-            if int(tr.labels[i]) != b.side:
-                continue
-            disp = max(abs(float(tr.svals[i]) - b.s),
-                       abs(float(tr.psis[i]) - b.psi))
-            if disp >= RETURN_CANDIDATE_TOL:
-                continue
-            n = i + 1
-            refined = _refine_candidate(poly, b.side, n, (b.s, b.psi))
-            if refined is None:
-                continue
-            start, residual, rtr = refined
-            key = _canonical_sequence(int(x) for x in rtr.labels)
-            if key in reports:
-                break
-            res = unfold(start, poly, n)
-            hol = holonomy(res.chain)
-            if poly.k == 0 and not _flat_direction_check(res, poly):
-                continue
-            reports[key] = PeriodicOrbitReport(
-                start, tuple(int(x) for x in rtr.labels),
-                float(np.sum(rtr.flights)), residual, hol)
-            break
-    return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
+    return states
 
 
-def _sweep(poly, states, max_bounces):
-    """(state, trace) pairs, traced SWEEP_BLOCK states at a time."""
-    for lo in range(0, len(states), SWEEP_BLOCK):
-        block = states[lo:lo + SWEEP_BLOCK]
-        batch = C.trace_many(poly, block, max_bounces)
-        for r, b in enumerate(block):
-            yield b, batch.row(r)
+def _near_returns(states, batch):
+    """(N, n) mask of the sweep's candidate returns.
+
+    Bounce i of row r is a candidate when it lands back on the starting
+    side within RETURN_CANDIDATE_TOL in both s and psi.
+    """
+    side0 = np.array([b.side for b in states], dtype=np.int64)
+    s0 = np.array([b.s for b in states], dtype=np.float64)
+    psi0 = np.array([b.psi for b in states], dtype=np.float64)
+    disp = np.maximum(np.abs(batch.svals - s0[:, None]),
+                      np.abs(batch.psis - psi0[:, None]))
+    return (batch.labels == side0[:, None]) & (disp < RETURN_CANDIDATE_TOL)
+
+
+def _polish_row(poly, b, labels, returns, reports):
+    """Polish the near-returns of one sample until one settles its sequence.
+
+    ``labels`` is the sample's row of sweep labels and ``returns`` its
+    candidate bounce indices in ascending order.  A return whose sweep
+    sequence is already reported ends the row without a polish.
+    """
+    for i in returns:
+        n = i + 1
+        if _canonical_sequence(labels[:n].tolist()) in reports:
+            return
+        refined = _refine_candidate(poly, b.side, n, (b.s, b.psi))
+        if refined is None:
+            continue
+        start, residual, rtr = refined
+        key = _canonical_sequence(int(x) for x in rtr.labels)
+        if key in reports:
+            return
+        res = unfold(start, poly, n)
+        hol = holonomy(res.chain)
+        if poly.k == 0 and not _flat_direction_check(res, poly):
+            continue
+        reports[key] = PeriodicOrbitReport(
+            start, tuple(int(x) for x in rtr.labels),
+            float(np.sum(rtr.flights)), residual, hol)
+        return
 
 
 def _flat_direction_check(res, poly):

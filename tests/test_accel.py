@@ -46,6 +46,10 @@ print(traj.exited, format(traj.exit_time, ".17g"),
 def _run(env_value):
     env = dict(os.environ)
     env["CCBILLIARDS_NUMBA"] = env_value
+    # the subprocess imports the same ccbilliards as this process
+    src = os.path.dirname(os.path.dirname(ccbilliards.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
     out = subprocess.run([sys.executable, "-c", WORKLOAD], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()

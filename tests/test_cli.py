@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from ccbilliards.cli import main
+from ccbilliards.cli import build_parser, main
 
 SPHERE_ARGS = ["--table", "sphere-triangle", "--theta", "1.0"]
 
@@ -127,3 +127,26 @@ class TestDeterminism:
         _, out1 = run_cli(args)
         _, out2 = run_cli(args)
         assert out1 == out2
+
+
+def run_fresh(args):
+    """One CLI run through a newly built parser."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        ns = build_parser().parse_args(args)
+        code = ns.func(ns)
+    return code, buf.getvalue()
+
+
+class TestParserReuse:
+    def test_no_state_between_parses(self, tmp_path):
+        base = ["--table", "square", "--samples", "60", "--max-bounces", "6",
+                "--out", str(tmp_path)]
+        runs = [["periodic", *base, "--json", "--seed", "1"],
+                ["periodic", *base, "--json"],
+                ["topology", "--table", "square", "--out", str(tmp_path)],
+                ["periodic", *base]]
+        got = [run_cli(args) for args in runs]
+        assert [json.loads(out)["seed"] for _, out in got[:2]] == [1, 0]
+        assert not got[3][1].startswith("{")
+        assert got == [run_fresh(args) for args in runs]

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ccbilliards import (BoundaryState, find_periodic, holonomy,
-                         sphere_triangle, spherical_periodicity_condition,
-                         unfold, unfolded_crossings, verify_periodic)
+from ccbilliards import (BoundaryState, build_polygon, find_periodic,
+                         holonomy, hyperbolic_pentagon, sphere_triangle,
+                         spherical_periodicity_condition, square, unfold,
+                         unfolded_crossings, verify_periodic)
+from ccbilliards import collision as C
 from ccbilliards import geometry as G
 from ccbilliards import itinerary
+from ccbilliards import unfolding as U
 from ccbilliards.unfolding import classify_isometry
 
 
@@ -170,3 +175,141 @@ class TestFindPeriodic:
         reports = find_periodic(sq, 5, 10, 0)
         assert any(r.holonomy.axis is not None for r in reports)
         assert reports == find_periodic(sq, 5, 10, 0)
+
+
+def polish_every_candidate(poly, max_bounces, samples, seed):
+    """find_periodic that polishes every near-return of the sweep.
+
+    The row-by-row candidate loop of the search before it learned to skip
+    the polish of a sequence it had already reported; a test oracle only.
+    """
+    states = U._sweep_states(poly, samples, seed)
+    reports = {}
+    for lo in range(0, len(states), U.SWEEP_BLOCK):
+        block = states[lo:lo + U.SWEEP_BLOCK]
+        batch = C.trace_many(poly, block, max_bounces)
+        for r, b in enumerate(block):
+            tr = batch.row(r)
+            for i in range(tr.n_done):
+                if int(tr.labels[i]) != b.side:
+                    continue
+                disp = max(abs(float(tr.svals[i]) - b.s),
+                           abs(float(tr.psis[i]) - b.psi))
+                if disp >= U.RETURN_CANDIDATE_TOL:
+                    continue
+                n = i + 1
+                refined = U._refine_candidate(poly, b.side, n, (b.s, b.psi))
+                if refined is None:
+                    continue
+                start, residual, rtr = refined
+                key = U._canonical_sequence(int(x) for x in rtr.labels)
+                if key in reports:
+                    break
+                res = unfold(start, poly, n)
+                hol = holonomy(res.chain)
+                if poly.k == 0 and not U._flat_direction_check(res, poly):
+                    continue
+                reports[key] = U.PeriodicOrbitReport(
+                    start, tuple(int(x) for x in rtr.labels),
+                    float(np.sum(rtr.flights)), residual, hol)
+                break
+    return sorted(reports.values(),
+                  key=lambda r: (r.period, r.length, r.labels))
+
+
+def skew_quadrilateral():
+    return build_polygon(0, [(0.0, 0.0), (1.3, 0.1), (1.1, 0.9), (0.2, 1.2)])
+
+
+ORACLE_TABLES = {
+    "square": square,
+    "triangle-pi4": lambda: sphere_triangle(math.pi / 4),
+    "triangle-1": lambda: sphere_triangle(1.0),
+    "pentagon": hyperbolic_pentagon,
+    "skew-quad": skew_quadrilateral,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_TABLES))
+def oracle_table(request):
+    return ORACLE_TABLES[request.param]()
+
+
+class TestFindPeriodicOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("budget", [(20, 200), (8, 400)])
+    def test_equals_polish_every_candidate(self, oracle_table, seed, budget):
+        got = find_periodic(oracle_table, *budget, seed)
+        assert got == polish_every_candidate(oracle_table, *budget, seed)
+
+    @pytest.mark.parametrize("make,calls", [
+        (square, 3), (lambda: sphere_triangle(math.pi / 4), 1)],
+        ids=["square", "triangle-pi4"])
+    def test_one_polish_per_new_sequence(self, monkeypatch, make, calls):
+        poly = make()
+        seen = []
+        refine = U._refine_candidate
+
+        def counted(*args):
+            seen.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(U, "_refine_candidate", counted)
+        reports = find_periodic(poly, 20, 200, 0)
+        assert reports
+        assert len(seen) == calls
+
+    def test_failed_polish_moves_on_to_next_return(self, monkeypatch, sq):
+        # with every 1- and 2-bounce polish failing, the perpendicular
+        # family is found through its 4-bounce return in the same sample
+        refine = U._refine_candidate
+
+        def no_short_orbits(poly, side0, n, u0):
+            return None if n <= 2 else refine(poly, side0, n, u0)
+
+        monkeypatch.setattr(U, "_refine_candidate", no_short_orbits)
+        got = find_periodic(sq, 8, 400, 1)
+        assert (1, 3, 1, 3) in [U._canonical_sequence(r.labels) for r in got]
+        assert got == polish_every_candidate(sq, 8, 400, 1)
+
+
+@st.composite
+def small_tables(draw):
+    """Sphere triangles and convex plane quadrilaterals.
+
+    Rational opening angles pi/q and parallelograms are drawn often, since
+    they carry short periodic orbits that a small sweep finds.
+    """
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.3, 2.8)
+                     | st.integers(2, 9).map(lambda q: math.pi / q))
+        return sphere_triangle(theta)
+    # four points on an ellipse in angular order; opposite points make a
+    # parallelogram
+    if draw(st.booleans()):
+        g = draw(st.floats(0.5, math.pi - 0.5))
+        gaps = [g, math.pi - g, g, math.pi - g]
+    else:
+        gaps = [draw(st.floats(0.4, 2.5)) for _ in range(4)]
+        scale = 2 * math.pi / sum(gaps)
+        gaps = [x * scale for x in gaps]
+        assume(all(0.4 <= x <= 2.5 for x in gaps))
+    a = draw(st.floats(0.0, 2 * math.pi))
+    ry = draw(st.floats(0.5, 2.0))
+    pts = []
+    for g in gaps:
+        pts.append((math.cos(a), ry * math.sin(a)))
+        a += g
+    return build_polygon(0, pts)
+
+
+@settings(max_examples=12, deadline=None)
+@given(poly=small_tables(), max_bounces=st.integers(2, 12),
+       samples=st.integers(10, 100), seed=st.integers(0, 2**16))
+def test_find_periodic_properties(poly, max_bounces, samples, seed):
+    reports = find_periodic(poly, max_bounces, samples, seed)
+    for rep in reports:
+        assert verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL
+    keys = [U._canonical_sequence(rep.labels) for rep in reports]
+    assert len(set(keys)) == len(keys)
+    assert reports == polish_every_candidate(poly, max_bounces, samples, seed)
