@@ -26,6 +26,12 @@ not).  The entry kernels convert array or numpy-scalar arguments with
 Compiled, a tuple's length is part of its type, so numba compiles the
 collision kernels once per side count.
 
+The Dormand-Prince integrator ``rk45`` runs on Python floats the same
+way: its state and stages are float 4-tuples (a 3-component state carries
+a 0.0 4th component), ``field_eval`` returns a new tuple instead of
+filling an array, and only accepted states are written to the caller's
+record buffers.  ``tests/test_golden.py`` pins its outputs bit for bit.
+
 These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
 many rays at once in :mod:`ccbilliards._batch`, plain numpy that is never
 numba-compiled; whether the compiled scalar sweep would beat it on a
@@ -33,8 +39,6 @@ machine with numba has not been measured.
 """
 
 import math
-
-import numpy as np
 
 from ._accel import jit_kernel
 
@@ -398,30 +402,40 @@ FIELD_POLAR = 0       # (r, gamma, beta) geodesic field, curvature k
 FIELD_CHART = 1       # (x, y, z) rescaled chart field, pf = pi / theta
 FIELD_CHART_ARC = 2   # chart field augmented with accumulated geodesic time
 
+# the field value at a point outside the field's domain
+FIELD_NAN = (math.nan, math.nan, math.nan, math.nan)
+
 
 @jit_kernel
-def field_eval(field_id, k, pf, y, out):
+def field_eval(field_id, k, pf, y):
+    """The field at the point (y[0], y[1], y[2]) as a float 4-tuple.
+
+    y may carry a 4th component, which no field reads.  The 4th component
+    of the value is the geodesic-time rate for FIELD_CHART_ARC and 0.0
+    otherwise.  Outside the field's domain, where sink(k, r) = 0 for the
+    polar field or 1 - k (x^2 + y^2) < 0 for the chart field, every
+    component is nan.
+    """
     if field_id == FIELD_POLAR:
         r = y[0]
         beta = y[2]
         sk = sink(k, r)
+        if sk == 0.0:
+            return FIELD_NAN
         ck = cosk(k, r)
         sb = math.sin(beta)
-        out[0] = math.cos(beta)
-        out[1] = sb / sk
-        out[2] = -ck * sb / sk
-    else:
-        x = y[0]
-        yy = y[1]
-        z = y[2]
-        f = math.sqrt(1.0 - k * (x * x + yy * yy))
-        cz = math.cos(z)
-        sz = math.sin(z)
-        out[0] = f * x * cz - pf * yy * sz
-        out[1] = f * yy * cz + pf * x * sz
-        out[2] = -f * sz
-        if field_id == FIELD_CHART_ARC:
-            out[3] = math.hypot(x, yy)
+        return (math.cos(beta), sb / sk, -ck * sb / sk, 0.0)
+    x = y[0]
+    yy = y[1]
+    z = y[2]
+    ff = 1.0 - k * (x * x + yy * yy)
+    if ff < 0.0:
+        return FIELD_NAN
+    f = math.sqrt(ff)
+    cz = math.cos(z)
+    sz = math.sin(z)
+    arc = math.hypot(x, yy) if field_id == FIELD_CHART_ARC else 0.0
+    return (f * x * cz - pf * yy * sz, f * yy * cz + pf * x * sz, -f * sz, arc)
 
 
 @jit_kernel
@@ -432,23 +446,31 @@ def _field_radius(field_id, y):
 
 
 @jit_kernel
-def _dense(y, ynew, k1, k3, k4, k5, k6, k7, h, th):
-    # Dormand-Prince 4th-order continuous extension at t + th h of the step
-    # y -> ynew (Hairer-Norsett-Wanner, Solving ODEs I, II.6; dopri5 contd5)
+def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
+    # one component's coefficients of the Dormand-Prince 4th-order
+    # continuous extension of the step y -> yn (Hairer-Norsett-Wanner,
+    # Solving ODEs I, II.6; dopri5 contd5)
+    dy = yn - y
+    bspl = h * a1 - dy
+    r4 = dy - h * a7 - bspl
+    r5 = h * (-12715105075.0 / 11282082432.0 * a1
+              + 87487479700.0 / 32700410799.0 * a3
+              - 10690763975.0 / 1880347072.0 * a4
+              + 701980252875.0 / 199316789632.0 * a5
+              - 1453857185.0 / 822651844.0 * a6
+              + 69997945.0 / 29380423.0 * a7)
+    return dy, bspl, r4, r5
+
+
+@jit_kernel
+def _dense(y, c, th):
+    # the continuous extension at t + th h; c holds _dense_terms per component
     th1 = 1.0 - th
-    out = np.empty(y.shape[0])
-    for i in range(y.shape[0]):
-        dy = ynew[i] - y[i]
-        bspl = h * k1[i] - dy
-        r4 = dy - h * k7[i] - bspl
-        r5 = h * (-12715105075.0 / 11282082432.0 * k1[i]
-                  + 87487479700.0 / 32700410799.0 * k3[i]
-                  - 10690763975.0 / 1880347072.0 * k4[i]
-                  + 701980252875.0 / 199316789632.0 * k5[i]
-                  - 1453857185.0 / 822651844.0 * k6[i]
-                  + 69997945.0 / 29380423.0 * k7[i])
-        out[i] = y[i] + th * (dy + th1 * (bspl + th * (r4 + th1 * r5)))
-    return out
+    c0, c1, c2, c3 = c
+    return (y[0] + th * (c0[0] + th1 * (c0[1] + th * (c0[2] + th1 * c0[3]))),
+            y[1] + th * (c1[0] + th1 * (c1[1] + th * (c1[2] + th1 * c1[3]))),
+            y[2] + th * (c2[0] + th1 * (c2[1] + th * (c2[2] + th1 * c2[3]))),
+            y[3] + th * (c3[0] + th1 * (c3[1] + th * (c3[2] + th1 * c3[3]))))
 
 
 @jit_kernel
@@ -456,67 +478,92 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
          tbuf, ybuf, record):
     """Adaptive Dormand-Prince 5(4) with a radial exit window.
 
+    y0 holds 3 components, or 4 for FIELD_CHART_ARC.  The step loop runs on
+    Python floats: the state and the field values are float 4-tuples, and
+    a 3-component state carries 0.0 as its 4th component, which stays out
+    of the error norm.  The stage points are float triples, since no field
+    reads a 4th component.  Each step evaluates the field six times; the
+    7th stage of an accepted step is the 1st of the next (FSAL).
+
     Integration stops when the field radius leaves [rlo, rhi]; the crossing
     is bisected on the step's dense output, which costs no further field
-    evaluations.  Accepted states go to the buffers when record != 0.
-    Returns (status, nrec, t_end, y_end).
+    evaluations.  A stage outside the field's domain gives a nan error norm,
+    which rejects the step and shrinks h by the least factor, 0.2.
+    Accepted states go to the buffers tbuf (cap,) and ybuf (cap, dim) when
+    record != 0.  Returns (status, nrec, t_end, y_end), y_end a 4-tuple.
     """
-    dim = y0.shape[0]
-    y = y0.copy()
-    t = t0
-    k1 = np.empty(dim)
-    k2 = np.empty(dim)
-    k3 = np.empty(dim)
-    k4 = np.empty(dim)
-    k5 = np.empty(dim)
-    k6 = np.empty(dim)
-    k7 = np.empty(dim)
-    tmp = np.empty(dim)
-    ynew = np.empty(dim)
+    # arrays or numpy scalars in, Python floats through the loop
+    dim = len(y0)
+    y = (float(y0[0]), float(y0[1]), float(y0[2]),
+         float(y0[3]) if dim == 4 else 0.0)
+    t = float(t0)
+    t1 = float(t1)
+    rtol = float(rtol)
+    atol = float(atol)
+    rlo = float(rlo)
+    rhi = float(rhi)
     nrec = 0
     cap = tbuf.shape[0]
     if record != 0:
-        tbuf[0] = t0
+        tbuf[0] = t
         for i in range(dim):
-            ybuf[0, i] = y0[i]
+            ybuf[0, i] = y[i]
         nrec = 1
-    span = t1 - t0
+    span = t1 - t
     if span == 0.0:
         return RK_DONE, nrec, t, y
     sgn = 1.0 if span > 0.0 else -1.0
     h = span / 128.0
+    k1 = field_eval(field_id, k, pf, y)
     while (t - t1) * sgn < 0.0:
         if (t + h - t1) * sgn > 0.0:
             h = t1 - t
-        field_eval(field_id, k, pf, y, k1)
-        for i in range(dim):
-            tmp[i] = y[i] + h * (0.2 * k1[i])
-        field_eval(field_id, k, pf, tmp, k2)
-        for i in range(dim):
-            tmp[i] = y[i] + h * (3.0 / 40.0 * k1[i] + 9.0 / 40.0 * k2[i])
-        field_eval(field_id, k, pf, tmp, k3)
-        for i in range(dim):
-            tmp[i] = y[i] + h * (44.0 / 45.0 * k1[i] - 56.0 / 15.0 * k2[i]
-                                 + 32.0 / 9.0 * k3[i])
-        field_eval(field_id, k, pf, tmp, k4)
-        for i in range(dim):
-            tmp[i] = y[i] + h * (19372.0 / 6561.0 * k1[i]
-                                 - 25360.0 / 2187.0 * k2[i]
-                                 + 64448.0 / 6561.0 * k3[i]
-                                 - 212.0 / 729.0 * k4[i])
-        field_eval(field_id, k, pf, tmp, k5)
-        for i in range(dim):
-            tmp[i] = y[i] + h * (9017.0 / 3168.0 * k1[i] - 355.0 / 33.0 * k2[i]
-                                 + 46732.0 / 5247.0 * k3[i]
-                                 + 49.0 / 176.0 * k4[i]
-                                 - 5103.0 / 18656.0 * k5[i])
-        field_eval(field_id, k, pf, tmp, k6)
-        for i in range(dim):
-            ynew[i] = y[i] + h * (35.0 / 384.0 * k1[i] + 500.0 / 1113.0 * k3[i]
-                                  + 125.0 / 192.0 * k4[i]
-                                  - 2187.0 / 6784.0 * k5[i]
-                                  + 11.0 / 84.0 * k6[i])
-        field_eval(field_id, k, pf, ynew, k7)
+        k2 = field_eval(field_id, k, pf, (
+            y[0] + h * (0.2 * k1[0]),
+            y[1] + h * (0.2 * k1[1]),
+            y[2] + h * (0.2 * k1[2])))
+        k3 = field_eval(field_id, k, pf, (
+            y[0] + h * (3.0 / 40.0 * k1[0] + 9.0 / 40.0 * k2[0]),
+            y[1] + h * (3.0 / 40.0 * k1[1] + 9.0 / 40.0 * k2[1]),
+            y[2] + h * (3.0 / 40.0 * k1[2] + 9.0 / 40.0 * k2[2])))
+        k4 = field_eval(field_id, k, pf, (
+            y[0] + h * (44.0 / 45.0 * k1[0] - 56.0 / 15.0 * k2[0]
+                        + 32.0 / 9.0 * k3[0]),
+            y[1] + h * (44.0 / 45.0 * k1[1] - 56.0 / 15.0 * k2[1]
+                        + 32.0 / 9.0 * k3[1]),
+            y[2] + h * (44.0 / 45.0 * k1[2] - 56.0 / 15.0 * k2[2]
+                        + 32.0 / 9.0 * k3[2])))
+        k5 = field_eval(field_id, k, pf, (
+            y[0] + h * (19372.0 / 6561.0 * k1[0] - 25360.0 / 2187.0 * k2[0]
+                        + 64448.0 / 6561.0 * k3[0] - 212.0 / 729.0 * k4[0]),
+            y[1] + h * (19372.0 / 6561.0 * k1[1] - 25360.0 / 2187.0 * k2[1]
+                        + 64448.0 / 6561.0 * k3[1] - 212.0 / 729.0 * k4[1]),
+            y[2] + h * (19372.0 / 6561.0 * k1[2] - 25360.0 / 2187.0 * k2[2]
+                        + 64448.0 / 6561.0 * k3[2] - 212.0 / 729.0 * k4[2])))
+        k6 = field_eval(field_id, k, pf, (
+            y[0] + h * (9017.0 / 3168.0 * k1[0] - 355.0 / 33.0 * k2[0]
+                        + 46732.0 / 5247.0 * k3[0] + 49.0 / 176.0 * k4[0]
+                        - 5103.0 / 18656.0 * k5[0]),
+            y[1] + h * (9017.0 / 3168.0 * k1[1] - 355.0 / 33.0 * k2[1]
+                        + 46732.0 / 5247.0 * k3[1] + 49.0 / 176.0 * k4[1]
+                        - 5103.0 / 18656.0 * k5[1]),
+            y[2] + h * (9017.0 / 3168.0 * k1[2] - 355.0 / 33.0 * k2[2]
+                        + 46732.0 / 5247.0 * k3[2] + 49.0 / 176.0 * k4[2]
+                        - 5103.0 / 18656.0 * k5[2])))
+        ynew = (
+            y[0] + h * (35.0 / 384.0 * k1[0] + 500.0 / 1113.0 * k3[0]
+                        + 125.0 / 192.0 * k4[0] - 2187.0 / 6784.0 * k5[0]
+                        + 11.0 / 84.0 * k6[0]),
+            y[1] + h * (35.0 / 384.0 * k1[1] + 500.0 / 1113.0 * k3[1]
+                        + 125.0 / 192.0 * k4[1] - 2187.0 / 6784.0 * k5[1]
+                        + 11.0 / 84.0 * k6[1]),
+            y[2] + h * (35.0 / 384.0 * k1[2] + 500.0 / 1113.0 * k3[2]
+                        + 125.0 / 192.0 * k4[2] - 2187.0 / 6784.0 * k5[2]
+                        + 11.0 / 84.0 * k6[2]),
+            y[3] + h * (35.0 / 384.0 * k1[3] + 500.0 / 1113.0 * k3[3]
+                        + 125.0 / 192.0 * k4[3] - 2187.0 / 6784.0 * k5[3]
+                        + 11.0 / 84.0 * k6[3]))
+        k7 = field_eval(field_id, k, pf, ynew)
         errn = 0.0
         for i in range(dim):
             e = h * (71.0 / 57600.0 * k1[i] - 71.0 / 16695.0 * k3[i]
@@ -531,17 +578,24 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
         if errn <= 1.0:
             rad = _field_radius(field_id, ynew)
             if rad > rhi or rad < rlo:
+                c = (_dense_terms(y[0], ynew[0], k1[0], k3[0], k4[0], k5[0],
+                                  k6[0], k7[0], h),
+                     _dense_terms(y[1], ynew[1], k1[1], k3[1], k4[1], k5[1],
+                                  k6[1], k7[1], h),
+                     _dense_terms(y[2], ynew[2], k1[2], k3[2], k4[2], k5[2],
+                                  k6[2], k7[2], h),
+                     _dense_terms(y[3], ynew[3], k1[3], k3[3], k4[3], k5[3],
+                                  k6[3], k7[3], h))
                 lo = 0.0
                 hi = 1.0
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    ytr = _dense(y, ynew, k1, k3, k4, k5, k6, k7, h, mid)
-                    rr = _field_radius(field_id, ytr)
+                    rr = _field_radius(field_id, _dense(y, c, mid))
                     if rr > rhi or rr < rlo:
                         hi = mid
                     else:
                         lo = mid
-                yex = _dense(y, ynew, k1, k3, k4, k5, k6, k7, h, hi)
+                yex = _dense(y, c, hi)
                 tex = t + hi * h
                 if record != 0 and nrec < cap:
                     tbuf[nrec] = tex
@@ -550,8 +604,8 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
                     nrec += 1
                 return RK_EXITED, nrec, tex, yex
             t = t + h
-            for i in range(dim):
-                y[i] = ynew[i]
+            y = ynew
+            k1 = k7
             if record != 0:
                 if nrec >= cap:
                     return RK_BUFFER_FULL, nrec, t, y
@@ -570,9 +624,11 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
             h = h * fac
         else:
             fac = 0.9 * errn ** -0.2
-            if fac < 0.2:
+            if not fac >= 0.2:   # nan on a stage outside the domain
                 fac = 0.2
             h = h * fac
-        if abs(h) < 1e-14 * (1.0 + abs(t)):
+        # a last step clipped to end at t1 may land an ulp short of it and
+        # leave a tiny h behind; only a step that cannot reach t1 underflows
+        if (t - t1) * sgn < 0.0 and abs(h) < 1e-14 * (1.0 + abs(t)):
             return RK_UNDERFLOW, nrec, t, y
     return RK_DONE, nrec, t, y

@@ -75,11 +75,17 @@ def _validate_state(poly, b):
     return side
 
 
+def embed_triples(poly, b):
+    """Embedded (point, direction) of a boundary state as float triples."""
+    _validate_state(poly, b)
+    sa, su = poly.kernel_pack()[:2]
+    return K.boundary_embed(poly.k, sa[b.side - 1], su[b.side - 1],
+                            float(b.s), float(b.psi))
+
+
 def embed_state(poly, b):
     """Embedded (point, direction) of a boundary state."""
-    side = _validate_state(poly, b)
-    p, v = K.boundary_embed(poly.k, side.geodesic.point, side.geodesic.direction,
-                            b.s, b.psi)
+    p, v = embed_triples(poly, b)
     return np.array(p), np.array(v)
 
 

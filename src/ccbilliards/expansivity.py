@@ -89,32 +89,39 @@ class ExpansivenessVerdict:
 
 
 def _orbit_phase_points(poly, b, window):
-    """Sampled (point, direction) pairs along the orbit through b."""
-    pts = []
-    for direction, state in (("fwd", b), ("bwd", b.reversed())):
-        sign = 1.0 if direction == "fwd" else -1.0
-        p, v = C.embed_state(poly, state)
-        pts.append((p, sign * v))
+    """Sampled (point, direction) float triples along the orbit through b.
+
+    Forward from b, then backward from b.reversed() with the directions
+    negated back to b's sense of travel.
+    """
+    k = poly.k
+    for back, state in ((False, b), (True, b.reversed())):
+        p, v = C.embed_triples(poly, state)
+        yield p, _flip(v) if back else v
         tr = C.trace(poly, state, window)
-        prev_p, prev_v = p, v
         for i in range(tr.n_done):
             for frac in (0.25, 0.5, 0.75):
                 t = float(tr.flights[i]) * frac
-                q = K.renorm_point(poly.k, K.geodesic_point(poly.k, prev_p, prev_v, t))
-                w = np.array(K.renorm_tangent(
-                    poly.k, q, K.geodesic_dir(poly.k, prev_p, prev_v, t)))
-                pts.append((q, sign * w))
-            prev_p, prev_v = C.embed_state(poly, tr.state(i))
-            pts.append((prev_p, sign * prev_v))
-    return pts
+                q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
+                w = K.renorm_tangent(k, q, K.geodesic_dir(k, p, v, t))
+                yield q, _flip(w) if back else w
+            p, v = C.embed_triples(poly, tr.state(i))
+            yield p, _flip(v) if back else v
+
+
+def _flip(v):
+    return -v[0], -v[1], -v[2]
 
 
 def _same_orbit(poly, a, b):
     """Flow-line proximity: is b within SAME_ORBIT_TOL of a's orbit segment?"""
-    pb, vb = C.embed_state(poly, b)
+    pb, vb = C.embed_triples(poly, b)
     for q, w in _orbit_phase_points(poly, a, SAME_ORBIT_WINDOW):
         pos = K.distance(poly.k, q, pb)
-        dirs = math.sqrt(float(np.sum((np.asarray(w) - vb) ** 2)))
+        d0 = w[0] - vb[0]
+        d1 = w[1] - vb[1]
+        d2 = w[2] - vb[2]
+        dirs = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         if max(pos, dirs) < SAME_ORBIT_TOL:
             return True
     return False

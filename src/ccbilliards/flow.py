@@ -134,9 +134,8 @@ def polar_velocity_field(s, k):
     if s.r <= 0.0:
         raise SingularFieldError("polar field is singular at r = 0; "
                                  "use the extended chart field instead")
-    out = np.empty(3)
-    K.field_eval(K.FIELD_POLAR, k, 0.0, s.as_array(), out)
-    return out
+    return np.array(K.field_eval(K.FIELD_POLAR, k, 0.0,
+                                 (float(s.r), float(s.gamma), float(s.beta)))[:3])
 
 
 def chart_velocity_field(c, theta, k):
@@ -145,9 +144,8 @@ def chart_velocity_field(c, theta, k):
     check_curvature(k)
     if k == 1 and c.x ** 2 + c.y ** 2 >= 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 < 1 on the sphere")
-    out = np.empty(3)
-    K.field_eval(K.FIELD_CHART, k, math.pi / theta, c.as_array(), out)
-    return out
+    return np.array(K.field_eval(K.FIELD_CHART, k, math.pi / theta,
+                                 (float(c.x), float(c.y), float(c.z)))[:3])
 
 
 def singularity_jacobian(z0, theta, k):
@@ -344,6 +342,17 @@ def _arctan_k(k, y, x):
 # numerical integration
 # ---------------------------------------------------------------------------
 
+def _check_integration(T, rtol, atol):
+    # a non-finite T never ends the step loop or ends it at once, and with
+    # atol = 0 the error norm is 0/0 wherever the state has zero components
+    if not math.isfinite(T):
+        raise ValueError(f"integration time must be finite, got {T}")
+    if not (math.isfinite(atol) and atol > 0.0):
+        raise ValueError(f"atol must be finite and positive, got {atol}")
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
+
+
 @dataclass
 class ChartTrajectory:
     """Time-stamped chart states from the adaptive integrator."""
@@ -368,9 +377,21 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     z = pi according to the sign of -sin z.  When the state leaves the disc
     of radius min(eps-equivalent, 1) the trajectory is truncated at the
     crossing and flagged.
+
+    T must be finite, atol finite and positive, rtol finite and
+    nonnegative, else ValueError; c0 must be finite and, on the sphere,
+    inside the unit disc, else GeometryError.  A step whose stages leave
+    the field's domain (the unit disc on the sphere) is rejected and
+    retried with a smaller step, like one whose error is too large.
     """
     _check_theta(theta)
     check_curvature(k)
+    _check_integration(T, rtol, atol)
+    if not all(math.isfinite(v) for v in (c0.x, c0.y, c0.z)):
+        raise GeometryError(f"chart state must be finite, got {c0}")
+    if k == 1 and c0.x ** 2 + c0.y ** 2 > 1.0:
+        raise GeometryError("chart field domain requires x^2 + y^2 <= 1 "
+                            "on the sphere")
     pf = math.pi / theta
     rhi = K.INF
     if eps is not None:
@@ -379,8 +400,7 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     if k == 1:
         rhi = min(rhi, 1.0 - 1e-12)
     dim = 4 if track_arc_time else 3
-    y0 = np.zeros(dim)
-    y0[:3] = c0.as_array()
+    y0 = (float(c0.x), float(c0.y), float(c0.z), 0.0)[:dim]
     field = K.FIELD_CHART_ARC if track_arc_time else K.FIELD_CHART
     cap = max_records if record else 1
     tbuf = np.empty(cap)
@@ -398,7 +418,7 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
         ys = ybuf[:nrec].copy()
     else:
         ts = np.array([t_end])
-        ys = y_end[None, :].copy()
+        ys = np.array([y_end[:dim]])
     return ChartTrajectory(t=ts, states=ys[:, :3], exited=exited,
                            exit_time=t_end if exited else None,
                            arc_time=ys[:, 3] if track_arc_time else None)
@@ -408,16 +428,19 @@ def integrate_polar_flow(s0, t, k, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Integrate the singular polar field directly (oracle route).
 
     Returns the final ChartState with gamma unwrapped, comparable to
-    :func:`closed_form_flow`.
+    :func:`closed_form_flow`.  The time, atol and rtol are checked as in
+    :func:`integrate_chart_flow`.
     """
     check_curvature(k)
+    _check_integration(t, rtol, atol)
+    if not all(math.isfinite(v) for v in (s0.r, s0.gamma, s0.beta)):
+        raise GeometryError(f"polar state must be finite, got {s0}")
     if s0.r <= 0.0:
         raise SingularFieldError("polar integration requires r > 0")
-    tbuf = np.empty(1)
-    ybuf = np.empty((1, 3))
-    status, _, t_end, y_end = K.rk45(K.FIELD_POLAR, k, 0.0, s0.as_array(),
-                                     0.0, t, rtol, atol, -K.INF, K.INF,
-                                     tbuf, ybuf, 0)
+    y0 = (float(s0.r), float(s0.gamma), float(s0.beta))
+    status, _, t_end, y_end = K.rk45(K.FIELD_POLAR, k, 0.0, y0, 0.0, t,
+                                     rtol, atol, -K.INF, K.INF,
+                                     np.empty(1), np.empty((1, 3)), 0)
     if status != K.RK_DONE:
         raise RuntimeError(f"polar integration failed with status {status}")
     return ChartState(y_end[0], y_end[1], y_end[2])

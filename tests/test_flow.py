@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ccbilliards import (CartesianChartState, ChartExitError, ChartState,
                          integrate_chart_flow, integrate_polar_flow,
                          polar_velocity_field, reparameterization_factor,
                          singularity_jacobian)
+from ccbilliards import _kernels as K
 from ccbilliards.flow import export_trajectory
 
 KS = (-1, 0, 1)
@@ -393,3 +396,114 @@ def test_bad_chart_radius_rejected(eps, k):
                              eps=eps)
     with pytest.raises(GeometryError):
         reparameterization_factor(0.3, k, eps)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in a call that runs longer than ``seconds``.
+
+    A bad tolerance used to send the step loop round forever; this keeps
+    such a regression a failing test instead of a hung suite.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"call did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# (keyword, value); the vertex-circle state has x = y = 0, where atol = 0
+# makes the error norm 0/0
+BAD_BOUNDS = [("T", math.nan), ("T", math.inf), ("T", -math.inf),
+              ("atol", 0.0), ("atol", -1e-12), ("atol", math.nan),
+              ("atol", math.inf), ("rtol", -1e-10), ("rtol", math.nan),
+              ("rtol", math.inf)]
+
+
+@pytest.mark.parametrize("name,value", BAD_BOUNDS,
+                         ids=[f"{n}={v}" for n, v in BAD_BOUNDS])
+@pytest.mark.parametrize("k", KS)
+def test_bad_integration_bounds_rejected(name, value, k):
+    kw = {"T": 5.0, "rtol": 1e-10, "atol": 1e-12}
+    kw[name] = value
+    T = kw.pop("T")
+    with deadline(5.0), pytest.raises(ValueError, match="finite"):
+        integrate_chart_flow(CartesianChartState(0.0, 0.0, 0.3), T, 1.0, k,
+                             **kw)
+    with deadline(5.0), pytest.raises(ValueError, match="finite"):
+        integrate_polar_flow(ChartState(0.3, 0.0, 1.0), T, k, **kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_state_rejected(bad):
+    with deadline(5.0), pytest.raises(GeometryError, match="finite"):
+        integrate_chart_flow(CartesianChartState(0.1, bad, 0.3), 5.0, 1.0, 0)
+    with deadline(5.0), pytest.raises(GeometryError, match="finite"):
+        integrate_polar_flow(ChartState(0.3, 0.0, bad), 1.0, 0)
+
+
+def test_sphere_chart_state_outside_disc_rejected():
+    with pytest.raises(GeometryError, match="domain"):
+        integrate_chart_flow(CartesianChartState(0.8, 0.7, 0.3), 1.0, 1.0, 1)
+
+
+class TestOutOfDomainStage:
+    # the first step, h = T / 128, puts a stage outside the unit disc
+    THETA = 0.3781377626109931
+    EPS = 0.4611596316608205
+    S0 = ChartState(0.3664377164336188, 0.2618977251957367, 4.739074079932266)
+
+    def test_long_first_step_rejected_not_raised(self):
+        c0 = chart_embed(self.S0, self.THETA, 1)
+        traj = integrate_chart_flow(c0, -51.424240848036895, self.THETA, 1,
+                                    eps=self.EPS)
+        short = integrate_chart_flow(c0, -5.0, self.THETA, 1, eps=self.EPS)
+        assert traj.exited and short.exited
+        assert traj.exit_time == pytest.approx(short.exit_time, abs=1e-11)
+        assert chart_extract(traj.final(), self.THETA, 1).r == pytest.approx(
+            self.EPS, abs=1e-9)
+
+    def test_field_is_nan_outside_domain(self):
+        assert all(math.isnan(v) for v in
+                   K.field_eval(K.FIELD_CHART, 1, 2.0, (0.8, 0.7, 0.3, 0.0)))
+        assert all(math.isnan(v) for v in
+                   K.field_eval(K.FIELD_POLAR, 0, 0.0, (0.0, 0.2, 1.0, 0.0)))
+        # on the unit circle itself the chart field is still defined
+        assert K.field_eval(K.FIELD_CHART, 1, 2.0, (0.6, 0.8, 0.0, 0.0)) == (
+            0.0, 0.0, -0.0, 0.0)
+
+
+@pytest.mark.parametrize("T", [0.999, 2.9, -2.9])
+@pytest.mark.parametrize("k", KS)
+def test_run_to_end_time_does_not_underflow(T, k):
+    # the step clipped to end at T lands an ulp short of it here; the
+    # leftover step must not count as a step-size underflow
+    traj = integrate_chart_flow(CartesianChartState(0.0, 0.0, 0.0), T, 1.0, k)
+    assert not traj.exited
+    assert traj.t[-1] == pytest.approx(T, rel=1e-15)
+    traj = integrate_chart_flow(
+        CartesianChartState(-0.17869914361470923, 0.26274306518159357,
+                            0.5686600701670019), 0.02464925081584105, 1.0, 0)
+    assert traj.t[-1] == pytest.approx(0.02464925081584105, rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 2.5), st.floats(0.0, 0.999), st.floats(0.0, 2.0),
+       st.floats(0.0, TWO_PI), st.floats(0.1, 60.0), st.booleans(),
+       st.floats(0.3, 3.0))
+def test_sphere_chart_flow_exits_or_finishes(theta, rf, gf, beta, T, back,
+                                             eps_scale):
+    # long first steps from anywhere in the chart never raise: a stage
+    # outside the unit disc is a rejected step
+    eps = min(0.5 * eps_scale, 1.5)
+    s0 = ChartState(rf * eps, gf * theta, beta)
+    traj = integrate_chart_flow(chart_embed(s0, theta, 1),
+                                -T if back else T, theta, 1, eps=eps)
+    rad = float(np.hypot(*traj.states[-1, :2]))
+    assert rad <= min(math.sin(eps) if eps < math.pi / 2 else 1.0,
+                      1.0 - 1e-12) + 1e-12
