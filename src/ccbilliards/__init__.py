@@ -7,13 +7,11 @@ itinerary coding, trajectory unfolding with periodic-orbit search,
 expansiveness evidence probes, and phase-space topology reports, plus a
 CLI tying them together.
 
-Hot kernels are numba-compiled when numba is installed; without it, or
-with CCBILLIARDS_NUMBA=0, the same source runs as pure numpy/Python.
-The periodic-orbit seed sweep traces its samples together in a batched
-plain-numpy engine instead.
+The kernels are plain Python on float tuples, with one collision loop
+per curvature; nothing is compiled.  The periodic-orbit seed sweep
+traces its samples together in a batched numpy engine instead.
 """
 
-from ._accel import NUMBA_ENABLED
 from .collision import (BoundaryState, ConjugatePair, Diagonal, Itinerary,
                         VertexHit, collision_step, conjugated_vertices,
                         generalized_diagonals, itinerary)
@@ -41,6 +39,9 @@ from .unfolding import (IsometryClass, PeriodicOrbitReport, UnfoldingChain,
                         unfolded_crossings, verify_periodic)
 
 __version__ = "0.1.0"
+
+# there is no compiled path; kept for records that report it
+NUMBA_ENABLED = False
 
 __all__ = [
     "BoundaryState", "CartesianChartState", "ChartExitError", "ChartState",

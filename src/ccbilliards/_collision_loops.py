@@ -1,0 +1,424 @@
+"""The collision map: one straight-line trace loop per curvature.
+
+``_trace_plane``, ``_trace_sphere`` and ``_trace_hyperbolic`` iterate the
+collision map from an interior ray; ``_kernels.trace_orbit`` and
+``_kernels.trace_from_point`` pick one per trace from k.  Each loop is the
+generic helpers of :mod:`ccbilliards._kernels` (``ray_side_hit``,
+``boundary_embed``, ``renorm_*``, ``perp``, ...) written out for its k,
+with no call or branch on k per bounce.  It reuses cos/sin of a flight
+time or arc parameter instead of recomputing it, the plane computes each
+side's unit tangent once per trace, and a side whose crossing is no nearer
+than the best so far skips its arc parameter, which could not change the
+pick.  Apart from the exact rewrites ``-k * s`` -> ``-s`` and
+``1.0 * p`` -> ``p``, every expression is the helper's, in its operation
+order, so the loops give the generic code's bits: ``tests/kernel_oracle.py``
+keeps the generic step and loop as the oracle.  The code is written for
+CPython, on Python floats.
+
+The loops live apart from the helpers because compiling one module with
+both, from source, peaks about 1 MB higher than compiling the two.
+"""
+
+import math
+
+INF = 1e300
+
+# step / trace status codes
+STEP_OK = 0
+STEP_VERTEX = 1
+STEP_GRAZING = 2
+STEP_ESCAPED = 3
+STEP_MAXLEN = 4
+
+# A loop iterates the collision map from the interior ray (p, v).  A bounce
+# takes the first side crossing past tmin whose arc parameter lies within
+# tol_v of the segment (the lowest side wins a tie), tests the hit against
+# the side's two vertices, reflects the incoming direction, measures the
+# outgoing angle psi from the side's forward tangent, stops on a grazing
+# angle and clamps the arc parameter to the side.  Each loop fills the
+# per-bounce buffers and returns (n_done, status, vertex, length), vertex
+# 0-based on STEP_VERTEX, else -1; length includes the final leg on a
+# vertex hit.  On STEP_GRAZING the rejected bounce is left in slot n_done
+# of the buffers.
+
+
+def _side_records(sa, su, sn, sl, tol_v):
+    # per side: functional, start point, start tangent, arc window
+    return tuple(n + a + u + (-tol_v, ln + tol_v)
+                 for a, u, n, ln in zip(sa, su, sn, sl))
+
+
+def _trace_plane(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
+                 tol_v, graze, labels, svals, psis, flens):
+    # arrays or numpy scalars in, Python floats through the loop
+    px, py, pz = float(p[0]), float(p[1]), float(p[2])
+    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    maxlen, tmin, tol_v, graze = (float(maxlen), float(tmin), float(tol_v),
+                                  float(graze))
+    sides = _side_records(sa, su, sn, sl, tol_v)
+    # a side's unit tangent depends on neither the point nor the arc
+    # parameter on the plane
+    tangents = []
+    for u in su:
+        n = math.hypot(u[0], u[1])
+        tangents.append((u[0] / n, u[1] / n))
+    total = 0.0
+    for i in range(nmax):
+        best_t = INF
+        best_j = -1
+        for j in range(len(sides)):
+            nx, ny, nz, ax, ay, _, ux, uy, _, lo, hi = sides[j]
+            b = nx * vx + ny * vy + nz * vz
+            if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
+                continue
+            t = -(nx * px + ny * py + nz * pz) / b
+            # a side no nearer than the best so far cannot win, whatever
+            # its arc parameter
+            if t <= tmin or not t < best_t:
+                continue
+            qx = px + t * vx
+            qy = py + t * vy
+            s = (qx - ax) * ux + (qy - ay) * uy
+            if s < lo or s > hi:
+                continue
+            best_t, best_j, best_s, hx, hy = t, j, s, qx, qy
+        if best_j < 0:
+            return i, STEP_ESCAPED, -1, total
+        for vtx in (sv0[best_j], sv1[best_j]):
+            w = verts[vtx]
+            if math.hypot(hx - w[0], hy - w[1]) < tol_v:
+                return i, STEP_VERTEX, vtx, total + best_t
+        n = math.hypot(vx, vy)
+        wx = vx / n
+        wy = vy / n
+        _, _, _, ax, ay, _, ux, uy, _, _, _ = sides[best_j]
+        c2 = wx * ux + wy * uy
+        rx = 2.0 * c2 * ux - wx
+        ry = 2.0 * c2 * uy - wy
+        n = math.hypot(rx, ry)
+        rx = rx / n
+        ry = ry / n
+        tx, ty = tangents[best_j]
+        # signed_angle at (hx, hy, 1) with the zero z-components kept, so
+        # that a zero rounds to the same sign
+        psi = math.atan2(hx * (ty * 0.0 - 0.0 * ry)
+                         - hy * (tx * 0.0 - 0.0 * rx) + (tx * ry - ty * rx),
+                         tx * rx + ty * ry + 0.0)
+        if psi < graze or psi > math.pi - graze:
+            labels[i], svals[i], psis[i] = best_j, best_s, psi
+            flens[i] = best_t
+            return i, STEP_GRAZING, -1, total
+        s = best_s
+        if s < 0.0:
+            s = 0.0
+        if s > sl[best_j]:
+            s = sl[best_j]
+        labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
+        total += best_t
+        if total > maxlen:
+            return i + 1, STEP_MAXLEN, -1, total
+        if i + 1 < nmax:
+            px = ax + s * ux
+            py = ay + s * uy
+            pz = 1.0
+            c = math.cos(psi)
+            sn_psi = math.sin(psi)
+            dx = c * tx - sn_psi * ty
+            dy = c * ty + sn_psi * tx
+            n = math.hypot(dx, dy)
+            vx = dx / n
+            vy = dy / n
+            vz = 0.0
+    return nmax, STEP_OK, -1, total
+
+
+def _trace_sphere(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
+                  tol_v, graze, labels, svals, psis, flens):
+    px, py, pz = float(p[0]), float(p[1]), float(p[2])
+    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    maxlen, tmin, tol_v, graze = (float(maxlen), float(tmin), float(tol_v),
+                                  float(graze))
+    sides = _side_records(sa, su, sn, sl, tol_v)
+    pi = math.pi
+    total = 0.0
+    for i in range(nmax):
+        best_t = INF
+        best_j = -1
+        for j in range(len(sides)):
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+            a = nx * px + ny * py + nz * pz
+            b = nx * vx + ny * vy + nz * vz
+            if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
+                continue
+            # roots repeat every pi along the great circle: take the first
+            # past tmin that lands on the segment, unless it cannot beat the
+            # best side so far
+            t0 = math.atan2(-a, b) % pi
+            for m in range(3):
+                t = t0 + m * pi
+                if t <= tmin:
+                    continue
+                if not t < best_t:
+                    break
+                ct = math.cos(t)
+                st = math.sin(t)
+                qx = ct * px + st * vx
+                qy = ct * py + st * vy
+                qz = ct * pz + st * vz
+                s = math.atan2(qx * ux + qy * uy + qz * uz,
+                               qx * ax + qy * ay + qz * az)
+                if lo <= s <= hi:
+                    best_t, best_j, best_s = t, j, s
+                    hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+                    break
+        if best_j < 0:
+            return i, STEP_ESCAPED, -1, total
+        n = math.sqrt(hx ** 2 + hy ** 2 + hz ** 2)
+        qx = hx / n
+        qy = hy / n
+        qz = hz / n
+        for vtx in (sv0[best_j], sv1[best_j]):
+            w = verts[vtx]
+            h = 0.5 * math.sqrt((qx - w[0]) ** 2 + (qy - w[1]) ** 2
+                                + (qz - w[2]) ** 2)
+            if h > 1.0:
+                h = 1.0
+            if 2.0 * math.asin(h) < tol_v:
+                return i, STEP_VERTEX, vtx, total + best_t
+        # incoming direction at the hit
+        gx = -hs * px + hc * vx
+        gy = -hs * py + hc * vy
+        gz = -hs * pz + hc * vz
+        c = gx * qx + gy * qy + gz * qz
+        gx = gx - c * qx
+        gy = gy - c * qy
+        gz = gz - c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        wx = gx / n
+        wy = gy / n
+        wz = gz / n
+        # reflected in the side's great circle
+        nx, ny, nz, ax, ay, az, ux, uy, uz, _, _ = sides[best_j]
+        c2 = wx * nx + wy * ny + wz * nz
+        gx = wx - 2.0 * c2 * nx
+        gy = wy - 2.0 * c2 * ny
+        gz = wz - 2.0 * c2 * nz
+        c = gx * qx + gy * qy + gz * qz
+        gx = gx - c * qx
+        gy = gy - c * qy
+        gz = gz - c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        rx = gx / n
+        ry = gy / n
+        rz = gz / n
+        # the side's forward tangent at the hit
+        cs = math.cos(best_s)
+        ss = math.sin(best_s)
+        gx = -ss * ax + cs * ux
+        gy = -ss * ay + cs * uy
+        gz = -ss * az + cs * uz
+        c = gx * qx + gy * qy + gz * qz
+        gx = gx - c * qx
+        gy = gy - c * qy
+        gz = gz - c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        tx = gx / n
+        ty = gy / n
+        tz = gz / n
+        psi = math.atan2(qx * (ty * rz - tz * ry) - qy * (tx * rz - tz * rx)
+                         + qz * (tx * ry - ty * rx),
+                         tx * rx + ty * ry + tz * rz)
+        if psi < graze or psi > pi - graze:
+            labels[i], svals[i], psis[i] = best_j, best_s, psi
+            flens[i] = best_t
+            return i, STEP_GRAZING, -1, total
+        s = best_s
+        if s < 0.0:
+            s = 0.0
+        if s > sl[best_j]:
+            s = sl[best_j]
+        labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
+        total += best_t
+        if total > maxlen:
+            return i + 1, STEP_MAXLEN, -1, total
+        if i + 1 < nmax:
+            # boundary_embed(1, sa[j], su[j], s, psi)
+            if s != best_s:
+                cs = math.cos(s)
+                ss = math.sin(s)
+            gx = cs * ax + ss * ux
+            gy = cs * ay + ss * uy
+            gz = cs * az + ss * uz
+            n = math.sqrt(gx ** 2 + gy ** 2 + gz ** 2)
+            px = gx / n
+            py = gy / n
+            pz = gz / n
+            gx = -ss * ax + cs * ux
+            gy = -ss * ay + cs * uy
+            gz = -ss * az + cs * uz
+            c = gx * px + gy * py + gz * pz
+            gx = gx - c * px
+            gy = gy - c * py
+            gz = gz - c * pz
+            n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+            wx = gx / n
+            wy = gy / n
+            wz = gz / n
+            c = math.cos(psi)
+            sn_psi = math.sin(psi)
+            gx = c * wx + sn_psi * (py * wz - pz * wy)
+            gy = c * wy + sn_psi * (pz * wx - px * wz)
+            gz = c * wz + sn_psi * (px * wy - py * wx)
+            c = gx * px + gy * py + gz * pz
+            gx = gx - c * px
+            gy = gy - c * py
+            gz = gz - c * pz
+            n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+            vx = gx / n
+            vy = gy / n
+            vz = gz / n
+    return nmax, STEP_OK, -1, total
+
+
+def _trace_hyperbolic(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen,
+                      tmin, tol_v, graze, labels, svals, psis, flens):
+    px, py, pz = float(p[0]), float(p[1]), float(p[2])
+    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    maxlen, tmin, tol_v, graze = (float(maxlen), float(tmin), float(tol_v),
+                                  float(graze))
+    sides = _side_records(sa, su, sn, sl, tol_v)
+    total = 0.0
+    for i in range(nmax):
+        best_t = INF
+        best_j = -1
+        for j in range(len(sides)):
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+            a = nx * px + ny * py - nz * pz
+            b = nx * vx + ny * vy - nz * vz
+            if abs(b) <= abs(a):
+                continue
+            t = math.atanh(-a / b)
+            if t <= tmin or not t < best_t:
+                continue
+            ct = math.cosh(t)
+            st = math.sinh(t)
+            qx = ct * px + st * vx
+            qy = ct * py + st * vy
+            qz = ct * pz + st * vz
+            s = math.asinh(qx * ux + qy * uy - qz * uz)
+            if s < lo or s > hi:
+                continue
+            best_t, best_j, best_s = t, j, s
+            hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+        if best_j < 0:
+            return i, STEP_ESCAPED, -1, total
+        n = math.sqrt(hz ** 2 - hx ** 2 - hy ** 2)
+        qx = hx / n
+        qy = hy / n
+        qz = hz / n
+        for vtx in (sv0[best_j], sv1[best_j]):
+            w = verts[vtx]
+            d0 = qx - w[0]
+            d1 = qy - w[1]
+            d2 = qz - w[2]
+            h = d0 * d0 + d1 * d1 - d2 * d2
+            if h < 0.0:
+                h = 0.0
+            if 2.0 * math.asinh(0.5 * math.sqrt(h)) < tol_v:
+                return i, STEP_VERTEX, vtx, total + best_t
+        # incoming direction at the hit
+        gx = hs * px + hc * vx
+        gy = hs * py + hc * vy
+        gz = hs * pz + hc * vz
+        c = gx * qx + gy * qy - gz * qz
+        gx = gx + c * qx
+        gy = gy + c * qy
+        gz = gz + c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+        wx = gx / n
+        wy = gy / n
+        wz = gz / n
+        # reflected in the side's geodesic
+        nx, ny, nz, ax, ay, az, ux, uy, uz, _, _ = sides[best_j]
+        c2 = wx * nx + wy * ny - wz * nz
+        gx = wx - 2.0 * c2 * nx
+        gy = wy - 2.0 * c2 * ny
+        gz = wz - 2.0 * c2 * nz
+        c = gx * qx + gy * qy - gz * qz
+        gx = gx + c * qx
+        gy = gy + c * qy
+        gz = gz + c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+        rx = gx / n
+        ry = gy / n
+        rz = gz / n
+        # the side's forward tangent at the hit
+        cs = math.cosh(best_s)
+        ss = math.sinh(best_s)
+        gx = ss * ax + cs * ux
+        gy = ss * ay + cs * uy
+        gz = ss * az + cs * uz
+        c = gx * qx + gy * qy - gz * qz
+        gx = gx + c * qx
+        gy = gy + c * qy
+        gz = gz + c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+        tx = gx / n
+        ty = gy / n
+        tz = gz / n
+        psi = math.atan2(qx * (ty * rz - tz * ry) - qy * (tx * rz - tz * rx)
+                         + qz * (tx * ry - ty * rx),
+                         tx * rx + ty * ry - tz * rz)
+        if psi < graze or psi > math.pi - graze:
+            labels[i], svals[i], psis[i] = best_j, best_s, psi
+            flens[i] = best_t
+            return i, STEP_GRAZING, -1, total
+        s = best_s
+        if s < 0.0:
+            s = 0.0
+        if s > sl[best_j]:
+            s = sl[best_j]
+        labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
+        total += best_t
+        if total > maxlen:
+            return i + 1, STEP_MAXLEN, -1, total
+        if i + 1 < nmax:
+            # boundary_embed(-1, sa[j], su[j], s, psi)
+            if s != best_s:
+                cs = math.cosh(s)
+                ss = math.sinh(s)
+            gx = cs * ax + ss * ux
+            gy = cs * ay + ss * uy
+            gz = cs * az + ss * uz
+            n = math.sqrt(gz ** 2 - gx ** 2 - gy ** 2)
+            px = gx / n
+            py = gy / n
+            pz = gz / n
+            gx = ss * ax + cs * ux
+            gy = ss * ay + cs * uy
+            gz = ss * az + cs * uz
+            c = gx * px + gy * py - gz * pz
+            gx = gx + c * px
+            gy = gy + c * py
+            gz = gz + c * pz
+            n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+            wx = gx / n
+            wy = gy / n
+            wz = gz / n
+            c = math.cos(psi)
+            sn_psi = math.sin(psi)
+            gx = c * wx + sn_psi * (py * wz - pz * wy)
+            gy = c * wy + sn_psi * (pz * wx - px * wz)
+            gz = c * wz + sn_psi * -(px * wy - py * wx)
+            c = gx * px + gy * py - gz * pz
+            gx = gx + c * px
+            gy = gy + c * py
+            gz = gz + c * pz
+            n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+            vx = gx / n
+            vy = gy / n
+            vz = gz / n
+    return nmax, STEP_OK, -1, total
+
+
+TRACE_LOOPS = {0: _trace_plane, 1: _trace_sphere, -1: _trace_hyperbolic}

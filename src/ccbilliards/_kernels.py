@@ -11,20 +11,23 @@ Geodesics are ``cos_k(t) p + sin_k(t) v`` with (cosh, sinh) for k = -1 and
 (1, t) for k = 0, which makes side intersections a one-variable root of
 ``a cos_k t + b sin_k t = 0`` in every curvature.
 
-Everything here must stay nopython-compilable: floats, int64 flags,
-homogeneous tuples and float64 arrays, no lists or dicts.  3-vectors are
+The code is written for CPython and runs uncompiled.  3-vectors are
 (x, y, z) float triples: the geometry helpers return tuples, and the
 collision kernels get their sides from ``Polygon.kernel_pack()`` as nested
 float tuples (start point, unit start tangent, interior-positive plane
-functional, length, endpoint vertex ids).  Uncompiled, this keeps the hot
-loop on Python floats, with no ``np.empty(3)`` per vector and no numpy
-scalar arithmetic, and gives the same bits as arrays would: every
-expression keeps its operation order, and ``x ** 2`` stays ``x ** 2``
-(numpy's float64 power and Python's agree bit for bit; ``x * x`` does
-not).  The entry kernels convert array or numpy-scalar arguments with
-``float()``.  Per-bounce outputs still go to caller-owned arrays.
-Compiled, a tuple's length is part of its type, so numba compiles the
-collision kernels once per side count.
+functional, length, endpoint vertex ids).  This keeps the hot loops on
+Python floats, with no ``np.empty(3)`` per vector and no numpy scalar
+arithmetic, and gives the same bits as arrays would: every expression
+keeps its operation order, and ``x ** 2`` stays ``x ** 2`` (numpy's
+float64 power and Python's agree bit for bit; ``x * x`` does not).  The
+entry kernels convert array or numpy-scalar arguments with ``float()``.
+Per-bounce outputs go to caller-owned arrays.
+
+``trace_orbit`` and ``trace_from_point`` iterate the collision map with
+the loop for their curvature from :mod:`ccbilliards._collision_loops`,
+chosen once per trace.  The loops are this module's helpers written out
+for one k; the helpers stay for the geometry layer, ``unfold_crossings``
+and ``collision.embed_triples``.
 
 The Dormand-Prince integrator ``rk45`` runs on Python floats the same
 way: its state and stages are float 4-tuples (a 3-component state carries
@@ -33,23 +36,15 @@ filling an array, and only accepted states are written to the caller's
 record buffers.  ``tests/test_golden.py`` pins its outputs bit for bit.
 
 These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
-many rays at once in :mod:`ccbilliards._batch`, plain numpy that is never
-numba-compiled; whether the compiled scalar sweep would beat it on a
-machine with numba has not been measured.
+many rays at once in :mod:`ccbilliards._batch`, in numpy.
 """
 
 import math
 
-from ._accel import jit_kernel
-
-INF = 1e300
-
-# step / trace status codes
-STEP_OK = 0
-STEP_VERTEX = 1
-STEP_GRAZING = 2
-STEP_ESCAPED = 3
-STEP_MAXLEN = 4
+# the step / trace status codes belong to the loops; INF is also the "no
+# crossing" of ray_side_hit
+from ._collision_loops import (INF, STEP_ESCAPED, STEP_GRAZING, STEP_MAXLEN,
+                               STEP_OK, STEP_VERTEX, TRACE_LOOPS)
 
 # rk45 status codes
 RK_DONE = 0
@@ -58,7 +53,6 @@ RK_UNDERFLOW = 2
 RK_BUFFER_FULL = 3
 
 
-@jit_kernel
 def cosk(k, t):
     if k == 1:
         return math.cos(t)
@@ -67,7 +61,6 @@ def cosk(k, t):
     return 1.0
 
 
-@jit_kernel
 def sink(k, t):
     if k == 1:
         return math.sin(t)
@@ -76,7 +69,6 @@ def sink(k, t):
     return t
 
 
-@jit_kernel
 def mdot(k, u, v):
     # model pairing: Minkowski for k=-1, Euclidean otherwise (k=0 uses it
     # only for tangents with zero z and for line functionals)
@@ -85,14 +77,12 @@ def mdot(k, u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-@jit_kernel
 def det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-@jit_kernel
 def renorm_point(k, p):
     if k == 1:
         n = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
@@ -103,7 +93,6 @@ def renorm_point(k, p):
     return p[0], p[1], 1.0
 
 
-@jit_kernel
 def renorm_tangent(k, p, v):
     if k == 0:
         n = math.hypot(v[0], v[1])
@@ -118,14 +107,12 @@ def renorm_tangent(k, p, v):
     return o[0] / n, o[1] / n, o[2] / n
 
 
-@jit_kernel
 def geodesic_point(k, p, v, t):
     c = cosk(k, t)
     s = sink(k, t)
     return c * p[0] + s * v[0], c * p[1] + s * v[1], c * p[2] + s * v[2]
 
 
-@jit_kernel
 def geodesic_dir(k, p, v, t):
     if k == 0:
         return v[0], v[1], 0.0
@@ -135,7 +122,6 @@ def geodesic_dir(k, p, v, t):
             -k * s * p[2] + c * v[2])
 
 
-@jit_kernel
 def distance(k, a, b):
     # chordal forms keep full precision near zero distance
     if k == 1:
@@ -155,7 +141,6 @@ def distance(k, a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-@jit_kernel
 def perp(k, p, w):
     # +90 degree rotation of the tangent w in the oriented tangent plane at p
     if k == 0:
@@ -166,7 +151,6 @@ def perp(k, p, w):
     return p[1] * w[2] - p[2] * w[1], p[2] * w[0] - p[0] * w[2], cz
 
 
-@jit_kernel
 def signed_angle(k, p, u, v):
     # CCW angle from u to v in the oriented tangent plane at p, in (-pi, pi]
     c = mdot(k, u, v)
@@ -174,7 +158,6 @@ def signed_angle(k, p, u, v):
     return math.atan2(s, c)
 
 
-@jit_kernel
 def log_map(k, p, q):
     # unit tangent at p toward q; caller guarantees q != p (and q != -p on
     # the sphere)
@@ -192,7 +175,6 @@ def log_map(k, p, q):
     return o[0] / n, o[1] / n, o[2] / n
 
 
-@jit_kernel
 def boundary_embed(k, a, u, s, psi):
     """Embed a boundary state: point at arc s on the side (a, u), direction
     rotated by psi from the side's forward tangent."""
@@ -205,7 +187,6 @@ def boundary_embed(k, a, u, s, psi):
     return bp, renorm_tangent(k, bp, d)
 
 
-@jit_kernel
 def ray_side_hit(k, p, v, a_pt, u, n, seg_len, tmin, pad):
     """First crossing of the geodesic (p, v) with one side segment.
 
@@ -253,108 +234,27 @@ def ray_side_hit(k, p, v, a_pt, u, n, seg_len, tmin, pad):
     return INF, 0.0
 
 
-@jit_kernel
-def step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze):
-    """One collision of the ray (p, v) with the polygon boundary.
-
-    Returns (status, side, s, psi, flight, vertex).  psi is the outgoing
-    angle from the hit side's forward tangent; vertex is the 0-based vertex
-    id on STEP_VERTEX, else -1.
-    """
-    best_t = INF
-    best_j = -1
-    best_s = 0.0
-    for j in range(len(sl)):
-        t, s = ray_side_hit(k, p, v, sa[j], su[j], sn[j], sl[j], tmin, tol_v)
-        if t < best_t:
-            best_t = t
-            best_j = j
-            best_s = s
-    if best_j < 0:
-        return STEP_ESCAPED, -1, 0.0, 0.0, 0.0, -1
-    q = renorm_point(k, geodesic_point(k, p, v, best_t))
-    i0 = sv0[best_j]
-    i1 = sv1[best_j]
-    if distance(k, q, verts[i0]) < tol_v:
-        return STEP_VERTEX, best_j, best_s, 0.0, best_t, i0
-    if distance(k, q, verts[i1]) < tol_v:
-        return STEP_VERTEX, best_j, best_s, 0.0, best_t, i1
-    w_in = renorm_tangent(k, q, geodesic_dir(k, p, v, best_t))
-    if k == 0:
-        sd0 = su[best_j]
-        c2 = w_in[0] * sd0[0] + w_in[1] * sd0[1]
-        r = (2.0 * c2 * sd0[0] - w_in[0], 2.0 * c2 * sd0[1] - w_in[1], 0.0)
-    else:
-        nj = sn[best_j]
-        c2 = mdot(k, w_in, nj)
-        r = (w_in[0] - 2.0 * c2 * nj[0], w_in[1] - 2.0 * c2 * nj[1],
-             w_in[2] - 2.0 * c2 * nj[2])
-    r = renorm_tangent(k, q, r)
-    sd = renorm_tangent(k, q, geodesic_dir(k, sa[best_j], su[best_j], best_s))
-    psi = signed_angle(k, q, sd, r)
-    if psi < graze or psi > math.pi - graze:
-        return STEP_GRAZING, best_j, best_s, psi, best_t, -1
-    s1 = best_s
-    if s1 < 0.0:
-        s1 = 0.0
-    if s1 > sl[best_j]:
-        s1 = sl[best_j]
-    return STEP_OK, best_j, s1, psi, best_t, -1
-
-
-@jit_kernel
-def _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
-                p, v, nmax, maxlen, tmin, tol_v, graze,
-                labels, svals, psis, flens):
-    """Iterate the collision map from the interior ray (p, v).
-
-    Fills per-bounce buffers and returns (n_done, status, vertex, length);
-    length includes the final leg on a vertex hit.
-    """
-    # arrays or numpy scalars in, Python floats through the loop
-    pt = (float(p[0]), float(p[1]), float(p[2]))
-    dv = (float(v[0]), float(v[1]), float(v[2]))
-    maxlen = float(maxlen)
-    tmin = float(tmin)
-    tol_v = float(tol_v)
-    graze = float(graze)
-    total = 0.0
-    for i in range(nmax):
-        st, j, s, psi, tf, vtx = step_ray(
-            k, sa, su, sn, sl, sv0, sv1, verts, pt, dv, tmin, tol_v, graze)
-        if st == STEP_VERTEX:
-            return i, STEP_VERTEX, vtx, total + tf
-        if st != STEP_OK:
-            return i, st, -1, total
-        labels[i] = j
-        svals[i] = s
-        psis[i] = psi
-        flens[i] = tf
-        total += tf
-        if total > maxlen:
-            return i + 1, STEP_MAXLEN, -1, total
-        if i + 1 < nmax:
-            pt, dv = boundary_embed(k, sa[j], su[j], s, psi)
-    return nmax, STEP_OK, -1, total
-
-
-@jit_kernel
 def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
                 side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
                 labels, svals, psis, flens):
-    """Iterate the collision map from a boundary state (see _trace_loop)."""
+    """Iterate the collision map from a boundary state (see trace_from_point)."""
     p, v = boundary_embed(k, sa[side0], su[side0], float(s0), float(psi0))
-    return _trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
-                       p, v, nmax, maxlen, tmin, tol_v, graze,
-                       labels, svals, psis, flens)
+    return TRACE_LOOPS[k](sa, su, sn, sl, sv0, sv1, verts, p, v, nmax,
+                          maxlen, tmin, tol_v, graze,
+                          labels, svals, psis, flens)
 
 
-# launched from an arbitrary interior ray; the diagonal search starts its
-# rays at polygon vertices
-trace_from_point = _trace_loop
+def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts,
+                     p, v, nmax, maxlen, tmin, tol_v, graze,
+                     labels, svals, psis, flens):
+    """Iterate the collision map from the interior ray (p, v) with the
+    loop for curvature k.  The diagonal search starts its rays at polygon
+    vertices; ``collision_step`` is this with nmax = 1."""
+    return TRACE_LOOPS[k](sa, su, sn, sl, sv0, sv1, verts, p, v, nmax,
+                          maxlen, tmin, tol_v, graze,
+                          labels, svals, psis, flens)
 
 
-@jit_kernel
 def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
     """Crossing labels of the unfolded straight line, pulled back stepwise.
 
@@ -406,7 +306,6 @@ FIELD_CHART_ARC = 2   # chart field augmented with accumulated geodesic time
 FIELD_NAN = (math.nan, math.nan, math.nan, math.nan)
 
 
-@jit_kernel
 def field_eval(field_id, k, pf, y):
     """The field at the point (y[0], y[1], y[2]) as a float 4-tuple.
 
@@ -438,14 +337,12 @@ def field_eval(field_id, k, pf, y):
     return (f * x * cz - pf * yy * sz, f * yy * cz + pf * x * sz, -f * sz, arc)
 
 
-@jit_kernel
 def _field_radius(field_id, y):
     if field_id == FIELD_POLAR:
         return y[0]
     return math.hypot(y[0], y[1])
 
 
-@jit_kernel
 def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
     # one component's coefficients of the Dormand-Prince 4th-order
     # continuous extension of the step y -> yn (Hairer-Norsett-Wanner,
@@ -462,7 +359,6 @@ def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
     return dy, bspl, r4, r5
 
 
-@jit_kernel
 def _dense(y, c, th):
     # the continuous extension at t + th h; c holds _dense_terms per component
     th1 = 1.0 - th
@@ -473,7 +369,6 @@ def _dense(y, c, th):
             y[3] + th * (c3[0] + th1 * (c3[1] + th * (c3[2] + th1 * c3[3]))))
 
 
-@jit_kernel
 def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
          tbuf, ybuf, record):
     """Adaptive Dormand-Prince 5(4) with a radial exit window.

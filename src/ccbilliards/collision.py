@@ -95,17 +95,24 @@ def collision_step(b, poly):
     Returns the next BoundaryState, or a VertexHit when the trajectory
     lands within VERTEX_TOL of a vertex.
     """
-    p, v = embed_state(poly, b)
-    st, j, s, psi, tf, vtx = K.step_ray(
-        poly.k, *poly.kernel_pack(), p, v, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL)
+    p, v = embed_triples(poly, b)
+    labels = np.empty(1, dtype=np.int64)
+    svals = np.empty(1)
+    psis = np.empty(1)
+    flens = np.empty(1)
+    _, st, vtx, length = K.trace_from_point(
+        poly.k, *poly.kernel_pack(), p, v, 1, math.inf, FLIGHT_MIN,
+        VERTEX_TOL, GRAZE_TOL, labels, svals, psis, flens)
     if st == K.STEP_VERTEX:
-        return VertexHit(int(vtx) + 1, float(tf))
+        return VertexHit(int(vtx) + 1, float(length))
     if st == K.STEP_GRAZING:
+        # the loop leaves the rejected bounce in slot 0
         raise DegenerateStateError(
-            f"collision became grazing (psi = {psi:.3e} from side {j + 1})")
+            f"collision became grazing (psi = {psis[0]:.3e} from side "
+            f"{labels[0] + 1})")
     if st == K.STEP_ESCAPED:
         raise GeometryError("trajectory found no boundary intersection")
-    return BoundaryState(int(j) + 1, float(s), float(psi))
+    return BoundaryState(int(labels[0]) + 1, float(svals[0]), float(psis[0]))
 
 
 @dataclass(frozen=True)
@@ -319,12 +326,30 @@ def _diagonal_signature(tr):
     return (tuple(int(x) for x in tr.labels), tr.status, tr.vertex)
 
 
+def _same_branch(sig_a, sig_b):
+    """Whether no vertex hit within max_length needs looking for between
+    two rays: their signatures are equal, or both rays stopped at
+    max_length and one's labels are a prefix of the other's (the rays
+    differ only in how many bounces fit into max_length)."""
+    if sig_a == sig_b:
+        return True
+    labels_a, status_a, _ = sig_a
+    labels_b, status_b, _ = sig_b
+    if status_a != K.STEP_MAXLEN or status_b != K.STEP_MAXLEN:
+        return False
+    n = min(len(labels_a), len(labels_b))
+    return labels_a[:n] == labels_b[:n]
+
+
 def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000):
     """Search for vertex-to-vertex trajectories.
 
     Shoots a fan of directions from every vertex (plus targeted shots at
     the other vertices) and brackets itinerary transitions between
-    neighbouring rays.  Each vertex then has a budget of
+    neighbouring rays.  Two rays that both stop at max_length, with one's
+    side labels a prefix of the other's, are not a transition: they differ
+    only in how many bounces fit into max_length, so no bracket is spent
+    on them, in the fan or in the bisection.  Each vertex has a budget of
     8 * angles_per_vertex bisection rays, spent on its transitions in fan
     order: each bracket is bisected down to the vertex-hit window until
     the budget runs out, and the remaining transitions are skipped
@@ -364,7 +389,7 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
             _record_if_diagonal(found, poly, vi, a, tr, max_bounces, max_length)
         budget = [8 * angles_per_vertex]
         for i in range(len(alphas) - 1):
-            if sigs[i] != sigs[i + 1]:
+            if not _same_branch(sigs[i], sigs[i + 1]):
                 _bisect_transition(found, poly, vi, alphas[i], alphas[i + 1],
                                    sigs[i], sigs[i + 1], nmax, max_bounces,
                                    max_length, budget)
@@ -403,9 +428,9 @@ def _bisect_transition(found, poly, vi, a, b, sig_a, sig_b, nmax,
         if _record_if_diagonal(found, poly, vi, mid, tr, max_bounces, max_length):
             continue
         sm = _diagonal_signature(tr)
-        if sm != slo:
+        if not _same_branch(sm, slo):
             stack.append((lo, mid, slo, sm, depth + 1))
-        if sm != shi:
+        if not _same_branch(sm, shi):
             stack.append((mid, hi, sm, shi, depth + 1))
 
 

@@ -383,6 +383,9 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     inside the unit disc, else GeometryError.  A step whose stages leave
     the field's domain (the unit disc on the sphere) is rejected and
     retried with a smaller step, like one whose error is too large.
+    Without eps, a trajectory outside every chart radius can run off to
+    infinity (on the hyperbolic plane), until the step size underflows;
+    that raises GeometryError with the time and radius reached.
     """
     _check_theta(theta)
     check_curvature(k)
@@ -409,7 +412,11 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
                                         -K.INF, rhi, tbuf, ybuf,
                                         1 if record else 0)
     if status == K.RK_UNDERFLOW:
-        raise RuntimeError("integrator step size underflow")
+        raise GeometryError(
+            f"integrator step size underflow at rescaled time {t_end:.6g}, "
+            f"chart radius {math.hypot(y_end[0], y_end[1]):.6g}: the "
+            "trajectory runs off to infinity (pass eps to stop at the chart "
+            "exit)")
     if status == K.RK_BUFFER_FULL:
         raise RuntimeError("trajectory buffer full; raise max_records")
     exited = status == K.RK_EXITED

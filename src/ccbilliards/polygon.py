@@ -74,7 +74,7 @@ class Polygon:
         (sa, su, sn, sl, sv0, sv1, verts): per side the start point, unit
         start tangent and interior-positive functional as (x, y, z) float
         triples, the length, and the start and end vertex ids; then the
-        vertices as float triples.  Python floats keep the uncompiled
+        vertices as float triples.  Python floats keep the scalar
         kernels off numpy scalar arithmetic; ``_batch`` turns each entry
         into an array with ``np.asarray``.
         """

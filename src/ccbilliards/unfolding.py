@@ -327,8 +327,6 @@ def find_periodic(poly, max_bounces, samples, seed):
     family is represented by one member.  Each sample contributes at most
     one report, from its first candidate that is not rejected.
 
-    The batch engine is never numba-compiled; on a machine with numba it
-    is unmeasured whether the compiled scalar sweep would be faster.
     Newton polish and everything after it use the scalar ``trace``.
     """
     if max_bounces < 1 or samples < 1:

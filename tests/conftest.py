@@ -8,10 +8,8 @@ from ccbilliards import geometry as G
 
 
 def pytest_report_header(config):
-    line = f"ccbilliards NUMBA_ENABLED: {NUMBA_ENABLED}"
-    if not NUMBA_ENABLED:
-        line += " (test_accel.py compares the pure-Python fallback with itself)"
-    return line
+    return (f"ccbilliards NUMBA_ENABLED: {NUMBA_ENABLED} "
+            "(the kernels are plain Python; there is no compiled path)")
 
 
 @pytest.fixture(scope="session")

@@ -492,6 +492,18 @@ def test_run_to_end_time_does_not_underflow(T, k):
     assert traj.t[-1] == pytest.approx(0.02464925081584105, rel=1e-15)
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_hyperbolic_run_off_to_infinity_is_a_geometry_error(record):
+    # without eps the chart field's radius grows without bound here, until
+    # the step size underflows
+    theta = 2.0197965557679267
+    c0 = chart_embed(ChartState(0.17140402119374165, 0.26818620159599327,
+                                0.10384619671527331), theta, -1)
+    with pytest.raises(GeometryError, match=r"rescaled time 2\.\d+, chart "
+                       r"radius \d\.\d+e\+\d\d"):
+        integrate_chart_flow(c0, 20.0, theta, -1, record=record)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.05, 2.5), st.floats(0.0, 0.999), st.floats(0.0, 2.0),
        st.floats(0.0, TWO_PI), st.floats(0.1, 60.0), st.booleans(),
