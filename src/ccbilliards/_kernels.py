@@ -21,13 +21,18 @@ arithmetic, and gives the same bits as arrays would: every expression
 keeps its operation order, and ``x ** 2`` stays ``x ** 2`` (numpy's
 float64 power and Python's agree bit for bit; ``x * x`` does not).  The
 entry kernels convert array or numpy-scalar arguments with ``float()``.
-Per-bounce outputs go to caller-owned arrays.
+Per-bounce outputs go to caller-owned buffers, numpy arrays or Python
+lists.
 
 ``trace_orbit`` and ``trace_from_point`` iterate the collision map with
 the loop for their curvature from :mod:`ccbilliards._collision_loops`,
-chosen once per trace.  The loops are this module's helpers written out
-for one k; the helpers stay for the geometry layer, ``unfold_crossings``
-and ``collision.embed_triples``.
+chosen once per trace.  ``trace_from_point`` serves ``collision_step``
+(nmax = 1), ``trace_ray`` (numpy buffers) and the diagonal search, whose
+per-vertex shooter (``collision._vertex_shooter``) passes float-triple
+rays and Python-list buffers.  The loops are this module's helpers
+written out for one k; the helpers stay for the geometry layer,
+``unfold_crossings``, ``collision.embed_triples`` and the diagonal
+search's launch directions.
 
 The Dormand-Prince integrator ``rk45`` runs on Python floats the same
 way: its state and stages are float 4-tuples (a 3-component state carries

@@ -216,7 +216,7 @@ def trace_many(poly, states, n, max_length=math.inf):
 
 
 def trace_ray(poly, point, direction, n, max_length=math.inf):
-    """Trace from an arbitrary interior ray (used by the diagonal search).
+    """Trace from an arbitrary interior ray.
 
     The point and the direction must be finite 3-vectors, the direction
     nonzero; otherwise GeometryError.
@@ -314,16 +314,55 @@ def _vertex_frame(poly, vi):
     raise PolygonError(f"vertex {vi} starts no side")
 
 
-def _launch(poly, vi, alpha):
+def _launch_frame(poly, vi):
+    """Vertex point, base direction d0 and e2 = perp(d0) at vertex vi, as
+    float triples: everything about a launch that does not depend on the
+    angle."""
     d0, _ = _vertex_frame(poly, vi)
-    p = poly.vertices[vi]
-    e2 = np.array(K.perp(poly.k, p, d0))
-    d = math.cos(alpha) * d0 + math.sin(alpha) * e2
-    return p, np.array(K.renorm_tangent(poly.k, p, d))
+    p = tuple(float(x) for x in poly.vertices[vi])
+    d0 = tuple(float(x) for x in d0)
+    return p, d0, K.perp(poly.k, p, d0)
 
 
-def _diagonal_signature(tr):
-    return (tuple(int(x) for x in tr.labels), tr.status, tr.vertex)
+def _launch_direction(k, p, d0, e2, alpha):
+    c = math.cos(alpha)
+    s = math.sin(alpha)
+    return K.renorm_tangent(k, p, (c * d0[0] + s * e2[0],
+                                   c * d0[1] + s * e2[1],
+                                   c * d0[2] + s * e2[2]))
+
+
+def _launch(poly, vi, alpha):
+    """The ray (point, direction) the diagonal search shoots from vertex vi
+    at angle alpha from the side leaving it."""
+    p, d0, e2 = _launch_frame(poly, vi)
+    return np.array(p), np.array(_launch_direction(poly.k, p, d0, e2, alpha))
+
+
+def _vertex_shooter(poly, vi, nmax, max_length):
+    """shoot(alpha) traces the ray ``_launch(poly, vi, alpha)`` for up to
+    nmax bounces and returns its signature (1-based labels, status, 1-based
+    end vertex or 0) and its length.
+
+    The launch frame, the polygon's pack and the bounce buffers (Python
+    lists) are set up once per vertex, so a ray costs its launch direction
+    on floats and the kernel call, with no numpy array or TraceResult.
+    """
+    k = poly.k
+    p, d0, e2 = _launch_frame(poly, vi)
+    pack = poly.kernel_pack()
+    labels = [0] * nmax
+    bufs = (labels, [0.0] * nmax, [0.0] * nmax, [0.0] * nmax)
+
+    def shoot(alpha):
+        v = _launch_direction(k, p, d0, e2, alpha)
+        n, status, vtx, length = K.trace_from_point(
+            k, *pack, p, v, nmax, max_length, FLIGHT_MIN, VERTEX_TOL,
+            GRAZE_TOL, *bufs)
+        end = vtx + 1 if status == K.STEP_VERTEX else 0
+        return (tuple([j + 1 for j in labels[:n]]), status, end), length
+
+    return shoot
 
 
 def _same_branch(sig_a, sig_b):
@@ -346,16 +385,19 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
 
     Shoots a fan of directions from every vertex (plus targeted shots at
     the other vertices) and brackets itinerary transitions between
-    neighbouring rays.  Two rays that both stop at max_length, with one's
-    side labels a prefix of the other's, are not a transition: they differ
-    only in how many bounces fit into max_length, so no bracket is spent
-    on them, in the fan or in the bisection.  Each vertex has a budget of
-    8 * angles_per_vertex bisection rays, spent on its transitions in fan
-    order: each bracket is bisected down to the vertex-hit window until
-    the budget runs out, and the remaining transitions are skipped
-    silently.  Every result is a traced ray that ended on a vertex, kept
-    once per bounce sequence and its reverse; nothing re-traces it.  The
-    search is complete only up to the angular resolution and the budget.
+    neighbouring rays.  Every ray from a vertex, in the fan, the targeted
+    shots and the bisection, is traced on Python floats by one shooter
+    built once per vertex (``_vertex_shooter``).  Two rays that both stop
+    at max_length, with one's side labels a prefix of the other's, are not
+    a transition: they differ only in how many bounces fit into
+    max_length, so no bracket is spent on them, in the fan or in the
+    bisection.  Each vertex has a budget of 8 * angles_per_vertex
+    bisection rays, spent on its transitions in fan order: each bracket is
+    bisected down to the vertex-hit window until the budget runs out, and
+    the remaining transitions are skipped silently.  Every result is a
+    traced ray that ended on a vertex, kept once per bounce sequence and
+    its reverse; nothing re-traces it.  The search is complete only up to
+    the angular resolution and the budget.
     """
     if max_bounces < 0 or not max_length > 0:
         raise ValueError("search bounds must be positive")
@@ -381,39 +423,42 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
             if margin < a < theta - margin:
                 alphas.add(a)
         alphas = sorted(alphas)
+        shoot = _vertex_shooter(poly, vi, nmax, max_length)
         sigs = []
         for a in alphas:
-            pt, dv = _launch(poly, vi, a)
-            tr = trace_ray(poly, pt, dv, nmax, max_length)
-            sigs.append(_diagonal_signature(tr))
-            _record_if_diagonal(found, poly, vi, a, tr, max_bounces, max_length)
+            sig, length = shoot(a)
+            sigs.append(sig)
+            _record_if_diagonal(found, vi, a, sig, length, max_bounces,
+                                max_length)
         budget = [8 * angles_per_vertex]
         for i in range(len(alphas) - 1):
             if not _same_branch(sigs[i], sigs[i + 1]):
-                _bisect_transition(found, poly, vi, alphas[i], alphas[i + 1],
-                                   sigs[i], sigs[i + 1], nmax, max_bounces,
+                _bisect_transition(found, shoot, vi, alphas[i], alphas[i + 1],
+                                   sigs[i], sigs[i + 1], max_bounces,
                                    max_length, budget)
     out = sorted(found.values(), key=lambda d: (d.length, d.start, d.end, d.sequence))
     return out
 
 
-def _record_if_diagonal(found, poly, vi, alpha, tr, max_bounces, max_length):
-    if tr.status != K.STEP_VERTEX or tr.n_done > max_bounces:
+def _record_if_diagonal(found, vi, alpha, sig, length, max_bounces,
+                        max_length):
+    seq, status, end = sig
+    if status != K.STEP_VERTEX or len(seq) > max_bounces:
         return False
-    if tr.length > max_length:
+    if length > max_length:
         return False
-    seq = tuple(int(x) for x in tr.labels)
-    start, end = vi + 1, int(tr.vertex)
+    start = vi + 1
     key = min((start, end, seq), (end, start, tuple(reversed(seq))))
     if key in found:
         return True
-    found[key] = Diagonal(start, end, seq, float(tr.length), float(alpha))
+    found[key] = Diagonal(start, end, seq, float(length), float(alpha))
     return True
 
 
-def _bisect_transition(found, poly, vi, a, b, sig_a, sig_b, nmax,
-                       max_bounces, max_length, budget):
-    """Refine an itinerary transition down to the vertex-hit window."""
+def _bisect_transition(found, shoot, vi, a, b, sig_a, sig_b, max_bounces,
+                       max_length, budget):
+    """Refine an itinerary transition down to the vertex-hit window, with
+    the shooter of vertex vi."""
     stack = [(a, b, sig_a, sig_b, 0)]
     while stack:
         if budget[0] <= 0:
@@ -422,12 +467,11 @@ def _bisect_transition(found, poly, vi, a, b, sig_a, sig_b, nmax,
         if hi - lo < 1e-14 or depth > 60:
             continue
         mid = 0.5 * (lo + hi)
-        pt, dv = _launch(poly, vi, mid)
         budget[0] -= 1
-        tr = trace_ray(poly, pt, dv, nmax, max_length)
-        if _record_if_diagonal(found, poly, vi, mid, tr, max_bounces, max_length):
+        sm, length = shoot(mid)
+        if _record_if_diagonal(found, vi, mid, sm, length, max_bounces,
+                               max_length):
             continue
-        sm = _diagonal_signature(tr)
         if not _same_branch(sm, slo):
             stack.append((lo, mid, slo, sm, depth + 1))
         if not _same_branch(sm, shi):

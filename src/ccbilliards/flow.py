@@ -437,6 +437,12 @@ def integrate_polar_flow(s0, t, k, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     Returns the final ChartState with gamma unwrapped, comparable to
     :func:`closed_form_flow`.  The time, atol and rtol are checked as in
     :func:`integrate_chart_flow`.
+
+    A radial ray integrates straight through the vertex (and on the sphere
+    through the antipode) to a radius outside [0, pi] (k = 1) or below 0.
+    The field is invariant under (r, gamma, beta) -> (-r, gamma + pi,
+    beta - pi), and on the sphere 2 pi-periodic in r, so such an end state
+    is returned in that form, the same point and direction with r >= 0.
     """
     check_curvature(k)
     _check_integration(t, rtol, atol)
@@ -450,7 +456,12 @@ def integrate_polar_flow(s0, t, k, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
                                      np.empty(1), np.empty((1, 3)), 0)
     if status != K.RK_DONE:
         raise RuntimeError(f"polar integration failed with status {status}")
-    return ChartState(y_end[0], y_end[1], y_end[2])
+    r, gamma, beta = y_end[0], y_end[1], y_end[2]
+    if k == 1 and not 0.0 <= r <= math.pi:
+        r = math.remainder(r, TWO_PI)
+    if r < 0.0:
+        r, gamma, beta = -r, gamma + math.pi, beta - math.pi
+    return ChartState(r, gamma, beta)
 
 
 def export_trajectory(traj, path, theta=None, k=None, coords="chart"):

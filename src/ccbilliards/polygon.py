@@ -189,6 +189,10 @@ def _loop_sides_angles(k, pts, base_index, loop_id):
         theta = math.pi - tau
         if not (1e-9 < theta < 2.0 * math.pi - 1e-9):
             raise PolygonError(f"degenerate interior angle at vertex {base_index + i}")
+        # a straight angle is a point inside a side, not a corner: its
+        # sides would carry two labels for one geodesic segment
+        if abs(theta - math.pi) <= 1e-9:
+            raise PolygonError(f"straight angle (pi) at vertex {base_index + i}")
         angles.append(theta)
         turning += tau
     return sides, angles, turning

@@ -1,4 +1,5 @@
-"""The generic scalar collision step and trace loop, kept as a test oracle.
+"""The generic scalar collision step and trace loop, and the diagonal
+search on ``trace_ray``, kept as test oracles.
 
 The package traces with one straight-line loop per curvature
 (``_collision_loops._trace_plane``, ``_trace_sphere``,
@@ -6,15 +7,25 @@ The package traces with one straight-line loop per curvature
 calls the generic geometry helpers, each branching on k, and one loop
 around it.  The per-curvature loops must reproduce it bit for bit
 (``test_kernels.py``).
+
+``generalized_diagonals`` is the diagonal search as it was before its rays
+went through ``collision._vertex_shooter``: a numpy launch per angle and a
+``trace_ray`` per ray, whose ``TraceResult`` gives the signature.  The
+package's search must find the same list bit for bit
+(``test_collision.py``).
 """
 
 import math
 
+import numpy as np
+
+from ccbilliards import collision as C
+
 from ccbilliards._kernels import (INF, STEP_ESCAPED, STEP_GRAZING, STEP_MAXLEN,
                                   STEP_OK, STEP_VERTEX, boundary_embed,
-                                  distance, geodesic_dir, geodesic_point, mdot,
-                                  ray_side_hit, renorm_point, renorm_tangent,
-                                  signed_angle)
+                                  distance, geodesic_dir, geodesic_point,
+                                  log_map, mdot, perp, ray_side_hit,
+                                  renorm_point, renorm_tangent, signed_angle)
 
 
 def step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze):
@@ -107,3 +118,89 @@ def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
     return trace_loop(k, sa, su, sn, sl, sv0, sv1, verts,
                       p, v, nmax, maxlen, tmin, tol_v, graze,
                       labels, svals, psis, flens)
+
+
+def launch(poly, vi, alpha):
+    """The ray from vertex vi at angle alpha, on numpy arrays."""
+    d0, _ = C._vertex_frame(poly, vi)
+    p = poly.vertices[vi]
+    e2 = np.array(perp(poly.k, p, d0))
+    d = math.cos(alpha) * d0 + math.sin(alpha) * e2
+    return p, np.array(renorm_tangent(poly.k, p, d))
+
+
+def diagonal_signature(tr):
+    return (tuple(int(x) for x in tr.labels), tr.status, tr.vertex)
+
+
+def record_if_diagonal(found, vi, alpha, tr, max_bounces, max_length):
+    if tr.status != STEP_VERTEX or tr.n_done > max_bounces:
+        return False
+    if tr.length > max_length:
+        return False
+    seq = tuple(int(x) for x in tr.labels)
+    start, end = vi + 1, int(tr.vertex)
+    key = min((start, end, seq), (end, start, tuple(reversed(seq))))
+    if key in found:
+        return True
+    found[key] = C.Diagonal(start, end, seq, float(tr.length), float(alpha))
+    return True
+
+
+def bisect_transition(found, poly, vi, a, b, sig_a, sig_b, nmax,
+                      max_bounces, max_length, budget):
+    stack = [(a, b, sig_a, sig_b, 0)]
+    while stack:
+        if budget[0] <= 0:
+            return
+        lo, hi, slo, shi, depth = stack.pop()
+        if hi - lo < 1e-14 or depth > 60:
+            continue
+        mid = 0.5 * (lo + hi)
+        pt, dv = launch(poly, vi, mid)
+        budget[0] -= 1
+        tr = C.trace_ray(poly, pt, dv, nmax, max_length)
+        if record_if_diagonal(found, vi, mid, tr, max_bounces, max_length):
+            continue
+        sm = diagonal_signature(tr)
+        if not C._same_branch(sm, slo):
+            stack.append((lo, mid, slo, sm, depth + 1))
+        if not C._same_branch(sm, shi):
+            stack.append((mid, hi, sm, shi, depth + 1))
+
+
+def generalized_diagonals(poly, max_bounces, max_length,
+                          angles_per_vertex=10000):
+    """The diagonal search with one ``trace_ray`` per ray."""
+    found = {}
+    margin = 10.0 * C.GRAZE_TOL
+    nmax = max_bounces + 1
+    for vi in range(poly.n_vertices):
+        d0, theta = C._vertex_frame(poly, vi)
+        p = poly.vertices[vi]
+        alphas = set()
+        for j in range(angles_per_vertex):
+            alphas.add(theta * (j + 0.5) / angles_per_vertex)
+        for wj, w in enumerate(poly.vertices):
+            if wj == vi:
+                continue
+            d = distance(poly.k, p, w)
+            if d < C.VERTEX_TOL or (poly.k == 1 and d > math.pi - 1e-12):
+                continue
+            a = signed_angle(poly.k, p, d0, log_map(poly.k, p, w))
+            if margin < a < theta - margin:
+                alphas.add(a)
+        alphas = sorted(alphas)
+        sigs = []
+        for a in alphas:
+            tr = C.trace_ray(poly, *launch(poly, vi, a), nmax, max_length)
+            sigs.append(diagonal_signature(tr))
+            record_if_diagonal(found, vi, a, tr, max_bounces, max_length)
+        budget = [8 * angles_per_vertex]
+        for i in range(len(alphas) - 1):
+            if not C._same_branch(sigs[i], sigs[i + 1]):
+                bisect_transition(found, poly, vi, alphas[i], alphas[i + 1],
+                                  sigs[i], sigs[i + 1], nmax, max_bounces,
+                                  max_length, budget)
+    return sorted(found.values(),
+                  key=lambda d: (d.length, d.start, d.end, d.sequence))

@@ -203,6 +203,24 @@ class TestOracleEquivalence:
             worst = max(worst, err)
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("k, s0, t", [
+        (-1, (0.3, 0.2, math.pi), 1.0),
+        (0, (0.3, 0.2, math.pi), 1.0),
+        (1, (0.3, 0.2, math.pi), 1.0),
+        # on the sphere through the antipode, and through vertex and antipode
+        (1, (3.0, 0.2, 0.0), 1.0),
+        (1, (0.3, 0.2, math.pi), 7.0),
+    ])
+    def test_radial_ray_through_vertex(self, k, s0, t):
+        # the integrated ray passes the vertex at a negative radius; it comes
+        # back as the same point and direction with r >= 0
+        a = integrate_polar_flow(ChartState(*s0), t, k)
+        b = closed_form_flow(ChartState(*s0), t, k)
+        assert a.r >= 0.0
+        assert abs(a.r - b.r) < 1e-9
+        assert abs(math.remainder(a.gamma - b.gamma, TWO_PI)) < 1e-9
+        assert abs(math.remainder(a.beta - b.beta, TWO_PI)) < 1e-9
+
 
 class TestChartField:
     def test_on_circle_values(self):

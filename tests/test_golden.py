@@ -3,15 +3,15 @@
 ``golden_traces.json`` holds, as ``float.hex`` strings, traces recorded
 from the kernels as they were when the scalar engine still worked on
 numpy arrays: ``trace`` of two boundary states on each built-in table and
-of one on a skew plane quadrilateral, a vertex-fan ``trace_ray``, one ``collision_step`` and one run of
+of one on a skew plane quadrilateral, a vertex-fan ``trace_ray`` from
+``collision._launch``, one ``collision_step`` and one run of
 ``crossing_labels``.  ``chart_flow`` holds runs of the Dormand-Prince
 integrator, recorded while its step loop still worked on numpy arrays:
 ``integrate_chart_flow`` to the chart exit at the first vertex of each
 built-in table, one run tracking arc time, one backward in time, one
 without records, and one ``integrate_polar_flow``.  The tests require
 every bit to match, so a rewrite of the kernels that changes any rounding
-fails here.  Tolerance-based tests cannot see that, and ``test_accel.py``
-compares the fallback with itself when numba is missing.
+fails here.  Tolerance-based tests cannot see that.
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_traces.json
 

@@ -7,20 +7,23 @@ boundary states, from vertex fans and shots aimed at other vertices (vertex
 hits), under a ``max_length`` stop, from states next to a corner that
 leave nearly parallel to the next side (grazing hits), and with clamped
 arc parameters.  The last tests pin the diagonal search's skip of
-length-only brackets.
+length-only brackets, and its per-vertex shooter against the search on
+``trace_ray`` that ``kernel_oracle.py`` keeps: the same diagonals and
+conjugated vertices, bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as O
 from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
-                         VertexHit, build_polygon, collision_step,
-                         hyperbolic_pentagon, sphere_triangle, square)
+                         PolygonError, VertexHit, build_polygon,
+                         collision_step, hyperbolic_pentagon, sphere_triangle,
+                         square)
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 
@@ -182,13 +185,13 @@ def test_length_only_brackets_skipped(monkeypatch, theta):
     # saves rays
     poly = sphere_triangle(theta)
     calls = [0]
-    trace_ray = C.trace_ray
+    trace_from_point = K.trace_from_point
 
     def counted(*args):
         calls[0] += 1
-        return trace_ray(*args)
+        return trace_from_point(*args)
 
-    monkeypatch.setattr(C, "trace_ray", counted)
+    monkeypatch.setattr(K, "trace_from_point", counted)
     got = C.generalized_diagonals(poly, 20, 4 * math.pi, 24)
     new_calls = calls[0]
     calls[0] = 0
@@ -200,6 +203,77 @@ def test_length_only_brackets_skipped(monkeypatch, theta):
         for d in old]
     assert got
     assert new_calls < calls[0]
+
+
+FOUR_PI = 4 * math.pi
+SEARCH_TABLES = {**TABLES, "sphere-triangle-pi4": sphere_triangle(math.pi / 4)}
+# (table, angles per vertex, max bounces, max length); the square at 200
+# angles runs out of bisection budget
+SEARCHES = ([("square", n, 20, FOUR_PI) for n in (1, 5, 24, 60, 200)]
+            + [("square", 50, 8, 8.0), ("skew-quad", 24, 20, FOUR_PI)]
+            + [(f"sphere-triangle-{t}", n, 20, FOUR_PI)
+               for t in ("1", "2", "pi4") for n in (8, 24, 60)]
+            + [("hyperbolic-pentagon", n, 10, 6.0) for n in (24, 60)])
+
+
+def _diagonals(ds):
+    return [(d.start, d.end, d.sequence, _hex(d.length), _hex(d.angle))
+            for d in ds]
+
+
+def _conjugated(pairs):
+    return [(p.vertices, p.m, _hex(p.residual), _diagonals([p.diagonal]))
+            for p in pairs]
+
+
+def _check_search(monkeypatch, poly, depth, length, angles):
+    """generalized_diagonals and conjugated_vertices against the search on
+    trace_ray; the bisection budget left at the end of each transition."""
+    left = []
+    bisect = C._bisect_transition
+
+    def recorded(*args):
+        bisect(*args)
+        left.append(args[-1][0])
+
+    monkeypatch.setattr(C, "_bisect_transition", recorded)
+    got = C.generalized_diagonals(poly, depth, length, angles)
+    assert _diagonals(got) == _diagonals(
+        O.generalized_diagonals(poly, depth, length, angles))
+    if poly.k == 1:
+        pairs = C.conjugated_vertices(poly, depth, length, angles)
+        monkeypatch.setattr(C, "generalized_diagonals",
+                            O.generalized_diagonals)
+        assert _conjugated(pairs) == _conjugated(
+            C.conjugated_vertices(poly, depth, length, angles))
+        monkeypatch.undo()
+    return left
+
+
+@pytest.mark.parametrize("table, angles, depth, length", SEARCHES)
+def test_diagonal_search_matches_oracle(monkeypatch, table, angles, depth,
+                                        length):
+    left = _check_search(monkeypatch, SEARCH_TABLES[table], depth, length,
+                         angles)
+    if (table, angles) == ("square", 200):
+        assert 0 in left
+
+
+@settings(max_examples=15, deadline=None)
+@given(polar=st.lists(st.floats(0.1, 1.4), min_size=3, max_size=3),
+       azimuth=st.lists(st.floats(0.0, 2 * math.pi), min_size=3,
+                        max_size=3),
+       angles=st.integers(1, 8), depth=st.integers(0, 6))
+def test_diagonal_search_matches_oracle_on_sphere_triangles(
+        polar, azimuth, angles, depth):
+    verts = [(math.sin(a) * math.cos(b), math.sin(a) * math.sin(b),
+              math.cos(a)) for a, b in zip(polar, azimuth)]
+    try:
+        poly = build_polygon(1, verts)
+    except PolygonError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        _check_search(mp, poly, depth, 2 * math.pi, angles)
 
 
 def test_same_branch_rule():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ccbilliards import (DoubleSurfacePoint, PolygonError, build_polygon,
-                         double_points_equal, interior_contains,
-                         sphere_triangle, vertex_neighborhood_radius)
+                         double_points_equal, hyperbolic_pentagon,
+                         interior_contains, sphere_triangle,
+                         vertex_neighborhood_radius)
 from ccbilliards import geometry as G
 from ccbilliards.polygon import point_on_boundary
 
@@ -54,6 +55,23 @@ class TestBuild:
             with pytest.raises(PolygonError, match="vertex 2: non-finite"):
                 build_polygon(1, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
                                   (0.0, bad, 0.0)])
+
+    def test_straight_angle_rejected(self):
+        # a vertex inside a side: the square with its bottom side split,
+        # the theta = 1 sphere triangle with its equator side split, and the
+        # right-angled pentagon with its first side split at the midpoint
+        with pytest.raises(PolygonError, match="straight angle .* vertex 1"):
+            build_polygon(0, [(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(PolygonError, match="straight angle .* vertex 2"):
+            build_polygon(1, [(0, 0, 1), (1, 0, 0),
+                              (math.cos(0.5), math.sin(0.5), 0),
+                              (math.cos(1.0), math.sin(1.0), 0)])
+        verts = [tuple(v) for v in hyperbolic_pentagon().vertices]
+        m = np.add(verts[0], verts[1])
+        m = m / math.sqrt(m[2] ** 2 - m[0] ** 2 - m[1] ** 2)
+        with pytest.raises(PolygonError, match="straight angle .* vertex 1"):
+            build_polygon(-1, [verts[0], tuple(m)] + verts[1:],
+                          model="hyperboloid")
 
     def test_pentagon_right_angles(self, pentagon):
         assert pentagon.angles == pytest.approx([math.pi / 2] * 5, abs=1e-12)
