@@ -29,16 +29,19 @@ the loop for their curvature from :mod:`ccbilliards._collision_loops`,
 chosen once per trace.  ``trace_from_point`` serves ``collision_step``
 (nmax = 1), ``trace_ray`` (numpy buffers) and the diagonal search, whose
 per-vertex shooter (``collision._vertex_shooter``) passes float-triple
-rays and Python-list buffers.  The loops are this module's helpers
-written out for one k; the helpers stay for the geometry layer,
-``unfold_crossings``, ``collision.embed_triples`` and the diagonal
+rays and Python-list buffers.  ``unfold_crossings`` likewise picks its
+crossing loop from :mod:`ccbilliards._crossing_loops` once per call.  The
+loops are this module's helpers written out for one k; the helpers stay
+for the geometry layer, ``collision.embed_triples`` and the diagonal
 search's launch directions.
 
 The Dormand-Prince integrator ``rk45`` runs on Python floats the same
-way: its state and stages are float 4-tuples (a 3-component state carries
-a 0.0 4th component), ``field_eval`` returns a new tuple instead of
-filling an array, and only accepted states are written to the caller's
-record buffers.  ``tests/test_golden.py`` pins its outputs bit for bit.
+way.  It picks its field function (``polar_field``, ``chart_field`` or
+``chart_arc_field``) once per run and calls it with each stage point as
+three floats; the stage values are unpacked into locals, accepted states
+go to Python lists that are copied into the caller's record buffers once,
+and the chart-exit bisection evaluates only the radius components of the
+dense output.  ``tests/test_golden.py`` pins its outputs bit for bit.
 
 These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
 many rays at once in :mod:`ccbilliards._batch`, in numpy.
@@ -50,6 +53,7 @@ import math
 # crossing" of ray_side_hit
 from ._collision_loops import (INF, STEP_ESCAPED, STEP_GRAZING, STEP_MAXLEN,
                                STEP_OK, STEP_VERTEX, TRACE_LOOPS)
+from ._crossing_loops import CROSSING_LOOPS
 
 # rk45 status codes
 RK_DONE = 0
@@ -261,41 +265,16 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts,
 
 
 def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
-    """Crossing labels of the unfolded straight line, pulled back stepwise.
+    """Crossing labels of the unfolded straight line, pulled back stepwise,
+    with the loop for curvature k.
 
     refl holds one reflection matrix per side, as a tuple of three row
-    tuples; matrices act on embedded 3-vectors for every curvature
-    (homogeneous form when k = 0, where they also transport directions
-    since those have zero last component).  Never touches boundary
-    (s, psi) coordinates: independent route to the itinerary.
+    tuples.  Writes 0-based side labels to labels and returns their count;
+    never touches boundary (s, psi) coordinates, so this is an
+    independent route to the itinerary.
     """
-    p = (float(p0[0]), float(p0[1]), float(p0[2]))
-    v = (float(v0[0]), float(v0[1]), float(v0[2]))
-    tmin = float(tmin)
-    pad = float(pad)
-    n_done = 0
-    for m in range(nmax):
-        best_t = INF
-        best_j = -1
-        for j in range(len(sl)):
-            t, s = ray_side_hit(k, p, v, sa[j], su[j], sn[j], sl[j], tmin, pad)
-            if t < best_t:
-                best_t = t
-                best_j = j
-        if best_j < 0:
-            return n_done
-        labels[m] = best_j
-        n_done = m + 1
-        q = renorm_point(k, geodesic_point(k, p, v, best_t))
-        w = renorm_tangent(k, q, geodesic_dir(k, p, v, best_t))
-        r0, r1, r2 = refl[best_j]
-        p = renorm_point(k, (r0[0] * q[0] + r0[1] * q[1] + r0[2] * q[2],
-                             r1[0] * q[0] + r1[1] * q[1] + r1[2] * q[2],
-                             r2[0] * q[0] + r2[1] * q[1] + r2[2] * q[2]))
-        v = renorm_tangent(k, p, (r0[0] * w[0] + r0[1] * w[1] + r0[2] * w[2],
-                                  r1[0] * w[0] + r1[1] * w[1] + r1[2] * w[2],
-                                  r2[0] * w[0] + r2[1] * w[1] + r2[2] * w[2]))
-    return n_done
+    return CROSSING_LOOPS[k](sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad,
+                             labels)
 
 
 # ---------------------------------------------------------------------------
@@ -311,41 +290,45 @@ FIELD_CHART_ARC = 2   # chart field augmented with accumulated geodesic time
 FIELD_NAN = (math.nan, math.nan, math.nan, math.nan)
 
 
-def field_eval(field_id, k, pf, y):
-    """The field at the point (y[0], y[1], y[2]) as a float 4-tuple.
+def polar_field(k, pf, r, gamma, beta):
+    """The polar field (FIELD_POLAR) at (r, gamma, beta) as a float 4-tuple.
 
-    y may carry a 4th component, which no field reads.  The 4th component
-    of the value is the geodesic-time rate for FIELD_CHART_ARC and 0.0
-    otherwise.  Outside the field's domain, where sink(k, r) = 0 for the
-    polar field or 1 - k (x^2 + y^2) < 0 for the chart field, every
-    component is nan.
+    Its 4th component is 0.0; where sink(k, r) = 0, outside the field's
+    domain, every component is nan.  pf is unused.
     """
-    if field_id == FIELD_POLAR:
-        r = y[0]
-        beta = y[2]
-        sk = sink(k, r)
-        if sk == 0.0:
-            return FIELD_NAN
-        ck = cosk(k, r)
-        sb = math.sin(beta)
-        return (math.cos(beta), sb / sk, -ck * sb / sk, 0.0)
-    x = y[0]
-    yy = y[1]
-    z = y[2]
-    ff = 1.0 - k * (x * x + yy * yy)
+    sk = sink(k, r)
+    if sk == 0.0:
+        return FIELD_NAN
+    ck = cosk(k, r)
+    sb = math.sin(beta)
+    return (math.cos(beta), sb / sk, -ck * sb / sk, 0.0)
+
+
+def chart_field(k, pf, x, y, z):
+    """The chart field (FIELD_CHART) at (x, y, z) as a float 4-tuple.
+
+    Its 4th component is 0.0; where 1 - k (x^2 + y^2) < 0, outside the
+    field's domain, every component is nan.
+    """
+    ff = 1.0 - k * (x * x + y * y)
     if ff < 0.0:
         return FIELD_NAN
     f = math.sqrt(ff)
     cz = math.cos(z)
     sz = math.sin(z)
-    arc = math.hypot(x, yy) if field_id == FIELD_CHART_ARC else 0.0
-    return (f * x * cz - pf * yy * sz, f * yy * cz + pf * x * sz, -f * sz, arc)
+    return (f * x * cz - pf * y * sz, f * y * cz + pf * x * sz, -f * sz, 0.0)
 
 
-def _field_radius(field_id, y):
-    if field_id == FIELD_POLAR:
-        return y[0]
-    return math.hypot(y[0], y[1])
+def chart_arc_field(k, pf, x, y, z):
+    """``chart_field`` with the geodesic-time rate hypot(x, y) as its 4th
+    component (FIELD_CHART_ARC); outside the domain the other three are
+    nan."""
+    fx, fy, fz, _ = chart_field(k, pf, x, y, z)
+    return fx, fy, fz, math.hypot(x, y)
+
+
+# field functions by field id
+FIELDS = (polar_field, chart_field, chart_arc_field)
 
 
 def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
@@ -365,13 +348,50 @@ def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
 
 
 def _dense(y, c, th):
-    # the continuous extension at t + th h; c holds _dense_terms per component
+    # one component of the continuous extension at t + th h, from its
+    # _dense_terms c
     th1 = 1.0 - th
-    c0, c1, c2, c3 = c
-    return (y[0] + th * (c0[0] + th1 * (c0[1] + th * (c0[2] + th1 * c0[3]))),
-            y[1] + th * (c1[0] + th1 * (c1[1] + th * (c1[2] + th1 * c1[3]))),
-            y[2] + th * (c2[0] + th1 * (c2[1] + th * (c2[2] + th1 * c2[3]))),
-            y[3] + th * (c3[0] + th1 * (c3[1] + th * (c3[2] + th1 * c3[3]))))
+    return y + th * (c[0] + th1 * (c[1] + th * (c[2] + th1 * c[3])))
+
+
+def _exit_fraction(polar, ya, yb, ca, cb, rlo, rhi):
+    """The fraction of the step at which the dense output's radius leaves
+    [rlo, rhi], by bisection.
+
+    The radius is ya's component for the polar field and the hypot of ya's
+    and yb's for the chart fields, so only those components are evaluated.
+    Once mid rounds to lo or hi, no later round can move hi: mid == hi
+    leaves hi as it is whatever the test says, and mid == lo repeats the
+    test lo passed (lo = 0 is never tested, but mid cannot round to 0
+    within 80 rounds), so the loop ends there with the bits of 80 rounds.
+    """
+    a0, a1, a2, a3 = ca
+    b0, b1, b2, b3 = cb
+    lo = 0.0
+    hi = 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        th1 = 1.0 - mid
+        rr = ya + mid * (a0 + th1 * (a1 + mid * (a2 + th1 * a3)))
+        if not polar:
+            rr = math.hypot(
+                rr, yb + mid * (b0 + th1 * (b1 + mid * (b2 + th1 * b3))))
+        if rr > rhi or rr < rlo:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _flush(ts, ys, tbuf, ybuf, dim):
+    # the recorded times and states into the caller's buffers; their count
+    n = len(ts)
+    if n:
+        tbuf[:n] = ts
+        ybuf[:n] = ys if dim == 4 else [row[:3] for row in ys]
+    return n
 
 
 def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
@@ -379,139 +399,161 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     """Adaptive Dormand-Prince 5(4) with a radial exit window.
 
     y0 holds 3 components, or 4 for FIELD_CHART_ARC.  The step loop runs on
-    Python floats: the state and the field values are float 4-tuples, and
-    a 3-component state carries 0.0 as its 4th component, which stays out
-    of the error norm.  The stage points are float triples, since no field
-    reads a 4th component.  Each step evaluates the field six times; the
-    7th stage of an accepted step is the 1st of the next (FSAL).
+    Python floats: the field function for field_id is picked once per run
+    and called with each stage point as three floats (no field reads a
+    4th component); its value is a float 4-tuple, unpacked into locals.  A
+    3-component state carries 0.0 as its 4th component, which stays out of
+    the error norm.  Each step evaluates the field six times; the 7th
+    stage of an accepted step is the 1st of the next (FSAL).  An accepted
+    step that lands past t1, which the last step clipped to h = t1 - t can
+    do by an ulp, ends at t1 exactly.
 
     Integration stops when the field radius leaves [rlo, rhi]; the crossing
     is bisected on the step's dense output, which costs no further field
     evaluations.  A stage outside the field's domain gives a nan error norm,
     which rejects the step and shrinks h by the least factor, 0.2.
-    Accepted states go to the buffers tbuf (cap,) and ybuf (cap, dim) when
-    record != 0.  Returns (status, nrec, t_end, y_end), y_end a 4-tuple.
+    When record != 0, accepted states are collected in Python lists and
+    copied once, before returning, into the buffers tbuf (cap,) and ybuf
+    (cap, dim).  Returns (status, nrec, t_end, y_end), y_end a 4-tuple.
     """
+    f = FIELDS[field_id]
+    polar = field_id == FIELD_POLAR
     # arrays or numpy scalars in, Python floats through the loop
     dim = len(y0)
-    y = (float(y0[0]), float(y0[1]), float(y0[2]),
-         float(y0[3]) if dim == 4 else 0.0)
+    ya, yb, yc = float(y0[0]), float(y0[1]), float(y0[2])
+    yd = float(y0[3]) if dim == 4 else 0.0
+    nd = yd     # stays 0.0 for a 3-component state
     t = float(t0)
     t1 = float(t1)
     rtol = float(rtol)
     atol = float(atol)
     rlo = float(rlo)
     rhi = float(rhi)
+    ts = []
+    ys = []
     nrec = 0
     cap = tbuf.shape[0]
     if record != 0:
-        tbuf[0] = t
-        for i in range(dim):
-            ybuf[0, i] = y[i]
+        ts.append(t)
+        ys.append((ya, yb, yc, yd))
         nrec = 1
     span = t1 - t
     if span == 0.0:
-        return RK_DONE, nrec, t, y
+        return RK_DONE, _flush(ts, ys, tbuf, ybuf, dim), t, (ya, yb, yc, yd)
     sgn = 1.0 if span > 0.0 else -1.0
     h = span / 128.0
-    k1 = field_eval(field_id, k, pf, y)
+    k1a, k1b, k1c, k1d = f(k, pf, ya, yb, yc)
     while (t - t1) * sgn < 0.0:
         if (t + h - t1) * sgn > 0.0:
             h = t1 - t
-        k2 = field_eval(field_id, k, pf, (
-            y[0] + h * (0.2 * k1[0]),
-            y[1] + h * (0.2 * k1[1]),
-            y[2] + h * (0.2 * k1[2])))
-        k3 = field_eval(field_id, k, pf, (
-            y[0] + h * (3.0 / 40.0 * k1[0] + 9.0 / 40.0 * k2[0]),
-            y[1] + h * (3.0 / 40.0 * k1[1] + 9.0 / 40.0 * k2[1]),
-            y[2] + h * (3.0 / 40.0 * k1[2] + 9.0 / 40.0 * k2[2])))
-        k4 = field_eval(field_id, k, pf, (
-            y[0] + h * (44.0 / 45.0 * k1[0] - 56.0 / 15.0 * k2[0]
-                        + 32.0 / 9.0 * k3[0]),
-            y[1] + h * (44.0 / 45.0 * k1[1] - 56.0 / 15.0 * k2[1]
-                        + 32.0 / 9.0 * k3[1]),
-            y[2] + h * (44.0 / 45.0 * k1[2] - 56.0 / 15.0 * k2[2]
-                        + 32.0 / 9.0 * k3[2])))
-        k5 = field_eval(field_id, k, pf, (
-            y[0] + h * (19372.0 / 6561.0 * k1[0] - 25360.0 / 2187.0 * k2[0]
-                        + 64448.0 / 6561.0 * k3[0] - 212.0 / 729.0 * k4[0]),
-            y[1] + h * (19372.0 / 6561.0 * k1[1] - 25360.0 / 2187.0 * k2[1]
-                        + 64448.0 / 6561.0 * k3[1] - 212.0 / 729.0 * k4[1]),
-            y[2] + h * (19372.0 / 6561.0 * k1[2] - 25360.0 / 2187.0 * k2[2]
-                        + 64448.0 / 6561.0 * k3[2] - 212.0 / 729.0 * k4[2])))
-        k6 = field_eval(field_id, k, pf, (
-            y[0] + h * (9017.0 / 3168.0 * k1[0] - 355.0 / 33.0 * k2[0]
-                        + 46732.0 / 5247.0 * k3[0] + 49.0 / 176.0 * k4[0]
-                        - 5103.0 / 18656.0 * k5[0]),
-            y[1] + h * (9017.0 / 3168.0 * k1[1] - 355.0 / 33.0 * k2[1]
-                        + 46732.0 / 5247.0 * k3[1] + 49.0 / 176.0 * k4[1]
-                        - 5103.0 / 18656.0 * k5[1]),
-            y[2] + h * (9017.0 / 3168.0 * k1[2] - 355.0 / 33.0 * k2[2]
-                        + 46732.0 / 5247.0 * k3[2] + 49.0 / 176.0 * k4[2]
-                        - 5103.0 / 18656.0 * k5[2])))
-        ynew = (
-            y[0] + h * (35.0 / 384.0 * k1[0] + 500.0 / 1113.0 * k3[0]
-                        + 125.0 / 192.0 * k4[0] - 2187.0 / 6784.0 * k5[0]
-                        + 11.0 / 84.0 * k6[0]),
-            y[1] + h * (35.0 / 384.0 * k1[1] + 500.0 / 1113.0 * k3[1]
-                        + 125.0 / 192.0 * k4[1] - 2187.0 / 6784.0 * k5[1]
-                        + 11.0 / 84.0 * k6[1]),
-            y[2] + h * (35.0 / 384.0 * k1[2] + 500.0 / 1113.0 * k3[2]
-                        + 125.0 / 192.0 * k4[2] - 2187.0 / 6784.0 * k5[2]
-                        + 11.0 / 84.0 * k6[2]),
-            y[3] + h * (35.0 / 384.0 * k1[3] + 500.0 / 1113.0 * k3[3]
-                        + 125.0 / 192.0 * k4[3] - 2187.0 / 6784.0 * k5[3]
-                        + 11.0 / 84.0 * k6[3]))
-        k7 = field_eval(field_id, k, pf, ynew)
-        errn = 0.0
-        for i in range(dim):
-            e = h * (71.0 / 57600.0 * k1[i] - 71.0 / 16695.0 * k3[i]
-                     + 71.0 / 1920.0 * k4[i] - 17253.0 / 339200.0 * k5[i]
-                     + 22.0 / 525.0 * k6[i] - 1.0 / 40.0 * k7[i])
-            ay = abs(y[i])
-            an = abs(ynew[i])
-            sc = atol + rtol * (ay if ay > an else an)
-            q = e / sc
+        k2a, k2b, k2c, _ = f(
+            k, pf,
+            ya + h * (0.2 * k1a),
+            yb + h * (0.2 * k1b),
+            yc + h * (0.2 * k1c))
+        k3a, k3b, k3c, k3d = f(
+            k, pf,
+            ya + h * (3.0 / 40.0 * k1a + 9.0 / 40.0 * k2a),
+            yb + h * (3.0 / 40.0 * k1b + 9.0 / 40.0 * k2b),
+            yc + h * (3.0 / 40.0 * k1c + 9.0 / 40.0 * k2c))
+        k4a, k4b, k4c, k4d = f(
+            k, pf,
+            ya + h * (44.0 / 45.0 * k1a - 56.0 / 15.0 * k2a
+                      + 32.0 / 9.0 * k3a),
+            yb + h * (44.0 / 45.0 * k1b - 56.0 / 15.0 * k2b
+                      + 32.0 / 9.0 * k3b),
+            yc + h * (44.0 / 45.0 * k1c - 56.0 / 15.0 * k2c
+                      + 32.0 / 9.0 * k3c))
+        k5a, k5b, k5c, k5d = f(
+            k, pf,
+            ya + h * (19372.0 / 6561.0 * k1a - 25360.0 / 2187.0 * k2a
+                      + 64448.0 / 6561.0 * k3a - 212.0 / 729.0 * k4a),
+            yb + h * (19372.0 / 6561.0 * k1b - 25360.0 / 2187.0 * k2b
+                      + 64448.0 / 6561.0 * k3b - 212.0 / 729.0 * k4b),
+            yc + h * (19372.0 / 6561.0 * k1c - 25360.0 / 2187.0 * k2c
+                      + 64448.0 / 6561.0 * k3c - 212.0 / 729.0 * k4c))
+        k6a, k6b, k6c, k6d = f(
+            k, pf,
+            ya + h * (9017.0 / 3168.0 * k1a - 355.0 / 33.0 * k2a
+                      + 46732.0 / 5247.0 * k3a + 49.0 / 176.0 * k4a
+                      - 5103.0 / 18656.0 * k5a),
+            yb + h * (9017.0 / 3168.0 * k1b - 355.0 / 33.0 * k2b
+                      + 46732.0 / 5247.0 * k3b + 49.0 / 176.0 * k4b
+                      - 5103.0 / 18656.0 * k5b),
+            yc + h * (9017.0 / 3168.0 * k1c - 355.0 / 33.0 * k2c
+                      + 46732.0 / 5247.0 * k3c + 49.0 / 176.0 * k4c
+                      - 5103.0 / 18656.0 * k5c))
+        na = ya + h * (35.0 / 384.0 * k1a + 500.0 / 1113.0 * k3a
+                       + 125.0 / 192.0 * k4a - 2187.0 / 6784.0 * k5a
+                       + 11.0 / 84.0 * k6a)
+        nb = yb + h * (35.0 / 384.0 * k1b + 500.0 / 1113.0 * k3b
+                       + 125.0 / 192.0 * k4b - 2187.0 / 6784.0 * k5b
+                       + 11.0 / 84.0 * k6b)
+        nc = yc + h * (35.0 / 384.0 * k1c + 500.0 / 1113.0 * k3c
+                       + 125.0 / 192.0 * k4c - 2187.0 / 6784.0 * k5c
+                       + 11.0 / 84.0 * k6c)
+        k7a, k7b, k7c, k7d = f(k, pf, na, nb, nc)
+        # the error norm, one component at a time in the old loop's order
+        e = h * (71.0 / 57600.0 * k1a - 71.0 / 16695.0 * k3a
+                 + 71.0 / 1920.0 * k4a - 17253.0 / 339200.0 * k5a
+                 + 22.0 / 525.0 * k6a - 1.0 / 40.0 * k7a)
+        ay = abs(ya)
+        an = abs(na)
+        q = e / (atol + rtol * (ay if ay > an else an))
+        errn = q * q
+        e = h * (71.0 / 57600.0 * k1b - 71.0 / 16695.0 * k3b
+                 + 71.0 / 1920.0 * k4b - 17253.0 / 339200.0 * k5b
+                 + 22.0 / 525.0 * k6b - 1.0 / 40.0 * k7b)
+        ay = abs(yb)
+        an = abs(nb)
+        q = e / (atol + rtol * (ay if ay > an else an))
+        errn += q * q
+        e = h * (71.0 / 57600.0 * k1c - 71.0 / 16695.0 * k3c
+                 + 71.0 / 1920.0 * k4c - 17253.0 / 339200.0 * k5c
+                 + 22.0 / 525.0 * k6c - 1.0 / 40.0 * k7c)
+        ay = abs(yc)
+        an = abs(nc)
+        q = e / (atol + rtol * (ay if ay > an else an))
+        errn += q * q
+        if dim == 4:
+            nd = yd + h * (35.0 / 384.0 * k1d + 500.0 / 1113.0 * k3d
+                           + 125.0 / 192.0 * k4d - 2187.0 / 6784.0 * k5d
+                           + 11.0 / 84.0 * k6d)
+            e = h * (71.0 / 57600.0 * k1d - 71.0 / 16695.0 * k3d
+                     + 71.0 / 1920.0 * k4d - 17253.0 / 339200.0 * k5d
+                     + 22.0 / 525.0 * k6d - 1.0 / 40.0 * k7d)
+            ay = abs(yd)
+            an = abs(nd)
+            q = e / (atol + rtol * (ay if ay > an else an))
             errn += q * q
         errn = math.sqrt(errn / dim)
         if errn <= 1.0:
-            rad = _field_radius(field_id, ynew)
+            rad = na if polar else math.hypot(na, nb)
             if rad > rhi or rad < rlo:
-                c = (_dense_terms(y[0], ynew[0], k1[0], k3[0], k4[0], k5[0],
-                                  k6[0], k7[0], h),
-                     _dense_terms(y[1], ynew[1], k1[1], k3[1], k4[1], k5[1],
-                                  k6[1], k7[1], h),
-                     _dense_terms(y[2], ynew[2], k1[2], k3[2], k4[2], k5[2],
-                                  k6[2], k7[2], h),
-                     _dense_terms(y[3], ynew[3], k1[3], k3[3], k4[3], k5[3],
-                                  k6[3], k7[3], h))
-                lo = 0.0
-                hi = 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    rr = _field_radius(field_id, _dense(y, c, mid))
-                    if rr > rhi or rr < rlo:
-                        hi = mid
-                    else:
-                        lo = mid
-                yex = _dense(y, c, hi)
-                tex = t + hi * h
+                ca = _dense_terms(ya, na, k1a, k3a, k4a, k5a, k6a, k7a, h)
+                cb = _dense_terms(yb, nb, k1b, k3b, k4b, k5b, k6b, k7b, h)
+                th = _exit_fraction(polar, ya, yb, ca, cb, rlo, rhi)
+                yex = (_dense(ya, ca, th), _dense(yb, cb, th),
+                       _dense(yc, _dense_terms(yc, nc, k1c, k3c, k4c, k5c,
+                                               k6c, k7c, h), th),
+                       _dense(yd, _dense_terms(yd, nd, k1d, k3d, k4d, k5d,
+                                               k6d, k7d, h), th))
+                tex = t + th * h
                 if record != 0 and nrec < cap:
-                    tbuf[nrec] = tex
-                    for i in range(dim):
-                        ybuf[nrec, i] = yex[i]
-                    nrec += 1
-                return RK_EXITED, nrec, tex, yex
+                    ts.append(tex)
+                    ys.append(yex)
+                return RK_EXITED, _flush(ts, ys, tbuf, ybuf, dim), tex, yex
             t = t + h
-            y = ynew
-            k1 = k7
+            if (t - t1) * sgn > 0.0:
+                t = t1
+            ya, yb, yc, yd = na, nb, nc, nd
+            k1a, k1b, k1c, k1d = k7a, k7b, k7c, k7d
             if record != 0:
                 if nrec >= cap:
-                    return RK_BUFFER_FULL, nrec, t, y
-                tbuf[nrec] = t
-                for i in range(dim):
-                    ybuf[nrec, i] = y[i]
+                    return (RK_BUFFER_FULL, _flush(ts, ys, tbuf, ybuf, dim),
+                            t, (ya, yb, yc, yd))
+                ts.append(t)
+                ys.append((ya, yb, yc, yd))
                 nrec += 1
             if errn == 0.0:
                 fac = 5.0
@@ -530,5 +572,6 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
         # a last step clipped to end at t1 may land an ulp short of it and
         # leave a tiny h behind; only a step that cannot reach t1 underflows
         if (t - t1) * sgn < 0.0 and abs(h) < 1e-14 * (1.0 + abs(t)):
-            return RK_UNDERFLOW, nrec, t, y
-    return RK_DONE, nrec, t, y
+            return (RK_UNDERFLOW, _flush(ts, ys, tbuf, ybuf, dim), t,
+                    (ya, yb, yc, yd))
+    return RK_DONE, _flush(ts, ys, tbuf, ybuf, dim), t, (ya, yb, yc, yd)

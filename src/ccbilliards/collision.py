@@ -142,6 +142,18 @@ def check_count(n):
         raise ValueError(f"bounce count must be >= 0, got {n}")
 
 
+def check_ray(point, direction):
+    """An interior ray as float64 3-vectors: GeometryError unless the point
+    and the direction are finite 3-vectors and the direction is nonzero."""
+    p = G.as_vec3(point)
+    v = G.as_vec3(direction)
+    if not (np.isfinite(p).all() and np.isfinite(v).all()):
+        raise GeometryError(f"non-finite ray: point {p}, direction {v}")
+    if not v.any():
+        raise GeometryError("zero ray direction")
+    return p, v
+
+
 def _check_max_length(max_length):
     # nan fails the test too: a nan bound would never stop a trace
     if not max_length > 0:
@@ -223,12 +235,7 @@ def trace_ray(poly, point, direction, n, max_length=math.inf):
     """
     check_count(n)
     _check_max_length(max_length)
-    p = G.as_vec3(point)
-    v = G.as_vec3(direction)
-    if not (np.isfinite(p).all() and np.isfinite(v).all()):
-        raise GeometryError(f"non-finite ray: point {p}, direction {v}")
-    if not v.any():
-        raise GeometryError("zero ray direction")
+    p, v = check_ray(point, direction)
     sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
     labels = np.empty(n, dtype=np.int64)
     svals = np.empty(n)

@@ -88,18 +88,19 @@ class ExpansivenessVerdict:
     notes: tuple = ()
 
 
-def _orbit_phase_points(poly, b, window):
+def _orbit_phase_points(poly, b, traces, window):
     """Sampled (point, direction) float triples along the orbit through b.
 
     Forward from b, then backward from b.reversed() with the directions
-    negated back to b's sense of travel.
+    negated back to b's sense of travel, over the first ``window`` bounces
+    of ``traces``, the traces of b and of b.reversed().
     """
     k = poly.k
-    for back, state in ((False, b), (True, b.reversed())):
+    for back, state, tr in ((False, b, traces[0]),
+                            (True, b.reversed(), traces[1])):
         p, v = C.embed_triples(poly, state)
         yield p, _flip(v) if back else v
-        tr = C.trace(poly, state, window)
-        for i in range(tr.n_done):
+        for i in range(min(tr.n_done, window)):
             for frac in (0.25, 0.5, 0.75):
                 t = float(tr.flights[i]) * frac
                 q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
@@ -113,10 +114,14 @@ def _flip(v):
     return -v[0], -v[1], -v[2]
 
 
-def _same_orbit(poly, a, b):
-    """Flow-line proximity: is b within SAME_ORBIT_TOL of a's orbit segment?"""
-    pb, vb = C.embed_triples(poly, b)
-    for q, w in _orbit_phase_points(poly, a, SAME_ORBIT_WINDOW):
+def _same_orbit(poly, a, a_traces, pb, vb):
+    """Flow-line proximity: is the ray (pb, vb) within SAME_ORBIT_TOL of
+    a's orbit segment?
+
+    a_traces are the traces of a and of a.reversed(), at least
+    SAME_ORBIT_WINDOW bounces long unless they stopped earlier.
+    """
+    for q, w in _orbit_phase_points(poly, a, a_traces, SAME_ORBIT_WINDOW):
         pos = K.distance(poly.k, q, pb)
         d0 = w[0] - vb[0]
         d1 = w[1] - vb[1]
@@ -127,26 +132,37 @@ def _same_orbit(poly, a, b):
     return False
 
 
-def _labels(poly, b, horizon):
-    tr = C.trace(poly, b, horizon)
-    return ([b.side] + [int(x) for x in tr.labels],
-            tr.status == K.STEP_VERTEX or tr.status == K.STEP_GRAZING)
+def _labels(b, tr, horizon):
+    """[side(b), side(f b), ...] over the first horizon bounces of the
+    trace tr of b, and whether a vertex or grazing stop cut them short."""
+    n = min(tr.n_done, horizon)
+    return ([b.side] + [int(x) for x in tr.labels[:n]],
+            n < horizon and (tr.status == K.STEP_VERTEX
+                             or tr.status == K.STEP_GRAZING))
 
 
 def probe_pair(a, b, poly, horizon):
     """Compare the itineraries of two distinct orbits over +-horizon bounces.
 
     Symmetric in its arguments.  Raises when the states lie on a common
-    orbit segment (trivial pair).
+    orbit segment (trivial pair).  a's two directions are traced once,
+    far enough for both the orbit-segment test and the comparison.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if a == b or _same_orbit(poly, a, b):
+    if a == b:
         raise GeometryError("probe_pair requires states on distinct orbits")
-    fa, trunc_fa = _labels(poly, a, horizon)
-    fb, trunc_fb = _labels(poly, b, horizon)
-    ba, trunc_ba = _labels(poly, a.reversed(), horizon)
-    bb, trunc_bb = _labels(poly, b.reversed(), horizon)
+    pb, vb = C.embed_triples(poly, b)
+    span = max(horizon, SAME_ORBIT_WINDOW)
+    a_back = a.reversed()
+    a_traces = (C.trace(poly, a, span), C.trace(poly, a_back, span))
+    if _same_orbit(poly, a, a_traces, pb, vb):
+        raise GeometryError("probe_pair requires states on distinct orbits")
+    b_back = b.reversed()
+    fa, trunc_fa = _labels(a, a_traces[0], horizon)
+    fb, trunc_fb = _labels(b, C.trace(poly, b, horizon), horizon)
+    ba, trunc_ba = _labels(a_back, a_traces[1], horizon)
+    bb, trunc_bb = _labels(b_back, C.trace(poly, b_back, horizon), horizon)
     truncated = trunc_fa or trunc_fb or trunc_ba or trunc_bb
     nf = min(len(fa), len(fb))
     nb = min(len(ba), len(bb))

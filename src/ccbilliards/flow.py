@@ -22,6 +22,7 @@ dynamics-consistent radial convention, while :func:`chart_forward` /
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +135,8 @@ def polar_velocity_field(s, k):
     if s.r <= 0.0:
         raise SingularFieldError("polar field is singular at r = 0; "
                                  "use the extended chart field instead")
-    return np.array(K.field_eval(K.FIELD_POLAR, k, 0.0,
-                                 (float(s.r), float(s.gamma), float(s.beta)))[:3])
+    return np.array(K.polar_field(k, 0.0, float(s.r), float(s.gamma),
+                                  float(s.beta))[:3])
 
 
 def chart_velocity_field(c, theta, k):
@@ -144,8 +145,8 @@ def chart_velocity_field(c, theta, k):
     check_curvature(k)
     if k == 1 and c.x ** 2 + c.y ** 2 >= 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 < 1 on the sphere")
-    return np.array(K.field_eval(K.FIELD_CHART, k, math.pi / theta,
-                                 (float(c.x), float(c.y), float(c.z)))[:3])
+    return np.array(K.chart_field(k, math.pi / theta, float(c.x), float(c.y),
+                                  float(c.z))[:3])
 
 
 def singularity_jacobian(z0, theta, k):
@@ -353,6 +354,16 @@ def _check_integration(T, rtol, atol):
         raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
 
 
+def _check_max_records(max_records):
+    # 0, a negative count or a float would otherwise fail inside numpy or
+    # the kernel with an error of theirs
+    if (isinstance(max_records, bool)
+            or not isinstance(max_records, numbers.Integral)
+            or max_records < 1):
+        raise ValueError(
+            f"max_records must be an integer >= 1, got {max_records!r}")
+
+
 @dataclass
 class ChartTrajectory:
     """Time-stamped chart states from the adaptive integrator."""
@@ -378,18 +389,25 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     of radius min(eps-equivalent, 1) the trajectory is truncated at the
     crossing and flagged.
 
+    The run records every accepted step, up to max_records states, and
+    raises RuntimeError when they do not fit; with record=False only the
+    final state is returned.  A run that does not leave the chart ends at
+    exactly T.
+
     T must be finite, atol finite and positive, rtol finite and
-    nonnegative, else ValueError; c0 must be finite and, on the sphere,
-    inside the unit disc, else GeometryError.  A step whose stages leave
-    the field's domain (the unit disc on the sphere) is rejected and
-    retried with a smaller step, like one whose error is too large.
-    Without eps, a trajectory outside every chart radius can run off to
-    infinity (on the hyperbolic plane), until the step size underflows;
-    that raises GeometryError with the time and radius reached.
+    nonnegative, and max_records an integer >= 1, else ValueError; c0
+    must be finite and, on the sphere, inside the unit disc, else
+    GeometryError.  A step whose stages leave the field's domain (the unit
+    disc on the sphere) is rejected and retried with a smaller step, like
+    one whose error is too large.  Without eps, a trajectory outside every
+    chart radius can run off to infinity (on the hyperbolic plane), until
+    the step size underflows; that raises GeometryError with the time and
+    radius reached.
     """
     _check_theta(theta)
     check_curvature(k)
     _check_integration(T, rtol, atol)
+    _check_max_records(max_records)
     if not all(math.isfinite(v) for v in (c0.x, c0.y, c0.z)):
         raise GeometryError(f"chart state must be finite, got {c0}")
     if k == 1 and c0.x ** 2 + c0.y ** 2 > 1.0:

@@ -50,6 +50,7 @@ class Polygon:
     reversed_input: bool = False
     _pack: tuple = field(default=None, repr=False)
     _refl: tuple = field(default=None, repr=False)
+    _refl_mats: tuple = field(default=None, repr=False)
 
     @property
     def n_vertices(self):
@@ -92,6 +93,18 @@ class Polygon:
                           tuple(vec(p) for p in self.vertices))
         return self._pack
 
+    def reflection_matrices(self):
+        """Per-side reflection matrices (``geometry.reflection_matrix``),
+        computed once per polygon; read-only numpy arrays."""
+        if self._refl_mats is None:
+            mats = []
+            for s in self.sides:
+                m = G.reflection_matrix(s.geodesic, self.k)
+                m.flags.writeable = False
+                mats.append(m)
+            self._refl_mats = tuple(mats)
+        return self._refl_mats
+
     def reflection_pack(self):
         """Per-side reflection matrices for the crossing kernel.
 
@@ -99,9 +112,8 @@ class Polygon:
         """
         if self._refl is None:
             self._refl = tuple(
-                tuple(tuple(float(x) for x in row)
-                      for row in G.reflection_matrix(s.geodesic, self.k))
-                for s in self.sides)
+                tuple(tuple(float(x) for x in row) for row in m)
+                for m in self.reflection_matrices())
         return self._refl
 
 

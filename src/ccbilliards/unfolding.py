@@ -66,18 +66,19 @@ def unfold(b, poly, bounces):
     k = poly.k
     p0, v0 = C.embed_state(poly, b)
     tr = C.trace(poly, b, bounces)
+    sa, su = poly.kernel_pack()[:2]
+    refl = poly.reflection_matrices()
     copies = []
     g = np.eye(3)
     pts = [p0]
     for i in range(tr.n_done):
         # bounce point in base coordinates, on the side hit at step i
-        hit_side = poly.side(int(tr.labels[i]))
-        q = K.renorm_point(k, K.geodesic_point(
-            k, hit_side.geodesic.point, hit_side.geodesic.direction,
-            float(tr.svals[i])))
+        j = int(tr.labels[i]) - 1
+        q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j],
+                                               float(tr.svals[i])))
         pts.append(G.apply_isometry(g, q, k))
-        g = g @ G.reflection_matrix(hit_side.geodesic, k)
-        copies.append((g.copy(), int(tr.labels[i])))
+        g = g @ refl[j]   # a new array: the copies never alias
+        copies.append((g, j + 1))
     chain = UnfoldingChain(tuple(copies), k)
     return UnfoldResult(chain, np.array(pts), b,
                         G.Tangent(p0, v0), tuple(int(x) for x in tr.labels),
@@ -93,7 +94,10 @@ def unfolded_crossings(result, poly, bounces=None):
     crossing applies the side's reflection matrix to the whole line, which
     keeps every coordinate bounded by the table size without changing the
     crossing order.  No boundary (s, psi) coordinates are used, so this is
-    an independent route to the itinerary labels.
+    an independent route to the itinerary labels.  The crossings run in
+    the straight-line loop for the table's curvature
+    (:mod:`ccbilliards._crossing_loops`); ``bounces`` defaults to the
+    chain's length.
     """
     n_steps = len(result.chain.copies) if bounces is None else bounces
     return crossing_labels_from_tangent(poly, result.start_tangent.point,
@@ -108,14 +112,18 @@ def crossing_labels(poly, b, n):
 
 
 def crossing_labels_from_tangent(poly, p, v, n):
+    """Crossing labels of the unfolded line through the interior ray (p, v).
+
+    The point and the direction must be finite 3-vectors, the direction
+    nonzero; otherwise GeometryError, as for ``collision.trace_ray``.
+    """
     C.check_count(n)
+    p, v = C.check_ray(p, v)
     sa, su, sn, sl, _, _, _ = poly.kernel_pack()
     refl = poly.reflection_pack()
     labels = np.empty(max(n, 1), dtype=np.int64)
-    n_done = K.unfold_crossings(poly.k, sa, su, sn, sl, refl,
-                                np.ascontiguousarray(p, dtype=np.float64),
-                                np.ascontiguousarray(v, dtype=np.float64),
-                                n, C.FLIGHT_MIN, C.VERTEX_TOL, labels)
+    n_done = K.unfold_crossings(poly.k, sa, su, sn, sl, refl, p, v, n,
+                                C.FLIGHT_MIN, C.VERTEX_TOL, labels)
     return tuple(int(x) + 1 for x in labels[:n_done])
 
 

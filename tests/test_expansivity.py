@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccbilliards import collision as C
 from ccbilliards import (BoundaryState, GeometryError, Rule, SearchBudget,
                          classify, find_periodic, format_verdict,
                          periodic_orbit_neighborhood_check, probe_pair,
@@ -52,6 +53,51 @@ class TestProbePair:
         a = BoundaryState(1, 0.25, 1.0)
         with pytest.raises(GeometryError):
             probe_pair(a, a, sq, 10)
+
+    def test_vertex_at_the_horizon_is_not_a_truncation(self, sq):
+        # a bounces once off the right wall, then runs into the corner
+        # (0, 1); a.reversed() likewise into (1, 1).  a's directions are
+        # traced past the horizon, so the corner lies inside those traces
+        # at horizon 1, but the comparison never reaches it
+        a = BoundaryState(1, 0.5, math.atan2(1.0, 1.5))
+        assert C.trace(sq, a, 5).status == C.K.STEP_VERTEX
+        assert C.trace(sq, a, 5).n_done == 1
+        b = BoundaryState(1, 0.5, a.psi + 1e-3)
+        assert not probe_pair(a, b, sq, 1).truncated
+        assert not probe_pair(b, a, sq, 1).truncated
+        assert probe_pair(a, b, sq, 2).truncated
+        assert probe_pair(a, b, sq, 2).compared == (1, 1)
+
+    @pytest.mark.parametrize("horizon", [1, 19, 20, 21, 60])
+    def test_matches_four_separate_traces(self, sq, pentagon, tri1, horizon):
+        # the comparison probe_pair made when each direction had its own
+        # trace to the horizon
+        rng = np.random.default_rng(horizon)
+        for poly in (sq, pentagon, tri1):
+            for _ in range(6):
+                side = int(rng.integers(1, poly.n_sides + 1))
+                a = BoundaryState(side, rng.uniform(0.05, 0.95)
+                                  * poly.side(side).length,
+                                  rng.uniform(0.1, math.pi - 0.1))
+                b = BoundaryState(side, a.s, a.psi + 10.0 ** -rng.integers(
+                    3, 6))
+                seqs = []
+                truncated = False
+                for x in (a, b, a.reversed(), b.reversed()):
+                    tr = C.trace(poly, x, horizon)
+                    seqs.append([x.side] + [int(j) for j in tr.labels])
+                    truncated |= tr.status in (C.K.STEP_VERTEX,
+                                               C.K.STEP_GRAZING)
+                nf = min(len(seqs[0]), len(seqs[1]))
+                nb = min(len(seqs[2]), len(seqs[3]))
+                diverge = next((i for i in range(nf)
+                                if seqs[0][i] != seqs[1][i]), None)
+                if diverge is None:
+                    diverge = next((-i for i in range(1, nb)
+                                    if seqs[2][i] != seqs[3][i]), None)
+                pr = probe_pair(a, b, poly, horizon)
+                assert (pr.diverge_index, pr.truncated, pr.compared) == (
+                    diverge, truncated, (nb - 1, nf - 1))
 
 
 class TestClassify:

@@ -14,6 +14,7 @@ from ccbilliards import (CartesianChartState, ChartExitError, ChartState,
                          integrate_chart_flow, integrate_polar_flow,
                          polar_velocity_field, reparameterization_factor,
                          singularity_jacobian)
+import kernel_oracle as O
 from ccbilliards import _kernels as K
 from ccbilliards.flow import export_trajectory
 
@@ -487,13 +488,12 @@ class TestOutOfDomainStage:
             self.EPS, abs=1e-9)
 
     def test_field_is_nan_outside_domain(self):
-        assert all(math.isnan(v) for v in
-                   K.field_eval(K.FIELD_CHART, 1, 2.0, (0.8, 0.7, 0.3, 0.0)))
-        assert all(math.isnan(v) for v in
-                   K.field_eval(K.FIELD_POLAR, 0, 0.0, (0.0, 0.2, 1.0, 0.0)))
+        assert all(math.isnan(v) for v in K.chart_field(1, 2.0, 0.8, 0.7, 0.3))
+        assert all(math.isnan(v)
+                   for v in K.chart_arc_field(1, 2.0, 0.8, 0.7, 0.3)[:3])
+        assert all(math.isnan(v) for v in K.polar_field(0, 0.0, 0.0, 0.2, 1.0))
         # on the unit circle itself the chart field is still defined
-        assert K.field_eval(K.FIELD_CHART, 1, 2.0, (0.6, 0.8, 0.0, 0.0)) == (
-            0.0, 0.0, -0.0, 0.0)
+        assert K.chart_field(1, 2.0, 0.6, 0.8, 0.0) == (0.0, 0.0, -0.0, 0.0)
 
 
 @pytest.mark.parametrize("T", [0.999, 2.9, -2.9])
@@ -537,3 +537,70 @@ def test_sphere_chart_flow_exits_or_finishes(theta, rf, gf, beta, T, back,
     rad = float(np.hypot(*traj.states[-1, :2]))
     assert rad <= min(math.sin(eps) if eps < math.pi / 2 else 1.0,
                       1.0 - 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("k", KS)
+def test_run_ends_exactly_at_end_time(k):
+    # the last step is clipped to h = T - t, and t + h can round past T;
+    # the run must still end at T, in both directions of time
+    rng = np.random.default_rng(7 + k)
+    for i in range(300):
+        T = float(rng.uniform(0.01, 4.0)) * (1 if i % 3 else -1)
+        c0 = CartesianChartState(0.0, 0.0, float(rng.uniform(0.0, math.pi)))
+        traj = integrate_chart_flow(c0, T, 1.0, k, record=bool(i % 2))
+        assert traj.t[-1] == T
+    traj = integrate_chart_flow(CartesianChartState(0.0, 0.0, 0.0),
+                                0.18999999999999997, 1.0, 1)
+    assert traj.t[-1] == 0.18999999999999997
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, None, "5"])
+def test_bad_max_records_rejected(bad):
+    with pytest.raises(ValueError, match="max_records"):
+        integrate_chart_flow(CartesianChartState(0.1, 0.0, 0.3), 1.0, 1.0, 0,
+                             max_records=bad)
+
+
+# ---------------------------------------------------------------------------
+# rk45 against the integrator it replaced (tests/kernel_oracle.py)
+# ---------------------------------------------------------------------------
+
+def _rk45_run(rk45, field, k, pf, y0, t1, rlo, rhi, cap, record):
+    tbuf = np.full(cap, np.nan)
+    ybuf = np.full((cap, len(y0)), np.nan)
+    status, nrec, t_end, y_end = rk45(field, k, pf, y0, 0.0, t1, 1e-9,
+                                      1e-12, rlo, rhi, tbuf, ybuf, record)
+    return (status, nrec, t_end.hex(), [x.hex() for x in y_end],
+            [x.hex() for x in tbuf[:nrec]],
+            [[x.hex() for x in row] for row in ybuf[:nrec]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["chart", "arc-time", "polar", "backward",
+                             "no-record", "buffer-full"]),
+       k=st.sampled_from(KS), theta=st.floats(0.3, 3.0),
+       rf=st.floats(0.0, 0.95), gf=st.floats(0.0, 1.0),
+       beta=st.floats(0.0, TWO_PI), T=st.floats(0.5, 30.0),
+       eps=st.floats(0.2, 1.2))
+def test_rk45_matches_oracle(case, k, theta, rf, gf, beta, T, eps):
+    pf = math.pi / theta
+    rhi = K.sink(k, eps) if k != 0 else eps
+    if k == 1:
+        rhi = min(rhi, 1.0 - 1e-12)
+    c0 = chart_embed(ChartState(rf * eps, gf * theta, beta), theta, k)
+    y0 = (c0.x, c0.y, c0.z)
+    field, cap, record, t1 = K.FIELD_CHART, 4096, 1, T
+    if case == "arc-time":
+        field, y0 = K.FIELD_CHART_ARC, y0 + (0.0,)
+    elif case == "polar":
+        # exits on the radius itself, through the polar branch
+        field, pf, y0 = K.FIELD_POLAR, 0.0, (0.1 + rf, gf * theta, beta)
+        rhi = 0.3 + 1.5 * rf
+    elif case == "backward":
+        t1 = -T
+    elif case == "no-record":
+        cap, record = 1, 0
+    elif case == "buffer-full":
+        cap = 1 + int(4 * gf)
+    args = (field, k, pf, y0, t1, -K.INF, rhi, cap, record)
+    assert _rk45_run(K.rk45, *args) == _rk45_run(O.rk45, *args)

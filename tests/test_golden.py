@@ -5,13 +5,16 @@ from the kernels as they were when the scalar engine still worked on
 numpy arrays: ``trace`` of two boundary states on each built-in table and
 of one on a skew plane quadrilateral, a vertex-fan ``trace_ray`` from
 ``collision._launch``, one ``collision_step`` and one run of
-``crossing_labels``.  ``chart_flow`` holds runs of the Dormand-Prince
-integrator, recorded while its step loop still worked on numpy arrays:
-``integrate_chart_flow`` to the chart exit at the first vertex of each
-built-in table, one run tracking arc time, one backward in time, one
-without records, and one ``integrate_polar_flow``.  The tests require
-every bit to match, so a rewrite of the kernels that changes any rounding
-fails here.  Tolerance-based tests cannot see that.
+``crossing_labels``; ``crossing_runs`` holds one more ``crossing_labels``
+run each on the square and the pentagon, recorded from the generic
+crossing loop before it was written out per curvature.  ``chart_flow``
+holds runs of the Dormand-Prince integrator, recorded while its step loop
+still worked on numpy arrays: ``integrate_chart_flow`` to the chart exit
+at the first vertex of each built-in table, one run tracking arc time,
+one backward in time, one without records, and one
+``integrate_polar_flow``.  The tests require every bit to match, so a
+rewrite of the kernels that changes any rounding fails here.
+Tolerance-based tests cannot see that.
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_traces.json
 
@@ -49,6 +52,12 @@ TRACES = (("square", 1, 0.37, 1.13, 50),
           ("hyperbolic-pentagon", 1, 0.4, 1.0, 20),
           ("hyperbolic-pentagon", 3, 0.7, 2.2, 20),
           ("plane-quad", 2, 0.45, 1.3, 50))
+
+
+# crossing_labels runs: (table, side, fraction of the side length, psi,
+# crossings); the sphere's run is the older ``crossing_labels`` entry
+CROSSING_RUNS = (("square", 1, 0.37, 1.13, 60),
+                 ("hyperbolic-pentagon", 3, 0.7, 2.2, 40))
 
 
 # (name, table, vertex, r / eps, gamma / theta, beta, time, options); every
@@ -112,6 +121,9 @@ def record():
             "collision_step": [step.side, float(step.s).hex(),
                                float(step.psi).hex()],
             "crossing_labels": list(crossings),
+            "crossing_runs": {name: list(U.crossing_labels(
+                TABLES[name](), _state(TABLES[name](), side, frac, psi), n))
+                for name, side, frac, psi, n in CROSSING_RUNS},
             "chart_flow": {c[0]: _chart_flow_record(*c[1:]) for c in CHART_FLOWS},
             "polar_flow": _polar_flow_record()}
 
@@ -143,6 +155,11 @@ def test_collision_step_bits(golden, current):
 
 def test_crossing_labels(golden, current):
     assert current["crossing_labels"] == golden["crossing_labels"]
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CROSSING_RUNS])
+def test_crossing_runs(golden, current, name):
+    assert current["crossing_runs"][name] == golden["crossing_runs"][name]
 
 
 @pytest.mark.parametrize("name", [c[0] for c in CHART_FLOWS])

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccbilliards import (BoundaryState, build_polygon, find_periodic,
-                         holonomy, hyperbolic_pentagon, sphere_triangle,
-                         spherical_periodicity_condition, square, unfold,
-                         unfolded_crossings, verify_periodic)
+import kernel_oracle as O
+from ccbilliards import (BoundaryState, GeometryError, build_polygon,
+                         find_periodic, holonomy, hyperbolic_pentagon,
+                         sphere_triangle, spherical_periodicity_condition,
+                         square, unfold, unfolded_crossings, verify_periodic)
+from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import geometry as G
 from ccbilliards import itinerary
@@ -313,3 +315,94 @@ def test_find_periodic_properties(poly, max_bounces, samples, seed):
     keys = [U._canonical_sequence(rep.labels) for rep in reports]
     assert len(set(keys)) == len(keys)
     assert reports == polish_every_candidate(poly, max_bounces, samples, seed)
+
+
+# ---------------------------------------------------------------------------
+# the per-curvature crossing loops against the generic loop they replaced
+# ---------------------------------------------------------------------------
+
+CROSSING_TABLES = {
+    "square": square(),
+    "skew-quad": build_polygon(
+        0, [(0.0, 0.0), (1.3, 0.2), (0.9, 1.1), (-0.2, 0.7)]),
+    "sphere-triangle-1": sphere_triangle(1.0),
+    "sphere-triangle-2": sphere_triangle(2.0),
+    "sphere-triangle-pi4": sphere_triangle(math.pi / 4),
+    "hyperbolic-pentagon": hyperbolic_pentagon()}
+
+
+def _oracle_crossings(poly, p, v, n):
+    sa, su, sn, sl = poly.kernel_pack()[:4]
+    labels = np.empty(max(n, 1), dtype=np.int64)
+    m = O.unfold_crossings(poly.k, sa, su, sn, sl, poly.reflection_pack(),
+                           p, v, n, C.FLIGHT_MIN, C.VERTEX_TOL, labels)
+    return tuple(int(x) + 1 for x in labels[:m])
+
+
+def _crossing_start(poly, side, frac, psi, start):
+    """A boundary state: interior, grazing (psi within 1e-6 of 0 or pi),
+    or just off a vertex and turned nearly parallel to the next side."""
+    length = poly.side(side).length
+    if start == "grazing":
+        tilt = C.GRAZE_TOL + psi * 1e-6
+        return BoundaryState(side, frac * length,
+                             tilt if frac < 0.5 else math.pi - tilt)
+    if start == "near-vertex":
+        theta = poly.angles[poly.side(side).end]
+        return BoundaryState(side, length * (1.0 - frac * 1e-6),
+                             math.pi - theta - psi * 1e-6)
+    return BoundaryState(side, frac * length, 0.01 + psi * (math.pi - 0.02))
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=st.sampled_from(sorted(CROSSING_TABLES)), side=st.integers(1, 5),
+       frac=st.floats(0.0, 1.0), psi=st.floats(0.0, 1.0),
+       start=st.sampled_from(["interior", "grazing", "near-vertex"]),
+       n=st.integers(0, 60))
+def test_crossing_labels_match_oracle(table, side, frac, psi, start, n):
+    poly = CROSSING_TABLES[table]
+    assume(side <= poly.n_sides)
+    b = _crossing_start(poly, side, frac, psi, start)
+    assume(C.GRAZE_TOL < b.psi < math.pi - C.GRAZE_TOL)
+    p, v = C.embed_state(poly, b)
+    assert U.crossing_labels(poly, b, n) == _oracle_crossings(poly, p, v, n)
+
+
+@pytest.mark.parametrize("table", ["square", "sphere-triangle-1",
+                                   "hyperbolic-pentagon"])
+@pytest.mark.parametrize("bad", ["zero", "nan-direction", "inf-direction",
+                                 "nan-point", "inf-point"])
+def test_crossing_labels_reject_bad_rays(table, bad):
+    poly = CROSSING_TABLES[table]
+    p, v = C.embed_state(poly, BoundaryState(1, 0.3 * poly.side(1).length,
+                                             1.0))
+    if bad == "zero":
+        v = np.zeros(3)
+    elif bad.endswith("direction"):
+        v = v.copy()
+        v[1] = math.nan if bad.startswith("nan") else math.inf
+    else:
+        p = p.copy()
+        p[0] = math.nan if bad.startswith("nan") else -math.inf
+    with pytest.raises(GeometryError):
+        U.crossing_labels_from_tangent(poly, p, v, 10)
+
+
+def test_unfold_matches_reflection_matrix_products():
+    # unfold's cached matrices and kernel_pack hit points give the bits of
+    # reflection_matrix products and numpy side geodesics
+    for poly in CROSSING_TABLES.values():
+        b = BoundaryState(1, 0.41 * poly.side(1).length, 1.1)
+        res = unfold(b, poly, 16)
+        svals = C.trace(poly, b, 16).svals
+        g = np.eye(3)
+        for i, (mat, label) in enumerate(res.chain.copies):
+            side = poly.side(label)
+            q = np.array(K.renorm_point(poly.k, K.geodesic_point(
+                poly.k, side.geodesic.point, side.geodesic.direction,
+                float(svals[i]))))
+            assert np.array_equal(res.points[i + 1],
+                                  G.apply_isometry(g, q, poly.k))
+            g = g @ G.reflection_matrix(side.geodesic, poly.k)
+            assert np.array_equal(mat, g)
+        assert not any(m.flags.writeable for m in poly.reflection_matrices())
