@@ -1,22 +1,35 @@
-"""The collision map: one straight-line trace loop per curvature.
+"""The straight-line loops, one per curvature: the collision map and the
+crossings of the unfolded geodesic.
 
 ``_trace_plane``, ``_trace_sphere`` and ``_trace_hyperbolic`` iterate the
-collision map from an interior ray; ``_kernels.trace_orbit`` and
-``_kernels.trace_from_point`` pick one per trace from k.  Each loop is the
-generic helpers of :mod:`ccbilliards._kernels` (``ray_side_hit``,
-``boundary_embed``, ``renorm_*``, ``perp``, ...) written out for its k,
-with no call or branch on k per bounce.  It reuses cos/sin of a flight
-time or arc parameter instead of recomputing it, the plane computes each
-side's unit tangent once per trace, and a side whose crossing is no nearer
-than the best so far skips its arc parameter, which could not change the
-pick.  Apart from the exact rewrites ``-k * s`` -> ``-s`` and
-``1.0 * p`` -> ``p``, every expression is the helper's, in its operation
-order, so the loops give the generic code's bits: ``tests/kernel_oracle.py``
-keeps the generic step and loop as the oracle.  The code is written for
-CPython, on Python floats.
+collision map from an interior ray, for ``_kernels.trace_orbit`` and
+``_kernels.trace_from_point``.  ``_cross_plane``, ``_cross_sphere`` and
+``_cross_hyperbolic``, for ``_kernels.unfold_crossings``, follow the
+unfolded geodesic pulled back one crossing at a time; they use no
+boundary (s, psi) coordinates, so their labels are an independent route
+to the itinerary.  Both pick a side by the same rule.
 
-The loops live apart from the helpers because compiling one module with
-both, from source, peaks about 1 MB higher than compiling the two.
+Each loop is the generic helpers of :mod:`ccbilliards._kernels`
+(``ray_side_hit``, ``boundary_embed``, ``geodesic_*``, ``renorm_*``,
+``perp``, ...) written out for its k, with no call or branch on k per
+bounce.  It reuses the cos/sin (cosh/sinh) of a flight time or arc
+parameter, the plane's trace computes each side's unit tangent once per
+trace, and a side whose crossing is no nearer than the best so far skips
+its arc parameter, which could not change the pick.  Apart from the exact
+rewrites ``-k * s`` -> ``-s`` (or ``s``), ``1.0 * p`` -> ``p`` and
+``r * 1.0`` -> ``r``, every expression is the helper's, in its operation
+order, so the loops give the generic code's bits (``tests/kernel_oracle.py``
+keeps the generic code as the oracle).  The loops run on Python floats:
+the ``_kernels`` entries hand them the ray as two float triples, every
+scalar as a float and the sides as ``_side_records``, converted once per
+call.
+
+The loops live apart from the ``_kernels`` helpers because compiling one
+module with both, from source, peaks about 1 MB higher than compiling the
+two.  Each loop keeps its side search written out: sharing it through one
+function per curvature puts a call into every bounce, which cost 3-18%
+per bounce on the plane and 4-9% on the sphere (diagonal-search fan rays,
+one process, 2 vCPUs) and read 3% slower end to end on diagonal-search.
 """
 
 import math
@@ -30,38 +43,34 @@ STEP_GRAZING = 2
 STEP_ESCAPED = 3
 STEP_MAXLEN = 4
 
-# A loop iterates the collision map from the interior ray (p, v).  A bounce
-# takes the first side crossing past tmin whose arc parameter lies within
-# tol_v of the segment (the lowest side wins a tie), tests the hit against
-# the side's two vertices, reflects the incoming direction, measures the
-# outgoing angle psi from the side's forward tangent, stops on a grazing
-# angle and clamps the arc parameter to the side.  Each loop fills the
-# per-bounce buffers and returns (n_done, status, vertex, length), vertex
-# 0-based on STEP_VERTEX, else -1; length includes the final leg on a
-# vertex hit.  On STEP_GRAZING the rejected bounce is left in slot n_done
-# of the buffers.
+# A trace loop iterates the collision map from the interior ray (p, v).  A
+# bounce takes the first side crossing past tmin whose arc parameter lies
+# within tol_v of the segment (the side records' pad; the lowest side wins
+# a tie), tests the hit against the side's two vertices, reflects the
+# incoming direction, measures the outgoing angle psi from the side's
+# forward tangent, stops on a grazing angle and clamps the arc parameter
+# to the side.  Each loop fills the per-bounce buffers and returns
+# (n_done, status, vertex, length), vertex 0-based on STEP_VERTEX, else
+# -1; length includes the final leg on a vertex hit.  On STEP_GRAZING the
+# rejected bounce is left in slot n_done of the buffers.
 
 
-def _side_records(sa, su, sn, sl, tol_v):
+def _side_records(sa, su, sn, sl, pad):
     # per side: functional, start point, start tangent, arc window
-    return tuple(n + a + u + (-tol_v, ln + tol_v)
+    return tuple(n + a + u + (-pad, ln + pad)
                  for a, u, n, ln in zip(sa, su, sn, sl))
 
 
-def _trace_plane(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
-                 tol_v, graze, labels, svals, psis, flens):
-    # arrays or numpy scalars in, Python floats through the loop
-    px, py, pz = float(p[0]), float(p[1]), float(p[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    maxlen, tmin, tol_v, graze = (float(maxlen), float(tmin), float(tol_v),
-                                  float(graze))
-    sides = _side_records(sa, su, sn, sl, tol_v)
+def _trace_plane(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin, tol_v,
+                 graze, labels, svals, psis, flens):
+    px, py, pz = p
+    vx, vy, vz = v
     # a side's unit tangent depends on neither the point nor the arc
     # parameter on the plane
     tangents = []
-    for u in su:
-        n = math.hypot(u[0], u[1])
-        tangents.append((u[0] / n, u[1] / n))
+    for side in sides:
+        n = math.hypot(side[6], side[7])
+        tangents.append((side[6] / n, side[7] / n))
     total = 0.0
     for i in range(nmax):
         best_t = INF
@@ -132,13 +141,10 @@ def _trace_plane(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
     return nmax, STEP_OK, -1, total
 
 
-def _trace_sphere(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
+def _trace_sphere(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
                   tol_v, graze, labels, svals, psis, flens):
-    px, py, pz = float(p[0]), float(p[1]), float(p[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    maxlen, tmin, tol_v, graze = (float(maxlen), float(tmin), float(tol_v),
-                                  float(graze))
-    sides = _side_records(sa, su, sn, sl, tol_v)
+    px, py, pz = p
+    vx, vy, vz = v
     pi = math.pi
     total = 0.0
     for i in range(nmax):
@@ -280,13 +286,10 @@ def _trace_sphere(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
     return nmax, STEP_OK, -1, total
 
 
-def _trace_hyperbolic(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen,
-                      tmin, tol_v, graze, labels, svals, psis, flens):
-    px, py, pz = float(p[0]), float(p[1]), float(p[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    maxlen, tmin, tol_v, graze = (float(maxlen), float(tmin), float(tol_v),
-                                  float(graze))
-    sides = _side_records(sa, su, sn, sl, tol_v)
+def _trace_hyperbolic(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
+                      tol_v, graze, labels, svals, psis, flens):
+    px, py, pz = p
+    vx, vy, vz = v
     total = 0.0
     for i in range(nmax):
         best_t = INF
@@ -422,3 +425,201 @@ def _trace_hyperbolic(sa, su, sn, sl, sv0, sv1, verts, p, v, nmax, maxlen,
 
 
 TRACE_LOOPS = {0: _trace_plane, 1: _trace_sphere, -1: _trace_hyperbolic}
+
+
+# A crossing loop follows the unfolded line from the interior ray (p, v):
+# each crossing takes the side as a bounce does, writes its 0-based label
+# to the buffer and reflects the whole line in it; the loop returns the
+# count.  refl holds one reflection matrix per side as three row tuples
+# (``Polygon.reflection_pack``), the plane's acting on (x, y, 1) points
+# and (x, y, 0) directions.
+
+
+def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
+    px, py, pz = p
+    vx, vy, vz = v
+    for m in range(nmax):
+        best_t = INF
+        best_j = -1
+        for j in range(len(sides)):
+            nx, ny, nz, ax, ay, _, ux, uy, _, lo, hi = sides[j]
+            b = nx * vx + ny * vy + nz * vz
+            if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
+                continue
+            t = -(nx * px + ny * py + nz * pz) / b
+            # a side no nearer than the best so far cannot win, whatever
+            # its arc parameter
+            if t <= tmin or not t < best_t:
+                continue
+            qx = px + t * vx
+            qy = py + t * vy
+            s = (qx - ax) * ux + (qy - ay) * uy
+            if s < lo or s > hi:
+                continue
+            best_t, best_j, hx, hy = t, j, qx, qy
+        if best_j < 0:
+            return m
+        labels[m] = best_j
+        # the incoming direction does not depend on the flight time
+        n = math.hypot(vx, vy)
+        wx = vx / n
+        wy = vy / n
+        # the hit (hx, hy, 1) and the direction (wx, wy, 0) reflected; the
+        # zero z-term is kept, so that a zero sum rounds to the same sign
+        (r00, r01, r02), (r10, r11, r12), _ = refl[best_j]
+        px = r00 * hx + r01 * hy + r02
+        py = r10 * hx + r11 * hy + r12
+        pz = 1.0
+        dx = r00 * wx + r01 * wy + r02 * 0.0
+        dy = r10 * wx + r11 * wy + r12 * 0.0
+        n = math.hypot(dx, dy)
+        vx = dx / n
+        vy = dy / n
+        vz = 0.0
+    return nmax
+
+
+def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
+    px, py, pz = p
+    vx, vy, vz = v
+    pi = math.pi
+    for m in range(nmax):
+        best_t = INF
+        best_j = -1
+        for j in range(len(sides)):
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+            a = nx * px + ny * py + nz * pz
+            b = nx * vx + ny * vy + nz * vz
+            if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
+                continue
+            # roots repeat every pi along the great circle: take the first
+            # past tmin that lands on the segment, unless it cannot beat the
+            # best side so far
+            t0 = math.atan2(-a, b) % pi
+            for mm in range(3):
+                t = t0 + mm * pi
+                if t <= tmin:
+                    continue
+                if not t < best_t:
+                    break
+                ct = math.cos(t)
+                st = math.sin(t)
+                qx = ct * px + st * vx
+                qy = ct * py + st * vy
+                qz = ct * pz + st * vz
+                s = math.atan2(qx * ux + qy * uy + qz * uz,
+                               qx * ax + qy * ay + qz * az)
+                if lo <= s <= hi:
+                    best_t, best_j = t, j
+                    hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+                    break
+        if best_j < 0:
+            return m
+        labels[m] = best_j
+        n = math.sqrt(hx ** 2 + hy ** 2 + hz ** 2)
+        qx = hx / n
+        qy = hy / n
+        qz = hz / n
+        # incoming direction at the hit
+        gx = -hs * px + hc * vx
+        gy = -hs * py + hc * vy
+        gz = -hs * pz + hc * vz
+        c = gx * qx + gy * qy + gz * qz
+        gx = gx - c * qx
+        gy = gy - c * qy
+        gz = gz - c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        wx = gx / n
+        wy = gy / n
+        wz = gz / n
+        # the line reflected in the side's great circle
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = refl[best_j]
+        gx = r00 * qx + r01 * qy + r02 * qz
+        gy = r10 * qx + r11 * qy + r12 * qz
+        gz = r20 * qx + r21 * qy + r22 * qz
+        n = math.sqrt(gx ** 2 + gy ** 2 + gz ** 2)
+        px = gx / n
+        py = gy / n
+        pz = gz / n
+        gx = r00 * wx + r01 * wy + r02 * wz
+        gy = r10 * wx + r11 * wy + r12 * wz
+        gz = r20 * wx + r21 * wy + r22 * wz
+        c = gx * px + gy * py + gz * pz
+        gx = gx - c * px
+        gy = gy - c * py
+        gz = gz - c * pz
+        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        vx = gx / n
+        vy = gy / n
+        vz = gz / n
+    return nmax
+
+
+def _cross_hyperbolic(sides, refl, p, v, nmax, tmin, labels):
+    px, py, pz = p
+    vx, vy, vz = v
+    for m in range(nmax):
+        best_t = INF
+        best_j = -1
+        for j in range(len(sides)):
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+            a = nx * px + ny * py - nz * pz
+            b = nx * vx + ny * vy - nz * vz
+            if abs(b) <= abs(a):
+                continue
+            t = math.atanh(-a / b)
+            if t <= tmin or not t < best_t:
+                continue
+            ct = math.cosh(t)
+            st = math.sinh(t)
+            qx = ct * px + st * vx
+            qy = ct * py + st * vy
+            qz = ct * pz + st * vz
+            s = math.asinh(qx * ux + qy * uy - qz * uz)
+            if s < lo or s > hi:
+                continue
+            best_t, best_j = t, j
+            hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+        if best_j < 0:
+            return m
+        labels[m] = best_j
+        n = math.sqrt(hz ** 2 - hx ** 2 - hy ** 2)
+        qx = hx / n
+        qy = hy / n
+        qz = hz / n
+        # incoming direction at the hit
+        gx = hs * px + hc * vx
+        gy = hs * py + hc * vy
+        gz = hs * pz + hc * vz
+        c = gx * qx + gy * qy - gz * qz
+        gx = gx + c * qx
+        gy = gy + c * qy
+        gz = gz + c * qz
+        n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+        wx = gx / n
+        wy = gy / n
+        wz = gz / n
+        # the line reflected in the side's geodesic
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = refl[best_j]
+        gx = r00 * qx + r01 * qy + r02 * qz
+        gy = r10 * qx + r11 * qy + r12 * qz
+        gz = r20 * qx + r21 * qy + r22 * qz
+        n = math.sqrt(gz ** 2 - gx ** 2 - gy ** 2)
+        px = gx / n
+        py = gy / n
+        pz = gz / n
+        gx = r00 * wx + r01 * wy + r02 * wz
+        gy = r10 * wx + r11 * wy + r12 * wz
+        gz = r20 * wx + r21 * wy + r22 * wz
+        c = gx * px + gy * py - gz * pz
+        gx = gx + c * px
+        gy = gy + c * py
+        gz = gz + c * pz
+        n = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
+        vx = gx / n
+        vy = gy / n
+        vz = gz / n
+    return nmax
+
+
+CROSSING_LOOPS = {0: _cross_plane, 1: _cross_sphere, -1: _cross_hyperbolic}

@@ -19,21 +19,20 @@ functional, length, endpoint vertex ids).  This keeps the hot loops on
 Python floats, with no ``np.empty(3)`` per vector and no numpy scalar
 arithmetic, and gives the same bits as arrays would: every expression
 keeps its operation order, and ``x ** 2`` stays ``x ** 2`` (numpy's
-float64 power and Python's agree bit for bit; ``x * x`` does not).  The
-entry kernels convert array or numpy-scalar arguments with ``float()``.
+float64 power and Python's agree bit for bit; ``x * x`` does not).
 Per-bounce outputs go to caller-owned buffers, numpy arrays or Python
 lists.
 
-``trace_orbit`` and ``trace_from_point`` iterate the collision map with
-the loop for their curvature from :mod:`ccbilliards._collision_loops`,
-chosen once per trace.  ``trace_from_point`` serves ``collision_step``
-(nmax = 1), ``trace_ray`` (numpy buffers) and the diagonal search, whose
-per-vertex shooter (``collision._vertex_shooter``) passes float-triple
-rays and Python-list buffers.  ``unfold_crossings`` likewise picks its
-crossing loop from :mod:`ccbilliards._crossing_loops` once per call.  The
-loops are this module's helpers written out for one k; the helpers stay
-for the geometry layer, ``collision.embed_triples`` and the diagonal
-search's launch directions.
+``trace_orbit``, ``trace_from_point`` and ``unfold_crossings`` are the
+only entries to the straight-line loops of
+:mod:`ccbilliards._collision_loops` and pick one per call from k.  Each
+converts the ray to two float triples and every scalar to a Python float,
+once, and builds the side records; ``trace_orbit`` calls its loop itself,
+not through ``trace_from_point``.  ``trace_from_point`` serves
+``collision_step`` (nmax = 1), ``trace_ray`` (numpy buffers) and the
+diagonal search's per-vertex shooter (``collision._vertex_shooter``:
+float-triple rays, Python-list buffers).  The helpers stay for the
+geometry layer, ``collision.embed_triples`` and the launch directions.
 
 The Dormand-Prince integrator ``rk45`` runs on Python floats the same
 way.  It picks its field function (``polar_field``, ``chart_field`` or
@@ -51,9 +50,9 @@ import math
 
 # the step / trace status codes belong to the loops; INF is also the "no
 # crossing" of ray_side_hit
-from ._collision_loops import (INF, STEP_ESCAPED, STEP_GRAZING, STEP_MAXLEN,
-                               STEP_OK, STEP_VERTEX, TRACE_LOOPS)
-from ._crossing_loops import CROSSING_LOOPS
+from ._collision_loops import (CROSSING_LOOPS, INF, STEP_ESCAPED,
+                               STEP_GRAZING, STEP_MAXLEN, STEP_OK,
+                               STEP_VERTEX, TRACE_LOOPS, _side_records)
 
 # rk45 status codes
 RK_DONE = 0
@@ -248,9 +247,10 @@ def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
                 labels, svals, psis, flens):
     """Iterate the collision map from a boundary state (see trace_from_point)."""
     p, v = boundary_embed(k, sa[side0], su[side0], float(s0), float(psi0))
-    return TRACE_LOOPS[k](sa, su, sn, sl, sv0, sv1, verts, p, v, nmax,
-                          maxlen, tmin, tol_v, graze,
-                          labels, svals, psis, flens)
+    tol_v = float(tol_v)
+    return TRACE_LOOPS[k](_side_records(sa, su, sn, sl, tol_v), sl, sv0, sv1,
+                          verts, p, v, nmax, float(maxlen), float(tmin), tol_v,
+                          float(graze), labels, svals, psis, flens)
 
 
 def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts,
@@ -259,8 +259,11 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts,
     """Iterate the collision map from the interior ray (p, v) with the
     loop for curvature k.  The diagonal search starts its rays at polygon
     vertices; ``collision_step`` is this with nmax = 1."""
-    return TRACE_LOOPS[k](sa, su, sn, sl, sv0, sv1, verts, p, v, nmax,
-                          maxlen, tmin, tol_v, graze,
+    tol_v = float(tol_v)
+    return TRACE_LOOPS[k](_side_records(sa, su, sn, sl, tol_v), sl, sv0, sv1,
+                          verts, (float(p[0]), float(p[1]), float(p[2])),
+                          (float(v[0]), float(v[1]), float(v[2])), nmax,
+                          float(maxlen), float(tmin), tol_v, float(graze),
                           labels, svals, psis, flens)
 
 
@@ -273,8 +276,10 @@ def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
     never touches boundary (s, psi) coordinates, so this is an
     independent route to the itinerary.
     """
-    return CROSSING_LOOPS[k](sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad,
-                             labels)
+    return CROSSING_LOOPS[k](_side_records(sa, su, sn, sl, float(pad)), refl,
+                             (float(p0[0]), float(p0[1]), float(p0[2])),
+                             (float(v0[0]), float(v0[1]), float(v0[2])),
+                             nmax, float(tmin), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,6 @@ class TraceResult:
         return BoundaryState(int(self.labels[i]), float(self.svals[i]),
                              float(self.psis[i]))
 
-    def final_state(self):
-        return self.state(self.n_done - 1)
-
 
 def check_count(n):
     """Reject a negative bounce count before it reaches the kernels."""
@@ -142,15 +139,21 @@ def check_count(n):
         raise ValueError(f"bounce count must be >= 0, got {n}")
 
 
-def check_ray(point, direction):
-    """An interior ray as float64 3-vectors: GeometryError unless the point
-    and the direction are finite 3-vectors and the direction is nonzero."""
+def check_ray(poly, point, direction):
+    """An interior ray of poly as float64 3-vectors: GeometryError unless
+    both are finite, the point is on the model surface and the direction
+    a nonzero tangent there (to normalize_point's relative 1e-6)."""
     p = G.as_vec3(point)
     v = G.as_vec3(direction)
     if not (np.isfinite(p).all() and np.isfinite(v).all()):
         raise GeometryError(f"non-finite ray: point {p}, direction {v}")
     if not v.any():
         raise GeometryError("zero ray direction")
+    if G.point_defect(p, poly.k) > 1e-6:
+        raise GeometryError(
+            f"ray point {p} is not on the k={poly.k} model surface")
+    if G.tangent_defect(p, v, poly.k) > 1e-6:
+        raise GeometryError(f"ray direction {v} is not tangent at {p}")
     return p, v
 
 
@@ -230,12 +233,12 @@ def trace_many(poly, states, n, max_length=math.inf):
 def trace_ray(poly, point, direction, n, max_length=math.inf):
     """Trace from an arbitrary interior ray.
 
-    The point and the direction must be finite 3-vectors, the direction
-    nonzero; otherwise GeometryError.
+    The point must lie on the model surface and the direction be a
+    nonzero tangent there, as finite 3-vectors; otherwise GeometryError.
     """
     check_count(n)
     _check_max_length(max_length)
-    p, v = check_ray(point, direction)
+    p, v = check_ray(poly, point, direction)
     sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
     labels = np.empty(n, dtype=np.int64)
     svals = np.empty(n)
@@ -435,24 +438,19 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
         for a in alphas:
             sig, length = shoot(a)
             sigs.append(sig)
-            _record_if_diagonal(found, vi, a, sig, length, max_bounces,
-                                max_length)
+            _record_if_diagonal(found, vi, a, sig, length, max_length)
         budget = [8 * angles_per_vertex]
         for i in range(len(alphas) - 1):
             if not _same_branch(sigs[i], sigs[i + 1]):
                 _bisect_transition(found, shoot, vi, alphas[i], alphas[i + 1],
-                                   sigs[i], sigs[i + 1], max_bounces,
-                                   max_length, budget)
+                                   sigs[i], sigs[i + 1], max_length, budget)
     out = sorted(found.values(), key=lambda d: (d.length, d.start, d.end, d.sequence))
     return out
 
 
-def _record_if_diagonal(found, vi, alpha, sig, length, max_bounces,
-                        max_length):
+def _record_if_diagonal(found, vi, alpha, sig, length, max_length):
     seq, status, end = sig
-    if status != K.STEP_VERTEX or len(seq) > max_bounces:
-        return False
-    if length > max_length:
+    if status != K.STEP_VERTEX or length > max_length:
         return False
     start = vi + 1
     key = min((start, end, seq), (end, start, tuple(reversed(seq))))
@@ -462,8 +460,8 @@ def _record_if_diagonal(found, vi, alpha, sig, length, max_bounces,
     return True
 
 
-def _bisect_transition(found, shoot, vi, a, b, sig_a, sig_b, max_bounces,
-                       max_length, budget):
+def _bisect_transition(found, shoot, vi, a, b, sig_a, sig_b, max_length,
+                       budget):
     """Refine an itinerary transition down to the vertex-hit window, with
     the shooter of vertex vi."""
     stack = [(a, b, sig_a, sig_b, 0)]
@@ -476,8 +474,7 @@ def _bisect_transition(found, shoot, vi, a, b, sig_a, sig_b, max_bounces,
         mid = 0.5 * (lo + hi)
         budget[0] -= 1
         sm, length = shoot(mid)
-        if _record_if_diagonal(found, vi, mid, sm, length, max_bounces,
-                               max_length):
+        if _record_if_diagonal(found, vi, mid, sm, length, max_length):
             continue
         if not _same_branch(sm, slo):
             stack.append((lo, mid, slo, sm, depth + 1))

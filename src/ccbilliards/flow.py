@@ -199,11 +199,17 @@ def closed_form_flow(s0, t, k, eps=None):
     gamma is returned unwrapped (continuous in t, including full windings
     around the vertex on the sphere); beta stays in its (0, pi) or
     (pi, 2 pi) branch.  With ``eps`` given, leaving r < eps raises
-    :class:`ChartExitError` carrying the exit time and state.
+    :class:`ChartExitError` carrying the exit time and state.  A non-finite
+    t raises ValueError and a non-finite state GeometryError, as in
+    :func:`integrate_polar_flow`.
     """
     check_curvature(k)
     if eps is not None:
         _check_eps(eps)
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t}")
+    if not all(math.isfinite(v) for v in (s0.r, s0.gamma, s0.beta)):
+        raise GeometryError(f"polar state must be finite, got {s0}")
     r0 = s0.r
     if r0 <= 0.0:
         raise SingularFieldError("closed-form flow requires r > 0")

@@ -48,6 +48,15 @@ def point_defect(p, k):
     return abs(p[2] - 1.0)
 
 
+def tangent_defect(p, v, k):
+    """Relative deviation of the nonzero v from the tangent plane at p."""
+    p = as_vec3(p)
+    v = as_vec3(v)
+    if k == 0:
+        return abs(v[2]) / math.sqrt(v @ v)
+    return abs(K.mdot(k, p, v)) / math.sqrt((p @ p) * (v @ v))
+
+
 def normalize_point(p, k):
     p = as_vec3(p)
     check_curvature(k)

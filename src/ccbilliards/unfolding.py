@@ -95,8 +95,8 @@ def unfolded_crossings(result, poly, bounces=None):
     keeps every coordinate bounded by the table size without changing the
     crossing order.  No boundary (s, psi) coordinates are used, so this is
     an independent route to the itinerary labels.  The crossings run in
-    the straight-line loop for the table's curvature
-    (:mod:`ccbilliards._crossing_loops`); ``bounces`` defaults to the
+    the crossing loop for the table's curvature
+    (:mod:`ccbilliards._collision_loops`); ``bounces`` defaults to the
     chain's length.
     """
     n_steps = len(result.chain.copies) if bounces is None else bounces
@@ -114,11 +114,12 @@ def crossing_labels(poly, b, n):
 def crossing_labels_from_tangent(poly, p, v, n):
     """Crossing labels of the unfolded line through the interior ray (p, v).
 
-    The point and the direction must be finite 3-vectors, the direction
-    nonzero; otherwise GeometryError, as for ``collision.trace_ray``.
+    The point must lie on the model surface and the direction be a
+    nonzero tangent there, as finite 3-vectors; otherwise GeometryError,
+    as for ``collision.trace_ray``.
     """
     C.check_count(n)
-    p, v = C.check_ray(p, v)
+    p, v = C.check_ray(poly, p, v)
     sa, su, sn, sl, _, _, _ = poly.kernel_pack()
     refl = poly.reflection_pack()
     labels = np.empty(max(n, 1), dtype=np.int64)

@@ -16,7 +16,7 @@ package's search must find the same list bit for bit
 (``test_collision.py``).
 
 ``unfold_crossings`` is the crossing loop on the generic helpers that
-``_crossing_loops._cross_plane``, ``_cross_sphere`` and
+``_collision_loops._cross_plane``, ``_cross_sphere`` and
 ``_cross_hyperbolic`` replaced, and ``rk45`` (with ``field_eval``,
 ``_dense_terms`` and ``_dense``) the integrator before its field was
 picked once per run, its records went to Python lists and its exit

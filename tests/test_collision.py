@@ -133,11 +133,15 @@ def test_bad_max_length_rejected(sq, call, max_length):
     ((0.5, 0.5, 1.0), (-math.inf, 0.0, 0.0)),
     ((0.5, 0.5, 1.0), (0.0, 0.0, 0.0)),
     ((0.5, 0.5), (1.0, 0.0, 0.0)),
+    ((0.5, 0.5, 0.0), (1.0, 0.3, 0.0)),
+    ((0.5, 0.5, 1.0), (1.0, 0.3, 0.5)),
 ], ids=["nan-point", "inf-point", "nan-direction", "inf-direction",
-        "zero-direction", "short-point"])
+        "zero-direction", "short-point", "off-surface-point",
+        "non-tangent-direction"])
 def test_trace_ray_bad_input_rejected(sq, point, direction):
     # these used to come back as status 3 with no bounce, some with a
-    # numpy RuntimeWarning on the way
+    # numpy RuntimeWarning on the way; a ray off the plane z = 1 or not
+    # parallel to it is not a billiard ray
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError):

@@ -456,6 +456,11 @@ def test_bad_integration_bounds_rejected(name, value, k):
                              **kw)
     with deadline(5.0), pytest.raises(ValueError, match="finite"):
         integrate_polar_flow(ChartState(0.3, 0.0, 1.0), T, k, **kw)
+    if name == "T":
+        # a non-finite time must not give a nan or inf state
+        for eps in (None, 1.0):
+            with pytest.raises(ValueError, match="finite"):
+                closed_form_flow(ChartState(0.5, 0.0, 1.0), T, k, eps=eps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -464,6 +469,13 @@ def test_non_finite_initial_state_rejected(bad):
         integrate_chart_flow(CartesianChartState(0.1, bad, 0.3), 5.0, 1.0, 0)
     with deadline(5.0), pytest.raises(GeometryError, match="finite"):
         integrate_polar_flow(ChartState(0.3, 0.0, bad), 1.0, 0)
+    # in every curvature and every coordinate, also for t = 0
+    for k in KS:
+        for state in (ChartState(bad, 0.0, 1.0), ChartState(0.5, bad, 1.0),
+                      ChartState(0.5, 0.0, bad)):
+            for t in (0.0, 1.0):
+                with pytest.raises(GeometryError, match="finite"):
+                    closed_form_flow(state, t, k)
 
 
 def test_sphere_chart_state_outside_disc_rejected():

@@ -9,7 +9,9 @@ leave nearly parallel to the next side (grazing hits), and with clamped
 arc parameters.  The last tests pin the diagonal search's skip of
 length-only brackets, and its per-vertex shooter against the search on
 ``trace_ray`` that ``kernel_oracle.py`` keeps: the same diagonals and
-conjugated vertices, bit for bit.
+conjugated vertices, bit for bit.  The last two pin the entries: each
+converts numpy arguments itself, and ``trace_orbit`` reaches its loop
+without ``trace_from_point``.
 """
 
 import math
@@ -313,3 +315,53 @@ def test_clamped_arc_parameter_matches_oracle():
                        for i in range(got[0] - 1)):
                     clamped.add(poly.k)
     assert clamped == {0, 1, -1}
+
+
+def test_dispatchers_convert_numpy_arguments():
+    # the three entries convert arrays, numpy scalars and a numpy side
+    # index once, before the loop: the same bits as with Python floats,
+    # and a Python float length
+    scalars = (5.0, C.FLIGHT_MIN, C.VERTEX_TOL, C.GRAZE_TOL)
+    for poly in TABLES.values():
+        pack = poly.kernel_pack()
+        s0 = 0.37 * poly.side(2).length
+        p, v = C.embed_triples(poly, BoundaryState(2, s0, 1.13))
+        starts = ((K.trace_orbit, (1, s0, 1.13),
+                   (np.int64(1), np.float64(s0), np.float64(1.13))),
+                  (K.trace_from_point, (p, v), (np.array(p), np.array(v))))
+        for fn, plain, numpy in starts:
+            got = []
+            for start, extra in ((plain, scalars),
+                                 (numpy, tuple(map(np.float64, scalars)))):
+                bufs = (np.empty(12, dtype=np.int64), np.empty(12),
+                        np.empty(12), np.empty(12))
+                out = fn(poly.k, *pack, *start, 12, *extra, *bufs)
+                assert type(out[3]) is float
+                got.append(_record(*out, *bufs))
+            assert got[0] == got[1]
+        got = []
+        for ray, tmin, pad in (((p, v), C.FLIGHT_MIN, C.VERTEX_TOL),
+                               ((np.array(p), np.array(v)),
+                                np.float64(C.FLIGHT_MIN),
+                                np.float64(C.VERTEX_TOL))):
+            labels = np.empty(30, dtype=np.int64)
+            m = K.unfold_crossings(poly.k, *pack[:4], poly.reflection_pack(),
+                                   *ray, 30, tmin, pad, labels)
+            got.append(labels[:m].tolist())
+        assert got[0] == got[1]
+        assert len(got[0]) == 30
+
+
+def test_trace_reaches_its_loop_without_trace_from_point(monkeypatch):
+    # benchmarks/tracing.py wraps both entries by module attribute: a
+    # trace_orbit that went through trace_from_point would nest a second
+    # span and count every bounce of trace() twice
+    b = BoundaryState(1, 0.3, 1.1)
+    poly = TABLES["square"]
+    want = _traced(C.trace(poly, b, 20))
+
+    def fail(*args):
+        raise AssertionError("trace went through trace_from_point")
+
+    monkeypatch.setattr(K, "trace_from_point", fail)
+    assert _traced(C.trace(poly, b, 20)) == want

@@ -371,13 +371,21 @@ def test_crossing_labels_match_oracle(table, side, frac, psi, start, n):
 @pytest.mark.parametrize("table", ["square", "sphere-triangle-1",
                                    "hyperbolic-pentagon"])
 @pytest.mark.parametrize("bad", ["zero", "nan-direction", "inf-direction",
-                                 "nan-point", "inf-point"])
+                                 "nan-point", "inf-point", "off-surface",
+                                 "non-tangent"])
 def test_crossing_labels_reject_bad_rays(table, bad):
+    # a point off the model surface, or a direction off its tangent
+    # plane, is not a billiard ray
     poly = CROSSING_TABLES[table]
     p, v = C.embed_state(poly, BoundaryState(1, 0.3 * poly.side(1).length,
                                              1.0))
     if bad == "zero":
         v = np.zeros(3)
+    elif bad == "off-surface":
+        p = p.copy()
+        p[2] = 0.0 if poly.k == 0 else 3.0
+    elif bad == "non-tangent":
+        v = v + 0.5 * p
     elif bad.endswith("direction"):
         v = v.copy()
         v[1] = math.nan if bad.startswith("nan") else math.inf
