@@ -1,12 +1,13 @@
 """Batched collision engine: many rays advanced together in numpy.
 
-Vectorised copies of ``_kernels.boundary_embed``, ``ray_side_hit`` and
-the scalar trace loops of ``_collision_loops`` (``_trace_plane``,
-``_trace_sphere``, ``_trace_hyperbolic``) for N boundary states at once,
-written once for all three curvatures.  Each bounce solves the ray-side
-root over the (N, nsides) grid, picks the first hit per ray, applies the
-scalar loop's vertex, grazing and clamp logic as a per-ray status mask,
-and compacts the arrays down to the rays still live.
+Vectorised copies of ``_kernels.boundary_embed``, the ray-side root
+(``ray_side_hit`` in ``tests/kernel_oracle.py``) and the scalar trace
+loops of ``_collision_loops`` (``_trace_plane``, ``_trace_sphere``,
+``_trace_hyperbolic``) for N boundary states at once, written once for
+all three curvatures.  Each bounce solves the ray-side root over the
+(N, nsides) grid, picks the first hit per ray, applies the scalar loop's
+vertex, grazing and clamp logic as a per-ray status mask, and compacts
+the arrays down to the rays still live.
 
 The branch logic is the scalar loops': on equal t the lowest side index
 wins, the sphere takes the first of the roots t0 + m pi past tmin that
@@ -25,14 +26,9 @@ import math
 
 import numpy as np
 
+# mdot and perp take tuples of arrays as they take float triples
 from ._kernels import (INF, STEP_ESCAPED, STEP_GRAZING, STEP_MAXLEN, STEP_OK,
-                       STEP_VERTEX)
-
-
-def _mdot(k, u, v):
-    if k == -1:
-        return u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+                       STEP_VERTEX, mdot, perp)
 
 
 def _cos_sin(k, t):
@@ -71,21 +67,13 @@ def _renorm_tangent(k, p, v):
     if k == 0:
         n = np.hypot(v[0], v[1])
         return v[0] / n, v[1] / n, np.zeros_like(v[0])
-    c = _mdot(k, v, p)
+    c = mdot(k, v, p)
     if k == 1:
         o = (v[0] - c * p[0], v[1] - c * p[1], v[2] - c * p[2])
     else:
         o = (v[0] + c * p[0], v[1] + c * p[1], v[2] + c * p[2])
-    n = np.sqrt(np.abs(_mdot(k, o, o)))
+    n = np.sqrt(np.abs(mdot(k, o, o)))
     return o[0] / n, o[1] / n, o[2] / n
-
-
-def _perp(k, p, w):
-    if k == 0:
-        return -w[1], w[0], np.zeros_like(w[0])
-    cz = p[0] * w[1] - p[1] * w[0]
-    return (p[1] * w[2] - p[2] * w[1], p[2] * w[0] - p[0] * w[2],
-            cz if k == 1 else -cz)
 
 
 def _distance(k, a, b):
@@ -109,7 +97,7 @@ def _gather(vec, j):
 def _boundary_embed(k, a, u, s, psi):
     bp = _renorm_point(k, _geodesic_point(k, a, u, s))
     w = _renorm_tangent(k, bp, _geodesic_dir(k, a, u, s))
-    e2 = _perp(k, bp, w)
+    e2 = perp(k, bp, w)
     c = np.cos(psi)
     sn = np.sin(psi)
     d = (c * w[0] + sn * e2[0], c * w[1] + sn * e2[1], c * w[2] + sn * e2[2])
@@ -119,13 +107,13 @@ def _boundary_embed(k, a, u, s, psi):
 def _side_hits(k, sides, p, v, tmin, pad):
     """(t, s) of every ray against every side, shape (N, nsides).
 
-    t is INF where ``ray_side_hit`` would report no crossing.
+    t is INF where the oracle's ``ray_side_hit`` would report no crossing.
     """
     sa, su, sn, sl = sides
     p = tuple(x[:, None] for x in p)
     v = tuple(x[:, None] for x in v)
-    a = _mdot(k, sn, p)
-    b = _mdot(k, sn, v)
+    a = mdot(k, sn, p)
+    b = mdot(k, sn, v)
     if k == 0:
         t = -a / b
         ok = (np.abs(b) >= 1e-15) & (t > tmin)
@@ -195,7 +183,7 @@ def _step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
         r = (2.0 * c2 * d0 - w[0], 2.0 * c2 * d1 - w[1], np.zeros_like(c2))
     else:
         nj = _gather(sn, j)
-        c2 = _mdot(k, w, nj)
+        c2 = mdot(k, w, nj)
         r = (w[0] - 2.0 * c2 * nj[0], w[1] - 2.0 * c2 * nj[1],
              w[2] - 2.0 * c2 * nj[2])
     r = _renorm_tangent(k, q, r)
@@ -204,7 +192,7 @@ def _step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
     det = (q[0] * (sd[1] * r[2] - sd[2] * r[1])
            - q[1] * (sd[0] * r[2] - sd[2] * r[0])
            + q[2] * (sd[0] * r[1] - sd[1] * r[0]))
-    psi = np.arctan2(det, _mdot(k, sd, r))
+    psi = np.arctan2(det, mdot(k, sd, r))
     grazing = (psi < graze) | (psi > math.pi - graze)
     status[(status == STEP_OK) & grazing] = STEP_GRAZING
     ok = status == STEP_OK

@@ -9,20 +9,21 @@ unfolded geodesic pulled back one crossing at a time; they use no
 boundary (s, psi) coordinates, so their labels are an independent route
 to the itinerary.  Both pick a side by the same rule.
 
-Each loop is the generic helpers of :mod:`ccbilliards._kernels`
-(``ray_side_hit``, ``boundary_embed``, ``geodesic_*``, ``renorm_*``,
-``perp``, ...) written out for its k, with no call or branch on k per
-bounce.  It reuses the cos/sin (cosh/sinh) of a flight time or arc
-parameter, the plane's trace computes each side's unit tangent once per
-trace, and a side whose crossing is no nearer than the best so far skips
-its arc parameter, which could not change the pick.  Apart from the exact
-rewrites ``-k * s`` -> ``-s`` (or ``s``), ``1.0 * p`` -> ``p`` and
-``r * 1.0`` -> ``r``, every expression is the helper's, in its operation
-order, so the loops give the generic code's bits (``tests/kernel_oracle.py``
-keeps the generic code as the oracle).  The loops run on Python floats:
-the ``_kernels`` entries hand them the ray as two float triples, every
-scalar as a float and the sides as ``_side_records``, converted once per
-call.
+Each loop is the generic step written out for its k, with no call or
+branch on k per bounce: the ray-side root (``ray_side_hit``, which only
+the oracle ``tests/kernel_oracle.py`` keeps) and the helpers of
+:mod:`ccbilliards._kernels` (``boundary_embed``, ``geodesic_*``,
+``renorm_*``, ``perp``, ...).  It reuses the cos/sin (cosh/sinh) of a
+flight time or arc parameter, the plane's trace computes each side's
+unit tangent once per trace, and a side whose crossing is no nearer than
+the best so far skips its arc parameter, which could not change the
+pick.  Apart from the exact rewrites ``-k * s`` -> ``-s`` (or ``s``),
+``1.0 * p`` -> ``p`` and ``r * 1.0`` -> ``r``, every expression is the
+helper's, in its operation order, so the loops give the bits of the
+generic step and loops that the oracle keeps.  The loops run on Python
+floats: the ``_kernels`` entries hand them the ray as two float triples,
+every scalar as a float and the sides as ``_side_records``, converted
+once per call.
 
 The loops live apart from the ``_kernels`` helpers because compiling one
 module with both, from source, peaks about 1 MB higher than compiling the

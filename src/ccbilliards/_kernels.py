@@ -31,8 +31,10 @@ once, and builds the side records; ``trace_orbit`` calls its loop itself,
 not through ``trace_from_point``.  ``trace_from_point`` serves
 ``collision_step`` (nmax = 1), ``trace_ray`` (numpy buffers) and the
 diagonal search's per-vertex shooter (``collision._vertex_shooter``:
-float-triple rays, Python-list buffers).  The helpers stay for the
-geometry layer, ``collision.embed_triples`` and the launch directions.
+float-triple rays, Python-list buffers).  The helpers serve the polygon
+builder, ``geometry``, the launches and frames of ``collision``, the
+unfolding and its SVG, the expansivity probes, the vertex flow and (as
+``mdot`` and ``perp``) the batched engine :mod:`ccbilliards._batch`.
 
 The Dormand-Prince integrator ``rk45`` runs on Python floats the same
 way.  It picks its field function (``polar_field``, ``chart_field`` or
@@ -48,8 +50,7 @@ many rays at once in :mod:`ccbilliards._batch`, in numpy.
 
 import math
 
-# the step / trace status codes belong to the loops; INF is also the "no
-# crossing" of ray_side_hit
+# the step / trace status codes and INF belong to the loops
 from ._collision_loops import (CROSSING_LOOPS, INF, STEP_ESCAPED,
                                STEP_GRAZING, STEP_MAXLEN, STEP_OK,
                                STEP_VERTEX, TRACE_LOOPS, _side_records)
@@ -193,53 +194,6 @@ def boundary_embed(k, a, u, s, psi):
     sn = math.sin(psi)
     d = (c * w[0] + sn * e2[0], c * w[1] + sn * e2[1], c * w[2] + sn * e2[2])
     return bp, renorm_tangent(k, bp, d)
-
-
-def ray_side_hit(k, p, v, a_pt, u, n, seg_len, tmin, pad):
-    """First crossing of the geodesic (p, v) with one side segment.
-
-    Returns (t, s); t = INF when no crossing with t > tmin lands at an arc
-    parameter s in [-pad, seg_len + pad].
-    """
-    a = mdot(k, n, p)
-    b = mdot(k, n, v)
-    if k == 0:
-        if abs(b) < 1e-15:
-            return INF, 0.0
-        t = -a / b
-        if t <= tmin:
-            return INF, 0.0
-        qx = p[0] + t * v[0]
-        qy = p[1] + t * v[1]
-        s = (qx - a_pt[0]) * u[0] + (qy - a_pt[1]) * u[1]
-        if s < -pad or s > seg_len + pad:
-            return INF, 0.0
-        return t, s
-    if k == -1:
-        if abs(b) <= abs(a):
-            return INF, 0.0
-        t = math.atanh(-a / b)
-        if t <= tmin:
-            return INF, 0.0
-        q = geodesic_point(-1, p, v, t)
-        s = math.asinh(q[0] * u[0] + q[1] * u[1] - q[2] * u[2])
-        if s < -pad or s > seg_len + pad:
-            return INF, 0.0
-        return t, s
-    # sphere: roots repeat every pi along the great circle
-    if abs(a) < 1e-15 and abs(b) < 1e-15:
-        return INF, 0.0
-    t0 = math.atan2(-a, b) % math.pi
-    for m in range(3):
-        t = t0 + m * math.pi
-        if t <= tmin:
-            continue
-        q = geodesic_point(1, p, v, t)
-        s = math.atan2(q[0] * u[0] + q[1] * u[1] + q[2] * u[2],
-                       q[0] * a_pt[0] + q[1] * a_pt[1] + q[2] * a_pt[2])
-        if -pad <= s <= seg_len + pad:
-            return t, s
-    return INF, 0.0
 
 
 def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,

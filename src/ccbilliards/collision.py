@@ -59,12 +59,6 @@ class Itinerary:
     termination: str
     termination_backward: str | None = None
 
-    def index_range(self):
-        return self.start_index, self.start_index + len(self.labels) - 1
-
-    def label_at(self, n):
-        return self.labels[n - self.start_index]
-
 
 def _validate_state(poly, b):
     side = poly.side(b.side)
@@ -142,16 +136,20 @@ def check_count(n):
 def check_ray(poly, point, direction):
     """An interior ray of poly as float64 3-vectors: GeometryError unless
     both are finite, the point is on the model surface and the direction
-    a nonzero tangent there (to normalize_point's relative 1e-6)."""
+    a unit tangent there (to normalize_point's relative 1e-6).  The loops
+    move at unit speed, so a longer or shorter direction is rejected,
+    not rescaled."""
     p = G.as_vec3(point)
     v = G.as_vec3(direction)
     if not (np.isfinite(p).all() and np.isfinite(v).all()):
         raise GeometryError(f"non-finite ray: point {p}, direction {v}")
-    if not v.any():
-        raise GeometryError("zero ray direction")
     if G.point_defect(p, poly.k) > 1e-6:
         raise GeometryError(
             f"ray point {p} is not on the k={poly.k} model surface")
+    # 1e-6 plus the rounding of mdot, which grows with |v|^2: a unit tangent
+    # at distance r out on the hyperboloid has |v|^2 ~ cosh 2r
+    if abs(K.mdot(poly.k, v, v) - 1.0) > 1e-6 + 1e-12 * (v @ v):
+        raise GeometryError(f"ray direction {v} is not a unit vector")
     if G.tangent_defect(p, v, poly.k) > 1e-6:
         raise GeometryError(f"ray direction {v} is not tangent at {p}")
     return p, v
@@ -233,8 +231,8 @@ def trace_many(poly, states, n, max_length=math.inf):
 def trace_ray(poly, point, direction, n, max_length=math.inf):
     """Trace from an arbitrary interior ray.
 
-    The point must lie on the model surface and the direction be a
-    nonzero tangent there, as finite 3-vectors; otherwise GeometryError.
+    The point must lie on the model surface and the direction be a unit
+    tangent there, as finite 3-vectors; otherwise GeometryError.
     """
     check_count(n)
     _check_max_length(max_length)

@@ -20,7 +20,7 @@ computation; this module implements the witness logic that is:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -1,12 +1,16 @@
-"""Geometry kernel for the three constant-curvature models.
+"""Model conventions, side normals and isometries on numpy 3-vectors.
 
 Points are embedded in R^3 (unit sphere for k = +1, upper hyperboloid sheet
 for k = -1 with the Minkowski form diag(1, 1, -1), affine plane z = 1 for
-k = 0); see :mod:`ccbilliards._kernels` for the conventions.  All lengths
-are in curvature-normalized units (|k| = 1), all angles in radians.
+k = 0); see :mod:`ccbilliards._kernels` for the conventions and for the
+float-triple helpers the package calls directly.  All lengths are in
+curvature-normalized units (|k| = 1), all angles in radians.
 
-The Poincare disc is supported purely as an input/output coordinate
-convention via :func:`poincare_to_hyperboloid` / :func:`hyperboloid_to_poincare`.
+This module serves the polygon builder and the input checks: the model
+checks and coordinates (the Poincare disc is an input/output convention
+only), side geodesics and their interior-positive normals, the
+boundary-intersection test, segment distance and side reflections as
+3x3 isometries.
 """
 
 import math
@@ -17,7 +21,6 @@ import numpy as np
 from . import _kernels as K
 from .errors import GeometryError
 
-ON_CURVE_TOL = 1e-10
 POINT_TOL = 1e-12
 
 CURVATURES = (-1, 0, 1)
@@ -65,25 +68,12 @@ def normalize_point(p, k):
     return np.array(K.renorm_point(k, p))
 
 
-def tangent_at(p, v, k):
-    """Project v into the tangent space at p and normalize to unit length."""
-    p = as_vec3(p)
-    v = as_vec3(v)
-    norm = math.sqrt(abs(K.mdot(k, v, v)))
-    if norm < 1e-300:
-        raise GeometryError("zero tangent vector")
-    return np.array(K.renorm_tangent(k, p, v))
-
-
 @dataclass(frozen=True)
 class Tangent:
     """A unit tangent vector: base point plus direction."""
 
     point: np.ndarray
     direction: np.ndarray
-
-    def reversed(self):
-        return Tangent(self.point, -self.direction)
 
 
 @dataclass(frozen=True)
@@ -92,11 +82,6 @@ class Geodesic:
 
     point: np.ndarray
     direction: np.ndarray
-
-
-def geodesic(p, v, k):
-    p = normalize_point(p, k)
-    return Geodesic(p, tangent_at(p, v, k))
 
 
 def geodesic_through(a, b, k):
@@ -109,46 +94,6 @@ def geodesic_through(a, b, k):
     if k == 1 and d > math.pi - 1e-9:
         raise GeometryError("antipodal points do not determine a unique geodesic")
     return Geodesic(a, np.array(K.log_map(k, a, b)))
-
-
-def distance(a, b, k):
-    """Metric distance; equals pi for antipodal points on the sphere."""
-    check_curvature(k)
-    return float(K.distance(k, as_vec3(a), as_vec3(b)))
-
-
-def geodesic_at(g, t, k):
-    """Point and forward direction after arc length t along g."""
-    q = K.renorm_point(k, K.geodesic_point(k, g.point, g.direction, t))
-    w = K.renorm_tangent(k, q, K.geodesic_dir(k, g.point, g.direction, t))
-    return Tangent(np.array(q), np.array(w))
-
-
-def angle_between(u, v, k):
-    """Unsigned angle in [0, pi] between tangents at a common base point."""
-    if K.distance(k, u.point, v.point) > ON_CURVE_TOL:
-        raise GeometryError("angle_between requires tangents at the same point")
-    # chordal form: exact at 0 and stable at pi (the metric is positive
-    # definite on tangent spaces for every curvature)
-    d = u.direction - v.direction
-    ch = math.sqrt(abs(float(K.mdot(k, d, d))))
-    s = u.direction + v.direction
-    cs = math.sqrt(abs(float(K.mdot(k, s, s))))
-    return 2.0 * math.atan2(0.5 * ch, 0.5 * cs)
-
-
-def signed_angle(u, v, k):
-    """CCW angle from u to v in (-pi, pi], in the oriented tangent plane."""
-    if K.distance(k, u.point, v.point) > ON_CURVE_TOL:
-        raise GeometryError("signed_angle requires tangents at the same point")
-    return float(K.signed_angle(k, u.point, u.direction, v.direction))
-
-
-def rotate_tangent(t, angle, k):
-    """Rotate a tangent CCW by ``angle`` within its tangent plane."""
-    e2 = np.array(K.perp(k, t.point, t.direction))
-    d = math.cos(angle) * t.direction + math.sin(angle) * e2
-    return Tangent(t.point, np.array(K.renorm_tangent(k, t.point, d)))
 
 
 def side_normal(g, k):
@@ -165,56 +110,6 @@ def side_normal(g, k):
         return np.array([m[0], m[1], -(m[0] * p[0] + m[1] * p[1])])
     n = np.array(K.perp(k, p, u))
     return n / math.sqrt(abs(K.mdot(k, n, n)))
-
-
-def point_side_value(p, normal, k):
-    """Signed functional value of p against a side normal (0 on the curve)."""
-    return float(K.mdot(k, normal, as_vec3(p)))
-
-
-def point_on_geodesic(p, g, k, tol=ON_CURVE_TOL):
-    n = side_normal(g, k)
-    v = point_side_value(p, n, k)
-    if k == 1:
-        return abs(math.asin(min(1.0, abs(v)))) <= tol
-    if k == -1:
-        return abs(math.asinh(v)) <= tol
-    return abs(v) <= tol
-
-
-def reflect(t, side, k):
-    """Mirror a tangent across a geodesic its base point lies on.
-
-    Tangential component is preserved, normal component negated; the map is
-    an involution.
-    """
-    if not point_on_geodesic(t.point, side, k):
-        raise GeometryError("reflect: tangent base does not lie on the mirror geodesic")
-    d = t.direction
-    if k == 0:
-        u = side.direction
-        c = d[0] * u[0] + d[1] * u[1]
-        r = np.array([2.0 * c * u[0] - d[0], 2.0 * c * u[1] - d[1], 0.0])
-    else:
-        n = side_normal(side, k)
-        c = K.mdot(k, d, n)
-        r = d - 2.0 * c * n
-    return Tangent(t.point, np.array(K.renorm_tangent(k, t.point, r)))
-
-
-def geodesic_side_intersection(g, side, side_len, k, t_min=1e-12):
-    """First forward intersection of g with a geodesic segment.
-
-    Returns (t, s) with t > t_min the arc length along g and s in
-    [0, side_len] the arc parameter on the segment, or None when the two
-    curves do not meet.
-    """
-    n = side_normal(side, k)
-    t, s = K.ray_side_hit(k, g.point, g.direction, side.point, side.direction,
-                          n, side_len, t_min, 1e-12)
-    if t >= K.INF:
-        return None
-    return float(t), float(min(max(s, 0.0), side_len))
 
 
 def geodesics_intersect(a, a_len, b, b_len, k, end_tol=1e-12):

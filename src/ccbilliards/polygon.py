@@ -66,9 +66,6 @@ class Polygon:
             raise PolygonError(f"side label must be in 1..{len(self.sides)}, got {label}")
         return self.sides[label - 1]
 
-    def perimeter(self):
-        return sum(s.length for s in self.sides)
-
     def kernel_pack(self):
         """Side data for the collision kernels, as nested tuples.
 

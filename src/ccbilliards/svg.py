@@ -8,8 +8,6 @@ hyperbolic ones projected to the Poincare disc, spherical ones by
 orthographic projection onto z = 0 with the far hemisphere clipped.
 """
 
-import math
-
 import numpy as np
 
 from . import _kernels as K

@@ -114,9 +114,9 @@ def crossing_labels(poly, b, n):
 def crossing_labels_from_tangent(poly, p, v, n):
     """Crossing labels of the unfolded line through the interior ray (p, v).
 
-    The point must lie on the model surface and the direction be a
-    nonzero tangent there, as finite 3-vectors; otherwise GeometryError,
-    as for ``collision.trace_ray``.
+    The point must lie on the model surface and the direction be a unit
+    tangent there, as finite 3-vectors; otherwise GeometryError, as for
+    ``collision.trace_ray``.
     """
     C.check_count(n)
     p, v = C.check_ray(poly, p, v)

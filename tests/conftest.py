@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from ccbilliards import NUMBA_ENABLED, hyperbolic_pentagon, sphere_triangle, square
+from ccbilliards import _kernels as K
 from ccbilliards import geometry as G
 
 
@@ -46,5 +45,4 @@ def random_tangent(rng, k, p=None):
     v = rng.normal(size=3)
     if k == 0:
         v[2] = 0.0
-    t = G.tangent_at(p, v, k)
-    return G.Tangent(p, t)
+    return G.Tangent(p, np.array(K.renorm_tangent(k, p, v)))

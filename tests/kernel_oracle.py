@@ -7,7 +7,9 @@ The package traces with one straight-line loop per curvature
 ``_trace_hyperbolic``).  This is the code they replaced: one step that
 calls the generic geometry helpers, each branching on k, and one loop
 around it.  The per-curvature loops must reproduce it bit for bit
-(``test_kernels.py``).
+(``test_kernels.py``).  The step's ray-side root ``ray_side_hit`` lives
+here with it: only ``step_ray`` and the oracle ``unfold_crossings`` call
+it.
 
 ``generalized_diagonals`` is the diagonal search as it was before its rays
 went through ``collision._vertex_shooter``: a numpy launch per angle and a
@@ -38,8 +40,55 @@ from ccbilliards._kernels import (FIELD_CHART_ARC, FIELD_POLAR, INF,
                                   STEP_MAXLEN, STEP_OK, STEP_VERTEX,
                                   boundary_embed, cosk, distance,
                                   geodesic_dir, geodesic_point, log_map, mdot,
-                                  perp, ray_side_hit, renorm_point,
-                                  renorm_tangent, signed_angle, sink)
+                                  perp, renorm_point, renorm_tangent,
+                                  signed_angle, sink)
+
+
+def ray_side_hit(k, p, v, a_pt, u, n, seg_len, tmin, pad):
+    """First crossing of the geodesic (p, v) with one side segment.
+
+    Returns (t, s); t = INF when no crossing with t > tmin lands at an arc
+    parameter s in [-pad, seg_len + pad].
+    """
+    a = mdot(k, n, p)
+    b = mdot(k, n, v)
+    if k == 0:
+        if abs(b) < 1e-15:
+            return INF, 0.0
+        t = -a / b
+        if t <= tmin:
+            return INF, 0.0
+        qx = p[0] + t * v[0]
+        qy = p[1] + t * v[1]
+        s = (qx - a_pt[0]) * u[0] + (qy - a_pt[1]) * u[1]
+        if s < -pad or s > seg_len + pad:
+            return INF, 0.0
+        return t, s
+    if k == -1:
+        if abs(b) <= abs(a):
+            return INF, 0.0
+        t = math.atanh(-a / b)
+        if t <= tmin:
+            return INF, 0.0
+        q = geodesic_point(-1, p, v, t)
+        s = math.asinh(q[0] * u[0] + q[1] * u[1] - q[2] * u[2])
+        if s < -pad or s > seg_len + pad:
+            return INF, 0.0
+        return t, s
+    # sphere: roots repeat every pi along the great circle
+    if abs(a) < 1e-15 and abs(b) < 1e-15:
+        return INF, 0.0
+    t0 = math.atan2(-a, b) % math.pi
+    for m in range(3):
+        t = t0 + m * math.pi
+        if t <= tmin:
+            continue
+        q = geodesic_point(1, p, v, t)
+        s = math.atan2(q[0] * u[0] + q[1] * u[1] + q[2] * u[2],
+                       q[0] * a_pt[0] + q[1] * a_pt[1] + q[2] * a_pt[2])
+        if -pad <= s <= seg_len + pad:
+            return t, s
+    return INF, 0.0
 
 
 def step_ray(k, sa, su, sn, sl, sv0, sv1, verts, p, v, tmin, tol_v, graze):

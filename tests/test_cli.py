@@ -1,8 +1,6 @@
 import io
 import json
 import math
-import os
-import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -61,6 +59,57 @@ class TestCommands:
         svg = (tmp_path / "unfold.svg").read_text()
         assert svg.startswith("<?xml")
         assert "polyline" in svg
+
+    @pytest.mark.parametrize("table", [
+        ["--table", "hyperbolic-pentagon"], SPHERE_ARGS],
+        ids=["poincare-disc", "sphere"])
+    def test_unfold_svg_curved(self, tmp_path, table):
+        # the Poincare-disc and upper-hemisphere projections of svg.py
+        code, out = run_cli(["unfold", *table, "--side", "1", "--s", "0.3",
+                             "--psi", "1.0", "--bounces", "8",
+                             "--out", str(tmp_path)])
+        assert code == 0
+        assert "crossed sides: " in out
+        svg = (tmp_path / "unfold.svg").read_text()
+        assert svg.startswith("<?xml")
+        assert "polyline" in svg
+
+    def test_diagonals_text_and_json(self, tmp_path):
+        args = ["diagonals", *SPHERE_ARGS, "--angles", "24",
+                "--out", str(tmp_path)]
+        code, out = run_cli(args)
+        assert code == 0
+        assert out.splitlines() == [
+            "table: sphere-triangle(theta=1.0)", "diagonals found: 1",
+            "V1 -> V1 via sides 2: length 3.14159265359"]
+        code, out = run_cli(args + ["--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "table": "sphere-triangle(theta=1.0)",
+            "diagonals": [{"start": 1, "end": 1, "sequence": [2],
+                           "length": math.pi}]}
+        # the square has diagonals with no side between their vertices and
+        # with start != end
+        code, out = run_cli(["diagonals", "--table", "square", "--angles",
+                             "8", "--max-bounces", "2", "--out", str(tmp_path)])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "diagonals found: 8"
+        assert "V1 -> V3 via sides -: length 1.41421356237" in lines
+        assert "V2 -> V1 via sides 3: length 2.23606797731" in lines
+
+    def test_expansivity_square_witness_text(self, tmp_path):
+        code, out = run_cli(["expansivity", "--table", "square",
+                             "--samples", "200", "--max-bounces", "20",
+                             "--out", str(tmp_path)])
+        assert code == 0
+        lines = out.splitlines()
+        assert "verdict: not_expansive" in lines
+        i = lines.index("  - kind: periodic_orbit (rule flat-periodic-orbit,"
+                        " verified yes)")
+        assert lines[i + 1:i + 3] == ["    labels: 3,1", "    length: 2"]
+        assert lines[i + 3].startswith("    residual: ")
+        assert lines[i + 4] == "    holonomy: translation by 2"
 
     def test_periodic_none_on_irrational_sphere(self, tmp_path):
         code, out = run_cli(["periodic", *SPHERE_ARGS, "--samples", "200",

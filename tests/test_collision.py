@@ -10,7 +10,6 @@ from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
                          sphere_triangle, unfold)
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
-from ccbilliards import geometry as G
 
 
 class TestCollisionStep:
@@ -51,13 +50,15 @@ class TestCollisionStep:
                 out = collision_step(b, poly)
                 if isinstance(out, VertexHit):
                     continue
-                side = poly.side(out.side)
-                hit = G.geodesic_at(side.geodesic, out.s, poly.k)
-                tau = G.geodesic_at(G.Geodesic(p, v),
-                                    G.distance(p, hit.point, poly.k), poly.k)
-                psi_in = G.signed_angle(
-                    G.Tangent(hit.point, hit.direction),
-                    G.Tangent(hit.point, -tau.direction), poly.k) % (2 * math.pi)
+                k = poly.k
+                g = poly.side(out.side).geodesic
+                q = K.renorm_point(k, K.geodesic_point(k, g.point, g.direction,
+                                                       out.s))
+                w = K.renorm_tangent(k, q, K.geodesic_dir(k, g.point,
+                                                          g.direction, out.s))
+                tau = K.geodesic_dir(k, p, v, K.distance(k, p, q))
+                back = K.renorm_tangent(k, q, (-tau[0], -tau[1], -tau[2]))
+                psi_in = K.signed_angle(k, q, w, back) % (2 * math.pi)
                 assert psi_in + out.psi == pytest.approx(math.pi, abs=1e-10)
                 checked += 1
 
@@ -135,17 +136,35 @@ def test_bad_max_length_rejected(sq, call, max_length):
     ((0.5, 0.5), (1.0, 0.0, 0.0)),
     ((0.5, 0.5, 0.0), (1.0, 0.3, 0.0)),
     ((0.5, 0.5, 1.0), (1.0, 0.3, 0.5)),
+    ((0.5, 0.5, 1.0), (0.6, 0.0, 0.8)),
+    ((0.5, 0.5, 1.0), (1.2, 1.6, 0.0)),
+    ((0.5, 0.5, 1.0), (0.3, 0.4, 0.0)),
 ], ids=["nan-point", "inf-point", "nan-direction", "inf-direction",
         "zero-direction", "short-point", "off-surface-point",
-        "non-tangent-direction"])
+        "non-tangent-direction", "unit-non-tangent-direction",
+        "doubled-direction", "halved-direction"])
 def test_trace_ray_bad_input_rejected(sq, point, direction):
     # these used to come back as status 3 with no bounce, some with a
     # numpy RuntimeWarning on the way; a ray off the plane z = 1 or not
-    # parallel to it is not a billiard ray
+    # parallel to it is not a billiard ray.  The loops move at unit speed,
+    # so a direction of any other length would scale every flight.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError):
             C.trace_ray(sq, point, direction, 5)
+
+
+def test_far_hyperbolic_unit_ray_accepted(pentagon):
+    # 14 from the origin a renormalised unit tangent has |v|^2 ~ 7e11, and
+    # its Minkowski norm misses 1 by 6e-5 in float64; a doubled one is
+    # still rejected there
+    r = 14.0
+    p = np.array([math.sinh(r), 0.0, math.cosh(r)])
+    v = np.array(K.renorm_tangent(-1, p, (0.3, 1.0, 0.2)))
+    assert abs(K.mdot(-1, v, v) - 1.0) > 1e-6
+    C.check_ray(pentagon, p, v)
+    with pytest.raises(GeometryError):
+        C.check_ray(pentagon, p, 2.0 * v)
 
 
 class TestItinerary:
@@ -153,7 +172,7 @@ class TestItinerary:
         it = itinerary(BoundaryState(1, 0.5, math.pi / 2), sq, 4)
         assert it.labels == (1, 3, 1, 3)
         assert it.termination == "horizon"
-        assert it.index_range() == (0, 3)
+        assert it.start_index == 0
 
     def test_vertex_hit_termination(self, tri1):
         it = itinerary(BoundaryState(2, 0.4, math.pi / 2), tri1, 5)
@@ -175,7 +194,7 @@ class TestItinerary:
         b = BoundaryState(1, 0.5, math.pi / 2)
         it = itinerary(b, sq, 3, direction="bidirectional")
         assert it.start_index == -2
-        assert it.label_at(0) == 1
+        assert it.labels[0 - it.start_index] == 1
         assert len(it.labels) == 5
 
     def test_export(self, sq, tmp_path):

@@ -8,6 +8,7 @@ from ccbilliards import (DoubleSurfacePoint, PolygonError, build_polygon,
                          double_points_equal, hyperbolic_pentagon,
                          interior_contains, sphere_triangle,
                          vertex_neighborhood_radius)
+from ccbilliards import _kernels as K
 from ccbilliards import geometry as G
 from ccbilliards.polygon import point_on_boundary
 
@@ -92,9 +93,10 @@ class TestPerimeterAndGaussBonnet:
         total = 0.0
         n = pentagon.n_vertices
         for i in range(n):
-            total += G.distance(pentagon.vertices[i],
-                                pentagon.vertices[(i + 1) % n], -1)
-        assert pentagon.perimeter() == pytest.approx(total, abs=1e-10)
+            total += K.distance(-1, pentagon.vertices[i],
+                                pentagon.vertices[(i + 1) % n])
+        assert sum(s.length for s in pentagon.sides) == \
+            pytest.approx(total, abs=1e-10)
 
     def test_square_angle_sum(self, sq):
         assert sum(sq.angles) == pytest.approx(2 * math.pi, abs=1e-9)
@@ -159,11 +161,12 @@ class TestVertexRadius:
                     best = min(best, s.length)
                     continue
                 for t in np.linspace(0, s.length, 400):
-                    q = G.geodesic_at(s.geodesic, t, -1).point
-                    best = min(best, G.distance(v, q, -1))
+                    q = K.renorm_point(-1, K.geodesic_point(
+                        -1, s.geodesic.point, s.geodesic.direction, t))
+                    best = min(best, K.distance(-1, v, q))
             for j, w in enumerate(pentagon.vertices):
                 if j != i:
-                    best = min(best, G.distance(v, w, -1))
+                    best = min(best, K.distance(-1, v, w))
             assert eps == pytest.approx(0.5 * best, abs=1e-6)
 
     def test_close_opposite_side_binds(self):

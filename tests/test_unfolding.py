@@ -120,6 +120,31 @@ class TestHolonomy:
         np.testing.assert_allclose(left, res.chain.holonomy_matrix(), atol=1e-10)
         np.testing.assert_allclose(right, res.chain.holonomy_matrix(), atol=1e-10)
 
+    @pytest.mark.parametrize("word, kind, text", [
+        ((1,), "reflection", "reflection-type"),
+        ((1, 2), "rotation", "rotation by 3.14159265359"),
+        ((1, 1), "identity", "identity"),
+        ((1, 3, 1, 4), "translation", "translation by 4.6789441412"),
+    ])
+    def test_pentagon_word_classes(self, pentagon, word, kind, text):
+        # O(2,1) branch: reflection matrix products in the order unfold
+        # composes them; (1, 3, 1, 4) is the period-4 orbit of length
+        # 4.6789441412 on the right-angled pentagon
+        g = np.eye(3)
+        for label in word:
+            g = g @ pentagon.reflection_matrices()[label - 1]
+        cls = classify_isometry(g, -1)
+        assert cls.kind == kind
+        assert str(cls) == text
+        if kind == "rotation":
+            assert cls.angle == pytest.approx(math.pi, abs=1e-12)
+        if kind == "translation":
+            assert cls.length == pytest.approx(4.6789441412, abs=1e-10)
+
+    def test_sphere_reflection_text(self, tri1):
+        cls = classify_isometry(tri1.reflection_matrices()[0], 1)
+        assert str(cls) == "reflection-type (rotation content 0)"
+
 
 class TestSphericalPeriodicityCondition:
     def test_quarter_angle(self):
@@ -171,6 +196,28 @@ class TestFindPeriodic:
     def test_bad_bounds_rejected(self, sq):
         with pytest.raises(ValueError):
             find_periodic(sq, 0, 10, seed=0)
+
+    @pytest.mark.parametrize("make, moved", [
+        (lambda: sphere_triangle(math.pi / 4), False), (square, True)],
+        ids=["triangle-pi4", "square"])
+    def test_newton_polish_from_offset_start(self, make, moved):
+        # every sweep candidate already starts below the 1e-13 stop, so
+        # start each reported orbit off by 1e-6.  On the square that is
+        # off the orbit and the Newton steps must bring it back; on the
+        # pi/4 triangle the return map is the identity near the orbit
+        # (3, 2, 1, 3, 1), so the offset start is itself periodic.
+        poly = make()
+        reports = find_periodic(poly, 8, 200, 0)
+        assert reports
+        for r in reports:
+            u0 = (r.start.s + 1e-6, r.start.psi + 1e-6)
+            f, _ = U._return_displacement(poly, r.start.side, r.period, u0)
+            assert (np.max(np.abs(f)) > 1e-9) == moved
+            start, residual, tr = U._refine_candidate(poly, r.start.side,
+                                                      r.period, u0)
+            assert residual < 1e-14
+            assert tuple(int(x) for x in tr.labels) == r.labels
+            assert ((start.s, start.psi) != u0) == moved
 
     def test_reports_compare_equal(self, sq):
         # holonomy axes are float tuples, so whole reports support ==
@@ -372,10 +419,11 @@ def test_crossing_labels_match_oracle(table, side, frac, psi, start, n):
                                    "hyperbolic-pentagon"])
 @pytest.mark.parametrize("bad", ["zero", "nan-direction", "inf-direction",
                                  "nan-point", "inf-point", "off-surface",
-                                 "non-tangent"])
+                                 "non-tangent", "unit-non-tangent",
+                                 "doubled", "halved"])
 def test_crossing_labels_reject_bad_rays(table, bad):
     # a point off the model surface, or a direction off its tangent
-    # plane, is not a billiard ray
+    # plane or not of unit length, is not a billiard ray
     poly = CROSSING_TABLES[table]
     p, v = C.embed_state(poly, BoundaryState(1, 0.3 * poly.side(1).length,
                                              1.0))
@@ -386,6 +434,11 @@ def test_crossing_labels_reject_bad_rays(table, bad):
         p[2] = 0.0 if poly.k == 0 else 3.0
     elif bad == "non-tangent":
         v = v + 0.5 * p
+    elif bad == "unit-non-tangent":
+        v = v + 0.5 * p
+        v = v / math.sqrt(K.mdot(poly.k, v, v))
+    elif bad in ("doubled", "halved"):
+        v = v * (2.0 if bad == "doubled" else 0.5)
     elif bad.endswith("direction"):
         v = v.copy()
         v[1] = math.nan if bad.startswith("nan") else math.inf
