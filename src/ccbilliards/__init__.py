@@ -8,8 +8,9 @@ expansiveness evidence probes, and phase-space topology reports, plus a
 CLI tying them together.
 
 The kernels are plain Python on float tuples, with one collision loop
-per curvature; nothing is compiled.  The periodic-orbit seed sweep
-traces its samples together in a batched numpy engine instead.
+per curvature; nothing is compiled.  The periodic-orbit seed sweep draws
+its samples as (side, s, psi) arrays and traces them together in a
+batched numpy engine instead.
 """
 
 from .collision import (BoundaryState, ConjugatePair, Diagonal, Itinerary,

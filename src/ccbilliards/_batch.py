@@ -6,8 +6,10 @@ loops of ``_collision_loops`` (``_trace_plane``, ``_trace_sphere``,
 ``_trace_hyperbolic``) for N boundary states at once, written once for
 all three curvatures.  Each bounce solves the ray-side root over the
 (N, nsides) grid, picks the first hit per ray, applies the scalar loop's
-vertex, grazing and clamp logic as a per-ray status mask, and compacts
-the arrays down to the rays still live.
+escape, vertex and grazing stops as one mask of the rays that go on,
+clamps s, and compacts the arrays down to those rays.  It records what
+the periodic-orbit sweep reads (side label, s and psi per bounce), not
+stop reasons, vertex ids or flights.
 
 The branch logic is the scalar loops': on equal t the lowest side index
 wins, the sphere takes the first of the roots t0 + m pi past tmin that
@@ -17,9 +19,11 @@ or ``einsum``, whose BLAS/FMA paths round differently).  numpy's
 transcendental functions may still differ from ``math``'s by an ulp, so a
 row agrees with the scalar trace closely but not bit for bit.
 
-The scalar loops stay the N = 1 engine (this one is 30-55x slower for a
-single ray of 20-50 bounces) and this module's test oracle.  Vectors are
-tuples (x, y, z) of equally shaped arrays.
+The scalar loops stay the N = 1 engine (this one is 20-50x slower for a
+single ray of 20-50 bounces) and this module's test oracle.  Its one
+caller is ``collision.trace_many``, which ``unfolding.find_periodic``
+feeds the (side, s, psi) arrays of its sweep.  Vectors are tuples
+(x, y, z) of equally shaped arrays.
 """
 
 import math
@@ -27,8 +31,7 @@ import math
 import numpy as np
 
 # mdot and perp take tuples of arrays as they take float triples
-from ._kernels import (INF, STEP_ESCAPED, STEP_GRAZING, STEP_MAXLEN, STEP_OK,
-                       STEP_VERTEX, mdot, perp)
+from ._kernels import INF, mdot, perp
 
 
 def _cos_sin(k, t):
@@ -149,31 +152,20 @@ def _side_hits(k, sides, p, v, tmin, pad):
 
 
 def _step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
-    """One bounce of the scalar trace loop for every ray: (status, side, s,
-    psi, flight, vertex)."""
+    """One bounce of the scalar trace loop for every ray: (ok, side, s,
+    psi), ok False where it stops the ray (escape, vertex or grazing)."""
     sa, su, sn, sl = sides
     tgrid, sgrid = _side_hits(k, sides, p, v, tmin, tol_v)
     rows = np.arange(tgrid.shape[0])
-    # argmin takes the first minimum: the lowest side index wins a tie
+    # argmin takes the first minimum: the lowest side index wins a tie,
+    # and a ray with no hit (a row of INF) gets side 0
     j = np.argmin(tgrid, axis=1)
     t = tgrid[rows, j]
     s = sgrid[rows, j]
-    status = np.full(rows.shape, STEP_OK, dtype=np.int64)
-    vertex = np.full(rows.shape, -1, dtype=np.int64)
-    status[t >= INF] = STEP_ESCAPED
-    j = np.where(status == STEP_ESCAPED, 0, j)
 
     q = _renorm_point(k, _geodesic_point(k, p, v, t))
-    i0 = sv0[j]
-    i1 = sv1[j]
-    at0 = _distance(k, q, tuple(verts[i0, c] for c in range(3))) < tol_v
-    at1 = _distance(k, q, tuple(verts[i1, c] for c in range(3))) < tol_v
-    live = status == STEP_OK
-    hit0 = live & at0
-    hit1 = live & ~at0 & at1
-    status[hit0 | hit1] = STEP_VERTEX
-    vertex[hit0] = i0[hit0]
-    vertex[hit1] = i1[hit1]
+    at0 = _distance(k, q, tuple(verts[sv0[j], c] for c in range(3))) < tol_v
+    at1 = _distance(k, q, tuple(verts[sv1[j], c] for c in range(3))) < tol_v
 
     w = _renorm_tangent(k, q, _geodesic_dir(k, p, v, t))
     if k == 0:
@@ -194,68 +186,40 @@ def _step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
            + q[2] * (sd[0] * r[1] - sd[1] * r[0]))
     psi = np.arctan2(det, mdot(k, sd, r))
     grazing = (psi < graze) | (psi > math.pi - graze)
-    status[(status == STEP_OK) & grazing] = STEP_GRAZING
-    ok = status == STEP_OK
-    s = np.where(ok, np.minimum(np.maximum(s, 0.0), sl[j]), s)
-    return status, j, s, psi, t, vertex
+    ok = (t < INF) & ~at0 & ~at1 & ~grazing
+    return ok, j, np.minimum(np.maximum(s, 0.0), sl[j]), psi
 
 
 def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
-                 nmax, maxlen, tmin, tol_v, graze):
+                 nmax, tmin, tol_v, graze):
     """Vectorised ``trace_orbit`` over the boundary states (side0, s0, psi0).
 
-    Returns (n_done, status, vertex, labels, svals, psis, flens, length):
-    per-ray arrays, and (N, nmax) bounce arrays whose rows are filled up
-    to n_done (0-based labels, -1 past the end; nan floats past the end).
-    vertex is 0-based on STEP_VERTEX, else -1.
+    side0 holds 0-based labels.  Returns the (N, nmax) arrays (labels,
+    svals, psis): row r holds the bounces ``trace_orbit`` records for
+    state r, as 0-based labels, then -1 and nan floats past the bounce
+    where the scalar loop stops the ray.
     """
     sa, su, sn, sl, sv0, sv1, verts = (np.asarray(x) for x in
                                        (sa, su, sn, sl, sv0, sv1, verts))
     nray = side0.shape[0]
-    n_done = np.full(nray, nmax, dtype=np.int64)
-    status = np.full(nray, STEP_OK, dtype=np.int64)
-    vertex = np.full(nray, -1, dtype=np.int64)
     labels = np.full((nray, nmax), -1, dtype=np.int64)
     svals = np.full((nray, nmax), np.nan)
     psis = np.full((nray, nmax), np.nan)
-    flens = np.full((nray, nmax), np.nan)
-    length = np.zeros(nray)
-    if nray == 0 or nmax == 0:
-        return n_done, status, vertex, labels, svals, psis, flens, length
     sides = tuple(tuple(arr[:, c] for c in range(3)) for arr in (sa, su, sn))
     sides += (sl,)
     with np.errstate(all="ignore"):
         p, v = _boundary_embed(k, _gather(sides[0], side0),
                                _gather(sides[1], side0), s0, psi0)
         idx = np.arange(nray)          # rays still live, in input order
-        total = np.zeros(nray)
         for i in range(nmax):
-            st, j, s, psi, tf, vtx = _step(k, sides, sv0, sv1, verts, p, v,
-                                           tmin, tol_v, graze)
-            ok = st == STEP_OK
-            hit = st == STEP_VERTEX
-            done = idx[~ok]
-            n_done[done] = i
-            status[done] = st[~ok]
-            length[done] = total[~ok]
-            vertex[idx[hit]] = vtx[hit]
-            length[idx[hit]] += tf[hit]
-            rows = idx[ok]
-            labels[rows, i] = j[ok]
-            svals[rows, i] = s[ok]
-            psis[rows, i] = psi[ok]
-            flens[rows, i] = tf[ok]
-            total = total + tf
-            over = ok & (total > maxlen)
-            n_done[idx[over]] = i + 1
-            status[idx[over]] = STEP_MAXLEN
-            length[idx[over]] = total[over]
-            live = ok & ~over
-            idx, total = idx[live], total[live]
+            ok, j, s, psi = _step(k, sides, sv0, sv1, verts, p, v,
+                                  tmin, tol_v, graze)
+            idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
+            labels[idx, i] = j
+            svals[idx, i] = s
+            psis[idx, i] = psi
             if idx.size == 0 or i + 1 == nmax:
                 break
-            j = j[live]
-            p, v = _boundary_embed(k, _gather(sides[0], j), _gather(sides[1], j),
-                                   s[live], psi[live])
-        length[idx] = total
-    return n_done, status, vertex, labels, svals, psis, flens, length
+            p, v = _boundary_embed(k, _gather(sides[0], j),
+                                   _gather(sides[1], j), s, psi)
+    return labels, svals, psis

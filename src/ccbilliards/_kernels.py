@@ -45,7 +45,8 @@ and the chart-exit bisection evaluates only the radius components of the
 dense output.  ``tests/test_golden.py`` pins its outputs bit for bit.
 
 These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
-many rays at once in :mod:`ccbilliards._batch`, in numpy.
+its (side, s, psi) sample arrays at once in :mod:`ccbilliards._batch`,
+in numpy, which records labels, s and psi per bounce and no stop reasons.
 """
 
 import math

@@ -322,7 +322,16 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early: exit quietly, with stdout on devnull so the
+        # flush at exit fails no more (the recipe of the signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (GeometryError, PolygonError, DegenerateStateError,
             ChartExitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -248,6 +248,16 @@ def _sphere_pair_witness(poly, budget):
     return None
 
 
+def _first_verified_orbit(poly, budget):
+    """The first ``find_periodic`` report that ``verify_periodic`` confirms
+    below RETURN_VERIFY_TOL, or None."""
+    for rep in U.find_periodic(poly, budget.periodic_bounces, budget.samples,
+                               budget.seed):
+        if U.verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL:
+            return rep
+    return None
+
+
 def classify(poly, budget=None):
     """Expansiveness verdict with verified witnesses.
 
@@ -257,41 +267,31 @@ def classify(poly, budget=None):
     """
     if budget is None:
         budget = SearchBudget()
-    notes = []
     if poly.k == -1:
         return ExpansivenessVerdict(
             "expansive", (Rule.HYPERBOLIC_EXPANSIVE,), (), budget,
             ("every polygonal table in the hyperbolic plane has an expansive "
              "flow; itineraries separate distinct orbits",))
+    rep = _first_verified_orbit(poly, budget)
     if poly.k == 0:
-        reports = U.find_periodic(poly, budget.periodic_bounces,
-                                  budget.samples, budget.seed)
-        for rep in reports:
-            if U.verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL:
-                band = periodic_orbit_neighborhood_check(rep, poly)
-                w = Witness("periodic_orbit", Rule.FLAT_PERIODIC_ORBIT,
-                            rep, True)
-                if band:
-                    notes.append("periodic orbit sits in a parallel band of "
-                                 "periodic orbits")
-                return ExpansivenessVerdict("not_expansive",
-                                            (Rule.FLAT_PERIODIC_ORBIT,),
-                                            (w,), budget, tuple(notes))
+        if rep is None:
+            return ExpansivenessVerdict(
+                "unknown", (), (), budget,
+                ("no periodic orbit found within the search budget; absence "
+                 "is not certifiable by finite search",))
+        band = periodic_orbit_neighborhood_check(rep, poly)
+        w = Witness("periodic_orbit", Rule.FLAT_PERIODIC_ORBIT, rep, True)
         return ExpansivenessVerdict(
-            "unknown", (), (), budget,
-            ("no periodic orbit found within the search budget; absence is "
-             "not certifiable by finite search",))
+            "not_expansive", (Rule.FLAT_PERIODIC_ORBIT,), (w,), budget,
+            ("periodic orbit sits in a parallel band of periodic orbits",)
+            if band else ())
     # sphere
     rules = []
     witnesses = []
-    reports = U.find_periodic(poly, budget.periodic_bounces, budget.samples,
-                              budget.seed)
-    for rep in reports:
-        if U.verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL:
-            rules.append(Rule.SPHERE_PERIODIC_ORBIT)
-            witnesses.append(Witness("periodic_orbit",
-                                     Rule.SPHERE_PERIODIC_ORBIT, rep, True))
-            break
+    if rep is not None:
+        rules.append(Rule.SPHERE_PERIODIC_ORBIT)
+        witnesses.append(Witness("periodic_orbit", Rule.SPHERE_PERIODIC_ORBIT,
+                                 rep, True))
     pair = _sphere_pair_witness(poly, budget)
     if pair is not None:
         rules.append(Rule.SPHERE_SAME_ITINERARY)
@@ -307,7 +307,7 @@ def classify(poly, budget=None):
                                  all(c.residual < 1e-8 for c in conj)))
     if witnesses:
         return ExpansivenessVerdict("not_expansive", tuple(rules),
-                                    tuple(witnesses), budget, tuple(notes))
+                                    tuple(witnesses), budget)
     return ExpansivenessVerdict(
         "unknown", (), (), budget,
         ("no witness found within the search budget; no finite certificate "

@@ -74,7 +74,8 @@ class Polygon:
         triples, the length, and the start and end vertex ids; then the
         vertices as float triples.  Python floats keep the scalar
         kernels off numpy scalar arithmetic; ``_batch`` turns each entry
-        into an array with ``np.asarray``.
+        into an array with ``np.asarray``, and ``collision.trace_many``
+        checks its sample arrays against the side lengths.
         """
         if self._pack is None:
             def vec(x):

@@ -23,7 +23,7 @@ from . import _kernels as K
 from . import collision as C
 from . import geometry as G
 
-SWEEP_BLOCK = 2048            # seeds per trace_many call in find_periodic
+SWEEP_BLOCK = 2048            # samples per trace_many call in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
@@ -309,6 +309,7 @@ def _refine_candidate(poly, side0, n, u0):
 # exactly on these values
 _CANONICAL_ANGLES = (math.pi / 2, math.pi / 3, 2 * math.pi / 3, math.pi / 4,
                      3 * math.pi / 4, math.pi / 6, 5 * math.pi / 6)
+_CANONICAL_FRACS = (0.25, 0.5, 0.75)   # of the side length
 
 
 def _canonical_sequence(labels):
@@ -325,68 +326,72 @@ def _canonical_sequence(labels):
 def find_periodic(poly, max_bounces, samples, seed):
     """Seeded search for periodic billiard orbits.
 
-    Deterministic grid + jitter sampling of boundary states.  The sweep
-    traces the samples together, SWEEP_BLOCK at a time, with the batched
-    numpy engine (``collision.trace_many``), and scans each block for
-    candidates in numpy as well: a return to the starting side that lands
-    within 1e-4 in (s, psi).  A candidate is polished by a derivative-free
-    Newton on the return displacement, and kept below a 1e-8 residual,
-    only when its bounce sequence in the sweep is new; one report is kept
-    per bounce sequence (up to rotation and reversal), so a continuous
-    family is represented by one member.  Each sample contributes at most
-    one report, from its first candidate that is not rejected.
+    Deterministic grid + jitter sampling of boundary states, as (side, s,
+    psi) arrays.  The sweep traces them, SWEEP_BLOCK at a time, with the
+    batched numpy engine (``collision.trace_many``), and scans the traced
+    arrays for candidates in numpy as well: a return to the starting side
+    that lands within 1e-4 in (s, psi).  A candidate is polished by a
+    derivative-free Newton on the return displacement, and kept below a
+    1e-8 residual, only when its bounce sequence in the sweep is new; one
+    report is kept per bounce sequence (up to rotation and reversal), so a
+    continuous family is represented by one member.  Each sample
+    contributes at most one report, from its first candidate that is not
+    rejected.
 
     Newton polish and everything after it use the scalar ``trace``.
     """
     if max_bounces < 1 or samples < 1:
         raise ValueError("search bounds must be positive")
-    states = _sweep_states(poly, samples, seed)
+    side, s, psi = _sweep_states(poly, samples, seed)
     reports = {}
-    for lo in range(0, len(states), SWEEP_BLOCK):
-        block = states[lo:lo + SWEEP_BLOCK]
-        batch = C.trace_many(poly, block, max_bounces)
-        hit = _near_returns(block, batch)
+    for lo in range(0, len(side), SWEEP_BLOCK):
+        block = slice(lo, lo + SWEEP_BLOCK)
+        start = side[block], s[block], psi[block]
+        labels, svals, psis = C.trace_many(poly, *start, max_bounces)
+        hit = _near_returns(*start, labels, svals, psis)
         for r in np.flatnonzero(hit.any(axis=1)).tolist():
-            _polish_row(poly, block[r], batch.labels[r],
-                        np.flatnonzero(hit[r]).tolist(), reports)
+            b = C.BoundaryState(int(side[lo + r]), float(s[lo + r]),
+                                float(psi[lo + r]))
+            _polish_row(poly, b, labels[r], np.flatnonzero(hit[r]).tolist(),
+                        reports)
     return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
 
 
 def _sweep_states(poly, samples, seed):
-    """The boundary states ``find_periodic`` sweeps, in sweep order."""
+    """The (side, s, psi) arrays ``find_periodic`` sweeps, in sweep order:
+    per side, the 21 canonical states, then the jittered n_s x n_psi grid
+    (the draws for s and psi alternate along one ``rng.random`` stream)."""
     rng = np.random.default_rng(seed)
     ns = poly.n_sides
-    states = []
     per_side = max(1, samples // ns)
     n_s = max(1, int(math.sqrt(per_side / 3)))
     n_psi = max(1, per_side // n_s)
+    i, j = np.divmod(np.arange(n_s * n_psi), n_psi)
+    frac = np.tile(_CANONICAL_FRACS, len(_CANONICAL_ANGLES))
+    canonical_psi = np.repeat(_CANONICAL_ANGLES, len(_CANONICAL_FRACS))
+    s_parts, psi_parts = [], []
     for label in range(1, ns + 1):
         L = poly.side(label).length
-        for a in _CANONICAL_ANGLES:
-            for frac in (0.25, 0.5, 0.75):
-                states.append(C.BoundaryState(label, frac * L, a))
-        for i in range(n_s):
-            for j in range(n_psi):
-                s = L * (i + 0.5 + 0.8 * (rng.random() - 0.5)) / n_s
-                psi = math.pi * (j + 0.5 + 0.8 * (rng.random() - 0.5)) / n_psi
-                s = min(max(s, 1e-6 * L), (1 - 1e-6) * L)
-                psi = min(max(psi, 1e-3), math.pi - 1e-3)
-                states.append(C.BoundaryState(label, s, psi))
-    return states
+        r = rng.random(2 * n_s * n_psi)
+        s = L * (i + 0.5 + 0.8 * (r[0::2] - 0.5)) / n_s
+        psi = math.pi * (j + 0.5 + 0.8 * (r[1::2] - 0.5)) / n_psi
+        s_parts += [frac * L, np.minimum(np.maximum(s, 1e-6 * L),
+                                         (1 - 1e-6) * L)]
+        psi_parts += [canonical_psi, np.minimum(np.maximum(psi, 1e-3),
+                                                math.pi - 1e-3)]
+    side = np.repeat(np.arange(1, ns + 1, dtype=np.int64),
+                     len(canonical_psi) + n_s * n_psi)
+    return side, np.concatenate(s_parts), np.concatenate(psi_parts)
 
 
-def _near_returns(states, batch):
+def _near_returns(side0, s0, psi0, labels, svals, psis):
     """(N, n) mask of the sweep's candidate returns.
 
     Bounce i of row r is a candidate when it lands back on the starting
     side within RETURN_CANDIDATE_TOL in both s and psi.
     """
-    side0 = np.array([b.side for b in states], dtype=np.int64)
-    s0 = np.array([b.s for b in states], dtype=np.float64)
-    psi0 = np.array([b.psi for b in states], dtype=np.float64)
-    disp = np.maximum(np.abs(batch.svals - s0[:, None]),
-                      np.abs(batch.psis - psi0[:, None]))
-    return (batch.labels == side0[:, None]) & (disp < RETURN_CANDIDATE_TOL)
+    disp = np.maximum(np.abs(svals - s0[:, None]), np.abs(psis - psi0[:, None]))
+    return (labels == side0[:, None]) & (disp < RETURN_CANDIDATE_TOL)
 
 
 def _polish_row(poly, b, labels, returns, reports):

@@ -26,6 +26,11 @@ bisection stopped at the fixed point.  The package must give their
 results bit for bit (``test_unfolding.py``, ``test_flow.py``).  The
 oracle ``rk45`` carries the package's end-time rule: an accepted step
 that lands past t1 records t1.
+
+``sweep_states`` is the sample loop of ``unfolding.find_periodic`` as it
+was before the sweep moved to arrays: one ``BoundaryState`` per sample,
+from scalar ``rng.random()`` draws.  ``unfolding._sweep_states`` must give
+the same (side, s, psi) bits in the same order (``test_unfolding.py``).
 """
 
 import math
@@ -33,6 +38,7 @@ import math
 import numpy as np
 
 from ccbilliards import collision as C
+from ccbilliards import unfolding as U
 
 from ccbilliards._kernels import (FIELD_CHART_ARC, FIELD_POLAR, INF,
                                   RK_BUFFER_FULL, RK_DONE, RK_EXITED,
@@ -542,3 +548,26 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
         if (t - t1) * sgn < 0.0 and abs(h) < 1e-14 * (1.0 + abs(t)):
             return RK_UNDERFLOW, nrec, t, y
     return RK_DONE, nrec, t, y
+
+
+def sweep_states(poly, samples, seed):
+    """The boundary states ``find_periodic`` sweeps, in sweep order."""
+    rng = np.random.default_rng(seed)
+    ns = poly.n_sides
+    states = []
+    per_side = max(1, samples // ns)
+    n_s = max(1, int(math.sqrt(per_side / 3)))
+    n_psi = max(1, per_side // n_s)
+    for label in range(1, ns + 1):
+        L = poly.side(label).length
+        for a in U._CANONICAL_ANGLES:
+            for frac in (0.25, 0.5, 0.75):
+                states.append(C.BoundaryState(label, frac * L, a))
+        for i in range(n_s):
+            for j in range(n_psi):
+                s = L * (i + 0.5 + 0.8 * (rng.random() - 0.5)) / n_s
+                psi = math.pi * (j + 0.5 + 0.8 * (rng.random() - 0.5)) / n_psi
+                s = min(max(s, 1e-6 * L), (1 - 1e-6) * L)
+                psi = min(max(psi, 1e-3), math.pi - 1e-3)
+                states.append(C.BoundaryState(label, s, psi))
+    return states

@@ -17,20 +17,24 @@ from ccbilliards import unfolding as U
 TABLES = (("sq", 50, 1e-11), ("tri1", 50, 1e-11), ("pentagon", 10, 1e-8))
 
 
-def scalar_trace_many(poly, states, n, max_length=math.inf):
+def scalar_trace_many(poly, side, s, psi, n):
     """trace_many built row by row from the scalar trace."""
-    rows = [C.trace(poly, b, n, max_length) for b in states]
+    rows = [C.trace(poly, BoundaryState(int(a), float(b), float(c)), n)
+            for a, b, c in zip(side, s, psi)]
     labels = np.zeros((len(rows), n), dtype=np.int64)
-    floats = [np.full((len(rows), n), np.nan) for _ in range(3)]
+    svals = np.full((len(rows), n), np.nan)
+    psis = np.full((len(rows), n), np.nan)
     for r, tr in enumerate(rows):
         labels[r, :tr.n_done] = tr.labels
-        for out, xs in zip(floats, (tr.svals, tr.psis, tr.flights)):
-            out[r, :tr.n_done] = xs
-    return C.TraceBatch(
-        np.array([tr.n_done for tr in rows], dtype=np.int64),
-        np.array([tr.status for tr in rows], dtype=np.int64),
-        np.array([tr.vertex for tr in rows], dtype=np.int64),
-        labels, *floats, np.array([tr.length for tr in rows]))
+        svals[r, :tr.n_done] = tr.svals
+        psis[r, :tr.n_done] = tr.psis
+    return labels, svals, psis
+
+
+def as_arrays(states):
+    """(side, s, psi) arrays of a list of boundary states."""
+    return (np.array([b.side for b in states], dtype=np.int64),
+            np.array([b.s for b in states]), np.array([b.psi for b in states]))
 
 
 def random_states(poly, count, seed):
@@ -44,17 +48,18 @@ def random_states(poly, count, seed):
     return out
 
 
-def assert_rows_match(got, want, tol):
-    np.testing.assert_array_equal(got.n_done, want.n_done)
-    np.testing.assert_array_equal(got.status, want.status)
-    np.testing.assert_array_equal(got.vertex, want.vertex)
-    np.testing.assert_array_equal(got.labels, want.labels)
-    for name in ("svals", "psis"):
-        a, b = getattr(got, name), getattr(want, name)
+def assert_rows_match(poly, states, n, tol):
+    """trace_many on the states against the scalar trace, row by row: the
+    same labels (so each row stops at the same bounce) and (s, psi) within
+    tol, nan where the row has stopped."""
+    got = C.trace_many(poly, *as_arrays(states), n)
+    want = scalar_trace_many(poly, *as_arrays(states), n)
+    assert got[0].shape == (len(states), n)
+    np.testing.assert_array_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
-        assert np.nanmax(np.abs(a - b), initial=0.0) <= tol, name
-    np.testing.assert_allclose(got.flights, want.flights, rtol=0, atol=tol)
-    np.testing.assert_allclose(got.length, want.length, rtol=0, atol=tol * 50)
+        assert np.nanmax(np.abs(a - b), initial=0.0) <= tol
+    return got
 
 
 @pytest.mark.parametrize("table,bounces,tol", TABLES)
@@ -64,69 +69,67 @@ def test_rows_match_scalar_trace(request, table, bounces, tol):
     states += [BoundaryState(label, f * poly.side(label).length, a)
                for label in range(1, poly.n_sides + 1)
                for f in (0.25, 0.5) for a in U._CANONICAL_ANGLES]
-    got = C.trace_many(poly, states, bounces)
-    assert got.labels.shape == (len(states), bounces)
-    assert_rows_match(got, scalar_trace_many(poly, states, bounces), tol)
-    for r in (0, len(states) - 1):
-        row = got.row(r)
-        assert len(row.labels) == row.n_done == int(got.n_done[r])
+    assert_rows_match(poly, states, bounces, tol)
 
 
 def test_first_flight_vertex_hit(tri1):
     states = [BoundaryState(2, 0.4, math.pi / 2), BoundaryState(2, 0.3, 1.2)]
-    got = C.trace_many(tri1, states, 20)
-    assert got.status[0] == K.STEP_VERTEX
-    assert got.n_done[0] == 0 and got.vertex[0] == 1
-    assert got.length[0] == pytest.approx(math.pi / 2, abs=1e-12)
-    assert got.status[1] == K.STEP_OK
-    assert_rows_match(got, scalar_trace_many(tri1, states, 20), 1e-11)
+    assert C.trace(tri1, states[0], 20).status == K.STEP_VERTEX
+    assert C.trace(tri1, states[1], 20).status == K.STEP_OK
+    labels, _, _ = assert_rows_match(tri1, states, 20, 1e-11)
+    assert not labels[0].any() and labels[1].all()
 
 
 def test_grazing_stop(sq):
     # launched 5e-11 above the bottom side, 1e-10 rad off parallel to it
     states = [BoundaryState(4, 1 - 5e-11, math.pi / 2 - 1e-10),
               BoundaryState(1, 0.5, 1.0)]
-    got = C.trace_many(sq, states, 5)
-    assert list(got.status) == [K.STEP_GRAZING, K.STEP_OK]
-    assert_rows_match(got, scalar_trace_many(sq, states, 5), 1e-11)
+    assert [C.trace(sq, b, 5).status for b in states] == [K.STEP_GRAZING,
+                                                         K.STEP_OK]
+    labels, _, _ = assert_rows_match(sq, states, 5, 1e-11)
+    assert labels[1].all()
 
 
-def test_max_length_stop(sq):
-    states = random_states(sq, 20, seed=3)
-    got = C.trace_many(sq, states, 50, max_length=3.0)
-    assert np.all(got.status == K.STEP_MAXLEN)
-    assert np.all(got.length > 3.0)
-    assert_rows_match(got, scalar_trace_many(sq, states, 50, 3.0), 1e-11)
-
-
-def test_no_states(sq):
-    got = C.trace_many(sq, [], 5)
-    assert got.n_done.shape == (0,)
-    assert got.labels.shape == (0, 5)
+def test_no_states(sq, tri1, pentagon):
+    for poly in (sq, tri1, pentagon):
+        for n in (0, 5):
+            labels, svals, psis = C.trace_many(
+                poly, np.array([], dtype=np.int64), [], [], n)
+            assert labels.shape == svals.shape == psis.shape == (0, n)
 
 
 def test_zero_bounces(pentagon):
-    states = random_states(pentagon, 4, seed=1)
-    got = C.trace_many(pentagon, states, 0)
-    assert got.labels.shape == (4, 0)
-    assert_rows_match(got, scalar_trace_many(pentagon, states, 0), 0.0)
+    labels, _, _ = assert_rows_match(pentagon, random_states(pentagon, 4, 1),
+                                     0, 0.0)
+    assert labels.shape == (4, 0)
 
 
 @pytest.mark.parametrize("bad,error", [
     (BoundaryState(1, 0.5, 1e-12), DegenerateStateError),
     (BoundaryState(1, 2.0, 1.0), GeometryError),
     (BoundaryState(9, 0.5, 1.0), PolygonError),
+    (BoundaryState(1, math.nan, 1.0), GeometryError),
+    (BoundaryState(1, 0.5, math.nan), DegenerateStateError),
+    (BoundaryState(0, 0.5, 1.0), PolygonError),
 ])
 def test_invalid_state_rejected_like_trace(sq, bad, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as want:
         C.trace(sq, bad, 5)
-    with pytest.raises(error):
-        C.trace_many(sq, [BoundaryState(1, 0.5, 1.0), bad], 5)
+    # the first bad row is the one reported
+    states = [BoundaryState(1, 0.5, 1.0), bad, BoundaryState(1, -1.0, 1.0)]
+    with pytest.raises(error) as got:
+        C.trace_many(sq, *as_arrays(states), 5)
+    assert str(got.value) == str(want.value)
 
 
 def test_negative_count_rejected(sq):
     with pytest.raises(ValueError):
-        C.trace_many(sq, [BoundaryState(1, 0.5, 1.0)], -1)
+        C.trace_many(sq, *as_arrays([BoundaryState(1, 0.5, 1.0)]), -1)
+
+
+def test_unequal_lengths_rejected(sq):
+    with pytest.raises(ValueError, match="one length"):
+        C.trace_many(sq, [1, 2], [0.5, 0.5], [1.0], 5)
 
 
 @pytest.mark.parametrize("make", [square, lambda: sphere_triangle(math.pi / 4)],

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -199,3 +202,22 @@ class TestParserReuse:
         assert [json.loads(out)["seed"] for _, out in got[:2]] == [1, 0]
         assert not got[3][1].startswith("{")
         assert got == [run_fresh(args) for args in runs]
+
+
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose reader has already gone: the first write or
+    # flush raises BrokenPipeError, which must end the run with exit code
+    # 1 and nothing on stderr, not a traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccbilliards.cli", "diagonals", "--table",
+             "square", "--angles", "24"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, check=False)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

@@ -118,40 +118,51 @@ def test_negative_count_rejected(sq, call):
 @pytest.mark.parametrize("max_length", [0.0, -1.0, math.nan, -math.inf])
 @pytest.mark.parametrize("call", [
     lambda poly, b, m: C.trace(poly, b, 3, max_length=m),
-    lambda poly, b, m: C.trace_many(poly, [b], 3, max_length=m),
     lambda poly, b, m: C.trace_ray(poly, *C.embed_state(poly, b), 3, m),
-], ids=["trace", "trace_many", "trace_ray"])
+], ids=["trace", "trace_ray"])
 def test_bad_max_length_rejected(sq, call, max_length):
     # a nan bound used to disable the length stop silently
     with pytest.raises(ValueError, match="max_length"):
         call(sq, BoundaryState(1, 0.5, 1.0), max_length)
 
 
-@pytest.mark.parametrize("point, direction", [
-    ((math.nan, 0.5, 1.0), (1.0, 0.0, 0.0)),
-    ((math.inf, 0.5, 1.0), (1.0, 0.0, 0.0)),
-    ((0.5, 0.5, 1.0), (0.6, math.nan, 0.0)),
-    ((0.5, 0.5, 1.0), (-math.inf, 0.0, 0.0)),
-    ((0.5, 0.5, 1.0), (0.0, 0.0, 0.0)),
-    ((0.5, 0.5), (1.0, 0.0, 0.0)),
-    ((0.5, 0.5, 0.0), (1.0, 0.3, 0.0)),
-    ((0.5, 0.5, 1.0), (1.0, 0.3, 0.5)),
-    ((0.5, 0.5, 1.0), (0.6, 0.0, 0.8)),
-    ((0.5, 0.5, 1.0), (1.2, 1.6, 0.0)),
-    ((0.5, 0.5, 1.0), (0.3, 0.4, 0.0)),
+def far_unit_non_tangent(r):
+    """A ray r from the hyperboloid's origin whose direction is a unit
+    vector with mdot(p, v) = -1: sqrt(2) u + p for a unit tangent u."""
+    p = np.array([math.sinh(r), 0.0, math.cosh(r)])
+    return p, math.sqrt(2.0) * np.array([0.0, 1.0, 0.0]) + p
+
+
+@pytest.mark.parametrize("table, point, direction", [
+    ("sq", (math.nan, 0.5, 1.0), (1.0, 0.0, 0.0)),
+    ("sq", (math.inf, 0.5, 1.0), (1.0, 0.0, 0.0)),
+    ("sq", (0.5, 0.5, 1.0), (0.6, math.nan, 0.0)),
+    ("sq", (0.5, 0.5, 1.0), (-math.inf, 0.0, 0.0)),
+    ("sq", (0.5, 0.5, 1.0), (0.0, 0.0, 0.0)),
+    ("sq", (0.5, 0.5), (1.0, 0.0, 0.0)),
+    ("sq", (0.5, 0.5, 0.0), (1.0, 0.3, 0.0)),
+    ("sq", (0.5, 0.5, 1.0), (1.0, 0.3, 0.5)),
+    ("sq", (0.5, 0.5, 1.0), (0.6, 0.0, 0.8)),
+    ("sq", (0.5, 0.5, 1.0), (1.2, 1.6, 0.0)),
+    ("sq", (0.5, 0.5, 1.0), (0.3, 0.4, 0.0)),
+    ("pentagon", *far_unit_non_tangent(3.0)),
+    ("pentagon", *far_unit_non_tangent(8.0)),
 ], ids=["nan-point", "inf-point", "nan-direction", "inf-direction",
         "zero-direction", "short-point", "off-surface-point",
         "non-tangent-direction", "unit-non-tangent-direction",
-        "doubled-direction", "halved-direction"])
-def test_trace_ray_bad_input_rejected(sq, point, direction):
+        "doubled-direction", "halved-direction",
+        "unit-non-tangent-at-3", "unit-non-tangent-at-8"])
+def test_trace_ray_bad_input_rejected(request, table, point, direction):
     # these used to come back as status 3 with no bounce, some with a
     # numpy RuntimeWarning on the way; a ray off the plane z = 1 or not
     # parallel to it is not a billiard ray.  The loops move at unit speed,
-    # so a direction of any other length would scale every flight.
+    # so a direction of any other length would scale every flight.  A
+    # tangency test relative to |p| |v| let the ray 8 out through.
+    poly = request.getfixturevalue(table)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError):
-            C.trace_ray(sq, point, direction, 5)
+            C.trace_ray(poly, point, direction, 5)
 
 
 def test_far_hyperbolic_unit_ray_accepted(pentagon):

@@ -232,18 +232,20 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
     The row-by-row candidate loop of the search before it learned to skip
     the polish of a sequence it had already reported; a test oracle only.
     """
-    states = U._sweep_states(poly, samples, seed)
+    side, s, psi = U._sweep_states(poly, samples, seed)
     reports = {}
-    for lo in range(0, len(states), U.SWEEP_BLOCK):
-        block = states[lo:lo + U.SWEEP_BLOCK]
-        batch = C.trace_many(poly, block, max_bounces)
-        for r, b in enumerate(block):
-            tr = batch.row(r)
-            for i in range(tr.n_done):
-                if int(tr.labels[i]) != b.side:
+    for lo in range(0, len(side), U.SWEEP_BLOCK):
+        block = slice(lo, lo + U.SWEEP_BLOCK)
+        labels, svals, psis = C.trace_many(poly, side[block], s[block],
+                                           psi[block], max_bounces)
+        for r in range(len(labels)):
+            b = BoundaryState(int(side[lo + r]), float(s[lo + r]),
+                              float(psi[lo + r]))
+            for i in range(int(np.count_nonzero(labels[r]))):
+                if int(labels[r, i]) != b.side:
                     continue
-                disp = max(abs(float(tr.svals[i]) - b.s),
-                           abs(float(tr.psis[i]) - b.psi))
+                disp = max(abs(float(svals[r, i]) - b.s),
+                           abs(float(psis[r, i]) - b.psi))
                 if disp >= U.RETURN_CANDIDATE_TOL:
                     continue
                 n = i + 1
@@ -264,6 +266,24 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
                 break
     return sorted(reports.values(),
                   key=lambda r: (r.period, r.length, r.labels))
+
+
+@pytest.mark.parametrize("make", [
+    square, lambda: sphere_triangle(math.pi / 4), hyperbolic_pentagon],
+    ids=["square", "triangle-pi4", "pentagon"])
+@pytest.mark.parametrize("samples", [1, 3, 200, 10_000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sweep_states_match_scalar_loop(make, samples, seed):
+    # the array draw reads the scalar loop's random stream and repeats its
+    # expressions, so every state keeps its bits and its place
+    poly = make()
+    side, s, psi = U._sweep_states(poly, samples, seed)
+    want = O.sweep_states(poly, samples, seed)
+    assert side.dtype == np.int64
+    assert side.tolist() == [b.side for b in want]
+    for got, name in ((s, "s"), (psi, "psi")):
+        bits = np.array([getattr(b, name) for b in want]).view(np.int64)
+        np.testing.assert_array_equal(got.view(np.int64), bits)
 
 
 def skew_quadrilateral():
@@ -307,6 +327,39 @@ class TestFindPeriodicOracle:
         reports = find_periodic(poly, 20, 200, 0)
         assert reports
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("make", [
+        square, lambda: sphere_triangle(math.pi / 4)],
+        ids=["square", "triangle-pi4"])
+    def test_sweep_blocks_do_not_change_the_polish(self, monkeypatch, make):
+        # 7 states per block puts block edges all through the 200-sample
+        # sweep; every row must still reach _polish_row with the same
+        # state and the same candidate bounces
+        poly = make()
+        polish = U._polish_row
+
+        def run():
+            calls = []
+
+            def recorded(poly, b, labels, returns, reports):
+                calls.append((b, tuple(returns)))
+                return polish(poly, b, labels, returns, reports)
+
+            monkeypatch.setattr(U, "_polish_row", recorded)
+            return find_periodic(poly, 20, 200, 0), calls
+
+        want = run()
+        assert want[1]
+        monkeypatch.setattr(U, "SWEEP_BLOCK", 7)
+        assert run() == want
+
+    def test_three_block_sweep(self, sq):
+        # 4 * (21 + 40 * 30) = 5,044 states: two full blocks and a partial
+        side, _, _ = U._sweep_states(sq, 5000, 0)
+        assert len(side) == 5044 > 2 * U.SWEEP_BLOCK
+        got = find_periodic(sq, 6, 5000, 0)
+        assert got
+        assert got == polish_every_candidate(sq, 6, 5000, 0)
 
     def test_failed_polish_moves_on_to_next_return(self, monkeypatch, sq):
         # with every 1- and 2-bounce polish failing, the perpendicular
@@ -420,7 +473,9 @@ def test_crossing_labels_match_oracle(table, side, frac, psi, start, n):
 @pytest.mark.parametrize("bad", ["zero", "nan-direction", "inf-direction",
                                  "nan-point", "inf-point", "off-surface",
                                  "non-tangent", "unit-non-tangent",
-                                 "doubled", "halved"])
+                                 "doubled", "halved",
+                                 "unit-non-tangent-at-3",
+                                 "unit-non-tangent-at-8"])
 def test_crossing_labels_reject_bad_rays(table, bad):
     # a point off the model surface, or a direction off its tangent
     # plane or not of unit length, is not a billiard ray
@@ -439,6 +494,16 @@ def test_crossing_labels_reject_bad_rays(table, bad):
         v = v / math.sqrt(K.mdot(poly.k, v, v))
     elif bad in ("doubled", "halved"):
         v = v * (2.0 if bad == "doubled" else 0.5)
+    elif bad.startswith("unit-non-tangent-at-"):
+        # p r out from the model's origin (0, 0, 1) and v = sqrt(2) u + p
+        # for a unit tangent u there, scaled to unit length: on the
+        # hyperboloid it is unit already, with mdot(p, v) = -1
+        r = float(bad.rsplit("-", 1)[1])
+        c, sn = (math.cos(r), math.sin(r)) if poly.k == 1 else (
+            (1.0, r) if poly.k == 0 else (math.cosh(r), math.sinh(r)))
+        p = np.array([sn, 0.0, c])
+        v = math.sqrt(2.0) * np.array([0.0, 1.0, 0.0]) + p
+        v = v / math.sqrt(K.mdot(poly.k, v, v))
     elif bad.endswith("direction"):
         v = v.copy()
         v[1] = math.nan if bad.startswith("nan") else math.inf
