@@ -14,16 +14,45 @@ branch on k per bounce: the ray-side root (``ray_side_hit``, which only
 the oracle ``tests/kernel_oracle.py`` keeps) and the helpers of
 :mod:`ccbilliards._kernels` (``boundary_embed``, ``geodesic_*``,
 ``renorm_*``, ``perp``, ...).  It reuses the cos/sin (cosh/sinh) of a
-flight time or arc parameter, the plane's trace computes each side's
-unit tangent once per trace, and a side whose crossing is no nearer than
+flight time or arc parameter, and a side whose crossing is no nearer than
 the best so far skips its arc parameter, which could not change the
 pick.  Apart from the exact rewrites ``-k * s`` -> ``-s`` (or ``s``),
 ``1.0 * p`` -> ``p`` and ``r * 1.0`` -> ``r``, every expression is the
 helper's, in its operation order, so the loops give the bits of the
 generic step and loops that the oracle keeps.  The loops run on Python
-floats: the ``_kernels`` entries hand them the ray as two float triples,
-every scalar as a float and the sides as ``_side_records``, converted
-once per call.
+floats: the ``_kernels`` entries hand them the ray as two float triples
+and every scalar as a float, and the sides ready-made.  ``side_records``
+builds those once per polygon (``Polygon.kernel_pack``, at the pad
+``VERTEX_TOL``): one flat float tuple per side, and on the plane each
+side's unit tangent, which depends on neither the point nor the arc
+parameter.
+
+A trace loop tests a hit against the side's two vertices only when its
+arc parameter s lies within ``tol_v + VERTEX_WINDOW`` of either end of
+the side: between those bands no vertex can be within tol_v, so the
+verdict is the one both tests would give.  Let w0 and w1 be the side's
+start and end vertex, sl its length, and q the hit at distance e from the
+side's geodesic.  Then d(q, w0) >= |s| and d(q, w1) >= |sl - s|:
+
+* plane: s is the projection of q - w0 on the side's unit tangent, and
+  a projection on a unit vector is no longer than the vector;
+* sphere: cos d(q, w0) = cos e cos s, so d >= s while s <= pi/2 and
+  d >= pi/2 beyond, where cos s <= 0 (side lengths are below pi);
+* hyperbolic: cosh d(q, w0) = cosh e cosh s >= cosh s;
+
+and the same with sl - s for w1, whose arc parameter is sl.  The loops
+compute s from the stored start point and tangent, not from w0 and w1,
+so the bound holds up to the rounding of s and of the start point and
+the point at arc sl against the vertices.  ``tests/test_kernels.py``
+checks that those lie within 1e-12 of the vertices on the built-in
+tables and on generated ones with hyperboloid heights up to 4.6
+(Poincare radius 0.8).  Farther out the float64 geometry drifts by
+itself (some 1e-10 at Poincare radius 0.9, 3e-8 at 0.95 and 3e-6 at
+0.99, where the VERTEX_TOL test already sits below the rounding), so
+``VERTEX_WINDOW`` = 1e-4 keeps a margin of 1000 at 0.95.  The rounding
+of s is far smaller.  Of the diagonal search's recorded bounces, 588 of
+11,908 on the square land within 1e-4 of a side end (372 within 1e-6),
+and none of 839 on the theta = 1 sphere triangle.
 
 The loops live apart from the ``_kernels`` helpers because compiling one
 module with both, from source, peaks about 1 MB higher than compiling the
@@ -44,34 +73,46 @@ STEP_GRAZING = 2
 STEP_ESCAPED = 3
 STEP_MAXLEN = 4
 
+VERTEX_TOL = 1e-9     # vertex-hit cutoff, model length units
+# a trace loop tests a hit against the side's vertices only within
+# tol_v + VERTEX_WINDOW of a side end (see the module docstring)
+VERTEX_WINDOW = 1e-4
+
 # A trace loop iterates the collision map from the interior ray (p, v).  A
 # bounce takes the first side crossing past tmin whose arc parameter lies
 # within tol_v of the segment (the side records' pad; the lowest side wins
-# a tie), tests the hit against the side's two vertices, reflects the
-# incoming direction, measures the outgoing angle psi from the side's
-# forward tangent, stops on a grazing angle and clamps the arc parameter
-# to the side.  Each loop fills the per-bounce buffers and returns
-# (n_done, status, vertex, length), vertex 0-based on STEP_VERTEX, else
-# -1; length includes the final leg on a vertex hit.  On STEP_GRAZING the
-# rejected bounce is left in slot n_done of the buffers.
+# a tie), tests the hit against the side's two vertices when it lands near
+# a side end, reflects the incoming direction, measures the outgoing angle
+# psi from the side's forward tangent, stops on a grazing angle and clamps
+# the arc parameter to the side.  Each loop fills the per-bounce buffers
+# and returns (n_done, status, vertex, length), vertex 0-based on
+# STEP_VERTEX, else -1; length includes the final leg on a vertex hit.  On
+# STEP_GRAZING the rejected bounce is left in slot n_done of the buffers.
 
 
-def _side_records(sa, su, sn, sl, pad):
-    # per side: functional, start point, start tangent, arc window
-    return tuple(n + a + u + (-pad, ln + pad)
-                 for a, u, n, ln in zip(sa, su, sn, sl))
+def side_records(k, sa, su, sn, sl, pad):
+    """The sides as the loops read them, for a polygon's (sa, su, sn, sl).
+
+    Returns (records, tangents): per side one flat float tuple (functional,
+    start point, start tangent, arc window [-pad, length + pad]); on the
+    plane each side's unit tangent (x, y), elsewhere ().
+    """
+    records = tuple(n + a + u + (-pad, ln + pad)
+                    for a, u, n, ln in zip(sa, su, sn, sl))
+    if k != 0:
+        return records, ()
+    tangents = []
+    for u in su:
+        n = math.hypot(u[0], u[1])
+        tangents.append((u[0] / n, u[1] / n))
+    return records, tuple(tangents)
 
 
-def _trace_plane(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin, tol_v,
-                 graze, labels, svals, psis, flens):
+def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
+                 tmin, tol_v, graze, labels, svals, psis, flens):
     px, py, pz = p
     vx, vy, vz = v
-    # a side's unit tangent depends on neither the point nor the arc
-    # parameter on the plane
-    tangents = []
-    for side in sides:
-        n = math.hypot(side[6], side[7])
-        tangents.append((side[6] / n, side[7] / n))
+    near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
         best_t = INF
@@ -94,10 +135,12 @@ def _trace_plane(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin, tol_v,
             best_t, best_j, best_s, hx, hy = t, j, s, qx, qy
         if best_j < 0:
             return i, STEP_ESCAPED, -1, total
-        for vtx in (sv0[best_j], sv1[best_j]):
-            w = verts[vtx]
-            if math.hypot(hx - w[0], hy - w[1]) < tol_v:
-                return i, STEP_VERTEX, vtx, total + best_t
+        ln = sl[best_j]
+        if not near < best_s < ln - near:
+            for vtx in (sv0[best_j], sv1[best_j]):
+                w = verts[vtx]
+                if math.hypot(hx - w[0], hy - w[1]) < tol_v:
+                    return i, STEP_VERTEX, vtx, total + best_t
         n = math.hypot(vx, vy)
         wx = vx / n
         wy = vy / n
@@ -121,8 +164,8 @@ def _trace_plane(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin, tol_v,
         s = best_s
         if s < 0.0:
             s = 0.0
-        if s > sl[best_j]:
-            s = sl[best_j]
+        if s > ln:
+            s = ln
         labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
         total += best_t
         if total > maxlen:
@@ -142,11 +185,12 @@ def _trace_plane(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin, tol_v,
     return nmax, STEP_OK, -1, total
 
 
-def _trace_sphere(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
-                  tol_v, graze, labels, svals, psis, flens):
+def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
+                  tmin, tol_v, graze, labels, svals, psis, flens):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
+    near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
         best_t = INF
@@ -184,14 +228,16 @@ def _trace_sphere(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
         qx = hx / n
         qy = hy / n
         qz = hz / n
-        for vtx in (sv0[best_j], sv1[best_j]):
-            w = verts[vtx]
-            h = 0.5 * math.sqrt((qx - w[0]) ** 2 + (qy - w[1]) ** 2
-                                + (qz - w[2]) ** 2)
-            if h > 1.0:
-                h = 1.0
-            if 2.0 * math.asin(h) < tol_v:
-                return i, STEP_VERTEX, vtx, total + best_t
+        ln = sl[best_j]
+        if not near < best_s < ln - near:
+            for vtx in (sv0[best_j], sv1[best_j]):
+                w = verts[vtx]
+                h = 0.5 * math.sqrt((qx - w[0]) ** 2 + (qy - w[1]) ** 2
+                                    + (qz - w[2]) ** 2)
+                if h > 1.0:
+                    h = 1.0
+                if 2.0 * math.asin(h) < tol_v:
+                    return i, STEP_VERTEX, vtx, total + best_t
         # incoming direction at the hit
         gx = -hs * px + hc * vx
         gy = -hs * py + hc * vy
@@ -242,8 +288,8 @@ def _trace_sphere(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
         s = best_s
         if s < 0.0:
             s = 0.0
-        if s > sl[best_j]:
-            s = sl[best_j]
+        if s > ln:
+            s = ln
         labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
         total += best_t
         if total > maxlen:
@@ -287,10 +333,11 @@ def _trace_sphere(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
     return nmax, STEP_OK, -1, total
 
 
-def _trace_hyperbolic(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
-                      tol_v, graze, labels, svals, psis, flens):
+def _trace_hyperbolic(sides, tangents, sl, sv0, sv1, verts, p, v, nmax,
+                      maxlen, tmin, tol_v, graze, labels, svals, psis, flens):
     px, py, pz = p
     vx, vy, vz = v
+    near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
         best_t = INF
@@ -320,16 +367,18 @@ def _trace_hyperbolic(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
         qx = hx / n
         qy = hy / n
         qz = hz / n
-        for vtx in (sv0[best_j], sv1[best_j]):
-            w = verts[vtx]
-            d0 = qx - w[0]
-            d1 = qy - w[1]
-            d2 = qz - w[2]
-            h = d0 * d0 + d1 * d1 - d2 * d2
-            if h < 0.0:
-                h = 0.0
-            if 2.0 * math.asinh(0.5 * math.sqrt(h)) < tol_v:
-                return i, STEP_VERTEX, vtx, total + best_t
+        ln = sl[best_j]
+        if not near < best_s < ln - near:
+            for vtx in (sv0[best_j], sv1[best_j]):
+                w = verts[vtx]
+                d0 = qx - w[0]
+                d1 = qy - w[1]
+                d2 = qz - w[2]
+                h = d0 * d0 + d1 * d1 - d2 * d2
+                if h < 0.0:
+                    h = 0.0
+                if 2.0 * math.asinh(0.5 * math.sqrt(h)) < tol_v:
+                    return i, STEP_VERTEX, vtx, total + best_t
         # incoming direction at the hit
         gx = hs * px + hc * vx
         gy = hs * py + hc * vy
@@ -380,8 +429,8 @@ def _trace_hyperbolic(sides, sl, sv0, sv1, verts, p, v, nmax, maxlen, tmin,
         s = best_s
         if s < 0.0:
             s = 0.0
-        if s > sl[best_j]:
-            s = sl[best_j]
+        if s > ln:
+            s = ln
         labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
         total += best_t
         if total > maxlen:

@@ -15,26 +15,28 @@ The code is written for CPython and runs uncompiled.  3-vectors are
 (x, y, z) float triples: the geometry helpers return tuples, and the
 collision kernels get their sides from ``Polygon.kernel_pack()`` as nested
 float tuples (start point, unit start tangent, interior-positive plane
-functional, length, endpoint vertex ids).  This keeps the hot loops on
-Python floats, with no ``np.empty(3)`` per vector and no numpy scalar
-arithmetic, and gives the same bits as arrays would: every expression
-keeps its operation order, and ``x ** 2`` stays ``x ** 2`` (numpy's
-float64 power and Python's agree bit for bit; ``x * x`` does not).
-Per-bounce outputs go to caller-owned buffers, numpy arrays or Python
-lists.
+functional, length, endpoint vertex ids, and the loops' side records).
+This keeps the hot loops on Python floats, with no ``np.empty(3)`` per
+vector and no numpy scalar arithmetic, and gives the same bits as arrays
+would: every expression keeps its operation order, and ``x ** 2`` stays
+``x ** 2`` (numpy's float64 power and Python's agree bit for bit;
+``x * x`` does not).  Per-bounce outputs go to caller-owned buffers,
+numpy arrays or Python lists.
 
 ``trace_orbit``, ``trace_from_point`` and ``unfold_crossings`` are the
 only entries to the straight-line loops of
 :mod:`ccbilliards._collision_loops` and pick one per call from k.  Each
 converts the ray to two float triples and every scalar to a Python float,
-once, and builds the side records; ``trace_orbit`` calls its loop itself,
-not through ``trace_from_point``.  ``trace_from_point`` serves
-``collision_step`` (nmax = 1), ``trace_ray`` (numpy buffers) and the
-diagonal search's per-vertex shooter (``collision._vertex_shooter``:
-float-triple rays, Python-list buffers).  The helpers serve the polygon
-builder, ``geometry``, the launches and frames of ``collision``, the
-unfolding and its SVG, the expansivity probes, the vertex flow and (as
-``mdot`` and ``perp``) the batched engine :mod:`ccbilliards._batch`.
+once, and hands the loop the side records that ``Polygon.kernel_pack``
+built once per polygon (``_collision_loops.side_records``, at the pad
+``VERTEX_TOL``); ``trace_orbit`` calls its loop itself, not through
+``trace_from_point``.  ``trace_from_point`` serves ``collision_step``
+(nmax = 1), ``trace_ray`` and the diagonal search's per-vertex shooter
+(``collision._vertex_shooter``: float-triple rays), all on Python-list
+buffers.  The helpers serve the polygon builder, ``geometry``, the
+launches and frames of ``collision``, the unfolding and its SVG, the
+expansivity probes, the vertex flow and (as ``mdot`` and ``perp``) the
+batched engine :mod:`ccbilliards._batch`.
 
 The Dormand-Prince integrator ``rk45`` runs on Python floats the same
 way.  It picks its field function (``polar_field``, ``chart_field`` or
@@ -54,7 +56,8 @@ import math
 # the step / trace status codes and INF belong to the loops
 from ._collision_loops import (CROSSING_LOOPS, INF, STEP_ESCAPED,
                                STEP_GRAZING, STEP_MAXLEN, STEP_OK,
-                               STEP_VERTEX, TRACE_LOOPS, _side_records)
+                               STEP_VERTEX, TRACE_LOOPS, VERTEX_TOL,
+                               side_records)
 
 # rk45 status codes
 RK_DONE = 0
@@ -197,41 +200,46 @@ def boundary_embed(k, a, u, s, psi):
     return bp, renorm_tangent(k, bp, d)
 
 
-def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts,
+def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts, sides,
                 side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
                 labels, svals, psis, flens):
     """Iterate the collision map from a boundary state (see trace_from_point)."""
     p, v = boundary_embed(k, sa[side0], su[side0], float(s0), float(psi0))
-    tol_v = float(tol_v)
-    return TRACE_LOOPS[k](_side_records(sa, su, sn, sl, tol_v), sl, sv0, sv1,
-                          verts, p, v, nmax, float(maxlen), float(tmin), tol_v,
+    return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts, p, v, nmax,
+                          float(maxlen), float(tmin), float(tol_v),
                           float(graze), labels, svals, psis, flens)
 
 
-def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts,
+def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts, sides,
                      p, v, nmax, maxlen, tmin, tol_v, graze,
                      labels, svals, psis, flens):
     """Iterate the collision map from the interior ray (p, v) with the
-    loop for curvature k.  The diagonal search starts its rays at polygon
-    vertices; ``collision_step`` is this with nmax = 1."""
-    tol_v = float(tol_v)
-    return TRACE_LOOPS[k](_side_records(sa, su, sn, sl, tol_v), sl, sv0, sv1,
-                          verts, (float(p[0]), float(p[1]), float(p[2])),
+    loop for curvature k.
+
+    The first eight arguments after k are ``Polygon.kernel_pack()``:
+    ``sides`` holds the side records at the pad tol_v.  Fills the
+    per-bounce buffers and returns (n_done, status, vertex, length).  The
+    diagonal search starts its rays at polygon vertices;
+    ``collision_step`` is this with nmax = 1.
+    """
+    return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts,
+                          (float(p[0]), float(p[1]), float(p[2])),
                           (float(v[0]), float(v[1]), float(v[2])), nmax,
-                          float(maxlen), float(tmin), tol_v, float(graze),
-                          labels, svals, psis, flens)
+                          float(maxlen), float(tmin), float(tol_v),
+                          float(graze), labels, svals, psis, flens)
 
 
-def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
+def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
     """Crossing labels of the unfolded straight line, pulled back stepwise,
     with the loop for curvature k.
 
-    refl holds one reflection matrix per side, as a tuple of three row
-    tuples.  Writes 0-based side labels to labels and returns their count;
-    never touches boundary (s, psi) coordinates, so this is an
-    independent route to the itinerary.
+    sides are the side records of ``Polygon.kernel_pack()``, whose pad
+    widens each side's arc window; refl holds one reflection matrix per
+    side, as a tuple of three row tuples.  Writes 0-based side labels to
+    labels and returns their count; never touches boundary (s, psi)
+    coordinates, so this is an independent route to the itinerary.
     """
-    return CROSSING_LOOPS[k](_side_records(sa, su, sn, sl, float(pad)), refl,
+    return CROSSING_LOOPS[k](sides[0], refl,
                              (float(p0[0]), float(p0[1]), float(p0[2])),
                              (float(v0[0]), float(v0[1]), float(v0[2])),
                              nmax, float(tmin), labels)

@@ -12,6 +12,7 @@ the numerical cutoff errs on the side of ending the itinerary.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import _kernels as K
 from . import geometry as G
 from .errors import DegenerateStateError, GeometryError, PolygonError
 
-VERTEX_TOL = 1e-9     # vertex-hit cutoff, model length units
+VERTEX_TOL = K.VERTEX_TOL  # vertex-hit cutoff, model length units (1e-9)
 GRAZE_TOL = 1e-9      # outgoing angles within this of {0, pi} are degenerate
 FLIGHT_MIN = 1e-9     # minimum accepted flight between collisions
 CONJUGATE_TOL = 1e-8  # |length - m pi| test for conjugated vertices
@@ -90,15 +91,12 @@ def collision_step(b, poly):
     lands within VERTEX_TOL of a vertex.
     """
     p, v = embed_triples(poly, b)
-    labels = np.empty(1, dtype=np.int64)
-    svals = np.empty(1)
-    psis = np.empty(1)
-    flens = np.empty(1)
+    labels, svals, psis = [0], [0.0], [0.0]
     _, st, vtx, length = K.trace_from_point(
         poly.k, *poly.kernel_pack(), p, v, 1, math.inf, FLIGHT_MIN,
-        VERTEX_TOL, GRAZE_TOL, labels, svals, psis, flens)
+        VERTEX_TOL, GRAZE_TOL, labels, svals, psis, [0.0])
     if st == K.STEP_VERTEX:
-        return VertexHit(int(vtx) + 1, float(length))
+        return VertexHit(vtx + 1, length)
     if st == K.STEP_GRAZING:
         # the loop leaves the rejected bounce in slot 0
         raise DegenerateStateError(
@@ -106,7 +104,7 @@ def collision_step(b, poly):
             f"{labels[0] + 1})")
     if st == K.STEP_ESCAPED:
         raise GeometryError("trajectory found no boundary intersection")
-    return BoundaryState(int(labels[0]) + 1, float(svals[0]), float(psis[0]))
+    return BoundaryState(labels[0] + 1, svals[0], psis[0])
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,13 @@ class TraceResult:
                              float(self.psis[i]))
 
 
-def check_count(n):
-    """Reject a negative bounce count before it reaches the kernels."""
-    if n < 0:
-        raise ValueError(f"bounce count must be >= 0, got {n}")
+def check_count(n, name="bounce count", least=0):
+    """Reject a count that is a bool, not an integer (numpy integers are)
+    or below least, with a ValueError that names it, before it reaches
+    numpy or the kernels; nan fails too."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or n < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def check_ray(poly, point, direction):
@@ -164,23 +165,27 @@ def _check_max_length(max_length):
         raise ValueError(f"max_length must be > 0, got {max_length}")
 
 
+def _trace_result(entry, poly, start, n, max_length):
+    """Run the kernel entry from start on Python-list buffers and turn what
+    it recorded into arrays once."""
+    labels, svals, psis, flens = [0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    n_done, status, vtx, total = entry(
+        poly.k, *poly.kernel_pack(), *start, n, max_length, FLIGHT_MIN,
+        VERTEX_TOL, GRAZE_TOL, labels, svals, psis, flens)
+    return TraceResult(n_done, status, vtx + 1 if status == K.STEP_VERTEX else 0,
+                       np.array(labels[:n_done], dtype=np.int64) + 1,
+                       np.array(svals[:n_done], dtype=float),
+                       np.array(psis[:n_done], dtype=float),
+                       np.array(flens[:n_done], dtype=float), total)
+
+
 def trace(poly, b, n, max_length=math.inf):
     """Iterate the collision map n times from b, recording every bounce."""
     check_count(n)
     _check_max_length(max_length)
     _validate_state(poly, b)
-    sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
-    labels = np.empty(n, dtype=np.int64)
-    svals = np.empty(n)
-    psis = np.empty(n)
-    flens = np.empty(n)
-    n_done, status, vtx, total = K.trace_orbit(
-        poly.k, sa, su, sn, sl, sv0, sv1, verts,
-        b.side - 1, b.s, b.psi, n, max_length, FLIGHT_MIN, VERTEX_TOL,
-        GRAZE_TOL, labels, svals, psis, flens)
-    return TraceResult(n_done, status, vtx + 1 if status == K.STEP_VERTEX else 0,
-                       labels[:n_done] + 1, svals[:n_done], psis[:n_done],
-                       flens[:n_done], total)
+    return _trace_result(K.trace_orbit, poly, (b.side - 1, b.s, b.psi), n,
+                         max_length)
 
 
 def trace_many(poly, side, s, psi, n):
@@ -195,9 +200,11 @@ def trace_many(poly, side, s, psi, n):
     """
     check_count(n)
     side, s, psi = np.asarray(side), np.asarray(s, float), np.asarray(psi, float)
+    if not np.issubdtype(side.dtype, np.integer):
+        raise ValueError(f"side labels must be integers, got dtype {side.dtype}")
     if not side.ndim == 1 or not side.shape == s.shape == psi.shape:
         raise ValueError("side, s and psi must be 1-d arrays of one length")
-    pack = poly.kernel_pack()
+    pack = poly.kernel_pack()[:7]
     # _validate_state's tests, written so that a nan s or psi fails them
     good = ((side >= 1) & (side <= poly.n_sides) & (0.0 <= s)
             & (s <= np.take(pack[3], side - 1, mode="clip"))
@@ -220,18 +227,7 @@ def trace_ray(poly, point, direction, n, max_length=math.inf):
     check_count(n)
     _check_max_length(max_length)
     p, v = check_ray(poly, point, direction)
-    sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
-    labels = np.empty(n, dtype=np.int64)
-    svals = np.empty(n)
-    psis = np.empty(n)
-    flens = np.empty(n)
-    n_done, status, vtx, total = K.trace_from_point(
-        poly.k, sa, su, sn, sl, sv0, sv1, verts,
-        p, v, n, max_length, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL,
-        labels, svals, psis, flens)
-    return TraceResult(n_done, status, vtx + 1 if status == K.STEP_VERTEX else 0,
-                       labels[:n_done] + 1, svals[:n_done], psis[:n_done],
-                       flens[:n_done], total)
+    return _trace_result(K.trace_from_point, poly, (p, v), n, max_length)
 
 
 _TERMINATION = {K.STEP_OK: "horizon", K.STEP_VERTEX: "vertex_hit",
@@ -332,12 +328,14 @@ def _launch(poly, vi, alpha):
 
 def _vertex_shooter(poly, vi, nmax, max_length):
     """shoot(alpha) traces the ray ``_launch(poly, vi, alpha)`` for up to
-    nmax bounces and returns its signature (1-based labels, status, 1-based
-    end vertex or 0) and its length.
+    nmax bounces and returns its signature (0-based side labels, status,
+    0-based end vertex or -1, as the kernel gives them) and its length.
 
-    The launch frame, the polygon's pack and the bounce buffers (Python
-    lists) are set up once per vertex, so a ray costs its launch direction
-    on floats and the kernel call, with no numpy array or TraceResult.
+    The launch frame, the polygon's pack (with its side records) and the
+    bounce buffers (Python lists) are set up once per vertex, so a ray
+    costs its launch direction on floats and the kernel call, with no
+    numpy array, TraceResult or 1-based label tuple: only
+    ``_record_if_diagonal`` turns a diagonal's labels 1-based.
     """
     k = poly.k
     p, d0, e2 = _launch_frame(poly, vi)
@@ -350,8 +348,7 @@ def _vertex_shooter(poly, vi, nmax, max_length):
         n, status, vtx, length = K.trace_from_point(
             k, *pack, p, v, nmax, max_length, FLIGHT_MIN, VERTEX_TOL,
             GRAZE_TOL, *bufs)
-        end = vtx + 1 if status == K.STEP_VERTEX else 0
-        return (tuple([j + 1 for j in labels[:n]]), status, end), length
+        return (tuple(labels[:n]), status, vtx), length
 
     return shoot
 
@@ -360,7 +357,8 @@ def _same_branch(sig_a, sig_b):
     """Whether no vertex hit within max_length needs looking for between
     two rays: their signatures are equal, or both rays stopped at
     max_length and one's labels are a prefix of the other's (the rays
-    differ only in how many bounces fit into max_length)."""
+    differ only in how many bounces fit into max_length).  It only tests
+    equality and prefixes, so 0-based and 1-based labels give one answer."""
     if sig_a == sig_b:
         return True
     labels_a, status_a, _ = sig_a
@@ -387,14 +385,16 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
     bisected down to the vertex-hit window until the budget runs out, and
     the remaining transitions are skipped silently.  Every result is a
     traced ray that ended on a vertex, kept once per bounce sequence and
-    its reverse; nothing re-traces it.  The search is complete only up to
-    the angular resolution and the budget.
+    its reverse; nothing re-traces it.  Ray signatures stay 0-based, as the
+    kernel writes them; a recorded diagonal's labels are made 1-based.
+    The search is complete only up to the angular resolution and the
+    budget.  max_bounces must be an integer >= 0 and angles_per_vertex
+    one >= 1.
     """
-    if max_bounces < 0 or not max_length > 0:
-        raise ValueError("search bounds must be positive")
-    if angles_per_vertex < 1:
-        raise ValueError(
-            f"angles_per_vertex must be >= 1, got {angles_per_vertex}")
+    check_count(max_bounces, "max_bounces", 0)
+    check_count(angles_per_vertex, "angles_per_vertex", 1)
+    if not max_length > 0:
+        raise ValueError(f"max_length must be > 0, got {max_length}")
     found = {}
     margin = 10.0 * GRAZE_TOL
     nmax = max_bounces + 1
@@ -433,7 +433,8 @@ def _record_if_diagonal(found, vi, alpha, sig, length, max_length):
     seq, status, end = sig
     if status != K.STEP_VERTEX or length > max_length:
         return False
-    start = vi + 1
+    start, end = vi + 1, end + 1
+    seq = tuple([j + 1 for j in seq])
     key = min((start, end, seq), (end, start, tuple(reversed(seq))))
     if key in found:
         return True

@@ -12,6 +12,7 @@ points identify across sheets.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,34 +62,44 @@ class Polygon:
         return len(self.sides)
 
     def side(self, label):
-        """Side by 1-based label."""
-        if not 1 <= label <= len(self.sides):
-            raise PolygonError(f"side label must be in 1..{len(self.sides)}, got {label}")
+        """Side by 1-based label, an integer (numpy integers too)."""
+        if (isinstance(label, bool) or not isinstance(label, numbers.Integral)
+                or not 1 <= label <= len(self.sides)):
+            raise PolygonError(
+                f"side label must be an integer in 1..{len(self.sides)}, "
+                f"got {label}")
         return self.sides[label - 1]
 
     def kernel_pack(self):
-        """Side data for the collision kernels, as nested tuples.
+        """Side data for the collision kernels, as nested tuples, built
+        once per polygon.
 
-        (sa, su, sn, sl, sv0, sv1, verts): per side the start point, unit
-        start tangent and interior-positive functional as (x, y, z) float
-        triples, the length, and the start and end vertex ids; then the
-        vertices as float triples.  Python floats keep the scalar
-        kernels off numpy scalar arithmetic; ``_batch`` turns each entry
-        into an array with ``np.asarray``, and ``collision.trace_many``
-        checks its sample arrays against the side lengths.
+        (sa, su, sn, sl, sv0, sv1, verts, sides): per side the start point,
+        unit start tangent and interior-positive functional as (x, y, z)
+        float triples, the length, and the start and end vertex ids; then
+        the vertices as float triples; then the straight-line loops' side
+        records at the pad ``VERTEX_TOL``
+        (``_collision_loops.side_records``), so that no trace or crossing
+        call builds them.  Python floats keep the scalar kernels off numpy
+        scalar arithmetic; ``_batch`` turns the first seven entries into
+        arrays with ``np.asarray``, and ``collision.trace_many`` checks
+        its sample arrays against the side lengths.
         """
         if self._pack is None:
             def vec(x):
                 return float(x[0]), float(x[1]), float(x[2])
 
             sides = self.sides
-            self._pack = (tuple(vec(s.geodesic.point) for s in sides),
-                          tuple(vec(s.geodesic.direction) for s in sides),
-                          tuple(vec(s.normal) for s in sides),
-                          tuple(float(s.length) for s in sides),
+            sa = tuple(vec(s.geodesic.point) for s in sides)
+            su = tuple(vec(s.geodesic.direction) for s in sides)
+            sn = tuple(vec(s.normal) for s in sides)
+            sl = tuple(float(s.length) for s in sides)
+            self._pack = (sa, su, sn, sl,
                           tuple(int(s.start) for s in sides),
                           tuple(int(s.end) for s in sides),
-                          tuple(vec(p) for p in self.vertices))
+                          tuple(vec(p) for p in self.vertices),
+                          K.side_records(self.k, sa, su, sn, sl,
+                                         K.VERTEX_TOL))
         return self._pack
 
     def reflection_matrices(self):

@@ -120,12 +120,11 @@ def crossing_labels_from_tangent(poly, p, v, n):
     """
     C.check_count(n)
     p, v = C.check_ray(poly, p, v)
-    sa, su, sn, sl, _, _, _ = poly.kernel_pack()
-    refl = poly.reflection_pack()
-    labels = np.empty(max(n, 1), dtype=np.int64)
-    n_done = K.unfold_crossings(poly.k, sa, su, sn, sl, refl, p, v, n,
-                                C.FLIGHT_MIN, C.VERTEX_TOL, labels)
-    return tuple(int(x) + 1 for x in labels[:n_done])
+    labels = [0] * n
+    n_done = K.unfold_crossings(poly.k, poly.kernel_pack()[7],
+                                poly.reflection_pack(), p, v, n,
+                                C.FLIGHT_MIN, labels)
+    return tuple([j + 1 for j in labels[:n_done]])
 
 
 @dataclass(frozen=True)
@@ -339,9 +338,10 @@ def find_periodic(poly, max_bounces, samples, seed):
     rejected.
 
     Newton polish and everything after it use the scalar ``trace``.
+    max_bounces and samples must be integers >= 1.
     """
-    if max_bounces < 1 or samples < 1:
-        raise ValueError("search bounds must be positive")
+    C.check_count(max_bounces, "max_bounces", 1)
+    C.check_count(samples, "samples", 1)
     side, s, psi = _sweep_states(poly, samples, seed)
     reports = {}
     for lo in range(0, len(side), SWEEP_BLOCK):

@@ -127,6 +127,22 @@ def test_negative_count_rejected(sq):
         C.trace_many(sq, *as_arrays([BoundaryState(1, 0.5, 1.0)]), -1)
 
 
+@pytest.mark.parametrize("side", [[1.0, 2.0], [True, False], [1.5, 2.0]])
+def test_non_integer_side_dtype_rejected(sq, side):
+    # a float array failed in numpy's cast, a bool one would run as 1 and 0
+    with pytest.raises(ValueError, match="side labels must be integers"):
+        C.trace_many(sq, side, [0.5, 0.5], [1.0, 1.0], 5)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+def test_integer_side_dtypes_accepted(sq, dtype):
+    side = np.array([1, 2], dtype=dtype)
+    got = C.trace_many(sq, side, [0.5, 0.25], [1.0, 2.0], 5)
+    want = C.trace_many(sq, [1, 2], [0.5, 0.25], [1.0, 2.0], 5)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_unequal_lengths_rejected(sq):
     with pytest.raises(ValueError, match="one length"):
         C.trace_many(sq, [1, 2], [0.5, 0.5], [1.0], 5)

@@ -5,7 +5,9 @@ The harness calls private entries of the package (``K.trace_orbit``,
 and wraps them for its per-layer spans, so a rename breaks it.  Here each
 workload runs one traced pass at seed 0: every job's output must match
 its stored reference, and the kernel counts must be the ones the
-references were taken with.  The kernel microbenchmark must return
+references were taken with.  The diagonal search's kernel calls are
+pinned too: a shooter that went round the wrapped ``K.trace_from_point``
+would drop them from the spans.  The kernel microbenchmark must return
 finite, positive times.
 """
 
@@ -32,6 +34,10 @@ KERNEL_COUNTS = {
     "single-orbit": {"kernels.trace_orbit.bounces": 3204,
                      "kernels.rk45.steps": 1493},
 }
+# per-pass span counts at seed 0
+SPAN_COUNTS = {
+    "diagonal-search": {"kernels.trace_from_point": 940},
+}
 
 
 def _reference(workload):
@@ -55,6 +61,9 @@ def test_workload_matches_reference(workload):
     metrics = tracing.layer_metrics(tracer.spans, len(jobs), 1, 0.0)
     for name, count in KERNEL_COUNTS[workload].items():
         assert metrics[name] == count, name
+    for name, count in SPAN_COUNTS.get(workload, {}).items():
+        assert sum(s[tracing.NAME] == name for s in tracer.spans) == count, \
+            name
 
 
 def test_kernel_microbenchmark_runs():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
-                         VertexHit, collision_step, conjugated_vertices,
+                         PolygonError, VertexHit, collision_step, conjugated_vertices,
                          crossing_labels, generalized_diagonals, itinerary,
                          sphere_triangle, unfold)
 from ccbilliards import _kernels as K
@@ -178,6 +178,24 @@ def test_far_hyperbolic_unit_ray_accepted(pentagon):
         C.check_ray(pentagon, p, 2.0 * v)
 
 
+@pytest.mark.parametrize("side", [1.0, 2.5, True, np.float64(1.0)])
+def test_non_integer_side_label_rejected(sq, side):
+    # a float label failed indexing a list, and True was traced as side 1
+    b = BoundaryState(side, 0.3, 1.0)
+    with pytest.raises(PolygonError, match="side label must be an integer"):
+        C.trace(sq, b, 3)
+    with pytest.raises(PolygonError, match="side label must be an integer"):
+        collision_step(b, sq)
+
+
+@pytest.mark.parametrize("side", [np.int64(1), np.int32(1), np.uint8(1)])
+def test_numpy_integer_side_label_accepted(sq, side):
+    want = C.trace(sq, BoundaryState(1, 0.3, 1.0), 5)
+    got = C.trace(sq, BoundaryState(side, 0.3, 1.0), 5)
+    assert (got.labels.tolist(), got.svals.tolist()) == (
+        want.labels.tolist(), want.svals.tolist())
+
+
 class TestItinerary:
     def test_square_period_two(self, sq):
         it = itinerary(BoundaryState(1, 0.5, math.pi / 2), sq, 4)
@@ -239,6 +257,24 @@ class TestGeneralizedDiagonals:
             generalized_diagonals(sq, 2, 4.0, angles_per_vertex=angles)
         with pytest.raises(ValueError):
             conjugated_vertices(tri1, 2, 4.0, angles_per_vertex=angles)
+
+    @pytest.mark.parametrize("max_bounces, angles, name", [
+        (2.5, 4, "max_bounces"), (True, 4, "max_bounces"),
+        (math.nan, 4, "max_bounces"), (-1, 4, "max_bounces"),
+        (2, 2.5, "angles_per_vertex"), (2, True, "angles_per_vertex"),
+        (2, math.nan, "angles_per_vertex")])
+    def test_non_integer_counts_rejected(self, sq, tri1, max_bounces, angles,
+                                         name):
+        # 2.5 bounces failed multiplying a list, 2.5 angles in range, and
+        # True ran as one angle
+        with pytest.raises(ValueError, match=name):
+            generalized_diagonals(sq, max_bounces, 5.0, angles)
+        with pytest.raises(ValueError, match=name):
+            conjugated_vertices(tri1, max_bounces, 5.0, angles)
+
+    def test_numpy_integer_counts_accepted(self, sq):
+        got = generalized_diagonals(sq, np.int64(0), 10.0, np.int32(64))
+        assert got == generalized_diagonals(sq, 0, 10.0, 64)
 
     @pytest.mark.parametrize("max_length", [math.nan, 0.0, -1.0])
     def test_bad_max_length_rejected(self, sq, tri1, max_length):

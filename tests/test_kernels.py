@@ -9,9 +9,14 @@ leave nearly parallel to the next side (grazing hits), and with clamped
 arc parameters.  The last tests pin the diagonal search's skip of
 length-only brackets, and its per-vertex shooter against the search on
 ``trace_ray`` that ``kernel_oracle.py`` keeps: the same diagonals and
-conjugated vertices, bit for bit.  The last two pin the entries: each
+conjugated vertices, bit for bit.  Two more pin the entries: each
 converts numpy arguments itself, and ``trace_orbit`` reaches its loop
-without ``trace_from_point``.
+without ``trace_from_point``.  The last pin the vertex window and the side
+records: rays aimed at arc parameters inside VERTEX_TOL of a side end, in
+the window and past it give the oracle's bits through ``trace_ray``,
+``trace``, ``collision_step`` and the shooter; the window's premise (a
+side's stored ends lie on its vertices) holds on built-in and generated
+tables; and a polygon builds its side records once.
 """
 
 import math
@@ -26,6 +31,7 @@ from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
                          PolygonError, VertexHit, build_polygon,
                          collision_step, hyperbolic_pentagon, sphere_triangle,
                          square)
+from ccbilliards import _collision_loops as L
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 
@@ -54,8 +60,9 @@ def _record(n_done, status, vertex, length, labels, svals, psis, flens):
 def _oracle(fn, poly, start, n, max_length):
     bufs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n),
             np.empty(n))
+    # the oracle takes the pack without the loops' side records
     n_done, status, vertex, length = fn(
-        poly.k, *poly.kernel_pack(), *start, n, max_length, C.FLIGHT_MIN,
+        poly.k, *poly.kernel_pack()[:7], *start, n, max_length, C.FLIGHT_MIN,
         C.VERTEX_TOL, C.GRAZE_TOL, *bufs)
     return _record(n_done, status, vertex + 1 if vertex >= 0 else 0, length,
                    *bufs)
@@ -99,7 +106,7 @@ def _step_outcome(fn, *args):
 
 def _oracle_step(poly, b):
     p, v = C.embed_triples(poly, b)
-    st_, j, s, psi, tf, vtx = O.step_ray(poly.k, *poly.kernel_pack(), p, v,
+    st_, j, s, psi, tf, vtx = O.step_ray(poly.k, *poly.kernel_pack()[:7], p, v,
                                          C.FLIGHT_MIN, C.VERTEX_TOL,
                                          C.GRAZE_TOL)
     if st_ == K.STEP_VERTEX:
@@ -294,10 +301,12 @@ def test_clamped_arc_parameter_matches_oracle():
     # side's last fifth is clamped and the trace goes on from there
     clamped = set()
     for poly in TABLES.values():
-        sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()
+        sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()[:7]
         short = tuple(0.8 * ln for ln in sl)
         pack = (sa, su, sn, short, sv0, sv1, ((math.nan,) * 3,) * len(verts))
         pad = 0.25 * max(sl)
+        packs = (pack + (K.side_records(poly.k, sa, su, sn, short, pad),),
+                 pack)
         for side0 in range(poly.n_sides):
             for psi0 in (0.7, 1.3, 2.1):
                 start = (side0, 0.5 * short[side0], psi0)
@@ -305,9 +314,10 @@ def test_clamped_arc_parameter_matches_oracle():
                                                           for _ in range(3)]
                         for _ in range(2)]
                 got, want = (
-                    _record(*fn(poly.k, *pack, *start, 30, math.inf,
+                    _record(*fn(poly.k, *pk, *start, 30, math.inf,
                                 C.FLIGHT_MIN, pad, C.GRAZE_TOL, *b), *b)
-                    for fn, b in zip((K.trace_orbit, O.trace_orbit), bufs))
+                    for fn, pk, b in zip((K.trace_orbit, O.trace_orbit),
+                                         packs, bufs))
                 assert got == want
                 # a clamped bounce followed by a recorded one
                 labels, svals = bufs[0][0], bufs[0][1]
@@ -340,13 +350,12 @@ def test_dispatchers_convert_numpy_arguments():
                 got.append(_record(*out, *bufs))
             assert got[0] == got[1]
         got = []
-        for ray, tmin, pad in (((p, v), C.FLIGHT_MIN, C.VERTEX_TOL),
-                               ((np.array(p), np.array(v)),
-                                np.float64(C.FLIGHT_MIN),
-                                np.float64(C.VERTEX_TOL))):
+        for ray, tmin in (((p, v), C.FLIGHT_MIN),
+                          ((np.array(p), np.array(v)),
+                           np.float64(C.FLIGHT_MIN))):
             labels = np.empty(30, dtype=np.int64)
-            m = K.unfold_crossings(poly.k, *pack[:4], poly.reflection_pack(),
-                                   *ray, 30, tmin, pad, labels)
+            m = K.unfold_crossings(poly.k, pack[7], poly.reflection_pack(),
+                                   *ray, 30, tmin, labels)
             got.append(labels[:m].tolist())
         assert got[0] == got[1]
         assert len(got[0]) == 30
@@ -365,3 +374,172 @@ def test_trace_reaches_its_loop_without_trace_from_point(monkeypatch):
 
     monkeypatch.setattr(K, "trace_from_point", fail)
     assert _traced(C.trace(poly, b, 20)) == want
+
+
+# ---------------------------------------------------------------------------
+# the vertex window and the side records built once per polygon
+# ---------------------------------------------------------------------------
+
+# arc offsets from a side end for aimed hits: inside VERTEX_TOL (vertex
+# hits), just outside it, within the vertex window and just past it
+END_OFFSETS = (-0.5e-9, 0.0, 0.5e-9, 0.9e-9, 1.1e-9, 2e-9, 1e-7, 1e-5,
+               0.999e-4, 1e-4, 1.001e-4, 2e-4, 1e-2)
+
+
+def _centre(poly):
+    # an interior point: the renormalised mean of the vertices
+    mean = np.mean(poly.vertices, axis=0)
+    return np.array(K.renorm_point(poly.k, mean))
+
+
+def _aimed_targets(poly):
+    """(side j, arc s, point) for hits at END_OFFSETS from both ends of
+    every side."""
+    sa, su, _, sl = poly.kernel_pack()[:4]
+    for j in range(poly.n_sides):
+        for off in END_OFFSETS:
+            for s in (off, sl[j] - off):
+                q = K.renorm_point(poly.k,
+                                   K.geodesic_point(poly.k, sa[j], su[j], s))
+                yield j, s, q
+
+
+def _band(poly, j, s):
+    """Where an arc parameter on side j lies against the vertex window."""
+    ln = poly.kernel_pack()[3][j]
+    d = min(s, ln - s)
+    if d <= C.VERTEX_TOL:
+        return "tol"
+    return "window" if d <= L.VERTEX_WINDOW else "skip"
+
+
+def test_hits_near_side_ends_match_oracle():
+    # rays aimed from an interior point, from the middle of another side
+    # and from a vertex at points within and around the vertex window:
+    # trace_ray, trace, collision_step and the shooter against the oracle
+    bands = set()
+    for name, poly in TABLES.items():
+        k = poly.k
+        sa, su, _, sl = poly.kernel_pack()[:4]
+        c = _centre(poly)
+        shooters = {vi: C._vertex_shooter(poly, vi, 6, math.inf)
+                    for vi in range(poly.n_vertices)}
+        for j, s, q in _aimed_targets(poly):
+            v = np.array(K.log_map(k, c, q))
+            want = _oracle(O.trace_loop, poly, (c, v), 6, math.inf)
+            assert _traced(C.trace_ray(poly, c, v, 6)) == want
+            if want[4]:
+                bands.add((k, _band(poly, want[4][0][0],
+                                    float.fromhex(want[4][0][1]))))
+            elif want[1] == K.STEP_VERTEX:
+                bands.add((k, "vertex"))
+            # from the middle of the next side
+            i = (j + 1) % poly.n_sides
+            bp = K.renorm_point(k, K.geodesic_point(k, sa[i], su[i],
+                                                    0.5 * sl[i]))
+            w = K.renorm_tangent(k, bp, K.geodesic_dir(k, sa[i], su[i],
+                                                       0.5 * sl[i]))
+            psi = K.signed_angle(k, bp, w, K.log_map(k, bp, q))
+            if C.GRAZE_TOL < psi < math.pi - C.GRAZE_TOL:
+                _check_state(poly, BoundaryState(i + 1, 0.5 * sl[i], psi), 6,
+                             math.inf)
+            # from the vertex opposite side j's start, by the shooter
+            vi = (poly.side(j + 1).start + 2) % poly.n_vertices
+            alpha = K.signed_angle(k, poly.vertices[vi],
+                                   C._vertex_frame(poly, vi)[0],
+                                   K.log_map(k, poly.vertices[vi], q))
+            if not 10 * C.GRAZE_TOL < alpha < poly.angles[vi] - 10 * C.GRAZE_TOL:
+                continue
+            sig, length = shooters[vi](alpha)
+            want = _oracle(O.trace_loop, poly, O.launch(poly, vi, alpha), 6,
+                           math.inf)
+            assert sig == (tuple(r[0] for r in want[4]), want[1],
+                           want[2] - 1 if want[1] == K.STEP_VERTEX else -1)
+            assert _hex(length) == want[3]
+    # every curvature has first hits inside VERTEX_TOL of a side end, in
+    # the window and past it
+    for k in (0, 1, -1):
+        assert {(k, "vertex"), (k, "window"), (k, "skip")} <= bands, k
+
+
+def _end_gap(poly):
+    """Largest distance of a side's stored start point, and of its point
+    at arc sl, from the side's start and end vertex."""
+    k = poly.k
+    sa, su, _, sl, sv0, sv1, verts = poly.kernel_pack()[:7]
+    gap = 0.0
+    for j in range(poly.n_sides):
+        end = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j], sl[j]))
+        gap = max(gap, K.distance(k, sa[j], verts[sv0[j]]),
+                  K.distance(k, end, verts[sv1[j]]))
+    return gap
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_side_ends_lie_on_vertices_built_in(name):
+    # the premise of the vertex window: arc 0 and arc sl are the vertices
+    # to far below VERTEX_WINDOW
+    assert _end_gap(SEARCH_TABLES[name]) < 1e-12
+
+
+@st.composite
+def star_polygons(draw):
+    """A polygon of 3-7 vertices sorted by azimuth about the model's
+    origin, in a random curvature; plane coordinates up to 3, Poincare
+    radii up to 0.95, polar angles up to 1.4."""
+    k = draw(st.sampled_from((0, 1, -1)))
+    n = draw(st.integers(3, 7))
+    gaps = draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+    azimuth = draw(st.floats(0.0, 2 * math.pi)) + (
+        2 * math.pi * np.cumsum(gaps) / sum(gaps))
+    if k == 1:
+        coords = [(math.sin(1.4 * r) * math.cos(a),
+                   math.sin(1.4 * r) * math.sin(a), math.cos(1.4 * r))
+                  for r, a in zip(radii, azimuth)]
+    else:
+        scale = 3.0 if k == 0 else 1.0
+        coords = [(scale * r * math.cos(a), scale * r * math.sin(a))
+                  for r, a in zip(radii, azimuth)]
+    try:
+        return build_polygon(k, coords)
+    except PolygonError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=star_polygons())
+def test_side_ends_lie_on_vertices_generated(poly):
+    # within 1e-12 up to hyperboloid height 4.6 (Poincare radius 0.8);
+    # farther out the float64 geometry drifts, still far inside the window
+    gap = _end_gap(poly)
+    assert gap < 1e-2 * L.VERTEX_WINDOW
+    if max(abs(p[2]) for p in poly.vertices) <= 4.6:
+        assert gap < 1e-12
+
+
+def test_side_records_built_once_per_polygon(monkeypatch):
+    # the loops' side records come with the polygon's pack: one build per
+    # polygon for a whole diagonal search and the traces after it, and
+    # none shared between polygons
+    built = []
+    side_records = K.side_records
+
+    def counted(*args):
+        built.append(args[0])
+        return side_records(*args)
+
+    monkeypatch.setattr(K, "side_records", counted)
+    sq = square()
+    assert C.generalized_diagonals(sq, 8, 4.0, 24)
+    C.trace(sq, BoundaryState(1, 0.3, 1.1), 20)
+    collision_step(BoundaryState(1, 0.3, 1.1), sq)
+    assert built == [0]
+    other = square()
+    tri = sphere_triangle(1.0)
+    assert other.kernel_pack()[7] is not sq.kernel_pack()[7]
+    assert tri.kernel_pack()[7] != sq.kernel_pack()[7]
+    assert built == [0, 0, 1]
+    for poly in (sq, other, tri):
+        pack = poly.kernel_pack()
+        assert pack[7] == side_records(poly.k, *pack[:4], C.VERTEX_TOL)

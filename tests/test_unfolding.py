@@ -197,6 +197,21 @@ class TestFindPeriodic:
         with pytest.raises(ValueError):
             find_periodic(sq, 0, 10, seed=0)
 
+    @pytest.mark.parametrize("max_bounces, samples, name", [
+        (5, math.nan, "samples"), (5, 2.5, "samples"), (5, True, "samples"),
+        (5, 10.0, "samples"), (2.5, 10, "max_bounces"),
+        (True, 10, "max_bounces"), (math.nan, 10, "max_bounces")])
+    def test_non_integer_counts_rejected(self, sq, max_bounces, samples,
+                                         name):
+        # nan passed `samples < 1` and ran one state per side; 2.5 bounces
+        # failed inside numpy
+        with pytest.raises(ValueError, match=name):
+            find_periodic(sq, max_bounces, samples, 0)
+
+    def test_numpy_integer_counts_accepted(self, sq):
+        assert (find_periodic(sq, np.int64(5), np.int32(10), 0)
+                == find_periodic(sq, 5, 10, 0))
+
     @pytest.mark.parametrize("make, moved", [
         (lambda: sphere_triangle(math.pi / 4), False), (square, True)],
         ids=["triangle-pi4", "square"])
