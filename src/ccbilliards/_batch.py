@@ -1,37 +1,59 @@
 """Batched collision engine: many rays advanced together in numpy.
 
-Vectorised copies of ``_kernels.boundary_embed``, the ray-side root
-(``ray_side_hit`` in ``tests/kernel_oracle.py``) and the scalar trace
-loops of ``_collision_loops`` (``_trace_plane``, ``_trace_sphere``,
-``_trace_hyperbolic``) for N boundary states at once, written once for
-all three curvatures.  Each bounce solves the ray-side root over the
-(N, nsides) grid, picks the first hit per ray, applies the scalar loop's
-escape, vertex and grazing stops as one mask of the rays that go on,
-clamps s, and compacts the arrays down to those rays.  It records what
-the periodic-orbit sweep reads (side label, s and psi per bounce), not
-stop reasons, vertex ids or flights.
+The scalar trace loops of ``_collision_loops`` (``_trace_plane``,
+``_trace_sphere``, ``_trace_hyperbolic``) vectorised over N boundary
+states, for the periodic-orbit sweep.  Each bounce solves the ray-side
+root over an (n, nsides) grid of the n rays still live against every
+side, picks the first hit per ray, applies the scalar loop's escape,
+vertex and grazing stops as one mask of the rays that go on, clamps s,
+and compacts the rays down to those.  It records what the sweep reads
+(side label, s and psi per bounce), not stop reasons, vertex ids or
+flights.
+
+The grids are same-shape contiguous arrays, so numpy's inner loops run
+over the whole grid, not over one row of nsides: ``trace_states`` tiles
+the side constants once per call as (N, nsides) arrays, a bounce takes
+their first n rows (compaction keeps the rays in order, and every row of
+a tile is the same), and repeats the rays' points and directions once.
+The grid keeps what the hit needs besides (t, s): the hit point and, off
+the plane, the cos/sin (cosh/sinh) of t, gathered for the winning side
+rather than recomputed.  The cos/sin of the hit's s serve both the side's
+tangent at the hit and the next bounce's start point; only rows whose s
+was clamped recompute them, as ``_trace_sphere`` does.
 
 The branch logic is the scalar loops': on equal t the lowest side index
 wins, the sphere takes the first of the roots t0 + m pi past tmin that
-lands in the pad window, the start vertex is tested before the end vertex.
+lands in the pad window, and a hit is tested against the side's vertices
+only within ``tol_v + VERTEX_WINDOW`` of a side end (the proof is in the
+``_collision_loops`` docstring).  A sphere root t0 lies in [0, pi], so a
+ray whose best root t0 is below pi has its hit: the roots t0 + pi and
+t0 + 2 pi, the scalar loop's ``if not t < best_t: break``, are solved
+only for the rays without one.  No sweep state has needed them (200
+samples at seeds 0-15 and 10,000 at seeds 0-1, 20 bounces, on the theta =
+pi/4 and theta = 1 triangles).
 Dot products are written as component sums in the scalar order (no ``@``
-or ``einsum``, whose BLAS/FMA paths round differently).  numpy's
-transcendental functions may still differ from ``math``'s by an ulp, so a
-row agrees with the scalar trace closely but not bit for bit.
+or ``einsum``, whose BLAS/FMA paths round differently).  The engine gives
+the bits of the generic grid engine it replaced (kept as the oracle
+``batch_trace_states`` in ``tests/kernel_oracle.py``); numpy's
+transcendental functions may differ from ``math``'s by an ulp, so a row
+agrees with the scalar trace closely but not bit for bit.
 
-The scalar loops stay the N = 1 engine (this one is 20-50x slower for a
-single ray of 20-50 bounces) and this module's test oracle.  Its one
-caller is ``collision.trace_many``, which ``unfolding.find_periodic``
-feeds the (side, s, psi) arrays of its sweep.  Vectors are tuples
-(x, y, z) of equally shaped arrays.
+The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
+this one takes 19-32x as long as ``collision.trace`` (square, theta = 1
+triangle and pentagon, 2 vCPUs; the grid engine before it took 23-44x).
+Its one caller is ``collision.trace_many``, which
+``unfolding.find_periodic`` feeds the (side, s, psi) arrays of its sweep
+``SWEEP_BLOCK`` states at a time, so the tiles hold at most that many
+rows there.
 """
 
 import math
 
 import numpy as np
 
+from ._collision_loops import INF, VERTEX_WINDOW
 # mdot and perp take tuples of arrays as they take float triples
-from ._kernels import INF, mdot, perp
+from ._kernels import mdot, perp
 
 
 def _cos_sin(k, t):
@@ -40,42 +62,25 @@ def _cos_sin(k, t):
     return np.cosh(t), np.sinh(t)
 
 
-def _geodesic_point(k, p, v, t):
-    if k == 0:
-        # cos_0 = 1 exactly, so 1.0 * p drops out
-        return p[0] + t * v[0], p[1] + t * v[1], p[2] + t * v[2]
-    c, s = _cos_sin(k, t)
-    return c * p[0] + s * v[0], c * p[1] + s * v[1], c * p[2] + s * v[2]
-
-
-def _geodesic_dir(k, p, v, t):
-    if k == 0:
-        return v[0], v[1], np.zeros_like(v[0])
-    c, s = _cos_sin(k, t)
-    ks = -k * s
-    return ks * p[0] + c * v[0], ks * p[1] + c * v[1], ks * p[2] + c * v[2]
-
-
 def _renorm_point(k, p):
+    """p scaled back onto the model surface (k = 1 or -1)."""
     if k == 1:
         n = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-    elif k == -1:
-        n = np.sqrt(p[2] ** 2 - p[0] ** 2 - p[1] ** 2)
     else:
-        return p[0], p[1], np.ones_like(p[0])
+        n = np.sqrt(p[2] ** 2 - p[0] ** 2 - p[1] ** 2)
     return p[0] / n, p[1] / n, p[2] / n
 
 
 def _renorm_tangent(k, p, v):
-    if k == 0:
-        n = np.hypot(v[0], v[1])
-        return v[0] / n, v[1] / n, np.zeros_like(v[0])
+    """v made tangent at p (k = 1 or -1) and normalised."""
     c = mdot(k, v, p)
     if k == 1:
         o = (v[0] - c * p[0], v[1] - c * p[1], v[2] - c * p[2])
+        # a sum of squares is never below +0, so it needs no abs
+        n = np.sqrt(mdot(k, o, o))
     else:
         o = (v[0] + c * p[0], v[1] + c * p[1], v[2] + c * p[2])
-    n = np.sqrt(np.abs(mdot(k, o, o)))
+        n = np.sqrt(np.abs(mdot(k, o, o)))
     return o[0] / n, o[1] / n, o[2] / n
 
 
@@ -93,101 +98,227 @@ def _distance(k, a, b):
     return np.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _gather(vec, j):
-    return tuple(x[j] for x in vec)
+# rows of _Sides.table: start point, start tangent, functional (3 each),
+# length, length - near, start and end vertex (3 each), plane unit tangent
+_A, _U, _N, _SL, _SL_NEAR, _W0, _W1, _T = 0, 3, 6, 9, 10, 11, 14, 17
 
 
-def _boundary_embed(k, a, u, s, psi):
-    bp = _renorm_point(k, _geodesic_point(k, a, u, s))
-    w = _renorm_tangent(k, bp, _geodesic_dir(k, a, u, s))
-    e2 = perp(k, bp, w)
-    c = np.cos(psi)
-    sn = np.sin(psi)
-    d = (c * w[0] + sn * e2[0], c * w[1] + sn * e2[1], c * w[2] + sn * e2[2])
-    return bp, _renorm_tangent(k, bp, d)
+class _Sides:
+    """A polygon's side constants as the engine reads them.
 
-
-def _side_hits(k, sides, p, v, tmin, pad):
-    """(t, s) of every ray against every side, shape (N, nsides).
-
-    t is INF where the oracle's ``ray_side_hit`` would report no crossing.
+    ``table`` holds one row per constant over the sides (the rows above,
+    with near = tol_v + VERTEX_WINDOW), so that ``table[:, j]`` gathers
+    them for the sides j that the rays hit.  ``tiles`` holds what the grid
+    reads (a, u, functional and ``length + tol_v``, tol_v being the pad),
+    each as an (N, nsides) array, and ``grid_base`` the flat index of each
+    grid row's first cell.
     """
-    sa, su, sn, sl = sides
-    p = tuple(x[:, None] for x in p)
-    v = tuple(x[:, None] for x in v)
-    a = mdot(k, sn, p)
-    b = mdot(k, sn, v)
+
+    def __init__(self, k, sa, su, sn, sl, sv0, sv1, verts, nray, tol_v):
+        sa, su, sn, verts = (np.asarray(x, dtype=float)
+                             for x in (sa, su, sn, verts))
+        sl = np.asarray(sl, dtype=float)
+        table = np.array([*sa.T, *su.T, *sn.T, sl,
+                          sl - (tol_v + VERTEX_WINDOW),
+                          *verts[np.asarray(sv0)].T,
+                          *verts[np.asarray(sv1)].T])
+        if k == 0:
+            # geodesic_dir on the plane is u, whatever s: the side tangent
+            # at the hit and at the next start, normalised once
+            h = np.hypot(table[_U], table[_U + 1])
+            table = np.vstack((table, table[_U] / h, table[_U + 1] / h))
+        self.table = table
+        self.nsides = nsides = sl.shape[0]
+        grid = np.vstack((table[:_SL], sl + tol_v))
+        self.tiles = np.tile(grid[:, None, :], (1, nray, 1))
+        self.grid_base = np.arange(nray) * nsides
+
+
+def _side_hits(k, tiles, base, p, v, tmin, pad):
+    """First side crossing of each ray, from the (n, nsides) grid of every
+    ray against every side.
+
+    ``tiles`` holds the side constants (a, u, functional, length + pad),
+    p and v the rays' point and direction components, all as (n, nsides)
+    arrays; ``base`` is the flat index of each grid row's first cell.
+    Returns per ray (j, t, s, ct, st, q): the side, t (INF where the
+    scalar loop finds no crossing, with j = 0), its arc parameter s, the
+    cos/sin (cosh/sinh) ct, st of t and the unnormalised hit point q.  On
+    the plane ct and st are None and q holds (x, y).
+    """
+    sa, su, sn, hi = tiles[0:3], tiles[3:6], tiles[6:9], tiles[9]
+    ct = st = None
     if k == 0:
+        # p[2] = 1 and v[2] = 0 on the plane; b is exact but for the sign
+        # of a zero, and |b| < 1e-15 rejects a zero b anyway
+        a = sn[0] * p[0] + sn[1] * p[1] + sn[2]
+        b = sn[0] * v[0] + sn[1] * v[1]
         t = -a / b
         ok = (np.abs(b) >= 1e-15) & (t > tmin)
-        q = _geodesic_point(0, p, v, t)
+        q = (p[0] + t * v[0], p[1] + t * v[1])
         s = (q[0] - sa[0]) * su[0] + (q[1] - sa[1]) * su[1]
-        ok &= (s >= -pad) & (s <= sl + pad)
     elif k == -1:
+        a = mdot(k, sn, p)
+        b = mdot(k, sn, v)
         t = np.arctanh(-a / b)
         ok = (np.abs(b) > np.abs(a)) & (t > tmin)
-        q = _geodesic_point(-1, p, v, t)
-        s = np.arcsinh(q[0] * su[0] + q[1] * su[1] - q[2] * su[2])
-        ok &= (s >= -pad) & (s <= sl + pad)
+        ct, st = np.cosh(t), np.sinh(t)
+        q = (ct * p[0] + st * v[0], ct * p[1] + st * v[1],
+             ct * p[2] + st * v[2])
+        s = np.arcsinh(mdot(k, q, su))
     else:
-        # roots repeat every pi along the great circle: keep the first of
-        # t0, t0 + pi, t0 + 2 pi that passes both tests
-        t0 = np.arctan2(-a, b) % math.pi
-        t = np.full(t0.shape, INF)
-        s = np.zeros(t0.shape)
-        ok = np.zeros(t0.shape, dtype=bool)
+        a = mdot(k, sn, p)
+        b = mdot(k, sn, v)
         live = ~((np.abs(a) < 1e-15) & (np.abs(b) < 1e-15))
-        for m in range(3):
-            tm = t0 + m * math.pi
-            q = _geodesic_point(1, p, v, tm)
-            sm = np.arctan2(q[0] * su[0] + q[1] * su[1] + q[2] * su[2],
-                            q[0] * sa[0] + q[1] * sa[1] + q[2] * sa[2])
-            take = live & ~ok & (tm > tmin) & (sm >= -pad) & (sm <= sl + pad)
-            t = np.where(take, tm, t)
-            s = np.where(take, sm, s)
-            ok |= take
-    # a nan t fails `t < best_t` in the scalar loop; drop it here too
-    ok &= t < INF
-    return np.where(ok, t, INF), s
-
-
-def _step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
-    """One bounce of the scalar trace loop for every ray: (ok, side, s,
-    psi), ok False where it stops the ray (escape, vertex or grazing)."""
-    sa, su, sn, sl = sides
-    tgrid, sgrid = _side_hits(k, sides, p, v, tmin, tol_v)
-    rows = np.arange(tgrid.shape[0])
+        # roots repeat every pi along the great circle: the first of t0,
+        # t0 + pi, t0 + 2 pi that passes both tests
+        t0 = np.arctan2(-a, b) % math.pi
+        ok, s, ct, st, q = _sphere_root(tiles, p, v, t0, tmin, pad)
+        ok &= live
+        t = t0
+    if k != 1:
+        # the generic engine's t < INF; a sphere root that passes is below
+        # 3 pi
+        ok &= (s >= -pad) & (s <= hi) & (t < INF)
+    t = np.where(ok, t, INF)
     # argmin takes the first minimum: the lowest side index wins a tie,
     # and a ray with no hit (a row of INF) gets side 0
-    j = np.argmin(tgrid, axis=1)
-    t = tgrid[rows, j]
-    s = sgrid[rows, j]
+    j = np.argmin(t, axis=1)
+    flat = base + j
+    th = t.ravel()[flat]
+    if k == 1:
+        # the later roots are >= pi: only rays whose best t0 is not below
+        # pi (in practice, rays with no hit at t0) need them
+        later = np.flatnonzero(~(th < math.pi))
+        if later.size:
+            _later_roots(tiles, p, v, tmin, pad, later, t0, live, ok,
+                         (t, s, ct, st) + q)
+            j[later] = np.argmin(t[later], axis=1)
+            flat = base + j
+            th = t.ravel()[flat]
+    if k != 0:
+        ct, st = ct.ravel()[flat], st.ravel()[flat]
+    return (j, th, s.ravel()[flat], ct, st,
+            tuple(x.ravel()[flat] for x in q))
 
-    q = _renorm_point(k, _geodesic_point(k, p, v, t))
-    at0 = _distance(k, q, tuple(verts[sv0[j], c] for c in range(3))) < tol_v
-    at1 = _distance(k, q, tuple(verts[sv1[j], c] for c in range(3))) < tol_v
 
-    w = _renorm_tangent(k, q, _geodesic_dir(k, p, v, t))
+def _sphere_root(tiles, p, v, tm, tmin, pad):
+    """(passes, s, ct, st, q) of the sphere root tm over a grid: passes
+    where tm is past tmin and s in the side's pad window."""
+    ct, st = np.cos(tm), np.sin(tm)
+    q = (ct * p[0] + st * v[0], ct * p[1] + st * v[1],
+         ct * p[2] + st * v[2])
+    s = np.arctan2(mdot(1, q, tiles[3:6]), mdot(1, q, tiles[0:3]))
+    return (tm > tmin) & (s >= -pad) & (s <= tiles[9]), s, ct, st, q
+
+
+def _later_roots(tiles, p, v, tmin, pad, rows, t0, live, ok, out):
+    """The sphere roots t0 + pi and t0 + 2 pi of the grid rows ``rows``,
+    written into ``out`` = (t, s, ct, st, qx, qy, qz) where they are the
+    first root that passes."""
+    # every row of a tile is the same: take the first rows.size
+    tiles = tuple(x[:rows.size] for x in tiles)
+    p = tuple(x[rows] for x in p)
+    v = tuple(x[rows] for x in v)
+    live, ok = live[rows], ok[rows]
+    cur = [x[rows] for x in out]
+    for m in (1, 2):
+        tm = t0[rows] + m * math.pi
+        take, s, ct, st, q = _sphere_root(tiles, p, v, tm, tmin, pad)
+        take &= live & ~ok
+        cur = [np.where(take, x, c)
+               for x, c in zip((tm, s, ct, st) + q, cur)]
+        ok |= take
+    for x, c in zip(out, cur):
+        x[rows] = c
+
+
+def _embed(k, g, s, cs, ss, psi):
+    """``boundary_embed`` of (s, psi) on the sides whose constants g
+    gathers, with cs, ss the cos/sin (cosh/sinh) of s off the plane.
+    Returns (p, v), on the plane as (x, y) pairs: p[2] = 1 and v[2] = 0."""
+    c, sn = np.cos(psi), np.sin(psi)
     if k == 0:
-        d0 = su[0][j]
-        d1 = su[1][j]
-        c2 = w[0] * d0 + w[1] * d1
-        r = (2.0 * c2 * d0 - w[0], 2.0 * c2 * d1 - w[1], np.zeros_like(c2))
-    else:
-        nj = _gather(sn, j)
-        c2 = mdot(k, w, nj)
-        r = (w[0] - 2.0 * c2 * nj[0], w[1] - 2.0 * c2 * nj[1],
-             w[2] - 2.0 * c2 * nj[2])
-    r = _renorm_tangent(k, q, r)
-    sd = _geodesic_dir(k, _gather(sa, j), _gather(su, j), s)
-    sd = _renorm_tangent(k, q, sd)
+        t0, t1 = g[_T], g[_T + 1]
+        d0 = c * t0 - sn * t1
+        d1 = c * t1 + sn * t0
+        h = np.hypot(d0, d1)
+        return (g[_A] + s * g[_U], g[_A + 1] + s * g[_U + 1]), (d0 / h,
+                                                                d1 / h)
+    a0, a1, a2, u0, u1, u2 = g[_A:_A + 6]
+    p = _renorm_point(k, (cs * a0 + ss * u0, cs * a1 + ss * u1,
+                          cs * a2 + ss * u2))
+    ks = -ss if k == 1 else ss
+    w = _renorm_tangent(k, p, (ks * a0 + cs * u0, ks * a1 + cs * u1,
+                               ks * a2 + cs * u2))
+    e = perp(k, p, w)
+    d = (c * w[0] + sn * e[0], c * w[1] + sn * e[1], c * w[2] + sn * e[2])
+    return p, _renorm_tangent(k, p, d)
+
+
+def _outgoing(k, g, p, v, s, ct, st, q):
+    """The hit point and the outgoing angle psi at the hits (t, s) on the
+    sides g, from the ray (p, v) and the hit's ct, st and unnormalised
+    point q.  Also returns the cos/sin (cosh/sinh) of s (None, None on the
+    plane)."""
+    if k == 0:
+        h = np.hypot(v[0], v[1])
+        w0 = v[0] / h
+        w1 = v[1] / h
+        d0, d1 = g[_U], g[_U + 1]
+        c2 = 2.0 * (w0 * d0 + w1 * d1)
+        r0 = c2 * d0 - w0
+        r1 = c2 * d1 - w1
+        h = np.hypot(r0, r1)
+        r0 = r0 / h
+        r1 = r1 / h
+        t0, t1 = g[_T], g[_T + 1]
+        # the generic determinant at (x, y, 1) with zero z-components adds
+        # a signed zero, which moves psi only on a grazing stop
+        return q, np.arctan2(t0 * r1 - t1 * r0, t0 * r0 + t1 * r1), None, None
+    q = _renorm_point(k, q)
+    ks = -st if k == 1 else st
+    w = _renorm_tangent(k, q, (ks * p[0] + ct * v[0], ks * p[1] + ct * v[1],
+                               ks * p[2] + ct * v[2]))
+    n0, n1, n2 = g[_N:_N + 3]
+    c2 = 2.0 * mdot(k, w, (n0, n1, n2))
+    r = _renorm_tangent(k, q, (w[0] - c2 * n0, w[1] - c2 * n1,
+                               w[2] - c2 * n2))
+    cs, ss = _cos_sin(k, s)
+    ks = -ss if k == 1 else ss
+    a0, a1, a2, u0, u1, u2 = g[_A:_A + 6]
+    sd = _renorm_tangent(k, q, (ks * a0 + cs * u0, ks * a1 + cs * u1,
+                                ks * a2 + cs * u2))
     det = (q[0] * (sd[1] * r[2] - sd[2] * r[1])
            - q[1] * (sd[0] * r[2] - sd[2] * r[0])
            + q[2] * (sd[0] * r[1] - sd[1] * r[0]))
-    psi = np.arctan2(det, mdot(k, sd, r))
-    grazing = (psi < graze) | (psi > math.pi - graze)
-    ok = (t < INF) & ~at0 & ~at1 & ~grazing
-    return ok, j, np.minimum(np.maximum(s, 0.0), sl[j]), psi
+    return q, np.arctan2(det, mdot(k, sd, r)), cs, ss
+
+
+def _bounce(k, sides, p, v, tmin, tol_v, graze):
+    """One bounce of the scalar trace loop for the n live rays (p, v):
+    (ok, j, s, psi, g, cs, ss), ok False where it stops the ray (escape,
+    vertex or grazing), j the side hit, s its unclamped arc parameter, g
+    the side's constants and cs, ss the cos/sin (cosh/sinh) of s."""
+    n = p[0].size
+    nsides = sides.nsides
+    grid = np.repeat(np.concatenate(p + v), nsides).reshape(-1, n, nsides)
+    half = len(p)
+    j, t, s, ct, st, q = _side_hits(k, sides.tiles[:, :n],
+                                    sides.grid_base[:n], grid[:half],
+                                    grid[half:], tmin, tol_v)
+    g = sides.table[:, j]
+    q, psi, cs, ss = _outgoing(k, g, p, v, s, ct, st, q)
+    ok = (t < INF) & ~((psi < graze) | (psi > math.pi - graze))
+    # between the bands near the side ends no vertex is within tol_v
+    near = tol_v + VERTEX_WINDOW
+    test = np.flatnonzero(~((near < s) & (s < g[_SL_NEAR])))
+    if test.size:
+        qt = tuple(x[test] for x in q)
+        gt = g[:, test]
+        ok[test] &= ~((_distance(k, qt, gt[_W0:_W0 + 3]) < tol_v)
+                      | (_distance(k, qt, gt[_W1:_W1 + 3]) < tol_v))
+    return ok, j, s, psi, g, cs, ss
 
 
 def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
@@ -199,27 +330,32 @@ def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
     state r, as 0-based labels, then -1 and nan floats past the bounce
     where the scalar loop stops the ray.
     """
-    sa, su, sn, sl, sv0, sv1, verts = (np.asarray(x) for x in
-                                       (sa, su, sn, sl, sv0, sv1, verts))
     nray = side0.shape[0]
     labels = np.full((nray, nmax), -1, dtype=np.int64)
     svals = np.full((nray, nmax), np.nan)
     psis = np.full((nray, nmax), np.nan)
-    sides = tuple(tuple(arr[:, c] for c in range(3)) for arr in (sa, su, sn))
-    sides += (sl,)
+    if nray == 0 or nmax == 0:
+        return labels, svals, psis
+    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, nray, tol_v)
     with np.errstate(all="ignore"):
-        p, v = _boundary_embed(k, _gather(sides[0], side0),
-                               _gather(sides[1], side0), s0, psi0)
+        cs, ss = (None, None) if k == 0 else _cos_sin(k, s0)
+        p, v = _embed(k, sides.table[:, side0], s0, cs, ss, psi0)
         idx = np.arange(nray)          # rays still live, in input order
         for i in range(nmax):
-            ok, j, s, psi = _step(k, sides, sv0, sv1, verts, p, v,
-                                  tmin, tol_v, graze)
-            idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
+            ok, j, s, psi, g, cs, ss = _bounce(k, sides, p, v, tmin, tol_v,
+                                               graze)
+            idx, j, s, psi, g = idx[ok], j[ok], s[ok], psi[ok], g[:, ok]
+            sc = np.minimum(np.maximum(s, 0.0), g[_SL])
             labels[idx, i] = j
-            svals[idx, i] = s
+            svals[idx, i] = sc
             psis[idx, i] = psi
             if idx.size == 0 or i + 1 == nmax:
                 break
-            p, v = _boundary_embed(k, _gather(sides[0], j),
-                                   _gather(sides[1], j), s, psi)
+            if k != 0:
+                cs, ss = cs[ok], ss[ok]
+                # a clamp moves s, or turns -0.0 into 0.0
+                redo = np.flatnonzero((s <= 0.0) | (s > g[_SL]))
+                if redo.size:
+                    cs[redo], ss[redo] = _cos_sin(k, sc[redo])
+            p, v = _embed(k, g, sc, cs, ss, psi)
     return labels, svals, psis

@@ -49,10 +49,12 @@ tables and on generated ones with hyperboloid heights up to 4.6
 (Poincare radius 0.8).  Farther out the float64 geometry drifts by
 itself (some 1e-10 at Poincare radius 0.9, 3e-8 at 0.95 and 3e-6 at
 0.99, where the VERTEX_TOL test already sits below the rounding), so
-``VERTEX_WINDOW`` = 1e-4 keeps a margin of 1000 at 0.95.  The rounding
-of s is far smaller.  Of the diagonal search's recorded bounces, 588 of
-11,908 on the square land within 1e-4 of a side end (372 within 1e-6),
-and none of 839 on the theta = 1 sphere triangle.
+``build_polygon`` rejects a table whose side misses its end vertex by
+more than ``VERTEX_TOL / 10`` (``polygon.SIDE_END_TOL``), and
+``VERTEX_WINDOW`` = 1e-4 keeps a margin of 1e6 on every table it builds.
+The rounding of s is far smaller.  Of the diagonal search's recorded
+bounces, 588 of 11,908 on the square land within 1e-4 of a side end (372
+within 1e-6), and none of 839 on the theta = 1 sphere triangle.
 
 The loops live apart from the ``_kernels`` helpers because compiling one
 module with both, from source, peaks about 1 MB higher than compiling the

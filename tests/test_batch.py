@@ -1,13 +1,24 @@
-"""The batched engine (collision.trace_many) against the scalar trace."""
+"""The batched engine (collision.trace_many) against the scalar trace, and
+bit for bit against the grid engine it replaced.
+
+``kernel_oracle.batch_trace_states`` keeps that grid engine.  The engine
+must give its (labels, svals, psis) bytes on the sweep states of all
+three curvatures, on hits aimed inside VERTEX_TOL of a side end, in the
+vertex window and past it, on clamped arc parameters and grazing stops,
+and its first hits where the sphere needs the roots past t0.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+import kernel_oracle as O
 from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
-                         PolygonError, find_periodic, sphere_triangle,
-                         square)
+                         PolygonError, find_periodic, hyperbolic_pentagon,
+                         sphere_triangle, square)
+from ccbilliards import _batch as B
+from ccbilliards import _collision_loops as L
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import unfolding as U
@@ -156,3 +167,178 @@ def test_find_periodic_matches_scalar_sweep(monkeypatch, make):
     assert got
     monkeypatch.setattr(C, "trace_many", scalar_trace_many)
     assert find_periodic(poly, 20, 200, seed=0) == got
+
+
+# ---------------------------------------------------------------------------
+# bit for bit against the grid engine it replaced
+# ---------------------------------------------------------------------------
+
+SWEEP_TABLES = {"square": square(),
+                "triangle-pi4": sphere_triangle(math.pi / 4),
+                "triangle-1": sphere_triangle(1.0),
+                "pentagon": hyperbolic_pentagon()}
+
+
+def engine_and_oracle(poly, side, s, psi, n, pack=None, tol_v=C.VERTEX_TOL):
+    """``_batch.trace_states`` and the oracle on 1-based (side, s, psi),
+    with the polygon's pack unless one is given; tol_v is also the pad."""
+    if pack is None:
+        pack = poly.kernel_pack()[:7]
+    args = (poly.k, *pack, np.asarray(side) - 1, np.asarray(s, float),
+            np.asarray(psi, float), n, C.FLIGHT_MIN, tol_v, C.GRAZE_TOL)
+    return B.trace_states(*args), O.batch_trace_states(*args)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def sweep_batch(poly, samples, seeds):
+    """The sweep states of the seeds, one after the other.  Rows are traced
+    independently, so one batch gives each row the bits of its own."""
+    parts = [U._sweep_states(poly, samples, seed) for seed in seeds]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_sweep_states_match_oracle(name):
+    # the find_periodic sweep at 200 samples, seeds 0-15, 12 bounces; and
+    # seed 0 alone, a batch of find_periodic's size
+    poly = SWEEP_TABLES[name]
+    for seeds in (range(16), [0]):
+        got, want = engine_and_oracle(poly, *sweep_batch(poly, 200, seeds),
+                                      12)
+        assert_same_bits(got, want)
+        assert (got[0][:, -1] >= 0).mean() > 0.9
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_dense_sweep_states_match_oracle(name):
+    # 10,000 samples at seeds 0 and 1: starts near the side ends and near
+    # grazing, over two bounces
+    poly = SWEEP_TABLES[name]
+    got, want = engine_and_oracle(poly, *sweep_batch(poly, 10000, (0, 1)),
+                                  2)
+    assert_same_bits(got, want)
+
+
+# arc offsets from a side end for aimed hits: inside VERTEX_TOL (vertex
+# hits), just outside it, within the vertex window and just past it
+END_OFFSETS = (0.0, 0.5e-9, 0.9e-9, 1.1e-9, 2e-9, 1e-7, 1e-5, 0.999e-4,
+               1e-4, 1.001e-4, 2e-4, 1e-2)
+
+
+def aimed_states(poly):
+    """(states, offsets): from the middle of side j + 1, aimed at the
+    points END_OFFSETS from either end of side j."""
+    k = poly.k
+    sa, su, _, sl = poly.kernel_pack()[:4]
+    states, offsets = [], []
+    for j in range(poly.n_sides):
+        i = (j + 1) % poly.n_sides
+        bp = K.renorm_point(k, K.geodesic_point(k, sa[i], su[i], 0.5 * sl[i]))
+        w = K.renorm_tangent(k, bp, K.geodesic_dir(k, sa[i], su[i],
+                                                   0.5 * sl[i]))
+        for off in END_OFFSETS:
+            for s in (off, sl[j] - off):
+                q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j], s))
+                psi = K.signed_angle(k, bp, w, K.log_map(k, bp, q))
+                if C.GRAZE_TOL < psi < math.pi - C.GRAZE_TOL:
+                    states.append((i + 1, 0.5 * sl[i], psi))
+                    offsets.append(off)
+    return tuple(zip(*states)), np.array(offsets)
+
+
+@pytest.mark.parametrize("name", ["square", "triangle-1", "pentagon"])
+def test_hits_near_side_ends_match_oracle(name):
+    poly = SWEEP_TABLES[name]
+    states, offsets = aimed_states(poly)
+    got, want = engine_and_oracle(poly, *states, 6)
+    assert_same_bits(got, want)
+    # first hits that stop on a vertex inside VERTEX_TOL, and first hits
+    # that go on from the vertex window and from past it
+    first = got[0][:, 0] >= 0
+    assert not first[offsets < 0.9 * C.VERTEX_TOL].any()
+    assert (offsets[first] < L.VERTEX_WINDOW).any()
+    assert (offsets[first] > L.VERTEX_WINDOW).any()
+
+
+def test_clamped_arc_parameters_match_oracle():
+    # the built tables clamp only within rounding of a vertex, where the
+    # vertex stop fires first; with the sides shortened to 80%, a pad of a
+    # quarter side and the vertex stop off (nan vertices), every hit on a
+    # side's last fifth is clamped and the trace goes on from there
+    for poly in (SWEEP_TABLES["square"], SWEEP_TABLES["triangle-1"],
+                 SWEEP_TABLES["pentagon"]):
+        sa, su, sn, sl, sv0, sv1, verts = poly.kernel_pack()[:7]
+        short = tuple(0.8 * ln for ln in sl)
+        pack = (sa, su, sn, short, sv0, sv1, ((math.nan,) * 3,) * len(verts))
+        side, s, psi = sweep_batch(poly, 200, [0])
+        s = 0.8 * s
+        got, want = engine_and_oracle(poly, side, s, psi, 20, pack,
+                                      0.25 * max(sl))
+        assert_same_bits(got, want)
+        # clamped bounces that the trace goes on from
+        labels, svals = got[0][:, :-1], got[1][:, :-1]
+        ends = np.array(short)[np.maximum(labels, 0)]
+        assert ((svals == ends) & (got[0][:, 1:] >= 0)).any()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_grazing_stops_match_oracle(name):
+    # states just before a side's end, turned 1e-10 short of parallel to
+    # the next side, graze it; the mid-side states go on
+    poly = SWEEP_TABLES[name]
+    states = []
+    for side in range(1, poly.n_sides + 1):
+        length = poly.side(side).length
+        theta = poly.angles[poly.side(side).end]
+        states += [(side, length * (1.0 - 1e-11), math.pi - theta - 1e-10),
+                   (side, 0.5 * length, 1.0)]
+    got, want = engine_and_oracle(poly, *zip(*states), 5)
+    assert_same_bits(got, want)
+    first = got[0][:, 0] >= 0
+    assert not first[0::2].any() and first[1::2].all()
+    grazing = [C.trace(poly, BoundaryState(*b), 5).status for b in states]
+    assert grazing[0::2] == [K.STEP_GRAZING] * poly.n_sides
+
+
+@pytest.mark.parametrize("tmin", [3.0, 4.5])
+def test_later_sphere_roots_match_oracle(tmin):
+    # the sweep never needs the roots t0 + pi and t0 + 2 pi; past a tmin
+    # above every t0 of a ray, its first hit is one of them.  _side_hits
+    # must pick the oracle's side, t and s, and give the cos/sin and the
+    # point of that t
+    poly = sphere_triangle(1.0)
+    pack = poly.kernel_pack()[:7]
+    side, s, psi = U._sweep_states(poly, 200, 0)
+    sa, su, sn = (tuple(np.array(x)[:, c] for c in range(3))
+                  for x in pack[:3])
+    sl = np.array(pack[3])
+    j0 = side - 1
+    p, v = O._batch_boundary_embed(1, O._batch_gather(sa, j0),
+                                   O._batch_gather(su, j0), s, psi)
+    n, ns = p[0].size, poly.n_sides
+    with np.errstate(all="ignore"):
+        tw, sw = O.batch_side_hits(1, (sa, su, sn, sl), p, v, tmin,
+                                   C.VERTEX_TOL)
+        sides = B._Sides(1, *pack, n, C.VERTEX_TOL)
+        grid = np.repeat(np.concatenate(p + v), ns).reshape(6, n, ns)
+        j, t, s_hit, ct, st, q = B._side_hits(
+            1, sides.tiles[:, :n], sides.grid_base[:n], grid[:3], grid[3:],
+            tmin, C.VERTEX_TOL)
+    rows = np.arange(n)
+    want_j = np.argmin(tw, axis=1)
+    assert_same_bits((j, t, s_hit), (want_j, tw[rows, want_j],
+                                     sw[rows, want_j]))
+    hit = t < L.INF
+    assert hit.mean() > 0.9
+    assert_same_bits((ct[hit], st[hit]), (np.cos(t[hit]), np.sin(t[hit])))
+    want_q = O._batch_geodesic_point(1, p, v, t)
+    assert_same_bits(tuple(x[hit] for x in q),
+                     tuple(x[hit] for x in want_q))
+    # every first hit is a later root, some t0 + pi and some t0 + 2 pi
+    assert (t[hit] >= math.pi).all()
+    assert (t[hit] < 2 * math.pi).any() and (t[hit] >= 2 * math.pi).any()

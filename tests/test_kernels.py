@@ -16,7 +16,8 @@ records: rays aimed at arc parameters inside VERTEX_TOL of a side end, in
 the window and past it give the oracle's bits through ``trace_ray``,
 ``trace``, ``collision_step`` and the shooter; the window's premise (a
 side's stored ends lie on its vertices) holds on built-in and generated
-tables; and a polygon builds its side records once.
+tables, and ``build_polygon`` rejects the hyperbolic tables reaching so
+far out that it fails; and a polygon builds its side records once.
 """
 
 import math
@@ -34,6 +35,7 @@ from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
 from ccbilliards import _collision_loops as L
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
+from ccbilliards.polygon import SIDE_END_TOL
 
 TABLES = {"square": square(),
           "skew-quad": build_polygon(
@@ -484,9 +486,9 @@ def test_side_ends_lie_on_vertices_built_in(name):
 
 @st.composite
 def star_polygons(draw):
-    """A polygon of 3-7 vertices sorted by azimuth about the model's
-    origin, in a random curvature; plane coordinates up to 3, Poincare
-    radii up to 0.95, polar angles up to 1.4."""
+    """(k, coords) of a polygon of 3-7 vertices sorted by azimuth about the
+    model's origin, in a random curvature; plane coordinates up to 3,
+    Poincare radii up to 0.95, polar angles up to 1.4."""
     k = draw(st.sampled_from((0, 1, -1)))
     n = draw(st.integers(3, 7))
     gaps = draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
@@ -494,28 +496,47 @@ def star_polygons(draw):
     azimuth = draw(st.floats(0.0, 2 * math.pi)) + (
         2 * math.pi * np.cumsum(gaps) / sum(gaps))
     if k == 1:
-        coords = [(math.sin(1.4 * r) * math.cos(a),
-                   math.sin(1.4 * r) * math.sin(a), math.cos(1.4 * r))
-                  for r, a in zip(radii, azimuth)]
-    else:
-        scale = 3.0 if k == 0 else 1.0
-        coords = [(scale * r * math.cos(a), scale * r * math.sin(a))
-                  for r, a in zip(radii, azimuth)]
-    try:
-        return build_polygon(k, coords)
-    except PolygonError:
-        assume(False)
+        return k, [(math.sin(1.4 * r) * math.cos(a),
+                    math.sin(1.4 * r) * math.sin(a), math.cos(1.4 * r))
+                   for r, a in zip(radii, azimuth)]
+    scale = 3.0 if k == 0 else 1.0
+    return k, [(scale * r * math.cos(a), scale * r * math.sin(a))
+               for r, a in zip(radii, azimuth)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(poly=star_polygons())
-def test_side_ends_lie_on_vertices_generated(poly):
+@given(table=star_polygons())
+def test_side_ends_lie_on_vertices_generated(table):
     # within 1e-12 up to hyperboloid height 4.6 (Poincare radius 0.8);
-    # farther out the float64 geometry drifts, still far inside the window
+    # farther out the float64 geometry drifts, and build_polygon rejects a
+    # table once a side misses its end vertex by more than SIDE_END_TOL,
+    # which happens only on hyperbolic tables reaching past radius 0.85
+    k, coords = table
+    try:
+        poly = build_polygon(k, coords)
+    except PolygonError as e:
+        assume("misses its end vertex" in str(e))
+        assert k == -1 and max(math.hypot(*c) for c in coords) > 0.85
+        return
     gap = _end_gap(poly)
-    assert gap < 1e-2 * L.VERTEX_WINDOW
+    assert gap <= SIDE_END_TOL < 1e-2 * L.VERTEX_WINDOW
     if max(abs(p[2]) for p in poly.vertices) <= 4.6:
         assert gap < 1e-12
+
+
+@pytest.mark.parametrize("radius,builds", [(0.85, True), (0.88, True),
+                                           (0.9, False), (0.95, False)])
+def test_tables_too_far_out_rejected(radius, builds):
+    # a regular hyperbolic triangle: its sides miss their end vertices by
+    # 1e-11 at Poincare radius 0.85, 6e-11 at 0.88, 3e-10 at 0.9 and 9e-9
+    # at 0.95 (VERTEX_TOL is 1e-9)
+    coords = [(radius * math.cos(a), radius * math.sin(a))
+              for a in (0.1, 0.1 + 2 * math.pi / 3, 0.1 + 4 * math.pi / 3)]
+    if builds:
+        assert _end_gap(build_polygon(-1, coords)) <= SIDE_END_TOL
+    else:
+        with pytest.raises(PolygonError, match="misses its end vertex"):
+            build_polygon(-1, coords)
 
 
 def test_side_records_built_once_per_polygon(monkeypatch):
