@@ -16,16 +16,41 @@ the oracle ``tests/kernel_oracle.py`` keeps) and the helpers of
 ``renorm_*``, ``perp``, ...).  It reuses the cos/sin (cosh/sinh) of a
 flight time or arc parameter, and a side whose crossing is no nearer than
 the best so far skips its arc parameter, which could not change the
-pick.  Apart from the exact rewrites ``-k * s`` -> ``-s`` (or ``s``),
-``1.0 * p`` -> ``p`` and ``r * 1.0`` -> ``r``, every expression is the
-helper's, in its operation order, so the loops give the bits of the
-generic step and loops that the oracle keeps.  The loops run on Python
-floats: the ``_kernels`` entries hand them the ray as two float triples
-and every scalar as a float, and the sides ready-made.  ``side_records``
-builds those once per polygon (``Polygon.kernel_pack``, at the pad
-``VERTEX_TOL``): one flat float tuple per side, and on the plane each
-side's unit tangent, which depends on neither the point nor the arc
-parameter.
+pick.  Apart from exact rewrites, every expression is the helper's, in
+its operation order, so the loops give the bits of the generic step and
+loops that the oracle keeps.  The rewrites, and why each is exact:
+
+* ``-k * s`` -> ``-s`` (or ``s``), ``1.0 * p`` -> ``p`` and ``r * 1.0``
+  -> ``r``.
+* Plane side search: ``a = nx*px + ny*py + nz`` and ``b = nx*vx + ny*vy
+  + bz`` with ``bz = 0.0`` in the side record.  Every bounce puts the
+  ray on z = 1 with zero z-direction, as ``renorm_point`` and
+  ``renorm_tangent`` do, and ``nz * 1.0 == nz``; ``nz * 0.0`` is a signed zero,
+  which can only flip the sign of a zero b, and the |b| < 1e-15 test
+  skips a zero b.  A ray that ``collision.check_ray`` accepts off that
+  plane (by up to 1e-6) searches its first side on per-call records that
+  carry ``nz * pz`` and ``nz * vz`` in those slots, so it keeps the
+  helper's bits too.
+* Plane psi: ``signed_angle`` at (hx, hy, 1) with zero z-components adds
+  ``hx * (ty*0.0 - 0.0*ry) - hy * (tx*0.0 - 0.0*rx)``, a signed zero, to
+  the determinant ``tx*ry - ty*rx``; that changes nothing unless the
+  determinant is 0, so the terms are added only then.
+* Sphere roots: ``t0 + m`` for m in ``ROOT_STEPS`` = ``(0.0, pi, 2.0 *
+  pi)``, which are ``0 * pi``, ``1 * pi`` and ``2 * pi`` exactly
+  (``t0 + 0.0`` is ``t0 + 0 * pi``).
+* Sphere norms: ``sqrt(x*x + y*y + z*z)`` without the ``abs`` of the
+  helper's ``sqrt(abs(mdot(o, o)))``: a sum of squares is never below +0.
+
+``x ** 2`` stays ``x ** 2`` wherever the helper has it: ``x * x`` is
+correctly rounded and libm's ``pow`` is not quite, so the two differ (on
+1,760 of 2,000,000 random doubles in [-2, 2] on an x86-64 Linux build of
+CPython 3.11).  The loops run on Python floats: the ``_kernels`` entries
+hand them the ray as two float triples and every scalar as a float, and
+the sides ready-made.  ``side_records`` builds those once per polygon
+(``Polygon.kernel_pack``, at the pad ``VERTEX_TOL``): one flat tuple per
+side, which the plane loops unpack in their ``for`` statement, and on the
+plane each side's unit tangent, which depends on neither the point nor
+the arc parameter.
 
 A trace loop tests a hit against the side's two vertices only when its
 arc parameter s lies within ``tol_v + VERTEX_WINDOW`` of either end of
@@ -45,12 +70,14 @@ compute s from the stored start point and tangent, not from w0 and w1,
 so the bound holds up to the rounding of s and of the start point and
 the point at arc sl against the vertices.  ``tests/test_kernels.py``
 checks that those lie within 1e-12 of the vertices on the built-in
-tables and on generated ones with hyperboloid heights up to 4.6
-(Poincare radius 0.8).  Farther out the float64 geometry drifts by
-itself (some 1e-10 at Poincare radius 0.9, 3e-8 at 0.95 and 3e-6 at
-0.99, where the VERTEX_TOL test already sits below the rounding), so
-``build_polygon`` rejects a table whose side misses its end vertex by
-more than ``VERTEX_TOL / 10`` (``polygon.SIDE_END_TOL``), and
+tables, and on generated ones within 50 eps h^6 (eps = 2**-52, h the
+largest vertex height on the hyperboloid, at least 1: a fit to measured
+gaps, which grow like h^6; 1e-12 at height 2.1).  Farther out the
+float64 geometry drifts by itself (some 1e-10 at Poincare radius 0.9,
+3e-8 at 0.95 and 3e-6 at 0.99, where the VERTEX_TOL test already sits
+below the rounding), so ``build_polygon`` rejects a table whose side
+misses its end vertex by more than ``VERTEX_TOL / 10``
+(``polygon.SIDE_END_TOL``), and
 ``VERTEX_WINDOW`` = 1e-4 keeps a margin of 1e6 on every table it builds.
 The rounding of s is far smaller.  Of the diagonal search's recorded
 bounces, 588 of 11,908 on the square land within 1e-4 of a side end (372
@@ -67,6 +94,8 @@ one process, 2 vCPUs) and read 3% slower end to end on diagonal-search.
 import math
 
 INF = 1e300
+# the sphere's ray-side roots t0 + m * pi for m = 0, 1, 2, as t0 + step
+ROOT_STEPS = (0.0, math.pi, 2.0 * math.pi)
 
 # step / trace status codes
 STEP_OK = 0
@@ -95,14 +124,20 @@ VERTEX_WINDOW = 1e-4
 def side_records(k, sa, su, sn, sl, pad):
     """The sides as the loops read them, for a polygon's (sa, su, sn, sl).
 
-    Returns (records, tangents): per side one flat float tuple (functional,
-    start point, start tangent, arc window [-pad, length + pad]); on the
-    plane each side's unit tangent (x, y), elsewhere ().
+    Returns (records, tangents): per side one flat tuple, and on the plane
+    each side's unit tangent (x, y), elsewhere ().  A sphere or hyperboloid
+    record is (functional, start point, start tangent, arc window [-pad,
+    length + pad]) as floats.  A plane record is (j, nx, ny, nz, bz, ax,
+    ay, ux, uy, lo, hi): the side's index, its functional, bz = 0.0 (the
+    functional's z-term for a direction of zero z), the (x, y) of its
+    start point and start tangent, and the arc window.
     """
-    records = tuple(n + a + u + (-pad, ln + pad)
-                    for a, u, n, ln in zip(sa, su, sn, sl))
     if k != 0:
-        return records, ()
+        return tuple(n + a + u + (-pad, ln + pad)
+                     for a, u, n, ln in zip(sa, su, sn, sl)), ()
+    records = tuple((j, n[0], n[1], n[2], 0.0, a[0], a[1], u[0], u[1],
+                     -pad, ln + pad)
+                    for j, (a, u, n, ln) in enumerate(zip(sa, su, sn, sl)))
     tangents = []
     for u in su:
         n = math.hypot(u[0], u[1])
@@ -110,21 +145,30 @@ def side_records(k, sa, su, sn, sl, pad):
     return records, tuple(tangents)
 
 
+def _off_plane(sides, pz, vz):
+    """Plane records for one search from a ray off z = 1 or of nonzero z:
+    the functional's z-terms nz * pz and nz * vz in the nz and bz slots."""
+    return tuple((j, nx, ny, nz * pz, nz * vz, ax, ay, ux, uy, lo, hi)
+                 for j, nx, ny, nz, _, ax, ay, ux, uy, lo, hi in sides)
+
+
 def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
                  tmin, tol_v, graze, labels, svals, psis, flens):
     px, py, pz = p
     vx, vy, vz = v
+    # the records take p on z = 1 and v of zero z, as every bounce leaves
+    # them; a ray that starts off them searches its first side on records
+    # with its own z-terms
+    recs = sides if pz == 1.0 and vz == 0.0 else _off_plane(sides, pz, vz)
     near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
         best_t = INF
-        best_j = -1
-        for j in range(len(sides)):
-            nx, ny, nz, ax, ay, _, ux, uy, _, lo, hi = sides[j]
-            b = nx * vx + ny * vy + nz * vz
+        for j, nx, ny, nz, bz, ax, ay, ux, uy, lo, hi in recs:
+            b = nx * vx + ny * vy + bz
             if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
                 continue
-            t = -(nx * px + ny * py + nz * pz) / b
+            t = -(nx * px + ny * py + nz) / b
             # a side no nearer than the best so far cannot win, whatever
             # its arc parameter
             if t <= tmin or not t < best_t:
@@ -134,33 +178,35 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             s = (qx - ax) * ux + (qy - ay) * uy
             if s < lo or s > hi:
                 continue
-            best_t, best_j, best_s, hx, hy = t, j, s, qx, qy
-        if best_j < 0:
+            best_t, best_s, hx, hy = t, s, qx, qy
+            won = j, ax, ay, ux, uy
+        if best_t == INF:
             return i, STEP_ESCAPED, -1, total
-        ln = sl[best_j]
+        j, ax, ay, ux, uy = won
+        ln = sl[j]
         if not near < best_s < ln - near:
-            for vtx in (sv0[best_j], sv1[best_j]):
+            for vtx in (sv0[j], sv1[j]):
                 w = verts[vtx]
                 if math.hypot(hx - w[0], hy - w[1]) < tol_v:
                     return i, STEP_VERTEX, vtx, total + best_t
         n = math.hypot(vx, vy)
         wx = vx / n
         wy = vy / n
-        _, _, _, ax, ay, _, ux, uy, _, _, _ = sides[best_j]
         c2 = wx * ux + wy * uy
         rx = 2.0 * c2 * ux - wx
         ry = 2.0 * c2 * uy - wy
         n = math.hypot(rx, ry)
         rx = rx / n
         ry = ry / n
-        tx, ty = tangents[best_j]
-        # signed_angle at (hx, hy, 1) with the zero z-components kept, so
-        # that a zero rounds to the same sign
-        psi = math.atan2(hx * (ty * 0.0 - 0.0 * ry)
-                         - hy * (tx * 0.0 - 0.0 * rx) + (tx * ry - ty * rx),
-                         tx * rx + ty * ry + 0.0)
+        tx, ty = tangents[j]
+        # signed_angle at (hx, hy, 1): its zero z-components add a signed
+        # zero, which can only change the sign of a zero determinant
+        det = tx * ry - ty * rx
+        if det == 0.0:
+            det = hx * (ty * 0.0 - 0.0 * ry) - hy * (tx * 0.0 - 0.0 * rx) + det
+        psi = math.atan2(det, tx * rx + ty * ry + 0.0)
         if psi < graze or psi > math.pi - graze:
-            labels[i], svals[i], psis[i] = best_j, best_s, psi
+            labels[i], svals[i], psis[i] = j, best_s, psi
             flens[i] = best_t
             return i, STEP_GRAZING, -1, total
         s = best_s
@@ -168,14 +214,14 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             s = 0.0
         if s > ln:
             s = ln
-        labels[i], svals[i], psis[i], flens[i] = best_j, s, psi, best_t
+        labels[i], svals[i], psis[i], flens[i] = j, s, psi, best_t
         total += best_t
         if total > maxlen:
             return i + 1, STEP_MAXLEN, -1, total
         if i + 1 < nmax:
             px = ax + s * ux
             py = ay + s * uy
-            pz = 1.0
+            recs = sides
             c = math.cos(psi)
             sn_psi = math.sin(psi)
             dx = c * tx - sn_psi * ty
@@ -183,7 +229,6 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             n = math.hypot(dx, dy)
             vx = dx / n
             vy = dy / n
-            vz = 0.0
     return nmax, STEP_OK, -1, total
 
 
@@ -192,6 +237,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
+    roots = ROOT_STEPS
     near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
@@ -207,8 +253,8 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             # past tmin that lands on the segment, unless it cannot beat the
             # best side so far
             t0 = math.atan2(-a, b) % pi
-            for m in range(3):
-                t = t0 + m * pi
+            for m in roots:
+                t = t0 + m
                 if t <= tmin:
                     continue
                 if not t < best_t:
@@ -248,7 +294,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
         gx = gx - c * qx
         gy = gy - c * qy
         gz = gz - c * qz
-        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        n = math.sqrt(gx * gx + gy * gy + gz * gz)
         wx = gx / n
         wy = gy / n
         wz = gz / n
@@ -262,7 +308,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
         gx = gx - c * qx
         gy = gy - c * qy
         gz = gz - c * qz
-        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        n = math.sqrt(gx * gx + gy * gy + gz * gz)
         rx = gx / n
         ry = gy / n
         rz = gz / n
@@ -276,7 +322,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
         gx = gx - c * qx
         gy = gy - c * qy
         gz = gz - c * qz
-        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        n = math.sqrt(gx * gx + gy * gy + gz * gz)
         tx = gx / n
         ty = gy / n
         tz = gz / n
@@ -315,7 +361,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             gx = gx - c * px
             gy = gy - c * py
             gz = gz - c * pz
-            n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+            n = math.sqrt(gx * gx + gy * gy + gz * gz)
             wx = gx / n
             wy = gy / n
             wz = gz / n
@@ -328,7 +374,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             gx = gx - c * px
             gy = gy - c * py
             gz = gz - c * pz
-            n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+            n = math.sqrt(gx * gx + gy * gy + gz * gz)
             vx = gx / n
             vy = gy / n
             vz = gz / n
@@ -490,15 +536,17 @@ TRACE_LOOPS = {0: _trace_plane, 1: _trace_sphere, -1: _trace_hyperbolic}
 def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
     px, py, pz = p
     vx, vy, vz = v
+    # as in _trace_plane: each reflection puts the line back on z = 1
+    # with zero z-direction
+    recs = sides if pz == 1.0 and vz == 0.0 else _off_plane(sides, pz, vz)
     for m in range(nmax):
         best_t = INF
         best_j = -1
-        for j in range(len(sides)):
-            nx, ny, nz, ax, ay, _, ux, uy, _, lo, hi = sides[j]
-            b = nx * vx + ny * vy + nz * vz
+        for j, nx, ny, nz, bz, ax, ay, ux, uy, lo, hi in recs:
+            b = nx * vx + ny * vy + bz
             if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
                 continue
-            t = -(nx * px + ny * py + nz * pz) / b
+            t = -(nx * px + ny * py + nz) / b
             # a side no nearer than the best so far cannot win, whatever
             # its arc parameter
             if t <= tmin or not t < best_t:
@@ -521,13 +569,12 @@ def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
         (r00, r01, r02), (r10, r11, r12), _ = refl[best_j]
         px = r00 * hx + r01 * hy + r02
         py = r10 * hx + r11 * hy + r12
-        pz = 1.0
+        recs = sides
         dx = r00 * wx + r01 * wy + r02 * 0.0
         dy = r10 * wx + r11 * wy + r12 * 0.0
         n = math.hypot(dx, dy)
         vx = dx / n
         vy = dy / n
-        vz = 0.0
     return nmax
 
 
@@ -535,6 +582,7 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
+    roots = ROOT_STEPS
     for m in range(nmax):
         best_t = INF
         best_j = -1
@@ -548,8 +596,8 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
             # past tmin that lands on the segment, unless it cannot beat the
             # best side so far
             t0 = math.atan2(-a, b) % pi
-            for mm in range(3):
-                t = t0 + mm * pi
+            for mm in roots:
+                t = t0 + mm
                 if t <= tmin:
                     continue
                 if not t < best_t:
@@ -580,7 +628,7 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
         gx = gx - c * qx
         gy = gy - c * qy
         gz = gz - c * qz
-        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        n = math.sqrt(gx * gx + gy * gy + gz * gz)
         wx = gx / n
         wy = gy / n
         wz = gz / n
@@ -600,7 +648,7 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
         gx = gx - c * px
         gy = gy - c * py
         gz = gz - c * pz
-        n = math.sqrt(abs(gx * gx + gy * gy + gz * gz))
+        n = math.sqrt(gx * gx + gy * gy + gz * gz)
         vx = gx / n
         vy = gy / n
         vz = gz / n

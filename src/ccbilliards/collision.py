@@ -200,9 +200,17 @@ def trace_many(poly, side, s, psi, n):
     rounding of numpy's transcendental functions against ``math``'s.
     """
     check_count(n)
-    side, s, psi = np.asarray(side), np.asarray(s, float), np.asarray(psi, float)
+    side, s, psi = np.asarray(side), np.asarray(s), np.asarray(psi)
     if not np.issubdtype(side.dtype, np.integer):
         raise ValueError(f"side labels must be integers, got dtype {side.dtype}")
+    # a complex array would lose its imaginary part in the cast, a bool one
+    # run as 0.0 and 1.0
+    for name, x in (("s", s), ("psi", psi)):
+        if not (np.issubdtype(x.dtype, np.integer)
+                or np.issubdtype(x.dtype, np.floating)):
+            raise ValueError(f"{name} must be integers or floats, got dtype "
+                             f"{x.dtype}")
+    s, psi = np.asarray(s, float), np.asarray(psi, float)
     if not side.ndim == 1 or not side.shape == s.shape == psi.shape:
         raise ValueError("side, s and psi must be 1-d arrays of one length")
     pack = poly.kernel_pack()[:7]

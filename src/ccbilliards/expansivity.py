@@ -263,10 +263,12 @@ def classify(poly, budget=None):
 
     Hyperbolic tables are expansive outright.  Flat and spherical tables
     are probed within the budget; failure to find a witness yields an
-    honest ``unknown``.
+    honest ``unknown``.  The budget's seed must be an integer >= 0, on
+    hyperbolic tables too, which use none.
     """
     if budget is None:
         budget = SearchBudget()
+    C.check_count(budget.seed, "seed", 0)
     if poly.k == -1:
         return ExpansivenessVerdict(
             "expansive", (Rule.HYPERBOLIC_EXPANSIVE,), (), budget,

@@ -338,10 +338,11 @@ def find_periodic(poly, max_bounces, samples, seed):
     rejected.
 
     Newton polish and everything after it use the scalar ``trace``.
-    max_bounces and samples must be integers >= 1.
+    max_bounces and samples must be integers >= 1, seed an integer >= 0.
     """
     C.check_count(max_bounces, "max_bounces", 1)
     C.check_count(samples, "samples", 1)
+    C.check_count(seed, "seed", 0)
     side, s, psi = _sweep_states(poly, samples, seed)
     reports = {}
     for lo in range(0, len(side), SWEEP_BLOCK):

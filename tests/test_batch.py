@@ -145,6 +145,31 @@ def test_non_integer_side_dtype_rejected(sq, side):
         C.trace_many(sq, side, [0.5, 0.5], [1.0, 1.0], 5)
 
 
+@pytest.mark.parametrize("name", ["s", "psi"])
+@pytest.mark.parametrize("bad", [np.array([0.5, 0.5], dtype=complex),
+                                 [0.5 + 0j, 0.5 + 1e-3j], [True, False],
+                                 np.array([0.5, 0.5], dtype=object),
+                                 ["0.5", "0.5"]])
+def test_non_real_arc_and_angle_dtypes_rejected(sq, name, bad):
+    # a complex array was cast with only numpy's ComplexWarning, its
+    # imaginary part dropped, and a bool one ran as 0.0 and 1.0
+    args = {"s": [0.5, 0.5], "psi": [1.0, 1.0], name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be integers or floats"):
+        C.trace_many(sq, [1, 2], args["s"], args["psi"], 5)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32,
+                                   np.float64])
+def test_real_arc_and_angle_dtypes_accepted(sq, dtype):
+    # integer and floating s and psi run as their float64 values
+    s = np.array([0, 1], dtype=dtype)
+    psi = np.array([1, 2], dtype=dtype)
+    got = C.trace_many(sq, [1, 2], s, psi, 5)
+    want = C.trace_many(sq, [1, 2], s.astype(float), psi.astype(float), 5)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
 def test_integer_side_dtypes_accepted(sq, dtype):
     side = np.array([1, 2], dtype=dtype)

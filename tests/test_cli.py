@@ -162,6 +162,15 @@ class TestCommands:
             main(["topology", "--spec", str(spec)])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("command", ["periodic", "expansivity"])
+    def test_negative_seed_exits_1(self, command, capsys):
+        # numpy's "expected non-negative integer" was all the run printed
+        code, out = run_cli([command, "--table", "square", "--samples", "10",
+                             "--seed", "-1"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: seed must be an integer >= 0, got -1\n")
+
 
 class TestDeterminism:
     def test_periodic_reports_byte_identical(self, tmp_path):

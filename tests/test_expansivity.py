@@ -107,6 +107,14 @@ class TestClassify:
         assert v.rules == (Rule.HYPERBOLIC_EXPANSIVE,)
         assert v.witnesses == ()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, sq, pentagon, seed):
+        # the hyperbolic verdict uses no seed, but rejects a bad one too
+        budget = SearchBudget(samples=10, seed=seed)
+        for poly in (sq, pentagon):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                classify(poly, budget)
+
     def test_square_not_expansive_with_witness(self, sq):
         v = classify(sq, SMALL)
         assert v.verdict == "not_expansive"

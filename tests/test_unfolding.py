@@ -208,6 +208,13 @@ class TestFindPeriodic:
         with pytest.raises(ValueError, match=name):
             find_periodic(sq, max_bounces, samples, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, math.nan, None, "1"])
+    def test_bad_seed_rejected(self, sq, seed):
+        # -1 failed inside numpy's default_rng, 1.5 raised a TypeError and
+        # True ran as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            find_periodic(sq, 5, 10, seed)
+
     def test_numpy_integer_counts_accepted(self, sq):
         assert (find_periodic(sq, np.int64(5), np.int32(10), 0)
                 == find_periodic(sq, 5, 10, 0))
