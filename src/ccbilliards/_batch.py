@@ -34,9 +34,12 @@ pi/4 and theta = 1 triangles).
 Dot products are written as component sums in the scalar order (no ``@``
 or ``einsum``, whose BLAS/FMA paths round differently).  The engine gives
 the bits of the generic grid engine it replaced (kept as the oracle
-``batch_trace_states`` in ``tests/kernel_oracle.py``); numpy's
-transcendental functions may differ from ``math``'s by an ulp, so a row
-agrees with the scalar trace closely but not bit for bit.
+``batch_trace_states`` in ``tests/kernel_oracle.py``).  A row agrees with
+the scalar trace closely but not bit for bit: numpy's transcendental
+functions may differ from ``math``'s by an ulp, and numpy computes an
+array's ``x ** 2`` as ``x * x``, which rounds differently from the scalar
+loops' Python ``x ** 2`` (``_renorm_point`` and ``_distance`` keep
+``** 2``, the oracle's operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
 this one takes 19-32x as long as ``collision.trace`` (square, theta = 1

@@ -17,11 +17,15 @@ collision kernels get their sides from ``Polygon.kernel_pack()`` as nested
 float tuples (start point, unit start tangent, interior-positive plane
 functional, length, endpoint vertex ids, and the loops' side records).
 This keeps the hot loops on Python floats, with no ``np.empty(3)`` per
-vector and no numpy scalar arithmetic, and gives the same bits as arrays
-would: every expression keeps its operation order, and ``x ** 2`` stays
-``x ** 2`` (numpy's float64 power and Python's agree bit for bit;
-``x * x`` does not).  Per-bounce outputs go to caller-owned buffers,
-numpy arrays or Python lists.
+vector and no numpy scalar arithmetic, and gives the same bits as numpy
+scalars would: every expression keeps its operation order, and ``x ** 2``
+stays ``x ** 2`` (a numpy float64 scalar's power and Python's agree bit
+for bit; ``x * x`` does not).  numpy arrays are another matter: they
+compute ``x ** 2`` as ``x * x``, which rounds differently from Python's
+``x ** 2`` for about 0.09% of inputs, so array code such as
+:mod:`ccbilliards._batch` cannot match these kernels bit for bit.
+Per-bounce outputs go to caller-owned buffers, numpy arrays or Python
+lists.
 
 ``trace_orbit``, ``trace_from_point`` and ``unfold_crossings`` are the
 only entries to the straight-line loops of

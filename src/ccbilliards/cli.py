@@ -91,7 +91,7 @@ def cmd_simulate(args):
             p, v = C.embed_state(poly, b)
             fh.write(" ".join(format(x, ".17g") for x in (t, *p)) + "\n")
             for i in range(tr.n_done):
-                t += float(tr.flights[i])
+                t += tr.flights[i]
                 q, _ = C.embed_state(poly, tr.state(i))
                 fh.write(" ".join(format(x, ".17g") for x in (t, *q)) + "\n")
         payload = {"table": name, "labels": list(it.labels),

@@ -70,18 +70,12 @@ def _validate_state(poly, b):
     return side
 
 
-def embed_triples(poly, b):
+def embed_state(poly, b):
     """Embedded (point, direction) of a boundary state as float triples."""
     _validate_state(poly, b)
     sa, su = poly.kernel_pack()[:2]
     return K.boundary_embed(poly.k, sa[b.side - 1], su[b.side - 1],
                             float(b.s), float(b.psi))
-
-
-def embed_state(poly, b):
-    """Embedded (point, direction) of a boundary state."""
-    p, v = embed_triples(poly, b)
-    return np.array(p), np.array(v)
 
 
 def collision_step(b, poly):
@@ -90,7 +84,7 @@ def collision_step(b, poly):
     Returns the next BoundaryState, or a VertexHit when the trajectory
     lands within VERTEX_TOL of a vertex.
     """
-    p, v = embed_triples(poly, b)
+    p, v = embed_state(poly, b)
     labels, svals, psis = [0], [0.0], [0.0]
     _, st, vtx, length = K.trace_from_point(
         poly.k, *poly.kernel_pack(), p, v, 1, math.inf, FLIGHT_MIN,
@@ -109,20 +103,20 @@ def collision_step(b, poly):
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Raw multi-bounce trace used by searches and probes."""
+    """Raw multi-bounce trace used by searches and probes: per bounce, the
+    Python ints and floats the scalar loop wrote."""
 
     n_done: int
     status: int          # _kernels.STEP_* code after n_done recorded bounces
     vertex: int          # 1-based vertex label on STEP_VERTEX, else 0
-    labels: np.ndarray   # 1-based side labels, length n_done
-    svals: np.ndarray
-    psis: np.ndarray
-    flights: np.ndarray
+    labels: tuple        # 1-based side labels, length n_done
+    svals: tuple
+    psis: tuple
+    flights: tuple
     length: float        # total arc length (includes the final vertex leg)
 
     def state(self, i):
-        return BoundaryState(int(self.labels[i]), float(self.svals[i]),
-                             float(self.psis[i]))
+        return BoundaryState(self.labels[i], self.svals[i], self.psis[i])
 
 
 def check_count(n, name="bounce count", least=0):
@@ -166,17 +160,16 @@ def _check_max_length(max_length):
 
 
 def _trace_result(entry, poly, start, n, max_length):
-    """Run the kernel entry from start on Python-list buffers and turn what
-    it recorded into arrays once."""
+    """Run the kernel entry from start on Python-list buffers and keep what
+    it recorded as tuples, with the labels made 1-based."""
     labels, svals, psis, flens = [0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     n_done, status, vtx, total = entry(
         poly.k, *poly.kernel_pack(), *start, n, max_length, FLIGHT_MIN,
         VERTEX_TOL, GRAZE_TOL, labels, svals, psis, flens)
     return TraceResult(n_done, status, vtx + 1 if status == K.STEP_VERTEX else 0,
-                       np.array(labels[:n_done], dtype=np.int64) + 1,
-                       np.array(svals[:n_done], dtype=float),
-                       np.array(psis[:n_done], dtype=float),
-                       np.array(flens[:n_done], dtype=float), total)
+                       tuple([j + 1 for j in labels[:n_done]]),
+                       tuple(svals[:n_done]), tuple(psis[:n_done]),
+                       tuple(flens[:n_done]), total)
 
 
 def trace(poly, b, n, max_length=math.inf):
@@ -196,8 +189,9 @@ def trace_many(poly, side, s, psi, n):
     last bounce.  The first row that ``trace`` would reject raises its
     error.  The batched numpy engine (``_batch``) pays off for many rays
     only: for one ray of 20-50 bounces it takes about 20-30x as long as
-    :func:`trace`.  Labels agree with ``trace``, and (s, psi) up to the
-    rounding of numpy's transcendental functions against ``math``'s.
+    :func:`trace`.  Labels agree with ``trace``, and (s, psi) up to
+    rounding: numpy's transcendental functions against ``math``'s, and
+    numpy arrays' ``x ** 2``, computed as ``x * x``, against Python's.
     """
     check_count(n)
     side, s, psi = np.asarray(side), np.asarray(s), np.asarray(psi)
@@ -246,7 +240,7 @@ _TERMINATION = {K.STEP_OK: "horizon", K.STEP_VERTEX: "vertex_hit",
 def _direction_labels(poly, b, horizon):
     """Labels [side(b), side(f b), ..., side(f^(horizon-1) b)] and the end tag."""
     tr = trace(poly, b, horizon - 1)
-    labels = [b.side] + [int(x) for x in tr.labels]
+    labels = [b.side, *tr.labels]
     if tr.status == K.STEP_ESCAPED:
         raise GeometryError("trajectory found no boundary intersection")
     return labels, _TERMINATION[tr.status]
@@ -257,10 +251,9 @@ def itinerary(b, poly, horizon, direction="forward"):
 
     forward: indices 0 .. horizon-1; backward: indices -(horizon-1) .. 0;
     bidirectional: indices -(horizon-1) .. horizon-1.  Index 0 is the side
-    of b itself.
+    of b itself.  horizon must be an integer >= 1.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_count(horizon, "horizon", 1)
     _validate_state(poly, b)
     if direction == "forward":
         labels, term = _direction_labels(poly, b, horizon)

@@ -98,15 +98,15 @@ def _orbit_phase_points(poly, b, traces, window):
     k = poly.k
     for back, state, tr in ((False, b, traces[0]),
                             (True, b.reversed(), traces[1])):
-        p, v = C.embed_triples(poly, state)
+        p, v = C.embed_state(poly, state)
         yield p, _flip(v) if back else v
         for i in range(min(tr.n_done, window)):
             for frac in (0.25, 0.5, 0.75):
-                t = float(tr.flights[i]) * frac
+                t = tr.flights[i] * frac
                 q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
                 w = K.renorm_tangent(k, q, K.geodesic_dir(k, p, v, t))
                 yield q, _flip(w) if back else w
-            p, v = C.embed_triples(poly, tr.state(i))
+            p, v = C.embed_state(poly, tr.state(i))
             yield p, _flip(v) if back else v
 
 
@@ -136,7 +136,7 @@ def _labels(b, tr, horizon):
     """[side(b), side(f b), ...] over the first horizon bounces of the
     trace tr of b, and whether a vertex or grazing stop cut them short."""
     n = min(tr.n_done, horizon)
-    return ([b.side] + [int(x) for x in tr.labels[:n]],
+    return ([b.side, *tr.labels[:n]],
             n < horizon and (tr.status == K.STEP_VERTEX
                              or tr.status == K.STEP_GRAZING))
 
@@ -148,11 +148,10 @@ def probe_pair(a, b, poly, horizon):
     orbit segment (trivial pair).  a's two directions are traced once,
     far enough for both the orbit-segment test and the comparison.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    C.check_count(horizon, "horizon", 1)
     if a == b:
         raise GeometryError("probe_pair requires states on distinct orbits")
-    pb, vb = C.embed_triples(poly, b)
+    pb, vb = C.embed_state(poly, b)
     span = max(horizon, SAME_ORBIT_WINDOW)
     a_back = a.reversed()
     a_traces = (C.trace(poly, a, span), C.trace(poly, a_back, span))
@@ -204,11 +203,10 @@ def periodic_orbit_neighborhood_check(report, poly,
         if tr.status == K.STEP_VERTEX:
             failures.append((d, "displaced orbit hits a vertex"))
             continue
-        if tr.n_done < report.period or tuple(int(x) for x in tr.labels) != report.labels:
+        if tr.n_done < report.period or tr.labels != report.labels:
             failures.append((d, "bounce sequence changed"))
             continue
-        res = max(abs(float(tr.svals[-1]) - s),
-                  abs(float(tr.psis[-1]) - report.start.psi))
+        res = max(abs(tr.svals[-1] - s), abs(tr.psis[-1] - report.start.psi))
         if res > 1e-8:
             failures.append((d, f"return residual {res:.3e}"))
     return NeighborhoodCheck(not failures, tuple(failures))

@@ -74,21 +74,13 @@ def _check_eps(eps):
 
 
 def chart_forward(s, theta):
-    """Wedge-to-disc chart; the circle r = 0 collapses gamma."""
-    _check_theta(theta)
-    a = s.gamma * math.pi / theta
-    return CartesianChartState(s.r * math.cos(a), s.r * math.sin(a),
-                               s.beta % TWO_PI)
+    """Wedge-to-disc chart; the circle r = 0 collapses gamma.  The plain
+    chart ignores curvature: it is :func:`chart_embed` at k = 0."""
+    return chart_embed(s, theta, 0)
 
 
 def chart_inverse(c, theta):
-    _check_theta(theta)
-    r = math.hypot(c.x, c.y)
-    if r == 0.0:
-        gamma = 0.0
-    else:
-        gamma = (math.atan2(c.y, c.x) * theta / math.pi) % (2.0 * theta)
-    return ChartState(r, gamma, c.z % TWO_PI)
+    return chart_extract(c, theta, 0)
 
 
 def chart_embed(s, theta, k):
@@ -174,8 +166,9 @@ def reparameterization_factor(r, k, eps):
     bump on [eps/2, eps] so the global flow is a C-infinity time change.
     """
     check_curvature(k)
-    if r < 0.0:
-        raise GeometryError("radius must be nonnegative")
+    # a nan r would reach the bump with both weights 0
+    if not 0.0 <= r < math.inf:
+        raise GeometryError(f"radius must be finite and nonnegative, got {r}")
     _check_eps(eps)
     if r >= eps:
         return 1.0

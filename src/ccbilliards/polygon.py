@@ -403,10 +403,14 @@ def vertex_neighborhood_radius(poly, i):
     """Disc radius around vertex i seeing only the two adjacent sides.
 
     Half the least of: distances to sides not containing the vertex,
-    distances to the other vertices, and the adjacent side lengths.
+    distances to the other vertices, and the adjacent side lengths.  i is
+    a 0-based integer index (numpy integers too).
     """
-    if not 0 <= i < len(poly.vertices):
-        raise PolygonError(f"vertex index out of range: {i}")
+    if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
+            or not 0 <= i < len(poly.vertices)):
+        raise PolygonError(
+            f"vertex index must be an integer in 0..{len(poly.vertices) - 1}, "
+            f"got {i!r}")
     v = poly.vertices[i]
     cand = []
     for j, w in enumerate(poly.vertices):

@@ -71,17 +71,16 @@ def unfold(b, poly, bounces):
     copies = []
     g = np.eye(3)
     pts = [p0]
-    for i in range(tr.n_done):
-        # bounce point in base coordinates, on the side hit at step i
-        j = int(tr.labels[i]) - 1
-        q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j],
-                                               float(tr.svals[i])))
+    for label, s in zip(tr.labels, tr.svals):
+        # bounce point in base coordinates, on the side hit
+        j = label - 1
+        q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j], s))
         pts.append(G.apply_isometry(g, q, k))
         g = g @ refl[j]   # a new array: the copies never alias
-        copies.append((g, j + 1))
+        copies.append((g, label))
     chain = UnfoldingChain(tuple(copies), k)
     return UnfoldResult(chain, np.array(pts), b,
-                        G.Tangent(p0, v0), tuple(int(x) for x in tr.labels),
+                        G.Tangent(np.array(p0), np.array(v0)), tr.labels,
                         tr.status == K.STEP_VERTEX)
 
 
@@ -252,7 +251,7 @@ def _return_displacement(poly, side0, n, u):
     if not (0.0 < s < side.length) or not (C.GRAZE_TOL < psi < math.pi - C.GRAZE_TOL):
         return None
     tr = C.trace(poly, C.BoundaryState(side0, s, psi), n)
-    if tr.n_done < n or int(tr.labels[-1]) != side0:
+    if tr.n_done < n or tr.labels[-1] != side0:
         return None
     return np.array([tr.svals[-1] - s, tr.psis[-1] - psi]), tr
 
@@ -410,16 +409,17 @@ def _polish_row(poly, b, labels, returns, reports):
         if refined is None:
             continue
         start, residual, rtr = refined
-        key = _canonical_sequence(int(x) for x in rtr.labels)
+        key = _canonical_sequence(rtr.labels)
         if key in reports:
             return
         res = unfold(start, poly, n)
         hol = holonomy(res.chain)
         if poly.k == 0 and not _flat_direction_check(res, poly):
             continue
+        # np.sum's pairwise summation, not sum()'s: the length's bits reach
+        # the CLI JSON
         reports[key] = PeriodicOrbitReport(
-            start, tuple(int(x) for x in rtr.labels),
-            float(np.sum(rtr.flights)), residual, hol)
+            start, rtr.labels, float(np.sum(rtr.flights)), residual, hol)
         return
 
 
@@ -437,6 +437,6 @@ def verify_periodic(report, poly):
     if out is None:
         return math.inf
     f, tr = out
-    if tuple(int(x) for x in tr.labels) != report.labels:
+    if tr.labels != report.labels:
         return math.inf
     return float(np.max(np.abs(f)))

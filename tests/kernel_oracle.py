@@ -208,7 +208,7 @@ def launch(poly, vi, alpha):
 
 
 def diagonal_signature(tr):
-    return (tuple(int(x) for x in tr.labels), tr.status, tr.vertex)
+    return (tr.labels, tr.status, tr.vertex)
 
 
 def record_if_diagonal(found, vi, alpha, tr, max_bounces, max_length):
@@ -216,7 +216,7 @@ def record_if_diagonal(found, vi, alpha, tr, max_bounces, max_length):
         return False
     if tr.length > max_length:
         return False
-    seq = tuple(int(x) for x in tr.labels)
+    seq = tr.labels
     start, end = vi + 1, int(tr.vertex)
     key = min((start, end, seq), (end, start, tuple(reversed(seq))))
     if key in found:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
-                         PolygonError, VertexHit, collision_step, conjugated_vertices,
-                         crossing_labels, generalized_diagonals, itinerary,
+                         PolygonError, SearchBudget, VertexHit, classify,
+                         collision_step, conjugated_vertices, crossing_labels,
+                         generalized_diagonals, itinerary, probe_pair,
                          sphere_triangle, unfold)
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
@@ -104,14 +105,18 @@ class TestTrace:
         assert stops == {K.STEP_OK, K.STEP_MAXLEN, K.STEP_VERTEX}
 
 
-@pytest.mark.parametrize("call", [
-    lambda poly, b: C.trace(poly, b, -1),
-    lambda poly, b: C.trace_ray(poly, *C.embed_state(poly, b), -1),
-    lambda poly, b: unfold(b, poly, -3),
-    lambda poly, b: crossing_labels(poly, b, -2),
-], ids=["trace", "trace_ray", "unfold", "crossing_labels"])
-def test_negative_count_rejected(sq, call):
-    with pytest.raises(ValueError, match="bounce count"):
+@pytest.mark.parametrize("call, name", [
+    (lambda poly, b: C.trace(poly, b, -1), "bounce count"),
+    (lambda poly, b: C.trace_ray(poly, *C.embed_state(poly, b), -1),
+     "bounce count"),
+    (lambda poly, b: unfold(b, poly, -3), "bounce count"),
+    (lambda poly, b: crossing_labels(poly, b, -2), "bounce count"),
+    (lambda poly, b: itinerary(b, poly, -1), "horizon"),
+    (lambda poly, b: probe_pair(b, b.reversed(), poly, -1), "horizon"),
+], ids=["trace", "trace_ray", "unfold", "crossing_labels", "itinerary",
+        "probe_pair"])
+def test_negative_count_rejected(sq, call, name):
+    with pytest.raises(ValueError, match=name):
         call(sq, BoundaryState(1, 0.5, 1.0))
 
 
@@ -192,8 +197,7 @@ def test_non_integer_side_label_rejected(sq, side):
 def test_numpy_integer_side_label_accepted(sq, side):
     want = C.trace(sq, BoundaryState(1, 0.3, 1.0), 5)
     got = C.trace(sq, BoundaryState(side, 0.3, 1.0), 5)
-    assert (got.labels.tolist(), got.svals.tolist()) == (
-        want.labels.tolist(), want.svals.tolist())
+    assert (got.labels, got.svals) == (want.labels, want.svals)
 
 
 class TestItinerary:
@@ -208,9 +212,19 @@ class TestItinerary:
         assert it.labels == (2,)
         assert it.termination == "vertex_hit"
 
-    def test_zero_horizon_rejected(self, sq):
-        with pytest.raises(ValueError):
-            itinerary(BoundaryState(1, 0.5, math.pi / 2), sq, 0)
+    def test_zero_horizon_rejected(self, sq, tri1):
+        # a bool horizon used to trace, 2.5 to fail on a "bounce count" of
+        # 1.5, and probe_pair (so classify on a sphere) to fail slicing
+        a = BoundaryState(1, 0.5, math.pi / 2)
+        b = BoundaryState(1, 0.5, 1.0)
+        for horizon in (0, True, 2.5, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                itinerary(a, sq, horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                probe_pair(a, b, sq, horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            classify(tri1, SearchBudget(horizon=2.5, samples=1,
+                                        periodic_bounces=1))
 
     def test_backward_matches_reversed_forward(self, pentagon):
         b = BoundaryState(2, 0.3, 1.0)
@@ -231,6 +245,17 @@ class TestItinerary:
         path = tmp_path / "it.txt"
         C.write_itinerary(it, path)
         assert path.read_text() == "1,3,1,3\ntermination=horizon\n"
+
+
+def _lattice_vector(d):
+    """The integer vector (p, q) that a diagonal of the unit square unfolds
+    to, in its start corner's frame (x along the side leaving the corner),
+    checked to 1e-8."""
+    x = d.length * math.cos(d.angle)
+    y = d.length * math.sin(d.angle)
+    p, q = round(x), round(y)
+    assert math.hypot(x - p, y - q) < 1e-8
+    return p, q
 
 
 class TestGeneralizedDiagonals:
@@ -282,6 +307,34 @@ class TestGeneralizedDiagonals:
             generalized_diagonals(sq, 2, max_length, angles_per_vertex=8)
         with pytest.raises(ValueError):
             conjugated_vertices(tri1, 2, max_length, angles_per_vertex=8)
+
+    def test_square_diagonals_are_lattice_vectors(self, sq):
+        # from a corner of the unit square the diagonals unfold to the
+        # primitive lattice vectors (p, q), p, q >= 1, of length
+        # sqrt(p^2 + q^2); up to 4.2 there are 9 of them
+        want = {(p, q) for p in range(1, 5) for q in range(1, 5)
+                if math.gcd(p, q) == 1 and math.hypot(p, q) <= 4.2}
+        assert len(want) == 9
+        got = set()
+        for d in generalized_diagonals(sq, 40, 4.2, 200):
+            p, q = _lattice_vector(d)
+            assert math.gcd(p, q) == 1
+            assert d.length == pytest.approx(math.hypot(p, q), abs=1e-8)
+            got.add((p, q))
+        assert got == want
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the sqrt(10) and sqrt(17) diagonals are each reported twice, from "
+        "opposite ends, with a spurious bounce about 1e-9 from the end "
+        "vertex: 26 diagonals"))
+    def test_square_diagonals_counted_once(self, sq):
+        # 4 corners x 9 lattice vectors, each diagonal kept once with its
+        # reverse, and p + q - 2 bounces on the way
+        ds = generalized_diagonals(sq, 40, 4.2, 200)
+        assert len(ds) == 18
+        for d in ds:
+            p, q = _lattice_vector(d)
+            assert len(d.sequence) == p + q - 2
 
     def test_every_diagonal_resimulates(self, tri1):
         ds = generalized_diagonals(tri1, 2, 6.0, angles_per_vertex=256)

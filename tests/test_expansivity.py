@@ -85,7 +85,7 @@ class TestProbePair:
                 truncated = False
                 for x in (a, b, a.reversed(), b.reversed()):
                     tr = C.trace(poly, x, horizon)
-                    seqs.append([x.side] + [int(j) for j in tr.labels])
+                    seqs.append([x.side, *tr.labels])
                     truncated |= tr.status in (C.K.STEP_VERTEX,
                                                C.K.STEP_GRAZING)
                 nf = min(len(seqs[0]), len(seqs[1]))

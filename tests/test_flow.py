@@ -319,6 +319,14 @@ class TestRho:
             assert reparameterization_factor(1.0, k, 1.0) == 1.0
             assert reparameterization_factor(7.3, k, 0.4) == 1.0
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_radius_rejected(self, r):
+        # a nan r used to reach the bump with both weights 0 and raise
+        # ZeroDivisionError; +inf returned 1
+        for k in KS:
+            with pytest.raises(GeometryError, match="radius"):
+                reparameterization_factor(r, k, 1.0)
+
     def test_smooth_monotone_blend(self):
         rs = np.linspace(0.4, 1.1, 400)
         vals = [reparameterization_factor(r, 0, 1.0) for r in rs]

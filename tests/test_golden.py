@@ -102,7 +102,7 @@ def _hex(xs):
 def _trace_record(tr):
     return {"n_done": tr.n_done, "status": tr.status, "vertex": tr.vertex,
             "length": float(tr.length).hex(),
-            "labels": [int(x) for x in tr.labels], "svals": _hex(tr.svals),
+            "labels": list(tr.labels), "svals": _hex(tr.svals),
             "psis": _hex(tr.psis), "flights": _hex(tr.flights)}
 
 

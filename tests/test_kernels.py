@@ -76,8 +76,8 @@ def _oracle(fn, poly, start, n, max_length):
 
 
 def _traced(tr):
-    return _record(tr.n_done, tr.status, tr.vertex, tr.length, tr.labels - 1,
-                   tr.svals, tr.psis, tr.flights)
+    return _record(tr.n_done, tr.status, tr.vertex, tr.length,
+                   [j - 1 for j in tr.labels], tr.svals, tr.psis, tr.flights)
 
 
 def _boundary_state(poly, side, frac, psi, corner):
@@ -112,7 +112,7 @@ def _step_outcome(fn, *args):
 
 
 def _oracle_step(poly, b):
-    p, v = C.embed_triples(poly, b)
+    p, v = C.embed_state(poly, b)
     st_, j, s, psi, tf, vtx = O.step_ray(poly.k, *poly.kernel_pack()[:7], p, v,
                                          C.FLIGHT_MIN, C.VERTEX_TOL,
                                          C.GRAZE_TOL)
@@ -393,7 +393,7 @@ def test_dispatchers_convert_numpy_arguments():
     for poly in TABLES.values():
         pack = poly.kernel_pack()
         s0 = 0.37 * poly.side(2).length
-        p, v = C.embed_triples(poly, BoundaryState(2, s0, 1.13))
+        p, v = C.embed_state(poly, BoundaryState(2, s0, 1.13))
         starts = ((K.trace_orbit, (1, s0, 1.13),
                    (np.int64(1), np.float64(s0), np.float64(1.13))),
                   (K.trace_from_point, (p, v), (np.array(p), np.array(v))))

@@ -169,6 +169,20 @@ class TestVertexRadius:
                     best = min(best, K.distance(-1, v, w))
             assert eps == pytest.approx(0.5 * best, abs=1e-6)
 
+    @pytest.mark.parametrize("i", [-1, 4, 1.0, True, np.float64(1.0),
+                                   math.nan, "1"],
+                             ids=["negative", "past-end", "float", "bool",
+                                  "numpy-float", "nan", "str"])
+    def test_bad_vertex_index_rejected(self, sq, i):
+        # 1.0 used to fail with a TypeError indexing the vertex list, and
+        # True ran as vertex 1
+        with pytest.raises(PolygonError, match="vertex index"):
+            vertex_neighborhood_radius(sq, i)
+
+    def test_numpy_integer_vertex_index_accepted(self, sq):
+        assert (vertex_neighborhood_radius(sq, np.int64(2))
+                == vertex_neighborhood_radius(sq, 2))
+
     def test_close_opposite_side_binds(self):
         # thin sliver: the far side passes close to vertex 0
         poly = build_polygon(0, [(0, 0), (4, 0), (4, 1), (2, 0.05), (0, 1)])

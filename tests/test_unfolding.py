@@ -238,7 +238,7 @@ class TestFindPeriodic:
             start, residual, tr = U._refine_candidate(poly, r.start.side,
                                                       r.period, u0)
             assert residual < 1e-14
-            assert tuple(int(x) for x in tr.labels) == r.labels
+            assert tr.labels == r.labels
             assert ((start.s, start.psi) != u0) == moved
 
     def test_reports_compare_equal(self, sq):
@@ -275,7 +275,7 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
                 if refined is None:
                     continue
                 start, residual, rtr = refined
-                key = U._canonical_sequence(int(x) for x in rtr.labels)
+                key = U._canonical_sequence(rtr.labels)
                 if key in reports:
                     break
                 res = unfold(start, poly, n)
@@ -283,8 +283,8 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
                 if poly.k == 0 and not U._flat_direction_check(res, poly):
                     continue
                 reports[key] = U.PeriodicOrbitReport(
-                    start, tuple(int(x) for x in rtr.labels),
-                    float(np.sum(rtr.flights)), residual, hol)
+                    start, rtr.labels, float(np.sum(rtr.flights)),
+                    residual, hol)
                 break
     return sorted(reports.values(),
                   key=lambda r: (r.period, r.length, r.labels))
@@ -502,8 +502,8 @@ def test_crossing_labels_reject_bad_rays(table, bad):
     # a point off the model surface, or a direction off its tangent
     # plane or not of unit length, is not a billiard ray
     poly = CROSSING_TABLES[table]
-    p, v = C.embed_state(poly, BoundaryState(1, 0.3 * poly.side(1).length,
-                                             1.0))
+    p, v = map(np.array, C.embed_state(
+        poly, BoundaryState(1, 0.3 * poly.side(1).length, 1.0)))
     if bad == "zero":
         v = np.zeros(3)
     elif bad == "off-surface":
