@@ -2,39 +2,44 @@
 
 The scalar trace loops of ``_collision_loops`` (``_trace_plane``,
 ``_trace_sphere``, ``_trace_hyperbolic``) vectorised over N boundary
-states, for the periodic-orbit sweep.  Each bounce solves the ray-side
-root over an (n, nsides) grid of the n rays still live against every
-side, picks the first hit per ray, applies the scalar loop's escape,
-vertex and grazing stops as one mask of the rays that go on, clamps s,
-and compacts the rays down to those.  It records what the sweep reads
-(side label, s and psi per bounce), not stop reasons, vertex ids or
-flights.
+states, for the periodic-orbit sweep.  Each bounce takes the crossing
+time of each of the n rays still live with every side over an (n,
+nsides) grid, picks each ray's nearest crossing, computes the arc
+parameter, the hit point and the cos/sin (cosh/sinh) of t on the n rays
+for that side only, applies the scalar loop's escape, vertex and grazing
+stops as one mask of the rays that go on, clamps s, and compacts the rays
+down to those.  It records what the sweep reads (side label, s and psi
+per bounce), not stop reasons, vertex ids or flights.
 
 The grids are same-shape contiguous arrays, so numpy's inner loops run
 over the whole grid, not over one row of nsides: ``trace_states`` tiles
 the side constants once per call as (N, nsides) arrays, a bounce takes
 their first n rows (compaction keeps the rays in order, and every row of
 a tile is the same), and repeats the rays' points and directions once.
-The grid keeps what the hit needs besides (t, s): the hit point and, off
-the plane, the cos/sin (cosh/sinh) of t, gathered for the winning side
-rather than recomputed.  The cos/sin of the hit's s serve both the side's
-tangent at the hit and the next bounce's start point; only rows whose s
-was clamped recompute them, as ``_trace_sphere`` does.
+The cos/sin of the hit's s serve both the side's tangent at the hit and
+the next bounce's start point; only rows whose s was clamped recompute
+them, as ``_trace_sphere`` does.
 
-The branch logic is the scalar loops': on equal t the lowest side index
-wins, the sphere takes the first of the roots t0 + m pi past tmin that
-lands in the pad window, and a hit is tested against the side's vertices
-only within ``tol_v + VERTEX_WINDOW`` of a side end (the proof is in the
-``_collision_loops`` docstring).  A sphere root t0 lies in [0, pi], so a
-ray whose best root t0 is below pi has its hit: the roots t0 + pi and
-t0 + 2 pi, the scalar loop's ``if not t < best_t: break``, are solved
-only for the rays without one.  No sweep state has needed them (200
-samples at seeds 0-15 and 10,000 at seeds 0-1, 20 bounces, on the theta =
-pi/4 and theta = 1 triangles).
+The pick is the scalar loops': the least (t, side) over the crossings past
+tmin that land in the pad window, and a hit is tested against the side's
+vertices only within ``tol_v + VERTEX_WINDOW`` of a side end (the proofs
+are in the ``_collision_loops`` docstring).  The grid holds each side's
+first crossing past tmin, on the sphere its first root t0 when that is
+past tmin; ``argmin`` picks the least, the lowest side on a tie.  When
+that crossing lands in its window, and on the sphere lies below pi (a
+side's later roots t0 + pi are never below pi), it is the pick.  The rows
+where it misses run ``_side_hits``, the search over every root of every
+side, on their part of the grid; the sweeps of the built-in tables need it
+for no row.
+
 Dot products are written as component sums in the scalar order (no ``@``
 or ``einsum``, whose BLAS/FMA paths round differently).  The engine gives
 the bits of the generic grid engine it replaced (kept as the oracle
-``batch_trace_states`` in ``tests/kernel_oracle.py``).  A row agrees with
+``batch_trace_states`` in ``tests/kernel_oracle.py``), as long as numpy's
+transcendental functions give an element the same bits on an (n,) array
+of gathered operands as on the grid (``test_gathered_arc_matches_grid``
+in ``tests/test_batch.py`` checks this; which SIMD loops numpy
+dispatches to is shown by ``numpy.show_runtime()``).  A row agrees with
 the scalar trace closely but not bit for bit: numpy's transcendental
 functions may differ from ``math``'s by an ulp, and numpy computes an
 array's ``x ** 2`` as ``x * x``, which rounds differently from the scalar
@@ -42,7 +47,7 @@ loops' Python ``x ** 2`` (``_renorm_point`` and ``_distance`` keep
 ``** 2``, the oracle's operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
-this one takes 19-32x as long as ``collision.trace`` (square, theta = 1
+this one takes 19-33x as long as ``collision.trace`` (square, theta = 1
 triangle and pentagon, 2 vCPUs; the grid engine before it took 23-44x).
 Its one caller is ``collision.trace_many``, which
 ``unfolding.find_periodic`` feeds the (side, s, psi) arrays of its sweep
@@ -137,9 +142,58 @@ class _Sides:
         self.grid_base = np.arange(nray) * nsides
 
 
+def _crossings(k, sn, p, v, tmin):
+    """(t, ok, live) over the (n, nsides) grid: each ray's crossing time t
+    with each side, on the sphere its first root t0 in [0, pi], and ok
+    where t is past tmin on a side the ray crosses.  On the sphere live
+    marks the sides whose great circle the ray does not run along (the
+    later roots need it); elsewhere it is None."""
+    live = None
+    if k == 0:
+        # p[2] = 1 and v[2] = 0 on the plane; b is exact but for the sign
+        # of a zero, and |b| < 1e-15 rejects a zero b anyway
+        a = sn[0] * p[0] + sn[1] * p[1] + sn[2]
+        b = sn[0] * v[0] + sn[1] * v[1]
+        t = -a / b
+        ok = (np.abs(b) >= 1e-15) & (t > tmin)
+    elif k == -1:
+        a = mdot(k, sn, p)
+        b = mdot(k, sn, v)
+        t = np.arctanh(-a / b)
+        ok = (np.abs(b) > np.abs(a)) & (t > tmin)
+    else:
+        a = mdot(k, sn, p)
+        b = mdot(k, sn, v)
+        live = ~((np.abs(a) < 1e-15) & (np.abs(b) < 1e-15))
+        t = np.arctan2(-a, b) % math.pi
+        ok = (t > tmin) & live
+    return t, ok, live
+
+
+def _arc(k, g, p, v, t):
+    """(s, ct, st, q) of the crossings at t of the rays (p, v) with the
+    sides whose start point and tangent are g's rows _A and _U (a grid's
+    tiles or a gather of the table): the arc parameter, the cos/sin
+    (cosh/sinh) of t and the unnormalised hit point.  On the plane ct and
+    st are None and q holds (x, y)."""
+    if k == 0:
+        q = (p[0] + t * v[0], p[1] + t * v[1])
+        return ((q[0] - g[_A]) * g[_U] + (q[1] - g[_A + 1]) * g[_U + 1],
+                None, None, q)
+    ct, st = _cos_sin(k, t)
+    q = (ct * p[0] + st * v[0], ct * p[1] + st * v[1],
+         ct * p[2] + st * v[2])
+    u = g[_U:_U + 3]
+    if k == 1:
+        return np.arctan2(mdot(k, q, u), mdot(k, q, g[_A:_A + 3])), ct, st, q
+    return np.arcsinh(mdot(k, q, u)), ct, st, q
+
+
 def _side_hits(k, tiles, base, p, v, tmin, pad):
     """First side crossing of each ray, from the (n, nsides) grid of every
-    ray against every side.
+    ray against every side: the full search, with an arc parameter for
+    every crossing past tmin, which ``_bounce`` runs on the rays whose
+    nearest crossing misses its window.
 
     ``tiles`` holds the side constants (a, u, functional, length + pad),
     p and v the rays' point and direction components, all as (n, nsides)
@@ -149,41 +203,16 @@ def _side_hits(k, tiles, base, p, v, tmin, pad):
     cos/sin (cosh/sinh) ct, st of t and the unnormalised hit point q.  On
     the plane ct and st are None and q holds (x, y).
     """
-    sa, su, sn, hi = tiles[0:3], tiles[3:6], tiles[6:9], tiles[9]
-    ct = st = None
-    if k == 0:
-        # p[2] = 1 and v[2] = 0 on the plane; b is exact but for the sign
-        # of a zero, and |b| < 1e-15 rejects a zero b anyway
-        a = sn[0] * p[0] + sn[1] * p[1] + sn[2]
-        b = sn[0] * v[0] + sn[1] * v[1]
-        t = -a / b
-        ok = (np.abs(b) >= 1e-15) & (t > tmin)
-        q = (p[0] + t * v[0], p[1] + t * v[1])
-        s = (q[0] - sa[0]) * su[0] + (q[1] - sa[1]) * su[1]
-    elif k == -1:
-        a = mdot(k, sn, p)
-        b = mdot(k, sn, v)
-        t = np.arctanh(-a / b)
-        ok = (np.abs(b) > np.abs(a)) & (t > tmin)
-        ct, st = np.cosh(t), np.sinh(t)
-        q = (ct * p[0] + st * v[0], ct * p[1] + st * v[1],
-             ct * p[2] + st * v[2])
-        s = np.arcsinh(mdot(k, q, su))
-    else:
-        a = mdot(k, sn, p)
-        b = mdot(k, sn, v)
-        live = ~((np.abs(a) < 1e-15) & (np.abs(b) < 1e-15))
-        # roots repeat every pi along the great circle: the first of t0,
-        # t0 + pi, t0 + 2 pi that passes both tests
-        t0 = np.arctan2(-a, b) % math.pi
-        ok, s, ct, st, q = _sphere_root(tiles, p, v, t0, tmin, pad)
-        ok &= live
-        t = t0
+    t0, ok, live = _crossings(k, tiles[6:9], p, v, tmin)
+    # on the sphere the first of t0, t0 + pi, t0 + 2 pi that passes both
+    # tests: t0 here, the later roots below
+    s, ct, st, q = _arc(k, tiles, p, v, t0)
+    ok &= (s >= -pad) & (s <= tiles[9])
     if k != 1:
         # the generic engine's t < INF; a sphere root that passes is below
         # 3 pi
-        ok &= (s >= -pad) & (s <= hi) & (t < INF)
-    t = np.where(ok, t, INF)
+        ok &= t0 < INF
+    t = np.where(ok, t0, INF)
     # argmin takes the first minimum: the lowest side index wins a tie,
     # and a ray with no hit (a row of INF) gets side 0
     j = np.argmin(t, axis=1)
@@ -205,16 +234,6 @@ def _side_hits(k, tiles, base, p, v, tmin, pad):
             tuple(x.ravel()[flat] for x in q))
 
 
-def _sphere_root(tiles, p, v, tm, tmin, pad):
-    """(passes, s, ct, st, q) of the sphere root tm over a grid: passes
-    where tm is past tmin and s in the side's pad window."""
-    ct, st = np.cos(tm), np.sin(tm)
-    q = (ct * p[0] + st * v[0], ct * p[1] + st * v[1],
-         ct * p[2] + st * v[2])
-    s = np.arctan2(mdot(1, q, tiles[3:6]), mdot(1, q, tiles[0:3]))
-    return (tm > tmin) & (s >= -pad) & (s <= tiles[9]), s, ct, st, q
-
-
 def _later_roots(tiles, p, v, tmin, pad, rows, t0, live, ok, out):
     """The sphere roots t0 + pi and t0 + 2 pi of the grid rows ``rows``,
     written into ``out`` = (t, s, ct, st, qx, qy, qz) where they are the
@@ -227,8 +246,10 @@ def _later_roots(tiles, p, v, tmin, pad, rows, t0, live, ok, out):
     cur = [x[rows] for x in out]
     for m in (1, 2):
         tm = t0[rows] + m * math.pi
-        take, s, ct, st, q = _sphere_root(tiles, p, v, tm, tmin, pad)
-        take &= live & ~ok
+        s, ct, st, q = _arc(1, tiles, p, v, tm)
+        # past tmin, in the side's pad window, and the row's first root
+        # that passes
+        take = (tm > tmin) & (s >= -pad) & (s <= tiles[9]) & live & ~ok
         cur = [np.where(take, x, c)
                for x, c in zip((tm, s, ct, st) + q, cur)]
         ok |= take
@@ -307,10 +328,29 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
     nsides = sides.nsides
     grid = np.repeat(np.concatenate(p + v), nsides).reshape(-1, n, nsides)
     half = len(p)
-    j, t, s, ct, st, q = _side_hits(k, sides.tiles[:, :n],
-                                    sides.grid_base[:n], grid[:half],
-                                    grid[half:], tmin, tol_v)
+    t, ok, _ = _crossings(k, sides.tiles[6:9, :n], grid[:half], grid[half:],
+                          tmin)
+    tgrid = np.where(ok, t, INF)
+    # argmin takes the first minimum: the lowest side index wins a tie
+    j = np.argmin(tgrid, axis=1)
+    t = tgrid.ravel()[sides.grid_base[:n] + j]
     g = sides.table[:, j]
+    s, ct, st, q = _arc(k, g, p, v, t)
+    # the nearest crossing is the scalar loops' hit when it lands in its
+    # window; a sphere root t0 >= pi may lose to a later root of another
+    # side, t0 + pi
+    lim = math.pi if k == 1 else INF
+    miss = np.flatnonzero(~((t < lim) & (s >= -tol_v)
+                            & (s <= g[_SL] + tol_v)))
+    if miss.size:
+        m = miss.size
+        hits = _side_hits(k, sides.tiles[:, :m], sides.grid_base[:m],
+                          grid[:half, miss], grid[half:, miss], tmin, tol_v)
+        j[miss] = hits[0]
+        g[:, miss] = sides.table[:, hits[0]]
+        for x, y in zip((t, s, ct, st) + q, hits[1:5] + hits[5]):
+            if x is not None:
+                x[miss] = y
     q, psi, cs, ss = _outgoing(k, g, p, v, s, ct, st, q)
     ok = (t < INF) & ~((psi < graze) | (psi > math.pi - graze))
     # between the bands near the side ends no vertex is within tol_v

@@ -37,7 +37,9 @@ loops that the oracle keeps.  The rewrites, and why each is exact:
   determinant is 0, so the terms are added only then.
 * Sphere roots: ``t0 + m`` for m in ``ROOT_STEPS`` = ``(0.0, pi, 2.0 *
   pi)``, which are ``0 * pi``, ``1 * pi`` and ``2 * pi`` exactly
-  (``t0 + 0.0`` is ``t0 + 0 * pi``).
+  (``t0 + 0.0`` is ``t0 + 0 * pi``); the first pass takes ``t0`` itself
+  for ``t0 + 0.0``, the same float, since a remainder mod pi is never
+  -0.0.
 * Sphere norms: ``sqrt(x*x + y*y + z*z)`` without the ``abs`` of the
   helper's ``sqrt(abs(mdot(o, o)))``: a sum of squares is never below +0.
 
@@ -51,6 +53,22 @@ the sides ready-made.  ``side_records`` builds those once per polygon
 side, which the plane loops unpack in their ``for`` statement, and on the
 plane each side's unit tangent, which depends on neither the point nor
 the arc parameter.
+
+The sphere loops pick the side by the nearest crossing first.  The
+generic step's pick is the least (t, side) over the crossings past tmin
+whose arc parameter lands in the side's window.  A first pass takes each
+side's first root t0 + m pi past tmin, from a and b alone, and keeps the
+least, the lowest side on a tie.  Every other crossing of every side
+comes at that time or later, so when the least one's arc parameter
+lands, it is the pick, computed by the same expressions from the same
+operands.  So the loops compute one arc parameter per bounce, the
+nearest crossing's: in a convex table it is the exit.  When it misses its
+window (a reflex corner, a hole, a hit past the pad), ``sphere_search``,
+the side search before this rule, picks the side.  The plane and
+hyperbolic loops search every side whose crossing could still win: the
+plane's arc parameter is a few products, and a hyperbolic side has one
+crossing, so the search evaluates about 1.3 arc parameters per bounce
+(built-in tables) and a first pass saved no measurable time.
 
 A trace loop tests a hit against the side's two vertices only when its
 arc parameter s lies within ``tol_v + VERTEX_WINDOW`` of either end of
@@ -232,12 +250,49 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
     return nmax, STEP_OK, -1, total
 
 
+def sphere_search(sides, px, py, pz, vx, vy, vz, tmin):
+    """The sphere loops' side search when the nearest crossing misses its
+    window: (t, j, s, cos t, sin t, unnormalised hit point), j = -1 when
+    no crossing lands."""
+    best_t = INF
+    best_j = -1
+    best_s = hc = hs = hx = hy = hz = 0.0
+    for j in range(len(sides)):
+        nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+        a = nx * px + ny * py + nz * pz
+        b = nx * vx + ny * vy + nz * vz
+        if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
+            continue
+        # roots repeat every pi along the great circle: take the first past
+        # tmin that lands on the segment, unless it cannot beat the best
+        # side so far
+        t0 = math.atan2(-a, b) % math.pi
+        for m in ROOT_STEPS:
+            t = t0 + m
+            if t <= tmin:
+                continue
+            if not t < best_t:
+                break
+            ct = math.cos(t)
+            st = math.sin(t)
+            qx = ct * px + st * vx
+            qy = ct * py + st * vy
+            qz = ct * pz + st * vz
+            s = math.atan2(qx * ux + qy * uy + qz * uz,
+                           qx * ax + qy * ay + qz * az)
+            if lo <= s <= hi:
+                best_t, best_j, best_s = t, j, s
+                hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+                break
+    return best_t, best_j, best_s, hc, hs, hx, hy, hz
+
+
 def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
                   tmin, tol_v, graze, labels, svals, psis, flens):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
-    roots = ROOT_STEPS
+    pi2 = 2.0 * pi
     near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
@@ -249,27 +304,30 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
             b = nx * vx + ny * vy + nz * vz
             if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
                 continue
-            # roots repeat every pi along the great circle: take the first
-            # past tmin that lands on the segment, unless it cannot beat the
-            # best side so far
+            # the side's first root t0 + m pi past tmin (t0 + 0.0 is t0)
             t0 = math.atan2(-a, b) % pi
-            for m in roots:
-                t = t0 + m
+            t = t0
+            if t <= tmin:
+                t = t0 + pi
                 if t <= tmin:
-                    continue
-                if not t < best_t:
-                    break
-                ct = math.cos(t)
-                st = math.sin(t)
-                qx = ct * px + st * vx
-                qy = ct * py + st * vy
-                qz = ct * pz + st * vz
-                s = math.atan2(qx * ux + qy * uy + qz * uz,
-                               qx * ax + qy * ay + qz * az)
-                if lo <= s <= hi:
-                    best_t, best_j, best_s = t, j, s
-                    hc, hs, hx, hy, hz = ct, st, qx, qy, qz
-                    break
+                    t = t0 + pi2
+                    if t <= tmin:
+                        continue
+            if t < best_t:
+                best_t, best_j = t, j
+        if best_j >= 0:
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[best_j]
+            hc = math.cos(best_t)
+            hs = math.sin(best_t)
+            hx = hc * px + hs * vx
+            hy = hc * py + hs * vy
+            hz = hc * pz + hs * vz
+            best_s = math.atan2(hx * ux + hy * uy + hz * uz,
+                                hx * ax + hy * ay + hz * az)
+            if not lo <= best_s <= hi:
+                (best_t, best_j, best_s, hc, hs, hx, hy,
+                 hz) = sphere_search(sides, px, py, pz, vx, vy, vz, tmin)
+                nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[best_j]
         if best_j < 0:
             return i, STEP_ESCAPED, -1, total
         n = math.sqrt(hx ** 2 + hy ** 2 + hz ** 2)
@@ -299,7 +357,6 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
         wy = gy / n
         wz = gz / n
         # reflected in the side's great circle
-        nx, ny, nz, ax, ay, az, ux, uy, uz, _, _ = sides[best_j]
         c2 = wx * nx + wy * ny + wz * nz
         gx = wx - 2.0 * c2 * nx
         gy = wy - 2.0 * c2 * ny
@@ -582,7 +639,7 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
-    roots = ROOT_STEPS
+    pi2 = 2.0 * pi
     for m in range(nmax):
         best_t = INF
         best_j = -1
@@ -592,27 +649,29 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
             b = nx * vx + ny * vy + nz * vz
             if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
                 continue
-            # roots repeat every pi along the great circle: take the first
-            # past tmin that lands on the segment, unless it cannot beat the
-            # best side so far
+            # the side's first root t0 + m pi past tmin (t0 + 0.0 is t0)
             t0 = math.atan2(-a, b) % pi
-            for mm in roots:
-                t = t0 + mm
+            t = t0
+            if t <= tmin:
+                t = t0 + pi
                 if t <= tmin:
-                    continue
-                if not t < best_t:
-                    break
-                ct = math.cos(t)
-                st = math.sin(t)
-                qx = ct * px + st * vx
-                qy = ct * py + st * vy
-                qz = ct * pz + st * vz
-                s = math.atan2(qx * ux + qy * uy + qz * uz,
-                               qx * ax + qy * ay + qz * az)
-                if lo <= s <= hi:
-                    best_t, best_j = t, j
-                    hc, hs, hx, hy, hz = ct, st, qx, qy, qz
-                    break
+                    t = t0 + pi2
+                    if t <= tmin:
+                        continue
+            if t < best_t:
+                best_t, best_j = t, j
+        if best_j >= 0:
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[best_j]
+            hc = math.cos(best_t)
+            hs = math.sin(best_t)
+            hx = hc * px + hs * vx
+            hy = hc * py + hs * vy
+            hz = hc * pz + hs * vz
+            best_s = math.atan2(hx * ux + hy * uy + hz * uz,
+                                hx * ax + hy * ay + hz * az)
+            if not lo <= best_s <= hi:
+                (best_t, best_j, best_s, hc, hs, hx, hy,
+                 hz) = sphere_search(sides, px, py, pz, vx, vy, vz, tmin)
         if best_j < 0:
             return m
         labels[m] = best_j

@@ -188,10 +188,11 @@ def trace_many(poly, side, s, psi, n):
     records for state r (1-based labels), then label 0 and nan past its
     last bounce.  The first row that ``trace`` would reject raises its
     error.  The batched numpy engine (``_batch``) pays off for many rays
-    only: for one ray of 20-50 bounces it takes about 20-30x as long as
-    :func:`trace`.  Labels agree with ``trace``, and (s, psi) up to
-    rounding: numpy's transcendental functions against ``math``'s, and
-    numpy arrays' ``x ** 2``, computed as ``x * x``, against Python's.
+    only: for one ray of 20-50 bounces it takes 19-33x as long as
+    :func:`trace` (square, theta = 1 triangle and pentagon; 2 vCPUs).
+    Labels agree with ``trace``, and (s, psi) up to rounding: numpy's
+    transcendental functions against ``math``'s, and numpy arrays'
+    ``x ** 2``, computed as ``x * x``, against Python's.
     """
     check_count(n)
     side, s, psi = np.asarray(side), np.asarray(s), np.asarray(psi)

@@ -20,6 +20,7 @@ computation; this module implements the witness logic that is:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,6 +69,12 @@ class SearchBudget:
     diagonal_angles: int = 10000
     pair_probes: int = 48        # same-itinerary pair attempts (sphere)
     seed: int = 0
+
+
+# SearchBudget's count fields and their least values
+_BUDGET_COUNTS = (("horizon", 1), ("samples", 1), ("periodic_bounces", 1),
+                  ("diagonal_depth", 0), ("diagonal_angles", 1),
+                  ("pair_probes", 0), ("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -261,12 +268,20 @@ def classify(poly, budget=None):
 
     Hyperbolic tables are expansive outright.  Flat and spherical tables
     are probed within the budget; failure to find a witness yields an
-    honest ``unknown``.  The budget's seed must be an integer >= 0, on
-    hyperbolic tables too, which use none.
+    honest ``unknown``.  The budget is checked before any search, on
+    hyperbolic tables too, which use none of it: its counts must be
+    integers (diagonal_depth, pair_probes and seed >= 0, the others >= 1)
+    and diagonal_length a finite number > 0.
     """
     if budget is None:
         budget = SearchBudget()
-    C.check_count(budget.seed, "seed", 0)
+    for name, least in _BUDGET_COUNTS:
+        C.check_count(getattr(budget, name), name, least)
+    length = budget.diagonal_length
+    if (isinstance(length, bool) or not isinstance(length, numbers.Real)
+            or not (math.isfinite(length) and length > 0)):
+        raise ValueError(f"diagonal_length must be a finite number > 0, "
+                         f"got {length!r}")
     if poly.k == -1:
         return ExpansivenessVerdict(
             "expansive", (Rule.HYPERBOLIC_EXPANSIVE,), (), budget,

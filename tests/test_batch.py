@@ -367,3 +367,36 @@ def test_later_sphere_roots_match_oracle(tmin):
     # every first hit is a later root, some t0 + pi and some t0 + 2 pi
     assert (t[hit] >= math.pi).all()
     assert (t[hit] < 2 * math.pi).any() and (t[hit] >= 2 * math.pi).any()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_gathered_arc_matches_grid(name):
+    # _bounce computes the nearest crossing's arc parameter, cos/sin and
+    # hit point on (n,) arrays gathered for one side per ray, where the
+    # oracle computes them over the (n, nsides) grid.  The bits agree only
+    # if numpy's transcendental loops give an element the same bits on
+    # both; a failure here, on another machine, points to numpy's SIMD
+    # dispatch (numpy.show_runtime()), not to the engine
+    poly = SWEEP_TABLES[name]
+    k = poly.k
+    side, s0, psi0 = U._sweep_states(poly, 200, 0)
+    n, ns = side.size, poly.n_sides
+    sides = B._Sides(k, *poly.kernel_pack()[:7], n, C.VERTEX_TOL)
+    cs, ss = (None, None) if k == 0 else B._cos_sin(k, s0)
+    p, v = B._embed(k, sides.table[:, side - 1], s0, cs, ss, psi0)
+    grid = np.repeat(np.concatenate(p + v), ns).reshape(-1, n, ns)
+    half = len(p)
+    with np.errstate(all="ignore"):
+        t, ok, _ = B._crossings(k, sides.tiles[6:9, :n], grid[:half],
+                                grid[half:], C.FLIGHT_MIN)
+        t = np.where(ok, t, 0.5)
+        want = B._arc(k, sides.tiles[:, :n], grid[:half], grid[half:], t)
+        for j in range(ns):
+            got = B._arc(k, sides.table[:, np.full(n, j)], p, v,
+                         t[:, j].copy())
+            for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
+                if a is not None:
+                    assert a.tobytes() == b[:, j].copy().tobytes(), (
+                        "numpy gave a gathered array other bits than the "
+                        "grid: see numpy.show_runtime() for its SIMD "
+                        "dispatch")

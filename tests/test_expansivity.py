@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ccbilliards import _kernels as K
 from ccbilliards import collision as C
+from ccbilliards import expansivity as E
+from ccbilliards import unfolding as U
 from ccbilliards import (BoundaryState, GeometryError, Rule, SearchBudget,
                          classify, find_periodic, format_verdict,
                          periodic_orbit_neighborhood_check, probe_pair,
@@ -115,6 +119,37 @@ class TestClassify:
             with pytest.raises(ValueError, match="seed must be an integer"):
                 classify(poly, budget)
 
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 2.5), ("horizon", 0), ("horizon", True),
+        ("horizon", math.nan), ("samples", 0), ("periodic_bounces", 0),
+        ("diagonal_depth", -1), ("diagonal_angles", 0),
+        ("diagonal_angles", 2.0), ("pair_probes", -3),
+        ("diagonal_length", 0.0), ("diagonal_length", -1.0),
+        ("diagonal_length", math.nan), ("diagonal_length", math.inf),
+        ("diagonal_length", True), ("diagonal_length", "4")])
+    def test_bad_budget_rejected_before_search(self, monkeypatch, sq, tri1,
+                                               pentagon, field, value):
+        # a bad horizon used to fail on the sphere only after the periodic
+        # and pair searches, and to give a verdict on the square
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(U, "find_periodic", no_search)
+        monkeypatch.setattr(C, "generalized_diagonals", no_search)
+        monkeypatch.setattr(E, "probe_pair", no_search)
+        budget = dataclasses.replace(SMALL, **{field: value})
+        for poly in (sq, tri1, pentagon):
+            with pytest.raises(ValueError, match=field):
+                classify(poly, budget)
+
+    def test_least_budget_accepted(self, sq, tri1):
+        budget = SearchBudget(horizon=1, samples=1, periodic_bounces=1,
+                              diagonal_depth=0, diagonal_length=3,
+                              diagonal_angles=np.int64(1), pair_probes=0,
+                              seed=np.int64(0))
+        for poly in (sq, tri1):
+            assert classify(poly, budget).budget is budget
+
     def test_square_not_expansive_with_witness(self, sq):
         v = classify(sq, SMALL)
         assert v.verdict == "not_expansive"
@@ -171,3 +206,55 @@ class TestNeighborhoodCheck:
         rep = find_periodic(sphere_triangle(math.pi / 6), 20, 120, seed=3)[0]
         with pytest.raises(GeometryError):
             periodic_orbit_neighborhood_check(rep, tri1)
+
+
+def _orbit_ray(poly, start, tr, i, t, back):
+    """The ray at time t along flight i of tr, the trace of start, in the
+    forward orbit's sense of travel (negated when tr runs backward)."""
+    k = poly.k
+    p, v = C.embed_state(poly, start if i == 0 else tr.state(i - 1))
+    q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
+    w = K.renorm_tangent(k, q, K.geodesic_dir(k, p, v, t))
+    if back:
+        w = (-w[0], -w[1], -w[2])
+    return q, w
+
+
+def _turned(poly, q, w, angle):
+    e = K.perp(poly.k, q, w)
+    c, s = math.cos(angle), math.sin(angle)
+    return K.renorm_tangent(poly.k, q, tuple(c * x + s * y
+                                             for x, y in zip(w, e)))
+
+
+@pytest.mark.parametrize("table", ["sq", "tri1", "pentagon"])
+def test_same_orbit_on_shifted_rays(request, table):
+    # rays on a's orbit, shifted by whole bounces and by fractions of a
+    # flight, forward and backward, are on it; turned or moved off it by
+    # a few SAME_ORBIT_TOL, or between samples, they are not
+    poly = request.getfixturevalue(table)
+    a = BoundaryState(2, 0.37 * poly.side(2).length, 1.1)
+    traces = (C.trace(poly, a, E.SAME_ORBIT_WINDOW),
+              C.trace(poly, a.reversed(), E.SAME_ORBIT_WINDOW))
+    tol = E.SAME_ORBIT_TOL
+    cases = []
+    for back, start, tr in ((False, a, traces[0]),
+                            (True, a.reversed(), traces[1])):
+        assert tr.n_done == E.SAME_ORBIT_WINDOW
+        for i in (0, 3, E.SAME_ORBIT_WINDOW - 1):
+            flight = tr.flights[i]
+            for frac in (0.0, 0.25, 0.5, 0.75):
+                for shift in (0.0, 0.3 * tol):
+                    q, w = _orbit_ray(poly, start, tr, i,
+                                      frac * flight + shift, back)
+                    cases.append((q, w, True))
+                cases.append((q, _turned(poly, q, w, 3 * tol), False))
+                cases.append((q, (-w[0], -w[1], -w[2]), False))
+            # beside the last sample before the bounce, and between samples
+            for t, on in ((0.75 * flight + 0.5 * tol, True),
+                          (0.75 * flight + 2 * tol, False),
+                          (0.4 * flight, False)):
+                q, w = _orbit_ray(poly, start, tr, i, t, back)
+                cases.append((q, w, on))
+    for q, w, on in cases:
+        assert E._same_orbit(poly, a, traces, q, w) is on
