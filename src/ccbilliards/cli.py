@@ -80,6 +80,7 @@ def cmd_simulate(args):
     poly, name = _load_table(args)
     out = _outdir(args)
     if args.side is not None:
+        C.check_count(args.bounces, "--bounces", 1)
         b = C.BoundaryState(args.side, args.s, args.psi)
         it = C.itinerary(b, poly, args.bounces)
         tr = C.trace(poly, b, args.bounces - 1)
@@ -108,6 +109,9 @@ def cmd_simulate(args):
         print("error: simulate needs --side/--s/--psi or --vertex/--r/--gamma/--beta",
               file=sys.stderr)
         return 2
+    if not 1 <= args.vertex <= poly.n_vertices:
+        raise ValueError(f"--vertex must be in 1..{poly.n_vertices}, got "
+                         f"{args.vertex}")
     theta = poly.angles[args.vertex - 1]
     eps = vertex_neighborhood_radius(poly, args.vertex - 1)
     c0 = F.chart_embed(F.ChartState(args.r, args.gamma, args.beta), theta, poly.k)

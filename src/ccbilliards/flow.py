@@ -386,7 +386,8 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     States with r = 0 stay on the vertex circle and converge to z = 0 or
     z = pi according to the sign of -sin z.  When the state leaves the disc
     of radius min(eps-equivalent, 1) the trajectory is truncated at the
-    crossing and flagged.
+    crossing and flagged; for T != 0 a start outside that disc exits at
+    time 0.0, with itself as the only record, as in :func:`closed_form_flow`.
 
     The run records every accepted step, up to max_records states, and
     raises RuntimeError when they do not fit; with record=False only the
@@ -421,6 +422,9 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
         rhi = min(rhi, 1.0 - 1e-12)
     dim = 4 if track_arc_time else 3
     y0 = (float(c0.x), float(c0.y), float(c0.z), 0.0)[:dim]
+    if T != 0.0 and math.hypot(y0[0], y0[1]) > rhi:
+        return ChartTrajectory(np.zeros(1), np.array([y0[:3]]), True, 0.0,
+                               np.zeros(1) if track_arc_time else None)
     field = K.FIELD_CHART_ARC if track_arc_time else K.FIELD_CHART
     cap = max_records if record else 1
     tbuf = np.empty(cap)

@@ -1,4 +1,4 @@
-"""Model conventions, side normals and isometries on numpy 3-vectors.
+"""Model conventions, side normals, isometries and the boundary check.
 
 Points are embedded in R^3 (unit sphere for k = +1, upper hyperboloid sheet
 for k = -1 with the Minkowski form diag(1, 1, -1), affine plane z = 1 for
@@ -8,9 +8,9 @@ curvature-normalized units (|k| = 1), all angles in radians.
 
 This module serves the polygon builder and the input checks: the model
 checks and coordinates (the Poincare disc is an input/output convention
-only), side geodesics and their interior-positive normals, the
-boundary-intersection test, segment distance and side reflections as
-3x3 isometries.
+only), side geodesics and their interior-positive normals as numpy
+3-vectors, segment distance, side reflections as 3x3 isometries, and the
+boundary-intersection test, which runs on float triples.
 """
 
 import math
@@ -103,41 +103,47 @@ def side_normal(g, k):
     return n / math.sqrt(abs(K.mdot(k, n, n)))
 
 
-def geodesics_intersect(a, a_len, b, b_len, k, end_tol=1e-12):
+def geodesics_intersect(a, b, k, end_tol=1e-12):
     """Whether two geodesic segments share an interior point.
 
-    Endpoint contacts within end_tol of a segment end are ignored, so
-    adjacent polygon sides meeting at a vertex do not count.
+    Each segment is (point, direction, normal, length): its start point,
+    unit start tangent and interior-positive normal (``side_normal``) as
+    float triples, and its length.  Endpoint contacts within end_tol of a
+    segment end are ignored, so adjacent polygon sides meeting at a vertex
+    do not count.
     """
-    na = side_normal(a, k)
-    nb = side_normal(b, k)
-    candidates = []
+    (pa, ua, na, la), (pb, ub, nb, lb) = a, b
+    if k == -1:
+        na, nb = (na[0], na[1], -na[2]), (nb[0], nb[1], -nb[2])
+    # the line the two planes share; for k = 0 the lines' crossing point
+    q = (na[1] * nb[2] - na[2] * nb[1], na[2] * nb[0] - na[0] * nb[2],
+         na[0] * nb[1] - na[1] * nb[0])
     if k == 0:
-        d = na[0] * nb[1] - na[1] * nb[0]
-        if abs(d) < 1e-15:
+        if abs(q[2]) < 1e-15:
             return False
-        x = (-na[2] * nb[1] + nb[2] * na[1]) / d
-        y = (-nb[2] * na[0] + na[2] * nb[0]) / d
-        candidates.append(np.array([x, y, 1.0]))
+        candidates = (q[0] / q[2], q[1] / q[2], 1.0),
     elif k == 1:
-        q = np.cross(na, nb)
-        nq = np.linalg.norm(q)
+        nq = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2])
         if nq < 1e-14:
             return False
-        candidates.append(q / nq)
-        candidates.append(-q / nq)
+        q = q[0] / nq, q[1] / nq, q[2] / nq
+        candidates = q, (-q[0], -q[1], -q[2])
     else:
-        J = np.array([1.0, 1.0, -1.0])
-        q = np.cross(J * na, J * nb)
         norm2 = q[0] ** 2 + q[1] ** 2 - q[2] ** 2
         if norm2 >= -1e-14:
             return False
-        q = q * math.copysign(1.0, q[2]) / math.sqrt(-norm2)
-        candidates.append(q)
+        r = math.copysign(math.sqrt(-norm2), q[2])
+        candidates = (q[0] / r, q[1] / r, q[2] / r),
     for q in candidates:
-        sa = _arc_param(q, a, k)
-        sb = _arc_param(q, b, k)
-        if end_tol < sa < a_len - end_tol and end_tol < sb < b_len - end_tol:
+        if k == 0:
+            sa = (q[0] - pa[0]) * ua[0] + (q[1] - pa[1]) * ua[1]
+            sb = (q[0] - pb[0]) * ub[0] + (q[1] - pb[1]) * ub[1]
+        elif k == 1:
+            sa = math.atan2(K.mdot(1, q, ua), K.mdot(1, q, pa))
+            sb = math.atan2(K.mdot(1, q, ub), K.mdot(1, q, pb))
+        else:
+            sa, sb = math.asinh(K.mdot(-1, q, ua)), math.asinh(K.mdot(-1, q, ub))
+        if end_tol < sa < la - end_tol and end_tol < sb < lb - end_tol:
             return True
     return False
 

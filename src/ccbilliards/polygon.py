@@ -11,6 +11,7 @@ along the boundary is represented by :class:`DoubleSurfacePoint`; boundary
 points identify across sheets.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -283,22 +284,17 @@ def build_polygon(k, vertex_coords, holes=(), model=None):
         all_angles.extend(angles)
 
     # distinct vertices across the whole boundary
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            if K.distance(k, vertices[i], vertices[j]) < VERTEX_SEP_TOL:
-                raise PolygonError(f"vertices {i} and {j} coincide")
+    for (i, v), (j, w) in itertools.combinations(enumerate(vertices), 2):
+        if K.distance(k, v, w) < VERTEX_SEP_TOL:
+            raise PolygonError(f"vertices {i} and {j} coincide")
 
     # simple boundary: non-adjacent sides must not meet
-    ns = len(all_sides)
-    for i in range(ns):
-        si = all_sides[i]
-        for j in range(i + 1, ns):
-            sj = all_sides[j]
-            adjacent = {si.start, si.end} & {sj.start, sj.end}
-            tol = VERTEX_SEP_TOL if adjacent else -1e-12
-            if G.geodesics_intersect(si.geodesic, si.length,
-                                     sj.geodesic, sj.length, k, end_tol=tol):
-                raise PolygonError(f"boundary sides {i + 1} and {j + 1} intersect")
+    segs = [(s.geodesic.point.tolist(), s.geodesic.direction.tolist(),
+             s.normal.tolist(), s.length) for s in all_sides]
+    for (i, a), (j, b) in itertools.combinations(enumerate(all_sides), 2):
+        tol = VERTEX_SEP_TOL if {a.start, a.end} & {b.start, b.end} else -1e-12
+        if G.geodesics_intersect(segs[i], segs[j], k, end_tol=tol):
+            raise PolygonError(f"boundary sides {i + 1} and {j + 1} intersect")
 
     poly = Polygon(k=k, vertices=vertices, loops=loops, sides=all_sides,
                    angles=all_angles, boundary_components=len(loops),

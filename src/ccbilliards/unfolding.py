@@ -14,6 +14,7 @@ preserving the flight direction, a spherical one is a rotation, a
 hyperbolic one a translation along its axis.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,10 +42,7 @@ class UnfoldingChain:
     base_k: int
 
     def holonomy_matrix(self):
-        out = np.eye(3)
-        if self.copies:
-            out = self.copies[-1][0].copy()
-        return out
+        return self.copies[-1][0].copy() if self.copies else np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -310,15 +308,10 @@ _CANONICAL_ANGLES = (math.pi / 2, math.pi / 3, 2 * math.pi / 3, math.pi / 4,
 _CANONICAL_FRACS = (0.25, 0.5, 0.75)   # of the side length
 
 
-def _canonical_sequence(labels):
+def _rotations(labels):
+    """Every rotation and reversal of a cyclic bounce sequence."""
     seq = tuple(labels)
-    best = None
-    for cand in (seq, tuple(reversed(seq))):
-        for r in range(len(cand)):
-            rot = cand[r:] + cand[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return {c[r:] + c[:r] for c in (seq, seq[::-1]) for r in range(len(c))}
 
 
 def find_periodic(poly, max_bounces, samples, seed):
@@ -328,13 +321,15 @@ def find_periodic(poly, max_bounces, samples, seed):
     psi) arrays.  The sweep traces them, SWEEP_BLOCK at a time, with the
     batched numpy engine (``collision.trace_many``), and scans the traced
     arrays for candidates in numpy as well: a return to the starting side
-    that lands within 1e-4 in (s, psi).  A candidate is polished by a
-    derivative-free Newton on the return displacement, and kept below a
-    1e-8 residual, only when its bounce sequence in the sweep is new; one
-    report is kept per bounce sequence (up to rotation and reversal), so a
-    continuous family is represented by one member.  Each sample
-    contributes at most one report, from its first candidate that is not
-    rejected.
+    that lands within 1e-4 in (s, psi).  One report is kept per bounce
+    sequence up to rotation and reversal, so a continuous family is
+    represented by one member: a set holds every rotation and reversal of
+    each reported sequence, and a candidate whose sweep sequence is in it
+    ends its sample after that one lookup, with no polish.  Any other is
+    polished by a derivative-free Newton on the return displacement and
+    kept below a 1e-8 residual if its polished sequence is new.  Each
+    sample contributes at most one report, from its first candidate that
+    is not rejected.
 
     Newton polish and everything after it use the scalar ``trace``.
     max_bounces and samples must be integers >= 1, seed an integer >= 0.
@@ -343,18 +338,15 @@ def find_periodic(poly, max_bounces, samples, seed):
     C.check_count(samples, "samples", 1)
     C.check_count(seed, "seed", 0)
     side, s, psi = _sweep_states(poly, samples, seed)
-    reports = {}
+    reports, seen = [], set()
     for lo in range(0, len(side), SWEEP_BLOCK):
-        block = slice(lo, lo + SWEEP_BLOCK)
-        start = side[block], s[block], psi[block]
+        start = tuple(a[lo:lo + SWEEP_BLOCK] for a in (side, s, psi))
         labels, svals, psis = C.trace_many(poly, *start, max_bounces)
         hit = _near_returns(*start, labels, svals, psis)
-        for r in np.flatnonzero(hit.any(axis=1)).tolist():
-            b = C.BoundaryState(int(side[lo + r]), float(s[lo + r]),
-                                float(psi[lo + r]))
-            _polish_row(poly, b, labels[r], np.flatnonzero(hit[r]).tolist(),
-                        reports)
-    return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
+        rows = np.flatnonzero(hit.any(axis=1)).tolist()
+        for r, b in zip(rows, zip(*(a[rows].tolist() for a in start))):
+            _polish_row(poly, b, labels[r], hit[r], reports, seen)
+    return sorted(reports, key=lambda r: (r.period, r.length, r.labels))
 
 
 def _sweep_states(poly, samples, seed):
@@ -394,23 +386,20 @@ def _near_returns(side0, s0, psi0, labels, svals, psis):
     return (labels == side0[:, None]) & (disp < RETURN_CANDIDATE_TOL)
 
 
-def _polish_row(poly, b, labels, returns, reports):
+def _polish_row(poly, b, labels, hits, reports, seen):
     """Polish the near-returns of one sample until one settles its sequence.
 
-    ``labels`` is the sample's row of sweep labels and ``returns`` its
-    candidate bounce indices in ascending order.  A return whose sweep
-    sequence is already reported ends the row without a polish.
+    The sample starts at b = (side, s, psi); ``labels`` and ``hits`` are its
+    rows of sweep labels and near-return flags (see find_periodic).
     """
-    for i in returns:
-        n = i + 1
-        if _canonical_sequence(labels[:n].tolist()) in reports:
+    for n in itertools.compress(itertools.count(1), hits.tolist()):
+        if tuple(labels[:n].tolist()) in seen:
             return
-        refined = _refine_candidate(poly, b.side, n, (b.s, b.psi))
+        refined = _refine_candidate(poly, b[0], n, b[1:])
         if refined is None:
             continue
         start, residual, rtr = refined
-        key = _canonical_sequence(rtr.labels)
-        if key in reports:
+        if rtr.labels in seen:
             return
         res = unfold(start, poly, n)
         hol = holonomy(res.chain)
@@ -418,8 +407,9 @@ def _polish_row(poly, b, labels, returns, reports):
             continue
         # np.sum's pairwise summation, not sum()'s: the length's bits reach
         # the CLI JSON
-        reports[key] = PeriodicOrbitReport(
-            start, rtr.labels, float(np.sum(rtr.flights)), residual, hol)
+        reports.append(PeriodicOrbitReport(
+            start, rtr.labels, float(np.sum(rtr.flights)), residual, hol))
+        seen |= _rotations(rtr.labels)
         return
 
 

@@ -32,6 +32,19 @@ was before the sweep moved to arrays: one ``BoundaryState`` per sample,
 from scalar ``rng.random()`` draws.  ``unfolding._sweep_states`` must give
 the same (side, s, psi) bits in the same order (``test_unfolding.py``).
 
+``find_periodic`` (with ``canonical_sequence`` and ``polish_row``) is
+the periodic-orbit search with its candidate scan as it was before the
+scan learned one set lookup per candidate: every sweep row with a
+near-return is sliced out of the arrays, and each candidate's bounce
+sequence is compared with the reports through its least rotation or
+reversal.  ``unfolding.find_periodic`` must give equal reports
+(``test_unfolding.py``).
+
+``geodesics_intersect`` (with ``arc_param``) is the polygon builder's
+boundary check on numpy 3-vectors, recomputing both side normals.
+``geometry.geodesics_intersect``, on float triples and the stored
+normals, must give the same verdicts (``test_geometry.py``).
+
 ``batch_trace_states`` (with ``batch_side_hits`` and the ``_batch_*``
 helpers) is the batched engine as it was before its grids were tiled:
 every grid operation broadcasts an (N, 1) ray column against the (nsides,)
@@ -47,6 +60,7 @@ import math
 import numpy as np
 
 from ccbilliards import collision as C
+from ccbilliards import geometry as G
 from ccbilliards import unfolding as U
 
 from ccbilliards._kernels import (FIELD_CHART_ARC, FIELD_POLAR, INF,
@@ -580,6 +594,108 @@ def sweep_states(poly, samples, seed):
                 psi = min(max(psi, 1e-3), math.pi - 1e-3)
                 states.append(C.BoundaryState(label, s, psi))
     return states
+
+
+def canonical_sequence(labels):
+    """The least rotation or reversal of a cyclic bounce sequence."""
+    seq = tuple(labels)
+    best = None
+    for cand in (seq, tuple(reversed(seq))):
+        for r in range(len(cand)):
+            rot = cand[r:] + cand[:r]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def find_periodic(poly, max_bounces, samples, seed):
+    """``unfolding.find_periodic`` with its row-by-row candidate scan."""
+    side, s, psi = U._sweep_states(poly, samples, seed)
+    reports = {}
+    for lo in range(0, len(side), U.SWEEP_BLOCK):
+        block = slice(lo, lo + U.SWEEP_BLOCK)
+        start = side[block], s[block], psi[block]
+        labels, svals, psis = C.trace_many(poly, *start, max_bounces)
+        hit = U._near_returns(*start, labels, svals, psis)
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            b = C.BoundaryState(int(side[lo + r]), float(s[lo + r]),
+                                float(psi[lo + r]))
+            polish_row(poly, b, labels[r], np.flatnonzero(hit[r]).tolist(),
+                       reports)
+    return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
+
+
+def polish_row(poly, b, labels, returns, reports):
+    """Polish the near-returns of one sample until one settles its sequence.
+
+    ``reports`` maps each reported sequence's ``canonical_sequence`` to its
+    report; a return whose sweep sequence is there ends the row.
+    """
+    for i in returns:
+        n = i + 1
+        if canonical_sequence(labels[:n].tolist()) in reports:
+            return
+        refined = U._refine_candidate(poly, b.side, n, (b.s, b.psi))
+        if refined is None:
+            continue
+        start, residual, rtr = refined
+        key = canonical_sequence(rtr.labels)
+        if key in reports:
+            return
+        res = U.unfold(start, poly, n)
+        hol = U.holonomy(res.chain)
+        if poly.k == 0 and not U._flat_direction_check(res, poly):
+            continue
+        reports[key] = U.PeriodicOrbitReport(
+            start, rtr.labels, float(np.sum(rtr.flights)), residual, hol)
+        return
+
+
+def geodesics_intersect(a, a_len, b, b_len, k, end_tol=1e-12):
+    """Whether two geodesic segments share an interior point.
+
+    a and b are ``geometry.Geodesic`` records; endpoint contacts within
+    end_tol of a segment end are ignored.
+    """
+    na = G.side_normal(a, k)
+    nb = G.side_normal(b, k)
+    candidates = []
+    if k == 0:
+        d = na[0] * nb[1] - na[1] * nb[0]
+        if abs(d) < 1e-15:
+            return False
+        x = (-na[2] * nb[1] + nb[2] * na[1]) / d
+        y = (-nb[2] * na[0] + na[2] * nb[0]) / d
+        candidates.append(np.array([x, y, 1.0]))
+    elif k == 1:
+        q = np.cross(na, nb)
+        nq = np.linalg.norm(q)
+        if nq < 1e-14:
+            return False
+        candidates.append(q / nq)
+        candidates.append(-q / nq)
+    else:
+        J = np.array([1.0, 1.0, -1.0])
+        q = np.cross(J * na, J * nb)
+        norm2 = q[0] ** 2 + q[1] ** 2 - q[2] ** 2
+        if norm2 >= -1e-14:
+            return False
+        q = q * math.copysign(1.0, q[2]) / math.sqrt(-norm2)
+        candidates.append(q)
+    for q in candidates:
+        sa = arc_param(q, a, k)
+        sb = arc_param(q, b, k)
+        if end_tol < sa < a_len - end_tol and end_tol < sb < b_len - end_tol:
+            return True
+    return False
+
+
+def arc_param(q, g, k):
+    if k == 0:
+        return (q[0] - g.point[0]) * g.direction[0] + (q[1] - g.point[1]) * g.direction[1]
+    if k == 1:
+        return math.atan2(float(q @ g.direction), float(q @ g.point))
+    return math.asinh(float(mdot(-1, q, g.direction)))
 
 
 def _batch_cos_sin(k, t):

@@ -46,6 +46,33 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "chart_trajectory.txt").exists()
 
+    @pytest.mark.parametrize("vertex", ["0", "5", "7", "-1"])
+    def test_vertex_out_of_range_exits_1(self, tmp_path, capsys, vertex):
+        # before, 7 raised IndexError and 0 read the last vertex
+        code, out = run_cli(["simulate", "--table", "square", "--vertex",
+                             vertex, "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: --vertex must be in 1..4, got {vertex}\n")
+        assert not (tmp_path / "chart_trajectory.txt").exists()
+
+    @pytest.mark.parametrize("bounces", ["0", "-3"])
+    def test_bounces_below_one_exits_1(self, tmp_path, capsys, bounces):
+        code, out = run_cli(["simulate", "--table", "square", "--side", "1",
+                             "--bounces", bounces, "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: --bounces must be an integer >= 1, got {bounces}\n")
+
+    @pytest.mark.parametrize("r", ["5", "-1"])
+    def test_chart_start_outside_the_chart(self, tmp_path, r):
+        # the start is the one record, and the run left the chart at once
+        code, out = run_cli(["simulate", "--table", "square", "--vertex", "1",
+                             "--r", r, "--json", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exited"] and payload["records"] == 1
+
     def test_missing_spec_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["simulate", "--spec", "/nonexistent/poly.txt", "--side", "1"])

@@ -389,6 +389,36 @@ class TestIntegrateChartFlow:
             assert abs(got.y - ref.y) < 1e-8
             assert abs(got.z - ref.z) < 1e-8
 
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("r", [0.5 + 1e-9, 0.7, 1.5])
+    @pytest.mark.parametrize("T", [2.0, -2.0])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_start_outside_chart_exits_at_zero(self, k, r, T, record):
+        # both routes leave at time 0.0 from the start itself: closed_form_flow
+        # through ChartExitError, the integrator with the start as its one
+        # record (before, rk45 bisected a first step and reported 6e-27)
+        s0 = ChartState(r, 0.4, 2.0)
+        c0 = chart_embed(s0, 1.0, k)
+        with pytest.raises(ChartExitError) as ei:
+            closed_form_flow(s0, T, k, eps=0.5)
+        assert ei.value.exit_time == 0.0 and ei.value.state == s0
+        traj = integrate_chart_flow(c0, T, 1.0, k, eps=0.5, record=record,
+                                    track_arc_time=True)
+        assert traj.exited and traj.exit_time == 0.0
+        assert traj.t.tolist() == [0.0] and traj.arc_time.tolist() == [0.0]
+        assert traj.final() == c0
+
+    @pytest.mark.parametrize("k", KS)
+    def test_start_outside_chart_at_time_zero(self, k):
+        # a run of no time stays at its start on both routes, inside the
+        # chart or not
+        s0 = ChartState(0.7, 0.4, 2.0)
+        c0 = chart_embed(s0, 1.0, k)
+        assert closed_form_flow(s0, 0.0, k, eps=0.5) == s0
+        traj = integrate_chart_flow(c0, 0.0, 1.0, k, eps=0.5)
+        assert not traj.exited and traj.exit_time is None
+        assert traj.t.tolist() == [0.0] and traj.final() == c0
+
     def test_export_format(self, tmp_path):
         traj = integrate_chart_flow(CartesianChartState(0.1, 0.0, 1.0),
                                     0.5, 1.0, 0)

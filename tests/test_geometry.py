@@ -258,6 +258,28 @@ class TestIntersection:
             assert hits > 20
 
 
+@pytest.mark.parametrize("k", KS)
+def test_intersections_match_numpy_oracle(k):
+    # all 10,011 pairs of the 142 segments of a random polyline; adjacent
+    # segments share an end and get the builder's vertex tolerance
+    rng = np.random.default_rng(83 + k)
+    pts = [random_point(rng, k) for _ in range(143)]
+    geos = [G.geodesic_through(a, b, k) for a, b in zip(pts, pts[1:])]
+    lens = [K.distance(k, a, b) for a, b in zip(pts, pts[1:])]
+    segs = [(g.point.tolist(), g.direction.tolist(),
+             G.side_normal(g, k).tolist(), n) for g, n in zip(geos, lens)]
+    got, want = [], []
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            tol = 1e-9 if j == i + 1 else -1e-12
+            got.append(G.geodesics_intersect(segs[i], segs[j], k, tol))
+            want.append(O.geodesics_intersect(geos[i], lens[i], geos[j],
+                                              lens[j], k, tol))
+    assert len(got) == 10_011
+    assert got == want
+    assert 0 < sum(got) < len(got)
+
+
 class TestModelConversions:
     def test_poincare_round_trip(self):
         rng = np.random.default_rng(23)

@@ -3,14 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import kernel_oracle as O
+import test_specfile as S
 from ccbilliards import (DoubleSurfacePoint, PolygonError, build_polygon,
                          double_points_equal, hyperbolic_pentagon,
-                         interior_contains, sphere_triangle,
-                         vertex_neighborhood_radius)
+                         interior_contains, parse_polygon_spec,
+                         sphere_triangle, square, vertex_neighborhood_radius)
 from ccbilliards import _kernels as K
 from ccbilliards import geometry as G
+from ccbilliards import polygon as P
 from ccbilliards.polygon import point_on_boundary
+from test_kernels import star_polygons
+from test_nonconvex import DARTS
+from test_unfolding import small_tables
 
 
 class TestBuild:
@@ -217,3 +225,66 @@ class TestDoubleSurface:
                                      np.array([math.cos(0.4), math.sin(0.4), 0.])
                                      / np.linalg.norm([math.cos(0.4),
                                                        math.sin(0.4), 1e-3]))
+
+
+# ---------------------------------------------------------------------------
+# the boundary check against the numpy oracle it replaced
+# ---------------------------------------------------------------------------
+
+def boundary_verdicts(sides, k):
+    """Every side pair's intersection verdict from ``build_polygon``'s test
+    and from the oracle, at the builder's end tolerances."""
+    got, want = [], []
+    for i, a in enumerate(sides):
+        for b in sides[i + 1:]:
+            tol = (P.VERTEX_SEP_TOL if {a.start, a.end} & {b.start, b.end}
+                   else -1e-12)
+            got.append(G.geodesics_intersect(
+                *((s.geodesic.point.tolist(), s.geodesic.direction.tolist(),
+                   s.normal.tolist(), s.length) for s in (a, b)),
+                k, end_tol=tol))
+            want.append(O.geodesics_intersect(a.geodesic, a.length,
+                                              b.geodesic, b.length, k,
+                                              end_tol=tol))
+    return got, want
+
+
+TABLES = {
+    "square": square, "pentagon": hyperbolic_pentagon,
+    "triangle-1": lambda: sphere_triangle(1.0),
+    "triangle-pi4": lambda: sphere_triangle(math.pi / 4),
+    **{f"dart{k:+d}": (lambda k=k: DARTS[k]) for k in (0, 1, -1)},
+    **{f"spec-{name.lower()}": (lambda text=text: parse_polygon_spec(text))
+       for name, text in (("SQUARE", S.SQUARE), ("DISC", S.DISC),
+                          ("SPHERE", S.SPHERE), ("ANNULUS", S.ANNULUS))}}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_boundary_verdicts_match_oracle(name):
+    poly = TABLES[name]()
+    got, want = boundary_verdicts(poly.sides, poly.k)
+    assert got == want
+    assert not any(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=star_polygons(), order=st.permutations(range(7)))
+def test_shuffled_polygon_verdicts_match_oracle(table, order):
+    # a star polygon's vertices in a drawn order: most orders make sides
+    # cross, so both verdicts occur
+    k, coords = table
+    coords = [coords[i] for i in order if i < len(coords)]
+    pts = P._embed_loop(k, coords, P.MODEL_FOR_K[k])
+    try:
+        sides, _, _ = P._loop_sides_angles(k, pts, 0, 0)
+    except PolygonError:
+        assume(False)
+    got, want = boundary_verdicts(sides, k)
+    assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(poly=small_tables())
+def test_small_table_verdicts_match_oracle(poly):
+    got, want = boundary_verdicts(poly.sides, poly.k)
+    assert got == want

@@ -275,7 +275,7 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
                 if refined is None:
                     continue
                 start, residual, rtr = refined
-                key = U._canonical_sequence(rtr.labels)
+                key = O.canonical_sequence(rtr.labels)
                 if key in reports:
                     break
                 res = unfold(start, poly, n)
@@ -363,9 +363,9 @@ class TestFindPeriodicOracle:
         def run():
             calls = []
 
-            def recorded(poly, b, labels, returns, reports):
-                calls.append((b, tuple(returns)))
-                return polish(poly, b, labels, returns, reports)
+            def recorded(poly, b, labels, hits, reports, seen):
+                calls.append((b, np.flatnonzero(hits).tolist()))
+                return polish(poly, b, labels, hits, reports, seen)
 
             monkeypatch.setattr(U, "_polish_row", recorded)
             return find_periodic(poly, 20, 200, 0), calls
@@ -393,8 +393,84 @@ class TestFindPeriodicOracle:
 
         monkeypatch.setattr(U, "_refine_candidate", no_short_orbits)
         got = find_periodic(sq, 8, 400, 1)
-        assert (1, 3, 1, 3) in [U._canonical_sequence(r.labels) for r in got]
+        assert (1, 3, 1, 3) in [O.canonical_sequence(r.labels) for r in got]
         assert got == polish_every_candidate(sq, 8, 400, 1)
+
+
+def _dart(k):
+    from test_nonconvex import DARTS   # which imports this module
+    return DARTS[k]
+
+
+SCAN_TABLES = {**ORACLE_TABLES, "dart-plane": lambda: _dart(0),
+               "dart-sphere": lambda: _dart(1),
+               "dart-hyperbolic": lambda: _dart(-1)}
+SCAN_SEEDS = range(16)
+SCAN_SAMPLES = (1, 3, 200)
+SCAN_BOUNCES = (1, 20, 50)
+
+
+def traced_sweeps(poly):
+    """``trace_many`` on the sweep blocks of every seed and sample count
+    of the scan grid, traced at once for the most bounces and keyed by
+    the blocks' bytes.
+
+    The engine traces every row alone and bounce by bounce, so a row's
+    first n columns of that trace are its n-bounce trace bit for bit.
+    """
+    blocks = {}
+    for samples in SCAN_SAMPLES:
+        for seed in SCAN_SEEDS:
+            states = U._sweep_states(poly, samples, seed)
+            for lo in range(0, len(states[0]), U.SWEEP_BLOCK):
+                block = tuple(a[lo:lo + U.SWEEP_BLOCK] for a in states)
+                blocks[tuple(a.tobytes() for a in block)] = block
+    traced = C.trace_many(poly, *(np.concatenate(a) for a in
+                                  zip(*blocks.values())), max(SCAN_BOUNCES))
+    out, lo = {}, 0
+    for key, block in blocks.items():
+        hi = lo + len(block[0])
+        out[key] = tuple(a[lo:hi] for a in traced)
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_TABLES))
+def test_equals_row_scan_oracle(monkeypatch, name):
+    # the set lookup per candidate against the row-by-row scan with its
+    # least rotations, on the grid's 144 searches per table; both read
+    # the one shared trace, so each search costs only its scan and polish
+    poly = SCAN_TABLES[name]()
+    traced = traced_sweeps(poly)
+
+    def shared(poly, side, s, psi, n):
+        key = side.tobytes(), s.tobytes(), psi.tobytes()
+        return tuple(a[:, :n] for a in traced[key])
+
+    monkeypatch.setattr(C, "trace_many", shared)
+    for samples in SCAN_SAMPLES:
+        for seed in SCAN_SEEDS:
+            for max_bounces in SCAN_BOUNCES:
+                got = find_periodic(poly, max_bounces, samples, seed)
+                assert got == O.find_periodic(poly, max_bounces, samples,
+                                              seed), (samples, seed,
+                                                      max_bounces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+       other=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+       shift=st.integers(0, 7), flip=st.booleans(), related=st.booleans())
+def test_rotation_set_is_the_canonical_class(seq, other, shift, flip,
+                                             related):
+    # x is in the rotation set of seq exactly when both have one least
+    # rotation or reversal; half the draws make x a rotation of seq
+    x = tuple(other)
+    if related:
+        x = tuple(seq[::-1] if flip else seq)
+        x = x[shift % len(x):] + x[:shift % len(x)]
+    assert (x in U._rotations(seq)) == (
+        O.canonical_sequence(x) == O.canonical_sequence(seq))
 
 
 @st.composite
@@ -434,7 +510,7 @@ def test_find_periodic_properties(poly, max_bounces, samples, seed):
     reports = find_periodic(poly, max_bounces, samples, seed)
     for rep in reports:
         assert verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL
-    keys = [U._canonical_sequence(rep.labels) for rep in reports]
+    keys = [O.canonical_sequence(rep.labels) for rep in reports]
     assert len(set(keys)) == len(keys)
     assert reports == polish_every_candidate(poly, max_bounces, samples, seed)
 
