@@ -280,6 +280,27 @@ def test_intersections_match_numpy_oracle(k):
     assert 0 < sum(got) < len(got)
 
 
+@pytest.mark.parametrize("k", KS)
+def test_near_parallel_intersections_match_numpy_oracle(k):
+    # segments crossing at angles from 1e-2 down to 1e-17 rad, where the
+    # tests' parallel thresholds (1e-15 and 1e-14) decide the verdict
+    rng = np.random.default_rng(89 + k)
+    got, want = [], []
+    for _ in range(20):
+        t = random_tangent(rng, k)
+        for e in range(2, 18):
+            d = rotate(t.point, t.direction, 10.0 ** -e, k)
+            geos = [G.Geodesic(*geodesic_at(t.point, v, s, k))
+                    for v, s in ((t.direction, -0.3), (d, -0.2))]
+            segs = [(g.point.tolist(), g.direction.tolist(),
+                     G.side_normal(g, k).tolist(), 0.7) for g in geos]
+            got.append(G.geodesics_intersect(*segs, k, -1e-12))
+            want.append(O.geodesics_intersect(geos[0], 0.7, geos[1], 0.7, k,
+                                              -1e-12))
+    assert got == want
+    assert 0 < sum(got) < len(got)
+
+
 class TestModelConversions:
     def test_poincare_round_trip(self):
         rng = np.random.default_rng(23)
