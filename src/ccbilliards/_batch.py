@@ -13,7 +13,7 @@ per bounce), not stop reasons, vertex ids or flights.
 
 The grids are same-shape contiguous arrays, so numpy's inner loops run
 over the whole grid, not over one row of nsides: ``trace_states`` tiles
-the side constants once per call as (N, nsides) arrays, a bounce takes
+the side functionals once per call as (N, nsides) arrays, a bounce takes
 their first n rows (compaction keeps the rays in order, and every row of
 a tile is the same), and repeats the rays' points and directions once.
 The cos/sin of the hit's s serve both the side's tangent at the hit and
@@ -27,32 +27,33 @@ are in the ``_collision_loops`` docstring).  The grid holds each side's
 first crossing past tmin, on the sphere its first root t0 when that is
 past tmin; ``argmin`` picks the least, the lowest side on a tie.  When
 that crossing lands in its window, and on the sphere lies below pi (a
-side's later roots t0 + pi are never below pi), it is the pick.  The rows
-where it misses run ``_side_hits``, the search over every root of every
-side, on their part of the grid; the sweeps of the built-in tables need it
-for no row.
+side's later roots t0 + pi are never below pi), it is the pick.  Where it
+misses (a reflex corner, a hole, a hit past the pad) a later crossing
+may win, so those rows run ``_side_hits``: the oracle's one loop over
+the roots of every side, which the built-in tables' sweeps need for no
+row.  The windows take the pad from tol_v, the scalar loops from their
+side records, so tol_v must be ``VERTEX_TOL`` or the engines disagree.
 
 Dot products are written as component sums in the scalar order (no ``@``
 or ``einsum``, whose BLAS/FMA paths round differently).  The engine gives
-the bits of the generic grid engine it replaced (kept as the oracle
-``batch_trace_states`` in ``tests/kernel_oracle.py``), as long as numpy's
-transcendental functions give an element the same bits on an (n,) array
-of gathered operands as on the grid (``test_gathered_arc_matches_grid``
-in ``tests/test_batch.py`` checks this; which SIMD loops numpy
-dispatches to is shown by ``numpy.show_runtime()``).  A row agrees with
-the scalar trace closely but not bit for bit: numpy's transcendental
-functions may differ from ``math``'s by an ulp, and numpy computes an
-array's ``x ** 2`` as ``x * x``, which rounds differently from the scalar
-loops' Python ``x ** 2`` (``_renorm_point`` and ``_distance`` keep
-``** 2``, the oracle's operations).
+the bits of the oracle ``batch_trace_states`` in
+``tests/kernel_oracle.py``, as long as numpy's transcendental functions
+give an element the same bits on an (n,) array of gathered operands as
+on the grid (``test_gathered_arc_matches_grid`` in ``tests/test_batch.py``
+checks this; which SIMD loops numpy dispatches to is shown by
+``numpy.show_runtime()``).  A row agrees with the scalar trace closely
+but not bit for bit: numpy's transcendental functions may differ from
+``math``'s by an ulp, and numpy computes an array's ``x ** 2`` as ``x *
+x``, which rounds differently from the scalar loops' Python ``x ** 2``
+(``_renorm_point`` and ``_distance`` keep ``** 2``, the oracle's
+operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
 this one takes 19-33x as long as ``collision.trace`` (square, theta = 1
-triangle and pentagon, 2 vCPUs; the grid engine before it took 23-44x).
-Its one caller is ``collision.trace_many``, which
-``unfolding.find_periodic`` feeds the (side, s, psi) arrays of its sweep
-``SWEEP_BLOCK`` states at a time, so the tiles hold at most that many
-rows there.
+triangle and pentagon, 2 vCPUs).  Its one caller is
+``collision.trace_many``, which ``unfolding.find_periodic`` feeds the
+(side, s, psi) arrays of its sweep ``SWEEP_BLOCK`` states at a time, so
+the tiles hold at most that many rows there.
 """
 
 import math
@@ -117,15 +118,13 @@ class _Sides:
     ``table`` holds one row per constant over the sides (the rows above,
     with near = tol_v + VERTEX_WINDOW), so that ``table[:, j]`` gathers
     them for the sides j that the rays hit.  ``tiles`` holds what the grid
-    reads (a, u, functional and ``length + tol_v``, tol_v being the pad),
-    each as an (N, nsides) array, and ``grid_base`` the flat index of each
-    grid row's first cell.
+    reads, the functional, as three (N, nsides) arrays, and ``grid_base``
+    the flat index of each grid row's first cell.
     """
 
     def __init__(self, k, sa, su, sn, sl, sv0, sv1, verts, nray, tol_v):
-        sa, su, sn, verts = (np.asarray(x, dtype=float)
-                             for x in (sa, su, sn, verts))
-        sl = np.asarray(sl, dtype=float)
+        sa, su, sn, sl, verts = (np.asarray(x, dtype=float)
+                                 for x in (sa, su, sn, sl, verts))
         table = np.array([*sa.T, *su.T, *sn.T, sl,
                           sl - (tol_v + VERTEX_WINDOW),
                           *verts[np.asarray(sv0)].T,
@@ -137,8 +136,7 @@ class _Sides:
             table = np.vstack((table, table[_U] / h, table[_U + 1] / h))
         self.table = table
         self.nsides = nsides = sl.shape[0]
-        grid = np.vstack((table[:_SL], sl + tol_v))
-        self.tiles = np.tile(grid[:, None, :], (1, nray, 1))
+        self.tiles = np.tile(table[_N:_N + 3, None, :], (1, nray, 1))
         self.grid_base = np.arange(nray) * nsides
 
 
@@ -172,10 +170,10 @@ def _crossings(k, sn, p, v, tmin):
 
 def _arc(k, g, p, v, t):
     """(s, ct, st, q) of the crossings at t of the rays (p, v) with the
-    sides whose start point and tangent are g's rows _A and _U (a grid's
-    tiles or a gather of the table): the arc parameter, the cos/sin
-    (cosh/sinh) of t and the unnormalised hit point.  On the plane ct and
-    st are None and q holds (x, y)."""
+    sides whose start point and tangent are g's rows _A and _U (the table,
+    broadcast against the rays, or a gather of it): the arc parameter, the
+    cos/sin (cosh/sinh) of t and the unnormalised hit point.  On the plane
+    ct and st are None and q holds (x, y)."""
     if k == 0:
         q = (p[0] + t * v[0], p[1] + t * v[1])
         return ((q[0] - g[_A]) * g[_U] + (q[1] - g[_A + 1]) * g[_U + 1],
@@ -189,72 +187,37 @@ def _arc(k, g, p, v, t):
     return np.arcsinh(mdot(k, q, u)), ct, st, q
 
 
-def _side_hits(k, tiles, base, p, v, tmin, pad):
-    """First side crossing of each ray, from the (n, nsides) grid of every
-    ray against every side: the full search, with an arc parameter for
-    every crossing past tmin, which ``_bounce`` runs on the rays whose
-    nearest crossing misses its window.
+def _side_hits(k, table, p, v, tmin, pad):
+    """First side crossing of the rays (p, v), (m,) arrays broadcast
+    against the sides' ``table`` as in the oracle ``batch_side_hits``: the
+    full search, which ``_bounce`` runs where the nearest crossing misses.
 
-    ``tiles`` holds the side constants (a, u, functional, length + pad),
-    p and v the rays' point and direction components, all as (n, nsides)
-    arrays; ``base`` is the flat index of each grid row's first cell.
-    Returns per ray (j, t, s, ct, st, q): the side, t (INF where the
-    scalar loop finds no crossing, with j = 0), its arc parameter s, the
-    cos/sin (cosh/sinh) ct, st of t and the unnormalised hit point q.  On
-    the plane ct and st are None and q holds (x, y).
+    Returns per ray [j, t, s, ct, st, *q]: the side, t (INF where the
+    scalar loop finds no crossing, with j = 0 and the rest 0.0), its arc
+    parameter s, the cos/sin (cosh/sinh) ct, st of t and the unnormalised
+    hit point q.  On the plane ct and st are None and q holds (x, y).
     """
-    t0, ok, live = _crossings(k, tiles[6:9], p, v, tmin)
-    # on the sphere the first of t0, t0 + pi, t0 + 2 pi that passes both
-    # tests: t0 here, the later roots below
-    s, ct, st, q = _arc(k, tiles, p, v, t0)
-    ok &= (s >= -pad) & (s <= tiles[9])
-    if k != 1:
-        # the generic engine's t < INF; a sphere root that passes is below
-        # 3 pi
-        ok &= t0 < INF
-    t = np.where(ok, t0, INF)
+    p = tuple(x[:, None] for x in p)
+    v = tuple(x[:, None] for x in v)
+    t0, ok, live = _crossings(k, table[_N:_N + 3], p, v, tmin)
+    # (t, s, ct, st, *q) of each side's first root that passes: t0, or on
+    # the sphere, whose roots repeat every pi, t0 + pi or t0 + 2 pi
+    hit = [INF] + [0.0] * (3 + len(p))
+    for m in range(3 if k == 1 else 1):
+        t = t0
+        if m:
+            t = t0 + m * math.pi
+            ok = (t > tmin) & live & (hit[0] == INF)
+        s, ct, st, q = _arc(k, table, p, v, t)
+        # the generic engine's t < INF
+        take = ok & (s >= -pad) & (s <= table[_SL] + pad) & (t < INF)
+        hit = [x if x is None else np.where(take, x, h)
+               for x, h in zip((t, s, ct, st) + q, hit)]
     # argmin takes the first minimum: the lowest side index wins a tie,
     # and a ray with no hit (a row of INF) gets side 0
-    j = np.argmin(t, axis=1)
-    flat = base + j
-    th = t.ravel()[flat]
-    if k == 1:
-        # the later roots are >= pi: only rays whose best t0 is not below
-        # pi (in practice, rays with no hit at t0) need them
-        later = np.flatnonzero(~(th < math.pi))
-        if later.size:
-            _later_roots(tiles, p, v, tmin, pad, later, t0, live, ok,
-                         (t, s, ct, st) + q)
-            j[later] = np.argmin(t[later], axis=1)
-            flat = base + j
-            th = t.ravel()[flat]
-    if k != 0:
-        ct, st = ct.ravel()[flat], st.ravel()[flat]
-    return (j, th, s.ravel()[flat], ct, st,
-            tuple(x.ravel()[flat] for x in q))
-
-
-def _later_roots(tiles, p, v, tmin, pad, rows, t0, live, ok, out):
-    """The sphere roots t0 + pi and t0 + 2 pi of the grid rows ``rows``,
-    written into ``out`` = (t, s, ct, st, qx, qy, qz) where they are the
-    first root that passes."""
-    # every row of a tile is the same: take the first rows.size
-    tiles = tuple(x[:rows.size] for x in tiles)
-    p = tuple(x[rows] for x in p)
-    v = tuple(x[rows] for x in v)
-    live, ok = live[rows], ok[rows]
-    cur = [x[rows] for x in out]
-    for m in (1, 2):
-        tm = t0[rows] + m * math.pi
-        s, ct, st, q = _arc(1, tiles, p, v, tm)
-        # past tmin, in the side's pad window, and the row's first root
-        # that passes
-        take = (tm > tmin) & (s >= -pad) & (s <= tiles[9]) & live & ~ok
-        cur = [np.where(take, x, c)
-               for x, c in zip((tm, s, ct, st) + q, cur)]
-        ok |= take
-    for x, c in zip(out, cur):
-        x[rows] = c
+    j = np.argmin(hit[0], axis=1)
+    rows = np.arange(j.size)
+    return [j] + [x if x is None else x[rows, j] for x in hit]
 
 
 def _embed(k, g, s, cs, ss, psi):
@@ -328,7 +291,7 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
     nsides = sides.nsides
     grid = np.repeat(np.concatenate(p + v), nsides).reshape(-1, n, nsides)
     half = len(p)
-    t, ok, _ = _crossings(k, sides.tiles[6:9, :n], grid[:half], grid[half:],
+    t, ok, _ = _crossings(k, sides.tiles[:, :n], grid[:half], grid[half:],
                           tmin)
     tgrid = np.where(ok, t, INF)
     # argmin takes the first minimum: the lowest side index wins a tie
@@ -343,12 +306,10 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
     miss = np.flatnonzero(~((t < lim) & (s >= -tol_v)
                             & (s <= g[_SL] + tol_v)))
     if miss.size:
-        m = miss.size
-        hits = _side_hits(k, sides.tiles[:, :m], sides.grid_base[:m],
-                          grid[:half, miss], grid[half:, miss], tmin, tol_v)
-        j[miss] = hits[0]
-        g[:, miss] = sides.table[:, hits[0]]
-        for x, y in zip((t, s, ct, st) + q, hits[1:5] + hits[5]):
+        j[miss], *hits = _side_hits(k, sides.table, tuple(x[miss] for x in p),
+                                    tuple(x[miss] for x in v), tmin, tol_v)
+        g[:, miss] = sides.table[:, j[miss]]
+        for x, y in zip((t, s, ct, st) + q, hits):
             if x is not None:
                 x[miss] = y
     q, psi, cs, ss = _outgoing(k, g, p, v, s, ct, st, q)

@@ -22,15 +22,12 @@ loops that the oracle keeps.  The rewrites, and why each is exact:
 
 * ``-k * s`` -> ``-s`` (or ``s``), ``1.0 * p`` -> ``p`` and ``r * 1.0``
   -> ``r``.
-* Plane side search: ``a = nx*px + ny*py + nz`` and ``b = nx*vx + ny*vy
-  + bz`` with ``bz = 0.0`` in the side record.  Every bounce puts the
-  ray on z = 1 with zero z-direction, as ``renorm_point`` and
-  ``renorm_tangent`` do, and ``nz * 1.0 == nz``; ``nz * 0.0`` is a signed zero,
-  which can only flip the sign of a zero b, and the |b| < 1e-15 test
-  skips a zero b.  A ray that ``collision.check_ray`` accepts off that
-  plane (by up to 1e-6) searches its first side on per-call records that
-  carry ``nz * pz`` and ``nz * vz`` in those slots, so it keeps the
-  helper's bits too.
+* Plane side search: ``a = nx*px + ny*py + nz`` and ``b = nx*vx +
+  ny*vy``.  The plane loops take only rays on z = 1 with zero z-direction,
+  where ``nz * 1.0 == nz`` and ``nz * 0.0`` is a signed zero that can
+  only flip the sign of a zero b, which the |b| < 1e-15 test skips.
+  ``embed_state``, the vertex launches and every bounce put the ray there
+  exactly, and ``collision.check_ray`` projects a library ray there.
 * Plane psi: ``signed_angle`` at (hx, hy, 1) with zero z-components adds
   ``hx * (ty*0.0 - 0.0*ry) - hy * (tx*0.0 - 0.0*rx)``, a signed zero, to
   the determinant ``tx*ry - ty*rx``; that changes nothing unless the
@@ -63,12 +60,12 @@ comes at that time or later, so when the least one's arc parameter
 lands, it is the pick, computed by the same expressions from the same
 operands.  So the loops compute one arc parameter per bounce, the
 nearest crossing's: in a convex table it is the exit.  When it misses its
-window (a reflex corner, a hole, a hit past the pad), ``sphere_search``,
-the side search before this rule, picks the side.  The plane and
-hyperbolic loops search every side whose crossing could still win: the
-plane's arc parameter is a few products, and a hyperbolic side has one
-crossing, so the search evaluates about 1.3 arc parameters per bounce
-(built-in tables) and a first pass saved no measurable time.
+window (a reflex corner, a hole, a hit past the pad), the full search
+``sphere_search`` picks the side.  The plane and hyperbolic loops search
+every side whose crossing could still win: the plane's arc parameter is
+a few products, and a hyperbolic side has one crossing, so the search
+evaluates about 1.3 arc parameters per bounce (built-in tables) and a
+first pass saved no measurable time.
 
 A trace loop tests a hit against the side's two vertices only when its
 arc parameter s lies within ``tol_v + VERTEX_WINDOW`` of either end of
@@ -95,8 +92,8 @@ float64 geometry drifts by itself (some 1e-10 at Poincare radius 0.9,
 3e-8 at 0.95 and 3e-6 at 0.99, where the VERTEX_TOL test already sits
 below the rounding), so ``build_polygon`` rejects a table whose side
 misses its end vertex by more than ``VERTEX_TOL / 10``
-(``polygon.SIDE_END_TOL``), and
-``VERTEX_WINDOW`` = 1e-4 keeps a margin of 1e6 on every table it builds.
+(``polygon.SIDE_END_TOL``), and ``VERTEX_WINDOW`` = 1e-4 keeps a margin
+of 1e6 on every table it builds.
 The rounding of s is far smaller.  Of the diagonal search's recorded
 bounces, 588 of 11,908 on the square land within 1e-4 of a side end (372
 within 1e-6), and none of 839 on the theta = 1 sphere triangle.
@@ -145,15 +142,14 @@ def side_records(k, sa, su, sn, sl, pad):
     Returns (records, tangents): per side one flat tuple, and on the plane
     each side's unit tangent (x, y), elsewhere ().  A sphere or hyperboloid
     record is (functional, start point, start tangent, arc window [-pad,
-    length + pad]) as floats.  A plane record is (j, nx, ny, nz, bz, ax,
-    ay, ux, uy, lo, hi): the side's index, its functional, bz = 0.0 (the
-    functional's z-term for a direction of zero z), the (x, y) of its
+    length + pad]) as floats.  A plane record is (j, nx, ny, nz, ax, ay,
+    ux, uy, lo, hi): the side's index, its functional, the (x, y) of its
     start point and start tangent, and the arc window.
     """
     if k != 0:
         return tuple(n + a + u + (-pad, ln + pad)
                      for a, u, n, ln in zip(sa, su, sn, sl)), ()
-    records = tuple((j, n[0], n[1], n[2], 0.0, a[0], a[1], u[0], u[1],
+    records = tuple((j, n[0], n[1], n[2], a[0], a[1], u[0], u[1],
                      -pad, ln + pad)
                     for j, (a, u, n, ln) in enumerate(zip(sa, su, sn, sl)))
     tangents = []
@@ -163,27 +159,17 @@ def side_records(k, sa, su, sn, sl, pad):
     return records, tuple(tangents)
 
 
-def _off_plane(sides, pz, vz):
-    """Plane records for one search from a ray off z = 1 or of nonzero z:
-    the functional's z-terms nz * pz and nz * vz in the nz and bz slots."""
-    return tuple((j, nx, ny, nz * pz, nz * vz, ax, ay, ux, uy, lo, hi)
-                 for j, nx, ny, nz, _, ax, ay, ux, uy, lo, hi in sides)
-
-
 def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
                  tmin, tol_v, graze, labels, svals, psis, flens):
-    px, py, pz = p
-    vx, vy, vz = v
-    # the records take p on z = 1 and v of zero z, as every bounce leaves
-    # them; a ray that starts off them searches its first side on records
-    # with its own z-terms
-    recs = sides if pz == 1.0 and vz == 0.0 else _off_plane(sides, pz, vz)
+    # the ray lies on z = 1 with zero z-direction
+    px, py, _ = p
+    vx, vy, _ = v
     near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
         best_t = INF
-        for j, nx, ny, nz, bz, ax, ay, ux, uy, lo, hi in recs:
-            b = nx * vx + ny * vy + bz
+        for j, nx, ny, nz, ax, ay, ux, uy, lo, hi in sides:
+            b = nx * vx + ny * vy
             if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
                 continue
             t = -(nx * px + ny * py + nz) / b
@@ -239,7 +225,6 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
         if i + 1 < nmax:
             px = ax + s * ux
             py = ay + s * uy
-            recs = sides
             c = math.cos(psi)
             sn_psi = math.sin(psi)
             dx = c * tx - sn_psi * ty
@@ -591,16 +576,14 @@ TRACE_LOOPS = {0: _trace_plane, 1: _trace_sphere, -1: _trace_hyperbolic}
 
 
 def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
-    px, py, pz = p
-    vx, vy, vz = v
-    # as in _trace_plane: each reflection puts the line back on z = 1
-    # with zero z-direction
-    recs = sides if pz == 1.0 and vz == 0.0 else _off_plane(sides, pz, vz)
+    # the line lies on z = 1 with zero z-direction; reflections keep it so
+    px, py, _ = p
+    vx, vy, _ = v
     for m in range(nmax):
         best_t = INF
         best_j = -1
-        for j, nx, ny, nz, bz, ax, ay, ux, uy, lo, hi in recs:
-            b = nx * vx + ny * vy + bz
+        for j, nx, ny, nz, ax, ay, ux, uy, lo, hi in sides:
+            b = nx * vx + ny * vy
             if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
                 continue
             t = -(nx * px + ny * py + nz) / b
@@ -626,7 +609,6 @@ def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
         (r00, r01, r02), (r10, r11, r12), _ = refl[best_j]
         px = r00 * hx + r01 * hy + r02
         py = r10 * hx + r11 * hy + r12
-        recs = sides
         dx = r00 * wx + r01 * wy + r02 * 0.0
         dy = r10 * wx + r11 * wy + r12 * 0.0
         n = math.hypot(dx, dy)

@@ -207,7 +207,8 @@ def boundary_embed(k, a, u, s, psi):
 def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts, sides,
                 side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
                 labels, svals, psis, flens):
-    """Iterate the collision map from a boundary state (see trace_from_point)."""
+    """Iterate the collision map from a boundary state (see
+    trace_from_point, whose preconditions hold here too)."""
     p, v = boundary_embed(k, sa[side0], su[side0], float(s0), float(psi0))
     return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts, p, v, nmax,
                           float(maxlen), float(tmin), float(tol_v),
@@ -224,7 +225,10 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts, sides,
     ``sides`` holds the side records at the pad tol_v.  Fills the
     per-bounce buffers and returns (n_done, status, vertex, length).  The
     diagonal search starts its rays at polygon vertices;
-    ``collision_step`` is this with nmax = 1.
+    ``collision_step`` is this with nmax = 1.  A plane ray must lie on
+    z = 1 with a z-direction of 0, and tol_v must be the records' pad
+    ``VERTEX_TOL``: ``_batch`` reads its windows from tol_v, so another
+    value makes the two engines disagree.
     """
     return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts,
                           (float(p[0]), float(p[1]), float(p[2])),
@@ -241,7 +245,8 @@ def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
     widens each side's arc window; refl holds one reflection matrix per
     side, as a tuple of three row tuples.  Writes 0-based side labels to
     labels and returns their count; never touches boundary (s, psi)
-    coordinates, so this is an independent route to the itinerary.
+    coordinates, so this is an independent route to the itinerary.  A
+    plane line must lie on z = 1 with a z-direction of 0.
     """
     return CROSSING_LOOPS[k](sides[0], refl,
                              (float(p0[0]), float(p0[1]), float(p0[2])),

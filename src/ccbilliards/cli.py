@@ -248,6 +248,8 @@ def cmd_topology(args):
 
 
 def build_parser():
+    samples_help = ("sweep per side: 21 canonical states and a jittered grid "
+                    "of at most max(1, SAMPLES // sides) states")
     ap = argparse.ArgumentParser(
         prog="ccbilliards",
         description="Polygonal billiards on constant-curvature surfaces.")
@@ -281,7 +283,7 @@ def build_parser():
 
     p = sub.add_parser("periodic", help="search for periodic orbits")
     _add_table_args(p)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=10000, help=samples_help)
     p.add_argument("--max-bounces", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_periodic)
@@ -304,7 +306,7 @@ def build_parser():
     p = sub.add_parser("expansivity", help="expansiveness verdict with witnesses")
     _add_table_args(p)
     p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=10000, help=samples_help)
     p.add_argument("--max-bounces", type=int, default=50)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--angles", type=int, default=10000)

@@ -133,7 +133,8 @@ def check_ray(poly, point, direction):
     both are finite, the point is on the model surface (to
     normalize_point's relative 1e-6) and the direction a unit tangent
     there (to 1e-6 plus rounding).  The loops move at unit speed, so a
-    longer or shorter direction is rejected, not rescaled."""
+    longer or shorter direction is rejected, not rescaled.  On the plane
+    the ray comes back projected to z = 1 and a z-direction of 0."""
     p = G.as_vec3(point)
     v = G.as_vec3(direction)
     if not (np.isfinite(p).all() and np.isfinite(v).all()):
@@ -150,6 +151,9 @@ def check_ray(poly, point, direction):
     defect = abs(v[2]) if poly.k == 0 else abs(K.mdot(poly.k, p, v))
     if defect > 1e-6 + 1e-12 * math.sqrt((p @ p) * (v @ v)):
         raise GeometryError(f"ray direction {v} is not tangent at {p}")
+    if poly.k == 0:
+        # the plane loops take rays on z = 1 with zero z-direction
+        return np.array([p[0], p[1], 1.0]), np.array([v[0], v[1], 0.0])
     return p, v
 
 

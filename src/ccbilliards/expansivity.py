@@ -62,7 +62,9 @@ class PairProbe:
 @dataclass(frozen=True)
 class SearchBudget:
     horizon: int = 1000          # itinerary comparison span, bounces
-    samples: int = 10000         # periodic-orbit search seeds
+    # periodic-orbit sweep: per side, 21 canonical states and a jittered
+    # grid of at most max(1, samples // n_sides) states
+    samples: int = 10000
     periodic_bounces: int = 50   # return-map depth per seed
     diagonal_depth: int = 20     # max bounces in the diagonal search
     diagonal_length: float = 4.0 * math.pi

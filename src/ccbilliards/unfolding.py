@@ -318,18 +318,21 @@ def find_periodic(poly, max_bounces, samples, seed):
     """Seeded search for periodic billiard orbits.
 
     Deterministic grid + jitter sampling of boundary states, as (side, s,
-    psi) arrays.  The sweep traces them, SWEEP_BLOCK at a time, with the
-    batched numpy engine (``collision.trace_many``), and scans the traced
-    arrays for candidates in numpy as well: a return to the starting side
-    that lands within 1e-4 in (s, psi).  One report is kept per bounce
-    sequence up to rotation and reversal, so a continuous family is
-    represented by one member: a set holds every rotation and reversal of
-    each reported sequence, and a candidate whose sweep sequence is in it
-    ends its sample after that one lookup, with no polish.  Any other is
-    polished by a derivative-free Newton on the return displacement and
-    kept below a 1e-8 residual if its polished sequence is new.  Each
-    sample contributes at most one report, from its first candidate that
-    is not rejected.
+    psi) arrays: per side, the 21 canonical states and a jittered grid of
+    at most max(1, samples // n_sides) states, so samples bounds the
+    jittered part, not the total (200 samples sweep 276 states on the
+    square and 300 on the pentagon).  The sweep traces them, SWEEP_BLOCK at
+    a time, with the batched numpy engine (``collision.trace_many``), and
+    scans the traced arrays for candidates in numpy as well: a return to
+    the starting side that lands within 1e-4 in (s, psi).  One report is
+    kept per bounce sequence up to rotation and reversal, so a continuous
+    family is represented by one member: a set holds every rotation and
+    reversal of each reported sequence, and a candidate whose sweep
+    sequence is in it ends its sample after that one lookup, with no
+    polish.  Any other is polished by a derivative-free Newton on the
+    return displacement and kept below a 1e-8 residual if its polished
+    sequence is new.  Each sample contributes at most one report, from its
+    first candidate that is not rejected.
 
     Newton polish and everything after it use the scalar ``trace``.
     max_bounces and samples must be integers >= 1, seed an integer >= 0.

@@ -345,15 +345,13 @@ def test_later_sphere_roots_match_oracle(tmin):
     j0 = side - 1
     p, v = O._batch_boundary_embed(1, O._batch_gather(sa, j0),
                                    O._batch_gather(su, j0), s, psi)
-    n, ns = p[0].size, poly.n_sides
+    n = p[0].size
     with np.errstate(all="ignore"):
         tw, sw = O.batch_side_hits(1, (sa, su, sn, sl), p, v, tmin,
                                    C.VERTEX_TOL)
         sides = B._Sides(1, *pack, n, C.VERTEX_TOL)
-        grid = np.repeat(np.concatenate(p + v), ns).reshape(6, n, ns)
-        j, t, s_hit, ct, st, q = B._side_hits(
-            1, sides.tiles[:, :n], sides.grid_base[:n], grid[:3], grid[3:],
-            tmin, C.VERTEX_TOL)
+        j, t, s_hit, ct, st, *q = B._side_hits(1, sides.table, p, v, tmin,
+                                               C.VERTEX_TOL)
     rows = np.arange(n)
     want_j = np.argmin(tw, axis=1)
     assert_same_bits((j, t, s_hit), (want_j, tw[rows, want_j],
@@ -373,10 +371,11 @@ def test_later_sphere_roots_match_oracle(tmin):
 def test_gathered_arc_matches_grid(name):
     # _bounce computes the nearest crossing's arc parameter, cos/sin and
     # hit point on (n,) arrays gathered for one side per ray, where the
-    # oracle computes them over the (n, nsides) grid.  The bits agree only
-    # if numpy's transcendental loops give an element the same bits on
-    # both; a failure here, on another machine, points to numpy's SIMD
-    # dispatch (numpy.show_runtime()), not to the engine
+    # oracle computes them over the (n, nsides) grid of the rays broadcast
+    # against the sides.  The bits agree only if numpy's transcendental
+    # loops give an element the same bits on both; a failure here, on
+    # another machine, points to numpy's SIMD dispatch
+    # (numpy.show_runtime()), not to the engine
     poly = SWEEP_TABLES[name]
     k = poly.k
     side, s0, psi0 = U._sweep_states(poly, 200, 0)
@@ -387,10 +386,11 @@ def test_gathered_arc_matches_grid(name):
     grid = np.repeat(np.concatenate(p + v), ns).reshape(-1, n, ns)
     half = len(p)
     with np.errstate(all="ignore"):
-        t, ok, _ = B._crossings(k, sides.tiles[6:9, :n], grid[:half],
+        t, ok, _ = B._crossings(k, sides.tiles[:, :n], grid[:half],
                                 grid[half:], C.FLIGHT_MIN)
         t = np.where(ok, t, 0.5)
-        want = B._arc(k, sides.tiles[:, :n], grid[:half], grid[half:], t)
+        want = B._arc(k, sides.table, tuple(x[:, None] for x in p),
+                      tuple(x[:, None] for x in v), t)
         for j in range(ns):
             got = B._arc(k, sides.table[:, np.full(n, j)], p, v,
                          t[:, j].copy())

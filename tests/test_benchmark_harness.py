@@ -7,10 +7,13 @@ workload runs one traced pass at seed 0: every job's output must match
 its stored reference, and the kernel counts must be the ones the
 references were taken with.  The diagonal search's kernel calls are
 pinned too: a shooter that went round the wrapped ``K.trace_from_point``
-would drop them from the spans.  The kernel microbenchmark must return
+would drop them from the spans.  An untraced pass per stored reference
+(seeds 0-15, and the diagonal search's fixed fan) must match it too, so
+every stored output stays pinned.  The kernel microbenchmark must return
 finite, positive times.
 """
 
+import functools
 import json
 import math
 import os
@@ -40,10 +43,29 @@ SPAN_COUNTS = {
 }
 
 
-def _reference(workload):
+@functools.lru_cache(maxsize=None)
+def _stored(workload):
+    """The stored reference outputs of a workload, by reference key."""
     with open(os.path.join(BENCH, "reference", f"{workload}.json")) as fh:
-        seeds = json.load(fh)["seeds"]
-    return seeds[workloads.reference_seed(workload, 0)]
+        return json.load(fh)["seeds"]
+
+
+def _reference(workload, seed=0):
+    return _stored(workload)[workloads.reference_seed(workload, seed)]
+
+
+def _stored_runs():
+    """(workload, seed) with the first seed of each reference key:
+    periodic-search and single-orbit at seeds 0-15, diagonal-search at
+    seed 0 for its fixed fan."""
+    runs = {}
+    for w in run.WORKLOADS:
+        for seed in range(workloads.POOL):
+            runs.setdefault((w, workloads.reference_seed(w, seed)), (w, seed))
+    return list(runs.values())
+
+
+STORED_RUNS = _stored_runs()
 
 
 @pytest.mark.parametrize("workload", run.WORKLOADS)
@@ -64,6 +86,24 @@ def test_workload_matches_reference(workload):
     for name, count in SPAN_COUNTS.get(workload, {}).items():
         assert sum(s[tracing.NAME] == name for s in tracer.spans) == count, \
             name
+
+
+@pytest.mark.parametrize("workload, seed", STORED_RUNS)
+def test_every_stored_reference_matches(workload, seed):
+    # one untraced pass per reference key, checked as a benchmark run
+    # checks it: every stored output stays pinned, not only seed 0's
+    jobs = workloads.build(workload, seed)
+    checker = run.Checker(jobs, _reference(workload, seed), workloads.matches)
+    run.run_passes(jobs, 0.0, checker)
+    assert (checker.attempted, checker.failed) == (len(jobs), 0), \
+        checker.failures
+
+
+def test_stored_runs_cover_every_reference():
+    for workload in run.WORKLOADS:
+        keys = {workloads.reference_seed(w, seed)
+                for w, seed in STORED_RUNS if w == workload}
+        assert keys == set(_stored(workload)), workload
 
 
 def test_kernel_microbenchmark_runs():

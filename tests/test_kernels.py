@@ -8,8 +8,8 @@ hits), under a ``max_length`` stop, from states next to a corner that
 leave nearly parallel to the next side (grazing hits), and with clamped
 arc parameters; ``trace_ray`` and ``crossing_labels_from_tangent`` also
 on plane rays that ``check_ray`` accepts a little off z = 1 and off the
-zero z-direction, which the plane loops search on their own side records
-for their first hit.  The last tests pin the diagonal search's skip of
+zero z-direction, which trace bit for bit as the oracle traces their
+projection onto z = 1.  The last tests pin the diagonal search's skip of
 length-only brackets, and its per-vertex shooter against the search on
 ``trace_ray`` that ``kernel_oracle.py`` keeps: the same diagonals and
 conjugated vertices, bit for bit.  Two more pin the entries: each
@@ -208,19 +208,23 @@ def _off_plane_rays(poly, rng, count):
 @pytest.mark.parametrize("table", ["square", "skew-quad"])
 def test_off_plane_rays_match_oracle(table):
     # trace_ray and crossing_labels_from_tangent accept a plane ray a
-    # little off z = 1 and off the zero z-direction; the loops must still
-    # give the oracle's bits, which take the ray's z-components as given
+    # little off z = 1 and off the zero z-direction, and trace it as its
+    # projection: check_ray returns the ray on z = 1 with zero z-direction,
+    # and the loops give the oracle's bits on the projected ray
     poly = TABLES[table]
     sa, su, sn, sl = poly.kernel_pack()[:4]
     refl = poly.reflection_pack()
     rng = np.random.default_rng(7)
-    for p, v in _off_plane_rays(poly, rng, 12):
+    for p0, v0 in _off_plane_rays(poly, rng, 12):
+        p, v = p0[:2] + (1.0,), v0[:2] + (0.0,)
+        cp, cv = C.check_ray(poly, p0, v0)
+        assert tuple(cp) == p and tuple(cv) == v
         want = _oracle(O.trace_loop, poly, (p, v), 25, math.inf)
-        assert _traced(C.trace_ray(poly, p, v, 25)) == want
+        assert _traced(C.trace_ray(poly, p0, v0, 25)) == want
         labels = np.empty(25, dtype=np.int64)
         m = O.unfold_crossings(poly.k, sa, su, sn, sl, refl, p, v, 25,
                                C.FLIGHT_MIN, C.VERTEX_TOL, labels)
-        assert (U.crossing_labels_from_tangent(poly, p, v, 25)
+        assert (U.crossing_labels_from_tangent(poly, p0, v0, 25)
                 == tuple(int(j) + 1 for j in labels[:m]))
 
 
