@@ -24,9 +24,8 @@ from .expansivity import (ExpansivenessVerdict, PairProbe, Rule, SearchBudget,
 from .flow import (CartesianChartState, ChartState, chart_embed,
                    chart_extract, chart_forward, chart_inverse,
                    chart_velocity_field, closed_form_flow,
-                   integrate_chart_flow, integrate_polar_flow,
-                   polar_velocity_field, reparameterization_factor,
-                   singularity_jacobian)
+                   integrate_chart_flow, polar_velocity_field,
+                   reparameterization_factor, singularity_jacobian)
 from .polygon import (DoubleSurfacePoint, Polygon, build_polygon,
                       double_points_equal, interior_contains,
                       vertex_neighborhood_radius)
@@ -57,7 +56,7 @@ __all__ = [
     "crossing_labels",
     "double_points_equal", "double_surface_invariants", "find_periodic",
     "format_verdict", "generalized_diagonals", "growth_class", "holonomy",
-    "hyperbolic_pentagon", "integrate_chart_flow", "integrate_polar_flow",
+    "hyperbolic_pentagon", "integrate_chart_flow",
     "interior_contains", "itinerary", "load_polygon_spec", "named_table",
     "parse_polygon_spec", "periodic_orbit_neighborhood_check",
     "pi1_presentation", "polar_velocity_field", "probe_pair",

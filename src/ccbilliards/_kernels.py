@@ -42,9 +42,9 @@ launches and frames of ``collision``, the unfolding and its SVG, the
 expansivity probes, the vertex flow and (as ``mdot`` and ``perp``) the
 batched engine :mod:`ccbilliards._batch`.
 
-The Dormand-Prince integrator ``rk45`` runs on Python floats the same
-way.  It picks its field function (``polar_field``, ``chart_field`` or
-``chart_arc_field``) once per run and calls it with each stage point as
+The Dormand-Prince integrator ``rk45`` of the vertex chart field runs on
+Python floats the same way.  It picks ``chart_field`` or
+``chart_arc_field`` once per run and calls it with each stage point as
 three floats; the stage values are unpacked into locals, accepted states
 go to Python lists that are copied into the caller's record buffers once,
 and the chart-exit bisection evaluates only the radius components of the
@@ -255,30 +255,15 @@ def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Runge-Kutta (Dormand-Prince 5(4)) for the two vertex fields
+# adaptive Runge-Kutta (Dormand-Prince 5(4)) for the vertex chart field
 # ---------------------------------------------------------------------------
 
 # field ids
-FIELD_POLAR = 0       # (r, gamma, beta) geodesic field, curvature k
-FIELD_CHART = 1       # (x, y, z) rescaled chart field, pf = pi / theta
-FIELD_CHART_ARC = 2   # chart field augmented with accumulated geodesic time
+FIELD_CHART = 0       # (x, y, z) rescaled chart field, pf = pi / theta
+FIELD_CHART_ARC = 1   # chart field augmented with accumulated geodesic time
 
 # the field value at a point outside the field's domain
 FIELD_NAN = (math.nan, math.nan, math.nan, math.nan)
-
-
-def polar_field(k, pf, r, gamma, beta):
-    """The polar field (FIELD_POLAR) at (r, gamma, beta) as a float 4-tuple.
-
-    Its 4th component is 0.0; where sink(k, r) = 0, outside the field's
-    domain, every component is nan.  pf is unused.
-    """
-    sk = sink(k, r)
-    if sk == 0.0:
-        return FIELD_NAN
-    ck = cosk(k, r)
-    sb = math.sin(beta)
-    return (math.cos(beta), sb / sk, -ck * sb / sk, 0.0)
 
 
 def chart_field(k, pf, x, y, z):
@@ -305,7 +290,7 @@ def chart_arc_field(k, pf, x, y, z):
 
 
 # field functions by field id
-FIELDS = (polar_field, chart_field, chart_arc_field)
+FIELDS = (chart_field, chart_arc_field)
 
 
 def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
@@ -331,12 +316,12 @@ def _dense(y, c, th):
     return y + th * (c[0] + th1 * (c[1] + th * (c[2] + th1 * c[3])))
 
 
-def _exit_fraction(polar, ya, yb, ca, cb, rlo, rhi):
+def _exit_fraction(ya, yb, ca, cb, rlo, rhi):
     """The fraction of the step at which the dense output's radius leaves
     [rlo, rhi], by bisection.
 
-    The radius is ya's component for the polar field and the hypot of ya's
-    and yb's for the chart fields, so only those components are evaluated.
+    The radius is the hypot of ya's and yb's components, so only those
+    two are evaluated.
     Once mid rounds to lo or hi, no later round can move hi: mid == hi
     leaves hi as it is whatever the test says, and mid == lo repeats the
     test lo passed (lo = 0 is never tested, but mid cannot round to 0
@@ -351,10 +336,8 @@ def _exit_fraction(polar, ya, yb, ca, cb, rlo, rhi):
         if mid == lo or mid == hi:
             break
         th1 = 1.0 - mid
-        rr = ya + mid * (a0 + th1 * (a1 + mid * (a2 + th1 * a3)))
-        if not polar:
-            rr = math.hypot(
-                rr, yb + mid * (b0 + th1 * (b1 + mid * (b2 + th1 * b3))))
+        rr = math.hypot(ya + mid * (a0 + th1 * (a1 + mid * (a2 + th1 * a3))),
+                        yb + mid * (b0 + th1 * (b1 + mid * (b2 + th1 * b3))))
         if rr > rhi or rr < rlo:
             hi = mid
         else:
@@ -385,16 +368,15 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     step that lands past t1, which the last step clipped to h = t1 - t can
     do by an ulp, ends at t1 exactly.
 
-    Integration stops when the field radius leaves [rlo, rhi]; the crossing
-    is bisected on the step's dense output, which costs no further field
-    evaluations.  A stage outside the field's domain gives a nan error norm,
-    which rejects the step and shrinks h by the least factor, 0.2.
+    Integration stops when the radius hypot(x, y) leaves [rlo, rhi]; the
+    crossing is bisected on the step's dense output, which costs no further
+    field evaluations.  A stage outside the field's domain gives a nan error
+    norm, which rejects the step and shrinks h by the least factor, 0.2.
     When record != 0, accepted states are collected in Python lists and
     copied once, before returning, into the buffers tbuf (cap,) and ybuf
     (cap, dim).  Returns (status, nrec, t_end, y_end), y_end a 4-tuple.
     """
     f = FIELDS[field_id]
-    polar = field_id == FIELD_POLAR
     # arrays or numpy scalars in, Python floats through the loop
     dim = len(y0)
     ya, yb, yc = float(y0[0]), float(y0[1]), float(y0[2])
@@ -505,11 +487,11 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
             errn += q * q
         errn = math.sqrt(errn / dim)
         if errn <= 1.0:
-            rad = na if polar else math.hypot(na, nb)
+            rad = math.hypot(na, nb)
             if rad > rhi or rad < rlo:
                 ca = _dense_terms(ya, na, k1a, k3a, k4a, k5a, k6a, k7a, h)
                 cb = _dense_terms(yb, nb, k1b, k3b, k4b, k5b, k6b, k7b, h)
-                th = _exit_fraction(polar, ya, yb, ca, cb, rlo, rhi)
+                th = _exit_fraction(ya, yb, ca, cb, rlo, rhi)
                 yex = (_dense(ya, ca, th), _dense(yb, cb, th),
                        _dense(yc, _dense_terms(yc, nc, k1c, k3c, k4c, k5c,
                                                k6c, k7c, h), th),

@@ -50,7 +50,7 @@ def _load_table(args):
             raise SystemExit(2)
         try:
             return load_polygon_spec(args.spec), os.path.basename(args.spec)
-        except SpecFileError as e:
+        except (SpecFileError, OSError, UnicodeDecodeError) as e:
             print(f"error: {args.spec}: {e}", file=sys.stderr)
             raise SystemExit(2) from None
     if args.table:
@@ -64,7 +64,11 @@ def _load_table(args):
 
 def _outdir(args):
     out = args.out or os.environ.get("CCBILLIARDS_OUTDIR", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        print(f"error: output directory {out}: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
     return out
 
 
@@ -250,6 +254,8 @@ def cmd_topology(args):
 def build_parser():
     samples_help = ("sweep per side: 21 canonical states and a jittered grid "
                     "of at most max(1, SAMPLES // sides) states")
+    angles_help = ("directions scanned per vertex; also sets each vertex's "
+                   "bisection budget to 8 x ANGLES rays")
     ap = argparse.ArgumentParser(
         prog="ccbilliards",
         description="Polygonal billiards on constant-curvature surfaces.")
@@ -292,15 +298,14 @@ def build_parser():
     _add_table_args(p)
     p.add_argument("--max-bounces", type=int, default=20)
     p.add_argument("--max-length", type=float, default=4 * math.pi)
-    p.add_argument("--angles", type=int, default=10000,
-                   help="directions scanned per vertex")
+    p.add_argument("--angles", type=int, default=10000, help=angles_help)
     p.set_defaults(func=cmd_diagonals)
 
     p = sub.add_parser("conjugate", help="conjugated vertices (sphere)")
     _add_table_args(p)
     p.add_argument("--max-bounces", type=int, default=20)
     p.add_argument("--max-length", type=float, default=4 * math.pi)
-    p.add_argument("--angles", type=int, default=10000)
+    p.add_argument("--angles", type=int, default=10000, help=angles_help)
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("expansivity", help="expansiveness verdict with witnesses")
@@ -309,7 +314,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=10000, help=samples_help)
     p.add_argument("--max-bounces", type=int, default=50)
     p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--angles", type=int, default=10000)
+    p.add_argument("--angles", type=int, default=10000, help=angles_help)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_expansivity)
 

@@ -127,8 +127,9 @@ def polar_velocity_field(s, k):
     if s.r <= 0.0:
         raise SingularFieldError("polar field is singular at r = 0; "
                                  "use the extended chart field instead")
-    return np.array(K.polar_field(k, 0.0, float(s.r), float(s.gamma),
-                                  float(s.beta))[:3])
+    sk = K.sink(k, s.r)
+    sb = math.sin(s.beta)
+    return np.array([math.cos(s.beta), sb / sk, -K.cosk(k, s.r) * sb / sk])
 
 
 def chart_velocity_field(c, theta, k):
@@ -193,8 +194,7 @@ def closed_form_flow(s0, t, k, eps=None):
     around the vertex on the sphere); beta stays in its (0, pi) or
     (pi, 2 pi) branch.  With ``eps`` given, leaving r < eps raises
     :class:`ChartExitError` carrying the exit time and state.  A non-finite
-    t raises ValueError and a non-finite state GeometryError, as in
-    :func:`integrate_polar_flow`.
+    t raises ValueError and a non-finite state GeometryError.
     """
     check_curvature(k)
     if eps is not None:
@@ -452,45 +452,17 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
                            arc_time=ys[:, 3] if track_arc_time else None)
 
 
-def integrate_polar_flow(s0, t, k, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Integrate the singular polar field directly (oracle route).
-
-    Returns the final ChartState with gamma unwrapped, comparable to
-    :func:`closed_form_flow`.  The time, atol and rtol are checked as in
-    :func:`integrate_chart_flow`.
-
-    A radial ray integrates straight through the vertex (and on the sphere
-    through the antipode) to a radius outside [0, pi] (k = 1) or below 0.
-    The field is invariant under (r, gamma, beta) -> (-r, gamma + pi,
-    beta - pi), and on the sphere 2 pi-periodic in r, so such an end state
-    is returned in that form, the same point and direction with r >= 0.
-    """
-    check_curvature(k)
-    _check_integration(t, rtol, atol)
-    if not all(math.isfinite(v) for v in (s0.r, s0.gamma, s0.beta)):
-        raise GeometryError(f"polar state must be finite, got {s0}")
-    if s0.r <= 0.0:
-        raise SingularFieldError("polar integration requires r > 0")
-    y0 = (float(s0.r), float(s0.gamma), float(s0.beta))
-    status, _, t_end, y_end = K.rk45(K.FIELD_POLAR, k, 0.0, y0, 0.0, t,
-                                     rtol, atol, -K.INF, K.INF,
-                                     np.empty(1), np.empty((1, 3)), 0)
-    if status != K.RK_DONE:
-        raise RuntimeError(f"polar integration failed with status {status}")
-    r, gamma, beta = y_end[0], y_end[1], y_end[2]
-    if k == 1 and not 0.0 <= r <= math.pi:
-        r = math.remainder(r, TWO_PI)
-    if r < 0.0:
-        r, gamma, beta = -r, gamma + math.pi, beta - math.pi
-    return ChartState(r, gamma, beta)
-
-
 def export_trajectory(traj, path, theta=None, k=None, coords="chart"):
     """Write line-delimited records with 17 significant digits.
 
     coords = "chart": rows (t, x, y, z).  coords = "polar": rows
-    (t, r, gamma, beta) via chart_extract (requires theta and k).
+    (t, r, gamma, beta) via chart_extract (requires theta and k).  Any
+    other coords, or "polar" without theta or k, raises ValueError before
+    the file is opened.
     """
+    if coords != "chart" and (coords != "polar" or theta is None or k is None):
+        raise ValueError("coords must be 'chart', or 'polar' with theta and "
+                         f"k; got coords={coords!r}, theta={theta}, k={k}")
     with open(path, "w") as fh:
         for i in range(len(traj.t)):
             x, y, z = traj.states[i]

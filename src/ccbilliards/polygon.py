@@ -47,7 +47,8 @@ class Side:
     length: float
 
 
-@dataclass
+# compared by identity: the fields hold arrays and lazy caches
+@dataclass(eq=False)
 class Polygon:
     k: int
     vertices: list                  # embedded 3-vectors, outer loop first

@@ -27,6 +27,13 @@ results bit for bit (``test_unfolding.py``, ``test_flow.py``).  The
 oracle ``rk45`` carries the package's end-time rule: an accepted step
 that lands past t1 records t1.
 
+``integrate_polar_flow`` integrates the singular polar field (r, gamma,
+beta) itself, on the oracle ``rk45`` with its own field id
+``FIELD_POLAR``; the package integrates only the regularised chart field.
+It is the numerical route to ``flow.closed_form_flow``
+(``test_flow.py``) and records the ``polar_flow`` golden value
+(``test_golden.py``).
+
 ``sweep_states`` is the sample loop of ``unfolding.find_periodic`` as it
 was before the sweep moved to arrays: one ``BoundaryState`` per sample,
 from scalar ``rng.random()`` draws.  ``unfolding._sweep_states`` must give
@@ -63,7 +70,7 @@ from ccbilliards import collision as C
 from ccbilliards import geometry as G
 from ccbilliards import unfolding as U
 
-from ccbilliards._kernels import (FIELD_CHART_ARC, FIELD_POLAR, INF,
+from ccbilliards._kernels import (FIELD_CHART, FIELD_CHART_ARC, INF,
                                   RK_BUFFER_FULL, RK_DONE, RK_EXITED,
                                   RK_UNDERFLOW, STEP_ESCAPED, STEP_GRAZING,
                                   STEP_MAXLEN, STEP_OK, STEP_VERTEX,
@@ -71,6 +78,7 @@ from ccbilliards._kernels import (FIELD_CHART_ARC, FIELD_POLAR, INF,
                                   geodesic_dir, geodesic_point, log_map, mdot,
                                   perp, renorm_point, renorm_tangent,
                                   signed_angle, sink)
+from ccbilliards.flow import DEFAULT_ATOL, DEFAULT_RTOL, ChartState
 
 
 def ray_side_hit(k, p, v, a_pt, u, n, seg_len, tmin, pad):
@@ -344,6 +352,10 @@ def unfold_crossings(k, sa, su, sn, sl, refl, p0, v0, nmax, tmin, pad, labels):
 # the Dormand-Prince integrator
 # ---------------------------------------------------------------------------
 
+# the (r, gamma, beta) geodesic field of curvature k, which the package's
+# rk45 does not integrate; an id of its own, apart from the chart fields'
+FIELD_POLAR = max(FIELD_CHART, FIELD_CHART_ARC) + 1
+
 # the field value at a point outside the field's domain
 FIELD_NAN = (math.nan, math.nan, math.nan, math.nan)
 
@@ -571,6 +583,29 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
         if (t - t1) * sgn < 0.0 and abs(h) < 1e-14 * (1.0 + abs(t)):
             return RK_UNDERFLOW, nrec, t, y
     return RK_DONE, nrec, t, y
+
+
+def integrate_polar_flow(s0, t, k, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Integrate the singular polar field from s0 (r > 0) for time t.
+
+    Returns the final ChartState with gamma unwrapped, comparable to
+    ``flow.closed_form_flow``.  A radial ray integrates straight through
+    the vertex (and on the sphere through the antipode) to a radius
+    outside [0, pi] (k = 1) or below 0.  The field is invariant under
+    (r, gamma, beta) -> (-r, gamma + pi, beta - pi), and on the sphere
+    2 pi-periodic in r, so such an end state is returned in that form, the
+    same point and direction with r >= 0.
+    """
+    y0 = (float(s0.r), float(s0.gamma), float(s0.beta))
+    status, _, _, y_end = rk45(FIELD_POLAR, k, 0.0, y0, 0.0, t, rtol, atol,
+                               -INF, INF, np.empty(1), np.empty((1, 3)), 0)
+    assert status == RK_DONE, status
+    r, gamma, beta = y_end[0], y_end[1], y_end[2]
+    if k == 1 and not 0.0 <= r <= math.pi:
+        r = math.remainder(r, 2.0 * math.pi)
+    if r < 0.0:
+        r, gamma, beta = -r, gamma + math.pi, beta - math.pi
+    return ChartState(r, gamma, beta)
 
 
 def sweep_states(poly, samples, seed):

@@ -1,0 +1,53 @@
+"""Print one SHA-256 digest per benchmark reference key of the outputs.
+
+Runs every workload's jobs once per reference key (periodic-search and
+single-orbit at seeds 0-15, diagonal-search's fixed fan: 33 keys) through
+``benchmarks/workloads.py``.  Each key's digest is the SHA-256 of its jobs'
+``json.dumps([job.key, describe(call())], sort_keys=True)`` lines, in job
+order.  Two trees give the same outputs where they print the same digests:
+
+    PYTHONPATH=src python tests/output_digest.py
+
+``ccbilliards`` comes from ``PYTHONPATH``, so one copy of this script
+compares any two trees on one machine.  It stores no digests: numpy's SIMD
+dispatch may round differently on another machine.  Pytest does not
+collect this file.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks"))
+
+import workloads  # noqa: E402
+
+
+def digests():
+    """(workload, reference key, hex digest) for every reference key."""
+    out = []
+    for workload in workloads.SEEDED:
+        done = set()
+        for seed in range(workloads.POOL):
+            key = workloads.reference_seed(workload, seed)
+            if key in done:
+                continue
+            done.add(key)
+            h = hashlib.sha256()
+            for job in workloads.build(workload, seed):
+                line = json.dumps([job.key, job.describe(job.call())],
+                                  sort_keys=True)
+                h.update(line.encode() + b"\n")
+            out.append((workload, key, h.hexdigest()))
+    return out
+
+
+def main():
+    for workload, key, digest in digests():
+        print(workload, key, digest)
+
+
+if __name__ == "__main__":
+    main()

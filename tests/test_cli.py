@@ -79,6 +79,18 @@ class TestSimulate:
         assert e.value.code == 2
         assert "/nonexistent/poly.txt" in capsys.readouterr().err
 
+    def test_out_is_a_regular_file_exits_2(self, tmp_path, capsys):
+        # an --out naming a regular file is an error line, not a traceback
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--table", "square", "--side", "1",
+                  "--out", str(out)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "keep me\n"
+
 
 class TestCommands:
     def test_unfold_svg(self, tmp_path):
@@ -188,6 +200,22 @@ class TestCommands:
         with pytest.raises(SystemExit) as e:
             main(["topology", "--spec", str(spec)])
         assert e.value.code == 2
+
+    def test_spec_is_a_directory_exits_2(self, tmp_path, capsys):
+        # a spec that cannot be read is an error line, not a traceback
+        with pytest.raises(SystemExit) as e:
+            main(["topology", "--spec", str(tmp_path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ")
+
+    def test_spec_not_text_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "poly.bin"
+        spec.write_bytes(b"curvature = 0\n\xff\xfe\n")
+        with pytest.raises(SystemExit) as e:
+            main(["topology", "--spec", str(spec)])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: ")
 
     @pytest.mark.parametrize("command", ["periodic", "expansivity"])
     def test_negative_seed_exits_1(self, command, capsys):

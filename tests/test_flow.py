@@ -11,9 +11,8 @@ from ccbilliards import (CartesianChartState, ChartExitError, ChartState,
                          GeometryError, SingularFieldError, chart_embed,
                          chart_extract, chart_forward, chart_inverse,
                          chart_velocity_field, closed_form_flow,
-                         integrate_chart_flow, integrate_polar_flow,
-                         polar_velocity_field, reparameterization_factor,
-                         singularity_jacobian)
+                         integrate_chart_flow, polar_velocity_field,
+                         reparameterization_factor, singularity_jacobian)
 import kernel_oracle as O
 from ccbilliards import _kernels as K
 from ccbilliards.flow import export_trajectory
@@ -197,7 +196,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             s = sample_in_chart_state(rng, k)
             t = rng.uniform(0.05, 0.6)
-            a = integrate_polar_flow(s, t, k)
+            a = O.integrate_polar_flow(s, t, k)
             b = closed_form_flow(s, t, k)
             err = max(abs(a.r - b.r), abs(a.gamma - b.gamma),
                       abs(a.beta - b.beta)) / max(1.0, abs(b.r))
@@ -215,7 +214,7 @@ class TestOracleEquivalence:
     def test_radial_ray_through_vertex(self, k, s0, t):
         # the integrated ray passes the vertex at a negative radius; it comes
         # back as the same point and direction with r >= 0
-        a = integrate_polar_flow(ChartState(*s0), t, k)
+        a = O.integrate_polar_flow(ChartState(*s0), t, k)
         b = closed_form_flow(ChartState(*s0), t, k)
         assert a.r >= 0.0
         assert abs(a.r - b.r) < 1e-9
@@ -430,6 +429,21 @@ class TestIntegrateChartFlow:
         assert len(first) == 4
         assert float(first[1]) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("opts", [
+        {"coords": "bogus"}, {"coords": "polar"},
+        {"coords": "polar", "theta": 1.0}, {"coords": "polar", "k": 0}],
+        ids=["bogus", "polar", "polar-no-k", "polar-no-theta"])
+    def test_export_bad_coords_leaves_file(self, tmp_path, opts):
+        # an unknown coords must not write chart rows, nor "polar" without
+        # theta or k truncate the file
+        traj = integrate_chart_flow(CartesianChartState(0.1, 0.0, 1.0),
+                                    0.5, 1.0, 0)
+        out = tmp_path / "traj.txt"
+        out.write_text("keep me\n")
+        with pytest.raises(ValueError, match="coords"):
+            export_trajectory(traj, out, **opts)
+        assert out.read_text() == "keep me\n"
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(1e-6, 2.0), st.floats(0, 100), st.floats(0, TWO_PI),
@@ -492,8 +506,6 @@ def test_bad_integration_bounds_rejected(name, value, k):
     with deadline(5.0), pytest.raises(ValueError, match="finite"):
         integrate_chart_flow(CartesianChartState(0.0, 0.0, 0.3), T, 1.0, k,
                              **kw)
-    with deadline(5.0), pytest.raises(ValueError, match="finite"):
-        integrate_polar_flow(ChartState(0.3, 0.0, 1.0), T, k, **kw)
     if name == "T":
         # a non-finite time must not give a nan or inf state
         for eps in (None, 1.0):
@@ -505,8 +517,6 @@ def test_bad_integration_bounds_rejected(name, value, k):
 def test_non_finite_initial_state_rejected(bad):
     with deadline(5.0), pytest.raises(GeometryError, match="finite"):
         integrate_chart_flow(CartesianChartState(0.1, bad, 0.3), 5.0, 1.0, 0)
-    with deadline(5.0), pytest.raises(GeometryError, match="finite"):
-        integrate_polar_flow(ChartState(0.3, 0.0, bad), 1.0, 0)
     # in every curvature and every coordinate, also for t = 0
     for k in KS:
         for state in (ChartState(bad, 0.0, 1.0), ChartState(0.5, bad, 1.0),
@@ -541,7 +551,8 @@ class TestOutOfDomainStage:
         assert all(math.isnan(v) for v in K.chart_field(1, 2.0, 0.8, 0.7, 0.3))
         assert all(math.isnan(v)
                    for v in K.chart_arc_field(1, 2.0, 0.8, 0.7, 0.3)[:3])
-        assert all(math.isnan(v) for v in K.polar_field(0, 0.0, 0.0, 0.2, 1.0))
+        assert all(math.isnan(v) for v in
+                   O.field_eval(O.FIELD_POLAR, 0, 0.0, (0.0, 0.2, 1.0)))
         # on the unit circle itself the chart field is still defined
         assert K.chart_field(1, 2.0, 0.6, 0.8, 0.0) == (0.0, 0.0, -0.0, 0.0)
 
@@ -626,8 +637,8 @@ def _rk45_run(rk45, field, k, pf, y0, t1, rlo, rhi, cap, record):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(["chart", "arc-time", "polar", "backward",
-                             "no-record", "buffer-full"]),
+@given(case=st.sampled_from(["chart", "arc-time", "backward", "no-record",
+                             "buffer-full"]),
        k=st.sampled_from(KS), theta=st.floats(0.3, 3.0),
        rf=st.floats(0.0, 0.95), gf=st.floats(0.0, 1.0),
        beta=st.floats(0.0, TWO_PI), T=st.floats(0.5, 30.0),
@@ -642,10 +653,6 @@ def test_rk45_matches_oracle(case, k, theta, rf, gf, beta, T, eps):
     field, cap, record, t1 = K.FIELD_CHART, 4096, 1, T
     if case == "arc-time":
         field, y0 = K.FIELD_CHART_ARC, y0 + (0.0,)
-    elif case == "polar":
-        # exits on the radius itself, through the polar branch
-        field, pf, y0 = K.FIELD_POLAR, 0.0, (0.1 + rf, gf * theta, beta)
-        rhi = 0.3 + 1.5 * rf
     elif case == "backward":
         t1 = -T
     elif case == "no-record":

@@ -11,8 +11,10 @@ crossing loop before it was written out per curvature.  ``chart_flow``
 holds runs of the Dormand-Prince integrator, recorded while its step loop
 still worked on numpy arrays: ``integrate_chart_flow`` to the chart exit
 at the first vertex of each built-in table, one run tracking arc time,
-one backward in time, one without records, and one
-``integrate_polar_flow``.  The tests require every bit to match, so a
+one backward in time, one without records, and one run of the singular
+polar field, ``polar_flow``, which the package no longer integrates: it
+comes from ``kernel_oracle.integrate_polar_flow``, whose ``rk45`` gives
+the bits the package's gave.  The tests require every bit to match, so a
 rewrite of the kernels that changes any rounding fails here.
 Tolerance-based tests cannot see that.
 
@@ -34,6 +36,7 @@ from ccbilliards import collision as C
 from ccbilliards import flow as F
 from ccbilliards import unfolding as U
 from ccbilliards.polygon import vertex_neighborhood_radius
+import kernel_oracle as O
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "golden_traces.json")
@@ -87,7 +90,7 @@ def _chart_flow_record(table, vertex, rf, gf, beta, time, opts):
 
 
 def _polar_flow_record():
-    s = F.integrate_polar_flow(F.ChartState(0.4, 0.3, 2.0), 0.9, -1)
+    s = O.integrate_polar_flow(F.ChartState(0.4, 0.3, 2.0), 0.9, -1)
     return _hex((s.r, s.gamma, s.beta))
 
 

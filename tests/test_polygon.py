@@ -28,6 +28,16 @@ class TestBuild:
         assert sq.boundary_components == 1
         assert not sq.reversed_input
 
+    def test_compared_by_identity(self):
+        # field-wise == would compare vertex arrays and raise numpy's
+        # "truth value of an array is ambiguous"
+        p = square()
+        p.kernel_pack()   # fills a lazy cache on p only
+        assert p == p
+        assert (p != square()) is True
+        assert hash(p) == hash(p)
+        assert {p: 1}[p] == 1
+
     def test_paper_triangle_angles(self):
         theta = 0.8
         tri = sphere_triangle(theta)
