@@ -8,8 +8,10 @@ nsides) grid, picks each ray's nearest crossing, computes the arc
 parameter, the hit point and the cos/sin (cosh/sinh) of t on the n rays
 for that side only, applies the scalar loop's escape, vertex and grazing
 stops as one mask of the rays that go on, clamps s, and compacts the rays
-down to those.  It records what the sweep reads (side label, s and psi
-per bounce), not stop reasons, vertex ids or flights.
+down to those.  It gives what the sweep reads (side label, s and psi
+per bounce), not stop reasons, vertex ids or flights: ``trace_columns``
+yields them one bounce at a time, and ``trace_states`` gathers them into
+arrays.
 
 The grids are same-shape contiguous arrays, so numpy's inner loops run
 over the whole grid, not over one row of nsides: ``trace_states`` tiles
@@ -50,10 +52,10 @@ operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
 this one takes 19-33x as long as ``collision.trace`` (square, theta = 1
-triangle and pentagon, 2 vCPUs).  Its one caller is
-``collision.trace_many``, which ``unfolding.find_periodic`` feeds the
-(side, s, psi) arrays of its sweep ``SWEEP_BLOCK`` states at a time, so
-the tiles hold at most that many rows there.
+triangle and pentagon, 2 vCPUs).  Its callers are
+``collision.trace_many`` and ``collision.trace_columns``; the periodic
+sweep of ``unfolding`` feeds the latter ``SWEEP_BLOCK`` states per block,
+so the tiles hold at most that many rows there.
 """
 
 import math
@@ -325,41 +327,60 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
     return ok, j, s, psi, g, cs, ss
 
 
-def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
-                 nmax, tmin, tol_v, graze):
-    """Vectorised ``trace_orbit`` over the boundary states (side0, s0, psi0).
+def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
+                  nmax, tmin, tol_v, graze):
+    """Vectorised ``trace_orbit`` over the boundary states (side0, s0, psi0),
+    one bounce at a time.
 
-    side0 holds 0-based labels.  Returns the (N, nmax) arrays (labels,
-    svals, psis): row r holds the bounces ``trace_orbit`` records for
-    state r, as 0-based labels, then -1 and nan floats past the bounce
-    where the scalar loop stops the ray.
+    side0 holds 0-based labels.  A generator: bounce i yields (idx, j, s,
+    psi), the input rows of the rays still live after it, in input order,
+    their 0-based sides hit, clamped s and psi.  It stops after nmax
+    bounces, or after the first bounce that leaves no ray live.  The
+    arrays are the engine's own, to be read only.  Each bounce runs under
+    its own ``np.errstate``, so none is open while the caller holds a
+    column.
     """
     nray = side0.shape[0]
-    labels = np.full((nray, nmax), -1, dtype=np.int64)
-    svals = np.full((nray, nmax), np.nan)
-    psis = np.full((nray, nmax), np.nan)
     if nray == 0 or nmax == 0:
-        return labels, svals, psis
+        return
     sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, nray, tol_v)
+    g, sc, psi = sides.table[:, side0], s0, psi0
     with np.errstate(all="ignore"):
         cs, ss = (None, None) if k == 0 else _cos_sin(k, s0)
-        p, v = _embed(k, sides.table[:, side0], s0, cs, ss, psi0)
-        idx = np.arange(nray)          # rays still live, in input order
-        for i in range(nmax):
+    idx = np.arange(nray)          # rays still live, in input order
+    for _ in range(nmax):
+        with np.errstate(all="ignore"):
+            p, v = _embed(k, g, sc, cs, ss, psi)
             ok, j, s, psi, g, cs, ss = _bounce(k, sides, p, v, tmin, tol_v,
                                                graze)
             idx, j, s, psi, g = idx[ok], j[ok], s[ok], psi[ok], g[:, ok]
             sc = np.minimum(np.maximum(s, 0.0), g[_SL])
-            labels[idx, i] = j
-            svals[idx, i] = sc
-            psis[idx, i] = psi
-            if idx.size == 0 or i + 1 == nmax:
-                break
             if k != 0:
                 cs, ss = cs[ok], ss[ok]
                 # a clamp moves s, or turns -0.0 into 0.0
                 redo = np.flatnonzero((s <= 0.0) | (s > g[_SL]))
                 if redo.size:
                     cs[redo], ss[redo] = _cos_sin(k, sc[redo])
-            p, v = _embed(k, g, sc, cs, ss, psi)
+        yield idx, j, sc, psi
+        if idx.size == 0:
+            return
+
+
+def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
+                 nmax, tmin, tol_v, graze):
+    """``trace_columns`` gathered into the (N, nmax) arrays (labels, svals,
+    psis): row r holds the bounces ``trace_orbit`` records for state r, as
+    0-based labels, then -1 and nan floats past the bounce where the
+    scalar loop stops the ray.
+    """
+    nray = side0.shape[0]
+    labels = np.full((nray, nmax), -1, dtype=np.int64)
+    svals = np.full((nray, nmax), np.nan)
+    psis = np.full((nray, nmax), np.nan)
+    for i, (idx, j, sc, psi) in enumerate(trace_columns(
+            k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0, nmax, tmin,
+            tol_v, graze)):
+        labels[idx, i] = j
+        svals[idx, i] = sc
+        psis[idx, i] = psi
     return labels, svals, psis

@@ -198,6 +198,27 @@ def trace_many(poly, side, s, psi, n):
     transcendental functions against ``math``'s, and numpy arrays'
     ``x ** 2``, computed as ``x * x``, against Python's.
     """
+    labels, svals, psis = _batch.trace_states(*_batch_args(poly, side, s,
+                                                           psi, n))
+    return labels + 1, svals, psis
+
+
+def trace_columns(poly, side, s, psi, n):
+    """``trace_many`` one bounce at a time, for a caller that may stop early.
+
+    The states are checked as ``trace_many`` checks them, before the first
+    bounce.  Returns a generator: bounce i yields (idx, labels, s, psi),
+    the rows still live after it (in input order) and their column i of
+    ``trace_many``'s arrays.  It ends after n bounces, or after the first
+    bounce that leaves no row live.
+    """
+    return ((idx, j + 1, sc, ps) for idx, j, sc, ps in
+            _batch.trace_columns(*_batch_args(poly, side, s, psi, n)))
+
+
+def _batch_args(poly, side, s, psi, n):
+    """The ``_batch`` engine's arguments for ``trace_many``'s input, which
+    must be valid."""
     check_count(n)
     side, s, psi = np.asarray(side), np.asarray(s), np.asarray(psi)
     if not np.issubdtype(side.dtype, np.integer):
@@ -221,9 +242,8 @@ def trace_many(poly, side, s, psi, n):
         r = int(np.argmin(good))
         _validate_state(poly, BoundaryState(int(side[r]), float(s[r]),
                                             float(psi[r])))
-    labels, svals, psis = _batch.trace_states(
-        poly.k, *pack, side - 1, s, psi, n, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL)
-    return labels + 1, svals, psis
+    return (poly.k, *pack, side - 1, s, psi, n, FLIGHT_MIN, VERTEX_TOL,
+            GRAZE_TOL)
 
 
 def trace_ray(poly, point, direction, n, max_length=math.inf):

@@ -19,6 +19,7 @@ computation; this module implements the witness logic that is:
 ``expansive`` is never returned for curvature 0 or +1.
 """
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,7 +66,9 @@ class SearchBudget:
     # periodic-orbit sweep: per side, 21 canonical states and a jittered
     # grid of at most max(1, samples // n_sides) states
     samples: int = 10000
-    periodic_bounces: int = 50   # return-map depth per seed
+    # return-map depth per seed: the sweep runs at most this many bounces,
+    # and classify stops it after the first that gives a verified orbit
+    periodic_bounces: int = 50
     diagonal_depth: int = 20     # max bounces in the diagonal search
     diagonal_length: float = 4.0 * math.pi
     diagonal_angles: int = 10000
@@ -238,8 +241,9 @@ def _sphere_pair_witness(poly, budget):
     itineraries.
     """
     rng = np.random.default_rng(budget.seed + 1)
+    # below n_sides probes, one on each of the first pair_probes sides
     per_side = max(1, budget.pair_probes // poly.n_sides)
-    for label in range(1, poly.n_sides + 1):
+    for label in range(1, min(poly.n_sides, budget.pair_probes) + 1):
         L = poly.side(label).length
         for _ in range(per_side):
             s = float(rng.uniform(0.2, 0.8)) * L
@@ -257,11 +261,19 @@ def _sphere_pair_witness(poly, budget):
 
 def _first_verified_orbit(poly, budget):
     """The first ``find_periodic`` report that ``verify_periodic`` confirms
-    below RETURN_VERIFY_TOL, or None."""
-    for rep in U.find_periodic(poly, budget.periodic_bounces, budget.samples,
-                               budget.seed):
-        if U.verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL:
-            return rep
+    below RETURN_VERIFY_TOL, or None.
+
+    The sweep yields the reports of one period at a time, in
+    ``find_periodic``'s order, so the first confirmed one is the same; it
+    is closed there, since every later bounce gives longer periods only.
+    """
+    with contextlib.closing(U._periodic_sweep(
+            poly, budget.periodic_bounces, budget.samples,
+            budget.seed)) as sweep:
+        for reports in sweep:
+            for rep in reports:
+                if U.verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL:
+                    return rep
     return None
 
 
@@ -270,10 +282,18 @@ def classify(poly, budget=None):
 
     Hyperbolic tables are expansive outright.  Flat and spherical tables
     are probed within the budget; failure to find a witness yields an
-    honest ``unknown``.  The budget is checked before any search, on
-    hyperbolic tables too, which use none of it: its counts must be
-    integers (diagonal_depth, pair_probes and seed >= 0, the others >= 1)
-    and diagonal_length a finite number > 0.
+    honest ``unknown``.
+
+    The periodic-orbit witness is the first report of ``find_periodic``
+    that ``verify_periodic`` confirms.  Those reports come sorted by
+    period, and a bounce n of the sweep adds reports of period n only, so
+    the sweep stops after the first bounce that gives a confirmed report:
+    the witness is the one the full search would give.
+
+    The budget is checked before any search, on hyperbolic tables too,
+    which use none of it: its counts must be integers (diagonal_depth,
+    pair_probes and seed >= 0, the others >= 1) and diagonal_length a
+    finite number > 0.
     """
     if budget is None:
         budget = SearchBudget()

@@ -73,6 +73,16 @@ def _check_eps(eps):
             f"chart radius eps must be finite and positive, got {eps}")
 
 
+def _check_polar(s):
+    if not all(math.isfinite(v) for v in (s.r, s.gamma, s.beta)):
+        raise GeometryError(f"polar state must be finite, got {s}")
+
+
+def _check_chart(c):
+    if not all(math.isfinite(v) for v in (c.x, c.y, c.z)):
+        raise GeometryError(f"chart state must be finite, got {c}")
+
+
 def chart_forward(s, theta):
     """Wedge-to-disc chart; the circle r = 0 collapses gamma.  The plain
     chart ignores curvature: it is :func:`chart_embed` at k = 0."""
@@ -118,12 +128,14 @@ def chart_extract(c, theta, k):
 
 
 def polar_velocity_field(s, k):
-    """Geodesic velocity in (r, gamma, beta); singular on r = 0.
+    """Geodesic velocity in (r, gamma, beta); singular on r = 0.  A
+    non-finite state raises GeometryError.
 
     The radial rate is cos(beta) for every curvature; the angular rates
     carry 1/sink(k, r) and are what the compactification removes.
     """
     check_curvature(k)
+    _check_polar(s)
     if s.r <= 0.0:
         raise SingularFieldError("polar field is singular at r = 0; "
                                  "use the extended chart field instead")
@@ -133,9 +145,11 @@ def polar_velocity_field(s, k):
 
 
 def chart_velocity_field(c, theta, k):
-    """Extended (time-rescaled) field in disc coordinates; smooth at r = 0."""
+    """Extended (time-rescaled) field in disc coordinates; smooth at r = 0.
+    A non-finite state raises GeometryError."""
     _check_theta(theta)
     check_curvature(k)
+    _check_chart(c)
     if k == 1 and c.x ** 2 + c.y ** 2 >= 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 < 1 on the sphere")
     return np.array(K.chart_field(k, math.pi / theta, float(c.x), float(c.y),
@@ -201,8 +215,7 @@ def closed_form_flow(s0, t, k, eps=None):
         _check_eps(eps)
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t}")
-    if not all(math.isfinite(v) for v in (s0.r, s0.gamma, s0.beta)):
-        raise GeometryError(f"polar state must be finite, got {s0}")
+    _check_polar(s0)
     r0 = s0.r
     if r0 <= 0.0:
         raise SingularFieldError("closed-form flow requires r > 0")
@@ -408,8 +421,7 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     check_curvature(k)
     _check_integration(T, rtol, atol)
     _check_max_records(max_records)
-    if not all(math.isfinite(v) for v in (c0.x, c0.y, c0.z)):
-        raise GeometryError(f"chart state must be finite, got {c0}")
+    _check_chart(c0)
     if k == 1 and c0.x ** 2 + c0.y ** 2 > 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 <= 1 "
                             "on the sphere")

@@ -14,7 +14,6 @@ preserving the flight direction, a spherical one is a rotation, a
 hyperbolic one a translation along its axis.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from . import _kernels as K
 from . import collision as C
 from . import geometry as G
 
-SWEEP_BLOCK = 2048            # samples per trace_many call in find_periodic
+SWEEP_BLOCK = 2048            # samples per trace_columns block in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
@@ -321,35 +320,68 @@ def find_periodic(poly, max_bounces, samples, seed):
     psi) arrays: per side, the 21 canonical states and a jittered grid of
     at most max(1, samples // n_sides) states, so samples bounds the
     jittered part, not the total (200 samples sweep 276 states on the
-    square and 300 on the pentagon).  The sweep traces them, SWEEP_BLOCK at
-    a time, with the batched numpy engine (``collision.trace_many``), and
-    scans the traced arrays for candidates in numpy as well: a return to
-    the starting side that lands within 1e-4 in (s, psi).  One report is
-    kept per bounce sequence up to rotation and reversal, so a continuous
-    family is represented by one member: a set holds every rotation and
-    reversal of each reported sequence, and a candidate whose sweep
-    sequence is in it ends its sample after that one lookup, with no
-    polish.  Any other is polished by a derivative-free Newton on the
-    return displacement and kept below a 1e-8 residual if its polished
-    sequence is new.  Each sample contributes at most one report, from its
-    first candidate that is not rejected.
+    square and 300 on the pentagon).  The sweep traces them in blocks of
+    SWEEP_BLOCK with the batched numpy engine (``collision.trace_columns``),
+    all blocks one bounce at a time, and scans each bounce for candidates
+    in numpy as well: a return to the starting side that lands within 1e-4
+    in (s, psi).  One report is kept per bounce sequence up to rotation and
+    reversal, so a continuous family is represented by one member: a set
+    holds every rotation and reversal of each reported sequence, and a
+    candidate whose sweep sequence is in it ends its sample after that one
+    lookup, with no polish.  Any other is polished by a derivative-free
+    Newton on the return displacement and kept below a 1e-8 residual if
+    its polished sequence is new.  Each sample contributes at most one
+    report, from its first candidate that is not rejected.
 
+    The sweep runs all max_bounces bounces here.  Bounce n gives reports of
+    period n only, and the reports come sorted by period, so
+    ``expansivity.classify``, which keeps the first report that
+    ``verify_periodic`` confirms, stops the sweep after the first bounce
+    that gives one and keeps the same report (see ``_periodic_sweep``).
     Newton polish and everything after it use the scalar ``trace``.
     max_bounces and samples must be integers >= 1, seed an integer >= 0.
     """
     C.check_count(max_bounces, "max_bounces", 1)
     C.check_count(samples, "samples", 1)
     C.check_count(seed, "seed", 0)
+    return [r for reports in _periodic_sweep(poly, max_bounces, samples, seed)
+            for r in reports]
+
+
+def _periodic_sweep(poly, max_bounces, samples, seed):
+    """``find_periodic``'s search as a generator: item n - 1 lists the
+    reports of period n, by (length, labels), after bounce n of every
+    sample.
+
+    A report of period n comes from a candidate at bounce n, and the set
+    of reported sequences can only match sequences of length n at bounce
+    n, so a sample's candidates see the same set, bounce by bounce over all
+    samples, as they would sample by sample.  The generator may be closed
+    after any item: later items hold longer periods only.
+    """
     side, s, psi = _sweep_states(poly, samples, seed)
-    reports, seen = [], set()
+    blocks = []
     for lo in range(0, len(side), SWEEP_BLOCK):
         start = tuple(a[lo:lo + SWEEP_BLOCK] for a in (side, s, psi))
-        labels, svals, psis = C.trace_many(poly, *start, max_bounces)
-        hit = _near_returns(*start, labels, svals, psis)
-        rows = np.flatnonzero(hit.any(axis=1)).tolist()
-        for r, b in zip(rows, zip(*(a[rows].tolist() for a in start))):
-            _polish_row(poly, b, labels[r], hit[r], reports, seen)
-    return sorted(reports, key=lambda r: (r.period, r.length, r.labels))
+        # per block: its sweep labels so far, and the samples still open
+        blocks.append((start, C.trace_columns(poly, *start, max_bounces),
+                       np.zeros((len(start[0]), max_bounces), np.int64),
+                       np.ones(len(start[0]), dtype=bool)))
+    seen = set()
+    for n in range(1, max_bounces + 1):
+        reports = []
+        for start, columns, labels, open_rows in blocks:
+            column = next(columns, None)
+            if column is None:
+                continue
+            labels[column[0], n - 1] = column[1]
+            for r in _near_returns(start, open_rows, *column):
+                b = tuple(a[r].item() for a in start)
+                rep, open_rows[r] = _polish(poly, b, n, labels[r, :n], seen)
+                if rep is not None:
+                    reports.append(rep)
+                    seen |= _rotations(rep.labels)
+        yield sorted(reports, key=lambda r: (r.length, r.labels))
 
 
 def _sweep_states(poly, samples, seed):
@@ -379,41 +411,46 @@ def _sweep_states(poly, samples, seed):
     return side, np.concatenate(s_parts), np.concatenate(psi_parts)
 
 
-def _near_returns(side0, s0, psi0, labels, svals, psis):
-    """(N, n) mask of the sweep's candidate returns.
+def _near_returns(start, open_rows, idx, labels, svals, psis):
+    """The sweep's candidates in one bounce, as a list: the open rows idx[i]
+    of the block whose start is ``start`` = (side, s, psi) and whose bounce
+    (labels, svals, psis)[i] lands back on the starting side within
+    RETURN_CANDIDATE_TOL in both s and psi.  The s test comes first: it
+    rejects almost every bounce."""
+    side0, s0, psi0 = start
+    i = (np.abs(svals - s0[idx]) < RETURN_CANDIDATE_TOL).nonzero()[0]
+    if not i.size:
+        return []
+    r = idx[i]
+    return r[(labels[i] == side0[r]) & open_rows[r]
+             & (np.abs(psis[i] - psi0[r]) < RETURN_CANDIDATE_TOL)].tolist()
 
-    Bounce i of row r is a candidate when it lands back on the starting
-    side within RETURN_CANDIDATE_TOL in both s and psi.
+
+def _polish(poly, b, n, labels, seen):
+    """Polish the near-return at bounce n of the sample b = (side, s, psi),
+    whose sweep labels up to it are ``labels``; ``seen`` holds every
+    rotation and reversal of the sequences reported so far.
+
+    Returns (report or None, whether the sample stays open): a sweep or
+    polished sequence already in ``seen`` closes the sample with no report,
+    a failed polish leaves it open for its next candidate.
     """
-    disp = np.maximum(np.abs(svals - s0[:, None]), np.abs(psis - psi0[:, None]))
-    return (labels == side0[:, None]) & (disp < RETURN_CANDIDATE_TOL)
-
-
-def _polish_row(poly, b, labels, hits, reports, seen):
-    """Polish the near-returns of one sample until one settles its sequence.
-
-    The sample starts at b = (side, s, psi); ``labels`` and ``hits`` are its
-    rows of sweep labels and near-return flags (see find_periodic).
-    """
-    for n in itertools.compress(itertools.count(1), hits.tolist()):
-        if tuple(labels[:n].tolist()) in seen:
-            return
-        refined = _refine_candidate(poly, b[0], n, b[1:])
-        if refined is None:
-            continue
-        start, residual, rtr = refined
-        if rtr.labels in seen:
-            return
-        res = unfold(start, poly, n)
-        hol = holonomy(res.chain)
-        if poly.k == 0 and not _flat_direction_check(res, poly):
-            continue
-        # np.sum's pairwise summation, not sum()'s: the length's bits reach
-        # the CLI JSON
-        reports.append(PeriodicOrbitReport(
-            start, rtr.labels, float(np.sum(rtr.flights)), residual, hol))
-        seen |= _rotations(rtr.labels)
-        return
+    if tuple(labels.tolist()) in seen:
+        return None, False
+    refined = _refine_candidate(poly, b[0], n, b[1:])
+    if refined is None:
+        return None, True
+    start, residual, rtr = refined
+    if rtr.labels in seen:
+        return None, False
+    res = unfold(start, poly, n)
+    hol = holonomy(res.chain)
+    if poly.k == 0 and not _flat_direction_check(res, poly):
+        return None, True
+    # np.sum's pairwise summation, not sum()'s: the length's bits reach the
+    # CLI JSON
+    return PeriodicOrbitReport(start, rtr.labels, float(np.sum(rtr.flights)),
+                               residual, hol), False
 
 
 def _flat_direction_check(res, poly):

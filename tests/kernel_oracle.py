@@ -41,10 +41,12 @@ the same (side, s, psi) bits in the same order (``test_unfolding.py``).
 
 ``find_periodic`` (with ``canonical_sequence`` and ``polish_row``) is
 the periodic-orbit search with its candidate scan as it was before the
-scan learned one set lookup per candidate: every sweep row with a
-near-return is sliced out of the arrays, and each candidate's bounce
-sequence is compared with the reports through its least rotation or
-reversal.  ``unfolding.find_periodic`` must give equal reports
+scan learned one set lookup per candidate, and before the sweep advanced
+all its samples one bounce at a time: each block is traced whole, every
+sweep row with a near-return is sliced out of the arrays and polished
+row by row, and each candidate's bounce sequence is compared with the
+reports through its least rotation or reversal.
+``unfolding.find_periodic`` must give equal reports
 (``test_unfolding.py``).
 
 ``geodesics_intersect`` (with ``arc_param``) is the polygon builder's
@@ -651,7 +653,9 @@ def find_periodic(poly, max_bounces, samples, seed):
         block = slice(lo, lo + U.SWEEP_BLOCK)
         start = side[block], s[block], psi[block]
         labels, svals, psis = C.trace_many(poly, *start, max_bounces)
-        hit = U._near_returns(*start, labels, svals, psis)
+        disp = np.maximum(np.abs(svals - start[1][:, None]),
+                          np.abs(psis - start[2][:, None]))
+        hit = (labels == start[0][:, None]) & (disp < U.RETURN_CANDIDATE_TOL)
         for r in np.flatnonzero(hit.any(axis=1)).tolist():
             b = C.BoundaryState(int(side[lo + r]), float(s[lo + r]),
                                 float(psi[lo + r]))

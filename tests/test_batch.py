@@ -42,6 +42,17 @@ def scalar_trace_many(poly, side, s, psi, n):
     return labels, svals, psis
 
 
+def columns(traced, n):
+    """``trace_columns`` read off the first n columns of ``trace_many``'s
+    arrays (labels, svals, psis)."""
+    labels, svals, psis = traced
+    for i in range(n):
+        idx = np.flatnonzero(labels[:, i])
+        yield idx, labels[idx, i], svals[idx, i], psis[idx, i]
+        if idx.size == 0:
+            return
+
+
 def as_arrays(states):
     """(side, s, psi) arrays of a list of boundary states."""
     return (np.array([b.side for b in states], dtype=np.int64),
@@ -190,8 +201,15 @@ def test_find_periodic_matches_scalar_sweep(monkeypatch, make):
     poly = make()
     got = find_periodic(poly, 20, 200, seed=0)
     assert got
-    monkeypatch.setattr(C, "trace_many", scalar_trace_many)
+    blocks = []
+
+    def scalar_columns(poly, side, s, psi, n):
+        blocks.append(len(side))
+        return columns(scalar_trace_many(poly, side, s, psi, n), n)
+
+    monkeypatch.setattr(C, "trace_columns", scalar_columns)
     assert find_periodic(poly, 20, 200, seed=0) == got
+    assert blocks == [len(U._sweep_states(poly, 200, 0)[0])]
 
 
 # ---------------------------------------------------------------------------

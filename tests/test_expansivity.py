@@ -135,6 +135,7 @@ class TestClassify:
             raise AssertionError("a search ran")
 
         monkeypatch.setattr(U, "find_periodic", no_search)
+        monkeypatch.setattr(U, "_periodic_sweep", no_search)
         monkeypatch.setattr(C, "generalized_diagonals", no_search)
         monkeypatch.setattr(E, "probe_pair", no_search)
         budget = dataclasses.replace(SMALL, **{field: value})
@@ -178,12 +179,85 @@ class TestClassify:
         for poly in (sq, tri1):
             assert classify(poly, SMALL).verdict != "expansive"
 
+    @pytest.mark.parametrize("pair_probes,sides", [
+        (0, []), (1, [1]), (2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 3]),
+        (7, [1, 1, 2, 2, 3, 3]), (48, [1] * 16 + [2] * 16 + [3] * 16)])
+    def test_pair_probes_within_budget(self, monkeypatch, tri1, pair_probes,
+                                       sides):
+        # below n_sides, one probe on each of the first pair_probes sides;
+        # from there on pair_probes // n_sides on each side
+        probed = []
+
+        def diverging(a, b, poly, horizon):
+            probed.append(a.side)
+            return E.PairProbe(a, b, horizon, "itineraries_diverge", 1,
+                               False, (0, 1))
+
+        monkeypatch.setattr(E, "probe_pair", diverging)
+        budget = dataclasses.replace(SMALL, pair_probes=pair_probes)
+        assert E._sphere_pair_witness(tri1, budget) is None
+        assert probed == sides
+
+    def test_no_pair_witness_without_pair_probes(self):
+        # pair_probes=0 used to probe one pair per side, and found a pair
+        tri = sphere_triangle(math.pi / 4)
+        v = classify(tri, dataclasses.replace(SMALL, pair_probes=0))
+        assert "same_itinerary_pair" not in {w.kind for w in v.witnesses}
+
     def test_report_text(self, tri1):
         v = classify(tri1, SMALL)
         text = format_verdict(v, "sphere-triangle(theta=1.0)")
         assert "verdict: not_expansive" in text
         assert "sphere-same-itinerary" in text
         assert "1 pi" in text
+
+
+def first_verified(poly, max_bounces, samples, seed):
+    """The first report of the full ``find_periodic`` that
+    ``verify_periodic`` confirms, or None."""
+    return next((r for r in find_periodic(poly, max_bounces, samples, seed)
+                 if verify_periodic(r, poly) < U.RETURN_VERIFY_TOL), None)
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("theta", [None, math.pi / 4, 1.0],
+                             ids=["square", "triangle-pi4", "triangle-1"])
+    def test_witness_is_first_verified_report(self, sq, theta):
+        poly = sq if theta is None else sphere_triangle(theta)
+        for seed in range(16):
+            budget = SearchBudget(samples=200, periodic_bounces=20,
+                                  seed=seed)
+            assert (E._first_verified_orbit(poly, budget)
+                    == first_verified(poly, 20, 200, seed)), seed
+
+    def test_witness_is_first_verified_report_over_blocks(self, sq):
+        # 5,044 states: three sweep blocks advance together
+        budget = SearchBudget(samples=5000, periodic_bounces=30, seed=0)
+        rep = E._first_verified_orbit(sq, budget)
+        assert rep is not None
+        assert rep == first_verified(sq, 30, 5000, 0)
+
+    @pytest.mark.parametrize("theta,period", [(None, 2), (math.pi / 4, 5)],
+                             ids=["square", "triangle-pi4"])
+    def test_sweep_stops_at_witness_period(self, monkeypatch, sq, theta,
+                                           period):
+        # at the CLI's sweep size (five blocks, 50 bounces) every block's
+        # engine runs exactly `period` bounces and is closed there
+        poly = sq if theta is None else sphere_triangle(theta)
+        bounces = []
+        trace_columns = C.trace_columns
+
+        def counted(*args):
+            bounces.append(0)
+            i = len(bounces) - 1
+            for column in trace_columns(*args):
+                bounces[i] += 1
+                yield column
+
+        monkeypatch.setattr(C, "trace_columns", counted)
+        rep = E._first_verified_orbit(poly, SearchBudget())
+        assert rep.period == period
+        assert bounces == [period] * 5
 
 
 class TestNeighborhoodCheck:

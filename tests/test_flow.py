@@ -526,6 +526,21 @@ def test_non_finite_initial_state_rejected(bad):
                     closed_form_flow(state, t, k)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_field_state_rejected(bad, slot):
+    # the fields used to return nan, and the chart field raised a bare
+    # ValueError for an infinite z
+    polar = [0.5, 0.1, 1.0]
+    chart = [0.1, 0.2, 1.0]
+    polar[slot] = chart[slot] = bad
+    for k in KS:
+        with pytest.raises(GeometryError, match="polar state must be finite"):
+            polar_velocity_field(ChartState(*polar), k)
+        with pytest.raises(GeometryError, match="chart state must be finite"):
+            chart_velocity_field(CartesianChartState(*chart), 1.0, k)
+
+
 def test_sphere_chart_state_outside_disc_rejected():
     with pytest.raises(GeometryError, match="domain"):
         integrate_chart_flow(CartesianChartState(0.8, 0.7, 0.3), 1.0, 1.0, 1)

@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as O
+from test_batch import columns
 from ccbilliards import (BoundaryState, GeometryError, build_polygon,
                          find_periodic, holonomy, hyperbolic_pentagon,
                          sphere_triangle, spherical_periodicity_condition,
                          square, unfold, unfolded_crossings, verify_periodic)
+from ccbilliards import _batch as B
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import geometry as G
@@ -355,19 +357,19 @@ class TestFindPeriodicOracle:
         ids=["square", "triangle-pi4"])
     def test_sweep_blocks_do_not_change_the_polish(self, monkeypatch, make):
         # 7 states per block puts block edges all through the 200-sample
-        # sweep; every row must still reach _polish_row with the same
-        # state and the same candidate bounces
+        # sweep; every candidate must still reach _polish with the same
+        # state, bounce and sweep labels, in the same order
         poly = make()
-        polish = U._polish_row
+        polish = U._polish
 
         def run():
             calls = []
 
-            def recorded(poly, b, labels, hits, reports, seen):
-                calls.append((b, np.flatnonzero(hits).tolist()))
-                return polish(poly, b, labels, hits, reports, seen)
+            def recorded(poly, b, n, labels, seen):
+                calls.append((b, n, labels.tolist()))
+                return polish(poly, b, n, labels, seen)
 
-            monkeypatch.setattr(U, "_polish_row", recorded)
+            monkeypatch.setattr(U, "_polish", recorded)
             return find_periodic(poly, 20, 200, 0), calls
 
         want = run()
@@ -410,6 +412,28 @@ SCAN_SAMPLES = (1, 3, 200)
 SCAN_BOUNCES = (1, 20, 50)
 
 
+def test_trace_columns_are_trace_many_columns():
+    # the sweep reads trace_columns, test_equals_row_scan_oracle its copy
+    # from trace_many: column by column they must be equal, bits and the
+    # stop after the first bounce with no live row included (the appended
+    # state runs into the square's corner (1, 1) at its first bounce)
+    sq = square()
+    side, s, psi = U._sweep_states(sq, 200, 0)
+    side = np.append(side, 1)
+    s = np.append(s, 0.5)
+    psi = np.append(psi, math.atan2(1.0, 0.5))
+    for rows, bounces in ((slice(None), 30), ([-1], 1)):
+        state = side[rows], s[rows], psi[rows]
+        got = list(C.trace_columns(sq, *state, 30))
+        want = list(columns(C.trace_many(sq, *state, 30), 30))
+        assert len(got) == len(want) == bounces
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a.view(np.int64),
+                                              b.view(np.int64))
+
+
 def traced_sweeps(poly):
     """``trace_many`` on the sweep blocks of every seed and sample count
     of the scan grid, traced at once for the most bounces and keyed by
@@ -439,7 +463,9 @@ def traced_sweeps(poly):
 def test_equals_row_scan_oracle(monkeypatch, name):
     # the set lookup per candidate against the row-by-row scan with its
     # least rotations, on the grid's 144 searches per table; both read
-    # the one shared trace, so each search costs only its scan and polish
+    # the one shared trace, the search through trace_columns and the
+    # oracle through trace_many, so each search costs only its scan and
+    # polish
     poly = SCAN_TABLES[name]()
     traced = traced_sweeps(poly)
 
@@ -447,7 +473,13 @@ def test_equals_row_scan_oracle(monkeypatch, name):
         key = side.tobytes(), s.tobytes(), psi.tobytes()
         return tuple(a[:, :n] for a in traced[key])
 
+    def untraced(*args):
+        raise AssertionError("a sweep ran the engine")
+
     monkeypatch.setattr(C, "trace_many", shared)
+    monkeypatch.setattr(C, "trace_columns",
+                        lambda *args: columns(shared(*args), args[-1]))
+    monkeypatch.setattr(B, "trace_columns", untraced)
     for samples in SCAN_SAMPLES:
         for seed in SCAN_SEEDS:
             for max_bounces in SCAN_BOUNCES:
