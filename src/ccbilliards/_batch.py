@@ -10,12 +10,11 @@ for that side only, applies the scalar loop's escape, vertex and grazing
 stops as one mask of the rays that go on, clamps s, and compacts the rays
 down to those.  It gives what the sweep reads (side label, s and psi
 per bounce), not stop reasons, vertex ids or flights: ``trace_columns``
-yields them one bounce at a time, and ``trace_states`` gathers them into
-arrays.
+yields them one bounce at a time.
 
 The grids are same-shape contiguous arrays, so numpy's inner loops run
-over the whole grid, not over one row of nsides: ``trace_states`` tiles
-the side functionals once per call as (N, nsides) arrays, a bounce takes
+over the whole grid, not over one row of nsides: ``trace_columns`` tiles
+the side functionals once per call as (block, nsides) arrays, a bounce takes
 their first n rows (compaction keeps the rays in order, and every row of
 a tile is the same), and repeats the rays' points and directions once.
 The cos/sin of the hit's s serve both the side's tangent at the hit and
@@ -52,10 +51,9 @@ operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
 this one takes 19-33x as long as ``collision.trace`` (square, theta = 1
-triangle and pentagon, 2 vCPUs).  Its callers are
-``collision.trace_many`` and ``collision.trace_columns``; the periodic
-sweep of ``unfolding`` feeds the latter ``SWEEP_BLOCK`` states per block,
-so the tiles hold at most that many rows there.
+triangle and pentagon, 2 vCPUs).  Its one caller is
+``collision.trace_columns``, which the periodic sweep of ``unfolding``
+runs with blocks of ``SWEEP_BLOCK`` states.
 """
 
 import math
@@ -286,9 +284,9 @@ def _outgoing(k, g, p, v, s, ct, st, q):
 
 def _bounce(k, sides, p, v, tmin, tol_v, graze):
     """One bounce of the scalar trace loop for the n live rays (p, v):
-    (ok, j, s, psi, g, cs, ss), ok False where it stops the ray (escape,
-    vertex or grazing), j the side hit, s its unclamped arc parameter, g
-    the side's constants and cs, ss the cos/sin (cosh/sinh) of s."""
+    (ok, j, s, psi, cs, ss), ok False where it stops the ray (escape,
+    vertex or grazing), j the side hit, s its unclamped arc parameter and
+    cs, ss the cos/sin (cosh/sinh) of s."""
     n = p[0].size
     nsides = sides.nsides
     grid = np.repeat(np.concatenate(p + v), nsides).reshape(-1, n, nsides)
@@ -324,63 +322,65 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
         gt = g[:, test]
         ok[test] &= ~((_distance(k, qt, gt[_W0:_W0 + 3]) < tol_v)
                       | (_distance(k, qt, gt[_W1:_W1 + 3]) < tol_v))
-    return ok, j, s, psi, g, cs, ss
+    return ok, j, s, psi, cs, ss
 
 
 def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
-                  nmax, tmin, tol_v, graze):
+                  nmax, tmin, tol_v, graze, block):
     """Vectorised ``trace_orbit`` over the boundary states (side0, s0, psi0),
     one bounce at a time.
 
     side0 holds 0-based labels.  A generator: bounce i yields (idx, j, s,
     psi), the input rows of the rays still live after it, in input order,
     their 0-based sides hit, clamped s and psi.  It stops after nmax
-    bounces, or after the first bounce that leaves no ray live.  The
-    arrays are the engine's own, to be read only.  Each bounce runs under
-    its own ``np.errstate``, so none is open while the caller holds a
-    column.
+    bounces, or after the first bounce that leaves no ray live.  Each
+    bounce runs under its own ``np.errstate``, so none is open while the
+    caller holds a column.
+
+    The rays run in blocks of ``block`` input rows, one grid per block, so
+    the grids hold at most that many rows; a ray's bits do not depend on
+    its block.  Between bounces a block keeps for each live ray only its
+    row, side, s, psi and the cos/sin of s.
     """
     nray = side0.shape[0]
     if nray == 0 or nmax == 0:
         return
-    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, nray, tol_v)
-    g, sc, psi = sides.table[:, side0], s0, psi0
-    with np.errstate(all="ignore"):
-        cs, ss = (None, None) if k == 0 else _cos_sin(k, s0)
-    idx = np.arange(nray)          # rays still live, in input order
+    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, min(nray, block),
+                   tol_v)
+    blocks = []
+    for lo in range(0, nray, block):
+        rows = slice(lo, lo + block)
+        with np.errstate(all="ignore"):
+            cs, ss = (None, None) if k == 0 else _cos_sin(k, s0[rows])
+        blocks.append((np.arange(lo, min(lo + block, nray)), side0[rows],
+                       s0[rows], psi0[rows], cs, ss))
     for _ in range(nmax):
         with np.errstate(all="ignore"):
-            p, v = _embed(k, g, sc, cs, ss, psi)
-            ok, j, s, psi, g, cs, ss = _bounce(k, sides, p, v, tmin, tol_v,
-                                               graze)
-            idx, j, s, psi, g = idx[ok], j[ok], s[ok], psi[ok], g[:, ok]
-            sc = np.minimum(np.maximum(s, 0.0), g[_SL])
-            if k != 0:
-                cs, ss = cs[ok], ss[ok]
-                # a clamp moves s, or turns -0.0 into 0.0
-                redo = np.flatnonzero((s <= 0.0) | (s > g[_SL]))
-                if redo.size:
-                    cs[redo], ss[redo] = _cos_sin(k, sc[redo])
-        yield idx, j, sc, psi
-        if idx.size == 0:
+            blocks = [_advance(k, sides, *b, tmin, tol_v, graze)
+                      for b in blocks]
+        if len(blocks) == 1:
+            yield blocks[0][:4]
+        else:
+            yield tuple(np.concatenate(x)
+                        for x in zip(*(b[:4] for b in blocks)))
+        blocks = [b for b in blocks if b[0].size]
+        if not blocks:
             return
 
 
-def trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
-                 nmax, tmin, tol_v, graze):
-    """``trace_columns`` gathered into the (N, nmax) arrays (labels, svals,
-    psis): row r holds the bounces ``trace_orbit`` records for state r, as
-    0-based labels, then -1 and nan floats past the bounce where the
-    scalar loop stops the ray.
-    """
-    nray = side0.shape[0]
-    labels = np.full((nray, nmax), -1, dtype=np.int64)
-    svals = np.full((nray, nmax), np.nan)
-    psis = np.full((nray, nmax), np.nan)
-    for i, (idx, j, sc, psi) in enumerate(trace_columns(
-            k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0, nmax, tmin,
-            tol_v, graze)):
-        labels[idx, i] = j
-        svals[idx, i] = sc
-        psis[idx, i] = psi
-    return labels, svals, psis
+def _advance(k, sides, idx, j, sc, psi, cs, ss, tmin, tol_v, graze):
+    """One bounce of a block's live rays, given and returned as their input
+    rows idx, sides j, clamped s, psi and the cos/sin (cosh/sinh) cs, ss of
+    s; it returns the rays that go on."""
+    p, v = _embed(k, sides.table[:, j], sc, cs, ss, psi)
+    ok, j, s, psi, cs, ss = _bounce(k, sides, p, v, tmin, tol_v, graze)
+    idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
+    length = sides.table[_SL, j]
+    sc = np.minimum(np.maximum(s, 0.0), length)
+    if k != 0:
+        cs, ss = cs[ok], ss[ok]
+        # a clamp moves s, or turns -0.0 into 0.0
+        redo = np.flatnonzero((s <= 0.0) | (s > length))
+        if redo.size:
+            cs[redo], ss[redo] = _cos_sin(k, sc[redo])
+    return idx, j, sc, psi, cs, ss

@@ -185,40 +185,24 @@ def trace(poly, b, n, max_length=math.inf):
                          max_length)
 
 
-def trace_many(poly, side, s, psi, n):
-    """Trace the boundary states (side[r], s[r], psi[r]) for n bounces at once.
+def trace_columns(poly, side, s, psi, n, block):
+    """Trace the boundary states (side[r], s[r], psi[r]) for n bounces at
+    once, one bounce at a time, for a caller that may stop early.
 
-    Returns (N, n) arrays (labels, svals, psis): row r holds what ``trace``
-    records for state r (1-based labels), then label 0 and nan past its
-    last bounce.  The first row that ``trace`` would reject raises its
-    error.  The batched numpy engine (``_batch``) pays off for many rays
-    only: for one ray of 20-50 bounces it takes 19-33x as long as
-    :func:`trace` (square, theta = 1 triangle and pentagon; 2 vCPUs).
-    Labels agree with ``trace``, and (s, psi) up to rounding: numpy's
-    transcendental functions against ``math``'s, and numpy arrays'
-    ``x ** 2``, computed as ``x * x``, against Python's.
+    Returns a generator: bounce i yields (idx, labels, s, psi), the rows
+    still live after it (in input order) and what ``trace`` records at
+    that bounce for each (1-based labels).  It ends after n bounces, or
+    after the first bounce that leaves no row live.  The states are checked
+    before the first bounce, and the first row that ``trace`` would reject
+    raises its error.  The batched numpy engine (``_batch``) runs the rows
+    in blocks of ``block``, and pays off for many rays only: for one ray
+    of 20-50 bounces it takes 19-33x as long as :func:`trace` (square,
+    theta = 1 triangle and pentagon; 2 vCPUs).  Labels agree with
+    ``trace``, and (s, psi) up to rounding: numpy's transcendental
+    functions against ``math``'s, and numpy arrays' ``x ** 2``, computed as
+    ``x * x``, against Python's.
     """
-    labels, svals, psis = _batch.trace_states(*_batch_args(poly, side, s,
-                                                           psi, n))
-    return labels + 1, svals, psis
-
-
-def trace_columns(poly, side, s, psi, n):
-    """``trace_many`` one bounce at a time, for a caller that may stop early.
-
-    The states are checked as ``trace_many`` checks them, before the first
-    bounce.  Returns a generator: bounce i yields (idx, labels, s, psi),
-    the rows still live after it (in input order) and their column i of
-    ``trace_many``'s arrays.  It ends after n bounces, or after the first
-    bounce that leaves no row live.
-    """
-    return ((idx, j + 1, sc, ps) for idx, j, sc, ps in
-            _batch.trace_columns(*_batch_args(poly, side, s, psi, n)))
-
-
-def _batch_args(poly, side, s, psi, n):
-    """The ``_batch`` engine's arguments for ``trace_many``'s input, which
-    must be valid."""
+    check_count(block, "block", 1)
     check_count(n)
     side, s, psi = np.asarray(side), np.asarray(s), np.asarray(psi)
     if not np.issubdtype(side.dtype, np.integer):
@@ -242,8 +226,9 @@ def _batch_args(poly, side, s, psi, n):
         r = int(np.argmin(good))
         _validate_state(poly, BoundaryState(int(side[r]), float(s[r]),
                                             float(psi[r])))
-    return (poly.k, *pack, side - 1, s, psi, n, FLIGHT_MIN, VERTEX_TOL,
-            GRAZE_TOL)
+    return ((idx, j + 1, sc, ps) for idx, j, sc, ps in _batch.trace_columns(
+        poly.k, *pack, side - 1, s, psi, n, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL,
+        block))
 
 
 def trace_ray(poly, point, direction, n, max_length=math.inf):

@@ -19,7 +19,6 @@ computation; this module implements the witness logic that is:
 ``expansive`` is never returned for curvature 0 or +1.
 """
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -259,24 +258,6 @@ def _sphere_pair_witness(poly, budget):
     return None
 
 
-def _first_verified_orbit(poly, budget):
-    """The first ``find_periodic`` report that ``verify_periodic`` confirms
-    below RETURN_VERIFY_TOL, or None.
-
-    The sweep yields the reports of one period at a time, in
-    ``find_periodic``'s order, so the first confirmed one is the same; it
-    is closed there, since every later bounce gives longer periods only.
-    """
-    with contextlib.closing(U._periodic_sweep(
-            poly, budget.periodic_bounces, budget.samples,
-            budget.seed)) as sweep:
-        for reports in sweep:
-            for rep in reports:
-                if U.verify_periodic(rep, poly) < U.RETURN_VERIFY_TOL:
-                    return rep
-    return None
-
-
 def classify(poly, budget=None):
     """Expansiveness verdict with verified witnesses.
 
@@ -285,10 +266,9 @@ def classify(poly, budget=None):
     honest ``unknown``.
 
     The periodic-orbit witness is the first report of ``find_periodic``
-    that ``verify_periodic`` confirms.  Those reports come sorted by
-    period, and a bounce n of the sweep adds reports of period n only, so
-    the sweep stops after the first bounce that gives a confirmed report:
-    the witness is the one the full search would give.
+    that ``verify_periodic`` confirms.  ``unfolding.first_verified_orbit``
+    finds it and stops the sweep after the bounce that gives it, since
+    later bounces give longer periods only.
 
     The budget is checked before any search, on hyperbolic tables too,
     which use none of it: its counts must be integers (diagonal_depth,
@@ -309,7 +289,8 @@ def classify(poly, budget=None):
             "expansive", (Rule.HYPERBOLIC_EXPANSIVE,), (), budget,
             ("every polygonal table in the hyperbolic plane has an expansive "
              "flow; itineraries separate distinct orbits",))
-    rep = _first_verified_orbit(poly, budget)
+    rep = U.first_verified_orbit(poly, budget.periodic_bounces,
+                                 budget.samples, budget.seed)
     if poly.k == 0:
         if rep is None:
             return ExpansivenessVerdict(

@@ -14,6 +14,7 @@ preserving the flight direction, a spherical one is a rotation, a
 hyperbolic one a translation along its axis.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from . import _kernels as K
 from . import collision as C
 from . import geometry as G
 
-SWEEP_BLOCK = 2048            # samples per trace_columns block in find_periodic
+SWEEP_BLOCK = 2048            # sweep states per engine grid in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
@@ -320,32 +321,52 @@ def find_periodic(poly, max_bounces, samples, seed):
     psi) arrays: per side, the 21 canonical states and a jittered grid of
     at most max(1, samples // n_sides) states, so samples bounds the
     jittered part, not the total (200 samples sweep 276 states on the
-    square and 300 on the pentagon).  The sweep traces them in blocks of
-    SWEEP_BLOCK with the batched numpy engine (``collision.trace_columns``),
-    all blocks one bounce at a time, and scans each bounce for candidates
-    in numpy as well: a return to the starting side that lands within 1e-4
-    in (s, psi).  One report is kept per bounce sequence up to rotation and
-    reversal, so a continuous family is represented by one member: a set
-    holds every rotation and reversal of each reported sequence, and a
-    candidate whose sweep sequence is in it ends its sample after that one
-    lookup, with no polish.  Any other is polished by a derivative-free
-    Newton on the return displacement and kept below a 1e-8 residual if
-    its polished sequence is new.  Each sample contributes at most one
-    report, from its first candidate that is not rejected.
+    square and 300 on the pentagon).  The sweep traces them with the
+    batched numpy engine (``collision.trace_columns``, SWEEP_BLOCK states
+    to a grid), all of them one bounce at a time, and scans each bounce
+    for candidates in numpy as well: a return to the starting side that
+    lands within 1e-4 in (s, psi).  One report is kept per bounce sequence
+    up to rotation and reversal, so a continuous family is represented by
+    one member: a set holds every rotation and reversal of each reported
+    sequence, and a candidate whose sweep sequence is in it ends its sample
+    after that one lookup, with no polish.  Any other is polished by a
+    derivative-free Newton on the return displacement and kept below a
+    1e-8 residual if its polished sequence is new.  Each sample contributes
+    at most one report, from its first candidate that is not rejected.
+    Reports come sorted by (period, length, labels);
+    ``first_verified_orbit`` runs the same sweep and stops it early.
 
-    The sweep runs all max_bounces bounces here.  Bounce n gives reports of
-    period n only, and the reports come sorted by period, so
-    ``expansivity.classify``, which keeps the first report that
-    ``verify_periodic`` confirms, stops the sweep after the first bounce
-    that gives one and keeps the same report (see ``_periodic_sweep``).
     Newton polish and everything after it use the scalar ``trace``.
     max_bounces and samples must be integers >= 1, seed an integer >= 0.
     """
+    _check_search(max_bounces, samples, seed)
+    return [r for reports in _periodic_sweep(poly, max_bounces, samples, seed)
+            for r in reports]
+
+
+def first_verified_orbit(poly, max_bounces, samples, seed):
+    """The first ``find_periodic`` report that ``verify_periodic`` confirms
+    below RETURN_VERIFY_TOL, or None.
+
+    The sweep stops after the first bounce that gives such a report: the
+    reports of later bounces all have longer periods, so they come after
+    it in ``find_periodic``'s order.  The arguments are checked as
+    ``find_periodic`` checks them.
+    """
+    _check_search(max_bounces, samples, seed)
+    with contextlib.closing(_periodic_sweep(poly, max_bounces, samples,
+                                            seed)) as sweep:
+        for reports in sweep:
+            for rep in reports:
+                if verify_periodic(rep, poly) < RETURN_VERIFY_TOL:
+                    return rep
+    return None
+
+
+def _check_search(max_bounces, samples, seed):
     C.check_count(max_bounces, "max_bounces", 1)
     C.check_count(samples, "samples", 1)
     C.check_count(seed, "seed", 0)
-    return [r for reports in _periodic_sweep(poly, max_bounces, samples, seed)
-            for r in reports]
 
 
 def _periodic_sweep(poly, max_bounces, samples, seed):
@@ -358,29 +379,25 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
     n, so a sample's candidates see the same set, bounce by bounce over all
     samples, as they would sample by sample.  The generator may be closed
     after any item: later items hold longer periods only.
+
+    Between bounces the sweep keeps each sample's labels so far, one byte
+    a bounce on tables of up to 255 sides, and whether it is still open.
     """
-    side, s, psi = _sweep_states(poly, samples, seed)
-    blocks = []
-    for lo in range(0, len(side), SWEEP_BLOCK):
-        start = tuple(a[lo:lo + SWEEP_BLOCK] for a in (side, s, psi))
-        # per block: its sweep labels so far, and the samples still open
-        blocks.append((start, C.trace_columns(poly, *start, max_bounces),
-                       np.zeros((len(start[0]), max_bounces), np.int64),
-                       np.ones(len(start[0]), dtype=bool)))
+    start = side, s, psi = _sweep_states(poly, samples, seed)
+    labels = np.zeros((len(side), max_bounces),
+                      np.min_scalar_type(poly.n_sides))
+    open_rows = np.ones(len(side), dtype=bool)
     seen = set()
-    for n in range(1, max_bounces + 1):
+    for n, column in enumerate(C.trace_columns(poly, *start, max_bounces,
+                                               SWEEP_BLOCK), 1):
+        labels[column[0], n - 1] = column[1]
         reports = []
-        for start, columns, labels, open_rows in blocks:
-            column = next(columns, None)
-            if column is None:
-                continue
-            labels[column[0], n - 1] = column[1]
-            for r in _near_returns(start, open_rows, *column):
-                b = tuple(a[r].item() for a in start)
-                rep, open_rows[r] = _polish(poly, b, n, labels[r, :n], seen)
-                if rep is not None:
-                    reports.append(rep)
-                    seen |= _rotations(rep.labels)
+        for r in _near_returns(start, open_rows, *column):
+            b = side[r].item(), s[r].item(), psi[r].item()
+            rep, open_rows[r] = _polish(poly, b, n, labels[r, :n], seen)
+            if rep is not None:
+                reports.append(rep)
+                seen |= _rotations(rep.labels)
         yield sorted(reports, key=lambda r: (r.length, r.labels))
 
 

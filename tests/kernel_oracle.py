@@ -42,12 +42,17 @@ the same (side, s, psi) bits in the same order (``test_unfolding.py``).
 ``find_periodic`` (with ``canonical_sequence`` and ``polish_row``) is
 the periodic-orbit search with its candidate scan as it was before the
 scan learned one set lookup per candidate, and before the sweep advanced
-all its samples one bounce at a time: each block is traced whole, every
+all its samples one bounce at a time: the sweep is traced whole, every
 sweep row with a near-return is sliced out of the arrays and polished
 row by row, and each candidate's bounce sequence is compared with the
 reports through its least rotation or reversal.
 ``unfolding.find_periodic`` must give equal reports
 (``test_unfolding.py``).
+
+``trace_many`` gathers ``collision.trace_columns`` into (N, n) arrays,
+and ``columns`` reads such arrays back one bounce at a time: the tests
+compare the engine by arrays, and feed a sweep from arrays they traced
+once.
 
 ``geodesics_intersect`` (with ``arc_param``) is the polygon builder's
 boundary check on numpy 3-vectors, recomputing both side normals.
@@ -59,8 +64,8 @@ helpers) is the batched engine as it was before its grids were tiled:
 every grid operation broadcasts an (N, 1) ray column against the (nsides,)
 side constants, the hit's point and cos/sin are recomputed from t, every
 hit is tested against both vertices, and the sphere solves all three
-roots t0 + m pi over the whole grid.  ``_batch.trace_states`` must give
-its (labels, svals, psis) bit for bit, and ``_batch._side_hits`` its first
+roots t0 + m pi over the whole grid.  ``_batch.trace_columns``,
+gathered by ``gather``, must give its (labels, svals, psis) bit for bit, and ``_batch._side_hits`` its first
 hits (``test_batch.py``).
 """
 
@@ -645,22 +650,50 @@ def canonical_sequence(labels):
     return best
 
 
+def gather(columns, nray, n, missing):
+    """The columns of a ``trace_columns`` generator over nray rows and at
+    most n bounces as (nray, n) arrays (labels, svals, psis), with label
+    ``missing`` and nan past the bounce where a row stops."""
+    labels = np.full((nray, n), missing, dtype=np.int64)
+    svals = np.full((nray, n), np.nan)
+    psis = np.full((nray, n), np.nan)
+    for i, (idx, j, sc, ps) in enumerate(columns):
+        labels[idx, i] = j
+        svals[idx, i] = sc
+        psis[idx, i] = ps
+    return labels, svals, psis
+
+
+def trace_many(poly, side, s, psi, n):
+    """``collision.trace_columns`` as (N, n) arrays (labels, svals, psis):
+    row r holds what ``trace`` records for state r, then label 0 and nan
+    past its last bounce."""
+    columns = C.trace_columns(poly, side, s, psi, n, U.SWEEP_BLOCK)
+    return gather(columns, len(side), n, 0)
+
+
+def columns(traced, n):
+    """The ``trace_columns`` generator read off the first n columns of
+    ``trace_many``'s arrays (labels, svals, psis)."""
+    labels, svals, psis = traced
+    for i in range(n):
+        idx = np.flatnonzero(labels[:, i])
+        yield idx, labels[idx, i], svals[idx, i], psis[idx, i]
+        if idx.size == 0:
+            return
+
+
 def find_periodic(poly, max_bounces, samples, seed):
     """``unfolding.find_periodic`` with its row-by-row candidate scan."""
-    side, s, psi = U._sweep_states(poly, samples, seed)
+    start = side, s, psi = U._sweep_states(poly, samples, seed)
+    labels, svals, psis = trace_many(poly, *start, max_bounces)
+    disp = np.maximum(np.abs(svals - s[:, None]), np.abs(psis - psi[:, None]))
+    hit = (labels == side[:, None]) & (disp < U.RETURN_CANDIDATE_TOL)
     reports = {}
-    for lo in range(0, len(side), U.SWEEP_BLOCK):
-        block = slice(lo, lo + U.SWEEP_BLOCK)
-        start = side[block], s[block], psi[block]
-        labels, svals, psis = C.trace_many(poly, *start, max_bounces)
-        disp = np.maximum(np.abs(svals - start[1][:, None]),
-                          np.abs(psis - start[2][:, None]))
-        hit = (labels == start[0][:, None]) & (disp < U.RETURN_CANDIDATE_TOL)
-        for r in np.flatnonzero(hit.any(axis=1)).tolist():
-            b = C.BoundaryState(int(side[lo + r]), float(s[lo + r]),
-                                float(psi[lo + r]))
-            polish_row(poly, b, labels[r], np.flatnonzero(hit[r]).tolist(),
-                       reports)
+    for r in np.flatnonzero(hit.any(axis=1)).tolist():
+        b = C.BoundaryState(int(side[r]), float(s[r]), float(psi[r]))
+        polish_row(poly, b, labels[r], np.flatnonzero(hit[r]).tolist(),
+                   reports)
     return sorted(reports.values(), key=lambda r: (r.period, r.length, r.labels))
 
 

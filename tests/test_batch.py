@@ -1,4 +1,4 @@
-"""The batched engine (collision.trace_many) against the scalar trace, and
+"""The batched engine (collision.trace_columns) against the scalar trace, and
 bit for bit against the grid engine it replaced.
 
 ``kernel_oracle.batch_trace_states`` keeps that grid engine.  The engine
@@ -42,17 +42,6 @@ def scalar_trace_many(poly, side, s, psi, n):
     return labels, svals, psis
 
 
-def columns(traced, n):
-    """``trace_columns`` read off the first n columns of ``trace_many``'s
-    arrays (labels, svals, psis)."""
-    labels, svals, psis = traced
-    for i in range(n):
-        idx = np.flatnonzero(labels[:, i])
-        yield idx, labels[idx, i], svals[idx, i], psis[idx, i]
-        if idx.size == 0:
-            return
-
-
 def as_arrays(states):
     """(side, s, psi) arrays of a list of boundary states."""
     return (np.array([b.side for b in states], dtype=np.int64),
@@ -74,7 +63,7 @@ def assert_rows_match(poly, states, n, tol):
     """trace_many on the states against the scalar trace, row by row: the
     same labels (so each row stops at the same bounce) and (s, psi) within
     tol, nan where the row has stopped."""
-    got = C.trace_many(poly, *as_arrays(states), n)
+    got = O.trace_many(poly, *as_arrays(states), n)
     want = scalar_trace_many(poly, *as_arrays(states), n)
     assert got[0].shape == (len(states), n)
     np.testing.assert_array_equal(got[0], want[0])
@@ -115,7 +104,7 @@ def test_grazing_stop(sq):
 def test_no_states(sq, tri1, pentagon):
     for poly in (sq, tri1, pentagon):
         for n in (0, 5):
-            labels, svals, psis = C.trace_many(
+            labels, svals, psis = O.trace_many(
                 poly, np.array([], dtype=np.int64), [], [], n)
             assert labels.shape == svals.shape == psis.shape == (0, n)
 
@@ -140,20 +129,20 @@ def test_invalid_state_rejected_like_trace(sq, bad, error):
     # the first bad row is the one reported
     states = [BoundaryState(1, 0.5, 1.0), bad, BoundaryState(1, -1.0, 1.0)]
     with pytest.raises(error) as got:
-        C.trace_many(sq, *as_arrays(states), 5)
+        O.trace_many(sq, *as_arrays(states), 5)
     assert str(got.value) == str(want.value)
 
 
 def test_negative_count_rejected(sq):
     with pytest.raises(ValueError):
-        C.trace_many(sq, *as_arrays([BoundaryState(1, 0.5, 1.0)]), -1)
+        O.trace_many(sq, *as_arrays([BoundaryState(1, 0.5, 1.0)]), -1)
 
 
 @pytest.mark.parametrize("side", [[1.0, 2.0], [True, False], [1.5, 2.0]])
 def test_non_integer_side_dtype_rejected(sq, side):
     # a float array failed in numpy's cast, a bool one would run as 1 and 0
     with pytest.raises(ValueError, match="side labels must be integers"):
-        C.trace_many(sq, side, [0.5, 0.5], [1.0, 1.0], 5)
+        O.trace_many(sq, side, [0.5, 0.5], [1.0, 1.0], 5)
 
 
 @pytest.mark.parametrize("name", ["s", "psi"])
@@ -166,7 +155,7 @@ def test_non_real_arc_and_angle_dtypes_rejected(sq, name, bad):
     # imaginary part dropped, and a bool one ran as 0.0 and 1.0
     args = {"s": [0.5, 0.5], "psi": [1.0, 1.0], name: bad}
     with pytest.raises(ValueError, match=f"{name} must be integers or floats"):
-        C.trace_many(sq, [1, 2], args["s"], args["psi"], 5)
+        O.trace_many(sq, [1, 2], args["s"], args["psi"], 5)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32,
@@ -175,8 +164,8 @@ def test_real_arc_and_angle_dtypes_accepted(sq, dtype):
     # integer and floating s and psi run as their float64 values
     s = np.array([0, 1], dtype=dtype)
     psi = np.array([1, 2], dtype=dtype)
-    got = C.trace_many(sq, [1, 2], s, psi, 5)
-    want = C.trace_many(sq, [1, 2], s.astype(float), psi.astype(float), 5)
+    got = O.trace_many(sq, [1, 2], s, psi, 5)
+    want = O.trace_many(sq, [1, 2], s.astype(float), psi.astype(float), 5)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -184,15 +173,20 @@ def test_real_arc_and_angle_dtypes_accepted(sq, dtype):
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
 def test_integer_side_dtypes_accepted(sq, dtype):
     side = np.array([1, 2], dtype=dtype)
-    got = C.trace_many(sq, side, [0.5, 0.25], [1.0, 2.0], 5)
-    want = C.trace_many(sq, [1, 2], [0.5, 0.25], [1.0, 2.0], 5)
+    got = O.trace_many(sq, side, [0.5, 0.25], [1.0, 2.0], 5)
+    want = O.trace_many(sq, [1, 2], [0.5, 0.25], [1.0, 2.0], 5)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
 
 def test_unequal_lengths_rejected(sq):
     with pytest.raises(ValueError, match="one length"):
-        C.trace_many(sq, [1, 2], [0.5, 0.5], [1.0], 5)
+        O.trace_many(sq, [1, 2], [0.5, 0.5], [1.0], 5)
+
+
+def test_block_below_one_rejected(sq):
+    with pytest.raises(ValueError, match="block"):
+        C.trace_columns(sq, [1], [0.5], [1.0], 5, 0)
 
 
 @pytest.mark.parametrize("make", [square, lambda: sphere_triangle(math.pi / 4)],
@@ -203,9 +197,9 @@ def test_find_periodic_matches_scalar_sweep(monkeypatch, make):
     assert got
     blocks = []
 
-    def scalar_columns(poly, side, s, psi, n):
+    def scalar_columns(poly, side, s, psi, n, block):
         blocks.append(len(side))
-        return columns(scalar_trace_many(poly, side, s, psi, n), n)
+        return O.columns(scalar_trace_many(poly, side, s, psi, n), n)
 
     monkeypatch.setattr(C, "trace_columns", scalar_columns)
     assert find_periodic(poly, 20, 200, seed=0) == got
@@ -223,13 +217,15 @@ SWEEP_TABLES = {"square": square(),
 
 
 def engine_and_oracle(poly, side, s, psi, n, pack=None, tol_v=C.VERTEX_TOL):
-    """``_batch.trace_states`` and the oracle on 1-based (side, s, psi),
-    with the polygon's pack unless one is given; tol_v is also the pad."""
+    """``_batch.trace_columns``, gathered, and the oracle on 1-based (side,
+    s, psi), with the polygon's pack unless one is given; tol_v is also the
+    pad."""
     if pack is None:
         pack = poly.kernel_pack()[:7]
     args = (poly.k, *pack, np.asarray(side) - 1, np.asarray(s, float),
             np.asarray(psi, float), n, C.FLIGHT_MIN, tol_v, C.GRAZE_TOL)
-    return B.trace_states(*args), O.batch_trace_states(*args)
+    got = O.gather(B.trace_columns(*args, U.SWEEP_BLOCK), len(side), n, -1)
+    return got, O.batch_trace_states(*args)
 
 
 def assert_same_bits(got, want):
@@ -243,6 +239,26 @@ def sweep_batch(poly, samples, seeds):
     independently, so one batch gives each row the bits of its own."""
     parts = [U._sweep_states(poly, samples, seed) for seed in seeds]
     return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_blocks_do_not_change_the_bits(name):
+    # 7 rays to a grid puts block edges all through the sweep; the first
+    # block holds 7 rays aimed at a vertex, so it empties at the first
+    # bounce while the others go on
+    poly = SWEEP_TABLES[name]
+    k = poly.k
+    sa, su, _, sl, _, sv1, verts = poly.kernel_pack()[:7]
+    bp = K.renorm_point(k, K.geodesic_point(k, sa[0], su[0], 0.5 * sl[0]))
+    w = K.renorm_tangent(k, bp, K.geodesic_dir(k, sa[0], su[0], 0.5 * sl[0]))
+    psi = K.signed_angle(k, bp, w, K.log_map(k, bp, verts[sv1[1]]))
+    aimed = [1] * 7, [0.5 * sl[0]] * 7, [psi] * 7
+    states = tuple(np.concatenate(x) for x in
+                   zip(aimed, U._sweep_states(poly, 200, 0)))
+    got = O.gather(C.trace_columns(poly, *states, 20, 7), len(states[0]), 20,
+                   0)
+    assert_same_bits(got, O.trace_many(poly, *states, 20))
+    assert not got[0][:7].any() and got[0][7:, -1].any()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_TABLES))

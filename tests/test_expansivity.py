@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ccbilliards import _batch as B
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import expansivity as E
@@ -227,37 +228,48 @@ class TestEarlyStop:
         for seed in range(16):
             budget = SearchBudget(samples=200, periodic_bounces=20,
                                   seed=seed)
-            assert (E._first_verified_orbit(poly, budget)
+            assert (U.first_verified_orbit(poly, 20, 200, seed)
                     == first_verified(poly, 20, 200, seed)), seed
 
     def test_witness_is_first_verified_report_over_blocks(self, sq):
         # 5,044 states: three sweep blocks advance together
-        budget = SearchBudget(samples=5000, periodic_bounces=30, seed=0)
-        rep = E._first_verified_orbit(sq, budget)
+        rep = U.first_verified_orbit(sq, 30, 5000, 0)
         assert rep is not None
         assert rep == first_verified(sq, 30, 5000, 0)
+
+    def test_classify_keeps_first_verified_report(self, sq):
+        v = classify(sq, SMALL)
+        assert v.witnesses[0].data == first_verified(
+            sq, SMALL.periodic_bounces, SMALL.samples, SMALL.seed)
 
     @pytest.mark.parametrize("theta,period", [(None, 2), (math.pi / 4, 5)],
                              ids=["square", "triangle-pi4"])
     def test_sweep_stops_at_witness_period(self, monkeypatch, sq, theta,
                                            period):
-        # at the CLI's sweep size (five blocks, 50 bounces) every block's
-        # engine runs exactly `period` bounces and is closed there
+        # at the CLI's sweep size (five blocks, 50 bounces) the engine
+        # runs exactly `period` bounces of every block and is closed there
         poly = sq if theta is None else sphere_triangle(theta)
-        bounces = []
-        trace_columns = C.trace_columns
+        budget = SearchBudget()
+        bounces, blocks = [], []
+        trace_columns, advance = C.trace_columns, B._advance
 
         def counted(*args):
             bounces.append(0)
-            i = len(bounces) - 1
             for column in trace_columns(*args):
-                bounces[i] += 1
+                bounces[-1] += 1
                 yield column
 
+        def advanced(*args):
+            blocks.append(1)
+            return advance(*args)
+
         monkeypatch.setattr(C, "trace_columns", counted)
-        rep = E._first_verified_orbit(poly, SearchBudget())
+        monkeypatch.setattr(B, "_advance", advanced)
+        rep = U.first_verified_orbit(poly, budget.periodic_bounces,
+                                     budget.samples, budget.seed)
         assert rep.period == period
-        assert bounces == [period] * 5
+        assert bounces == [period]
+        assert len(blocks) == 5 * period
 
 
 class TestNeighborhoodCheck:

@@ -6,7 +6,7 @@ misses its side's window, which never happens on a convex table.  Here it does:
 on a dart (a quadrilateral with one reflex corner) in each curvature and
 on ``star_polygons`` draws, ``trace``, ``collision_step``, ``trace_ray``
 and ``crossing_labels`` must give the bits of the oracle loops of
-``kernel_oracle.py``, and ``trace_many`` those of ``batch_trace_states``.
+``kernel_oracle.py``, and ``trace_columns`` those of ``batch_trace_states``.
 One fixed ray per curvature provably takes the fallback (the batched
 engine's in every curvature, the sphere loops' too): its first nearest
 crossing lies on the line of a side of the reflex corner, past the
@@ -89,7 +89,7 @@ def _aimed_state(poly, x, y):
 
 
 def _check_all(poly, states, n):
-    """trace, collision_step, crossing_labels and trace_many from the
+    """trace, collision_step, crossing_labels and trace_columns from the
     states against their oracles."""
     for b in states:
         _check_state(poly, b, n, math.inf)

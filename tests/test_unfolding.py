@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as O
-from test_batch import columns
 from ccbilliards import (BoundaryState, GeometryError, build_polygon,
                          find_periodic, holonomy, hyperbolic_pentagon,
                          sphere_triangle, spherical_periodicity_condition,
@@ -260,7 +259,7 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
     reports = {}
     for lo in range(0, len(side), U.SWEEP_BLOCK):
         block = slice(lo, lo + U.SWEEP_BLOCK)
-        labels, svals, psis = C.trace_many(poly, side[block], s[block],
+        labels, svals, psis = O.trace_many(poly, side[block], s[block],
                                            psi[block], max_bounces)
         for r in range(len(labels)):
             b = BoundaryState(int(side[lo + r]), float(s[lo + r]),
@@ -412,48 +411,24 @@ SCAN_SAMPLES = (1, 3, 200)
 SCAN_BOUNCES = (1, 20, 50)
 
 
-def test_trace_columns_are_trace_many_columns():
-    # the sweep reads trace_columns, test_equals_row_scan_oracle its copy
-    # from trace_many: column by column they must be equal, bits and the
-    # stop after the first bounce with no live row included (the appended
-    # state runs into the square's corner (1, 1) at its first bounce)
-    sq = square()
-    side, s, psi = U._sweep_states(sq, 200, 0)
-    side = np.append(side, 1)
-    s = np.append(s, 0.5)
-    psi = np.append(psi, math.atan2(1.0, 0.5))
-    for rows, bounces in ((slice(None), 30), ([-1], 1)):
-        state = side[rows], s[rows], psi[rows]
-        got = list(C.trace_columns(sq, *state, 30))
-        want = list(columns(C.trace_many(sq, *state, 30), 30))
-        assert len(got) == len(want) == bounces
-        for g, w in zip(got, want):
-            for a, b in zip(g, w):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a.view(np.int64),
-                                              b.view(np.int64))
-
-
 def traced_sweeps(poly):
-    """``trace_many`` on the sweep blocks of every seed and sample count
-    of the scan grid, traced at once for the most bounces and keyed by
-    the blocks' bytes.
+    """``trace_many`` on the sweeps of every seed and sample count of the
+    scan grid, traced at once for the most bounces and keyed by the sweep
+    states' bytes.
 
     The engine traces every row alone and bounce by bounce, so a row's
     first n columns of that trace are its n-bounce trace bit for bit.
     """
-    blocks = {}
+    sweeps = {}
     for samples in SCAN_SAMPLES:
         for seed in SCAN_SEEDS:
             states = U._sweep_states(poly, samples, seed)
-            for lo in range(0, len(states[0]), U.SWEEP_BLOCK):
-                block = tuple(a[lo:lo + U.SWEEP_BLOCK] for a in states)
-                blocks[tuple(a.tobytes() for a in block)] = block
-    traced = C.trace_many(poly, *(np.concatenate(a) for a in
-                                  zip(*blocks.values())), max(SCAN_BOUNCES))
+            sweeps[tuple(a.tobytes() for a in states)] = states
+    traced = O.trace_many(poly, *(np.concatenate(a) for a in
+                                  zip(*sweeps.values())), max(SCAN_BOUNCES))
     out, lo = {}, 0
-    for key, block in blocks.items():
-        hi = lo + len(block[0])
+    for key, states in sweeps.items():
+        hi = lo + len(states[0])
         out[key] = tuple(a[lo:hi] for a in traced)
         lo = hi
     return out
@@ -463,22 +438,19 @@ def traced_sweeps(poly):
 def test_equals_row_scan_oracle(monkeypatch, name):
     # the set lookup per candidate against the row-by-row scan with its
     # least rotations, on the grid's 144 searches per table; both read
-    # the one shared trace, the search through trace_columns and the
-    # oracle through trace_many, so each search costs only its scan and
-    # polish
+    # the one shared trace through trace_columns, so each search costs
+    # only its scan and polish
     poly = SCAN_TABLES[name]()
     traced = traced_sweeps(poly)
 
-    def shared(poly, side, s, psi, n):
+    def shared(poly, side, s, psi, n, block):
         key = side.tobytes(), s.tobytes(), psi.tobytes()
-        return tuple(a[:, :n] for a in traced[key])
+        return O.columns(tuple(a[:, :n] for a in traced[key]), n)
 
     def untraced(*args):
         raise AssertionError("a sweep ran the engine")
 
-    monkeypatch.setattr(C, "trace_many", shared)
-    monkeypatch.setattr(C, "trace_columns",
-                        lambda *args: columns(shared(*args), args[-1]))
+    monkeypatch.setattr(C, "trace_columns", shared)
     monkeypatch.setattr(B, "trace_columns", untraced)
     for samples in SCAN_SAMPLES:
         for seed in SCAN_SEEDS:
