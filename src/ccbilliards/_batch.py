@@ -17,9 +17,10 @@ over the whole grid, not over one row of nsides: ``trace_columns`` tiles
 the side functionals once per call as (block, nsides) arrays, a bounce takes
 their first n rows (compaction keeps the rays in order, and every row of
 a tile is the same), and repeats the rays' points and directions once.
-The cos/sin of the hit's s serve both the side's tangent at the hit and
-the next bounce's start point; only rows whose s was clamped recompute
-them, as ``_trace_sphere`` does.
+A ray starts its next bounce from the normalised hit point and the
+reflected unit direction that this bounce computed; only the start
+states, and rows whose s was clamped, are embedded from (s, psi), as the
+scalar loops embed every bounce.
 
 The pick is the scalar loops': the least (t, side) over the crossings past
 tmin that land in the pad window, and a hit is tested against the side's
@@ -43,14 +44,15 @@ give an element the same bits on an (n,) array of gathered operands as
 on the grid (``test_gathered_arc_matches_grid`` in ``tests/test_batch.py``
 checks this; which SIMD loops numpy dispatches to is shown by
 ``numpy.show_runtime()``).  A row agrees with the scalar trace closely
-but not bit for bit: numpy's transcendental functions may differ from
-``math``'s by an ulp, and numpy computes an array's ``x ** 2`` as ``x *
-x``, which rounds differently from the scalar loops' Python ``x ** 2``
-(``_renorm_point`` and ``_distance`` keep ``** 2``, the oracle's
-operations).
+but not bit for bit: it goes on from the carried hit point and direction
+where the scalar loops embed (s, psi) again, numpy's transcendental
+functions may differ from ``math``'s by an ulp, and numpy computes an
+array's ``x ** 2`` as ``x * x``, which rounds differently from the
+scalar loops' Python ``x ** 2`` (``_renorm_point`` and ``_distance``
+keep ``** 2``, the oracle's operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
-this one takes 19-33x as long as ``collision.trace`` (square, theta = 1
+this one takes 18-26x as long as ``collision.trace`` (square, theta = 1
 triangle and pentagon, 2 vCPUs).  Its one caller is
 ``collision.trace_columns``, which the periodic sweep of ``unfolding``
 runs with blocks of ``SWEEP_BLOCK`` states.
@@ -131,7 +133,7 @@ class _Sides:
                           *verts[np.asarray(sv1)].T])
         if k == 0:
             # geodesic_dir on the plane is u, whatever s: the side tangent
-            # at the hit and at the next start, normalised once
+            # at a start state, normalised once
             h = np.hypot(table[_U], table[_U + 1])
             table = np.vstack((table, table[_U] / h, table[_U + 1] / h))
         self.table = table
@@ -220,10 +222,10 @@ def _side_hits(k, table, p, v, tmin, pad):
     return [j] + [x if x is None else x[rows, j] for x in hit]
 
 
-def _embed(k, g, s, cs, ss, psi):
+def _embed(k, g, s, psi):
     """``boundary_embed`` of (s, psi) on the sides whose constants g
-    gathers, with cs, ss the cos/sin (cosh/sinh) of s off the plane.
-    Returns (p, v), on the plane as (x, y) pairs: p[2] = 1 and v[2] = 0."""
+    gathers.  Returns (p, v), on the plane as (x, y) pairs: p[2] = 1 and
+    v[2] = 0."""
     c, sn = np.cos(psi), np.sin(psi)
     if k == 0:
         t0, t1 = g[_T], g[_T + 1]
@@ -233,6 +235,7 @@ def _embed(k, g, s, cs, ss, psi):
         return (g[_A] + s * g[_U], g[_A + 1] + s * g[_U + 1]), (d0 / h,
                                                                 d1 / h)
     a0, a1, a2, u0, u1, u2 = g[_A:_A + 6]
+    cs, ss = _cos_sin(k, s)
     p = _renorm_point(k, (cs * a0 + ss * u0, cs * a1 + ss * u1,
                           cs * a2 + ss * u2))
     ks = -ss if k == 1 else ss
@@ -244,29 +247,26 @@ def _embed(k, g, s, cs, ss, psi):
 
 
 def _outgoing(k, g, p, v, s, ct, st, q):
-    """The hit point and the outgoing angle psi at the hits (t, s) on the
-    sides g, from the ray (p, v) and the hit's ct, st and unnormalised
-    point q.  Also returns the cos/sin (cosh/sinh) of s (None, None on the
-    plane)."""
+    """(q, psi, r) at the hits s on the sides g, from the rays (p, v) and
+    the hits' cos/sin (cosh/sinh) ct, st and unnormalised points q: the
+    normalised hit point, the outgoing angle and the reflected unit
+    direction.  Only the reflection is normalised: psi's atan2 takes the
+    side's tangent at the hit unnormalised."""
     if k == 0:
-        h = np.hypot(v[0], v[1])
-        w0 = v[0] / h
-        w1 = v[1] / h
+        # v is a unit vector: a start direction or the last reflection
         d0, d1 = g[_U], g[_U + 1]
-        c2 = 2.0 * (w0 * d0 + w1 * d1)
-        r0 = c2 * d0 - w0
-        r1 = c2 * d1 - w1
+        c2 = 2.0 * (v[0] * d0 + v[1] * d1)
+        r0 = c2 * d0 - v[0]
+        r1 = c2 * d1 - v[1]
         h = np.hypot(r0, r1)
         r0 = r0 / h
         r1 = r1 / h
-        t0, t1 = g[_T], g[_T + 1]
         # the generic determinant at (x, y, 1) with zero z-components adds
         # a signed zero, which moves psi only on a grazing stop
-        return q, np.arctan2(t0 * r1 - t1 * r0, t0 * r0 + t1 * r1), None, None
+        return q, np.arctan2(d0 * r1 - d1 * r0, d0 * r0 + d1 * r1), (r0, r1)
     q = _renorm_point(k, q)
     ks = -st if k == 1 else st
-    w = _renorm_tangent(k, q, (ks * p[0] + ct * v[0], ks * p[1] + ct * v[1],
-                               ks * p[2] + ct * v[2]))
+    w = (ks * p[0] + ct * v[0], ks * p[1] + ct * v[1], ks * p[2] + ct * v[2])
     n0, n1, n2 = g[_N:_N + 3]
     c2 = 2.0 * mdot(k, w, (n0, n1, n2))
     r = _renorm_tangent(k, q, (w[0] - c2 * n0, w[1] - c2 * n1,
@@ -274,19 +274,18 @@ def _outgoing(k, g, p, v, s, ct, st, q):
     cs, ss = _cos_sin(k, s)
     ks = -ss if k == 1 else ss
     a0, a1, a2, u0, u1, u2 = g[_A:_A + 6]
-    sd = _renorm_tangent(k, q, (ks * a0 + cs * u0, ks * a1 + cs * u1,
-                                ks * a2 + cs * u2))
+    sd = (ks * a0 + cs * u0, ks * a1 + cs * u1, ks * a2 + cs * u2)
     det = (q[0] * (sd[1] * r[2] - sd[2] * r[1])
            - q[1] * (sd[0] * r[2] - sd[2] * r[0])
            + q[2] * (sd[0] * r[1] - sd[1] * r[0]))
-    return q, np.arctan2(det, mdot(k, sd, r)), cs, ss
+    return q, np.arctan2(det, mdot(k, sd, r)), r
 
 
 def _bounce(k, sides, p, v, tmin, tol_v, graze):
     """One bounce of the scalar trace loop for the n live rays (p, v):
-    (ok, j, s, psi, cs, ss), ok False where it stops the ray (escape,
-    vertex or grazing), j the side hit, s its unclamped arc parameter and
-    cs, ss the cos/sin (cosh/sinh) of s."""
+    (ok, j, s, psi, q, r), ok False where it stops the ray (escape, vertex
+    or grazing), j the side hit, s its unclamped arc parameter, q the
+    normalised hit point and r the reflected unit direction."""
     n = p[0].size
     nsides = sides.nsides
     grid = np.repeat(np.concatenate(p + v), nsides).reshape(-1, n, nsides)
@@ -312,7 +311,7 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
         for x, y in zip((t, s, ct, st) + q, hits):
             if x is not None:
                 x[miss] = y
-    q, psi, cs, ss = _outgoing(k, g, p, v, s, ct, st, q)
+    q, psi, r = _outgoing(k, g, p, v, s, ct, st, q)
     ok = (t < INF) & ~((psi < graze) | (psi > math.pi - graze))
     # between the bands near the side ends no vertex is within tol_v
     near = tol_v + VERTEX_WINDOW
@@ -322,7 +321,7 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
         gt = g[:, test]
         ok[test] &= ~((_distance(k, qt, gt[_W0:_W0 + 3]) < tol_v)
                       | (_distance(k, qt, gt[_W1:_W1 + 3]) < tol_v))
-    return ok, j, s, psi, cs, ss
+    return ok, j, s, psi, q, r
 
 
 def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
@@ -340,47 +339,46 @@ def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
     The rays run in blocks of ``block`` input rows, one grid per block, so
     the grids hold at most that many rows; a ray's bits do not depend on
     its block.  Between bounces a block keeps for each live ray only its
-    row, side, s, psi and the cos/sin of s.
+    row, the point it starts from and its unit direction.
     """
     nray = side0.shape[0]
     if nray == 0 or nmax == 0:
         return
     sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, min(nray, block),
                    tol_v)
-    blocks = []
-    for lo in range(0, nray, block):
-        rows = slice(lo, lo + block)
-        with np.errstate(all="ignore"):
-            cs, ss = (None, None) if k == 0 else _cos_sin(k, s0[rows])
-        blocks.append((np.arange(lo, min(lo + block, nray)), side0[rows],
-                       s0[rows], psi0[rows], cs, ss))
+    with np.errstate(all="ignore"):
+        blocks = [(np.arange(lo, min(lo + block, nray)),
+                   *_embed(k, sides.table[:, side0[lo:lo + block]],
+                           s0[lo:lo + block], psi0[lo:lo + block]))
+                  for lo in range(0, nray, block)]
     for _ in range(nmax):
+        # in place, so that no more than one block's old state is live
         with np.errstate(all="ignore"):
-            blocks = [_advance(k, sides, *b, tmin, tol_v, graze)
-                      for b in blocks]
+            for i, b in enumerate(blocks):
+                blocks[i] = _advance(k, sides, *b, tmin, tol_v, graze)
         if len(blocks) == 1:
             yield blocks[0][:4]
         else:
             yield tuple(np.concatenate(x)
                         for x in zip(*(b[:4] for b in blocks)))
-        blocks = [b for b in blocks if b[0].size]
+        blocks = [(b[0], *b[4:]) for b in blocks if b[0].size]
         if not blocks:
             return
 
 
-def _advance(k, sides, idx, j, sc, psi, cs, ss, tmin, tol_v, graze):
-    """One bounce of a block's live rays, given and returned as their input
-    rows idx, sides j, clamped s, psi and the cos/sin (cosh/sinh) cs, ss of
-    s; it returns the rays that go on."""
-    p, v = _embed(k, sides.table[:, j], sc, cs, ss, psi)
-    ok, j, s, psi, cs, ss = _bounce(k, sides, p, v, tmin, tol_v, graze)
+def _advance(k, sides, idx, p, v, tmin, tol_v, graze):
+    """One bounce of a block's live rays: their input rows idx, start
+    points p and unit directions v.  Returns the rays that go on as (idx,
+    j, s, psi, p, v), with their sides hit, clamped s and psi; a ray goes
+    on from its hit, or from the clamped state where s was clamped."""
+    ok, j, s, psi, q, r = _bounce(k, sides, p, v, tmin, tol_v, graze)
     idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
+    p, v = (tuple(x[ok] for x in y) for y in (q, r))
     length = sides.table[_SL, j]
     sc = np.minimum(np.maximum(s, 0.0), length)
-    if k != 0:
-        cs, ss = cs[ok], ss[ok]
-        # a clamp moves s, or turns -0.0 into 0.0
-        redo = np.flatnonzero((s <= 0.0) | (s > length))
-        if redo.size:
-            cs[redo], ss[redo] = _cos_sin(k, sc[redo])
-    return idx, j, sc, psi, cs, ss
+    redo = np.flatnonzero(sc != s)
+    if redo.size:
+        pr, vr = _embed(k, sides.table[:, j[redo]], sc[redo], psi[redo])
+        for x, y in zip(p + v, pr + vr):
+            x[redo] = y
+    return idx, j, sc, psi, p, v

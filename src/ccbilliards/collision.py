@@ -196,11 +196,11 @@ def trace_columns(poly, side, s, psi, n, block):
     before the first bounce, and the first row that ``trace`` would reject
     raises its error.  The batched numpy engine (``_batch``) runs the rows
     in blocks of ``block``, and pays off for many rays only: for one ray
-    of 20-50 bounces it takes 19-33x as long as :func:`trace` (square,
+    of 20-50 bounces it takes 18-26x as long as :func:`trace` (square,
     theta = 1 triangle and pentagon; 2 vCPUs).  Labels agree with
-    ``trace``, and (s, psi) up to rounding: numpy's transcendental
-    functions against ``math``'s, and numpy arrays' ``x ** 2``, computed as
-    ``x * x``, against Python's.
+    ``trace``, and (s, psi) up to rounding: a ray goes on from its hit
+    where ``trace`` embeds (s, psi) again, and numpy's transcendental
+    functions and arrays' ``x ** 2`` (``x * x``) round unlike Python's.
     """
     check_count(block, "block", 1)
     check_count(n)

@@ -392,9 +392,13 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
                                                SWEEP_BLOCK), 1):
         labels[column[0], n - 1] = column[1]
         reports = []
-        for r in _near_returns(start, open_rows, *column):
+        cand = _near_returns(start, open_rows, *column)
+        for r, seq in zip(cand, labels[cand, :n].tolist() if cand else ()):
+            if tuple(seq) in seen:
+                open_rows[r] = False
+                continue
             b = side[r].item(), s[r].item(), psi[r].item()
-            rep, open_rows[r] = _polish(poly, b, n, labels[r, :n], seen)
+            rep, open_rows[r] = _polish(poly, b, n, seen)
             if rep is not None:
                 reports.append(rep)
                 seen |= _rotations(rep.labels)
@@ -443,17 +447,15 @@ def _near_returns(start, open_rows, idx, labels, svals, psis):
              & (np.abs(psis[i] - psi0[r]) < RETURN_CANDIDATE_TOL)].tolist()
 
 
-def _polish(poly, b, n, labels, seen):
-    """Polish the near-return at bounce n of the sample b = (side, s, psi),
-    whose sweep labels up to it are ``labels``; ``seen`` holds every
-    rotation and reversal of the sequences reported so far.
+def _polish(poly, b, n, seen):
+    """Polish the near-return at bounce n of the sample b = (side, s, psi);
+    ``seen`` holds every rotation and reversal of the sequences reported
+    so far.
 
-    Returns (report or None, whether the sample stays open): a sweep or
-    polished sequence already in ``seen`` closes the sample with no report,
-    a failed polish leaves it open for its next candidate.
+    Returns (report or None, whether the sample stays open): a polished
+    sequence already in ``seen`` closes the sample with no report, a failed
+    polish leaves it open for its next candidate.
     """
-    if tuple(labels.tolist()) in seen:
-        return None, False
     refined = _refine_candidate(poly, b[0], n, b[1:])
     if refined is None:
         return None, True

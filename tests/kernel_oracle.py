@@ -60,13 +60,18 @@ boundary check on numpy 3-vectors, recomputing both side normals.
 normals, must give the same verdicts (``test_geometry.py``).
 
 ``batch_trace_states`` (with ``batch_side_hits`` and the ``_batch_*``
-helpers) is the batched engine as it was before its grids were tiled:
-every grid operation broadcasts an (N, 1) ray column against the (nsides,)
-side constants, the hit's point and cos/sin are recomputed from t, every
-hit is tested against both vertices, and the sphere solves all three
-roots t0 + m pi over the whole grid.  ``_batch.trace_columns``,
-gathered by ``gather``, must give its (labels, svals, psis) bit for bit, and ``_batch._side_hits`` its first
-hits (``test_batch.py``).
+helpers) is the batched engine in the form it had before its grids were
+tiled: every grid operation broadcasts an (N, 1) ray column against the
+(nsides,) side constants, the hit's point and cos/sin are recomputed from
+t, every hit is tested against both vertices, and the sphere solves all
+three roots t0 + m pi over the whole grid.  It bounces as the engine
+does: a ray goes on from its normalised hit point and reflected unit
+direction, and is embedded from (s, psi) only at the start and where s
+was clamped; the incoming velocity is reflected unnormalised and only the
+reflection normalised; psi reads the side's tangent unnormalised.
+``_batch.trace_columns``, gathered by ``gather``, must give its (labels,
+svals, psis) bit for bit, and ``_batch._side_hits`` its first hits
+(``test_batch.py``).
 """
 
 import math
@@ -889,7 +894,9 @@ def batch_side_hits(k, sides, p, v, tmin, pad):
 
 def _batch_step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
     """One bounce of the scalar trace loop for every ray: (ok, side, s,
-    psi), ok False where it stops the ray (escape, vertex or grazing)."""
+    psi, q, r), ok False where it stops the ray (escape, vertex or
+    grazing), s unclamped, q the normalised hit point and r the reflected
+    unit direction."""
     sa, su, sn, sl = sides
     tgrid, sgrid = batch_side_hits(k, sides, p, v, tmin, tol_v)
     rows = np.arange(tgrid.shape[0])
@@ -905,7 +912,9 @@ def _batch_step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
     at1 = _batch_distance(k, q, tuple(verts[sv1[j], c]
                                       for c in range(3))) < tol_v
 
-    w = _batch_renorm_tangent(k, q, _batch_geodesic_dir(k, p, v, t))
+    # the incoming velocity is reflected as it comes, and only the
+    # reflection normalised
+    w = _batch_geodesic_dir(k, p, v, t)
     if k == 0:
         d0 = su[0][j]
         d1 = su[1][j]
@@ -917,19 +926,19 @@ def _batch_step(k, sides, sv0, sv1, verts, p, v, tmin, tol_v, graze):
         r = (w[0] - 2.0 * c2 * nj[0], w[1] - 2.0 * c2 * nj[1],
              w[2] - 2.0 * c2 * nj[2])
     r = _batch_renorm_tangent(k, q, r)
+    # the side's tangent at the hit, unnormalised: atan2 takes no scale
     sd = _batch_geodesic_dir(k, _batch_gather(sa, j), _batch_gather(su, j), s)
-    sd = _batch_renorm_tangent(k, q, sd)
     det = (q[0] * (sd[1] * r[2] - sd[2] * r[1])
            - q[1] * (sd[0] * r[2] - sd[2] * r[0])
            + q[2] * (sd[0] * r[1] - sd[1] * r[0]))
     psi = np.arctan2(det, mdot(k, sd, r))
     grazing = (psi < graze) | (psi > math.pi - graze)
     ok = (t < INF) & ~at0 & ~at1 & ~grazing
-    return ok, j, np.minimum(np.maximum(s, 0.0), sl[j]), psi
+    return ok, j, s, psi, q, r
 
 
 def batch_trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
-                 nmax, tmin, tol_v, graze):
+                       nmax, tmin, tol_v, graze):
     """Vectorised ``trace_orbit`` over the boundary states (side0, s0, psi0).
 
     side0 holds 0-based labels.  Returns the (N, nmax) arrays (labels,
@@ -947,17 +956,23 @@ def batch_trace_states(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
     sides += (sl,)
     with np.errstate(all="ignore"):
         p, v = _batch_boundary_embed(k, _batch_gather(sides[0], side0),
-                               _batch_gather(sides[1], side0), s0, psi0)
+                                     _batch_gather(sides[1], side0), s0, psi0)
         idx = np.arange(nray)          # rays still live, in input order
         for i in range(nmax):
-            ok, j, s, psi = _batch_step(k, sides, sv0, sv1, verts, p, v,
-                                  tmin, tol_v, graze)
+            ok, j, s, psi, q, r = _batch_step(k, sides, sv0, sv1, verts, p,
+                                              v, tmin, tol_v, graze)
             idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
+            sc = np.minimum(np.maximum(s, 0.0), sl[j])
             labels[idx, i] = j
-            svals[idx, i] = s
+            svals[idx, i] = sc
             psis[idx, i] = psi
             if idx.size == 0 or i + 1 == nmax:
                 break
-            p, v = _batch_boundary_embed(k, _batch_gather(sides[0], j),
-                                   _batch_gather(sides[1], j), s, psi)
+            # a ray goes on from its hit point and reflected direction, and
+            # from boundary_embed of the clamped state where s was clamped
+            redo = sc != s
+            bp, bv = _batch_boundary_embed(k, _batch_gather(sides[0], j),
+                                           _batch_gather(sides[1], j), sc, psi)
+            p = tuple(np.where(redo, b, a[ok]) for a, b in zip(q, bp))
+            v = tuple(np.where(redo, b, a[ok]) for a, b in zip(r, bv))
     return labels, svals, psis

@@ -1,11 +1,15 @@
 """The batched engine (collision.trace_columns) against the scalar trace, and
-bit for bit against the grid engine it replaced.
+bit for bit against the broadcast engine of the test oracle.
 
-``kernel_oracle.batch_trace_states`` keeps that grid engine.  The engine
-must give its (labels, svals, psis) bytes on the sweep states of all
-three curvatures, on hits aimed inside VERTEX_TOL of a side end, in the
-vertex window and past it, on clamped arc parameters and grazing stops,
-and its first hits where the sphere needs the roots past t0.
+``kernel_oracle.batch_trace_states`` keeps the engine in the form it had
+before its grids were tiled, bouncing as the engine does: a ray goes on
+from its hit point and reflected direction, and from (s, psi) embedded
+again only where s was clamped.  The engine must give its (labels, svals, psis)
+bytes on the sweep states of all three curvatures, on hits aimed inside
+VERTEX_TOL of a side end, in the vertex window and past it, on clamped
+arc parameters and grazing stops, and its first hits where the sphere
+needs the roots past t0.  Against the scalar trace, which embeds every
+bounce, rows agree in labels and in (s, psi) up to rounding.
 """
 
 import math
@@ -25,7 +29,19 @@ from ccbilliards import unfolding as U
 
 # (fixture, bounces, (s, psi) tolerance): pentagon rows separate like the
 # scalar trace's own rounding past ~10 bounces
-TABLES = (("sq", 50, 1e-11), ("tri1", 50, 1e-11), ("pentagon", 10, 1e-8))
+TABLES = (("sq", 50, 1e-11), ("tri1", 50, 1e-11), ("tri_pi4", 50, 1e-11),
+          ("pentagon", 10, 1e-8))
+
+SWEEP_TABLES = {"square": square(),
+                "triangle-pi4": sphere_triangle(math.pi / 4),
+                "triangle-1": sphere_triangle(1.0),
+                "pentagon": hyperbolic_pentagon()}
+
+
+@pytest.fixture(scope="module")
+def tri_pi4():
+    """The spherical triangle with opening angle pi/4 (periodic orbits)."""
+    return SWEEP_TABLES["triangle-pi4"]
 
 
 def scalar_trace_many(poly, side, s, psi, n):
@@ -189,32 +205,39 @@ def test_block_below_one_rejected(sq):
         C.trace_columns(sq, [1], [0.5], [1.0], 5, 0)
 
 
-@pytest.mark.parametrize("make", [square, lambda: sphere_triangle(math.pi / 4)],
-                         ids=["square", "triangle-pi4"])
-def test_find_periodic_matches_scalar_sweep(monkeypatch, make):
-    poly = make()
-    got = find_periodic(poly, 20, 200, seed=0)
-    assert got
-    blocks = []
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_find_periodic_matches_scalar_sweep(monkeypatch, name):
+    # the sweep's reports depend on the engine only through the candidates
+    # it finds, so scalar traces in its place give the same full search
+    # and the same first verified orbit
+    poly = SWEEP_TABLES[name]
+    seeds = (0, 1)
+
+    def search():
+        return [(find_periodic(poly, 20, 200, seed),
+                 U.first_verified_orbit(poly, 20, 200, seed))
+                for seed in seeds]
+
+    got = search()
+    # the theta = 1 triangle has no periodic orbits, and the pentagon's
+    # sweep finds none
+    assert all(rep for _, rep in got) == (name in ("square", "triangle-pi4"))
+    traced = {}
 
     def scalar_columns(poly, side, s, psi, n, block):
-        blocks.append(len(side))
-        return O.columns(scalar_trace_many(poly, side, s, psi, n), n)
+        key = s.tobytes()
+        if key not in traced:
+            traced[key] = scalar_trace_many(poly, side, s, psi, n)
+        return O.columns(traced[key], n)
 
     monkeypatch.setattr(C, "trace_columns", scalar_columns)
-    assert find_periodic(poly, 20, 200, seed=0) == got
-    assert blocks == [len(U._sweep_states(poly, 200, 0)[0])]
+    assert search() == got
+    assert len(traced) == len(seeds)
 
 
 # ---------------------------------------------------------------------------
-# bit for bit against the grid engine it replaced
+# bit for bit against the oracle's broadcast engine
 # ---------------------------------------------------------------------------
-
-SWEEP_TABLES = {"square": square(),
-                "triangle-pi4": sphere_triangle(math.pi / 4),
-                "triangle-1": sphere_triangle(1.0),
-                "pentagon": hyperbolic_pentagon()}
-
 
 def engine_and_oracle(poly, side, s, psi, n, pack=None, tol_v=C.VERTEX_TOL):
     """``_batch.trace_columns``, gathered, and the oracle on 1-based (side,
@@ -415,8 +438,7 @@ def test_gathered_arc_matches_grid(name):
     side, s0, psi0 = U._sweep_states(poly, 200, 0)
     n, ns = side.size, poly.n_sides
     sides = B._Sides(k, *poly.kernel_pack()[:7], n, C.VERTEX_TOL)
-    cs, ss = (None, None) if k == 0 else B._cos_sin(k, s0)
-    p, v = B._embed(k, sides.table[:, side - 1], s0, cs, ss, psi0)
+    p, v = B._embed(k, sides.table[:, side - 1], s0, psi0)
     grid = np.repeat(np.concatenate(p + v), ns).reshape(-1, n, ns)
     half = len(p)
     with np.errstate(all="ignore"):

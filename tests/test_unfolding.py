@@ -356,17 +356,17 @@ class TestFindPeriodicOracle:
         ids=["square", "triangle-pi4"])
     def test_sweep_blocks_do_not_change_the_polish(self, monkeypatch, make):
         # 7 states per block puts block edges all through the 200-sample
-        # sweep; every candidate must still reach _polish with the same
-        # state, bounce and sweep labels, in the same order
+        # sweep; every candidate with a new sweep sequence must still reach
+        # _polish with the same state and bounce, in the same order
         poly = make()
         polish = U._polish
 
         def run():
             calls = []
 
-            def recorded(poly, b, n, labels, seen):
-                calls.append((b, n, labels.tolist()))
-                return polish(poly, b, n, labels, seen)
+            def recorded(poly, b, n, seen):
+                calls.append((b, n))
+                return polish(poly, b, n, seen)
 
             monkeypatch.setattr(U, "_polish", recorded)
             return find_periodic(poly, 20, 200, 0), calls
