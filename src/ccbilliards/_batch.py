@@ -23,18 +23,18 @@ states, and rows whose s was clamped, are embedded from (s, psi), as the
 scalar loops embed every bounce.
 
 The pick is the scalar loops': the least (t, side) over the crossings past
-tmin that land in the pad window, and a hit is tested against the side's
-vertices only within ``tol_v + VERTEX_WINDOW`` of a side end (the proofs
-are in the ``_collision_loops`` docstring).  The grid holds each side's
-first crossing past tmin, on the sphere its first root t0 when that is
-past tmin; ``argmin`` picks the least, the lowest side on a tie.  When
-that crossing lands in its window, and on the sphere lies below pi (a
-side's later roots t0 + pi are never below pi), it is the pick.  Where it
-misses (a reflex corner, a hole, a hit past the pad) a later crossing
-may win, so those rows run ``_side_hits``: the oracle's one loop over
-the roots of every side, which the built-in tables' sweeps need for no
-row.  The windows take the pad from tol_v, the scalar loops from their
-side records, so tol_v must be ``VERTEX_TOL`` or the engines disagree.
+``FLIGHT_MIN`` that land in the window padded by ``VERTEX_TOL`` (the pad
+of the loops' side records), and a hit is tested against the side's
+vertices only within ``VERTEX_TOL + VERTEX_WINDOW`` of a side end (the
+proofs are in the ``_collision_loops`` docstring).  The grid holds each
+side's first crossing past FLIGHT_MIN, on the sphere its first root t0
+when that is past it; ``argmin`` picks the least, the lowest side on a
+tie.  When that crossing lands in its window, and on the sphere lies
+below pi (a side's later roots t0 + pi are never below pi), it is the
+pick.  Where it misses (a reflex corner, a hole, a hit past the pad) a
+later crossing may win, so those rows run ``_side_hits``: the oracle's
+one loop over the roots of every side, which the built-in tables' sweeps
+need for no row.
 
 Dot products are written as component sums in the scalar order (no ``@``
 or ``einsum``, whose BLAS/FMA paths round differently).  The engine gives
@@ -53,16 +53,17 @@ keep ``** 2``, the oracle's operations).
 
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
 this one takes 18-26x as long as ``collision.trace`` (square, theta = 1
-triangle and pentagon, 2 vCPUs).  Its one caller is
-``collision.trace_columns``, which the periodic sweep of ``unfolding``
-runs with blocks of ``SWEEP_BLOCK`` states.
+triangle and pentagon, 2 vCPUs).  Its one caller is the periodic sweep of
+``unfolding``, in blocks of ``SWEEP_BLOCK`` states that ``_sweep_states``
+draws in range, so the engine checks no state.
 """
 
 import math
 
 import numpy as np
 
-from ._collision_loops import INF, VERTEX_WINDOW
+from ._collision_loops import (FLIGHT_MIN, GRAZE_TOL, INF, VERTEX_TOL,
+                               VERTEX_WINDOW)
 # mdot and perp take tuples of arrays as they take float triples
 from ._kernels import mdot, perp
 
@@ -118,17 +119,17 @@ class _Sides:
     """A polygon's side constants as the engine reads them.
 
     ``table`` holds one row per constant over the sides (the rows above,
-    with near = tol_v + VERTEX_WINDOW), so that ``table[:, j]`` gathers
+    with near = VERTEX_TOL + VERTEX_WINDOW), so that ``table[:, j]`` gathers
     them for the sides j that the rays hit.  ``tiles`` holds what the grid
     reads, the functional, as three (N, nsides) arrays, and ``grid_base``
     the flat index of each grid row's first cell.
     """
 
-    def __init__(self, k, sa, su, sn, sl, sv0, sv1, verts, nray, tol_v):
+    def __init__(self, k, sa, su, sn, sl, sv0, sv1, verts, nray):
         sa, su, sn, sl, verts = (np.asarray(x, dtype=float)
                                  for x in (sa, su, sn, sl, verts))
         table = np.array([*sa.T, *su.T, *sn.T, sl,
-                          sl - (tol_v + VERTEX_WINDOW),
+                          sl - (VERTEX_TOL + VERTEX_WINDOW),
                           *verts[np.asarray(sv0)].T,
                           *verts[np.asarray(sv1)].T])
         if k == 0:
@@ -281,7 +282,7 @@ def _outgoing(k, g, p, v, s, ct, st, q):
     return q, np.arctan2(det, mdot(k, sd, r)), r
 
 
-def _bounce(k, sides, p, v, tmin, tol_v, graze):
+def _bounce(k, sides, p, v):
     """One bounce of the scalar trace loop for the n live rays (p, v):
     (ok, j, s, psi, q, r), ok False where it stops the ray (escape, vertex
     or grazing), j the side hit, s its unclamped arc parameter, q the
@@ -291,7 +292,7 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
     grid = np.repeat(np.concatenate(p + v), nsides).reshape(-1, n, nsides)
     half = len(p)
     t, ok, _ = _crossings(k, sides.tiles[:, :n], grid[:half], grid[half:],
-                          tmin)
+                          FLIGHT_MIN)
     tgrid = np.where(ok, t, INF)
     # argmin takes the first minimum: the lowest side index wins a tie
     j = np.argmin(tgrid, axis=1)
@@ -302,76 +303,79 @@ def _bounce(k, sides, p, v, tmin, tol_v, graze):
     # window; a sphere root t0 >= pi may lose to a later root of another
     # side, t0 + pi
     lim = math.pi if k == 1 else INF
-    miss = np.flatnonzero(~((t < lim) & (s >= -tol_v)
-                            & (s <= g[_SL] + tol_v)))
+    miss = np.flatnonzero(~((t < lim) & (s >= -VERTEX_TOL)
+                            & (s <= g[_SL] + VERTEX_TOL)))
     if miss.size:
         j[miss], *hits = _side_hits(k, sides.table, tuple(x[miss] for x in p),
-                                    tuple(x[miss] for x in v), tmin, tol_v)
+                                    tuple(x[miss] for x in v), FLIGHT_MIN,
+                                    VERTEX_TOL)
         g[:, miss] = sides.table[:, j[miss]]
         for x, y in zip((t, s, ct, st) + q, hits):
             if x is not None:
                 x[miss] = y
     q, psi, r = _outgoing(k, g, p, v, s, ct, st, q)
-    ok = (t < INF) & ~((psi < graze) | (psi > math.pi - graze))
-    # between the bands near the side ends no vertex is within tol_v
-    near = tol_v + VERTEX_WINDOW
+    ok = (t < INF) & ~((psi < GRAZE_TOL) | (psi > math.pi - GRAZE_TOL))
+    # between the bands near the side ends no vertex is within VERTEX_TOL
+    near = VERTEX_TOL + VERTEX_WINDOW
     test = np.flatnonzero(~((near < s) & (s < g[_SL_NEAR])))
     if test.size:
         qt = tuple(x[test] for x in q)
         gt = g[:, test]
-        ok[test] &= ~((_distance(k, qt, gt[_W0:_W0 + 3]) < tol_v)
-                      | (_distance(k, qt, gt[_W1:_W1 + 3]) < tol_v))
+        ok[test] &= ~((_distance(k, qt, gt[_W0:_W0 + 3]) < VERTEX_TOL)
+                      | (_distance(k, qt, gt[_W1:_W1 + 3]) < VERTEX_TOL))
     return ok, j, s, psi, q, r
 
 
-def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side0, s0, psi0,
-                  nmax, tmin, tol_v, graze, block):
-    """Vectorised ``trace_orbit`` over the boundary states (side0, s0, psi0),
-    one bounce at a time.
+def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side, s, psi, nmax,
+                  block):
+    """Vectorised ``trace_orbit`` over the boundary states (side, s, psi)
+    of the polygon whose ``kernel_pack()[:7]`` is (sa, ..., verts), one
+    bounce at a time.
 
-    side0 holds 0-based labels.  A generator: bounce i yields (idx, j, s,
-    psi), the input rows of the rays still live after it, in input order,
-    their 0-based sides hit, clamped s and psi.  It stops after nmax
-    bounces, or after the first bounce that leaves no ray live.  Each
-    bounce runs under its own ``np.errstate``, so none is open while the
-    caller holds a column.
+    side holds 1-based labels and s, psi floats; no state is checked, so
+    each must be one that ``collision.trace`` accepts.  A generator:
+    bounce i yields (idx, labels, s, psi), the input rows of the rays still
+    live after it, in input order, their 1-based sides hit, clamped s and
+    psi.  It stops after nmax bounces, or after the first bounce that
+    leaves no ray live.  Each bounce runs under its own ``np.errstate``, so
+    none is open while the caller holds a column.
 
     The rays run in blocks of ``block`` input rows, one grid per block, so
     the grids hold at most that many rows; a ray's bits do not depend on
     its block.  Between bounces a block keeps for each live ray only its
     row, the point it starts from and its unit direction.
     """
-    nray = side0.shape[0]
+    nray = side.shape[0]
     if nray == 0 or nmax == 0:
         return
-    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, min(nray, block),
-                   tol_v)
+    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, min(nray, block))
     with np.errstate(all="ignore"):
         blocks = [(np.arange(lo, min(lo + block, nray)),
-                   *_embed(k, sides.table[:, side0[lo:lo + block]],
-                           s0[lo:lo + block], psi0[lo:lo + block]))
+                   *_embed(k, sides.table[:, side[lo:lo + block] - 1],
+                           s[lo:lo + block], psi[lo:lo + block]))
                   for lo in range(0, nray, block)]
     for _ in range(nmax):
         # in place, so that no more than one block's old state is live
         with np.errstate(all="ignore"):
             for i, b in enumerate(blocks):
-                blocks[i] = _advance(k, sides, *b, tmin, tol_v, graze)
+                blocks[i] = _advance(k, sides, *b)
         if len(blocks) == 1:
-            yield blocks[0][:4]
+            idx, j, sc, ps = blocks[0][:4]
         else:
-            yield tuple(np.concatenate(x)
-                        for x in zip(*(b[:4] for b in blocks)))
+            idx, j, sc, ps = (np.concatenate(x)
+                              for x in zip(*(b[:4] for b in blocks)))
+        yield idx, j + 1, sc, ps
         blocks = [(b[0], *b[4:]) for b in blocks if b[0].size]
         if not blocks:
             return
 
 
-def _advance(k, sides, idx, p, v, tmin, tol_v, graze):
+def _advance(k, sides, idx, p, v):
     """One bounce of a block's live rays: their input rows idx, start
     points p and unit directions v.  Returns the rays that go on as (idx,
     j, s, psi, p, v), with their sides hit, clamped s and psi; a ray goes
     on from its hit, or from the clamped state where s was clamped."""
-    ok, j, s, psi, q, r = _bounce(k, sides, p, v, tmin, tol_v, graze)
+    ok, j, s, psi, q, r = _bounce(k, sides, p, v)
     idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
     p, v = (tuple(x[ok] for x in y) for y in (q, r))
     length = sides.table[_SL, j]

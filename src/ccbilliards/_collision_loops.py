@@ -120,6 +120,8 @@ STEP_ESCAPED = 3
 STEP_MAXLEN = 4
 
 VERTEX_TOL = 1e-9     # vertex-hit cutoff, model length units
+FLIGHT_MIN = 1e-9     # minimum accepted flight between collisions
+GRAZE_TOL = 1e-9      # outgoing angles within this of {0, pi} are degenerate
 # a trace loop tests a hit against the side's vertices only within
 # tol_v + VERTEX_WINDOW of a side end (see the module docstring)
 VERTEX_WINDOW = 1e-4

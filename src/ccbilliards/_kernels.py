@@ -226,9 +226,10 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts, sides,
     per-bounce buffers and returns (n_done, status, vertex, length).  The
     diagonal search starts its rays at polygon vertices;
     ``collision_step`` is this with nmax = 1.  A plane ray must lie on
-    z = 1 with a z-direction of 0, and tol_v must be the records' pad
-    ``VERTEX_TOL``: ``_batch`` reads its windows from tol_v, so another
-    value makes the two engines disagree.
+    z = 1 with a z-direction of 0.  The batched engine ``_batch`` pads its
+    windows and tests vertex hits at ``VERTEX_TOL``, the records' pad, so
+    the two engines agree at tol_v = ``VERTEX_TOL``, which ``collision``
+    passes.
     """
     return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts,
                           (float(p[0]), float(p[1]), float(p[2])),

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _batch
 from . import _kernels as K
 from . import geometry as G
+# the tolerances of both collision engines
+from ._collision_loops import FLIGHT_MIN, GRAZE_TOL, VERTEX_TOL
 from .errors import DegenerateStateError, GeometryError, PolygonError
 
-VERTEX_TOL = K.VERTEX_TOL  # vertex-hit cutoff, model length units (1e-9)
-GRAZE_TOL = 1e-9      # outgoing angles within this of {0, pi} are degenerate
-FLIGHT_MIN = 1e-9     # minimum accepted flight between collisions
 CONJUGATE_TOL = 1e-8  # |length - m pi| test for conjugated vertices
 
 
@@ -183,52 +181,6 @@ def trace(poly, b, n, max_length=math.inf):
     _validate_state(poly, b)
     return _trace_result(K.trace_orbit, poly, (b.side - 1, b.s, b.psi), n,
                          max_length)
-
-
-def trace_columns(poly, side, s, psi, n, block):
-    """Trace the boundary states (side[r], s[r], psi[r]) for n bounces at
-    once, one bounce at a time, for a caller that may stop early.
-
-    Returns a generator: bounce i yields (idx, labels, s, psi), the rows
-    still live after it (in input order) and what ``trace`` records at
-    that bounce for each (1-based labels).  It ends after n bounces, or
-    after the first bounce that leaves no row live.  The states are checked
-    before the first bounce, and the first row that ``trace`` would reject
-    raises its error.  The batched numpy engine (``_batch``) runs the rows
-    in blocks of ``block``, and pays off for many rays only: for one ray
-    of 20-50 bounces it takes 18-26x as long as :func:`trace` (square,
-    theta = 1 triangle and pentagon; 2 vCPUs).  Labels agree with
-    ``trace``, and (s, psi) up to rounding: a ray goes on from its hit
-    where ``trace`` embeds (s, psi) again, and numpy's transcendental
-    functions and arrays' ``x ** 2`` (``x * x``) round unlike Python's.
-    """
-    check_count(block, "block", 1)
-    check_count(n)
-    side, s, psi = np.asarray(side), np.asarray(s), np.asarray(psi)
-    if not np.issubdtype(side.dtype, np.integer):
-        raise ValueError(f"side labels must be integers, got dtype {side.dtype}")
-    # a complex array would lose its imaginary part in the cast, a bool one
-    # run as 0.0 and 1.0
-    for name, x in (("s", s), ("psi", psi)):
-        if not (np.issubdtype(x.dtype, np.integer)
-                or np.issubdtype(x.dtype, np.floating)):
-            raise ValueError(f"{name} must be integers or floats, got dtype "
-                             f"{x.dtype}")
-    s, psi = np.asarray(s, float), np.asarray(psi, float)
-    if not side.ndim == 1 or not side.shape == s.shape == psi.shape:
-        raise ValueError("side, s and psi must be 1-d arrays of one length")
-    pack = poly.kernel_pack()[:7]
-    # _validate_state's tests, written so that a nan s or psi fails them
-    good = ((side >= 1) & (side <= poly.n_sides) & (0.0 <= s)
-            & (s <= np.take(pack[3], side - 1, mode="clip"))
-            & (GRAZE_TOL < psi) & (psi < math.pi - GRAZE_TOL))
-    if not good.all():
-        r = int(np.argmin(good))
-        _validate_state(poly, BoundaryState(int(side[r]), float(s[r]),
-                                            float(psi[r])))
-    return ((idx, j + 1, sc, ps) for idx, j, sc, ps in _batch.trace_columns(
-        poly.k, *pack, side - 1, s, psi, n, FLIGHT_MIN, VERTEX_TOL, GRAZE_TOL,
-        block))
 
 
 def trace_ray(poly, point, direction, n, max_length=math.inf):
@@ -405,8 +357,7 @@ def generalized_diagonals(poly, max_bounces, max_length, angles_per_vertex=10000
     """
     check_count(max_bounces, "max_bounces", 0)
     check_count(angles_per_vertex, "angles_per_vertex", 1)
-    if not max_length > 0:
-        raise ValueError(f"max_length must be > 0, got {max_length}")
+    _check_max_length(max_length)
     found = {}
     margin = 10.0 * GRAZE_TOL
     nmax = max_bounces + 1

@@ -22,12 +22,12 @@ dynamics-consistent radial convention, while :func:`chart_forward` /
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as K
+from .collision import check_count
 from .errors import ChartExitError, GeometryError, SingularFieldError
 from .geometry import check_curvature
 
@@ -366,16 +366,6 @@ def _check_integration(T, rtol, atol):
         raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
 
 
-def _check_max_records(max_records):
-    # 0, a negative count or a float would otherwise fail inside numpy or
-    # the kernel with an error of theirs
-    if (isinstance(max_records, bool)
-            or not isinstance(max_records, numbers.Integral)
-            or max_records < 1):
-        raise ValueError(
-            f"max_records must be an integer >= 1, got {max_records!r}")
-
-
 @dataclass
 class ChartTrajectory:
     """Time-stamped chart states from the adaptive integrator."""
@@ -420,7 +410,7 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     _check_theta(theta)
     check_curvature(k)
     _check_integration(T, rtol, atol)
-    _check_max_records(max_records)
+    check_count(max_records, "max_records", 1)
     _check_chart(c0)
     if k == 1 and c0.x ** 2 + c0.y ** 2 > 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 <= 1 "

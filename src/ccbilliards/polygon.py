@@ -90,8 +90,7 @@ class Polygon:
         (``_collision_loops.side_records``), so that no trace or crossing
         call builds them.  Python floats keep the scalar kernels off numpy
         scalar arithmetic; ``_batch`` turns the first seven entries into
-        arrays with ``np.asarray``, and ``collision.trace_columns`` checks
-        its sample arrays against the side lengths.
+        arrays with ``np.asarray``.
         """
         if self._pack is None:
             def vec(x):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batch
 from . import _kernels as K
 from . import collision as C
 from . import geometry as G
@@ -321,13 +322,14 @@ def find_periodic(poly, max_bounces, samples, seed):
     psi) arrays: per side, the 21 canonical states and a jittered grid of
     at most max(1, samples // n_sides) states, so samples bounds the
     jittered part, not the total (200 samples sweep 276 states on the
-    square and 300 on the pentagon).  The sweep traces them with the
-    batched numpy engine (``collision.trace_columns``, SWEEP_BLOCK states
-    to a grid), all of them one bounce at a time, and scans each bounce
-    for candidates in numpy as well: a return to the starting side that
-    lands within 1e-4 in (s, psi).  One report is kept per bounce sequence
-    up to rotation and reversal, so a continuous family is represented by
-    one member: a set holds every rotation and reversal of each reported
+    square and 300 on the pentagon), each one that ``trace`` accepts.  The
+    sweep traces them with the batched numpy engine
+    (``_batch.trace_columns``, SWEEP_BLOCK states to a grid, no state
+    checked), all of them one bounce at a time, and scans each bounce for
+    candidates in numpy as well: a return to the starting side that lands
+    within 1e-4 in (s, psi).  One report is kept per bounce sequence up to
+    rotation and reversal, so a continuous family is represented by one
+    member: a set holds every rotation and reversal of each reported
     sequence, and a candidate whose sweep sequence is in it ends its sample
     after that one lookup, with no polish.  Any other is polished by a
     derivative-free Newton on the return displacement and kept below a
@@ -388,20 +390,25 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
                       np.min_scalar_type(poly.n_sides))
     open_rows = np.ones(len(side), dtype=bool)
     seen = set()
-    for n, column in enumerate(C.trace_columns(poly, *start, max_bounces,
-                                               SWEEP_BLOCK), 1):
+    columns = _batch.trace_columns(poly.k, *poly.kernel_pack()[:7], *start,
+                                   max_bounces, SWEEP_BLOCK)
+    for n, column in enumerate(columns, 1):
         labels[column[0], n - 1] = column[1]
         reports = []
         cand = _near_returns(start, open_rows, *column)
-        for r, seq in zip(cand, labels[cand, :n].tolist() if cand else ()):
-            if tuple(seq) in seen:
-                open_rows[r] = False
-                continue
-            b = side[r].item(), s[r].item(), psi[r].item()
-            rep, open_rows[r] = _polish(poly, b, n, seen)
-            if rep is not None:
-                reports.append(rep)
-                seen |= _rotations(rep.labels)
+        # Python lists of SWEEP_BLOCK candidates at a time: a bounce may
+        # return every sample
+        for lo in range(0, cand.size, SWEEP_BLOCK):
+            rows = cand[lo:lo + SWEEP_BLOCK]
+            for r, seq in zip(rows.tolist(), labels[rows, :n].tolist()):
+                if tuple(seq) in seen:
+                    open_rows[r] = False
+                    continue
+                b = side[r].item(), s[r].item(), psi[r].item()
+                rep, open_rows[r] = _polish(poly, b, n, seen)
+                if rep is not None:
+                    reports.append(rep)
+                    seen |= _rotations(rep.labels)
         yield sorted(reports, key=lambda r: (r.length, r.labels))
 
 
@@ -433,18 +440,18 @@ def _sweep_states(poly, samples, seed):
 
 
 def _near_returns(start, open_rows, idx, labels, svals, psis):
-    """The sweep's candidates in one bounce, as a list: the open rows idx[i]
-    of the block whose start is ``start`` = (side, s, psi) and whose bounce
-    (labels, svals, psis)[i] lands back on the starting side within
+    """The sweep's candidates in one bounce, as an array: the open rows
+    idx[i] of the block whose start is ``start`` = (side, s, psi) and whose
+    bounce (labels, svals, psis)[i] lands back on the starting side within
     RETURN_CANDIDATE_TOL in both s and psi.  The s test comes first: it
     rejects almost every bounce."""
     side0, s0, psi0 = start
     i = (np.abs(svals - s0[idx]) < RETURN_CANDIDATE_TOL).nonzero()[0]
     if not i.size:
-        return []
+        return i
     r = idx[i]
     return r[(labels[i] == side0[r]) & open_rows[r]
-             & (np.abs(psis[i] - psi0[r]) < RETURN_CANDIDATE_TOL)].tolist()
+             & (np.abs(psis[i] - psi0[r]) < RETURN_CANDIDATE_TOL)]
 
 
 def _polish(poly, b, n, seen):

@@ -49,10 +49,10 @@ reports through its least rotation or reversal.
 ``unfolding.find_periodic`` must give equal reports
 (``test_unfolding.py``).
 
-``trace_many`` gathers ``collision.trace_columns`` into (N, n) arrays,
-and ``columns`` reads such arrays back one bounce at a time: the tests
-compare the engine by arrays, and feed a sweep from arrays they traced
-once.
+``trace_many`` gathers the batched engine ``_batch.trace_columns`` into
+(N, n) arrays, and ``columns`` reads such arrays back one bounce at a
+time: the tests compare the engine by arrays, and feed a sweep from arrays
+they traced once.  Like the sweep, it checks no state.
 
 ``geodesics_intersect`` (with ``arc_param``) is the polygon builder's
 boundary check on numpy 3-vectors, recomputing both side normals.
@@ -78,6 +78,7 @@ import math
 
 import numpy as np
 
+from ccbilliards import _batch as B
 from ccbilliards import collision as C
 from ccbilliards import geometry as G
 from ccbilliards import unfolding as U
@@ -670,10 +671,11 @@ def gather(columns, nray, n, missing):
 
 
 def trace_many(poly, side, s, psi, n):
-    """``collision.trace_columns`` as (N, n) arrays (labels, svals, psis):
-    row r holds what ``trace`` records for state r, then label 0 and nan
-    past its last bounce."""
-    columns = C.trace_columns(poly, side, s, psi, n, U.SWEEP_BLOCK)
+    """``_batch.trace_columns`` on the 1-based (side, s, psi) arrays as
+    (N, n) arrays (labels, svals, psis): row r holds what ``trace`` records
+    for state r, then label 0 and nan past its last bounce."""
+    columns = B.trace_columns(poly.k, *poly.kernel_pack()[:7], side, s, psi,
+                              n, U.SWEEP_BLOCK)
     return gather(columns, len(side), n, 0)
 
 

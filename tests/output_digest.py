@@ -5,11 +5,12 @@ single-orbit at seeds 0-15, diagonal-search's fixed fan: 33 keys) through
 ``benchmarks/workloads.py``.  Each key's digest is the SHA-256 of its jobs'
 ``json.dumps([job.key, describe(call())], sort_keys=True)`` lines, in job
 order.  It also prints the SHA-256 of the exit code and stdout of
-``expansivity --json`` and ``periodic --json`` on the square and the pi/4
-sphere triangle at the CLI's default sweep (10,000 samples, 50 bounces:
-five sweep blocks); ``--angles 24`` skips expansivity's default
-10,000-ray fan.  Two trees give the same outputs where they print the same
-digests:
+``expansivity --json`` on the square and the pi/4 sphere triangle, and of
+``periodic --json`` on every built-in table (the square, the pentagon and
+the pi/4 and theta = 1 sphere triangles), at the CLI's default sweep
+(10,000 samples, 50 bounces: five sweep blocks); ``--angles 24`` skips
+expansivity's default 10,000-ray fan.  Two trees give the same outputs
+where they print the same digests:
 
     PYTHONPATH=src python tests/output_digest.py
 
@@ -39,6 +40,9 @@ DEFAULT_SWEEPS = (
     ("expansivity/sphere-triangle-pi4", f"expansivity {TRIANGLE} --angles 24"),
     ("periodic/square", "periodic --table square"),
     ("periodic/sphere-triangle-pi4", f"periodic {TRIANGLE}"),
+    ("periodic/hyperbolic-pentagon", "periodic --table hyperbolic-pentagon"),
+    ("periodic/sphere-triangle-1",
+     "periodic --table sphere-triangle --theta 1"),
 )
 
 

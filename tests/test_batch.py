@@ -1,4 +1,4 @@
-"""The batched engine (collision.trace_columns) against the scalar trace, and
+"""The batched engine (_batch.trace_columns) against the scalar trace, and
 bit for bit against the broadcast engine of the test oracle.
 
 ``kernel_oracle.batch_trace_states`` keeps the engine in the form it had
@@ -9,7 +9,9 @@ bytes on the sweep states of all three curvatures, on hits aimed inside
 VERTEX_TOL of a side end, in the vertex window and past it, on clamped
 arc parameters and grazing stops, and its first hits where the sphere
 needs the roots past t0.  Against the scalar trace, which embeds every
-bounce, rows agree in labels and in (s, psi) up to rounding.
+bounce, rows agree in labels and in (s, psi) up to rounding.  The engine
+checks no state, so every state the sweep draws is held to ``trace``'s
+checks here.
 """
 
 import math
@@ -18,8 +20,7 @@ import numpy as np
 import pytest
 
 import kernel_oracle as O
-from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
-                         PolygonError, find_periodic, hyperbolic_pentagon,
+from ccbilliards import (BoundaryState, find_periodic, hyperbolic_pentagon,
                          sphere_triangle, square)
 from ccbilliards import _batch as B
 from ccbilliards import _collision_loops as L
@@ -131,78 +132,22 @@ def test_zero_bounces(pentagon):
     assert labels.shape == (4, 0)
 
 
-@pytest.mark.parametrize("bad,error", [
-    (BoundaryState(1, 0.5, 1e-12), DegenerateStateError),
-    (BoundaryState(1, 2.0, 1.0), GeometryError),
-    (BoundaryState(9, 0.5, 1.0), PolygonError),
-    (BoundaryState(1, math.nan, 1.0), GeometryError),
-    (BoundaryState(1, 0.5, math.nan), DegenerateStateError),
-    (BoundaryState(0, 0.5, 1.0), PolygonError),
-])
-def test_invalid_state_rejected_like_trace(sq, bad, error):
-    with pytest.raises(error) as want:
-        C.trace(sq, bad, 5)
-    # the first bad row is the one reported
-    states = [BoundaryState(1, 0.5, 1.0), bad, BoundaryState(1, -1.0, 1.0)]
-    with pytest.raises(error) as got:
-        O.trace_many(sq, *as_arrays(states), 5)
-    assert str(got.value) == str(want.value)
-
-
-def test_negative_count_rejected(sq):
-    with pytest.raises(ValueError):
-        O.trace_many(sq, *as_arrays([BoundaryState(1, 0.5, 1.0)]), -1)
-
-
-@pytest.mark.parametrize("side", [[1.0, 2.0], [True, False], [1.5, 2.0]])
-def test_non_integer_side_dtype_rejected(sq, side):
-    # a float array failed in numpy's cast, a bool one would run as 1 and 0
-    with pytest.raises(ValueError, match="side labels must be integers"):
-        O.trace_many(sq, side, [0.5, 0.5], [1.0, 1.0], 5)
-
-
-@pytest.mark.parametrize("name", ["s", "psi"])
-@pytest.mark.parametrize("bad", [np.array([0.5, 0.5], dtype=complex),
-                                 [0.5 + 0j, 0.5 + 1e-3j], [True, False],
-                                 np.array([0.5, 0.5], dtype=object),
-                                 ["0.5", "0.5"]])
-def test_non_real_arc_and_angle_dtypes_rejected(sq, name, bad):
-    # a complex array was cast with only numpy's ComplexWarning, its
-    # imaginary part dropped, and a bool one ran as 0.0 and 1.0
-    args = {"s": [0.5, 0.5], "psi": [1.0, 1.0], name: bad}
-    with pytest.raises(ValueError, match=f"{name} must be integers or floats"):
-        O.trace_many(sq, [1, 2], args["s"], args["psi"], 5)
-
-
-@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32,
-                                   np.float64])
-def test_real_arc_and_angle_dtypes_accepted(sq, dtype):
-    # integer and floating s and psi run as their float64 values
-    s = np.array([0, 1], dtype=dtype)
-    psi = np.array([1, 2], dtype=dtype)
-    got = O.trace_many(sq, [1, 2], s, psi, 5)
-    want = O.trace_many(sq, [1, 2], s.astype(float), psi.astype(float), 5)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
-def test_integer_side_dtypes_accepted(sq, dtype):
-    side = np.array([1, 2], dtype=dtype)
-    got = O.trace_many(sq, side, [0.5, 0.25], [1.0, 2.0], 5)
-    want = O.trace_many(sq, [1, 2], [0.5, 0.25], [1.0, 2.0], 5)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_unequal_lengths_rejected(sq):
-    with pytest.raises(ValueError, match="one length"):
-        O.trace_many(sq, [1, 2], [0.5, 0.5], [1.0], 5)
-
-
-def test_block_below_one_rejected(sq):
-    with pytest.raises(ValueError, match="block"):
-        C.trace_columns(sq, [1], [0.5], [1.0], 5, 0)
+@pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
+def test_sweep_states_pass_trace_checks(name):
+    # the engine checks no state, so every state the sweep draws must pass
+    # the tests of collision._validate_state: side in range, 0 <= s <=
+    # length and psi off grazing
+    poly = SWEEP_TABLES[name]
+    lengths = np.array(poly.kernel_pack()[3])
+    for samples in (1, 3, 200, 10000):
+        for seed in range(16):
+            side, s, psi = U._sweep_states(poly, samples, seed)
+            assert side.dtype == np.int64
+            assert s.dtype == psi.dtype == np.float64
+            assert ((1 <= side) & (side <= poly.n_sides)).all()
+            assert ((0.0 <= s) & (s <= lengths[side - 1])).all()
+            assert ((C.GRAZE_TOL < psi)
+                    & (psi < math.pi - C.GRAZE_TOL)).all()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
@@ -224,13 +169,14 @@ def test_find_periodic_matches_scalar_sweep(monkeypatch, name):
     assert all(rep for _, rep in got) == (name in ("square", "triangle-pi4"))
     traced = {}
 
-    def scalar_columns(poly, side, s, psi, n, block):
+    def scalar_columns(*args):
+        side, s, psi, n = args[-5:-1]
         key = s.tobytes()
         if key not in traced:
             traced[key] = scalar_trace_many(poly, side, s, psi, n)
         return O.columns(traced[key], n)
 
-    monkeypatch.setattr(C, "trace_columns", scalar_columns)
+    monkeypatch.setattr(B, "trace_columns", scalar_columns)
     assert search() == got
     assert len(traced) == len(seeds)
 
@@ -239,16 +185,20 @@ def test_find_periodic_matches_scalar_sweep(monkeypatch, name):
 # bit for bit against the oracle's broadcast engine
 # ---------------------------------------------------------------------------
 
-def engine_and_oracle(poly, side, s, psi, n, pack=None, tol_v=C.VERTEX_TOL):
-    """``_batch.trace_columns``, gathered, and the oracle on 1-based (side,
-    s, psi), with the polygon's pack unless one is given; tol_v is also the
-    pad."""
+def engine_and_oracle(poly, side, s, psi, n, pack=None):
+    """``_batch.trace_columns``, gathered with its labels made 0-based, and
+    the oracle on 1-based (side, s, psi), with the polygon's pack unless
+    one is given, at the engine's pad ``B.VERTEX_TOL``."""
     if pack is None:
         pack = poly.kernel_pack()[:7]
-    args = (poly.k, *pack, np.asarray(side) - 1, np.asarray(s, float),
-            np.asarray(psi, float), n, C.FLIGHT_MIN, tol_v, C.GRAZE_TOL)
-    got = O.gather(B.trace_columns(*args, U.SWEEP_BLOCK), len(side), n, -1)
-    return got, O.batch_trace_states(*args)
+    side = np.asarray(side)
+    s, psi = np.asarray(s, float), np.asarray(psi, float)
+    labels, svals, psis = O.gather(B.trace_columns(poly.k, *pack, side, s,
+                                                   psi, n, U.SWEEP_BLOCK),
+                                   len(side), n, 0)
+    want = O.batch_trace_states(poly.k, *pack, side - 1, s, psi, n,
+                                C.FLIGHT_MIN, B.VERTEX_TOL, C.GRAZE_TOL)
+    return (labels - 1, svals, psis), want
 
 
 def assert_same_bits(got, want):
@@ -278,8 +228,8 @@ def test_blocks_do_not_change_the_bits(name):
     aimed = [1] * 7, [0.5 * sl[0]] * 7, [psi] * 7
     states = tuple(np.concatenate(x) for x in
                    zip(aimed, U._sweep_states(poly, 200, 0)))
-    got = O.gather(C.trace_columns(poly, *states, 20, 7), len(states[0]), 20,
-                   0)
+    got = O.gather(B.trace_columns(k, *poly.kernel_pack()[:7], *states, 20,
+                                   7), len(states[0]), 20, 0)
     assert_same_bits(got, O.trace_many(poly, *states, 20))
     assert not got[0][:7].any() and got[0][7:, -1].any()
 
@@ -347,7 +297,7 @@ def test_hits_near_side_ends_match_oracle(name):
     assert (offsets[first] > L.VERTEX_WINDOW).any()
 
 
-def test_clamped_arc_parameters_match_oracle():
+def test_clamped_arc_parameters_match_oracle(monkeypatch):
     # the built tables clamp only within rounding of a vertex, where the
     # vertex stop fires first; with the sides shortened to 80%, a pad of a
     # quarter side and the vertex stop off (nan vertices), every hit on a
@@ -359,8 +309,8 @@ def test_clamped_arc_parameters_match_oracle():
         pack = (sa, su, sn, short, sv0, sv1, ((math.nan,) * 3,) * len(verts))
         side, s, psi = sweep_batch(poly, 200, [0])
         s = 0.8 * s
-        got, want = engine_and_oracle(poly, side, s, psi, 20, pack,
-                                      0.25 * max(sl))
+        monkeypatch.setattr(B, "VERTEX_TOL", 0.25 * max(sl))
+        got, want = engine_and_oracle(poly, side, s, psi, 20, pack)
         assert_same_bits(got, want)
         # clamped bounces that the trace goes on from
         labels, svals = got[0][:, :-1], got[1][:, :-1]
@@ -406,7 +356,7 @@ def test_later_sphere_roots_match_oracle(tmin):
     with np.errstate(all="ignore"):
         tw, sw = O.batch_side_hits(1, (sa, su, sn, sl), p, v, tmin,
                                    C.VERTEX_TOL)
-        sides = B._Sides(1, *pack, n, C.VERTEX_TOL)
+        sides = B._Sides(1, *pack, n)
         j, t, s_hit, ct, st, *q = B._side_hits(1, sides.table, p, v, tmin,
                                                C.VERTEX_TOL)
     rows = np.arange(n)
@@ -437,7 +387,7 @@ def test_gathered_arc_matches_grid(name):
     k = poly.k
     side, s0, psi0 = U._sweep_states(poly, 200, 0)
     n, ns = side.size, poly.n_sides
-    sides = B._Sides(k, *poly.kernel_pack()[:7], n, C.VERTEX_TOL)
+    sides = B._Sides(k, *poly.kernel_pack()[:7], n)
     p, v = B._embed(k, sides.table[:, side - 1], s0, psi0)
     grid = np.repeat(np.concatenate(p + v), ns).reshape(-1, n, ns)
     half = len(p)

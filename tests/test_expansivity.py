@@ -251,7 +251,7 @@ class TestEarlyStop:
         poly = sq if theta is None else sphere_triangle(theta)
         budget = SearchBudget()
         bounces, blocks = [], []
-        trace_columns, advance = C.trace_columns, B._advance
+        trace_columns, advance = B.trace_columns, B._advance
 
         def counted(*args):
             bounces.append(0)
@@ -263,7 +263,7 @@ class TestEarlyStop:
             blocks.append(1)
             return advance(*args)
 
-        monkeypatch.setattr(C, "trace_columns", counted)
+        monkeypatch.setattr(B, "trace_columns", counted)
         monkeypatch.setattr(B, "_advance", advanced)
         rep = U.first_verified_orbit(poly, budget.periodic_bounces,
                                      budget.samples, budget.seed)

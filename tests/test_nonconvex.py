@@ -6,11 +6,11 @@ misses its side's window, which never happens on a convex table.  Here it does:
 on a dart (a quadrilateral with one reflex corner) in each curvature and
 on ``star_polygons`` draws, ``trace``, ``collision_step``, ``trace_ray``
 and ``crossing_labels`` must give the bits of the oracle loops of
-``kernel_oracle.py``, and ``trace_columns`` those of ``batch_trace_states``.
-One fixed ray per curvature provably takes the fallback (the batched
-engine's in every curvature, the sphere loops' too): its first nearest
-crossing lies on the line of a side of the reflex corner, past the
-corner.
+``kernel_oracle.py``, and the batched engine ``_batch.trace_columns``
+those of ``batch_trace_states``.  One fixed ray per curvature provably
+takes the fallback (the batched engine's in every curvature, the sphere
+loops' too): its first nearest crossing lies on the line of a side of
+the reflex corner, past the corner.
 """
 
 import math
