@@ -375,9 +375,12 @@ def _advance(k, sides, idx, p, v):
     points p and unit directions v.  Returns the rays that go on as (idx,
     j, s, psi, p, v), with their sides hit, clamped s and psi; a ray goes
     on from its hit, or from the clamped state where s was clamped."""
-    ok, j, s, psi, q, r = _bounce(k, sides, p, v)
-    idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
-    p, v = (tuple(x[ok] for x in y) for y in (q, r))
+    ok, j, s, psi, p, v = _bounce(k, sides, p, v)
+    # most bounces stop no ray; _bounce's arrays are fresh, so the clamp
+    # below may write into them whether or not they were compacted
+    if not ok.all():
+        idx, j, s, psi = idx[ok], j[ok], s[ok], psi[ok]
+        p, v = (tuple(x[ok] for x in y) for y in (p, v))
     length = sides.table[_SL, j]
     sc = np.minimum(np.maximum(s, 0.0), length)
     redo = np.flatnonzero(sc != s)

@@ -14,11 +14,10 @@ branch on k per bounce: the ray-side root (``ray_side_hit``, which only
 the oracle ``tests/kernel_oracle.py`` keeps) and the helpers of
 :mod:`ccbilliards._kernels` (``boundary_embed``, ``geodesic_*``,
 ``renorm_*``, ``perp``, ...).  It reuses the cos/sin (cosh/sinh) of a
-flight time or arc parameter, and a side whose crossing is no nearer than
-the best so far skips its arc parameter, which could not change the
-pick.  Apart from exact rewrites, every expression is the helper's, in
-its operation order, so the loops give the bits of the generic step and
-loops that the oracle keeps.  The rewrites, and why each is exact:
+flight time or arc parameter.  Apart from exact rewrites, every
+expression is the helper's, in its operation order, so the loops give
+the bits of the generic step and loops that the oracle keeps.  The
+rewrites, and why each is exact:
 
 * ``-k * s`` -> ``-s`` (or ``s``), ``1.0 * p`` -> ``p`` and ``r * 1.0``
   -> ``r``.
@@ -32,11 +31,11 @@ loops that the oracle keeps.  The rewrites, and why each is exact:
   ``hx * (ty*0.0 - 0.0*ry) - hy * (tx*0.0 - 0.0*rx)``, a signed zero, to
   the determinant ``tx*ry - ty*rx``; that changes nothing unless the
   determinant is 0, so the terms are added only then.
-* Sphere roots: ``t0 + m`` for m in ``ROOT_STEPS`` = ``(0.0, pi, 2.0 *
-  pi)``, which are ``0 * pi``, ``1 * pi`` and ``2 * pi`` exactly
-  (``t0 + 0.0`` is ``t0 + 0 * pi``); the first pass takes ``t0`` itself
-  for ``t0 + 0.0``, the same float, since a remainder mod pi is never
-  -0.0.
+* Sphere roots: ``t0 + m`` for m in ``_side_search.ROOT_STEPS`` =
+  ``(0.0, pi, 2.0 * pi)``, which are ``0 * pi``, ``1 * pi`` and ``2 *
+  pi`` exactly (``t0 + 0.0`` is ``t0 + 0 * pi``); the first pass takes
+  ``t0`` itself for ``t0 + 0.0``, the same float, since a remainder mod
+  pi is never -0.0.
 * Sphere norms: ``sqrt(x*x + y*y + z*z)`` without the ``abs`` of the
   helper's ``sqrt(abs(mdot(o, o)))``: a sum of squares is never below +0.
 
@@ -47,25 +46,29 @@ CPython 3.11).  The loops run on Python floats: the ``_kernels`` entries
 hand them the ray as two float triples and every scalar as a float, and
 the sides ready-made.  ``side_records`` builds those once per polygon
 (``Polygon.kernel_pack``, at the pad ``VERTEX_TOL``): one flat tuple per
-side, which the plane loops unpack in their ``for`` statement, and on the
-plane each side's unit tangent, which depends on neither the point nor
-the arc parameter.
+side, on the plane each side's unit tangent, which depends on neither the
+point nor the arc parameter, and each side's (j, nx, ny, nz), its index
+and functional.
 
-The sphere loops pick the side by the nearest crossing first.  The
-generic step's pick is the least (t, side) over the crossings past tmin
-whose arc parameter lands in the side's window.  A first pass takes each
-side's first root t0 + m pi past tmin, from a and b alone, and keeps the
-least, the lowest side on a tie.  Every other crossing of every side
-comes at that time or later, so when the least one's arc parameter
-lands, it is the pick, computed by the same expressions from the same
-operands.  So the loops compute one arc parameter per bounce, the
-nearest crossing's: in a convex table it is the exit.  When it misses its
-window (a reflex corner, a hole, a hit past the pad), the full search
-``sphere_search`` picks the side.  The plane and hyperbolic loops search
-every side whose crossing could still win: the plane's arc parameter is
-a few products, and a hyperbolic side has one crossing, so the search
-evaluates about 1.3 arc parameters per bounce (built-in tables) and a
-first pass saved no measurable time.
+Every loop picks the side by the nearest crossing first.  The generic
+step's pick is the least (t, side) over the crossings past tmin whose arc
+parameter lands in the side's window.  A first pass reads only the
+functionals, takes each side's first crossing past tmin from a and b
+alone (on the sphere the first root t0 + m pi), and keeps the least, the
+lowest side on a tie.  Every other crossing of every side comes at that
+time or later, so when the least one's arc parameter lands, it is the
+pick, computed by the same expressions from the same operands; only that
+side's record is unpacked.  So the loops compute one arc parameter per
+bounce, the nearest crossing's: in a convex table it is the exit.  When
+it misses its window (a reflex corner, a hole, a hit past the pad), the
+full search ``plane_search``, ``sphere_search`` or ``hyperbolic_search``
+of :mod:`ccbilliards._side_search` picks the side.  On the hyperboloid
+a full search over the functionals, which unpacks a record only for a
+side past tmin and nearer than the best, evaluates about 1.3 arc
+parameters per bounce on the built-in tables; it took 0.95x (trace) and
+0.92x (crossings) the time of the search over full records, and the
+nearest crossing first 0.92x and 0.89x (two trees in one process, 2
+vCPUs; see ``BENCH_lean_kernels.json``).
 
 A trace loop tests a hit against the side's two vertices only when its
 arc parameter s lies within ``tol_v + VERTEX_WINDOW`` of either end of
@@ -98,19 +101,19 @@ The rounding of s is far smaller.  Of the diagonal search's recorded
 bounces, 588 of 11,908 on the square land within 1e-4 of a side end (372
 within 1e-6), and none of 839 on the theta = 1 sphere triangle.
 
-The loops live apart from the ``_kernels`` helpers because compiling one
-module with both, from source, peaks about 1 MB higher than compiling the
-two.  Each loop keeps its side search written out: sharing it through one
-function per curvature puts a call into every bounce, which cost 3-18%
-per bounce on the plane and 4-9% on the sphere (diagonal-search fan rays,
-one process, 2 vCPUs) and read 3% slower end to end on diagonal-search.
+The loops live apart from the ``_kernels`` helpers, and from the full
+side searches, because compiling one module with both, from source,
+peaks higher than compiling the two (about 1 MB with the helpers, 0.25
+MB with the searches).  Each loop keeps its first pass written out:
+sharing a side search through one function per curvature puts a call
+into every bounce, which cost 3-18% per bounce on the plane and 4-9% on
+the sphere (diagonal-search fan rays, one process, 2 vCPUs) and read 3%
+slower end to end on diagonal-search.
 """
 
 import math
 
-INF = 1e300
-# the sphere's ray-side roots t0 + m * pi for m = 0, 1, 2, as t0 + step
-ROOT_STEPS = (0.0, math.pi, 2.0 * math.pi)
+from ._side_search import INF, hyperbolic_search, plane_search, sphere_search
 
 # step / trace status codes
 STEP_OK = 0
@@ -141,16 +144,19 @@ VERTEX_WINDOW = 1e-4
 def side_records(k, sa, su, sn, sl, pad):
     """The sides as the loops read them, for a polygon's (sa, su, sn, sl).
 
-    Returns (records, tangents): per side one flat tuple, and on the plane
-    each side's unit tangent (x, y), elsewhere ().  A sphere or hyperboloid
-    record is (functional, start point, start tangent, arc window [-pad,
-    length + pad]) as floats.  A plane record is (j, nx, ny, nz, ax, ay,
-    ux, uy, lo, hi): the side's index, its functional, the (x, y) of its
-    start point and start tangent, and the arc window.
+    Returns (records, tangents, functionals): per side one flat tuple; on
+    the plane each side's unit tangent (x, y), elsewhere (); and per side
+    (j, nx, ny, nz), its index and functional, which the loops' first pass
+    reads alone.  A sphere or hyperboloid record is (functional, start
+    point, start tangent, arc window [-pad, length + pad]) as floats.  A
+    plane record is (j, nx, ny, nz, ax, ay, ux, uy, lo, hi): the side's
+    index, its functional, the (x, y) of its start point and start
+    tangent, and the arc window.
     """
+    functionals = tuple((j, n[0], n[1], n[2]) for j, n in enumerate(sn))
     if k != 0:
         return tuple(n + a + u + (-pad, ln + pad)
-                     for a, u, n, ln in zip(sa, su, sn, sl)), ()
+                     for a, u, n, ln in zip(sa, su, sn, sl)), (), functionals
     records = tuple((j, n[0], n[1], n[2], a[0], a[1], u[0], u[1],
                      -pad, ln + pad)
                     for j, (a, u, n, ln) in enumerate(zip(sa, su, sn, sl)))
@@ -158,11 +164,11 @@ def side_records(k, sa, su, sn, sl, pad):
     for u in su:
         n = math.hypot(u[0], u[1])
         tangents.append((u[0] / n, u[1] / n))
-    return records, tuple(tangents)
+    return records, tuple(tangents), functionals
 
 
-def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
-                 tmin, tol_v, graze, labels, svals, psis, flens):
+def _trace_plane(sides, tangents, funcs, sl, sv0, sv1, verts, p, v, nmax,
+                 maxlen, tmin, tol_v, graze, labels, svals, psis, flens):
     # the ray lies on z = 1 with zero z-direction
     px, py, _ = p
     vx, vy, _ = v
@@ -170,25 +176,26 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
     total = 0.0
     for i in range(nmax):
         best_t = INF
-        for j, nx, ny, nz, ax, ay, ux, uy, lo, hi in sides:
+        for j, nx, ny, nz in funcs:
             b = nx * vx + ny * vy
             if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
                 continue
             t = -(nx * px + ny * py + nz) / b
-            # a side no nearer than the best so far cannot win, whatever
-            # its arc parameter
-            if t <= tmin or not t < best_t:
-                continue
-            qx = px + t * vx
-            qy = py + t * vy
-            s = (qx - ax) * ux + (qy - ay) * uy
-            if s < lo or s > hi:
-                continue
-            best_t, best_s, hx, hy = t, s, qx, qy
-            won = j, ax, ay, ux, uy
+            if tmin < t < best_t:
+                best_t, best_j = t, j
         if best_t == INF:
             return i, STEP_ESCAPED, -1, total
-        j, ax, ay, ux, uy = won
+        j = best_j
+        _, _, _, _, ax, ay, ux, uy, lo, hi = sides[j]
+        hx = px + best_t * vx
+        hy = py + best_t * vy
+        best_s = (hx - ax) * ux + (hy - ay) * uy
+        if best_s < lo or best_s > hi:
+            best_t, j, best_s, hx, hy = plane_search(sides, px, py, vx, vy,
+                                                     tmin)
+            if j < 0:
+                return i, STEP_ESCAPED, -1, total
+            _, _, _, _, ax, ay, ux, uy, _, _ = sides[j]
         ln = sl[j]
         if not near < best_s < ln - near:
             for vtx in (sv0[j], sv1[j]):
@@ -237,45 +244,8 @@ def _trace_plane(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
     return nmax, STEP_OK, -1, total
 
 
-def sphere_search(sides, px, py, pz, vx, vy, vz, tmin):
-    """The sphere loops' side search when the nearest crossing misses its
-    window: (t, j, s, cos t, sin t, unnormalised hit point), j = -1 when
-    no crossing lands."""
-    best_t = INF
-    best_j = -1
-    best_s = hc = hs = hx = hy = hz = 0.0
-    for j in range(len(sides)):
-        nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
-        a = nx * px + ny * py + nz * pz
-        b = nx * vx + ny * vy + nz * vz
-        if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
-            continue
-        # roots repeat every pi along the great circle: take the first past
-        # tmin that lands on the segment, unless it cannot beat the best
-        # side so far
-        t0 = math.atan2(-a, b) % math.pi
-        for m in ROOT_STEPS:
-            t = t0 + m
-            if t <= tmin:
-                continue
-            if not t < best_t:
-                break
-            ct = math.cos(t)
-            st = math.sin(t)
-            qx = ct * px + st * vx
-            qy = ct * py + st * vy
-            qz = ct * pz + st * vz
-            s = math.atan2(qx * ux + qy * uy + qz * uz,
-                           qx * ax + qy * ay + qz * az)
-            if lo <= s <= hi:
-                best_t, best_j, best_s = t, j, s
-                hc, hs, hx, hy, hz = ct, st, qx, qy, qz
-                break
-    return best_t, best_j, best_s, hc, hs, hx, hy, hz
-
-
-def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
-                  tmin, tol_v, graze, labels, svals, psis, flens):
+def _trace_sphere(sides, tangents, funcs, sl, sv0, sv1, verts, p, v, nmax,
+                  maxlen, tmin, tol_v, graze, labels, svals, psis, flens):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
@@ -285,8 +255,7 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
     for i in range(nmax):
         best_t = INF
         best_j = -1
-        for j in range(len(sides)):
-            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+        for j, nx, ny, nz in funcs:
             a = nx * px + ny * py + nz * pz
             b = nx * vx + ny * vy + nz * vz
             if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
@@ -425,8 +394,9 @@ def _trace_sphere(sides, tangents, sl, sv0, sv1, verts, p, v, nmax, maxlen,
     return nmax, STEP_OK, -1, total
 
 
-def _trace_hyperbolic(sides, tangents, sl, sv0, sv1, verts, p, v, nmax,
-                      maxlen, tmin, tol_v, graze, labels, svals, psis, flens):
+def _trace_hyperbolic(sides, tangents, funcs, sl, sv0, sv1, verts, p, v,
+                      nmax, maxlen, tmin, tol_v, graze, labels, svals, psis,
+                      flens):
     px, py, pz = p
     vx, vy, vz = v
     near = tol_v + VERTEX_WINDOW
@@ -434,25 +404,26 @@ def _trace_hyperbolic(sides, tangents, sl, sv0, sv1, verts, p, v, nmax,
     for i in range(nmax):
         best_t = INF
         best_j = -1
-        for j in range(len(sides)):
-            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+        for j, nx, ny, nz in funcs:
             a = nx * px + ny * py - nz * pz
             b = nx * vx + ny * vy - nz * vz
             if abs(b) <= abs(a):
                 continue
             t = math.atanh(-a / b)
-            if t <= tmin or not t < best_t:
-                continue
-            ct = math.cosh(t)
-            st = math.sinh(t)
-            qx = ct * px + st * vx
-            qy = ct * py + st * vy
-            qz = ct * pz + st * vz
-            s = math.asinh(qx * ux + qy * uy - qz * uz)
-            if s < lo or s > hi:
-                continue
-            best_t, best_j, best_s = t, j, s
-            hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+            if tmin < t < best_t:
+                best_t, best_j = t, j
+        if best_j >= 0:
+            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[best_j]
+            hc = math.cosh(best_t)
+            hs = math.sinh(best_t)
+            hx = hc * px + hs * vx
+            hy = hc * py + hs * vy
+            hz = hc * pz + hs * vz
+            best_s = math.asinh(hx * ux + hy * uy - hz * uz)
+            if best_s < lo or best_s > hi:
+                (best_t, best_j, best_s, hc, hs, hx, hy,
+                 hz) = hyperbolic_search(sides, px, py, pz, vx, vy, vz, tmin)
+                nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[best_j]
         if best_j < 0:
             return i, STEP_ESCAPED, -1, total
         n = math.sqrt(hz ** 2 - hx ** 2 - hy ** 2)
@@ -484,7 +455,6 @@ def _trace_hyperbolic(sides, tangents, sl, sv0, sv1, verts, p, v, nmax,
         wy = gy / n
         wz = gz / n
         # reflected in the side's geodesic
-        nx, ny, nz, ax, ay, az, ux, uy, uz, _, _ = sides[best_j]
         c2 = wx * nx + wy * ny - wz * nz
         gx = wx - 2.0 * c2 * nx
         gy = wy - 2.0 * c2 * ny
@@ -577,30 +547,30 @@ TRACE_LOOPS = {0: _trace_plane, 1: _trace_sphere, -1: _trace_hyperbolic}
 # and (x, y, 0) directions.
 
 
-def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
+def _cross_plane(sides, funcs, refl, p, v, nmax, tmin, labels):
     # the line lies on z = 1 with zero z-direction; reflections keep it so
     px, py, _ = p
     vx, vy, _ = v
     for m in range(nmax):
         best_t = INF
-        best_j = -1
-        for j, nx, ny, nz, ax, ay, ux, uy, lo, hi in sides:
+        for j, nx, ny, nz in funcs:
             b = nx * vx + ny * vy
             if -1e-15 < b < 1e-15:    # abs(b) < 1e-15 without the call
                 continue
             t = -(nx * px + ny * py + nz) / b
-            # a side no nearer than the best so far cannot win, whatever
-            # its arc parameter
-            if t <= tmin or not t < best_t:
-                continue
-            qx = px + t * vx
-            qy = py + t * vy
-            s = (qx - ax) * ux + (qy - ay) * uy
-            if s < lo or s > hi:
-                continue
-            best_t, best_j, hx, hy = t, j, qx, qy
-        if best_j < 0:
+            if tmin < t < best_t:
+                best_t, best_j = t, j
+        if best_t == INF:
             return m
+        _, _, _, _, ax, ay, ux, uy, lo, hi = sides[best_j]
+        hx = px + best_t * vx
+        hy = py + best_t * vy
+        s = (hx - ax) * ux + (hy - ay) * uy
+        if s < lo or s > hi:
+            best_t, best_j, _, hx, hy = plane_search(sides, px, py, vx, vy,
+                                                     tmin)
+            if best_j < 0:
+                return m
         labels[m] = best_j
         # the incoming direction does not depend on the flight time
         n = math.hypot(vx, vy)
@@ -619,7 +589,7 @@ def _cross_plane(sides, refl, p, v, nmax, tmin, labels):
     return nmax
 
 
-def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
+def _cross_sphere(sides, funcs, refl, p, v, nmax, tmin, labels):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
@@ -627,8 +597,7 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
     for m in range(nmax):
         best_t = INF
         best_j = -1
-        for j in range(len(sides)):
-            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+        for j, nx, ny, nz in funcs:
             a = nx * px + ny * py + nz * pz
             b = nx * vx + ny * vy + nz * vz
             if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
@@ -698,31 +667,31 @@ def _cross_sphere(sides, refl, p, v, nmax, tmin, labels):
     return nmax
 
 
-def _cross_hyperbolic(sides, refl, p, v, nmax, tmin, labels):
+def _cross_hyperbolic(sides, funcs, refl, p, v, nmax, tmin, labels):
     px, py, pz = p
     vx, vy, vz = v
     for m in range(nmax):
         best_t = INF
         best_j = -1
-        for j in range(len(sides)):
-            nx, ny, nz, ax, ay, az, ux, uy, uz, lo, hi = sides[j]
+        for j, nx, ny, nz in funcs:
             a = nx * px + ny * py - nz * pz
             b = nx * vx + ny * vy - nz * vz
             if abs(b) <= abs(a):
                 continue
             t = math.atanh(-a / b)
-            if t <= tmin or not t < best_t:
-                continue
-            ct = math.cosh(t)
-            st = math.sinh(t)
-            qx = ct * px + st * vx
-            qy = ct * py + st * vy
-            qz = ct * pz + st * vz
-            s = math.asinh(qx * ux + qy * uy - qz * uz)
+            if tmin < t < best_t:
+                best_t, best_j = t, j
+        if best_j >= 0:
+            _, _, _, _, _, _, ux, uy, uz, lo, hi = sides[best_j]
+            hc = math.cosh(best_t)
+            hs = math.sinh(best_t)
+            hx = hc * px + hs * vx
+            hy = hc * py + hs * vy
+            hz = hc * pz + hs * vz
+            s = math.asinh(hx * ux + hy * uy - hz * uz)
             if s < lo or s > hi:
-                continue
-            best_t, best_j = t, j
-            hc, hs, hx, hy, hz = ct, st, qx, qy, qz
+                (_, best_j, _, hc, hs, hx, hy,
+                 hz) = hyperbolic_search(sides, px, py, pz, vx, vy, vz, tmin)
         if best_j < 0:
             return m
         labels[m] = best_j

@@ -31,9 +31,10 @@ lists.
 only entries to the straight-line loops of
 :mod:`ccbilliards._collision_loops` and pick one per call from k.  Each
 converts the ray to two float triples and every scalar to a Python float,
-once, and hands the loop the side records that ``Polygon.kernel_pack``
-built once per polygon (``_collision_loops.side_records``, at the pad
-``VERTEX_TOL``); ``trace_orbit`` calls its loop itself, not through
+once, and hands the loop the side records, the plane's side tangents
+and the side functionals that ``Polygon.kernel_pack`` built once per
+polygon (``_collision_loops.side_records``, at the pad ``VERTEX_TOL``);
+``trace_orbit`` calls its loop itself, not through
 ``trace_from_point``.  ``trace_from_point`` serves ``collision_step``
 (nmax = 1), ``trace_ray`` and the diagonal search's per-vertex shooter
 (``collision._vertex_shooter``: float-triple rays), all on Python-list
@@ -43,12 +44,16 @@ expansivity probes, the vertex flow and (as ``mdot`` and ``perp``) the
 batched engine :mod:`ccbilliards._batch`.
 
 The Dormand-Prince integrator ``rk45`` of the vertex chart field runs on
-Python floats the same way.  It picks ``chart_field`` or
-``chart_arc_field`` once per run and calls it with each stage point as
-three floats; the stage values are unpacked into locals, accepted states
-go to Python lists that are copied into the caller's record buffers once,
-and the chart-exit bisection evaluates only the radius components of the
-dense output.  ``tests/test_golden.py`` pins its outputs bit for bit.
+Python floats the same way.  It calls no field function: ``chart_field``'s
+expressions are written out at each of the seven stage evaluations, in
+its operation order, with the arc rate hypot(x, y) of FIELD_CHART_ARC as
+the 4th component when a flag set once per run asks for it (0.83-0.85x
+the time of a call per stage, two trees in one process, 2 vCPUs).  Accepted states go to Python
+lists that are copied into the caller's record buffers once, and the
+chart-exit bisection evaluates only the radius components of the dense
+output.  ``tests/test_golden.py`` pins its outputs bit for bit, and
+``tests/test_flow.py`` holds them to the oracle ``rk45``, which calls a
+field function per stage.
 
 These are the N = 1 engine.  The periodic-orbit seed sweep instead runs
 its (side, s, psi) sample arrays at once in :mod:`ccbilliards._batch`,
@@ -222,14 +227,14 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts, sides,
     loop for curvature k.
 
     The first eight arguments after k are ``Polygon.kernel_pack()``:
-    ``sides`` holds the side records at the pad tol_v.  Fills the
-    per-bounce buffers and returns (n_done, status, vertex, length).  The
-    diagonal search starts its rays at polygon vertices;
-    ``collision_step`` is this with nmax = 1.  A plane ray must lie on
-    z = 1 with a z-direction of 0.  The batched engine ``_batch`` pads its
-    windows and tests vertex hits at ``VERTEX_TOL``, the records' pad, so
-    the two engines agree at tol_v = ``VERTEX_TOL``, which ``collision``
-    passes.
+    ``sides`` holds the loops' (records, tangents, functionals) at the pad
+    tol_v.  Fills the per-bounce buffers and returns (n_done, status,
+    vertex, length).  The diagonal search starts its rays at polygon
+    vertices; ``collision_step`` is this with nmax = 1.  A plane ray must
+    lie on z = 1 with a z-direction of 0.  The batched engine ``_batch``
+    pads its windows and tests vertex hits at ``VERTEX_TOL``, the records'
+    pad, so the two engines agree at tol_v = ``VERTEX_TOL``, which
+    ``collision`` passes.
     """
     return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts,
                           (float(p[0]), float(p[1]), float(p[2])),
@@ -242,14 +247,14 @@ def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
     """Crossing labels of the unfolded straight line, pulled back stepwise,
     with the loop for curvature k.
 
-    sides are the side records of ``Polygon.kernel_pack()``, whose pad
-    widens each side's arc window; refl holds one reflection matrix per
-    side, as a tuple of three row tuples.  Writes 0-based side labels to
-    labels and returns their count; never touches boundary (s, psi)
-    coordinates, so this is an independent route to the itinerary.  A
-    plane line must lie on z = 1 with a z-direction of 0.
+    sides are the loops' sides of ``Polygon.kernel_pack()``, whose
+    records' pad widens each side's arc window; refl holds one reflection
+    matrix per side, as a tuple of three row tuples.  Writes 0-based side
+    labels to labels and returns their count; never touches boundary (s,
+    psi) coordinates, so this is an independent route to the itinerary.
+    A plane line must lie on z = 1 with a z-direction of 0.
     """
-    return CROSSING_LOOPS[k](sides[0], refl,
+    return CROSSING_LOOPS[k](sides[0], sides[2], refl,
                              (float(p0[0]), float(p0[1]), float(p0[2])),
                              (float(v0[0]), float(v0[1]), float(v0[2])),
                              nmax, float(tmin), labels)
@@ -271,7 +276,8 @@ def chart_field(k, pf, x, y, z):
     """The chart field (FIELD_CHART) at (x, y, z) as a float 4-tuple.
 
     Its 4th component is 0.0; where 1 - k (x^2 + y^2) < 0, outside the
-    field's domain, every component is nan.
+    field's domain, every component is nan.  ``rk45`` writes these
+    expressions out at each stage.
     """
     ff = 1.0 - k * (x * x + y * y)
     if ff < 0.0:
@@ -280,18 +286,6 @@ def chart_field(k, pf, x, y, z):
     cz = math.cos(z)
     sz = math.sin(z)
     return (f * x * cz - pf * y * sz, f * y * cz + pf * x * sz, -f * sz, 0.0)
-
-
-def chart_arc_field(k, pf, x, y, z):
-    """``chart_field`` with the geodesic-time rate hypot(x, y) as its 4th
-    component (FIELD_CHART_ARC); outside the domain the other three are
-    nan."""
-    fx, fy, fz, _ = chart_field(k, pf, x, y, z)
-    return fx, fy, fz, math.hypot(x, y)
-
-
-# field functions by field id
-FIELDS = (chart_field, chart_arc_field)
 
 
 def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
@@ -360,9 +354,10 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     """Adaptive Dormand-Prince 5(4) with a radial exit window.
 
     y0 holds 3 components, or 4 for FIELD_CHART_ARC.  The step loop runs on
-    Python floats: the field function for field_id is picked once per run
-    and called with each stage point as three floats (no field reads a
-    4th component); its value is a float 4-tuple, unpacked into locals.  A
+    Python floats: each stage evaluates ``chart_field``'s expressions at
+    its point's first three components, inline, into four locals; the 4th
+    is the arc rate hypot(x, y) for FIELD_CHART_ARC, also outside the
+    field's domain, where the other three are nan, and 0.0 otherwise.  A
     3-component state carries 0.0 as its 4th component, which stays out of
     the error norm.  Each step evaluates the field six times; the 7th
     stage of an accepted step is the 1st of the next (FSAL).  An accepted
@@ -377,7 +372,17 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     copied once, before returning, into the buffers tbuf (cap,) and ybuf
     (cap, dim).  Returns (status, nrec, t_end, y_end), y_end a 4-tuple.
     """
-    f = FIELDS[field_id]
+    # chart_field written out at each stage, with the arc rate of
+    # FIELD_CHART_ARC as 4th component (0.0 otherwise): no call per stage.
+    # A float k multiplies as the int did, without the int's conversion,
+    # and local names spare each math call a global and attribute lookup
+    arc = field_id == FIELD_CHART_ARC
+    k = float(k)
+    nan = math.nan
+    sqrt = math.sqrt
+    cos = math.cos
+    sin = math.sin
+    hypot = math.hypot
     # arrays or numpy scalars in, Python floats through the loop
     dim = len(y0)
     ya, yb, yc = float(y0[0]), float(y0[1]), float(y0[2])
@@ -402,47 +407,83 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
         return RK_DONE, _flush(ts, ys, tbuf, ybuf, dim), t, (ya, yb, yc, yd)
     sgn = 1.0 if span > 0.0 else -1.0
     h = span / 128.0
-    k1a, k1b, k1c, k1d = f(k, pf, ya, yb, yc)
+    ff = 1.0 - k * (ya * ya + yb * yb)
+    f = sqrt(ff) if ff >= 0.0 else nan
+    cz = cos(yc)
+    sz = sin(yc)
+    k1a = f * ya * cz - pf * yb * sz
+    k1b = f * yb * cz + pf * ya * sz
+    k1c = -f * sz
+    k1d = hypot(ya, yb) if arc else 0.0
     while (t - t1) * sgn < 0.0:
         if (t + h - t1) * sgn > 0.0:
             h = t1 - t
-        k2a, k2b, k2c, _ = f(
-            k, pf,
-            ya + h * (0.2 * k1a),
-            yb + h * (0.2 * k1b),
-            yc + h * (0.2 * k1c))
-        k3a, k3b, k3c, k3d = f(
-            k, pf,
-            ya + h * (3.0 / 40.0 * k1a + 9.0 / 40.0 * k2a),
-            yb + h * (3.0 / 40.0 * k1b + 9.0 / 40.0 * k2b),
-            yc + h * (3.0 / 40.0 * k1c + 9.0 / 40.0 * k2c))
-        k4a, k4b, k4c, k4d = f(
-            k, pf,
-            ya + h * (44.0 / 45.0 * k1a - 56.0 / 15.0 * k2a
-                      + 32.0 / 9.0 * k3a),
-            yb + h * (44.0 / 45.0 * k1b - 56.0 / 15.0 * k2b
-                      + 32.0 / 9.0 * k3b),
-            yc + h * (44.0 / 45.0 * k1c - 56.0 / 15.0 * k2c
-                      + 32.0 / 9.0 * k3c))
-        k5a, k5b, k5c, k5d = f(
-            k, pf,
-            ya + h * (19372.0 / 6561.0 * k1a - 25360.0 / 2187.0 * k2a
-                      + 64448.0 / 6561.0 * k3a - 212.0 / 729.0 * k4a),
-            yb + h * (19372.0 / 6561.0 * k1b - 25360.0 / 2187.0 * k2b
-                      + 64448.0 / 6561.0 * k3b - 212.0 / 729.0 * k4b),
-            yc + h * (19372.0 / 6561.0 * k1c - 25360.0 / 2187.0 * k2c
-                      + 64448.0 / 6561.0 * k3c - 212.0 / 729.0 * k4c))
-        k6a, k6b, k6c, k6d = f(
-            k, pf,
-            ya + h * (9017.0 / 3168.0 * k1a - 355.0 / 33.0 * k2a
+        x = ya + h * (0.2 * k1a)
+        y = yb + h * (0.2 * k1b)
+        z = yc + h * (0.2 * k1c)
+        ff = 1.0 - k * (x * x + y * y)
+        f = sqrt(ff) if ff >= 0.0 else nan
+        cz = cos(z)
+        sz = sin(z)
+        k2a = f * x * cz - pf * y * sz
+        k2b = f * y * cz + pf * x * sz
+        k2c = -f * sz
+        x = ya + h * (3.0 / 40.0 * k1a + 9.0 / 40.0 * k2a)
+        y = yb + h * (3.0 / 40.0 * k1b + 9.0 / 40.0 * k2b)
+        z = yc + h * (3.0 / 40.0 * k1c + 9.0 / 40.0 * k2c)
+        ff = 1.0 - k * (x * x + y * y)
+        f = sqrt(ff) if ff >= 0.0 else nan
+        cz = cos(z)
+        sz = sin(z)
+        k3a = f * x * cz - pf * y * sz
+        k3b = f * y * cz + pf * x * sz
+        k3c = -f * sz
+        k3d = hypot(x, y) if arc else 0.0
+        x = ya + h * (44.0 / 45.0 * k1a - 56.0 / 15.0 * k2a
+                      + 32.0 / 9.0 * k3a)
+        y = yb + h * (44.0 / 45.0 * k1b - 56.0 / 15.0 * k2b
+                      + 32.0 / 9.0 * k3b)
+        z = yc + h * (44.0 / 45.0 * k1c - 56.0 / 15.0 * k2c
+                      + 32.0 / 9.0 * k3c)
+        ff = 1.0 - k * (x * x + y * y)
+        f = sqrt(ff) if ff >= 0.0 else nan
+        cz = cos(z)
+        sz = sin(z)
+        k4a = f * x * cz - pf * y * sz
+        k4b = f * y * cz + pf * x * sz
+        k4c = -f * sz
+        k4d = hypot(x, y) if arc else 0.0
+        x = ya + h * (19372.0 / 6561.0 * k1a - 25360.0 / 2187.0 * k2a
+                      + 64448.0 / 6561.0 * k3a - 212.0 / 729.0 * k4a)
+        y = yb + h * (19372.0 / 6561.0 * k1b - 25360.0 / 2187.0 * k2b
+                      + 64448.0 / 6561.0 * k3b - 212.0 / 729.0 * k4b)
+        z = yc + h * (19372.0 / 6561.0 * k1c - 25360.0 / 2187.0 * k2c
+                      + 64448.0 / 6561.0 * k3c - 212.0 / 729.0 * k4c)
+        ff = 1.0 - k * (x * x + y * y)
+        f = sqrt(ff) if ff >= 0.0 else nan
+        cz = cos(z)
+        sz = sin(z)
+        k5a = f * x * cz - pf * y * sz
+        k5b = f * y * cz + pf * x * sz
+        k5c = -f * sz
+        k5d = hypot(x, y) if arc else 0.0
+        x = ya + h * (9017.0 / 3168.0 * k1a - 355.0 / 33.0 * k2a
                       + 46732.0 / 5247.0 * k3a + 49.0 / 176.0 * k4a
-                      - 5103.0 / 18656.0 * k5a),
-            yb + h * (9017.0 / 3168.0 * k1b - 355.0 / 33.0 * k2b
+                      - 5103.0 / 18656.0 * k5a)
+        y = yb + h * (9017.0 / 3168.0 * k1b - 355.0 / 33.0 * k2b
                       + 46732.0 / 5247.0 * k3b + 49.0 / 176.0 * k4b
-                      - 5103.0 / 18656.0 * k5b),
-            yc + h * (9017.0 / 3168.0 * k1c - 355.0 / 33.0 * k2c
+                      - 5103.0 / 18656.0 * k5b)
+        z = yc + h * (9017.0 / 3168.0 * k1c - 355.0 / 33.0 * k2c
                       + 46732.0 / 5247.0 * k3c + 49.0 / 176.0 * k4c
-                      - 5103.0 / 18656.0 * k5c))
+                      - 5103.0 / 18656.0 * k5c)
+        ff = 1.0 - k * (x * x + y * y)
+        f = sqrt(ff) if ff >= 0.0 else nan
+        cz = cos(z)
+        sz = sin(z)
+        k6a = f * x * cz - pf * y * sz
+        k6b = f * y * cz + pf * x * sz
+        k6c = -f * sz
+        k6d = hypot(x, y) if arc else 0.0
         na = ya + h * (35.0 / 384.0 * k1a + 500.0 / 1113.0 * k3a
                        + 125.0 / 192.0 * k4a - 2187.0 / 6784.0 * k5a
                        + 11.0 / 84.0 * k6a)
@@ -452,7 +493,14 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
         nc = yc + h * (35.0 / 384.0 * k1c + 500.0 / 1113.0 * k3c
                        + 125.0 / 192.0 * k4c - 2187.0 / 6784.0 * k5c
                        + 11.0 / 84.0 * k6c)
-        k7a, k7b, k7c, k7d = f(k, pf, na, nb, nc)
+        ff = 1.0 - k * (na * na + nb * nb)
+        f = sqrt(ff) if ff >= 0.0 else nan
+        cz = cos(nc)
+        sz = sin(nc)
+        k7a = f * na * cz - pf * nb * sz
+        k7b = f * nb * cz + pf * na * sz
+        k7c = -f * sz
+        k7d = hypot(na, nb) if arc else 0.0
         # the error norm, one component at a time in the old loop's order
         e = h * (71.0 / 57600.0 * k1a - 71.0 / 16695.0 * k3a
                  + 71.0 / 1920.0 * k4a - 17253.0 / 339200.0 * k5a

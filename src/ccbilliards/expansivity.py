@@ -34,6 +34,9 @@ from .errors import GeometryError
 SAME_ORBIT_TOL = 1e-6       # phase distance below which two states are one orbit
 SAME_ORBIT_WINDOW = 20      # bounces scanned either way by the exclusion test
 PAIR_DIRECTION_OFFSET = 1e-5
+# squared direction gap past which a flight sample of the same-orbit test
+# is skipped: (2 SAME_ORBIT_TOL)^2
+_FAR_DIRS = (2.0 * SAME_ORBIT_TOL) ** 2
 
 
 class Rule(str, Enum):
@@ -99,30 +102,15 @@ class ExpansivenessVerdict:
     notes: tuple = ()
 
 
-def _orbit_phase_points(poly, b, traces, window):
-    """Sampled (point, direction) float triples along the orbit through b.
-
-    Forward from b, then backward from b.reversed() with the directions
-    negated back to b's sense of travel, over the first ``window`` bounces
-    of ``traces``, the traces of b and of b.reversed().
-    """
-    k = poly.k
-    for back, state, tr in ((False, b, traces[0]),
-                            (True, b.reversed(), traces[1])):
-        p, v = C.embed_state(poly, state)
-        yield p, _flip(v) if back else v
-        for i in range(min(tr.n_done, window)):
-            for frac in (0.25, 0.5, 0.75):
-                t = tr.flights[i] * frac
-                q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
-                w = K.renorm_tangent(k, q, K.geodesic_dir(k, p, v, t))
-                yield q, _flip(w) if back else w
-            p, v = C.embed_state(poly, tr.state(i))
-            yield p, _flip(v) if back else v
-
-
-def _flip(v):
-    return -v[0], -v[1], -v[2]
+def _near(k, q, w, pb, vb):
+    """Is the ray (pb, vb) within SAME_ORBIT_TOL of (q, w) in both its
+    point and its direction?"""
+    pos = K.distance(k, q, pb)
+    d0 = w[0] - vb[0]
+    d1 = w[1] - vb[1]
+    d2 = w[2] - vb[2]
+    dirs = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    return max(pos, dirs) < SAME_ORBIT_TOL
 
 
 def _same_orbit(poly, a, a_traces, pb, vb):
@@ -130,16 +118,39 @@ def _same_orbit(poly, a, a_traces, pb, vb):
     a's orbit segment?
 
     a_traces are the traces of a and of a.reversed(), at least
-    SAME_ORBIT_WINDOW bounces long unless they stopped earlier.
+    SAME_ORBIT_WINDOW bounces long unless they stopped earlier.  The
+    samples are the boundary states and three points of each flight over
+    the first SAME_ORBIT_WINDOW bounces, forward from a and backward from
+    a.reversed(); a backward sample is compared with -vb, which gives the
+    distance to vb of its direction negated back to a's sense of travel.
+    A flight sample whose direction, before its renormalisation, lies
+    more than 2 SAME_ORBIT_TOL from the target is skipped before its
+    point is computed: renormalising moves it by less than 1e-14 on the
+    built-in tables, so it could not pass.  The oracle ``same_orbit`` in
+    ``tests/kernel_oracle.py`` tests every sample.
     """
-    for q, w in _orbit_phase_points(poly, a, a_traces, SAME_ORBIT_WINDOW):
-        pos = K.distance(poly.k, q, pb)
-        d0 = w[0] - vb[0]
-        d1 = w[1] - vb[1]
-        d2 = w[2] - vb[2]
-        dirs = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        if max(pos, dirs) < SAME_ORBIT_TOL:
+    k = poly.k
+    for ub, state, tr in ((vb, a, a_traces[0]),
+                          ((-vb[0], -vb[1], -vb[2]), a.reversed(),
+                           a_traces[1])):
+        p, v = C.embed_state(poly, state)
+        if _near(k, p, v, pb, ub):
             return True
+        for i in range(min(tr.n_done, SAME_ORBIT_WINDOW)):
+            for frac in (0.25, 0.5, 0.75):
+                t = tr.flights[i] * frac
+                d = K.geodesic_dir(k, p, v, t)
+                d0 = d[0] - ub[0]
+                d1 = d[1] - ub[1]
+                d2 = d[2] - ub[2]
+                if d0 * d0 + d1 * d1 + d2 * d2 > _FAR_DIRS:
+                    continue
+                q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
+                if _near(k, q, K.renorm_tangent(k, q, d), pb, ub):
+                    return True
+            p, v = C.embed_state(poly, tr.state(i))
+            if _near(k, p, v, pb, ub):
+                return True
     return False
 
 

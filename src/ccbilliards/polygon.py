@@ -85,10 +85,12 @@ class Polygon:
         (sa, su, sn, sl, sv0, sv1, verts, sides): per side the start point,
         unit start tangent and interior-positive functional as (x, y, z)
         float triples, the length, and the start and end vertex ids; then
-        the vertices as float triples; then the straight-line loops' side
-        records at the pad ``VERTEX_TOL``
-        (``_collision_loops.side_records``), so that no trace or crossing
-        call builds them.  Python floats keep the scalar kernels off numpy
+        the vertices as float triples; then the straight-line loops' sides
+        at the pad ``VERTEX_TOL`` (``_collision_loops.side_records``):
+        (records, tangents, functionals), the full per-side records, the
+        plane's unit side tangents and the per-side (j, nx, ny, nz) that
+        the loops' first pass reads, so that no trace or crossing call
+        builds them.  Python floats keep the scalar kernels off numpy
         scalar arithmetic; ``_batch`` turns the first seven entries into
         arrays with ``np.asarray``.
         """

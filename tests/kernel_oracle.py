@@ -54,6 +54,12 @@ reports through its least rotation or reversal.
 time: the tests compare the engine by arrays, and feed a sweep from arrays
 they traced once.  Like the sweep, it checks no state.
 
+``same_orbit`` (with ``orbit_phase_points``) is the same-orbit test of
+``expansivity.probe_pair`` as it was before it skipped the flight samples
+whose direction lies far from the probed ray's: every sample's point,
+direction and distance are computed.  ``expansivity._same_orbit`` must
+give its verdicts (``test_expansivity.py``).
+
 ``geodesics_intersect`` (with ``arc_param``) is the polygon builder's
 boundary check on numpy 3-vectors, recomputing both side normals.
 ``geometry.geodesics_intersect``, on float triples and the stored
@@ -80,6 +86,7 @@ import numpy as np
 
 from ccbilliards import _batch as B
 from ccbilliards import collision as C
+from ccbilliards import expansivity as E
 from ccbilliards import geometry as G
 from ccbilliards import unfolding as U
 
@@ -728,6 +735,47 @@ def polish_row(poly, b, labels, returns, reports):
         reports[key] = U.PeriodicOrbitReport(
             start, rtr.labels, float(np.sum(rtr.flights)), residual, hol)
         return
+
+
+def _flip(v):
+    return -v[0], -v[1], -v[2]
+
+
+def orbit_phase_points(poly, b, traces, window):
+    """Sampled (point, direction) float triples along the orbit through b.
+
+    Forward from b, then backward from b.reversed() with the directions
+    negated back to b's sense of travel, over the first ``window`` bounces
+    of ``traces``, the traces of b and of b.reversed().
+    """
+    k = poly.k
+    for back, state, tr in ((False, b, traces[0]),
+                            (True, b.reversed(), traces[1])):
+        p, v = C.embed_state(poly, state)
+        yield p, _flip(v) if back else v
+        for i in range(min(tr.n_done, window)):
+            for frac in (0.25, 0.5, 0.75):
+                t = tr.flights[i] * frac
+                q = renorm_point(k, geodesic_point(k, p, v, t))
+                w = renorm_tangent(k, q, geodesic_dir(k, p, v, t))
+                yield q, _flip(w) if back else w
+            p, v = C.embed_state(poly, tr.state(i))
+            yield p, _flip(v) if back else v
+
+
+def same_orbit(poly, a, a_traces, pb, vb):
+    """``expansivity._same_orbit`` with every sample's point, direction
+    and distance computed: is the ray (pb, vb) within SAME_ORBIT_TOL of
+    a's orbit segment?"""
+    for q, w in orbit_phase_points(poly, a, a_traces, E.SAME_ORBIT_WINDOW):
+        pos = distance(poly.k, q, pb)
+        d0 = w[0] - vb[0]
+        d1 = w[1] - vb[1]
+        d2 = w[2] - vb[2]
+        dirs = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        if max(pos, dirs) < E.SAME_ORBIT_TOL:
+            return True
+    return False
 
 
 def geodesics_intersect(a, a_len, b, b_len, k, end_tol=1e-12):

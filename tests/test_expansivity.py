@@ -11,8 +11,10 @@ from ccbilliards import expansivity as E
 from ccbilliards import unfolding as U
 from ccbilliards import (BoundaryState, GeometryError, Rule, SearchBudget,
                          classify, find_periodic, format_verdict,
+                         hyperbolic_pentagon,
                          periodic_orbit_neighborhood_check, probe_pair,
-                         sphere_triangle, verify_periodic)
+                         sphere_triangle, square, verify_periodic)
+import kernel_oracle as O
 
 SMALL = SearchBudget(horizon=300, samples=400, periodic_bounces=20,
                      diagonal_depth=3, diagonal_angles=256, pair_probes=12,
@@ -344,3 +346,52 @@ def test_same_orbit_on_shifted_rays(request, table):
                 cases.append((q, w, on))
     for q, w, on in cases:
         assert E._same_orbit(poly, a, traces, q, w) is on
+
+
+BUILT_IN = {"square": square(), "triangle-pi4": sphere_triangle(math.pi / 4),
+            "triangle-1": sphere_triangle(1.0),
+            "pentagon": hyperbolic_pentagon()}
+
+
+@pytest.mark.parametrize("table", list(BUILT_IN))
+def test_same_orbit_matches_oracle(table):
+    # the direction prefilter skips only flight samples that could not
+    # pass: the verdicts of the oracle's full scan on rays on a's orbit, on
+    # rays turned or moved off one of its points by 1e-7, 1e-6 +- 1e-9 and
+    # 2e-6, and on unrelated rays
+    poly = BUILT_IN[table]
+    k = poly.k
+    rng = np.random.default_rng(11)
+    tol = E.SAME_ORBIT_TOL
+    seen = set()
+    for _ in range(4):
+        side = int(rng.integers(1, poly.n_sides + 1))
+        a = BoundaryState(side, float(rng.uniform(0.1, 0.9))
+                          * poly.side(side).length,
+                          float(rng.uniform(0.2, math.pi - 0.2)))
+        traces = (C.trace(poly, a, E.SAME_ORBIT_WINDOW),
+                  C.trace(poly, a.reversed(), E.SAME_ORBIT_WINDOW))
+        samples = list(O.orbit_phase_points(poly, a, traces,
+                                            E.SAME_ORBIT_WINDOW))
+        rays = [(q, w, True) for q, w in samples[::9]]
+        # one flight sample forward and one backward as base points
+        for q, w in (samples[6], samples[-2]):
+            for off in (1e-7, tol - 1e-9, tol + 1e-9, 2 * tol):
+                for sgn in (1.0, -1.0):
+                    rays.append((q, _turned(poly, q, w, sgn * off), None))
+                    e = K.perp(k, q, w)
+                    qq = K.renorm_point(k, K.geodesic_point(k, q, e,
+                                                            sgn * off))
+                    rays.append((qq, K.renorm_tangent(k, qq, w), None))
+        for _ in range(4):
+            j = int(rng.integers(1, poly.n_sides + 1))
+            b = BoundaryState(j, float(rng.uniform(0.0, 1.0))
+                              * poly.side(j).length,
+                              float(rng.uniform(0.1, math.pi - 0.1)))
+            rays.append((*C.embed_state(poly, b), None))
+        for pb, vb, on in rays:
+            got = E._same_orbit(poly, a, traces, pb, vb)
+            assert got is O.same_orbit(poly, a, traces, pb, vb)
+            assert on is None or got is on
+            seen.add(got)
+    assert seen == {True, False}

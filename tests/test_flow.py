@@ -564,8 +564,8 @@ class TestOutOfDomainStage:
 
     def test_field_is_nan_outside_domain(self):
         assert all(math.isnan(v) for v in K.chart_field(1, 2.0, 0.8, 0.7, 0.3))
-        assert all(math.isnan(v)
-                   for v in K.chart_arc_field(1, 2.0, 0.8, 0.7, 0.3)[:3])
+        assert all(math.isnan(v) for v in
+                   O.field_eval(O.FIELD_CHART_ARC, 1, 2.0, (0.8, 0.7, 0.3)))
         assert all(math.isnan(v) for v in
                    O.field_eval(O.FIELD_POLAR, 0, 0.0, (0.0, 0.2, 1.0)))
         # on the unit circle itself the chart field is still defined
@@ -676,3 +676,31 @@ def test_rk45_matches_oracle(case, k, theta, rf, gf, beta, T, eps):
         cap = 1 + int(4 * gf)
     args = (field, k, pf, y0, t1, -K.INF, rhi, cap, record)
     assert _rk45_run(K.rk45, *args) == _rk45_run(O.rk45, *args)
+
+
+def test_rk45_arc_time_near_the_unit_circle_matches_oracle(monkeypatch):
+    # FIELD_CHART_ARC on the sphere from just inside the unit circle: long
+    # steps put stages outside the field's domain and are rejected, and
+    # every output bit, the arc component included, is the oracle's
+    outside = []
+    field_eval = O.field_eval
+
+    def counted(*args):
+        value = field_eval(*args)
+        outside.append(math.isnan(value[0]))
+        return value
+
+    monkeypatch.setattr(O, "field_eval", counted)
+    rng = np.random.default_rng(3)
+    ends = set()
+    for _ in range(12):
+        r = 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
+        g, z = rng.uniform(0.0, TWO_PI, 2)
+        y0 = (r * math.cos(g), r * math.sin(g), float(z), 0.0)
+        for t1 in (3.0, -3.0):
+            args = (K.FIELD_CHART_ARC, 1, math.pi / 0.7, y0, t1, -K.INF,
+                    K.INF, 512, 1)
+            got = _rk45_run(K.rk45, *args)
+            assert got == _rk45_run(O.rk45, *args)
+            ends.add(got[0])
+    assert any(outside) and K.RK_DONE in ends
