@@ -44,14 +44,15 @@ expansivity probes, the vertex flow and (as ``mdot`` and ``perp``) the
 batched engine :mod:`ccbilliards._batch`.
 
 The Dormand-Prince integrator ``rk45`` of the vertex chart field runs on
-Python floats the same way.  It calls no field function: ``chart_field``'s
-expressions are written out at each of the seven stage evaluations, in
-its operation order, with the arc rate hypot(x, y) of FIELD_CHART_ARC as
-the 4th component when a flag set once per run asks for it (0.83-0.85x
-the time of a call per stage, two trees in one process, 2 vCPUs).  Accepted states go to Python
-lists that are copied into the caller's record buffers once, and the
-chart-exit bisection evaluates only the radius components of the dense
-output.  ``tests/test_golden.py`` pins its outputs bit for bit, and
+Python floats the same way.  It calls no field function: the expressions
+of ``flow.chart_velocity_field`` are written out at each of the seven
+stage evaluations, in its operation order, with the arc rate hypot(x, y)
+of FIELD_CHART_ARC as the 4th component when a flag set once per run asks
+for it (0.83-0.85x the time of a call per stage, two trees in one
+process, 2 vCPUs).  Accepted states go to Python lists that are copied
+into the caller's record buffers once, and the chart-exit bisection
+evaluates only the radius components of the dense output.
+``tests/test_golden.py`` pins its outputs bit for bit, and
 ``tests/test_flow.py`` holds them to the oracle ``rk45``, which calls a
 field function per stage.
 
@@ -268,25 +269,6 @@ def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
 FIELD_CHART = 0       # (x, y, z) rescaled chart field, pf = pi / theta
 FIELD_CHART_ARC = 1   # chart field augmented with accumulated geodesic time
 
-# the field value at a point outside the field's domain
-FIELD_NAN = (math.nan, math.nan, math.nan, math.nan)
-
-
-def chart_field(k, pf, x, y, z):
-    """The chart field (FIELD_CHART) at (x, y, z) as a float 4-tuple.
-
-    Its 4th component is 0.0; where 1 - k (x^2 + y^2) < 0, outside the
-    field's domain, every component is nan.  ``rk45`` writes these
-    expressions out at each stage.
-    """
-    ff = 1.0 - k * (x * x + y * y)
-    if ff < 0.0:
-        return FIELD_NAN
-    f = math.sqrt(ff)
-    cz = math.cos(z)
-    sz = math.sin(z)
-    return (f * x * cz - pf * y * sz, f * y * cz + pf * x * sz, -f * sz, 0.0)
-
 
 def _dense_terms(y, yn, a1, a3, a4, a5, a6, a7, h):
     # one component's coefficients of the Dormand-Prince 4th-order
@@ -354,10 +336,10 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     """Adaptive Dormand-Prince 5(4) with a radial exit window.
 
     y0 holds 3 components, or 4 for FIELD_CHART_ARC.  The step loop runs on
-    Python floats: each stage evaluates ``chart_field``'s expressions at
-    its point's first three components, inline, into four locals; the 4th
-    is the arc rate hypot(x, y) for FIELD_CHART_ARC, also outside the
-    field's domain, where the other three are nan, and 0.0 otherwise.  A
+    Python floats: each stage evaluates ``flow.chart_velocity_field``'s
+    expressions at its point's first three components, inline, into four
+    locals; the 4th is the arc rate hypot(x, y) for FIELD_CHART_ARC, also
+    where 1 - k (x^2 + y^2) < 0 and the other three are nan, else 0.0.  A
     3-component state carries 0.0 as its 4th component, which stays out of
     the error norm.  Each step evaluates the field six times; the 7th
     stage of an accepted step is the 1st of the next (FSAL).  An accepted
@@ -372,7 +354,7 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
     copied once, before returning, into the buffers tbuf (cap,) and ybuf
     (cap, dim).  Returns (status, nrec, t_end, y_end), y_end a 4-tuple.
     """
-    # chart_field written out at each stage, with the arc rate of
+    # the chart field written out at each stage, with the arc rate of
     # FIELD_CHART_ARC as 4th component (0.0 otherwise): no call per stage.
     # A float k multiplies as the int did, without the int's conversion,
     # and local names spare each math call a global and attribute lookup

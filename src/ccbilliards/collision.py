@@ -199,10 +199,14 @@ _TERMINATION = {K.STEP_OK: "horizon", K.STEP_VERTEX: "vertex_hit",
                 K.STEP_GRAZING: "degenerate", K.STEP_MAXLEN: "horizon"}
 
 
-def _direction_labels(poly, b, horizon):
-    """Labels [side(b), side(f b), ..., side(f^(horizon-1) b)] and the end tag."""
-    tr = trace(poly, b, horizon - 1)
-    labels = [b.side, *tr.labels]
+def direction_labels(b, tr, n):
+    """Labels [side(b), side(f b), ..., side(f^n b)] from the trace tr of b
+    (fewer where tr stopped first) and the end tag: "horizon" when tr ran
+    n bounces, otherwise its stop's tag.  An escape within n bounces
+    raises GeometryError."""
+    labels = [b.side, *tr.labels[:n]]
+    if tr.n_done >= n:
+        return labels, "horizon"
     if tr.status == K.STEP_ESCAPED:
         raise GeometryError("trajectory found no boundary intersection")
     return labels, _TERMINATION[tr.status]
@@ -217,16 +221,18 @@ def itinerary(b, poly, horizon, direction="forward"):
     """
     check_count(horizon, "horizon", 1)
     _validate_state(poly, b)
+    n = horizon - 1
+    back = b.reversed()
     if direction == "forward":
-        labels, term = _direction_labels(poly, b, horizon)
+        labels, term = direction_labels(b, trace(poly, b, n), n)
         return Itinerary(tuple(labels), 0, term)
     if direction == "backward":
-        labels, term = _direction_labels(poly, b.reversed(), horizon)
+        labels, term = direction_labels(back, trace(poly, back, n), n)
         return Itinerary(tuple(reversed(labels)), -(len(labels) - 1),
                          "horizon", termination_backward=term)
     if direction == "bidirectional":
-        fwd, term_f = _direction_labels(poly, b, horizon)
-        bwd, term_b = _direction_labels(poly, b.reversed(), horizon)
+        fwd, term_f = direction_labels(b, trace(poly, b, n), n)
+        bwd, term_b = direction_labels(back, trace(poly, back, n), n)
         labels = tuple(reversed(bwd[1:])) + tuple(fwd)
         return Itinerary(labels, -(len(bwd) - 1), term_f,
                          termination_backward=term_b)

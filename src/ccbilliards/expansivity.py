@@ -58,7 +58,7 @@ class PairProbe:
     horizon: int
     outcome: str              # "itineraries_agree" | "itineraries_diverge"
     diverge_index: int | None  # signed collision index of first disagreement
-    truncated: bool           # a vertex hit shortened the comparison
+    truncated: bool           # a vertex or grazing stop came within horizon
     compared: tuple           # (backward span, forward span) actually compared
 
 
@@ -130,6 +130,7 @@ def _same_orbit(poly, a, a_traces, pb, vb):
     ``tests/kernel_oracle.py`` tests every sample.
     """
     k = poly.k
+    sa, su = poly.kernel_pack()[:2]
     for ub, state, tr in ((vb, a, a_traces[0]),
                           ((-vb[0], -vb[1], -vb[2]), a.reversed(),
                            a_traces[1])):
@@ -148,19 +149,11 @@ def _same_orbit(poly, a, a_traces, pb, vb):
                 q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
                 if _near(k, q, K.renorm_tangent(k, q, d), pb, ub):
                     return True
-            p, v = C.embed_state(poly, tr.state(i))
+            j = tr.labels[i] - 1
+            p, v = K.boundary_embed(k, sa[j], su[j], tr.svals[i], tr.psis[i])
             if _near(k, p, v, pb, ub):
                 return True
     return False
-
-
-def _labels(b, tr, horizon):
-    """[side(b), side(f b), ...] over the first horizon bounces of the
-    trace tr of b, and whether a vertex or grazing stop cut them short."""
-    n = min(tr.n_done, horizon)
-    return ([b.side, *tr.labels[:n]],
-            n < horizon and (tr.status == K.STEP_VERTEX
-                             or tr.status == K.STEP_GRAZING))
 
 
 def probe_pair(a, b, poly, horizon):
@@ -168,7 +161,9 @@ def probe_pair(a, b, poly, horizon):
 
     Symmetric in its arguments.  Raises when the states lie on a common
     orbit segment (trivial pair).  a's two directions are traced once,
-    far enough for both the orbit-segment test and the comparison.
+    far enough for both the orbit-segment test and the comparison.  A
+    vertex or grazing stop within horizon shortens the comparison and sets
+    ``truncated``; an escape raises (``collision.direction_labels``).
     """
     C.check_count(horizon, "horizon", 1)
     if a == b:
@@ -180,11 +175,12 @@ def probe_pair(a, b, poly, horizon):
     if _same_orbit(poly, a, a_traces, pb, vb):
         raise GeometryError("probe_pair requires states on distinct orbits")
     b_back = b.reversed()
-    fa, trunc_fa = _labels(a, a_traces[0], horizon)
-    fb, trunc_fb = _labels(b, C.trace(poly, b, horizon), horizon)
-    ba, trunc_ba = _labels(a_back, a_traces[1], horizon)
-    bb, trunc_bb = _labels(b_back, C.trace(poly, b_back, horizon), horizon)
-    truncated = trunc_fa or trunc_fb or trunc_ba or trunc_bb
+    fa, end_fa = C.direction_labels(a, a_traces[0], horizon)
+    fb, end_fb = C.direction_labels(b, C.trace(poly, b, horizon), horizon)
+    ba, end_ba = C.direction_labels(a_back, a_traces[1], horizon)
+    bb, end_bb = C.direction_labels(b_back, C.trace(poly, b_back, horizon),
+                                    horizon)
+    truncated = {end_fa, end_fb, end_ba, end_bb} != {"horizon"}
     nf = min(len(fa), len(fb))
     nb = min(len(ba), len(bb))
     diverge = None

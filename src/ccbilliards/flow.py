@@ -99,9 +99,16 @@ def chart_embed(s, theta, k):
     This is the radial convention under which the extended field is an
     exact time-rescaling of the geodesic flow; it agrees with
     :func:`chart_forward` for k = 0 and to second order in r otherwise.
+    A non-finite state, r < 0, or r >= pi on the sphere raises
+    GeometryError; r = 0 is the vertex circle.
     """
     _check_theta(theta)
     check_curvature(k)
+    _check_polar(s)
+    if s.r < 0.0:
+        raise GeometryError(f"radial coordinate must be >= 0, got {s.r}")
+    if k == 1 and s.r >= math.pi:
+        raise GeometryError("spherical radial coordinate must be < pi")
     rr = K.sink(k, s.r)
     a = s.gamma * math.pi / theta
     return CartesianChartState(rr * math.cos(a), rr * math.sin(a),
@@ -109,8 +116,11 @@ def chart_embed(s, theta, k):
 
 
 def chart_extract(c, theta, k):
+    """Inverse of :func:`chart_embed`; a non-finite state raises
+    GeometryError, as does a disc radius above 1 on the sphere."""
     _check_theta(theta)
     check_curvature(k)
+    _check_chart(c)
     rr = math.hypot(c.x, c.y)
     if k == 1:
         if rr > 1.0:
@@ -146,14 +156,21 @@ def polar_velocity_field(s, k):
 
 def chart_velocity_field(c, theta, k):
     """Extended (time-rescaled) field in disc coordinates; smooth at r = 0.
-    A non-finite state raises GeometryError."""
+    A non-finite state, or x^2 + y^2 >= 1 on the sphere, raises
+    GeometryError.  ``rk45`` writes these expressions out at each stage."""
     _check_theta(theta)
     check_curvature(k)
     _check_chart(c)
-    if k == 1 and c.x ** 2 + c.y ** 2 >= 1.0:
+    x, y, z = float(c.x), float(c.y), float(c.z)
+    rr = x * x + y * y
+    if k == 1 and rr >= 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 < 1 on the sphere")
-    return np.array(K.chart_field(k, math.pi / theta, float(c.x), float(c.y),
-                                  float(c.z))[:3])
+    pf = math.pi / theta
+    f = math.sqrt(1.0 - k * rr)
+    cz = math.cos(z)
+    sz = math.sin(z)
+    return np.array([f * x * cz - pf * y * sz, f * y * cz + pf * x * sz,
+                     -f * sz])
 
 
 def singularity_jacobian(z0, theta, k):

@@ -60,14 +60,6 @@ def normalize_point(p, k):
 
 
 @dataclass(frozen=True)
-class Tangent:
-    """A unit tangent vector: base point plus direction."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-
-@dataclass(frozen=True)
 class Geodesic:
     """Arc-length parameterized geodesic through ``point`` along ``direction``."""
 

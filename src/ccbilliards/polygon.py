@@ -57,9 +57,9 @@ class Polygon:
     angles: list                    # interior angle at each vertex, in (0, 2pi)
     boundary_components: int
     reversed_input: bool = False
-    _pack: tuple = field(default=None, repr=False)
-    _refl: tuple = field(default=None, repr=False)
-    _refl_mats: tuple = field(default=None, repr=False)
+    _pack: tuple = field(init=False, default=None, repr=False)
+    _refl: tuple = field(init=False, default=None, repr=False)
+    _refl_mats: tuple = field(init=False, default=None, repr=False)
 
     @property
     def n_vertices(self):

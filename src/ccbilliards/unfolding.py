@@ -51,7 +51,7 @@ class UnfoldResult:
     chain: UnfoldingChain
     points: np.ndarray       # (m+1, 3) unfolded trajectory points
     start_state: C.BoundaryState
-    start_tangent: G.Tangent  # launch point/direction (= unfolded geodesic)
+    start_tangent: G.Geodesic  # launch point/direction: the unfolded geodesic
     labels: tuple
     vertex_hit: bool
 
@@ -79,7 +79,7 @@ def unfold(b, poly, bounces):
         copies.append((g, label))
     chain = UnfoldingChain(tuple(copies), k)
     return UnfoldResult(chain, np.array(pts), b,
-                        G.Tangent(np.array(p0), np.array(v0)), tr.labels,
+                        G.Geodesic(np.array(p0), np.array(v0)), tr.labels,
                         tr.status == K.STEP_VERTEX)
 
 
@@ -338,7 +338,7 @@ def find_periodic(poly, max_bounces, samples, seed):
     Reports come sorted by (period, length, labels);
     ``first_verified_orbit`` runs the same sweep and stops it early.
 
-    Newton polish and everything after it use the scalar ``trace``.
+    Newton polish uses the scalar ``trace``, whose labels give the holonomy.
     max_bounces and samples must be integers >= 1, seed an integer >= 0.
     """
     _check_search(max_bounces, samples, seed)
@@ -461,7 +461,9 @@ def _polish(poly, b, n, seen):
 
     Returns (report or None, whether the sample stays open): a polished
     sequence already in ``seen`` closes the sample with no report, a failed
-    polish leaves it open for its next candidate.
+    polish leaves it open for its next candidate.  The holonomy composes
+    the reflections of the polished labels as ``unfold`` does; on the plane
+    a holonomy that moves the launch direction fails the polish.
     """
     refined = _refine_candidate(poly, b[0], n, b[1:])
     if refined is None:
@@ -469,21 +471,18 @@ def _polish(poly, b, n, seen):
     start, residual, rtr = refined
     if rtr.labels in seen:
         return None, False
-    res = unfold(start, poly, n)
-    hol = holonomy(res.chain)
-    if poly.k == 0 and not _flat_direction_check(res, poly):
-        return None, True
+    refl = poly.reflection_matrices()
+    g = np.eye(3)
+    for label in rtr.labels:
+        g = g @ refl[label - 1]
+    if poly.k == 0:
+        d = np.array(C.embed_state(poly, start)[1][:2])
+        if not float(np.linalg.norm(g[:2, :2] @ d - d)) < 1e-8:
+            return None, True
     # np.sum's pairwise summation, not sum()'s: the length's bits reach the
     # CLI JSON
     return PeriodicOrbitReport(start, rtr.labels, float(np.sum(rtr.flights)),
-                               residual, hol), False
-
-
-def _flat_direction_check(res, poly):
-    """Flat periodicity certificate: the holonomy preserves the direction."""
-    g = res.chain.holonomy_matrix()
-    d = res.start_tangent.direction[:2]
-    return float(np.linalg.norm(g[:2, :2] @ d - d)) < 1e-8
+                               residual, classify_isometry(g, poly.k)), False
 
 
 def verify_periodic(report, poly):

@@ -45,4 +45,4 @@ def random_tangent(rng, k, p=None):
     v = rng.normal(size=3)
     if k == 0:
         v[2] = 0.0
-    return G.Tangent(p, np.array(K.renorm_tangent(k, p, v)))
+    return G.Geodesic(p, np.array(K.renorm_tangent(k, p, v)))

@@ -39,13 +39,16 @@ was before the sweep moved to arrays: one ``BoundaryState`` per sample,
 from scalar ``rng.random()`` draws.  ``unfolding._sweep_states`` must give
 the same (side, s, psi) bits in the same order (``test_unfolding.py``).
 
-``find_periodic`` (with ``canonical_sequence`` and ``polish_row``) is
-the periodic-orbit search with its candidate scan as it was before the
-scan learned one set lookup per candidate, and before the sweep advanced
-all its samples one bounce at a time: the sweep is traced whole, every
-sweep row with a near-return is sliced out of the arrays and polished
-row by row, and each candidate's bounce sequence is compared with the
-reports through its least rotation or reversal.
+``find_periodic`` (with ``canonical_sequence``, ``polish_row`` and
+``flat_direction_check``) is the periodic-orbit search with its candidate
+scan as it was before the scan learned one set lookup per candidate, and
+before the sweep advanced all its samples one bounce at a time: the sweep
+is traced whole, every sweep row with a near-return is sliced out of the
+arrays and polished row by row, and each candidate's bounce sequence is
+compared with the reports through its least rotation or reversal.  Its
+polish takes the holonomy from a second trace through ``unfolding.unfold``
+and tests the flat direction on that unfolding, where the package
+composes the reflections over the polished trace's labels.
 ``unfolding.find_periodic`` must give equal reports
 (``test_unfolding.py``).
 
@@ -730,11 +733,19 @@ def polish_row(poly, b, labels, returns, reports):
             return
         res = U.unfold(start, poly, n)
         hol = U.holonomy(res.chain)
-        if poly.k == 0 and not U._flat_direction_check(res, poly):
+        if poly.k == 0 and not flat_direction_check(res):
             continue
         reports[key] = U.PeriodicOrbitReport(
             start, rtr.labels, float(np.sum(rtr.flights)), residual, hol)
         return
+
+
+def flat_direction_check(res):
+    """Flat periodicity certificate of the unfolding ``res``: its
+    holonomy preserves the launch direction."""
+    g = res.chain.holonomy_matrix()
+    d = res.start_tangent.direction[:2]
+    return float(np.linalg.norm(g[:2, :2] @ d - d)) < 1e-8
 
 
 def _flip(v):

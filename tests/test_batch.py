@@ -108,6 +108,18 @@ def test_first_flight_vertex_hit(tri1):
     assert not labels[0].any() and labels[1].all()
 
 
+def test_columns_end_when_every_ray_has_stopped(sq):
+    # aimed from (0.5, 0) at the corner (1, 1): the one ray stops at its
+    # first bounce, so the engine yields that bounce's empty column and
+    # none of the other four
+    psi = math.atan2(1.0, 0.5)
+    assert C.trace(sq, BoundaryState(1, 0.5, psi), 5).status == K.STEP_VERTEX
+    cols = list(B.trace_columns(0, *sq.kernel_pack()[:7], np.array([1]),
+                                np.array([0.5]), np.array([psi]), 5, 16))
+    assert len(cols) == 1
+    assert all(x.size == 0 for x in cols[0])
+
+
 def test_grazing_stop(sq):
     # launched 5e-11 above the bottom side, 1e-10 rad off parallel to it
     states = [BoundaryState(4, 1 - 5e-11, math.pi / 2 - 1e-10),

@@ -64,7 +64,7 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: --bounces must be an integer >= 1, got {bounces}\n")
 
-    @pytest.mark.parametrize("r", ["5", "-1"])
+    @pytest.mark.parametrize("r", ["5"])
     def test_chart_start_outside_the_chart(self, tmp_path, r):
         # the start is the one record, and the run left the chart at once
         code, out = run_cli(["simulate", "--table", "square", "--vertex", "1",
@@ -72,6 +72,25 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["exited"] and payload["records"] == 1
+
+    @pytest.mark.parametrize("r", ["-1", "-0.05"])
+    def test_negative_chart_radius_exits_1(self, tmp_path, capsys, r):
+        # before, the run started from the point mirrored through the
+        # vertex: -1 left the chart at once, -0.05 wrote 49 records
+        code, out = run_cli(["simulate", "--table", "square", "--vertex", "1",
+                             "--r", r, "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: radial coordinate must be >= 0, got {float(r)}\n")
+        assert not (tmp_path / "chart_trajectory.txt").exists()
+
+    def test_no_start_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(["simulate", "--table", "square", "--out",
+                             str(tmp_path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: simulate needs --side/--s/--psi or "
+            "--vertex/--r/--gamma/--beta\n")
 
     def test_missing_spec_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -200,6 +219,12 @@ class TestCommands:
         with pytest.raises(SystemExit) as e:
             main(["topology", "--spec", str(spec)])
         assert e.value.code == 2
+
+    def test_no_table_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["topology"])
+        assert e.value.code == 2
+        assert capsys.readouterr().err == "error: provide --table or --spec\n"
 
     def test_spec_is_a_directory_exits_2(self, tmp_path, capsys):
         # a spec that cannot be read is an error line, not a traceback

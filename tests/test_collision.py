@@ -200,6 +200,37 @@ def test_numpy_integer_side_label_accepted(sq, side):
     assert (got.labels, got.svals) == (want.labels, want.svals)
 
 
+class TestDirectionLabels:
+    B = BoundaryState(1, 0.5, 1.0)
+
+    @staticmethod
+    def traced(n_done, status):
+        # a hand-built trace of B: n_done bounces off sides 3, 2, 3, ...
+        labels = (3, 2, 3, 2)[:n_done]
+        return C.TraceResult(n_done, status, 0, labels, (0.5,) * n_done,
+                             (1.0,) * n_done, (1.0,) * n_done, float(n_done))
+
+    def test_horizon_when_the_trace_ran_n_bounces(self):
+        tr = self.traced(4, K.STEP_OK)
+        assert C.direction_labels(self.B, tr, 4) == ([1, 3, 2, 3, 2],
+                                                     "horizon")
+        assert C.direction_labels(self.B, tr, 2) == ([1, 3, 2], "horizon")
+
+    @pytest.mark.parametrize("status, tag", [
+        (K.STEP_VERTEX, "vertex_hit"), (K.STEP_GRAZING, "degenerate")])
+    def test_stop_within_n_gives_its_tag(self, status, tag):
+        tr = self.traced(2, status)
+        assert C.direction_labels(self.B, tr, 3) == ([1, 3, 2], tag)
+        # a stop past n is not reached
+        assert C.direction_labels(self.B, tr, 2) == ([1, 3, 2], "horizon")
+
+    def test_escape_within_n_raises(self):
+        tr = self.traced(1, K.STEP_ESCAPED)
+        with pytest.raises(GeometryError, match="no boundary intersection"):
+            C.direction_labels(self.B, tr, 3)
+        assert C.direction_labels(self.B, tr, 1) == ([1, 3], "horizon")
+
+
 class TestItinerary:
     def test_square_period_two(self, sq):
         it = itinerary(BoundaryState(1, 0.5, math.pi / 2), sq, 4)

@@ -75,6 +75,25 @@ class TestProbePair:
         assert probe_pair(a, b, sq, 2).truncated
         assert probe_pair(a, b, sq, 2).compared == (1, 1)
 
+    def test_escape_raises(self, monkeypatch, sq):
+        # no built-in table lets a ray escape: a trace of b that escaped
+        # after one bounce must raise, not shorten the comparison
+        a = BoundaryState(1, 0.4, 1.0)
+        b = BoundaryState(1, 0.4, 1.1)
+        trace = C.trace
+
+        def escaping(poly, state, n):
+            tr = trace(poly, state, n)
+            if state != b:
+                return tr
+            return C.TraceResult(1, K.STEP_ESCAPED, 0, tr.labels[:1],
+                                 tr.svals[:1], tr.psis[:1], tr.flights[:1],
+                                 tr.flights[0])
+
+        monkeypatch.setattr(C, "trace", escaping)
+        with pytest.raises(GeometryError, match="no boundary intersection"):
+            probe_pair(a, b, sq, 10)
+
     @pytest.mark.parametrize("horizon", [1, 19, 20, 21, 60])
     def test_matches_four_separate_traces(self, sq, pentagon, tri1, horizon):
         # the comparison probe_pair made when each direction had its own
@@ -294,6 +313,45 @@ class TestNeighborhoodCheck:
         rep = find_periodic(sphere_triangle(math.pi / 6), 20, 120, seed=3)[0]
         with pytest.raises(GeometryError):
             periodic_orbit_neighborhood_check(rep, tri1)
+
+    DISPLACEMENTS = (-1e-3, -5e-4, 2.5e-4, 5e-4, 1e-3)
+
+    @staticmethod
+    def report(s, psi, labels):
+        # a hand-built report from side 1 of the square; the check reads
+        # only its start and labels
+        return U.PeriodicOrbitReport(BoundaryState(1, s, psi), labels,
+                                     2.0, 0.0, None)
+
+    def test_changed_bounce_sequence_flagged(self, sq):
+        # the perpendicular orbit from side 1 bounces off 3 and 1 at every
+        # displacement, never off the reported 3 and 2
+        chk = periodic_orbit_neighborhood_check(
+            self.report(0.5, math.pi / 2, (3, 2)), sq)
+        assert not chk
+        assert chk.failures == tuple((d, "bounce sequence changed")
+                                     for d in self.DISPLACEMENTS)
+
+    def test_return_residual_flagged(self, sq):
+        # delta off perpendicular, the orbit climbs to side 3 and back: it
+        # returns to side 1 with psi unchanged and s moved by 2 tan(delta)
+        delta = 1e-4
+        chk = periodic_orbit_neighborhood_check(
+            self.report(0.5, math.pi / 2 + delta, (3, 1)), sq)
+        assert not chk
+        assert [d for d, _ in chk.failures] == list(self.DISPLACEMENTS)
+        for _, why in chk.failures:
+            assert why.startswith("return residual ")
+            assert float(why.split()[-1]) == pytest.approx(
+                2 * math.tan(delta), rel=1e-3)
+
+    def test_vertex_hit_flagged(self, sq):
+        # displaced by 5e-4 the start is (0.5, 0), aimed at the corner (1, 1)
+        chk = periodic_orbit_neighborhood_check(
+            self.report(0.5 - 5e-4, math.atan2(1.0, 0.5), (3, 1)), sq,
+            displacements=(5e-4,))
+        assert not chk
+        assert chk.failures == ((5e-4, "displaced orbit hits a vertex"),)
 
 
 def _orbit_ray(poly, start, tr, i, t, back):

@@ -57,6 +57,41 @@ class TestChart:
         with pytest.raises(GeometryError):
             chart_forward(ChartState(1, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("k", KS)
+    def test_negative_radius_rejected(self, k):
+        # before, r < 0 embedded as the point mirrored through the vertex
+        with pytest.raises(GeometryError, match="must be >= 0"):
+            chart_embed(ChartState(-0.1, 0.3, 1.0), 1.0, k)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("bad", [(math.nan, 0.3, 1.0),
+                                     (0.1, math.inf, 1.0),
+                                     (0.1, 0.3, -math.inf)])
+    def test_non_finite_polar_state_rejected(self, bad, k):
+        # before, a nan r gave nan coordinates and an infinite gamma a bare
+        # "math domain error"
+        with pytest.raises(GeometryError, match="finite"):
+            chart_embed(ChartState(*bad), 1.0, k)
+
+    @pytest.mark.parametrize("r", [math.pi, 4.0])
+    def test_sphere_radius_from_pi_rejected(self, r):
+        # before, r = 4 wrapped through sin(4) < 0 to the mirrored point
+        with pytest.raises(GeometryError, match="< pi"):
+            chart_embed(ChartState(r, 0.3, 1.0), 1.0, 1)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_vertex_circle_embeds(self, k):
+        c = chart_embed(ChartState(0.0, 0.3, 1.2), 1.0, k)
+        assert (c.x, c.y, c.z) == (0.0, 0.0, 1.2)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 1.0),
+                                     (0.1, -math.inf, 1.0),
+                                     (0.1, 0.2, math.inf)])
+    def test_non_finite_chart_state_rejected_by_extract(self, bad, k):
+        with pytest.raises(GeometryError, match="finite"):
+            chart_extract(CartesianChartState(*bad), 1.0, k)
+
     def test_embed_matches_forward_flat(self):
         s = ChartState(0.43, 0.2, 1.0)
         a, b = chart_embed(s, 0.8, 0), chart_forward(s, 0.8)
@@ -186,6 +221,24 @@ class TestClosedForm:
         assert out.r == pytest.approx(0.5, abs=1e-15)
         assert out.beta == pytest.approx(0.0)
         assert out.gamma % TWO_PI == pytest.approx((0.3 + math.pi) % TWO_PI)
+
+
+class TestRadialFlow:
+    def test_sphere_ray_short_of_vertex_and_antipode(self):
+        # outward at unit speed for 0.5 from r = 1: r = 1.5, no fold
+        s = closed_form_flow(ChartState(1.0, 0.2, 0.0), 0.5, 1)
+        assert (s.r, s.gamma, s.beta) == (1.5, 0.2, 0.0)
+
+    @pytest.mark.parametrize("k, s0, t", [
+        (1, (1.0, 0.2, math.pi), 1.0),        # inward onto the vertex
+        (1, (1.0, 0.2, 0.0), math.pi - 1.0),  # outward onto the antipode
+        (0, (1.0, 0.2, math.pi), 1.0),
+        (-1, (1.0, 0.2, math.pi), 1.0),
+    ])
+    def test_ray_landing_on_vertex_or_antipode_is_singular(self, k, s0, t):
+        assert s0[0] + math.cos(s0[2]) * t in (0.0, math.pi)
+        with pytest.raises(SingularFieldError, match="radial trajectory hits"):
+            closed_form_flow(ChartState(*s0), t, k)
 
 
 class TestOracleEquivalence:
@@ -563,13 +616,15 @@ class TestOutOfDomainStage:
             self.EPS, abs=1e-9)
 
     def test_field_is_nan_outside_domain(self):
-        assert all(math.isnan(v) for v in K.chart_field(1, 2.0, 0.8, 0.7, 0.3))
+        assert all(math.isnan(v) for v in
+                   O.field_eval(O.FIELD_CHART, 1, 2.0, (0.8, 0.7, 0.3)))
         assert all(math.isnan(v) for v in
                    O.field_eval(O.FIELD_CHART_ARC, 1, 2.0, (0.8, 0.7, 0.3)))
         assert all(math.isnan(v) for v in
                    O.field_eval(O.FIELD_POLAR, 0, 0.0, (0.0, 0.2, 1.0)))
         # on the unit circle itself the chart field is still defined
-        assert K.chart_field(1, 2.0, 0.6, 0.8, 0.0) == (0.0, 0.0, -0.0, 0.0)
+        assert O.field_eval(O.FIELD_CHART, 1, 2.0, (0.6, 0.8, 0.0)) == (
+            0.0, 0.0, -0.0, 0.0)
 
 
 @pytest.mark.parametrize("T", [0.999, 2.9, -2.9])

@@ -146,6 +146,29 @@ class TestHolonomy:
         cls = classify_isometry(tri1.reflection_matrices()[0], 1)
         assert str(cls) == "reflection-type (rotation content 0)"
 
+    def test_flat_reflection_fixes_its_mirror_direction(self, sq):
+        # one bounce off the right side x = 1: the chain is the mirror
+        # (x, y) -> (2 - x, y), whose linear part diag(-1, 1) fixes (0, 1)
+        res = unfold(BoundaryState(1, 0.5, math.pi / 4), sq, 1)
+        assert res.labels == (2,)
+        np.testing.assert_allclose(res.chain.holonomy_matrix(),
+                                   [[-1, 0, 2], [0, 1, 0], [0, 0, 1]],
+                                   atol=1e-15)
+        cls = holonomy(res.chain)
+        assert (cls.kind, str(cls)) == ("reflection", "reflection-type")
+        np.testing.assert_allclose(np.abs(cls.axis), [0, 1, 0], atol=1e-15)
+
+    def test_hyperbolic_parabolic(self):
+        # I + N + N^2 / 2 = exp(N) for the nilpotent N = [[0, -1, 0],
+        # [1, 0, 1], [0, 1, 0]] of so(2,1): an O(2,1) isometry other than
+        # the identity whose trace is exactly 3
+        g = np.array([[0.5, -1.0, -0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 1.5]])
+        J = np.diag([1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(g.T @ J @ g, J)
+        assert np.trace(g) == 3.0
+        cls = classify_isometry(g, -1)
+        assert (cls.kind, str(cls)) == ("parabolic", "parabolic")
+
 
 class TestSphericalPeriodicityCondition:
     def test_quarter_angle(self):
@@ -281,7 +304,7 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
                     break
                 res = unfold(start, poly, n)
                 hol = holonomy(res.chain)
-                if poly.k == 0 and not U._flat_direction_check(res, poly):
+                if poly.k == 0 and not O.flat_direction_check(res):
                     continue
                 reports[key] = U.PeriodicOrbitReport(
                     start, rtr.labels, float(np.sum(rtr.flights)),
