@@ -182,32 +182,29 @@ def signed_angle(k, p, u, v):
 
 
 def log_map(k, p, q):
-    # unit tangent at p toward q; caller guarantees q != p (and q != -p on
-    # the sphere)
+    """Unit tangent at p toward q: ``renorm_tangent`` of q, or of q - p on
+    the plane.  The caller guarantees q != p (and q != -p on the sphere)."""
     if k == 0:
-        d0 = q[0] - p[0]
-        d1 = q[1] - p[1]
-        n = math.hypot(d0, d1)
-        return d0 / n, d1 / n, 0.0
-    c = mdot(k, q, p)
-    if k == 1:
-        o = (q[0] - c * p[0], q[1] - c * p[1], q[2] - c * p[2])
-    else:
-        o = (q[0] + c * p[0], q[1] + c * p[1], q[2] + c * p[2])
-    n = math.sqrt(abs(mdot(k, o, o)))
-    return o[0] / n, o[1] / n, o[2] / n
+        return renorm_tangent(0, p, (q[0] - p[0], q[1] - p[1], 0.0))
+    return renorm_tangent(k, p, q)
+
+
+def turn(k, p, w, e2, angle):
+    """The unit tangent w at p turned CCW by angle toward e2 = perp(k, p, w),
+    renormalised; the caller passes e2 so that a fan of angles from one w
+    computes it once."""
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return renorm_tangent(k, p, (c * w[0] + s * e2[0], c * w[1] + s * e2[1],
+                                 c * w[2] + s * e2[2]))
 
 
 def boundary_embed(k, a, u, s, psi):
     """Embed a boundary state: point at arc s on the side (a, u), direction
-    rotated by psi from the side's forward tangent."""
+    the side's forward tangent there turned by psi (``turn``)."""
     bp = renorm_point(k, geodesic_point(k, a, u, s))
     w = renorm_tangent(k, bp, geodesic_dir(k, a, u, s))
-    e2 = perp(k, bp, w)
-    c = math.cos(psi)
-    sn = math.sin(psi)
-    d = (c * w[0] + sn * e2[0], c * w[1] + sn * e2[1], c * w[2] + sn * e2[2])
-    return bp, renorm_tangent(k, bp, d)
+    return bp, turn(k, bp, w, perp(k, bp, w), psi)
 
 
 def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts, sides,
@@ -548,11 +545,10 @@ def rk45(field_id, k, pf, y0, t0, t1, rtol, atol, rlo, rhi,
             if errn == 0.0:
                 fac = 5.0
             else:
+                # errn <= 1 here, so fac >= 0.9 needs no lower clamp
                 fac = 0.9 * errn ** -0.2
                 if fac > 5.0:
                     fac = 5.0
-                if fac < 0.2:
-                    fac = 0.2
             h = h * fac
         else:
             fac = 0.9 * errn ** -0.2

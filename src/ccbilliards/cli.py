@@ -86,8 +86,10 @@ def cmd_simulate(args):
     if args.side is not None:
         C.check_count(args.bounces, "--bounces", 1)
         b = C.BoundaryState(args.side, args.s, args.psi)
-        it = C.itinerary(b, poly, args.bounces)
+        # one forward trace gives the itinerary and the trajectory
         tr = C.trace(poly, b, args.bounces - 1)
+        labels, term = C.direction_labels(b, tr, args.bounces - 1)
+        it = C.Itinerary(tuple(labels), 0, term)
         itin_path = os.path.join(out, "itinerary.txt")
         C.write_itinerary(it, itin_path)
         traj_path = os.path.join(out, "trajectory.txt")

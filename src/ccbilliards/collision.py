@@ -21,7 +21,7 @@ from . import _kernels as K
 from . import geometry as G
 # the tolerances of both collision engines
 from ._collision_loops import FLIGHT_MIN, GRAZE_TOL, VERTEX_TOL
-from .errors import DegenerateStateError, GeometryError, PolygonError
+from .errors import DegenerateStateError, GeometryError
 
 CONJUGATE_TOL = 1e-8  # |length - m pi| test for conjugated vertices
 
@@ -264,11 +264,9 @@ class Diagonal:
 
 
 def _vertex_frame(poly, vi):
-    """Base direction (side leaving vertex vi) and interior angle there."""
-    for s in poly.sides:
-        if s.start == vi:
-            return s.geodesic.direction, poly.angles[vi]
-    raise PolygonError(f"vertex {vi} starts no side")
+    """Base direction (side vi, which ``build_polygon`` starts at vertex
+    vi) and interior angle at vertex vi."""
+    return poly.sides[vi].geodesic.direction, poly.angles[vi]
 
 
 def _launch_frame(poly, vi):
@@ -281,19 +279,11 @@ def _launch_frame(poly, vi):
     return p, d0, K.perp(poly.k, p, d0)
 
 
-def _launch_direction(k, p, d0, e2, alpha):
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    return K.renorm_tangent(k, p, (c * d0[0] + s * e2[0],
-                                   c * d0[1] + s * e2[1],
-                                   c * d0[2] + s * e2[2]))
-
-
 def _launch(poly, vi, alpha):
-    """The ray (point, direction) the diagonal search shoots from vertex vi
-    at angle alpha from the side leaving it."""
+    """The ray (point, direction) the diagonal search shoots from vertex vi:
+    the side leaving it turned by alpha (``K.turn``)."""
     p, d0, e2 = _launch_frame(poly, vi)
-    return np.array(p), np.array(_launch_direction(poly.k, p, d0, e2, alpha))
+    return np.array(p), np.array(K.turn(poly.k, p, d0, e2, alpha))
 
 
 def _vertex_shooter(poly, vi, nmax, max_length):
@@ -303,7 +293,7 @@ def _vertex_shooter(poly, vi, nmax, max_length):
 
     The launch frame, the polygon's pack (with its side records) and the
     bounce buffers (Python lists) are set up once per vertex, so a ray
-    costs its launch direction on floats and the kernel call, with no
+    costs one ``K.turn`` of the frame on floats and the kernel call, with no
     numpy array, TraceResult or 1-based label tuple: only
     ``_record_if_diagonal`` turns a diagonal's labels 1-based.
     """
@@ -314,7 +304,7 @@ def _vertex_shooter(poly, vi, nmax, max_length):
     bufs = (labels, [0.0] * nmax, [0.0] * nmax, [0.0] * nmax)
 
     def shoot(alpha):
-        v = _launch_direction(k, p, d0, e2, alpha)
+        v = K.turn(k, p, d0, e2, alpha)
         n, status, vtx, length = K.trace_from_point(
             k, *pack, p, v, nmax, max_length, FLIGHT_MIN, VERTEX_TOL,
             GRAZE_TOL, *bufs)

@@ -272,10 +272,11 @@ def classify(poly, budget=None):
     are probed within the budget; failure to find a witness yields an
     honest ``unknown``.
 
-    The periodic-orbit witness is the first report of ``find_periodic``
-    that ``verify_periodic`` confirms.  ``unfolding.first_verified_orbit``
-    finds it and stops the sweep after the bounce that gives it, since
-    later bounces give longer periods only.
+    The periodic-orbit witness is the first report of ``find_periodic``,
+    verified below RETURN_VERIFY_TOL by the Newton polish that made it
+    (its ``residual`` is what ``verify_periodic`` gives).
+    ``unfolding.first_verified_orbit`` finds it and stops the sweep after
+    the bounce that gives it, since later bounces give longer periods only.
 
     The budget is checked before any search, on hyperbolic tables too,
     which use none of it: its counts must be integers (diagonal_depth,

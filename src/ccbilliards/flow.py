@@ -83,6 +83,12 @@ def _check_chart(c):
         raise GeometryError(f"chart state must be finite, got {c}")
 
 
+def _check_sphere_radius(r, k):
+    # past the antipode, sin r and cos r fold the state back through it
+    if k == 1 and r >= math.pi:
+        raise GeometryError("spherical radial coordinate must be < pi")
+
+
 def chart_forward(s, theta):
     """Wedge-to-disc chart; the circle r = 0 collapses gamma.  The plain
     chart ignores curvature: it is :func:`chart_embed` at k = 0."""
@@ -107,8 +113,7 @@ def chart_embed(s, theta, k):
     _check_polar(s)
     if s.r < 0.0:
         raise GeometryError(f"radial coordinate must be >= 0, got {s.r}")
-    if k == 1 and s.r >= math.pi:
-        raise GeometryError("spherical radial coordinate must be < pi")
+    _check_sphere_radius(s.r, k)
     rr = K.sink(k, s.r)
     a = s.gamma * math.pi / theta
     return CartesianChartState(rr * math.cos(a), rr * math.sin(a),
@@ -139,7 +144,7 @@ def chart_extract(c, theta, k):
 
 def polar_velocity_field(s, k):
     """Geodesic velocity in (r, gamma, beta); singular on r = 0.  A
-    non-finite state raises GeometryError.
+    non-finite state, or r >= pi on the sphere, raises GeometryError.
 
     The radial rate is cos(beta) for every curvature; the angular rates
     carry 1/sink(k, r) and are what the compactification removes.
@@ -149,6 +154,7 @@ def polar_velocity_field(s, k):
     if s.r <= 0.0:
         raise SingularFieldError("polar field is singular at r = 0; "
                                  "use the extended chart field instead")
+    _check_sphere_radius(s.r, k)
     sk = K.sink(k, s.r)
     sb = math.sin(s.beta)
     return np.array([math.cos(s.beta), sb / sk, -K.cosk(k, s.r) * sb / sk])
@@ -196,6 +202,8 @@ def reparameterization_factor(r, k, eps):
 
     Pure sink on [0, eps/2], constant 1 beyond eps, joined by a smooth
     bump on [eps/2, eps] so the global flow is a C-infinity time change.
+    r must be finite and nonnegative, and inside the chart (r < eps) also
+    below pi on the sphere, else GeometryError.
     """
     check_curvature(k)
     # a nan r would reach the bump with both weights 0
@@ -204,6 +212,7 @@ def reparameterization_factor(r, k, eps):
     _check_eps(eps)
     if r >= eps:
         return 1.0
+    _check_sphere_radius(r, k)
     raw = K.sink(k, r)
     if r <= 0.5 * eps:
         return raw
@@ -236,8 +245,7 @@ def closed_form_flow(s0, t, k, eps=None):
     r0 = s0.r
     if r0 <= 0.0:
         raise SingularFieldError("closed-form flow requires r > 0")
-    if k == 1 and r0 >= math.pi:
-        raise GeometryError("spherical radial coordinate must be < pi")
+    _check_sphere_radius(r0, k)
     beta0 = s0.beta % TWO_PI
     if t == 0.0:
         return ChartState(r0, s0.gamma, beta0)

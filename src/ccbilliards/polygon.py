@@ -31,8 +31,15 @@ BOUNDARY_TOL = 1e-10
 # with vertices out near Poincare radius 0.9 (see build_polygon).
 SIDE_END_TOL = K.VERTEX_TOL / 10
 
-MODELS = ("plane", "poincare-disc", "unit-sphere")
-MODEL_FOR_K = {0: "plane", -1: "poincare-disc", 1: "unit-sphere"}
+# the vertex conventions of the spec files: model name -> (curvature,
+# coordinates per vertex, embedding of one vertex's coordinates)
+MODELS = {"plane": (0, 2, G.plane_point),
+          "poincare-disc": (-1, 2, G.poincare_to_hyperboloid),
+          "unit-sphere": (1, 3, G.sphere_point)}
+MODEL_FOR_K = {k: name for name, (k, _, _) in MODELS.items()}
+# and one internal model, hyperboloid 3-vectors, for tables.hyperbolic_pentagon
+_EMBEDDINGS = {**MODELS,
+               "hyperboloid": (-1, 3, lambda *c: G.normalize_point(c, -1))}
 
 
 @dataclass(frozen=True)
@@ -162,30 +169,22 @@ def point_on_boundary(poly, p, tol=BOUNDARY_TOL):
 
 
 def _embed_loop(k, coords, model):
+    """Embedded points of one vertex loop given in ``model``'s coordinates;
+    PolygonError when the model's curvature is not k."""
+    if model in _EMBEDDINGS and _EMBEDDINGS[model][0] != k:
+        raise PolygonError(f"model {model!r} does not match curvature {k}")
     pts = []
     for j, c in enumerate(coords):
         c = tuple(float(x) for x in np.atleast_1d(c))
         try:
             if not all(math.isfinite(x) for x in c):
                 raise GeometryError(f"non-finite coordinate in {c}")
-            if model == "plane":
-                if len(c) != 2:
-                    raise GeometryError(f"expected 2 coordinates, got {len(c)}")
-                pts.append(G.plane_point(*c))
-            elif model == "poincare-disc":
-                if len(c) != 2:
-                    raise GeometryError(f"expected 2 coordinates, got {len(c)}")
-                pts.append(G.poincare_to_hyperboloid(*c))
-            elif model == "unit-sphere":
-                if len(c) != 3:
-                    raise GeometryError(f"expected 3 coordinates, got {len(c)}")
-                pts.append(G.sphere_point(*c))
-            elif model == "hyperboloid":
-                if len(c) != 3:
-                    raise GeometryError(f"expected 3 coordinates, got {len(c)}")
-                pts.append(G.normalize_point(np.array(c), k))
-            else:
+            if model not in _EMBEDDINGS:
                 raise GeometryError(f"unknown model {model!r}")
+            _, want, embed = _EMBEDDINGS[model]
+            if len(c) != want:
+                raise GeometryError(f"expected {want} coordinates, got {len(c)}")
+            pts.append(embed(*c))
         except GeometryError as e:
             raise PolygonError(f"vertex {j}: {e}") from e
     return pts
@@ -238,8 +237,9 @@ def _loop_sides_angles(k, pts, base_index, loop_id):
 def build_polygon(k, vertex_coords, holes=(), model=None):
     """Validated polygon from vertex coordinates.
 
-    ``vertex_coords`` is the outer loop in the declared model convention
-    (plane pairs, Poincare-disc pairs with norm < 1, unit 3-vectors);
+    ``vertex_coords`` is the outer loop in the convention of ``model``, an
+    entry of ``MODELS`` whose curvature is k (plane pairs, Poincare-disc
+    pairs with norm < 1, unit 3-vectors), by default ``MODEL_FOR_K[k]``;
     ``holes`` is a list of further loops.  Orientation is normalized
     (outer CCW, holes CW) with ``reversed_input`` flagging corrections.
 
@@ -254,10 +254,6 @@ def build_polygon(k, vertex_coords, holes=(), model=None):
     k = G.check_curvature(k)
     if model is None:
         model = MODEL_FOR_K[k]
-    if model in MODELS:
-        expected = {"plane": 0, "poincare-disc": -1, "unit-sphere": 1}[model]
-        if expected != k:
-            raise PolygonError(f"model {model!r} does not match curvature {k}")
     loops_pts = [_embed_loop(k, vertex_coords, model)]
     for h in holes:
         loops_pts.append(_embed_loop(k, h, model))

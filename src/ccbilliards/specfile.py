@@ -15,11 +15,9 @@ errors cite the offending line and field.
 from .errors import PolygonError, SpecFileError
 from .polygon import MODELS, build_polygon
 
-_COORDS_PER_MODEL = {"plane": 2, "poincare-disc": 2, "unit-sphere": 3}
-
 
 def _parse_loop(value, model, line, field):
-    want = _COORDS_PER_MODEL[model]
+    want = MODELS[model][1]
     loop = []
     for vi, chunk in enumerate(value.split(";")):
         parts = chunk.split()

@@ -230,12 +230,13 @@ def spherical_periodicity_condition(theta, n, m, tol=1e-9):
     True iff 2 n theta = m pi: n counts the double reflections off the two
     sides at the corner (each pair advances the unfolding by a rotation of
     2 theta) and m the accumulated half-turns.  Independent of where on the
-    opposite side the orbit starts.
+    opposite side the orbit starts.  theta must lie in (0, pi), n be an
+    integer >= 1 and m one >= 0 (numpy integers are), else ValueError.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must be in (0, pi)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    C.check_count(n, "n", 1)
+    C.check_count(m, "m", 0)
     return abs(2.0 * n * theta - m * math.pi) < tol
 
 
@@ -338,7 +339,9 @@ def find_periodic(poly, max_bounces, samples, seed):
     Reports come sorted by (period, length, labels);
     ``first_verified_orbit`` runs the same sweep and stops it early.
 
-    Newton polish uses the scalar ``trace``, whose labels give the holonomy.
+    Newton polish uses the scalar ``trace``, whose labels give the holonomy;
+    a report's ``residual``, below RETURN_VERIFY_TOL, is what
+    ``verify_periodic`` gives for it.
     max_bounces and samples must be integers >= 1, seed an integer >= 0.
     """
     _check_search(max_bounces, samples, seed)
@@ -347,22 +350,20 @@ def find_periodic(poly, max_bounces, samples, seed):
 
 
 def first_verified_orbit(poly, max_bounces, samples, seed):
-    """The first ``find_periodic`` report that ``verify_periodic`` confirms
-    below RETURN_VERIFY_TOL, or None.
+    """The first ``find_periodic`` report, or None.
 
-    The sweep stops after the first bounce that gives such a report: the
-    reports of later bounces all have longer periods, so they come after
-    it in ``find_periodic``'s order.  The arguments are checked as
-    ``find_periodic`` checks them.
+    Every report is verified already: ``_refine_candidate`` keeps it only
+    when its polished start returns within RETURN_VERIFY_TOL over one
+    period, and ``verify_periodic`` re-traces that same start and period,
+    so it gives back the report's ``residual``.  The sweep stops after the
+    first bounce that gives a report: the reports of later bounces all
+    have longer periods, so they come after it in ``find_periodic``'s
+    order.  The arguments are checked as ``find_periodic`` checks them.
     """
     _check_search(max_bounces, samples, seed)
     with contextlib.closing(_periodic_sweep(poly, max_bounces, samples,
                                             seed)) as sweep:
-        for reports in sweep:
-            for rep in reports:
-                if verify_periodic(rep, poly) < RETURN_VERIFY_TOL:
-                    return rep
-    return None
+        return next((reports[0] for reports in sweep if reports), None)
 
 
 def _check_search(max_bounces, samples, seed):

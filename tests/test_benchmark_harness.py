@@ -33,7 +33,7 @@ import workloads  # noqa: E402
 # per-pass kernel work at seed 0; classify's sweep stops at its witness's
 # period, so the periodic-search jobs polish fewer candidates
 KERNEL_COUNTS = {
-    "periodic-search": {"kernels.trace_orbit.bounces": 426},
+    "periodic-search": {"kernels.trace_orbit.bounces": 419},
     "diagonal-search": {"kernels.trace_from_point.bounces": 12915},
     "single-orbit": {"kernels.trace_orbit.bounces": 3204,
                      "kernels.rk45.steps": 1493},

@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from ccbilliards import BoundaryState, collision, named_table
 from ccbilliards.cli import build_parser, main
 
 SPHERE_ARGS = ["--table", "sphere-triangle", "--theta", "1.0"]
@@ -83,6 +84,45 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: radial coordinate must be >= 0, got {float(r)}\n")
         assert not (tmp_path / "chart_trajectory.txt").exists()
+
+    @pytest.mark.parametrize("table, state", [
+        (["--table", "square"], ("1", "0", "1.1")),
+        (["--table", "hyperbolic-pentagon"], ("2", "0.3", "0.7")),
+        (SPHERE_ARGS, ("2", "0.4", repr(math.pi / 2))),
+        (SPHERE_ARGS, ("3", "0.5", "2.2"))])
+    def test_itinerary_is_the_library_itinerary(self, tmp_path, table,
+                                                state):
+        # the command builds its itinerary from its one trace; it must be
+        # the library's itinerary, also from a vertex (s = 0) and when the
+        # orbit ends on a vertex (the meridian start on the sphere)
+        side, s, psi = state
+        code, out = run_cli(["simulate", *table, "--side", side, "--s", s,
+                             "--psi", psi, "--bounces", "12", "--json",
+                             "--out", str(tmp_path / "cli")])
+        assert code == 0
+        poly = named_table(table[1], 1.0)
+        it = collision.itinerary(BoundaryState(int(side), float(s),
+                                               float(psi)), poly, 12)
+        collision.write_itinerary(it, tmp_path / "lib.txt")
+        assert (tmp_path / "cli" / "itinerary.txt").read_text() == \
+            (tmp_path / "lib.txt").read_text()
+        payload = json.loads(out)
+        assert (tuple(payload["labels"]), payload["termination"]) == \
+            (it.labels, it.termination)
+
+    def test_polar_records(self, tmp_path):
+        # --record-coords polar writes (t, r, gamma, beta): the start row
+        # is the state given, at t = 0
+        code, _ = run_cli(["simulate", "--table", "square", "--vertex", "1",
+                           "--r", "0.1", "--gamma", "0.2", "--beta", "1.0",
+                           "--time", "0.5", "--record-coords", "polar",
+                           "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "chart_trajectory.txt").read_text().splitlines()
+        t, r, gamma, beta = map(float, rows[0].split())
+        assert t == 0.0
+        assert (r, gamma, beta) == pytest.approx((0.1, 0.2, 1.0), abs=1e-15)
+        assert len(rows) > 1
 
     def test_no_start_exits_2(self, tmp_path, capsys):
         code, out = run_cli(["simulate", "--table", "square", "--out",

@@ -277,6 +277,27 @@ class TestItinerary:
         C.write_itinerary(it, path)
         assert path.read_text() == "1,3,1,3\ntermination=horizon\n"
 
+    def test_export_backward(self, tri1, tmp_path):
+        # backward from the meridian start, the orbit came from a vertex
+        it = itinerary(BoundaryState(2, 0.4, math.pi / 2), tri1, 5,
+                       direction="backward")
+        path = tmp_path / "it.txt"
+        C.write_itinerary(it, path)
+        assert path.read_text() == ("2\ntermination=horizon\n"
+                                    "termination_backward=vertex_hit\n")
+
+    def test_unknown_direction(self, sq):
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            itinerary(BoundaryState(1, 0.5, 1.0), sq, 4, direction="sideways")
+
+    @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+    def test_arc_parameter_outside_the_side(self, sq, s):
+        b = BoundaryState(1, s, 1.0)
+        for call in (lambda: itinerary(b, sq, 4), lambda: C.trace(sq, b, 4),
+                     lambda: C.embed_state(sq, b)):
+            with pytest.raises(GeometryError, match="outside \\[0, 1.0\\]"):
+                call()
+
 
 def _lattice_vector(d):
     """The integer vector (p, q) that a diagonal of the unit square unfolds

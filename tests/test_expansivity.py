@@ -133,6 +133,12 @@ class TestClassify:
         assert v.rules == (Rule.HYPERBOLIC_EXPANSIVE,)
         assert v.witnesses == ()
 
+    def test_hyperbolic_default_budget(self, pentagon):
+        v = classify(pentagon)
+        assert (v.verdict, v.rules) == ("expansive",
+                                        (Rule.HYPERBOLIC_EXPANSIVE,))
+        assert v.budget == SearchBudget()
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, sq, pentagon, seed):
         # the hyperbolic verdict uses no seed, but rejects a bad one too

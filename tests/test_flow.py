@@ -759,3 +759,96 @@ def test_rk45_arc_time_near_the_unit_circle_matches_oracle(monkeypatch):
             assert got == _rk45_run(O.rk45, *args)
             ends.add(got[0])
     assert any(outside) and K.RK_DONE in ends
+
+
+# ---------------------------------------------------------------------------
+# the sphere's radial bound and input branches of the flow entries
+# ---------------------------------------------------------------------------
+
+class TestSphereRadiusBound:
+    """On the sphere every flow entry requires r < pi: beyond it sin r and
+    cos r measure the distance to the antipode, not to the vertex."""
+
+    @pytest.mark.parametrize("r", [math.pi, 4.0])
+    def test_polar_field(self, r):
+        # before, r = pi gave angular rates of 6.9e15 and r = 4 rates of
+        # the wrong sign
+        with pytest.raises(GeometryError, match="must be < pi"):
+            polar_velocity_field(ChartState(r, 0.1, 1.0), 1)
+
+    @pytest.mark.parametrize("r", [math.pi, 3.5])
+    def test_reparameterization_factor_inside_the_chart(self, r):
+        # before, r = 3.5 inside a chart of radius 8 gave -0.351, a
+        # negative time change; beyond eps the factor stays 1
+        with pytest.raises(GeometryError, match="must be < pi"):
+            reparameterization_factor(r, 1, 8.0)
+        assert reparameterization_factor(r, 1, 1.0) == 1.0
+
+    @pytest.mark.parametrize("r", [math.pi, 4.0])
+    def test_closed_form_flow(self, r):
+        with pytest.raises(GeometryError, match="must be < pi"):
+            closed_form_flow(ChartState(r, 0.1, 1.0), 0.5, 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_the_bound_is_the_spheres_alone(self, k):
+        s = ChartState(4.0, 0.1, 1.0)
+        chart_embed(s, 1.0, k)
+        closed_form_flow(s, 0.5, k)
+        polar_velocity_field(s, k)
+        assert reparameterization_factor(4.0, k, 8.0) > 0.0
+
+
+@pytest.mark.parametrize("r0", [0.0, -0.1])
+def test_closed_form_flow_needs_positive_radius(r0):
+    for k in KS:
+        with pytest.raises(SingularFieldError, match="requires r > 0"):
+            closed_form_flow(ChartState(r0, 0.1, 1.0), 0.5, k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_outward_radial_flow(k):
+    # straight out from the vertex, r grows by t; gamma and beta stay
+    s = closed_form_flow(ChartState(0.5, 0.2, 0.0), 0.25, k)
+    assert (s.r, s.gamma, s.beta) == (0.75, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("s0, eps", [
+    # the great circle perpendicular to the radius at r = 1.5 keeps
+    # r in [1.5, pi - 1.5], inside a chart of radius 3
+    (ChartState(1.5, 0.0, math.pi / 2), 3.0),
+    # every r on the sphere is below pi < eps
+    (ChartState(1.0, 0.0, 0.3), 3.5)])
+def test_sphere_geodesic_that_never_leaves_the_chart(s0, eps):
+    for t in (2.0, -5.0):
+        assert closed_form_flow(s0, t, 1, eps=eps) == \
+            closed_form_flow(s0, t, 1)
+
+
+def test_sphere_chart_radius_above_one_rejected():
+    with pytest.raises(GeometryError, match="exceeds 1"):
+        chart_extract(CartesianChartState(0.9, 0.9, 0.0), 1.0, 1)
+
+
+def test_full_record_buffer_raises():
+    # the start is the first record, so the first accepted step overflows
+    with pytest.raises(RuntimeError, match="buffer full"):
+        integrate_chart_flow(CartesianChartState(0.1, 0.1, 1.0), 0.5, 1.0,
+                             0, max_records=1)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_export_polar_rows(tmp_path, k):
+    # each polar row is chart_extract of the chart row at the same time;
+    # 17 significant digits give back every float exactly
+    traj = integrate_chart_flow(CartesianChartState(0.05, 0.02, 2.0), 0.3,
+                                1.2, k)
+    chart_path, polar_path = tmp_path / "chart.txt", tmp_path / "polar.txt"
+    export_trajectory(traj, chart_path)
+    export_trajectory(traj, polar_path, theta=1.2, k=k, coords="polar")
+    chart = np.loadtxt(chart_path)
+    polar = np.loadtxt(polar_path)
+    assert polar.shape == chart.shape == (len(traj.t), 4)
+    np.testing.assert_array_equal(polar[:, 0], chart[:, 0])
+    for (_, x, y, z), (_, r, gamma, beta) in zip(chart, polar):
+        st = chart_extract(CartesianChartState(x, y, z), 1.2, k)
+        assert (r, gamma, beta) == (st.r, st.gamma, st.beta)

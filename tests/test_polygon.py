@@ -10,7 +10,7 @@ import kernel_oracle as O
 import test_specfile as S
 from ccbilliards import (DoubleSurfacePoint, PolygonError, build_polygon,
                          double_points_equal, hyperbolic_pentagon,
-                         interior_contains, parse_polygon_spec,
+                         interior_contains, named_table, parse_polygon_spec,
                          sphere_triangle, square, vertex_neighborhood_radius)
 from ccbilliards import _kernels as K
 from ccbilliards import geometry as G
@@ -104,6 +104,68 @@ class TestBuild:
         with pytest.raises(PolygonError, match="inside"):
             build_polygon(0, [(0, 0), (1, 0), (1, 1), (0, 1)],
                           holes=[[(2, 2), (3, 2), (3, 3), (2, 3)]])
+
+
+class TestModels:
+    SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    def test_default_model_per_curvature(self):
+        assert P.MODEL_FOR_K == {0: "plane", -1: "poincare-disc",
+                                 1: "unit-sphere"}
+        assert list(P.MODELS) == ["plane", "poincare-disc", "unit-sphere"]
+
+    @pytest.mark.parametrize("k, coords, message", [
+        (0, [(0, 0, 1), (1, 0), (0, 1)], "vertex 0: expected 2 coordinates, got 3"),
+        (-1, [(0, 0), (0.3,), (0, 0.3)], "vertex 1: expected 2 coordinates, got 1"),
+        (1, [(0, 0, 1), (1, 0, 0), (0, 1)], "vertex 2: expected 3 coordinates, got 2")])
+    def test_coordinate_count(self, k, coords, message):
+        with pytest.raises(PolygonError, match=message):
+            build_polygon(k, coords)
+
+    def test_unknown_model(self):
+        with pytest.raises(PolygonError, match="vertex 0: unknown model 'klein'"):
+            build_polygon(0, self.SQUARE, model="klein")
+
+    @pytest.mark.parametrize("k, model", [(1, "plane"), (0, "poincare-disc"),
+                                          (-1, "unit-sphere"),
+                                          (0, "hyperboloid")])
+    def test_curvature_mismatch(self, k, model):
+        # the internal hyperboloid model, too, is the curvature -1 one
+        with pytest.raises(PolygonError,
+                           match=f"model '{model}' does not match curvature {k}"):
+            build_polygon(k, self.SQUARE, model=model)
+
+    def test_hyperboloid_model(self, pentagon):
+        # hyperbolic_pentagon's own vertices, given back as 3-vectors
+        poly = build_polygon(-1, [tuple(v) for v in pentagon.vertices],
+                             model="hyperboloid")
+        np.testing.assert_allclose(poly.vertices, pentagon.vertices,
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("make", [
+        square, hyperbolic_pentagon, lambda: sphere_triangle(1.0),
+        lambda: build_polygon(0, [(0, 0), (0, 3), (3, 3), (3, 0)],
+                              holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]])])
+    def test_side_i_starts_at_vertex_i(self, make):
+        # the diagonal search reads the side leaving vertex i as sides[i],
+        # also after reversed loops are turned round
+        poly = make()
+        assert [s.start for s in poly.sides] == list(range(poly.n_vertices))
+
+
+class TestNamedTables:
+    @pytest.mark.parametrize("theta", [0.0, math.pi, -1.0, math.nan])
+    def test_triangle_angle_out_of_range(self, theta):
+        with pytest.raises(PolygonError, match="opening angle must be in"):
+            sphere_triangle(theta)
+
+    def test_triangle_needs_theta(self):
+        with pytest.raises(PolygonError, match="requires --theta"):
+            named_table("sphere-triangle")
+
+    def test_unknown_table(self):
+        with pytest.raises(PolygonError, match="unknown table 'cube'"):
+            named_table("cube")
 
 
 class TestPerimeterAndGaussBonnet:

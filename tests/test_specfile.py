@@ -94,6 +94,25 @@ class TestErrors:
             parse_polygon_spec("curvature = 0\nmodel = plane\nsides = 3\n"
                                "outer = 0 0; 1 0; 0 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("curvature = 0\nmodel = plane\nouter = 0 0; ; 0 1\n",
+         "line 3.*vertex 1 is empty"),
+        ("curvature = 0\nmodel = plane\nouter = 0 0; 1 0\n",
+         "line 3.*at least 3 vertices"),
+        ("curvature = 0\nmodel plane\nouter = 0 0; 1 0; 0 1\n",
+         "line 2.*expected 'key = value'"),
+        ("curvature = 0\nmodel = plane\nouter = 0 0; 1 0; 0 1\n"
+         "curvature = 0\n", "line 4.*duplicate field"),
+        ("curvature = 0.5\nmodel = plane\nouter = 0 0; 1 0; 0 1\n",
+         "line 1.*curvature must be -1, 0, or 1"),
+        ("curvature = 1\nmodel = unit-sphere\nouter = 0 0; 1 0; 0 1\n",
+         "line 3.*expected 3 coordinates for model 'unit-sphere', got 2"),
+        ("curvature = 0\nmodel = hyperboloid\nouter = 0 0 1; 1 0 1; 0 1 1\n",
+         "model must be one of plane, poincare-disc, unit-sphere")])
+    def test_line_errors(self, text, message):
+        with pytest.raises(SpecFileError, match=message):
+            parse_polygon_spec(text)
+
     def test_disc_norm_bound(self):
         with pytest.raises(SpecFileError):
             parse_polygon_spec("curvature = -1\nmodel = poincare-disc\n"

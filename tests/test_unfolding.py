@@ -188,6 +188,18 @@ class TestSphericalPeriodicityCondition:
         with pytest.raises(ValueError):
             spherical_periodicity_condition(1.0, 0, 1)
 
+    @pytest.mark.parametrize("n, m", [(1.5, 3), (2, 0.99999999999),
+                                      (2.0, 1), (True, 1), (2, -1)])
+    def test_counts_must_be_integers(self, n, m):
+        # before, (1.5, 3) gave False and (2, 0.99999999999) and (2.0, 1)
+        # gave True: 2 n theta = m pi at theta = pi/4 needs whole counts
+        with pytest.raises(ValueError, match="integer"):
+            spherical_periodicity_condition(math.pi / 4, n, m)
+
+    def test_numpy_integers_accepted(self):
+        assert spherical_periodicity_condition(math.pi / 4, np.int64(2),
+                                               np.int32(1))
+
 
 class TestFindPeriodic:
     def test_square_perpendicular_family(self, sq):
@@ -654,3 +666,95 @@ def test_unfold_matches_reflection_matrix_products():
             g = g @ G.reflection_matrix(side.geodesic, poly.k)
             assert np.array_equal(mat, g)
         assert not any(m.flags.writeable for m in poly.reflection_matrices())
+
+
+@pytest.mark.parametrize("make", [
+    square, skew_quadrilateral, lambda: sphere_triangle(math.pi / 4),
+    lambda: sphere_triangle(math.pi / 6)],
+    ids=["square", "skew-quad", "triangle-pi4", "triangle-pi6"])
+def test_report_residual_is_its_verification(make):
+    # first_verified_orbit takes the first report unchecked: the polish
+    # kept it on the same return displacement, from the same start over
+    # the same period, that verify_periodic traces again
+    poly = make()
+    reports = find_periodic(poly, 12, 300, seed=2)
+    assert reports
+    for rep in reports:
+        assert verify_periodic(rep, poly) == rep.residual
+        assert rep.residual < U.RETURN_VERIFY_TOL
+    assert U.first_verified_orbit(poly, 12, 300, 2) == reports[0]
+
+
+class TestPeriodicSearchBranches:
+    """The periodic search's Newton on hand-built starts on the square,
+    where a start (s, psi) on side 1 (the bottom) runs up with slope
+    tan psi: two bounces bring it back at s + 2 cot psi."""
+
+    PERP = BoundaryState(1, 0.5, math.pi / 2)
+
+    @pytest.mark.parametrize("s, psi", [(0.0, 1.0), (1.0, 1.0),
+                                        (0.5, 0.5e-9), (0.5, math.pi)])
+    def test_displacement_off_the_side(self, sq, s, psi):
+        assert U._return_displacement(sq, 1, 2, (s, psi)) is None
+
+    def test_displacement_off_the_branch(self, sq):
+        # one bounce lands on the top side, not back on side 1
+        assert U._return_displacement(sq, 1, 1, (0.5, math.pi / 2)) is None
+        # aimed at the vertex (1, 1): the trace stops before two bounces
+        assert U._return_displacement(
+            sq, 1, 2, (0.5, math.atan2(1.0, 0.5))) is None
+
+    def test_start_off_the_branch(self, sq):
+        assert U._refine_candidate(sq, 1, 1, (0.5, math.pi / 2)) is None
+
+    def test_probe_leaves_the_branch(self, sq):
+        # 5e-8 from the vertex (0, 0), the finite-difference probe at
+        # s - 1e-7 leaves the side, so the Newton stops where it started:
+        # a 2e-9 return is kept, a 2e-7 one is not
+        psi = math.pi / 2 - 1e-9
+        start, residual, tr = U._refine_candidate(sq, 1, 2, (5e-8, psi))
+        assert start == BoundaryState(1, 5e-8, psi)
+        assert residual == pytest.approx(2.0 / math.tan(psi), rel=1e-6)
+        assert tr.labels == (3, 1)
+        assert U._refine_candidate(sq, 1, 2, (5e-8, math.pi / 2 - 1e-7)) \
+            is None
+
+    def test_line_search_gives_up(self, sq, monkeypatch):
+        # a return displacement that is the same everywhere has a zero
+        # Jacobian, so the Newton step is zero and none of the line
+        # search's 8 halvings improves on it
+        calls = []
+
+        def constant(poly, side0, n, u):
+            calls.append(tuple(u))
+            return np.array([1e-3, 0.0]), None
+
+        monkeypatch.setattr(U, "_return_displacement", constant)
+        assert U._refine_candidate(sq, 1, 2, (0.5, 1.0)) is None
+        assert len(calls) == 1 + 4 + 8
+        assert set(calls[5:]) == {(0.5, 1.0)}
+
+    def test_polish_closes_a_reported_sequence(self, sq):
+        b = (1, 0.5, math.pi / 2)
+        rep, still_open = U._polish(sq, b, 2, set())
+        assert rep.labels == (3, 1) and not still_open
+        assert U._polish(sq, b, 2, U._rotations((1, 3))) == (None, False)
+
+    def test_polish_rejects_a_turning_flat_holonomy(self, sq, monkeypatch):
+        # a polish that claims the start launched at pi/4 returns after the
+        # one bounce off the top side: that reflection turns the direction
+        # (cos, sin)(pi/4) to (cos, -sin)(pi/4), so the polish fails
+        tr = C.trace(sq, self.PERP, 1)
+        refined = (BoundaryState(1, 0.5, math.pi / 4), 0.0, tr)
+        monkeypatch.setattr(U, "_refine_candidate", lambda *a: refined)
+        assert U._polish(sq, (1, 0.5, math.pi / 4), 1, set()) == (None, True)
+
+    def test_verify_periodic_rejects(self, sq):
+        def report(labels):
+            return U.PeriodicOrbitReport(self.PERP, labels, 2.0, 0.0, None)
+
+        assert verify_periodic(report((3, 1)), sq) < 1e-15
+        # one bounce does not return to side 1
+        assert verify_periodic(report((3,)), sq) == math.inf
+        # two bounces return, along (3, 1)
+        assert verify_periodic(report((1, 3)), sq) == math.inf
