@@ -45,9 +45,6 @@ class ChartState:
     gamma: float
     beta: float
 
-    def as_array(self):
-        return np.array([self.r, self.gamma, self.beta])
-
 
 @dataclass(frozen=True)
 class CartesianChartState:
@@ -105,7 +102,7 @@ def chart_embed(s, theta, k):
     This is the radial convention under which the extended field is an
     exact time-rescaling of the geodesic flow; it agrees with
     :func:`chart_forward` for k = 0 and to second order in r otherwise.
-    A non-finite state, r < 0, or r >= pi on the sphere raises
+    A non-finite state, r < 0, or r >= pi/2 on the sphere raises
     GeometryError; r = 0 is the vertex circle.
     """
     _check_theta(theta)
@@ -113,7 +110,10 @@ def chart_embed(s, theta, k):
     _check_polar(s)
     if s.r < 0.0:
         raise GeometryError(f"radial coordinate must be >= 0, got {s.r}")
-    _check_sphere_radius(s.r, k)
+    # sin r folds back past pi/2: r and pi - r would embed at one point
+    if k == 1 and s.r >= 0.5 * math.pi:
+        raise GeometryError("spherical chart radius must be < pi/2, "
+                            f"got {s.r}")
     rr = K.sink(k, s.r)
     a = s.gamma * math.pi / theta
     return CartesianChartState(rr * math.cos(a), rr * math.sin(a),
@@ -202,17 +202,17 @@ def reparameterization_factor(r, k, eps):
 
     Pure sink on [0, eps/2], constant 1 beyond eps, joined by a smooth
     bump on [eps/2, eps] so the global flow is a C-infinity time change.
-    r must be finite and nonnegative, and inside the chart (r < eps) also
-    below pi on the sphere, else GeometryError.
+    r must be finite and nonnegative, and below pi on the sphere, else
+    GeometryError.
     """
     check_curvature(k)
     # a nan r would reach the bump with both weights 0
     if not 0.0 <= r < math.inf:
         raise GeometryError(f"radius must be finite and nonnegative, got {r}")
     _check_eps(eps)
+    _check_sphere_radius(r, k)
     if r >= eps:
         return 1.0
-    _check_sphere_radius(r, k)
     raw = K.sink(k, r)
     if r <= 0.5 * eps:
         return raw

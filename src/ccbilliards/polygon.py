@@ -6,6 +6,16 @@ segments; the interior lies on the left of the directed boundary, so the
 outer loop runs counterclockwise and hole loops clockwise.  Reversed input
 is auto-corrected and flagged.
 
+Containment is one crossing-parity rule on every curvature: a point off
+the boundary lies on the left of some loops iff the geodesic segment from
+it to a reference point on their right crosses their sides an odd number
+of times, each crossing decided by ``geometry.geodesics_intersect`` (the
+simplicity check's predicate).  The reference is the midpoint of one of
+their sides, moved to its right by half the midpoint's distance to their
+other sides.  It is skipped for the next side's when the segment is
+shorter than ``VERTEX_SEP_TOL``, passes within ``VERTEX_SEP_TOL`` of one
+of their vertices, or on the sphere is pi - 1e-6 or longer.
+
 The two-sheet "double surface" obtained by gluing two copies of the table
 along the boundary is represented by :class:`DoubleSurfacePoint`; boundary
 points identify across sheets.
@@ -287,8 +297,7 @@ def build_polygon(k, vertex_coords, holes=(), model=None):
             raise PolygonError(f"vertices {i} and {j} coincide")
 
     # simple boundary: non-adjacent sides must not meet
-    segs = [(s.geodesic.point.tolist(), s.geodesic.direction.tolist(),
-             s.normal.tolist(), s.length) for s in all_sides]
+    segs = _side_segments(all_sides)
     for (i, a), (j, b) in itertools.combinations(enumerate(all_sides), 2):
         tol = VERTEX_SEP_TOL if {a.start, a.end} & {b.start, b.end} else -1e-12
         if G.geodesics_intersect(segs[i], segs[j], k, end_tol=tol):
@@ -300,97 +309,74 @@ def build_polygon(k, vertex_coords, holes=(), model=None):
 
     # holes must lie inside the outer loop and outside each other
     for li in range(1, len(loops)):
-        base, cnt = loops[li]
-        probe = vertices[base]
-        if not _winding_contains(poly, probe, loops=[0]):
+        probe = vertices[loops[li][0]]
+        if not _parity_contains(poly, probe, loops=[0]):
             raise PolygonError(f"hole loop {li} is not inside the outer boundary")
+        # inside a hole's disc is on the right of its (clockwise) loop
         for lj in range(1, len(loops)):
             if lj == li:
                 continue
-            if _winding_contains(poly, probe, loops=[lj]):
+            if not _parity_contains(poly, probe, loops=[lj]):
                 raise PolygonError(f"hole loops {li} and {lj} are nested")
     return poly
 
 
-def _winding_contains(poly, p, loops=None):
-    """Nonzero-winding test of p against the selected loops (default: all).
+def _side_segments(sides):
+    """The sides as the (point, direction, normal, length) segments that
+    ``geometry.geodesics_intersect`` takes."""
+    return [(s.geodesic.point.tolist(), s.geodesic.direction.tolist(),
+             s.normal.tolist(), s.length) for s in sides]
 
-    Degenerate sightlines (query on a side's geodesic, or antipodal to a
-    vertex on the sphere) are broken by deterministic nudges; the nudge is
-    kept below half the boundary clearance so the verdict cannot flip.
-    """
+
+def _parity_contains(poly, p, loops=None):
+    """Whether p, off their sides, lies on the left of the selected loops
+    (default: all), by the parity rule of the module docstring."""
     k = poly.k
-    loop_ids = range(len(poly.loops)) if loops is None else loops
-    bdist = min(G.segment_distance(p, s.geodesic, s.length, k) for s in poly.sides)
-    for attempt in range(8):
-        q = p
-        if attempt > 0:
-            ang = 2.399963229728653 * attempt
-            d0 = K.renorm_tangent(
-                k, q, np.array([math.cos(ang), math.sin(ang), 0.2 * math.cos(2 * ang)]))
-            mag = min(0.45, 0.06 * attempt) * bdist
-            q = K.renorm_point(k, K.geodesic_point(k, q, d0, mag))
-        total = 0.0
-        ok = True
-        for s in poly.sides:
-            if s.loop not in loop_ids:
-                continue
-            swept = _swept_angle(k, q, s, 0.0, s.length, 0)
-            if swept is None:
-                ok = False
-                break
-            total += swept
-        if not ok:
+    sides = [s for s in poly.sides if loops is None or s.loop in loops]
+    segs = _side_segments(sides)
+    verts = [poly.vertices[s.start] for s in sides]
+    for s in sides:
+        g = s.geodesic
+        mid = K.renorm_point(k, K.geodesic_point(k, g.point, g.direction,
+                                                 0.5 * s.length))
+        gap = min(G.segment_distance(mid, o.geodesic, o.length, k)
+                  for o in sides if o is not s)
+        # at a point of its side the interior-positive functional is the
+        # unit tangent to the side's left (its xy part on the plane)
+        n = s.normal
+        right = (-n[0], -n[1], 0.0 if k == 0 else -n[2])
+        ref = K.renorm_point(k, K.geodesic_point(k, mid, right, 0.5 * gap))
+        d = K.distance(k, p, ref)
+        if d < VERTEX_SEP_TOL or (k == 1 and d >= math.pi - 1e-6):
             continue
-        w = total / (2.0 * math.pi)
-        if abs(w - round(w)) > 0.25:
+        q = G.Geodesic(G.as_vec3(p), np.array(K.log_map(k, p, ref)))
+        if any(G.segment_distance(v, q, d, k) < VERTEX_SEP_TOL for v in verts):
             continue
-        return int(round(w)) != 0
-    raise PolygonError("interior test failed to resolve after perturbation retries")
-
-
-def _swept_angle(k, p, side, sa, sb, depth):
-    """Signed angle swept at p by the side arc between parameters sa and sb."""
-    g = side.geodesic
-    qa = K.renorm_point(k, K.geodesic_point(k, g.point, g.direction, sa))
-    qb = K.renorm_point(k, K.geodesic_point(k, g.point, g.direction, sb))
-    da = K.distance(k, p, qa)
-    db = K.distance(k, p, qb)
-    if da < 1e-12 or db < 1e-12:
-        return None
-    if k == 1 and (da > math.pi - 1e-12 or db > math.pi - 1e-12):
-        return None
-    if sb - sa > 1.2 or (k == 1 and sb - sa > 0.5 * math.pi):
-        sm = 0.5 * (sa + sb)
-        left = _swept_angle(k, p, side, sa, sm, depth + 1)
-        right = _swept_angle(k, p, side, sm, sb, depth + 1)
-        if left is None or right is None:
-            return None
-        return left + right
-    ua = K.log_map(k, p, qa)
-    ub = K.log_map(k, p, qb)
-    ang = K.signed_angle(k, p, ua, ub)
-    if abs(ang) > math.pi - 1e-6:
-        if depth >= 48:
-            return None
-        sm = 0.5 * (sa + sb)
-        left = _swept_angle(k, p, side, sa, sm, depth + 1)
-        right = _swept_angle(k, p, side, sm, sb, depth + 1)
-        if left is None or right is None:
-            return None
-        return left + right
-    return ang
+        seg = (q.point.tolist(), q.direction.tolist(),
+               G.side_normal(q, k).tolist(), d)
+        hits = sum(G.geodesics_intersect(seg, t, k) for t in segs)
+        return hits % 2 == 1
+    raise PolygonError("interior test failed to resolve: every reference "
+                       "segment meets a vertex or is too long")
 
 
 def interior_contains(poly, p):
-    """True iff p lies in the open interior (boundary points are outside)."""
+    """True iff p lies in the open interior (boundary points are outside).
+
+    p is inside iff the geodesic segment from p to a reference point just
+    outside the table crosses the sides an odd number of times.  A
+    reference is skipped for the next side's when the segment is shorter
+    than ``VERTEX_SEP_TOL``, passes within ``VERTEX_SEP_TOL`` of a vertex,
+    or on the sphere is pi - 1e-6 or longer; PolygonError when none is
+    left.  See the module docstring for the reference point.
+    """
     p = G.as_vec3(p)
     if G.point_defect(p, poly.k) > 1e-6:
         raise GeometryError(f"point {p} is not on the k={poly.k} model surface")
     p = K.renorm_point(poly.k, p)
     if point_on_boundary(poly, p):
         return False
-    return _winding_contains(poly, p)
+    return _parity_contains(poly, p)
 
 
 def vertex_neighborhood_radius(poly, i):

@@ -88,13 +88,3 @@ def load_polygon_spec(path):
     with open(path) as fh:
         return parse_polygon_spec(fh.read())
 
-
-def format_polygon_spec(k, model, outer, holes=()):
-    """Spec text for the given loops (inverse of the parser)."""
-    lines = [f"curvature = {k}", f"model = {model}"]
-    lines.append("outer = " + "; ".join(" ".join(format(x, ".17g") for x in v)
-                                        for v in outer))
-    for h in holes:
-        lines.append("hole = " + "; ".join(" ".join(format(x, ".17g") for x in v)
-                                           for v in h))
-    return "\n".join(lines) + "\n"

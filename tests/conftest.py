@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ccbilliards import NUMBA_ENABLED, hyperbolic_pentagon, sphere_triangle, square
 from ccbilliards import _kernels as K
 from ccbilliards import geometry as G
+
+# every run draws the same examples and keeps no example database, so the
+# lines a run covers change only with the tests or the code
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_report_header(config):

@@ -68,6 +68,12 @@ boundary check on numpy 3-vectors, recomputing both side normals.
 ``geometry.geodesics_intersect``, on float triples and the stored
 normals, must give the same verdicts (``test_geometry.py``).
 
+``projected_contains`` is the ground truth for ``polygon.interior_contains``
+off the boundary.  A central projection maps the geodesics to straight
+lines: the plane as it is, the hyperboloid to the Klein disc (x/z, y/z),
+the open upper hemisphere gnomonically to z = 1.  The even-odd rule then
+runs on the projected loops (``test_polygon.py``).
+
 ``batch_trace_states`` (with ``batch_side_hits`` and the ``_batch_*``
 helpers) is the batched engine in the form it had before its grids were
 tiled: every grid operation broadcasts an (N, 1) ray column against the
@@ -834,6 +840,27 @@ def arc_param(q, g, k):
     if k == 1:
         return math.atan2(float(q @ g.direction), float(q @ g.point))
     return math.asinh(float(mdot(-1, q, g.direction)))
+
+
+def projected_contains(poly, p):
+    """Even-odd test of p against every boundary loop of poly, projected
+    centrally to (x/z, y/z).  On the sphere every vertex must lie in the
+    open upper hemisphere; the table then does too, and a point with
+    z <= 0 is outside."""
+    if poly.k == 1:
+        if min(v[2] for v in poly.vertices) <= 0.0:
+            raise ValueError("the gnomonic projection needs every vertex at z > 0")
+        if p[2] <= 0.0:
+            return False
+    x, y = p[0] / p[2], p[1] / p[2]
+    inside = False
+    for base, count in poly.loops:
+        pts = [(v[0] / v[2], v[1] / v[2])
+               for v in poly.vertices[base:base + count]]
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+            if (ay > y) != (by > y) and x < ax + (y - ay) * (bx - ax) / (by - ay):
+                inside = not inside
+    return inside
 
 
 def _batch_cos_sin(k, t):

@@ -85,6 +85,16 @@ class TestSimulate:
             f"error: radial coordinate must be >= 0, got {float(r)}\n")
         assert not (tmp_path / "chart_trajectory.txt").exists()
 
+    def test_sphere_chart_radius_from_half_pi_exits_1(self, tmp_path, capsys):
+        # before, r = 2 started from the state folded back to r = pi - 2
+        code, out = run_cli(["simulate", "--table", "sphere-triangle",
+                             "--theta", "1", "--vertex", "1", "--r", "2",
+                             "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: spherical chart radius must be < pi/2, got 2.0\n")
+        assert not (tmp_path / "chart_trajectory.txt").exists()
+
     @pytest.mark.parametrize("table, state", [
         (["--table", "square"], ("1", "0", "1.1")),
         (["--table", "hyperbolic-pentagon"], ("2", "0.3", "0.7")),

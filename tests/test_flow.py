@@ -79,6 +79,22 @@ class TestChart:
         with pytest.raises(GeometryError, match="< pi"):
             chart_embed(ChartState(r, 0.3, 1.0), 1.0, 1)
 
+    def test_sphere_round_trip_below_half_pi(self):
+        # sin r is one to one on [0, pi/2), so extract recovers r there
+        for r in np.linspace(0.0, 0.5 * math.pi, 33)[:-1]:
+            s = ChartState(float(r), 0.3, 1.0)
+            back = chart_extract(chart_embed(s, 1.0, 1), 1.0, 1)
+            assert back.r == pytest.approx(r, abs=1e-12)
+            # the vertex circle r = 0 collapses gamma
+            assert back.gamma == (pytest.approx(0.3, abs=1e-12) if r else 0.0)
+
+    @pytest.mark.parametrize("r", [0.5 * math.pi, 2.0, 3.0, math.pi - 1e-9])
+    def test_sphere_radius_from_half_pi_rejected(self, r):
+        # before, r = 2 and r = 3 embedded onto the points for pi - 2 and
+        # pi - 3, and extract returned 1.1416 and 0.1416
+        with pytest.raises(GeometryError, match="must be < pi/2"):
+            chart_embed(ChartState(r, 0.3, 1.0), 1.0, 1)
+
     @pytest.mark.parametrize("k", KS)
     def test_vertex_circle_embeds(self, k):
         c = chart_embed(ChartState(0.0, 0.3, 1.2), 1.0, k)
@@ -369,7 +385,12 @@ class TestRho:
     def test_one_outside(self):
         for k in KS:
             assert reparameterization_factor(1.0, k, 1.0) == 1.0
+        for k in (0, -1):
             assert reparameterization_factor(7.3, k, 0.4) == 1.0
+        # before, the sphere's r < pi bound was checked only inside the
+        # chart, and r = 7.3 gave 1
+        with pytest.raises(GeometryError, match="must be < pi"):
+            reparameterization_factor(7.3, 1, 0.4)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_radius_rejected(self, r):
@@ -779,10 +800,11 @@ class TestSphereRadiusBound:
     @pytest.mark.parametrize("r", [math.pi, 3.5])
     def test_reparameterization_factor_inside_the_chart(self, r):
         # before, r = 3.5 inside a chart of radius 8 gave -0.351, a
-        # negative time change; beyond eps the factor stays 1
+        # negative time change, and beyond eps the factor read 1
         with pytest.raises(GeometryError, match="must be < pi"):
             reparameterization_factor(r, 1, 8.0)
-        assert reparameterization_factor(r, 1, 1.0) == 1.0
+        with pytest.raises(GeometryError, match="must be < pi"):
+            reparameterization_factor(r, 1, 1.0)
 
     @pytest.mark.parametrize("r", [math.pi, 4.0])
     def test_closed_form_flow(self, r):

@@ -216,6 +216,150 @@ class TestInterior:
         assert not interior_contains(ann, G.plane_point(1.5, 1.5))
         assert not interior_contains(ann, G.plane_point(1.0, 1.5))
 
+    def test_antipode_of_interior_point_outside(self, tri1):
+        # before, a winding sum seen from the point read the antipode of
+        # every interior point of a spherical table as inside
+        p = np.array([math.cos(0.5) * math.cos(0.6),
+                      math.sin(0.5) * math.cos(0.6), math.sin(0.6)])
+        assert not interior_contains(tri1, -p)
+
+    def test_reference_at_the_point_is_skipped(self, sq):
+        # side 1's reference: its midpoint (0.5, 0) moved out by half its
+        # distance 0.5 to the other sides
+        assert not interior_contains(sq, G.plane_point(0.5, -0.25))
+
+    def test_reference_through_a_vertex_is_skipped(self):
+        # a notch from the top with its tip at (2, 1): the segment from
+        # (2, 2) down to side 1's reference (2, -0.5) runs through the tip
+        poly = build_polygon(0, [(0, 0), (4, 0), (4, 4), (3, 4), (2, 1),
+                                 (2.5, 4), (0, 4)])
+        assert interior_contains(poly, G.plane_point(2.0, 2.0))
+        assert not interior_contains(poly, G.plane_point(2.6, 3.5))
+
+    def test_antipodal_reference_is_skipped(self, tri1):
+        # the antipode of side 1's reference, which lies on the side's
+        # right, half way to the side at opening angle 1
+        gap = math.asin(math.sin(1.0) / math.sqrt(2.0))
+        mid = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+        ref = math.cos(0.5 * gap) * mid - math.sin(0.5 * gap) * np.array(
+            [0.0, 1.0, 0.0])
+        assert not interior_contains(tri1, -ref)
+        assert not interior_contains(tri1, ref)
+
+    def test_no_reference_left(self, sq, monkeypatch):
+        monkeypatch.setattr(P, "VERTEX_SEP_TOL", 10.0)
+        with pytest.raises(PolygonError, match="failed to resolve"):
+            interior_contains(sq, G.plane_point(0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the interior test against ground truth on seeded uniform points
+# ---------------------------------------------------------------------------
+
+def uniform_points(poly, n, seed):
+    """n seeded uniform points: on the whole sphere, in the Poincare disc
+    of radius 0.95, or in the plane table's bounding box padded by 0.5."""
+    rng = np.random.default_rng(seed)
+    if poly.k == 1:
+        v = rng.normal(size=(n, 3))
+        return list(v / np.linalg.norm(v, axis=1)[:, None])
+    if poly.k == -1:
+        r = 0.95 * np.sqrt(rng.random(n))
+        a = rng.uniform(0.0, 2.0 * math.pi, n)
+        return [G.poincare_to_hyperboloid(x, y)
+                for x, y in zip(r * np.cos(a), r * np.sin(a))]
+    xy = np.array(poly.vertices)[:, :2]
+    lo, hi = xy.min(axis=0) - 0.5, xy.max(axis=0) + 0.5
+    return [G.plane_point(*c) for c in rng.uniform(lo, hi, size=(n, 2))]
+
+
+def sphere_star(n=10, outer=0.8, inner=0.3):
+    """A star in the open upper hemisphere: its gnomonic image has the
+    vertices at radii outer and inner in turn."""
+    pts = []
+    for i in range(n):
+        r = outer if i % 2 == 0 else inner
+        a = 2.0 * math.pi * i / n
+        pts.append(tuple(np.array([r * math.cos(a), r * math.sin(a), 1.0])
+                         / math.hypot(r, 1.0)))
+    return build_polygon(1, pts)
+
+
+def circle_loop(center, rho, n):
+    """n vertices evenly round the circle of radius rho about the unit
+    vector center on the sphere."""
+    c = np.array(center, dtype=float)
+    e1 = np.cross(c, [0.0, 1.0, 0.0] if abs(c[1]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(c, e1)
+    return [tuple(math.cos(rho) * c + math.sin(rho) * (
+        math.cos(a) * e1 + math.sin(a) * e2))
+        for a in 2.0 * math.pi * np.arange(n) / n]
+
+
+NORTH, SOUTH = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+EAST, WEST = (math.sin(0.5), 0.0, math.cos(0.5)), (-math.sin(0.5), 0.0, math.cos(0.5))
+
+
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.0, 2.0, 3.0])
+def test_pole_triangle_matches_side_functionals(theta):
+    # the triangle is convex: inside iff every side functional is positive;
+    # each point's antipode is tested too
+    tri = sphere_triangle(theta)
+    for p in uniform_points(tri, 100, 1):
+        for q in (p, -p):
+            want = all(K.mdot(1, s.normal, q) > 0.0 for s in tri.sides)
+            assert interior_contains(tri, q) == want
+
+
+PROJECTED = {
+    "square": square,
+    "holed-square": lambda: build_polygon(
+        0, [(0, 0), (3, 0), (3, 3), (0, 3)],
+        holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]]),
+    "L-shape": lambda: build_polygon(
+        0, [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    "pentagon": hyperbolic_pentagon,
+    "nonconvex-pentagon": lambda: build_polygon(
+        -1, [(-0.5, -0.4), (0.5, -0.4), (0.5, 0.5), (0.0, 0.05), (-0.5, 0.5)]),
+    "sphere-star": sphere_star,
+    "sphere-cap-holes": lambda: build_polygon(
+        1, circle_loop(NORTH, 1.2, 8),
+        holes=[circle_loop(EAST, 0.2, 5), circle_loop(WEST, 0.3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTED))
+def test_interior_matches_projected_oracle(name):
+    poly = PROJECTED[name]()
+    for p in uniform_points(poly, 150, 2):
+        assert interior_contains(poly, p) == O.projected_contains(poly, p)
+
+
+class TestHoleChecks:
+    # the south cap bounded by six vertices at z = -0.5
+    CAP = circle_loop(SOUTH, math.pi / 3, 6)
+
+    def test_hole_round_the_far_pole_rejected(self):
+        # before, the hole round the north pole passed: its vertex and
+        # the antipode lie on different sides of the south cap's boundary
+        with pytest.raises(PolygonError, match="hole loop 1 is not inside "
+                                               "the outer boundary"):
+            build_polygon(1, self.CAP, holes=[circle_loop(NORTH, 0.3, 3)])
+
+    def test_hole_round_the_near_pole_builds(self):
+        poly = build_polygon(1, self.CAP, holes=[circle_loop(SOUTH, 0.3, 3)])
+        assert poly.boundary_components == 2
+        assert not interior_contains(poly, np.array(SOUTH))
+        assert interior_contains(poly, np.array(circle_loop(SOUTH, 0.6, 1)[0]))
+
+    @pytest.mark.parametrize("inner_first", [True, False])
+    def test_nested_holes_on_the_sphere_rejected(self, inner_first):
+        holes = [circle_loop(EAST, 0.1, 3), circle_loop(EAST, 0.3, 6)]
+        with pytest.raises(PolygonError, match="are nested"):
+            build_polygon(1, circle_loop(NORTH, 1.2, 8),
+                          holes=holes if inner_first else holes[::-1])
+
 
 class TestVertexRadius:
     def test_square(self, sq):
@@ -311,10 +455,8 @@ def boundary_verdicts(sides, k):
         for b in sides[i + 1:]:
             tol = (P.VERTEX_SEP_TOL if {a.start, a.end} & {b.start, b.end}
                    else -1e-12)
-            got.append(G.geodesics_intersect(
-                *((s.geodesic.point.tolist(), s.geodesic.direction.tolist(),
-                   s.normal.tolist(), s.length) for s in (a, b)),
-                k, end_tol=tol))
+            got.append(G.geodesics_intersect(*P._side_segments((a, b)), k,
+                                             end_tol=tol))
             want.append(O.geodesics_intersect(a.geodesic, a.length,
                                               b.geodesic, b.length, k,
                                               end_tol=tol))

@@ -1,7 +1,16 @@
 import pytest
 
 from ccbilliards import SpecFileError, parse_polygon_spec
-from ccbilliards.specfile import format_polygon_spec
+
+def format_polygon_spec(k, model, outer, holes=()):
+    """Spec text for the given loops (inverse of the parser)."""
+    def loop(vs):
+        return "; ".join(" ".join(format(x, ".17g") for x in v) for v in vs)
+
+    lines = [f"curvature = {k}", f"model = {model}", "outer = " + loop(outer)]
+    lines += ["hole = " + loop(h) for h in holes]
+    return "\n".join(lines) + "\n"
+
 
 SQUARE = """
 # unit square
@@ -57,6 +66,16 @@ class TestParse:
                                    holes=[])
         poly = parse_polygon_spec(text)
         assert sum(s.length for s in poly.sides) == pytest.approx(4.0)
+
+    def test_round_trip_with_a_hole(self):
+        outer = [(0, 0), (3, 0), (3, 3), (0, 3)]
+        hole = [(1, 1), (1, 2), (2, 2), (2, 1)]
+        text = format_polygon_spec(0, "plane", outer, holes=[hole])
+        assert text.splitlines()[-1] == "hole = 1 1; 1 2; 2 2; 2 1"
+        poly = parse_polygon_spec(text)
+        assert poly.boundary_components == 2
+        assert [tuple(v[:2]) for v in poly.vertices] == outer + hole
+        assert sum(s.length for s in poly.sides) == pytest.approx(16.0)
 
 
 class TestErrors:
