@@ -16,6 +16,11 @@ computation; this module implements the witness logic that is:
   which a finite probe cannot establish), so the other outcome is
   ``unknown``.
 
+A same-itinerary pair must be two orbits, not one: ``probe_pair`` rejects
+b when it is a or one of a's iterates under the billiard map, past or
+future, within ``SAME_ORBIT_WINDOW`` bounces, compared as boundary states
+(side, s, psi) to ``SAME_ORBIT_TOL``.
+
 ``expansive`` is never returned for curvature 0 or +1.
 """
 
@@ -31,12 +36,11 @@ from . import collision as C
 from . import unfolding as U
 from .errors import GeometryError
 
-SAME_ORBIT_TOL = 1e-6       # phase distance below which two states are one orbit
-SAME_ORBIT_WINDOW = 20      # bounces scanned either way by the exclusion test
+# two boundary states on one side are one state of the billiard map when
+# both s and psi differ by less than this
+SAME_ORBIT_TOL = 1e-6
+SAME_ORBIT_WINDOW = 20      # bounces of the map scanned, past and future
 PAIR_DIRECTION_OFFSET = 1e-5
-# squared direction gap past which a flight sample of the same-orbit test
-# is skipped: (2 SAME_ORBIT_TOL)^2
-_FAR_DIRS = (2.0 * SAME_ORBIT_TOL) ** 2
 
 
 class Rule(str, Enum):
@@ -102,81 +106,48 @@ class ExpansivenessVerdict:
     notes: tuple = ()
 
 
-def _near(k, q, w, pb, vb):
-    """Is the ray (pb, vb) within SAME_ORBIT_TOL of (q, w) in both its
-    point and its direction?"""
-    pos = K.distance(k, q, pb)
-    d0 = w[0] - vb[0]
-    d1 = w[1] - vb[1]
-    d2 = w[2] - vb[2]
-    dirs = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    return max(pos, dirs) < SAME_ORBIT_TOL
-
-
-def _same_orbit(poly, a, a_traces, pb, vb):
-    """Flow-line proximity: is the ray (pb, vb) within SAME_ORBIT_TOL of
-    a's orbit segment?
+def _same_orbit(a, a_traces, b):
+    """The billiard map's identity test: is b on a's orbit segment?
 
     a_traces are the traces of a and of a.reversed(), at least
-    SAME_ORBIT_WINDOW bounces long unless they stopped earlier.  The
-    samples are the boundary states and three points of each flight over
-    the first SAME_ORBIT_WINDOW bounces, forward from a and backward from
-    a.reversed(); a backward sample is compared with -vb, which gives the
-    distance to vb of its direction negated back to a's sense of travel.
-    A flight sample whose direction, before its renormalisation, lies
-    more than 2 SAME_ORBIT_TOL from the target is skipped before its
-    point is computed: renormalising moves it by less than 1e-14 on the
-    built-in tables, so it could not pass.  The oracle ``same_orbit`` in
-    ``tests/kernel_oracle.py`` tests every sample.
+    SAME_ORBIT_WINDOW bounces long unless they stopped earlier.  b is on
+    the segment iff it lies on the side of a, of a forward-trace state
+    f^i(a), or of a backward-trace state reversed, which is f^-i(a)
+    (1 <= i <= SAME_ORBIT_WINDOW), and within SAME_ORBIT_TOL of it in
+    both s and psi.
     """
-    k = poly.k
-    sa, su = poly.kernel_pack()[:2]
-    for ub, state, tr in ((vb, a, a_traces[0]),
-                          ((-vb[0], -vb[1], -vb[2]), a.reversed(),
-                           a_traces[1])):
-        p, v = C.embed_state(poly, state)
-        if _near(k, p, v, pb, ub):
-            return True
-        for i in range(min(tr.n_done, SAME_ORBIT_WINDOW)):
-            for frac in (0.25, 0.5, 0.75):
-                t = tr.flights[i] * frac
-                d = K.geodesic_dir(k, p, v, t)
-                d0 = d[0] - ub[0]
-                d1 = d[1] - ub[1]
-                d2 = d[2] - ub[2]
-                if d0 * d0 + d1 * d1 + d2 * d2 > _FAR_DIRS:
-                    continue
-                q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
-                if _near(k, q, K.renorm_tangent(k, q, d), pb, ub):
-                    return True
-            j = tr.labels[i] - 1
-            p, v = K.boundary_embed(k, sa[j], su[j], tr.svals[i], tr.psis[i])
-            if _near(k, p, v, pb, ub):
-                return True
-    return False
+    w = SAME_ORBIT_WINDOW
+    fwd, back = a_traces
+    states = [(a.side, a.s, a.psi),
+              *zip(fwd.labels[:w], fwd.svals[:w], fwd.psis[:w]),
+              *zip(back.labels[:w], back.svals[:w],
+                   [math.pi - psi for psi in back.psis[:w]])]
+    return any(j == b.side and abs(s - b.s) < SAME_ORBIT_TOL
+               and abs(psi - b.psi) < SAME_ORBIT_TOL for j, s, psi in states)
 
 
 def probe_pair(a, b, poly, horizon):
     """Compare the itineraries of two distinct orbits over +-horizon bounces.
 
-    Symmetric in its arguments.  Raises when the states lie on a common
-    orbit segment (trivial pair).  a's two directions are traced once,
-    far enough for both the orbit-segment test and the comparison.  A
-    vertex or grazing stop within horizon shortens the comparison and sets
-    ``truncated``; an escape raises (``collision.direction_labels``).
+    Symmetric in its arguments.  Raises when b is a or one of a's
+    iterates f^i(a) under the billiard map, past or future, within
+    SAME_ORBIT_WINDOW bounces (``_same_orbit``): such a pair is one
+    orbit.  b is traced first, so an invalid b fails before a is traced.
+    a's two directions are traced once, far enough for both the
+    orbit-segment test and the comparison.  A vertex or grazing stop
+    within horizon shortens the comparison and sets ``truncated``; an
+    escape raises (``collision.direction_labels``).
     """
     C.check_count(horizon, "horizon", 1)
-    if a == b:
-        raise GeometryError("probe_pair requires states on distinct orbits")
-    pb, vb = C.embed_state(poly, b)
+    b_fwd = C.trace(poly, b, horizon)
     span = max(horizon, SAME_ORBIT_WINDOW)
     a_back = a.reversed()
     a_traces = (C.trace(poly, a, span), C.trace(poly, a_back, span))
-    if _same_orbit(poly, a, a_traces, pb, vb):
+    if _same_orbit(a, a_traces, b):
         raise GeometryError("probe_pair requires states on distinct orbits")
     b_back = b.reversed()
     fa, end_fa = C.direction_labels(a, a_traces[0], horizon)
-    fb, end_fb = C.direction_labels(b, C.trace(poly, b, horizon), horizon)
+    fb, end_fb = C.direction_labels(b, b_fwd, horizon)
     ba, end_ba = C.direction_labels(a_back, a_traces[1], horizon)
     bb, end_bb = C.direction_labels(b_back, C.trace(poly, b_back, horizon),
                                     horizon)

@@ -19,8 +19,12 @@ radius is sink(k, r) rather than r itself (for k = 0 the two agree); the
 pair :func:`chart_embed` / :func:`chart_extract` provides that
 dynamics-consistent radial convention, while :func:`chart_forward` /
 :func:`chart_inverse` keep the plain curvature-independent chart.
+
+On the hyperbolic plane, an entry whose sinh or cosh leaves the float64
+range (a radius, time or eps past about 710) raises GeometryError.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +90,20 @@ def _check_sphere_radius(r, k):
         raise GeometryError("spherical radial coordinate must be < pi")
 
 
+def _float64_range(fn):
+    """fn with the math module's OverflowError raised as GeometryError: on
+    the hyperbolic plane sinh and cosh leave the float64 range past an
+    argument of about 710 (a radius, a time or eps)."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise GeometryError(f"{fn.__name__}: the input leaves the float64 "
+                                "range of sinh and cosh") from None
+    return checked
+
+
 def chart_forward(s, theta):
     """Wedge-to-disc chart; the circle r = 0 collapses gamma.  The plain
     chart ignores curvature: it is :func:`chart_embed` at k = 0."""
@@ -96,6 +114,7 @@ def chart_inverse(c, theta):
     return chart_extract(c, theta, 0)
 
 
+@_float64_range
 def chart_embed(s, theta, k):
     """Chart map whose disc radius is sink(k, r).
 
@@ -142,6 +161,7 @@ def chart_extract(c, theta, k):
     return ChartState(r, gamma, c.z % TWO_PI)
 
 
+@_float64_range
 def polar_velocity_field(s, k):
     """Geodesic velocity in (r, gamma, beta); singular on r = 0.  A
     non-finite state, or r >= pi on the sphere, raises GeometryError.
@@ -197,6 +217,7 @@ def singularity_jacobian(z0, theta, k):
     return jac, eig
 
 
+@_float64_range
 def reparameterization_factor(r, k, eps):
     """Time-rescaling factor: sink(k, r) near the vertex, 1 outside.
 
@@ -227,6 +248,7 @@ def reparameterization_factor(r, k, eps):
 # closed-form flow of the polar system
 # ---------------------------------------------------------------------------
 
+@_float64_range
 def closed_form_flow(s0, t, k, eps=None):
     """Exact solution of the polar motion system after time t.
 
@@ -406,6 +428,7 @@ class ChartTrajectory:
         return CartesianChartState(row[0], row[1], row[2])
 
 
+@_float64_range
 def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
                          atol=DEFAULT_ATOL, record=True, track_arc_time=False,
                          max_records=200000):

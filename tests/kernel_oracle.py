@@ -57,11 +57,13 @@ composes the reflections over the polished trace's labels.
 time: the tests compare the engine by arrays, and feed a sweep from arrays
 they traced once.  Like the sweep, it checks no state.
 
-``same_orbit`` (with ``orbit_phase_points``) is the same-orbit test of
-``expansivity.probe_pair`` as it was before it skipped the flight samples
-whose direction lies far from the probed ray's: every sample's point,
-direction and distance are computed.  ``expansivity._same_orbit`` must
-give its verdicts (``test_expansivity.py``).
+``same_orbit`` (with ``orbit_states``) is the same-orbit test of
+``expansivity.probe_pair`` on the billiard map, built independently of
+the traces the package reuses: it steps ``collision.collision_step`` one
+bounce at a time from a and from a.reversed(), up to
+``SAME_ORBIT_WINDOW`` bounces each way, and compares each iterate with b
+in side, s and psi.  ``expansivity._same_orbit`` must give its verdicts
+(``test_expansivity.py``).
 
 ``geodesics_intersect`` (with ``arc_param``) is the polygon builder's
 boundary check on numpy 3-vectors, recomputing both side normals.
@@ -107,6 +109,7 @@ from ccbilliards._kernels import (FIELD_CHART, FIELD_CHART_ARC, INF,
                                   geodesic_dir, geodesic_point, log_map, mdot,
                                   perp, renorm_point, renorm_tangent,
                                   signed_angle, sink)
+from ccbilliards.errors import DegenerateStateError
 from ccbilliards.flow import DEFAULT_ATOL, DEFAULT_RTOL, ChartState
 
 
@@ -754,45 +757,30 @@ def flat_direction_check(res):
     return float(np.linalg.norm(g[:2, :2] @ d - d)) < 1e-8
 
 
-def _flip(v):
-    return -v[0], -v[1], -v[2]
+def orbit_states(poly, a, window):
+    """a, then the billiard map's iterates f^i(a) and f^-i(a) for
+    i = 1..window: ``collision.collision_step`` applied one bounce at a
+    time to a and to a.reversed(), whose i-th iterate reversed is f^-i(a).
+    Each direction ends early at a vertex or a grazing bounce."""
+    states = [a]
+    for start, back in ((a, False), (a.reversed(), True)):
+        x = start
+        for _ in range(window):
+            try:
+                x = C.collision_step(x, poly)
+            except DegenerateStateError:
+                break
+            if isinstance(x, C.VertexHit):
+                break
+            states.append(x.reversed() if back else x)
+    return states
 
 
-def orbit_phase_points(poly, b, traces, window):
-    """Sampled (point, direction) float triples along the orbit through b.
-
-    Forward from b, then backward from b.reversed() with the directions
-    negated back to b's sense of travel, over the first ``window`` bounces
-    of ``traces``, the traces of b and of b.reversed().
-    """
-    k = poly.k
-    for back, state, tr in ((False, b, traces[0]),
-                            (True, b.reversed(), traces[1])):
-        p, v = C.embed_state(poly, state)
-        yield p, _flip(v) if back else v
-        for i in range(min(tr.n_done, window)):
-            for frac in (0.25, 0.5, 0.75):
-                t = tr.flights[i] * frac
-                q = renorm_point(k, geodesic_point(k, p, v, t))
-                w = renorm_tangent(k, q, geodesic_dir(k, p, v, t))
-                yield q, _flip(w) if back else w
-            p, v = C.embed_state(poly, tr.state(i))
-            yield p, _flip(v) if back else v
-
-
-def same_orbit(poly, a, a_traces, pb, vb):
-    """``expansivity._same_orbit`` with every sample's point, direction
-    and distance computed: is the ray (pb, vb) within SAME_ORBIT_TOL of
-    a's orbit segment?"""
-    for q, w in orbit_phase_points(poly, a, a_traces, E.SAME_ORBIT_WINDOW):
-        pos = distance(poly.k, q, pb)
-        d0 = w[0] - vb[0]
-        d1 = w[1] - vb[1]
-        d2 = w[2] - vb[2]
-        dirs = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        if max(pos, dirs) < E.SAME_ORBIT_TOL:
-            return True
-    return False
+def same_orbit(orbit, b):
+    """Is b on the side of a state of ``orbit`` (from ``orbit_states``)
+    and within SAME_ORBIT_TOL of it in both s and psi?"""
+    return any(x.side == b.side and abs(x.s - b.s) < E.SAME_ORBIT_TOL
+               and abs(x.psi - b.psi) < E.SAME_ORBIT_TOL for x in orbit)
 
 
 def geodesics_intersect(a, a_len, b, b_len, k, end_tol=1e-12):

@@ -9,8 +9,12 @@ order.  It also prints the SHA-256 of the exit code and stdout of
 ``periodic --json`` on every built-in table (the square, the pentagon and
 the pi/4 and theta = 1 sphere triangles), at the CLI's default sweep
 (10,000 samples, 50 bounces: five sweep blocks); ``--angles 24`` skips
-expansivity's default 10,000-ray fan.  Two trees give the same outputs
-where they print the same digests:
+expansivity's default 10,000-ray fan.  ``--json`` lists only the witness
+kinds, so the text report of ``expansivity --angles 24`` on the square and
+the pi/4 and theta = 1 sphere triangles is hashed too: it holds each
+witness's data, such as the same-itinerary pair's base state, psi values
+and agreement span.  That makes 42 digests.  Two trees give the same
+outputs where they print the same digests:
 
     PYTHONPATH=src python tests/output_digest.py
 
@@ -44,6 +48,20 @@ DEFAULT_SWEEPS = (
     ("periodic/sphere-triangle-1",
      "periodic --table sphere-triangle --theta 1"),
 )
+TEXT_REPORTS = (
+    ("expansivity/square", "expansivity --table square --angles 24"),
+    ("expansivity/sphere-triangle-pi4", f"expansivity {TRIANGLE} --angles 24"),
+    ("expansivity/sphere-triangle-1",
+     "expansivity --table sphere-triangle --theta 1 --angles 24"),
+)
+
+
+def cli_digest(argv):
+    """SHA-256 of the CLI's exit code and stdout for argv."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return hashlib.sha256(f"{rc}\n{buf.getvalue()}".encode()).hexdigest()
 
 
 def digests():
@@ -63,12 +81,10 @@ def digests():
                 h.update(line.encode() + b"\n")
             out.append((workload, key, h.hexdigest()))
     for key, cmd in DEFAULT_SWEEPS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = cli.main(f"{cmd} --json".split())
-        text = f"{rc}\n{buf.getvalue()}"
         out.append(("cli-default-sweep", key,
-                    hashlib.sha256(text.encode()).hexdigest()))
+                    cli_digest(f"{cmd} --json".split())))
+    for key, cmd in TEXT_REPORTS:
+        out.append(("cli-text-report", key, cli_digest(cmd.split())))
     return out
 
 

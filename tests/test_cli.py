@@ -95,6 +95,18 @@ class TestSimulate:
             "error: spherical chart radius must be < pi/2, got 2.0\n")
         assert not (tmp_path / "chart_trajectory.txt").exists()
 
+    def test_hyperbolic_chart_radius_past_float64_exits_1(self, tmp_path,
+                                                          capsys):
+        # before, sinh(800) raised OverflowError through the CLI
+        code, out = run_cli(["simulate", "--table", "hyperbolic-pentagon",
+                             "--vertex", "1", "--r", "800",
+                             "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: chart_embed: the input leaves the float64 range of sinh "
+            "and cosh\n")
+        assert not (tmp_path / "chart_trajectory.txt").exists()
+
     @pytest.mark.parametrize("table, state", [
         (["--table", "square"], ("1", "0", "1.1")),
         (["--table", "hyperbolic-pentagon"], ("2", "0.3", "0.7")),

@@ -9,12 +9,13 @@ from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import expansivity as E
 from ccbilliards import unfolding as U
-from ccbilliards import (BoundaryState, GeometryError, Rule, SearchBudget,
-                         classify, find_periodic, format_verdict,
-                         hyperbolic_pentagon,
+from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
+                         Rule, SearchBudget, classify, find_periodic,
+                         format_verdict, hyperbolic_pentagon,
                          periodic_orbit_neighborhood_check, probe_pair,
                          sphere_triangle, square, verify_periodic)
 import kernel_oracle as O
+from test_polygon import PROJECTED
 
 SMALL = SearchBudget(horizon=300, samples=400, periodic_bounces=20,
                      diagonal_depth=3, diagonal_angles=256, pair_probes=12,
@@ -60,6 +61,14 @@ class TestProbePair:
         a = BoundaryState(1, 0.25, 1.0)
         with pytest.raises(GeometryError):
             probe_pair(a, a, sq, 10)
+
+    def test_b_is_checked_before_a(self, sq):
+        # a grazes and b lies off its side: b's error comes first
+        a = BoundaryState(1, 0.5, 0.0)
+        with pytest.raises(GeometryError, match="outside"):
+            probe_pair(a, BoundaryState(1, 5.0, 1.0), sq, 10)
+        with pytest.raises(DegenerateStateError, match="grazing"):
+            probe_pair(a, BoundaryState(1, 0.5, 1.0), sq, 10)
 
     def test_vertex_at_the_horizon_is_not_a_truncation(self, sq):
         # a bounces once off the right wall, then runs into the corner
@@ -360,102 +369,89 @@ class TestNeighborhoodCheck:
         assert chk.failures == ((5e-4, "displaced orbit hits a vertex"),)
 
 
-def _orbit_ray(poly, start, tr, i, t, back):
-    """The ray at time t along flight i of tr, the trace of start, in the
-    forward orbit's sense of travel (negated when tr runs backward)."""
-    k = poly.k
-    p, v = C.embed_state(poly, start if i == 0 else tr.state(i - 1))
-    q = K.renorm_point(k, K.geodesic_point(k, p, v, t))
-    w = K.renorm_tangent(k, q, K.geodesic_dir(k, p, v, t))
-    if back:
-        w = (-w[0], -w[1], -w[2])
-    return q, w
+TABLES = {"square": square,
+          "triangle-pi4": lambda: sphere_triangle(math.pi / 4),
+          "triangle-1": lambda: sphere_triangle(1.0),
+          "pentagon": hyperbolic_pentagon,
+          "L-shape": PROJECTED["L-shape"],
+          "holed-square": PROJECTED["holed-square"]}
 
 
-def _turned(poly, q, w, angle):
-    e = K.perp(poly.k, q, w)
-    c, s = math.cos(angle), math.sin(angle)
-    return K.renorm_tangent(poly.k, q, tuple(c * x + s * y
-                                             for x, y in zip(w, e)))
+def _long_orbit(poly):
+    """A state whose orbit runs SAME_ORBIT_WINDOW bounces both ways, and
+    the oracle's list of it and its iterates: a, f^1..f^20, f^-1..f^-20."""
+    a = BoundaryState(2, 0.37 * poly.side(2).length, 1.1)
+    orbit = O.orbit_states(poly, a, E.SAME_ORBIT_WINDOW)
+    assert len(orbit) == 2 * E.SAME_ORBIT_WINDOW + 1
+    return a, orbit
+
+
+def _traces(poly, a):
+    return (C.trace(poly, a, E.SAME_ORBIT_WINDOW),
+            C.trace(poly, a.reversed(), E.SAME_ORBIT_WINDOW))
+
+
+def _shifted(x, ds, dpsi):
+    return BoundaryState(x.side, x.s + ds, x.psi + dpsi)
+
+
+@pytest.mark.parametrize("i", [1, 2, 20])
+@pytest.mark.parametrize("table", ["sq", "tri1", "pentagon"])
+def test_probe_pair_rejects_past_and_future_iterates(request, table, i):
+    # b = f^i(a) and b = f^-i(a) are a's orbit, in either argument order
+    poly = request.getfixturevalue(table)
+    a, orbit = _long_orbit(poly)
+    for b in (orbit[i], orbit[E.SAME_ORBIT_WINDOW + i]):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GeometryError, match="distinct orbits"):
+                probe_pair(x, y, poly, 30)
 
 
 @pytest.mark.parametrize("table", ["sq", "tri1", "pentagon"])
-def test_same_orbit_on_shifted_rays(request, table):
-    # rays on a's orbit, shifted by whole bounces and by fractions of a
-    # flight, forward and backward, are on it; turned or moved off it by
-    # a few SAME_ORBIT_TOL, or between samples, they are not
+def test_same_orbit_on_shifted_states(request, table):
+    # a and its iterates, past and future, moved by 0.3 SAME_ORBIT_TOL in
+    # s or psi are on a's orbit; moved by 3 SAME_ORBIT_TOL, or reversed,
+    # they are not
     poly = request.getfixturevalue(table)
-    a = BoundaryState(2, 0.37 * poly.side(2).length, 1.1)
-    traces = (C.trace(poly, a, E.SAME_ORBIT_WINDOW),
-              C.trace(poly, a.reversed(), E.SAME_ORBIT_WINDOW))
+    a, orbit = _long_orbit(poly)
+    traces = _traces(poly, a)
     tol = E.SAME_ORBIT_TOL
-    cases = []
-    for back, start, tr in ((False, a, traces[0]),
-                            (True, a.reversed(), traces[1])):
-        assert tr.n_done == E.SAME_ORBIT_WINDOW
-        for i in (0, 3, E.SAME_ORBIT_WINDOW - 1):
-            flight = tr.flights[i]
-            for frac in (0.0, 0.25, 0.5, 0.75):
-                for shift in (0.0, 0.3 * tol):
-                    q, w = _orbit_ray(poly, start, tr, i,
-                                      frac * flight + shift, back)
-                    cases.append((q, w, True))
-                cases.append((q, _turned(poly, q, w, 3 * tol), False))
-                cases.append((q, (-w[0], -w[1], -w[2]), False))
-            # beside the last sample before the bounce, and between samples
-            for t, on in ((0.75 * flight + 0.5 * tol, True),
-                          (0.75 * flight + 2 * tol, False),
-                          (0.4 * flight, False)):
-                q, w = _orbit_ray(poly, start, tr, i, t, back)
-                cases.append((q, w, on))
-    for q, w, on in cases:
-        assert E._same_orbit(poly, a, traces, q, w) is on
+    for x in orbit:
+        for f, on in ((0.3, True), (-0.3, True), (3.0, False), (-3.0, False)):
+            assert E._same_orbit(a, traces, _shifted(x, f * tol, 0.0)) is on
+            assert E._same_orbit(a, traces, _shifted(x, 0.0, f * tol)) is on
+        assert E._same_orbit(a, traces, x.reversed()) is False
 
 
-BUILT_IN = {"square": square(), "triangle-pi4": sphere_triangle(math.pi / 4),
-            "triangle-1": sphere_triangle(1.0),
-            "pentagon": hyperbolic_pentagon()}
-
-
-@pytest.mark.parametrize("table", list(BUILT_IN))
+@pytest.mark.parametrize("table", list(TABLES))
 def test_same_orbit_matches_oracle(table):
-    # the direction prefilter skips only flight samples that could not
-    # pass: the verdicts of the oracle's full scan on rays on a's orbit, on
-    # rays turned or moved off one of its points by 1e-7, 1e-6 +- 1e-9 and
-    # 2e-6, and on unrelated rays
-    poly = BUILT_IN[table]
-    k = poly.k
+    # the verdicts of the oracle's bounce-by-bounce iteration on seeded
+    # starts: on each iterate, on states 0.3 and 3 SAME_ORBIT_TOL off it,
+    # on its reversal, and on random states
+    poly = TABLES[table]()
     rng = np.random.default_rng(11)
     tol = E.SAME_ORBIT_TOL
     seen = set()
-    for _ in range(4):
+    for _ in range(6):
         side = int(rng.integers(1, poly.n_sides + 1))
         a = BoundaryState(side, float(rng.uniform(0.1, 0.9))
                           * poly.side(side).length,
                           float(rng.uniform(0.2, math.pi - 0.2)))
-        traces = (C.trace(poly, a, E.SAME_ORBIT_WINDOW),
-                  C.trace(poly, a.reversed(), E.SAME_ORBIT_WINDOW))
-        samples = list(O.orbit_phase_points(poly, a, traces,
-                                            E.SAME_ORBIT_WINDOW))
-        rays = [(q, w, True) for q, w in samples[::9]]
-        # one flight sample forward and one backward as base points
-        for q, w in (samples[6], samples[-2]):
-            for off in (1e-7, tol - 1e-9, tol + 1e-9, 2 * tol):
-                for sgn in (1.0, -1.0):
-                    rays.append((q, _turned(poly, q, w, sgn * off), None))
-                    e = K.perp(k, q, w)
-                    qq = K.renorm_point(k, K.geodesic_point(k, q, e,
-                                                            sgn * off))
-                    rays.append((qq, K.renorm_tangent(k, qq, w), None))
-        for _ in range(4):
+        traces = _traces(poly, a)
+        orbit = O.orbit_states(poly, a, E.SAME_ORBIT_WINDOW)
+        states = [x.reversed() for x in orbit]
+        for x in orbit:
+            states.append(x)
+            for f in (0.3, 3.0):
+                states.append(_shifted(x, f * tol * rng.choice((-1, 1)), 0.0))
+                states.append(_shifted(x, 0.0, f * tol * rng.choice((-1, 1))))
+        for _ in range(40):
             j = int(rng.integers(1, poly.n_sides + 1))
-            b = BoundaryState(j, float(rng.uniform(0.0, 1.0))
-                              * poly.side(j).length,
-                              float(rng.uniform(0.1, math.pi - 0.1)))
-            rays.append((*C.embed_state(poly, b), None))
-        for pb, vb, on in rays:
-            got = E._same_orbit(poly, a, traces, pb, vb)
-            assert got is O.same_orbit(poly, a, traces, pb, vb)
-            assert on is None or got is on
+            states.append(BoundaryState(
+                j, float(rng.uniform(0.0, 1.0)) * poly.side(j).length,
+                float(rng.uniform(0.1, math.pi - 0.1))))
+        for b in states:
+            got = E._same_orbit(a, traces, b)
+            assert got is O.same_orbit(orbit, b)
             seen.add(got)
     assert seen == {True, False}

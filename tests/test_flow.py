@@ -820,6 +820,42 @@ class TestSphereRadiusBound:
         assert reparameterization_factor(4.0, k, 8.0) > 0.0
 
 
+class TestHyperbolicFloat64Range:
+    """Past an argument of about 710, sinh and cosh leave the float64
+    range: the flow entries raise GeometryError, not OverflowError."""
+
+    CALLS = {
+        "chart_embed": lambda: chart_embed(ChartState(800, 0.1, 1), 1, -1),
+        "polar_velocity_field":
+            lambda: polar_velocity_field(ChartState(800, 0.1, 1), -1),
+        "reparameterization_factor":
+            lambda: reparameterization_factor(800, -1, 1000),
+        "closed_form_flow-t":
+            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 800, -1),
+        "closed_form_flow-r":
+            lambda: closed_form_flow(ChartState(800, 0.1, 1), 0.1, -1),
+        "closed_form_flow-eps":
+            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 0.3, -1,
+                                     eps=800),
+        "integrate_chart_flow":
+            lambda: integrate_chart_flow(CartesianChartState(0.1, 0.1, 1),
+                                         0.5, 1, -1, eps=800),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_overflow_is_a_geometry_error(self, name):
+        with pytest.raises(GeometryError, match="float64 range"):
+            self.CALLS[name]()
+
+    def test_below_the_limit_finite(self):
+        s = ChartState(700.0, 0.1, 1.0)
+        assert math.isfinite(chart_embed(s, 1.0, -1).x)
+        assert np.isfinite(polar_velocity_field(s, -1)).all()
+        assert reparameterization_factor(700.0, -1, 1401.0) == math.sinh(700.0)
+        assert math.isfinite(
+            closed_form_flow(ChartState(0.5, 0.1, 1.0), 700.0, -1).r)
+
+
 @pytest.mark.parametrize("r0", [0.0, -0.1])
 def test_closed_form_flow_needs_positive_radius(r0):
     for k in KS:

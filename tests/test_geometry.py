@@ -322,6 +322,33 @@ class TestModelConversions:
             G.sphere_point(1.0, 1.0, 1.0)
 
 
+class TestInputChecks:
+    def test_curvature_outside_the_three_models(self):
+        with pytest.raises(GeometryError, match="curvature must be one of"):
+            G.check_curvature(2)
+
+    def test_lower_hyperboloid_sheet(self):
+        # the model is the upper sheet z > 0 alone
+        assert G.point_defect((0.0, 0.0, -1.0), -1) == math.inf
+        with pytest.raises(GeometryError, match="not near the k=-1 model"):
+            G.normalize_point((0.0, 0.0, -1.0), -1)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_off_surface_point(self, k):
+        with pytest.raises(GeometryError, match=f"not near the k={k} model"):
+            G.normalize_point((0.0, 0.0, 2.0), k)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_coincident_points_give_no_geodesic(self, k):
+        p = (0.0, 0.0, 1.0)
+        with pytest.raises(GeometryError, match="coincident points"):
+            G.geodesic_through(p, p, k)
+
+    def test_antipodal_points_give_no_geodesic(self):
+        with pytest.raises(GeometryError, match="antipodal points"):
+            G.geodesic_through((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 1)
+
+
 class TestIsometries:
     def test_reflection_preserves_model(self):
         for k in KS:

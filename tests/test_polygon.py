@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import kernel_oracle as O
 import test_specfile as S
-from ccbilliards import (DoubleSurfacePoint, PolygonError, build_polygon,
-                         double_points_equal, hyperbolic_pentagon,
-                         interior_contains, named_table, parse_polygon_spec,
-                         sphere_triangle, square, vertex_neighborhood_radius)
+from ccbilliards import (DoubleSurfacePoint, GeometryError, PolygonError,
+                         build_polygon, double_points_equal,
+                         hyperbolic_pentagon, interior_contains, named_table,
+                         parse_polygon_spec, sphere_triangle, square,
+                         vertex_neighborhood_radius)
 from ccbilliards import _kernels as K
 from ccbilliards import geometry as G
 from ccbilliards import polygon as P
@@ -99,6 +100,18 @@ class TestBuild:
     def test_nonconvex_reflex_angle(self):
         poly = build_polygon(0, [(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
         assert max(poly.angles) > math.pi
+
+    @pytest.mark.parametrize("holes", [(), ([(1, 1), (2, 1)],)])
+    def test_two_vertex_loop_rejected(self, holes):
+        outer = [(0, 0), (1, 0)] if not holes else [(0, 0), (3, 0), (3, 3),
+                                                     (0, 3)]
+        with pytest.raises(PolygonError, match="at least 3 vertices"):
+            build_polygon(0, outer, holes=list(holes))
+
+    def test_hole_vertex_on_outer_vertex_rejected(self):
+        with pytest.raises(PolygonError, match="vertices 0 and 4 coincide"):
+            build_polygon(0, [(0, 0), (3, 0), (3, 3), (0, 3)],
+                          holes=[[(0, 0), (1, 1), (0, 1)]])
 
     def test_hole_outside_rejected(self):
         with pytest.raises(PolygonError, match="inside"):
@@ -208,6 +221,10 @@ class TestInterior:
 
     def test_pentagon_center(self, pentagon):
         assert interior_contains(pentagon, np.array([0., 0., 1.]))
+
+    def test_off_surface_point_rejected(self, tri1):
+        with pytest.raises(GeometryError, match="not on the k=1 model"):
+            interior_contains(tri1, (0.0, 0.0, 2.0))
 
     def test_annulus(self):
         ann = build_polygon(0, [(0, 0), (3, 0), (3, 3), (0, 3)],
@@ -429,6 +446,12 @@ class TestDoubleSurface:
         b = DoubleSurfacePoint("bottom", p)
         assert not double_points_equal(a, b, sq)
         assert double_points_equal(a, DoubleSurfacePoint("top", p), sq)
+
+    @pytest.mark.parametrize("sheet", ["top", "bottom"])
+    def test_distinct_points_differ(self, sq, sheet):
+        a = DoubleSurfacePoint("top", G.plane_point(0.2, 0.2))
+        b = DoubleSurfacePoint(sheet, G.plane_point(0.8, 0.8))
+        assert not double_points_equal(a, b, sq)
 
     def test_invalid_sheet_rejected(self, sq):
         with pytest.raises(PolygonError):

@@ -76,6 +76,12 @@ class TestPresentation:
             presentation_from_counts(1, 2)
 
 
+class TestPhaseSpaceDescription:
+    def test_holed_square_infinite_presentation(self):
+        assert (phase_space_description(pi1_presentation(annulus()))
+                == "infinite presentation; see relations")
+
+
 class TestGrowth:
     def test_cyclic_not_exponential(self):
         for n in (3, 5, 8):

@@ -178,6 +178,11 @@ class TestSphericalPeriodicityCondition:
         assert spherical_periodicity_condition(math.pi / 6, 3, 1)
         assert not spherical_periodicity_condition(1.0, 3, 2)
 
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 4.0])
+    def test_angle_outside_0_pi_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be in"):
+            spherical_periodicity_condition(theta, 1, 1)
+
     def test_irrational_never_true_small_range(self):
         n = np.arange(1, 200001)
         v = 2.0 * n * 1.0
