@@ -11,6 +11,13 @@ The kernels are plain Python on float tuples, with one collision loop
 per curvature; nothing is compiled.  The periodic-orbit seed sweep draws
 its samples as (side, s, psi) arrays and traces them together in a
 batched numpy engine instead.
+
+The value records (``BoundaryState``, ``ChartState``, ``Diagonal``,
+``SearchBudget`` and the rest) are ``typing.NamedTuple`` classes: they
+compare and hash by value, refuse assignment, and are tuples, so they
+unpack, index, and equal a plain tuple of the same values.  ``Polygon``
+compares by identity (it holds arrays and lazy caches), and
+``DoubleSurfacePoint`` is a frozen dataclass that checks its sheet.
 """
 
 from .collision import (BoundaryState, ConjugatePair, Diagonal, Itinerary,

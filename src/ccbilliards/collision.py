@@ -13,7 +13,7 @@ the numerical cutoff errs on the side of ending the itinerary.
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .errors import DegenerateStateError, GeometryError
 CONJUGATE_TOL = 1e-8  # |length - m pi| test for conjugated vertices
 
 
-@dataclass(frozen=True)
-class BoundaryState:
+class BoundaryState(NamedTuple):
     side: int      # 1-based side label
     s: float       # arc parameter in [0, side length]
     psi: float     # outgoing angle in (0, pi) from the side's forward tangent
@@ -37,14 +36,12 @@ class BoundaryState:
         return BoundaryState(self.side, self.s, math.pi - self.psi)
 
 
-@dataclass(frozen=True)
-class VertexHit:
+class VertexHit(NamedTuple):
     vertex: int    # 1-based vertex label
     flight: float  # arc length from the last boundary state to the vertex
 
 
-@dataclass(frozen=True)
-class Itinerary:
+class Itinerary(NamedTuple):
     """Side labels indexed by collision count, plus how the record ended.
 
     ``labels[j]`` is the side at index ``start_index + j``; index 0 is the
@@ -99,8 +96,7 @@ def collision_step(b, poly):
     return BoundaryState(labels[0] + 1, svals[0], psis[0])
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """Raw multi-bounce trace used by searches and probes: per bounce, the
     Python ints and floats the scalar loop wrote."""
 
@@ -252,8 +248,7 @@ def write_itinerary(it, path):
 # generalized diagonals and conjugated vertices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(NamedTuple):
     """Billiard trajectory connecting two vertices."""
 
     start: int           # 1-based vertex labels
@@ -423,8 +418,7 @@ def _bisect_transition(found, shoot, vi, a, b, sig_a, sig_b, max_length,
             stack.append((mid, hi, sm, shi, depth + 1))
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
+class ConjugatePair(NamedTuple):
     """Vertices joined by a diagonal of length m pi (sphere only)."""
 
     vertices: tuple      # 1-based (start, end)

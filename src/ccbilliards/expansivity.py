@@ -26,8 +26,8 @@ future, within ``SAME_ORBIT_WINDOW`` bounces, compared as boundary states
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class Rule(str, Enum):
     SPHERE_CONJUGATE_VERTICES = "sphere-conjugate-vertices"
 
 
-@dataclass(frozen=True)
-class PairProbe:
+class PairProbe(NamedTuple):
     """Outcome of comparing two orbits' itineraries symbol by symbol."""
 
     a: C.BoundaryState
@@ -66,8 +65,7 @@ class PairProbe:
     compared: tuple           # (backward span, forward span) actually compared
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     horizon: int = 1000          # itinerary comparison span, bounces
     # periodic-orbit sweep: per side, 21 canonical states and a jittered
     # grid of at most max(1, samples // n_sides) states
@@ -88,8 +86,7 @@ _BUDGET_COUNTS = (("horizon", 1), ("samples", 1), ("periodic_bounces", 1),
                   ("pair_probes", 0), ("seed", 0))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: str                    # "periodic_orbit" | "same_itinerary_pair" |
                                  # "conjugated_vertices"
     rule: Rule
@@ -97,8 +94,7 @@ class Witness:
     verified: bool
 
 
-@dataclass(frozen=True)
-class ExpansivenessVerdict:
+class ExpansivenessVerdict(NamedTuple):
     verdict: str                 # "expansive" | "not_expansive" | "unknown"
     rules: tuple
     witnesses: tuple
@@ -201,8 +197,7 @@ def periodic_orbit_neighborhood_check(report, poly,
     return NeighborhoodCheck(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class NeighborhoodCheck:
+class NeighborhoodCheck(NamedTuple):
     ok: bool
     failures: tuple
 

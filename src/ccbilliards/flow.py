@@ -21,12 +21,15 @@ dynamics-consistent radial convention, while :func:`chart_forward` /
 :func:`chart_inverse` keep the plain curvature-independent chart.
 
 On the hyperbolic plane, an entry whose sinh or cosh leaves the float64
-range (a radius, time or eps past about 710) raises GeometryError.
+range (a radius, time or eps past about 710) raises GeometryError, and so
+does :func:`closed_form_flow` where a product of cosh values overflows or,
+with ``eps``, where an arc of the exit test passes about 18.7, past which
+tanh rounds to 1.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +44,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ChartState:
+class ChartState(NamedTuple):
     """Vertex polar coordinates (r, gamma, beta)."""
 
     r: float
@@ -50,8 +52,7 @@ class ChartState:
     beta: float
 
 
-@dataclass(frozen=True)
-class CartesianChartState:
+class CartesianChartState(NamedTuple):
     """Disc chart coordinates (x, y, z) near a vertex."""
 
     x: float
@@ -291,6 +292,10 @@ def closed_form_flow(s0, t, k, eps=None):
 
     if k == -1:
         ch = math.cosh(r0) * math.cosh(t) + math.sinh(r0) * math.sinh(t) * cb0
+        if not math.isfinite(ch):
+            # the cosh product overflowed to inf (or inf - inf = nan), and
+            # float multiplication raises nothing
+            raise OverflowError
         rt = math.acosh(max(1.0, ch))
         if rt < 1e-300:
             raise SingularFieldError("trajectory reaches the vertex")
@@ -394,7 +399,11 @@ def _arctan_k(k, y, x):
     if k == 1:
         return math.atan2(y, x)
     if k == -1:
-        return math.atanh(y / x)
+        q = y / x
+        if not -1.0 < q < 1.0:
+            raise GeometryError("the chart arc leaves the float64 range of "
+                                "atanh: tanh rounds to 1 past about 18.7")
+        return math.atanh(q)
     return y / x
 
 
@@ -413,8 +422,7 @@ def _check_integration(T, rtol, atol):
         raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
 
 
-@dataclass
-class ChartTrajectory:
+class ChartTrajectory(NamedTuple):
     """Time-stamped chart states from the adaptive integrator."""
 
     t: np.ndarray

@@ -14,7 +14,7 @@ boundary-intersection test, which runs on float triples.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def normalize_point(p, k):
     return np.array(K.renorm_point(k, p))
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(NamedTuple):
     """Arc-length parameterized geodesic through ``point`` along ``direction``."""
 
     point: np.ndarray

@@ -25,6 +25,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ _EMBEDDINGS = {**MODELS,
                "hyperboloid": (-1, 3, lambda *c: G.normalize_point(c, -1))}
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One geodesic boundary segment, directed with the interior on its left."""
 
     start: int            # vertex index (0-based, into Polygon.vertices)

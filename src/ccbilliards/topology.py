@@ -7,13 +7,12 @@ central fiber generator; the surface relator picks up the fiber to the
 power (Euler characteristic - number of vertices).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PolygonError
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """Presentation of the phase-space fundamental group.
 
     Generators a1, b1, .., ag, bg are lifted surface generators; f is the

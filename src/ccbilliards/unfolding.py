@@ -16,7 +16,7 @@ hyperbolic one a translation along its axis.
 
 import contextlib
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class UnfoldingChain:
+class UnfoldingChain(NamedTuple):
     """Accumulated reflections along a trajectory.
 
     ``copies[m]`` is (isometry matrix, crossed side label): the matrix maps
@@ -46,8 +45,7 @@ class UnfoldingChain:
         return self.copies[-1][0].copy() if self.copies else np.eye(3)
 
 
-@dataclass(frozen=True)
-class UnfoldResult:
+class UnfoldResult(NamedTuple):
     chain: UnfoldingChain
     points: np.ndarray       # (m+1, 3) unfolded trajectory points
     start_state: C.BoundaryState
@@ -125,8 +123,7 @@ def crossing_labels_from_tangent(poly, p, v, n):
     return tuple([j + 1 for j in labels[:n_done]])
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
     """Classification of a composed isometry."""
 
     kind: str                 # identity | translation | rotation |
@@ -211,8 +208,7 @@ def _float_tuple(xs):
 # periodic orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodicOrbitReport:
+class PeriodicOrbitReport(NamedTuple):
     start: C.BoundaryState
     labels: tuple            # one period of 1-based side labels
     length: float            # total flight length over one period

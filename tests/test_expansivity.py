@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -175,7 +174,7 @@ class TestClassify:
         monkeypatch.setattr(U, "_periodic_sweep", no_search)
         monkeypatch.setattr(C, "generalized_diagonals", no_search)
         monkeypatch.setattr(E, "probe_pair", no_search)
-        budget = dataclasses.replace(SMALL, **{field: value})
+        budget = SMALL._replace(**{field: value})
         for poly in (sq, tri1, pentagon):
             with pytest.raises(ValueError, match=field):
                 classify(poly, budget)
@@ -231,14 +230,14 @@ class TestClassify:
                                False, (0, 1))
 
         monkeypatch.setattr(E, "probe_pair", diverging)
-        budget = dataclasses.replace(SMALL, pair_probes=pair_probes)
+        budget = SMALL._replace(pair_probes=pair_probes)
         assert E._sphere_pair_witness(tri1, budget) is None
         assert probed == sides
 
     def test_no_pair_witness_without_pair_probes(self):
         # pair_probes=0 used to probe one pair per side, and found a pair
         tri = sphere_triangle(math.pi / 4)
-        v = classify(tri, dataclasses.replace(SMALL, pair_probes=0))
+        v = classify(tri, SMALL._replace(pair_probes=0))
         assert "same_itinerary_pair" not in {w.kind for w in v.witnesses}
 
     def test_report_text(self, tri1):

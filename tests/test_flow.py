@@ -822,7 +822,10 @@ class TestSphereRadiusBound:
 
 class TestHyperbolicFloat64Range:
     """Past an argument of about 710, sinh and cosh leave the float64
-    range: the flow entries raise GeometryError, not OverflowError."""
+    range: the flow entries raise GeometryError, not OverflowError.  So
+    does closed_form_flow where a product of two cosh values overflows
+    (float multiplication gives inf or nan and raises nothing) and where
+    its exit test's atanh argument rounds to 1 or overflows."""
 
     CALLS = {
         "chart_embed": lambda: chart_embed(ChartState(800, 0.1, 1), 1, -1),
@@ -837,6 +840,23 @@ class TestHyperbolicFloat64Range:
         "closed_form_flow-eps":
             lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 0.3, -1,
                                      eps=800),
+        # cosh(400)^2 is inf: the state came back as (inf, nan, 0.0)
+        "closed_form_flow-cosh-product":
+            lambda: closed_form_flow(ChartState(400, 0.1, 1), 400, -1),
+        # inf - inf is nan, which read as "trajectory reaches the vertex"
+        "closed_form_flow-cosh-difference":
+            lambda: closed_form_flow(ChartState(400, 0.1, 2.5), 400, -1),
+        # the exit test's atanh argument overflows, or rounds to 1: these
+        # raised a bare ValueError "math domain error"
+        "closed_form_flow-atanh-overflow":
+            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 0.3, -1,
+                                     eps=700),
+        "closed_form_flow-atanh-overflow-long":
+            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 705, -1,
+                                     eps=709),
+        "closed_form_flow-atanh-one":
+            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 0.3, -1,
+                                     eps=20),
         "integrate_chart_flow":
             lambda: integrate_chart_flow(CartesianChartState(0.1, 0.1, 1),
                                          0.5, 1, -1, eps=800),
@@ -854,6 +874,9 @@ class TestHyperbolicFloat64Range:
         assert reparameterization_factor(700.0, -1, 1401.0) == math.sinh(700.0)
         assert math.isfinite(
             closed_form_flow(ChartState(0.5, 0.1, 1.0), 700.0, -1).r)
+        # below 18.7 the exit test's tanh stays below 1
+        assert math.isfinite(closed_form_flow(ChartState(0.5, 0.1, 1.0), 0.3,
+                                              -1, eps=18.0).r)
 
 
 @pytest.mark.parametrize("r0", [0.0, -0.1])
