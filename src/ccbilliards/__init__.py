@@ -18,57 +18,83 @@ compare and hash by value, refuse assignment, and are tuples, so they
 unpack, index, and equal a plain tuple of the same values.  ``Polygon``
 compares by identity (it holds arrays and lazy caches), and
 ``DoubleSurfacePoint`` is a frozen dataclass that checks its sheet.
+
+Names resolve on first use.  ``import ccbilliards`` loads no submodule:
+the first read of a public name (``ccbilliards.square``) or of a
+submodule (``ccbilliards.collision``) imports the module that defines it
+(PEP 562 ``__getattr__``), so a process compiles only the layers it
+runs.  ``_EXPORTS`` below is the one table of submodules and the names
+each exports; it also gives ``__all__`` and ``dir()``.
 """
 
-from .collision import (BoundaryState, ConjugatePair, Diagonal, Itinerary,
-                        VertexHit, collision_step, conjugated_vertices,
-                        generalized_diagonals, itinerary)
-from .errors import (ChartExitError, DegenerateStateError, GeometryError,
-                     PolygonError, SingularFieldError, SpecFileError)
-from .expansivity import (ExpansivenessVerdict, PairProbe, Rule, SearchBudget,
-                          classify, format_verdict,
-                          periodic_orbit_neighborhood_check, probe_pair)
-from .flow import (CartesianChartState, ChartState, chart_embed,
-                   chart_extract, chart_forward, chart_inverse,
-                   chart_velocity_field, closed_form_flow,
-                   integrate_chart_flow, polar_velocity_field,
-                   reparameterization_factor, singularity_jacobian)
-from .polygon import (DoubleSurfacePoint, Polygon, build_polygon,
-                      double_points_equal, interior_contains,
-                      vertex_neighborhood_radius)
-from .specfile import load_polygon_spec, parse_polygon_spec
-from .tables import hyperbolic_pentagon, named_table, sphere_triangle, square
-from .topology import (GroupPresentation, double_surface_invariants,
-                       growth_class, pi1_presentation)
-from .unfolding import (IsometryClass, PeriodicOrbitReport, UnfoldingChain,
-                        UnfoldResult, crossing_labels, find_periodic,
-                        holonomy, spherical_periodicity_condition, unfold,
-                        unfolded_crossings, verify_periodic)
+import sys
 
 __version__ = "0.1.0"
 
 # there is no compiled path; kept for records that report it
 NUMBA_ENABLED = False
 
-__all__ = [
-    "BoundaryState", "CartesianChartState", "ChartExitError", "ChartState",
-    "ConjugatePair", "DegenerateStateError", "Diagonal", "DoubleSurfacePoint",
-    "ExpansivenessVerdict", "GeometryError", "GroupPresentation",
-    "IsometryClass", "Itinerary", "NUMBA_ENABLED", "PairProbe",
-    "PeriodicOrbitReport", "Polygon", "PolygonError", "Rule", "SearchBudget",
-    "SingularFieldError", "SpecFileError", "UnfoldResult", "UnfoldingChain",
-    "VertexHit", "build_polygon", "chart_embed", "chart_extract",
-    "chart_forward", "chart_inverse", "chart_velocity_field", "classify",
-    "closed_form_flow", "collision_step", "conjugated_vertices",
-    "crossing_labels",
-    "double_points_equal", "double_surface_invariants", "find_periodic",
-    "format_verdict", "generalized_diagonals", "growth_class", "holonomy",
-    "hyperbolic_pentagon", "integrate_chart_flow",
-    "interior_contains", "itinerary", "load_polygon_spec", "named_table",
-    "parse_polygon_spec", "periodic_orbit_neighborhood_check",
-    "pi1_presentation", "polar_velocity_field", "probe_pair",
-    "reparameterization_factor", "singularity_jacobian",
-    "sphere_triangle", "spherical_periodicity_condition", "square",
-    "unfold", "unfolded_crossings", "verify_periodic",
-    "vertex_neighborhood_radius",
-]
+# submodule -> the public names it exports; every submodule is listed,
+# so that ``ccbilliards.<submodule>`` works without an import statement
+_EXPORTS = {
+    "_batch": (),
+    "_collision_loops": (),
+    "_crossing_loops": (),
+    "_kernels": (),
+    "_side_search": (),
+    "cli": (),
+    "collision": ("BoundaryState", "ConjugatePair", "Diagonal", "Itinerary",
+                  "VertexHit", "collision_step", "conjugated_vertices",
+                  "generalized_diagonals", "itinerary"),
+    "errors": ("ChartExitError", "DegenerateStateError", "GeometryError",
+               "PolygonError", "SingularFieldError", "SpecFileError"),
+    "expansivity": ("ExpansivenessVerdict", "PairProbe", "Rule",
+                    "SearchBudget", "classify", "format_verdict",
+                    "periodic_orbit_neighborhood_check", "probe_pair"),
+    "flow": ("CartesianChartState", "ChartState", "chart_embed",
+             "chart_extract", "chart_forward", "chart_inverse",
+             "chart_velocity_field", "closed_form_flow",
+             "integrate_chart_flow", "polar_velocity_field",
+             "reparameterization_factor", "singularity_jacobian"),
+    "geometry": (),
+    "polygon": ("DoubleSurfacePoint", "Polygon", "build_polygon",
+                "double_points_equal", "interior_contains",
+                "vertex_neighborhood_radius"),
+    "specfile": ("load_polygon_spec", "parse_polygon_spec"),
+    "svg": (),
+    "tables": ("hyperbolic_pentagon", "named_table", "sphere_triangle",
+               "square"),
+    "topology": ("GroupPresentation", "double_surface_invariants",
+                 "growth_class", "pi1_presentation"),
+    "unfolding": ("IsometryClass", "PeriodicOrbitReport", "UnfoldingChain",
+                  "UnfoldResult", "crossing_labels", "find_periodic",
+                  "holonomy", "spherical_periodicity_condition", "unfold",
+                  "unfolded_crossings", "verify_periodic"),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted([*_ORIGIN, "NUMBA_ENABLED"])
+
+
+def _submodule(name):
+    # the builtin __import__, unlike importlib.import_module, goes through
+    # the import machinery that ``python -X importtime`` reports
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _submodule(name)
+    if name in _ORIGIN:
+        value = getattr(_submodule(_ORIGIN[name]), name)
+        globals()[name] = value   # later reads skip this function
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__,
+                   *(m for m in _EXPORTS if not m.startswith("_"))})

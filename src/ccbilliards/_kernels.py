@@ -28,8 +28,10 @@ Per-bounce outputs go to caller-owned buffers, numpy arrays or Python
 lists.
 
 ``trace_orbit``, ``trace_from_point`` and ``unfold_crossings`` are the
-only entries to the straight-line loops of
-:mod:`ccbilliards._collision_loops` and pick one per call from k.  Each
+only entries to the straight-line loops, the trace loops of
+:mod:`ccbilliards._collision_loops` and the crossing loops of
+:mod:`ccbilliards._crossing_loops` (imported on the first call of
+``unfold_crossings``), and pick one per call from k.  Each
 converts the ray to two float triples and every scalar to a Python float,
 once, and hands the loop the side records, the plane's side tangents
 and the side functionals that ``Polygon.kernel_pack`` built once per
@@ -64,10 +66,9 @@ in numpy, which records labels, s and psi per bounce and no stop reasons.
 import math
 
 # the step / trace status codes and INF belong to the loops
-from ._collision_loops import (CROSSING_LOOPS, INF, STEP_ESCAPED,
-                               STEP_GRAZING, STEP_MAXLEN, STEP_OK,
-                               STEP_VERTEX, TRACE_LOOPS, VERTEX_TOL,
-                               side_records)
+from ._collision_loops import (INF, STEP_ESCAPED, STEP_GRAZING,
+                               STEP_MAXLEN, STEP_OK, STEP_VERTEX,
+                               TRACE_LOOPS, VERTEX_TOL, side_records)
 
 # rk45 status codes
 RK_DONE = 0
@@ -252,6 +253,7 @@ def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
     psi) coordinates, so this is an independent route to the itinerary.
     A plane line must lie on z = 1 with a z-direction of 0.
     """
+    from ._crossing_loops import CROSSING_LOOPS
     return CROSSING_LOOPS[k](sides[0], sides[2], refl,
                              (float(p0[0]), float(p0[1]), float(p0[2])),
                              (float(v0[0]), float(v0[1]), float(v0[2])),

@@ -7,6 +7,12 @@ a polygon spec file (``--spec FILE``), prints a human-readable report to
 stdout (or JSON with ``--json``), and is byte-deterministic for a fixed
 seed.  Files (trajectories, itineraries, SVG) go to ``--out`` or the
 directory named by the CCBILLIARDS_OUTDIR environment variable.
+
+Each command imports what it runs, inside its function: ``diagonals``
+loads the collision layer and no flow, unfolding, expansivity, SVG,
+topology or spec-file module, so a fresh process compiles only those
+layers from source.  The modules are read as module attributes at call
+time (``C.generalized_diagonals``, ``U.find_periodic``), as before.
 """
 
 import argparse
@@ -16,17 +22,8 @@ import math
 import os
 import sys
 
-from . import collision as C
-from . import expansivity as E
-from . import flow as F
-from . import svg as SVG
-from . import tables
-from . import topology as T
-from . import unfolding as U
 from .errors import (ChartExitError, DegenerateStateError, GeometryError,
                      PolygonError, SpecFileError)
-from .polygon import vertex_neighborhood_radius
-from .specfile import load_polygon_spec
 
 
 def _add_table_args(p):
@@ -48,12 +45,14 @@ def _load_table(args):
         if not os.path.exists(args.spec):
             print(f"error: spec file not found: {args.spec}", file=sys.stderr)
             raise SystemExit(2)
+        from .specfile import load_polygon_spec
         try:
             return load_polygon_spec(args.spec), os.path.basename(args.spec)
         except (SpecFileError, OSError, UnicodeDecodeError) as e:
             print(f"error: {args.spec}: {e}", file=sys.stderr)
             raise SystemExit(2) from None
     if args.table:
+        from . import tables
         name = args.table
         if name == "sphere-triangle":
             name = f"sphere-triangle(theta={args.theta})"
@@ -81,6 +80,7 @@ def _emit(args, payload, human_lines):
 
 
 def cmd_simulate(args):
+    from . import collision as C
     poly, name = _load_table(args)
     out = _outdir(args)
     if args.side is not None:
@@ -115,6 +115,8 @@ def cmd_simulate(args):
         print("error: simulate needs --side/--s/--psi or --vertex/--r/--gamma/--beta",
               file=sys.stderr)
         return 2
+    from . import flow as F
+    from .polygon import vertex_neighborhood_radius
     if not 1 <= args.vertex <= poly.n_vertices:
         raise ValueError(f"--vertex must be in 1..{poly.n_vertices}, got "
                          f"{args.vertex}")
@@ -140,6 +142,9 @@ def cmd_simulate(args):
 
 
 def cmd_unfold(args):
+    from . import collision as C
+    from . import svg as SVG
+    from . import unfolding as U
     poly, name = _load_table(args)
     out = _outdir(args)
     b = C.BoundaryState(args.side, args.s, args.psi)
@@ -165,6 +170,7 @@ def _report_dict(rep):
 
 
 def cmd_periodic(args):
+    from . import unfolding as U
     poly, name = _load_table(args)
     reports = U.find_periodic(poly, args.max_bounces, args.samples, args.seed)
     payload = {"table": name, "seed": args.seed,
@@ -184,6 +190,7 @@ def cmd_periodic(args):
 
 
 def cmd_diagonals(args):
+    from . import collision as C
     poly, name = _load_table(args)
     diags = C.generalized_diagonals(poly, args.max_bounces, args.max_length,
                                     args.angles)
@@ -201,6 +208,7 @@ def cmd_diagonals(args):
 
 
 def cmd_conjugate(args):
+    from . import collision as C
     poly, name = _load_table(args)
     pairs = C.conjugated_vertices(poly, args.max_bounces, args.max_length,
                                   args.angles)
@@ -218,6 +226,7 @@ def cmd_conjugate(args):
 
 
 def cmd_expansivity(args):
+    from . import expansivity as E
     poly, name = _load_table(args)
     budget = E.SearchBudget(horizon=args.horizon, samples=args.samples,
                             periodic_bounces=args.max_bounces,
@@ -233,6 +242,7 @@ def cmd_expansivity(args):
 
 
 def cmd_topology(args):
+    from . import topology as T
     poly, name = _load_table(args)
     pres = T.pi1_presentation(poly)
     payload = {"table": name, "genus": pres.genus,

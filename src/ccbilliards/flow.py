@@ -388,22 +388,35 @@ def _scan_exit(s0, t, k, eps, sb0, cb0):
     q = (se - sd) * (se + sd)
     if q < 0.0:
         return None   # the geodesic stays inside the disc r < eps
-    x0 = _arctan_k(k, sr0 * cb0, K.cosk(k, s0.r))
-    x_eps = _arctan_k(k, math.sqrt(q), K.cosk(k, eps))
+    # on k = -1 q overflows past eps of about 355, its root does not
+    ye = math.sqrt(q) if q < math.inf else math.sqrt(se - sd) * math.sqrt(
+        se + sd)
+    x0 = _arctan_k(k, sr0 * cb0, K.cosk(k, s0.r), sd)
+    x_eps = _arctan_k(k, ye, K.cosk(k, eps), sd)
     u = x_eps - x0 if t > 0.0 else -x_eps - x0
     return u if abs(u) <= abs(t) else None
 
 
-def _arctan_k(k, y, x):
-    """The arc whose tan_k = sin_k / cos_k is y / x."""
+def _arctan_k(k, y, x, sd):
+    """The arc whose tan_k = sin_k / cos_k is y / x, where x^2 - k y^2 =
+    cos_k^2 d and sd = sin_k d (the perpendicular d of ``_scan_exit``).
+
+    On k = -1 that is atanh(y / x) below |y / x| = 1/2.  From there it is
+    log((x + |y|) / cosh d) with the sign of y, as x^2 - y^2 = cosh^2 d,
+    written as log(x / cosh d) + log1p(|y / x|) so that no sum overflows:
+    it stays finite where y / x rounds to 1 (arcs past about 18.7), up to
+    the float64 range of cosh.
+    """
     if k == 1:
         return math.atan2(y, x)
     if k == -1:
         q = y / x
-        if not -1.0 < q < 1.0:
-            raise GeometryError("the chart arc leaves the float64 range of "
-                                "atanh: tanh rounds to 1 past about 18.7")
-        return math.atanh(q)
+        if -0.5 < q < 0.5:
+            return math.atanh(q)
+        arc = math.log(x / math.hypot(1.0, sd)) + math.log1p(abs(q))
+        if not arc < math.inf:
+            raise OverflowError   # y overflowed
+        return math.copysign(arc, y)
     return y / x
 
 

@@ -6,7 +6,17 @@ six decimals and the y-axis is flipped so the figures match the usual
 mathematical orientation.  Flat tables are drawn in plane coordinates,
 hyperbolic ones projected to the Poincare disc, spherical ones by
 orthographic projection onto z = 0 with the far hemisphere clipped.
+
+A flat or spherical segment is sampled along its geodesic.  A hyperbolic
+one is sampled along the chord between its ends' Klein-model points
+(geodesics are straight there) and mapped to the Poincare disc.  A Klein
+point is a ratio of hyperboloid coordinates, so nothing grows with a
+copy's distance from the table: about 18 bounces out the coordinates
+near e^18 leave a geodesic sample's quadric norm to cancellation, which
+can round it below 0.
 """
+
+import math
 
 import numpy as np
 
@@ -18,26 +28,37 @@ TRAJ_STROKE = "#cc0000"
 SAMPLES_PER_SIDE = 32
 
 
-def _project(pts, k):
-    """Model points -> drawing plane; None marks clipped points."""
-    out = []
-    for p in pts:
-        if k == 0:
-            out.append((p[0], p[1]))
-        elif k == -1:
-            q = G.hyperboloid_to_poincare(p)
-            out.append((q[0], q[1]))
-        else:
-            out.append((p[0], p[1]) if p[2] >= 0.0 else None)
-    return out
-
-
-def _sample_segment(a, b, k):
+def _drawn_segment(a, b, k):
+    """The segment between model points a and b in drawing-plane
+    coordinates, at SAMPLES_PER_SIDE + 1 points; None marks clipped
+    points."""
+    if k == -1:
+        return _klein_chord(a, b)
     g = G.geodesic_through(a, b, k)
     L = K.distance(k, a, b)
-    return [K.renorm_point(k, K.geodesic_point(k, g.point, g.direction,
-                                               L * i / SAMPLES_PER_SIDE))
-            for i in range(SAMPLES_PER_SIDE + 1)]
+    pts = [K.renorm_point(k, K.geodesic_point(k, g.point, g.direction,
+                                              L * i / SAMPLES_PER_SIDE))
+           for i in range(SAMPLES_PER_SIDE + 1)]
+    if k == 0:
+        return [(p[0], p[1]) for p in pts]
+    return [(p[0], p[1]) if p[2] >= 0.0 else None for p in pts]
+
+
+def _klein_chord(a, b):
+    """Poincare-disc points of the hyperbolic segment a-b, evenly spaced
+    on the chord between the Klein-model points (x / z, y / z) of its
+    ends; a and b need not be normalized to the hyperboloid."""
+    ax, ay = float(a[0]) / float(a[2]), float(a[1]) / float(a[2])
+    bx, by = float(b[0]) / float(b[2]), float(b[1]) / float(b[2])
+    out = []
+    for i in range(SAMPLES_PER_SIDE + 1):
+        t = i / SAMPLES_PER_SIDE
+        x = ax + t * (bx - ax)
+        y = ay + t * (by - ay)
+        # Klein to Poincare; a far point rounds onto the unit circle
+        d = 1.0 + math.sqrt(max(0.0, 1.0 - (x * x + y * y)))
+        out.append((x / d, y / d))
+    return out
 
 
 def _polylines(path_pts):
@@ -61,18 +82,23 @@ def render_unfolding_svg(result, poly, path):
     k = poly.k
     copy_paths = []
     mats = [np.eye(3)] + [m for m, _ in result.chain.copies]
+    ends = [(side.geodesic.point,
+             np.array(K.renorm_point(k, K.geodesic_point(
+                 k, side.geodesic.point, side.geodesic.direction,
+                 side.length)))) for side in poly.sides]
     for g in mats:
-        for side in poly.sides:
-            a = G.apply_isometry(g, side.geodesic.point, k)
-            b = G.apply_isometry(
-                g, K.renorm_point(k, K.geodesic_point(
-                    k, side.geodesic.point, side.geodesic.direction,
-                    side.length)), k)
-            copy_paths.append(_project(_sample_segment(a, b, k), k))
+        for a, b in ends:
+            if k == -1:
+                # the chord reads ratios: no renormalization, whose
+                # squared norm would overflow on far copies
+                copy_paths.append(_klein_chord(g @ a, g @ b))
+            else:
+                copy_paths.append(_drawn_segment(
+                    G.apply_isometry(g, a, k), G.apply_isometry(g, b, k), k))
     traj = []
     pts = result.points
     for i in range(len(pts) - 1):
-        traj.append(_project(_sample_segment(pts[i], pts[i + 1], k), k))
+        traj.append(_drawn_segment(pts[i], pts[i + 1], k))
     write_svg(path, copy_paths, traj)
 
 

@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _batch
 from . import _kernels as K
 from . import collision as C
 from . import geometry as G
+from .errors import GeometryError
 
 SWEEP_BLOCK = 2048            # sweep states per engine grid in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
@@ -58,7 +58,11 @@ def unfold(b, poly, bounces):
     """Reflect the table along a trajectory for the given bounce count.
 
     The unfolded points all lie on the single model geodesic through the
-    launch state; a vertex hit truncates the chain and sets the flag.
+    launch state; a vertex hit truncates the chain and sets the flag.  On
+    the hyperboloid the copies' coordinates grow like e^distance; where
+    one leaves the float64 range (a coordinate's square past about 1e308,
+    377 bounces out from side 1 of the pentagon at the CLI's default s
+    and psi), GeometryError names the bounce.
     """
     k = poly.k
     p0, v0 = C.embed_state(poly, b)
@@ -68,13 +72,19 @@ def unfold(b, poly, bounces):
     copies = []
     g = np.eye(3)
     pts = [p0]
-    for label, s in zip(tr.labels, tr.svals):
-        # bounce point in base coordinates, on the side hit
-        j = label - 1
-        q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j], s))
-        pts.append(G.apply_isometry(g, q, k))
-        g = g @ refl[j]   # a new array: the copies never alias
-        copies.append((g, label))
+    with np.errstate(over="raise", invalid="raise"):
+        for m, (label, s) in enumerate(zip(tr.labels, tr.svals), 1):
+            # bounce point in base coordinates, on the side hit
+            j = label - 1
+            q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j], s))
+            try:
+                pts.append(G.apply_isometry(g, q, k))
+                g = g @ refl[j]   # a new array: the copies never alias
+            except FloatingPointError:
+                raise GeometryError(
+                    f"unfold: the unfolded copy at bounce {m} leaves the "
+                    "float64 range") from None
+            copies.append((g, label))
     chain = UnfoldingChain(tuple(copies), k)
     return UnfoldResult(chain, np.array(pts), b,
                         G.Geodesic(np.array(p0), np.array(v0)), tr.labels,
@@ -92,7 +102,7 @@ def unfolded_crossings(result, poly, bounces=None):
     crossing order.  No boundary (s, psi) coordinates are used, so this is
     an independent route to the itinerary labels.  The crossings run in
     the crossing loop for the table's curvature
-    (:mod:`ccbilliards._collision_loops`); ``bounces`` defaults to the
+    (:mod:`ccbilliards._crossing_loops`); ``bounces`` defaults to the
     chain's length.
     """
     n_steps = len(result.chain.copies) if bounces is None else bounces
@@ -381,7 +391,10 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
 
     Between bounces the sweep keeps each sample's labels so far, one byte
     a bounce on tables of up to 255 sides, and whether it is still open.
+    The batched engine is imported here, on the first sweep: no other
+    path of the package runs it.
     """
+    from . import _batch
     start = side, s, psi = _sweep_states(poly, samples, seed)
     labels = np.zeros((len(side), max_bounces),
                       np.min_scalar_type(poly.n_sides))

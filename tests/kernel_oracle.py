@@ -18,11 +18,11 @@ package's search must find the same list bit for bit
 (``test_collision.py``).
 
 ``unfold_crossings`` is the crossing loop on the generic helpers that
-``_collision_loops._cross_plane``, ``_cross_sphere`` and
-``_cross_hyperbolic`` replaced, and ``rk45`` (with ``field_eval``,
-``_dense_terms`` and ``_dense``) the integrator before its field was
-picked once per run, its records went to Python lists and its exit
-bisection stopped at the fixed point.  The package must give their
+the per-curvature crossing loops ``_crossing_loops._cross_plane``,
+``_cross_sphere`` and ``_cross_hyperbolic`` replaced, and ``rk45`` (with
+``field_eval``, ``_dense_terms`` and ``_dense``) the integrator before
+its field was picked once per run, its records went to Python lists and
+its exit bisection stopped at the fixed point.  The package must give their
 results bit for bit (``test_unfolding.py``, ``test_flow.py``).  The
 oracle ``rk45`` carries the package's end-time rule: an accepted step
 that lands past t1 records t1.

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -196,6 +197,31 @@ class TestCommands:
         svg = (tmp_path / "unfold.svg").read_text()
         assert svg.startswith("<?xml")
         assert "polyline" in svg
+
+    @pytest.mark.parametrize("bounces", [20, 100])
+    def test_unfold_svg_of_far_hyperbolic_copies(self, tmp_path, capsys,
+                                                 bounces):
+        # copies 19 bounces out have hyperboloid coordinates near e^18,
+        # where a geodesic sample's quadric norm cancelled below 0 and the
+        # run exited 1 with "math domain error"
+        code, out = run_cli(["unfold", "--table", "hyperbolic-pentagon",
+                             "--side", "1", "--bounces", str(bounces),
+                             "--out", str(tmp_path)])
+        assert code == 0 and capsys.readouterr().err == ""
+        svg = (tmp_path / "unfold.svg").read_text()
+        xy = re.findall(r"(-?\d+\.\d+),(-?\d+\.\d+)", svg)
+        assert len(xy) == (bounces + 1) * 5 * 33 + bounces * 33
+        assert max(float(x) ** 2 + float(y) ** 2 for x, y in xy) < 1.0 + 1e-5
+
+    def test_unfold_past_the_float64_range_exits_1(self, tmp_path, capsys):
+        code, out = run_cli(["unfold", "--table", "hyperbolic-pentagon",
+                             "--side", "1", "--bounces", "400",
+                             "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: unfold: the unfolded copy at bounce 377 leaves the "
+            "float64 range\n")
+        assert not (tmp_path / "unfold.svg").exists()
 
     def test_diagonals_text_and_json(self, tmp_path):
         args = ["diagonals", *SPHERE_ARGS, "--angles", "24",

@@ -824,8 +824,10 @@ class TestHyperbolicFloat64Range:
     """Past an argument of about 710, sinh and cosh leave the float64
     range: the flow entries raise GeometryError, not OverflowError.  So
     does closed_form_flow where a product of two cosh values overflows
-    (float multiplication gives inf or nan and raises nothing) and where
-    its exit test's atanh argument rounds to 1 or overflows."""
+    (float multiplication gives inf or nan and raises nothing).  Its exit
+    test stays finite up to there: from |tanh| = 1/2 on it takes the arc
+    as a log, not as atanh(y / x), whose argument rounds to 1 past about
+    18.7 and overflows past about 355."""
 
     CALLS = {
         "chart_embed": lambda: chart_embed(ChartState(800, 0.1, 1), 1, -1),
@@ -846,17 +848,11 @@ class TestHyperbolicFloat64Range:
         # inf - inf is nan, which read as "trajectory reaches the vertex"
         "closed_form_flow-cosh-difference":
             lambda: closed_form_flow(ChartState(400, 0.1, 2.5), 400, -1),
-        # the exit test's atanh argument overflows, or rounds to 1: these
-        # raised a bare ValueError "math domain error"
-        "closed_form_flow-atanh-overflow":
-            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 0.3, -1,
-                                     eps=700),
-        "closed_form_flow-atanh-overflow-long":
-            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 705, -1,
-                                     eps=709),
-        "closed_form_flow-atanh-one":
-            lambda: closed_form_flow(ChartState(0.5, 0.1, 1), 0.3, -1,
-                                     eps=20),
+        # sinh eps + sinh d overflows in the exit test's y: no exit was
+        # found, and r came back past eps
+        "closed_form_flow-exit-arc":
+            lambda: closed_form_flow(ChartState(709.9, 0.1, 1), 0.2, -1,
+                                     eps=710),
         "integrate_chart_flow":
             lambda: integrate_chart_flow(CartesianChartState(0.1, 0.1, 1),
                                          0.5, 1, -1, eps=800),
@@ -874,9 +870,44 @@ class TestHyperbolicFloat64Range:
         assert reparameterization_factor(700.0, -1, 1401.0) == math.sinh(700.0)
         assert math.isfinite(
             closed_form_flow(ChartState(0.5, 0.1, 1.0), 700.0, -1).r)
-        # below 18.7 the exit test's tanh stays below 1
-        assert math.isfinite(closed_form_flow(ChartState(0.5, 0.1, 1.0), 0.3,
-                                              -1, eps=18.0).r)
+        # the exit test's atanh argument rounds to 1 from about 18.7 and
+        # overflows from about 355 (it raised GeometryError, and at first
+        # a bare ValueError); the flow does not leave these charts
+        for t, eps in ((0.3, 18.0), (0.3, 20.0), (0.3, 700.0),
+                       (705.0, 709.0)):
+            s = closed_form_flow(ChartState(0.5, 0.1, 1.0), t, -1, eps=eps)
+            assert all(map(math.isfinite, s))
+
+    @staticmethod
+    def _exit_time(r0, beta, eps, sign, mpmath):
+        """The first time of sign ``sign`` at which the geodesic from (r0,
+        beta) reaches r = eps, at 50 digits: the perpendicular d from the
+        vertex has sinh d = sinh r0 |sin beta|, the start lies at arc x0
+        from its foot, tanh x0 = tanh r0 cos beta, and r = eps at arcs
+        +-x_eps, cosh x_eps = cosh eps / cosh d."""
+        with mpmath.workdps(50):
+            r0, beta, eps = map(mpmath.mpf, (r0, beta, eps))
+            x0 = mpmath.atanh(mpmath.tanh(r0) * mpmath.cos(beta))
+            cd = mpmath.cosh(mpmath.asinh(mpmath.sinh(r0) * abs(
+                mpmath.sin(beta))))
+            u = sign * mpmath.acosh(mpmath.cosh(eps) / cd) - x0
+            # cosh r(u) = cosh r0 cosh u + sinh r0 sinh u cos beta
+            cosh_r = (mpmath.cosh(r0) * mpmath.cosh(u) + mpmath.sinh(r0)
+                      * mpmath.sinh(u) * mpmath.cos(beta))
+            assert mpmath.almosteq(cosh_r, mpmath.cosh(eps), rel_eps=1e-40)
+            return float(u)
+
+    @pytest.mark.parametrize("eps", [18.75, 20.0, 100.0, 356.0, 700.0])
+    @pytest.mark.parametrize("r0, beta", [(0.5, 1.0), (3.0, 0.01),
+                                          (3.0, 1.5), (0.2, 3.1)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exit_times_match_mpmath(self, eps, r0, beta, sign):
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(ChartExitError) as exc:
+            closed_form_flow(ChartState(r0, 0.1, beta), sign * 2.0 * eps, -1,
+                             eps=eps)
+        assert exc.value.exit_time == pytest.approx(
+            self._exit_time(r0, beta, eps, sign, mpmath), rel=1e-9)
 
 
 @pytest.mark.parametrize("r0", [0.0, -0.1])

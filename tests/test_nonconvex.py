@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from ccbilliards import BoundaryState, PolygonError, build_polygon
 from ccbilliards import _batch as B
 from ccbilliards import _collision_loops as L
+from ccbilliards import _crossing_loops as X
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 from ccbilliards import unfolding as U
@@ -69,9 +70,11 @@ DARTS = {k: _dart(k) for k in (0, 1, -1)}
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts of the scalar loops' fallback searches and of the rows the
-    batched engine sends to its full search."""
-    calls = {"scalar": 0, "rows": 0}
+    """Counts of the fallback searches of the scalar trace loops
+    ("scalar") and crossing loops ("crossing"), which import the searches
+    into their own modules, and of the rows the batched engine sends to
+    its full search."""
+    calls = {"scalar": 0, "crossing": 0, "rows": 0}
 
     def counted(f, key, rows):
         def wrapped(*args):
@@ -79,9 +82,10 @@ def fallbacks(monkeypatch):
             return f(*args)
         return wrapped
 
-    for name in ("plane_search", "sphere_search", "hyperbolic_search"):
-        monkeypatch.setattr(L, name, counted(getattr(L, name), "scalar",
-                                             False))
+    for module, key in ((L, "scalar"), (X, "crossing")):
+        for name in ("plane_search", "sphere_search", "hyperbolic_search"):
+            monkeypatch.setattr(module, name,
+                                counted(getattr(module, name), key, False))
     monkeypatch.setattr(B, "_side_hits", counted(B._side_hits, "rows", True))
     return calls
 
@@ -119,6 +123,8 @@ def test_fixed_ray_takes_the_fallback(k, fallbacks):
     b = _aimed_state(poly, 0.3, -0.5)
     assert C.trace(poly, b, 1).labels == (1,)
     assert fallbacks["scalar"] == 1
+    assert U.crossing_labels(poly, b, 1) == (1,)
+    assert fallbacks["crossing"] == 1
     _check_all(poly, [b], 8)
     assert fallbacks["rows"] >= 1
 
@@ -136,6 +142,7 @@ def test_dart_matches_oracles(k, fallbacks):
             _check_ray(poly, vi, poly.angles[vi] * (j + 0.5) / 6, 12,
                        math.inf)
     assert fallbacks["rows"] > 0 and fallbacks["scalar"] > 0
+    assert fallbacks["crossing"] > 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -167,4 +174,4 @@ def test_square_workloads_never_take_the_fallback(fallbacks):
                 if "square" in job.key:
                     job.call()
                     ran += 1
-    assert ran > 16 and fallbacks["scalar"] == 0
+    assert ran > 16 and fallbacks["scalar"] == fallbacks["crossing"] == 0
