@@ -848,9 +848,10 @@ class TestHyperbolicFloat64Range:
         # inf - inf is nan, which read as "trajectory reaches the vertex"
         "closed_form_flow-cosh-difference":
             lambda: closed_form_flow(ChartState(400, 0.1, 2.5), 400, -1),
-        # sinh eps + sinh d overflows in the exit test's y: no exit was
-        # found, and r came back past eps
-        "closed_form_flow-exit-arc":
+        # the exit test's arc, atanh(y / x), overflows: sinh eps + sinh d
+        # leaves the float64 range in y (no exit was found, and r came
+        # back past eps)
+        "closed_form_flow-atanh-overflow":
             lambda: closed_form_flow(ChartState(709.9, 0.1, 1), 0.2, -1,
                                      eps=710),
         "integrate_chart_flow":
