@@ -196,11 +196,6 @@ def poincare_to_hyperboloid(u, v):
     return np.array([2.0 * u / d, 2.0 * v / d, (1.0 + r2) / d])
 
 
-def hyperboloid_to_poincare(p):
-    p = as_vec3(p)
-    return np.array([p[0] / (1.0 + p[2]), p[1] / (1.0 + p[2])])
-
-
 # --- isometries as 3x3 matrices ---------------------------------------------
 
 def reflection_matrix(side, k):

@@ -164,18 +164,16 @@ class DoubleSurfacePoint:
             raise PolygonError(f"sheet must be 'top' or 'bottom', got {self.sheet!r}")
 
 
-def double_points_equal(a, b, poly, tol=BOUNDARY_TOL):
+def double_points_equal(a, b, poly):
     """Equality on the double surface: boundary points identify across sheets."""
-    if K.distance(poly.k, a.pos, b.pos) > tol:
+    if K.distance(poly.k, a.pos, b.pos) > BOUNDARY_TOL:
         return False
-    if a.sheet == b.sheet:
-        return True
-    return point_on_boundary(poly, a.pos, tol)
+    return a.sheet == b.sheet or point_on_boundary(poly, a.pos)
 
 
-def point_on_boundary(poly, p, tol=BOUNDARY_TOL):
+def point_on_boundary(poly, p):
     return min(G.segment_distance(p, s.geodesic, s.length, poly.k)
-               for s in poly.sides) <= tol
+               for s in poly.sides) <= BOUNDARY_TOL
 
 
 def _embed_loop(k, coords, model):

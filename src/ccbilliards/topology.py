@@ -50,9 +50,8 @@ def double_surface_invariants(poly):
     Planar-type tables only: a disc with holes doubles to genus b - 1
     where b is the number of boundary loops.
     """
-    b = poly.boundary_components
-    g = b - 1
-    return g, 2 - 2 * g
+    p = pi1_presentation(poly)
+    return p.genus, p.euler_characteristic
 
 
 def presentation_from_counts(boundary_components, n_vertices):
@@ -64,10 +63,7 @@ def presentation_from_counts(boundary_components, n_vertices):
     exponent = chi - n_vertices
     if g == 0:
         order = abs(exponent)    # relation f^(2 - N) = 1
-        if order <= 1:
-            cls, cyc = "trivial", 1
-        else:
-            cls, cyc = "finite-cyclic", order
+        cls, cyc = ("trivial", 1) if order <= 1 else ("finite-cyclic", order)
         gens = ("f",)
     else:
         cls, cyc = "other", None

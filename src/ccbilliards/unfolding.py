@@ -11,7 +11,9 @@ lazily along each trajectory.
 The composed isometry of a chain (its holonomy) certifies periodicity:
 a flat periodic orbit's holonomy is a translation (or a glide reflection)
 preserving the flight direction, a spherical one is a rotation, a
-hyperbolic one a translation along its axis.
+hyperbolic one a translation along its axis.  A label word's reflections
+compose in one place, ``_word_isometries``, and its orientation is the
+parity of its length, not the sign of a determinant.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ SWEEP_BLOCK = 2048            # sweep states per engine grid in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
+CLOSURE_TOL = 1e-9            # |2 n theta - m pi| of a spherical closure
 
 
 class UnfoldingChain(NamedTuple):
@@ -68,10 +71,9 @@ def unfold(b, poly, bounces):
     p0, v0 = C.embed_state(poly, b)
     tr = C.trace(poly, b, bounces)
     sa, su = poly.kernel_pack()[:2]
-    refl = poly.reflection_matrices()
-    copies = []
-    g = np.eye(3)
-    pts = [p0]
+    isometries = _word_isometries(poly, tr.labels)
+    g = next(isometries)
+    copies, pts = [], [p0]
     with np.errstate(over="raise", invalid="raise"):
         for m, (label, s) in enumerate(zip(tr.labels, tr.svals), 1):
             # bounce point in base coordinates, on the side hit
@@ -79,7 +81,7 @@ def unfold(b, poly, bounces):
             q = K.renorm_point(k, K.geodesic_point(k, sa[j], su[j], s))
             try:
                 pts.append(G.apply_isometry(g, q, k))
-                g = g @ refl[j]   # a new array: the copies never alias
+                g = next(isometries)
             except FloatingPointError:
                 raise GeometryError(
                     f"unfold: the unfolded copy at bounce {m} leaves the "
@@ -89,6 +91,17 @@ def unfold(b, poly, bounces):
     return UnfoldResult(chain, np.array(pts), b,
                         G.Geodesic(np.array(p0), np.array(v0)), tr.labels,
                         tr.status == K.STEP_VERTEX)
+
+
+def _word_isometries(poly, labels):
+    """I, then the product g = g @ R_label of each prefix of a label word's
+    side reflections: new arrays, one at a time, as ``unfold`` checks them."""
+    refl = poly.reflection_matrices()
+    g = np.eye(3)
+    yield g
+    for label in labels:
+        g = g @ refl[label - 1]
+        yield g
 
 
 def unfolded_crossings(result, poly, bounces=None):
@@ -105,16 +118,13 @@ def unfolded_crossings(result, poly, bounces=None):
     (:mod:`ccbilliards._crossing_loops`); ``bounces`` defaults to the
     chain's length.
     """
-    n_steps = len(result.chain.copies) if bounces is None else bounces
-    return crossing_labels_from_tangent(poly, result.start_tangent.point,
-                                        result.start_tangent.direction,
-                                        n_steps)
+    n = len(result.chain.copies) if bounces is None else bounces
+    return crossing_labels_from_tangent(poly, *result.start_tangent, n)
 
 
 def crossing_labels(poly, b, n):
     """Crossing labels of the unfolded line through a boundary state."""
-    p, v = C.embed_state(poly, b)
-    return crossing_labels_from_tangent(poly, p, v, n)
+    return crossing_labels_from_tangent(poly, *C.embed_state(poly, b), n)
 
 
 def crossing_labels_from_tangent(poly, p, v, n):
@@ -155,29 +165,33 @@ class IsometryClass(NamedTuple):
 
 
 def holonomy(chain):
-    """Classify the composed isometry of an unfolding chain."""
-    g = chain.holonomy_matrix()
-    k = chain.base_k
-    return classify_isometry(g, k)
+    """Classify the composed isometry of an unfolding chain; its
+    orientation is the parity of the chain's length."""
+    return _classify(chain.holonomy_matrix(), chain.base_k,
+                     (-1) ** len(chain.copies))
 
 
-def classify_isometry(g, k, tol=CLASSIFY_TOL):
-    if np.max(np.abs(g - np.eye(3))) < tol:
+def classify_isometry(g, k):
+    """Classify an isometry matrix, its orientation read from det g (of the
+    linear part on the plane), which is noise on long hyperbolic words."""
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] if k == 0 else np.linalg.det(g)
+    return _classify(g, k, det)
+
+
+def _classify(g, k, det):
+    """Classify g, whose orientation has the sign of det."""
+    if np.max(np.abs(g - np.eye(3))) < CLASSIFY_TOL:
         return IsometryClass("identity")
     if k == 0:
         lin = g[:2, :2]
         tr = g[:2, 2]
-        det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
         if det < 0:
-            d = _fixed_direction(lin)
-            return IsometryClass("reflection", axis=d)
-        if np.max(np.abs(lin - np.eye(2))) < tol:
+            return IsometryClass("reflection", axis=_fixed_direction(lin))
+        if np.max(np.abs(lin - np.eye(2))) < CLASSIFY_TOL:
             length = float(np.linalg.norm(tr))
             return IsometryClass("translation", length=length,
                                  axis=_float_tuple([*(tr / length), 0.0]))
-        ang = math.atan2(lin[1, 0], lin[0, 0])
-        return IsometryClass("rotation", angle=ang)
-    det = float(np.linalg.det(g))
+        return IsometryClass("rotation", angle=math.atan2(lin[1, 0], lin[0, 0]))
     tr = float(np.trace(g))
     if k == 1:
         if det > 0:
@@ -189,9 +203,9 @@ def classify_isometry(g, k, tol=CLASSIFY_TOL):
     # k == -1: classify in O(2,1)
     if det < 0:
         return IsometryClass("reflection")
-    if tr > 3.0 + tol:
+    if tr > 3.0 + CLASSIFY_TOL:
         return IsometryClass("translation", length=math.acosh((tr - 1.0) / 2.0))
-    if tr < 3.0 - tol:
+    if tr < 3.0 - CLASSIFY_TOL:
         c = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
         return IsometryClass("rotation", angle=math.acos(c))
     return IsometryClass("parabolic")
@@ -230,7 +244,7 @@ class PeriodicOrbitReport(NamedTuple):
         return len(self.labels)
 
 
-def spherical_periodicity_condition(theta, n, m, tol=1e-9):
+def spherical_periodicity_condition(theta, n, m):
     """Closure law for orbits circling a spherical corner of angle theta.
 
     True iff 2 n theta = m pi: n counts the double reflections off the two
@@ -243,7 +257,7 @@ def spherical_periodicity_condition(theta, n, m, tol=1e-9):
         raise ValueError("theta must be in (0, pi)")
     C.check_count(n, "n", 1)
     C.check_count(m, "m", 0)
-    return abs(2.0 * n * theta - m * math.pi) < tol
+    return abs(2.0 * n * theta - m * math.pi) < CLOSURE_TOL
 
 
 def _return_displacement(poly, side0, n, u):
@@ -471,9 +485,9 @@ def _polish(poly, b, n, seen):
 
     Returns (report or None, whether the sample stays open): a polished
     sequence already in ``seen`` closes the sample with no report, a failed
-    polish leaves it open for its next candidate.  The holonomy composes
-    the reflections of the polished labels as ``unfold`` does; on the plane
-    a holonomy that moves the launch direction fails the polish.
+    polish leaves it open for its next candidate.  The holonomy composes and
+    classifies the polished word as ``unfold`` and ``holonomy`` do; on the
+    plane a holonomy that moves the launch direction fails the polish.
     """
     refined = _refine_candidate(poly, b[0], n, b[1:])
     if refined is None:
@@ -481,10 +495,7 @@ def _polish(poly, b, n, seen):
     start, residual, rtr = refined
     if rtr.labels in seen:
         return None, False
-    refl = poly.reflection_matrices()
-    g = np.eye(3)
-    for label in rtr.labels:
-        g = g @ refl[label - 1]
+    *_, g = _word_isometries(poly, rtr.labels)
     if poly.k == 0:
         d = np.array(C.embed_state(poly, start)[1][:2])
         if not float(np.linalg.norm(g[:2, :2] @ d - d)) < 1e-8:
@@ -492,7 +503,7 @@ def _polish(poly, b, n, seen):
     # np.sum's pairwise summation, not sum()'s: the length's bits reach the
     # CLI JSON
     return PeriodicOrbitReport(start, rtr.labels, float(np.sum(rtr.flights)),
-                               residual, classify_isometry(g, poly.k)), False
+                               residual, _classify(g, poly.k, (-1) ** n)), False
 
 
 def verify_periodic(report, poly):

@@ -918,6 +918,14 @@ def test_closed_form_flow_needs_positive_radius(r0):
             closed_form_flow(ChartState(r0, 0.1, 1.0), 0.5, k)
 
 
+@pytest.mark.parametrize("k", KS)
+def test_closed_form_flow_onto_the_vertex(k):
+    # a start 1e-300 from the vertex, aimed 2e-15 off straight in: the
+    # flow after t = 1e-300 ends closer to the vertex than 1e-300
+    with pytest.raises(SingularFieldError, match="reaches the vertex"):
+        closed_form_flow(ChartState(1e-300, 0.0, math.pi - 2e-15), 1e-300, k)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_outward_radial_flow(k):
     # straight out from the vertex, r grows by t; gamma and beta stay

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ccbilliards import collision as C
 from ccbilliards import geometry as G
 from ccbilliards import itinerary
 from ccbilliards import unfolding as U
+from ccbilliards.svg import render_unfolding_svg
 from ccbilliards.unfolding import classify_isometry
 
 
@@ -157,6 +159,21 @@ class TestHolonomy:
         cls = holonomy(res.chain)
         assert (cls.kind, str(cls)) == ("reflection", "reflection-type")
         np.testing.assert_allclose(np.abs(cls.axis), [0, 1, 0], atol=1e-15)
+
+    @pytest.mark.parametrize("n, length", [
+        (250, 236.36), (280, 263.91), (300, 282.93), (330, 311.40),
+        (370, 346.44)])
+    def test_long_pentagon_chain_orientation_from_its_length(self, pentagon,
+                                                            n, length):
+        # entries near e^length: the determinant of the product overflows
+        # or rounds to noise, while n reflections compose to det (-1)^n
+        res = unfold(BoundaryState(1, 0.5, math.pi / 3), pentagon, n)
+        assert len(res.chain.copies) == n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cls = holonomy(res.chain)
+        assert cls.kind == "translation"
+        assert cls.length == pytest.approx(length, abs=0.005)
 
     def test_hyperbolic_parabolic(self):
         # I + N + N^2 / 2 = exp(N) for the nilpotent N = [[0, -1, 0],
@@ -688,6 +705,47 @@ def test_report_residual_is_its_verification(make):
         assert verify_periodic(rep, poly) == rep.residual
         assert rep.residual < U.RETURN_VERIFY_TOL
     assert U.first_verified_orbit(poly, 12, 300, 2) == reports[0]
+
+
+@pytest.mark.parametrize("name", ["square", "triangle-pi4", "triangle-1",
+                                  "pentagon"])
+def test_report_holonomy_is_its_unfolded_chains(name):
+    # the polish and unfold compose the same word, and both classify its
+    # orientation by the word's length
+    poly = ORACLE_TABLES[name]()
+    reports = find_periodic(poly, 20, 200, seed=0)
+    # triangle-1 has no periodic orbit, and the sweep misses the
+    # pentagon's isolated ones
+    assert bool(reports) == (name in ("square", "triangle-pi4"))
+    for rep in reports:
+        chain = unfold(rep.start, poly, rep.period).chain
+        assert tuple(label for _, label in chain.copies) == rep.labels
+        assert rep.holonomy == holonomy(chain)
+
+
+@pytest.mark.parametrize("b, n, text", [
+    ((1, 0.053, 1.1), 3, "reflection-type"),
+    ((1, 0.265, 1.1), 4, "translation by 4.6789441412")])
+def test_polished_pentagon_holonomy_is_its_unfolded_chains(pentagon, b, n,
+                                                           text):
+    # the sweep reports no pentagon orbit at these budgets, so the polish
+    # runs on hand-picked near-returns: an odd and an even word
+    rep, _ = U._polish(pentagon, b, n, set())
+    assert rep.period == n and str(rep.holonomy) == text
+    assert rep.holonomy == holonomy(unfold(rep.start, pentagon, n).chain)
+
+
+def test_svg_of_a_table_on_the_clipped_hemisphere(tmp_path):
+    # every point of a spherical table below z = 0 is clipped, so the
+    # drawing is empty and keeps the unit box
+    poly = build_polygon(1, [(0.6, 0.0, -0.8), (0.0, 0.6, -0.8),
+                             (0.0, 0.0, -1.0)])
+    res = unfold(BoundaryState(1, 0.5 * poly.side(1).length, 1.0), poly, 0)
+    path = tmp_path / "empty.svg"
+    render_unfolding_svg(res, poly, path)
+    text = path.read_text()
+    assert "polyline" not in text
+    assert 'viewBox="-0.050000 -1.050000 1.100000 1.100000"' in text
 
 
 class TestPeriodicSearchBranches:
