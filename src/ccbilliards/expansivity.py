@@ -41,6 +41,8 @@ from .errors import GeometryError
 SAME_ORBIT_TOL = 1e-6
 SAME_ORBIT_WINDOW = 20      # bounces of the map scanned, past and future
 PAIR_DIRECTION_OFFSET = 1e-5
+# shifts of the start's arc parameter in the parallel-band check
+BAND_DISPLACEMENTS = (-1e-3, -5e-4, 2.5e-4, 5e-4, 1e-3)
 
 
 class Rule(str, Enum):
@@ -165,20 +167,19 @@ def probe_pair(a, b, poly, horizon):
                      (nb - 1, nf - 1))
 
 
-def periodic_orbit_neighborhood_check(report, poly,
-                                      displacements=(-1e-3, -5e-4, 2.5e-4,
-                                                     5e-4, 1e-3)):
+def periodic_orbit_neighborhood_check(report, poly):
     """Flat periodic orbits persist under parallel displacement.
 
-    Shifts the starting arc parameter and re-simulates; every displaced
-    state must be periodic with the same bounce sequence.  Returns a truthy
-    result object with per-displacement failures.
+    Shifts the starting arc parameter by each of BAND_DISPLACEMENTS and
+    re-simulates; every displaced state must be periodic with the same
+    bounce sequence.  Returns a truthy result object with per-displacement
+    failures.
     """
     if poly.k != 0:
         raise GeometryError("the parallel-band check applies to flat tables")
     side = poly.side(report.start.side)
     failures = []
-    for d in displacements:
+    for d in BAND_DISPLACEMENTS:
         s = report.start.s + d
         if not 0.0 < s < side.length:
             failures.append((d, "displacement leaves the side"))

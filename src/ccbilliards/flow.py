@@ -22,9 +22,9 @@ dynamics-consistent radial convention, while :func:`chart_forward` /
 
 On the hyperbolic plane, an entry whose sinh or cosh leaves the float64
 range (a radius, time or eps past about 710) raises GeometryError, and so
-does :func:`closed_form_flow` where a product of cosh values overflows or,
-with ``eps``, where an arc of the exit test passes about 18.7, past which
-tanh rounds to 1.
+does :func:`closed_form_flow` where a product of cosh values overflows.
+Its exit test with ``eps`` stays finite up to there: it takes an arc past
+|tanh| = 1/2 as a log, where atanh(y / x) would round to 1 past about 18.7.
 """
 
 import functools
@@ -34,14 +34,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels as K
-from .collision import check_count
 from .errors import ChartExitError, GeometryError, SingularFieldError
 from .geometry import check_curvature
 
 TWO_PI = 2.0 * math.pi
 
+# integrate_chart_flow's rk45 tolerances, and the most states a run records
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+MAX_RECORDS = 200000
 
 
 class ChartState(NamedTuple):
@@ -424,17 +425,6 @@ def _arctan_k(k, y, x, sd):
 # numerical integration
 # ---------------------------------------------------------------------------
 
-def _check_integration(T, rtol, atol):
-    # a non-finite T never ends the step loop or ends it at once, and with
-    # atol = 0 the error norm is 0/0 wherever the state has zero components
-    if not math.isfinite(T):
-        raise ValueError(f"integration time must be finite, got {T}")
-    if not (math.isfinite(atol) and atol > 0.0):
-        raise ValueError(f"atol must be finite and positive, got {atol}")
-    if not (math.isfinite(rtol) and rtol >= 0.0):
-        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
-
-
 class ChartTrajectory(NamedTuple):
     """Time-stamped chart states from the adaptive integrator."""
 
@@ -450,9 +440,7 @@ class ChartTrajectory(NamedTuple):
 
 
 @_float64_range
-def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
-                         atol=DEFAULT_ATOL, record=True, track_arc_time=False,
-                         max_records=200000):
+def integrate_chart_flow(c0, T, theta, k, eps=None, track_arc_time=False):
     """Integrate the extended chart field from c0 for rescaled time T.
 
     States with r = 0 stay on the vertex circle and converge to z = 0 or
@@ -461,25 +449,23 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
     crossing and flagged; for T != 0 a start outside that disc exits at
     time 0.0, with itself as the only record, as in :func:`closed_form_flow`.
 
-    The run records every accepted step, up to max_records states, and
-    raises RuntimeError when they do not fit; with record=False only the
-    final state is returned.  A run that does not leave the chart ends at
-    exactly T.
+    The run records every accepted step at DEFAULT_RTOL and DEFAULT_ATOL,
+    up to MAX_RECORDS states, and raises RuntimeError when they do not
+    fit.  A run that does not leave the chart ends at exactly T.
 
-    T must be finite, atol finite and positive, rtol finite and
-    nonnegative, and max_records an integer >= 1, else ValueError; c0
-    must be finite and, on the sphere, inside the unit disc, else
-    GeometryError.  A step whose stages leave the field's domain (the unit
-    disc on the sphere) is rejected and retried with a smaller step, like
-    one whose error is too large.  Without eps, a trajectory outside every
-    chart radius can run off to infinity (on the hyperbolic plane), until
-    the step size underflows; that raises GeometryError with the time and
-    radius reached.
+    T must be finite, else ValueError; c0 must be finite and, on the
+    sphere, inside the unit disc, else GeometryError.  A step whose stages
+    leave the field's domain (the unit disc on the sphere) is rejected and
+    retried with a smaller step, like one whose error is too large.
+    Without eps, a trajectory outside every chart radius can run off to
+    infinity (on the hyperbolic plane), until the step size underflows;
+    that raises GeometryError with the time and radius reached.
     """
     _check_theta(theta)
     check_curvature(k)
-    _check_integration(T, rtol, atol)
-    check_count(max_records, "max_records", 1)
+    # a non-finite T never ends the step loop or ends it at once
+    if not math.isfinite(T):
+        raise ValueError(f"integration time must be finite, got {T}")
     _check_chart(c0)
     if k == 1 and c0.x ** 2 + c0.y ** 2 > 1.0:
         raise GeometryError("chart field domain requires x^2 + y^2 <= 1 "
@@ -497,12 +483,11 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
         return ChartTrajectory(np.zeros(1), np.array([y0[:3]]), True, 0.0,
                                np.zeros(1) if track_arc_time else None)
     field = K.FIELD_CHART_ARC if track_arc_time else K.FIELD_CHART
-    cap = max_records if record else 1
-    tbuf = np.empty(cap)
-    ybuf = np.empty((cap, dim))
-    status, nrec, t_end, y_end = K.rk45(field, k, pf, y0, 0.0, T, rtol, atol,
-                                        -K.INF, rhi, tbuf, ybuf,
-                                        1 if record else 0)
+    tbuf = np.empty(MAX_RECORDS)
+    ybuf = np.empty((MAX_RECORDS, dim))
+    status, nrec, t_end, y_end = K.rk45(field, k, pf, y0, 0.0, T,
+                                        DEFAULT_RTOL, DEFAULT_ATOL, -K.INF,
+                                        rhi, tbuf, ybuf, 1)
     if status == K.RK_UNDERFLOW:
         raise GeometryError(
             f"integrator step size underflow at rescaled time {t_end:.6g}, "
@@ -510,16 +495,12 @@ def integrate_chart_flow(c0, T, theta, k, eps=None, rtol=DEFAULT_RTOL,
             "trajectory runs off to infinity (pass eps to stop at the chart "
             "exit)")
     if status == K.RK_BUFFER_FULL:
-        raise RuntimeError("trajectory buffer full; raise max_records")
+        raise RuntimeError("trajectory buffer full: a run records at most "
+                           f"{MAX_RECORDS} states")
     exited = status == K.RK_EXITED
-    if record:
-        ts = tbuf[:nrec].copy()
-        ys = ybuf[:nrec].copy()
-    else:
-        ts = np.array([t_end])
-        ys = np.array([y_end[:dim]])
-    return ChartTrajectory(t=ts, states=ys[:, :3], exited=exited,
-                           exit_time=t_end if exited else None,
+    ys = ybuf[:nrec].copy()
+    return ChartTrajectory(t=tbuf[:nrec].copy(), states=ys[:, :3],
+                           exited=exited, exit_time=t_end if exited else None,
                            arc_time=ys[:, 3] if track_arc_time else None)
 
 

@@ -104,7 +104,7 @@ def _word_isometries(poly, labels):
         yield g
 
 
-def unfolded_crossings(result, poly, bounces=None):
+def unfolded_crossings(result, poly):
     """Sides crossed by the single unfolded geodesic, computed independently.
 
     Intersecting the straight line with far polygon copies is ill
@@ -115,11 +115,10 @@ def unfolded_crossings(result, poly, bounces=None):
     crossing order.  No boundary (s, psi) coordinates are used, so this is
     an independent route to the itinerary labels.  The crossings run in
     the crossing loop for the table's curvature
-    (:mod:`ccbilliards._crossing_loops`); ``bounces`` defaults to the
-    chain's length.
+    (:mod:`ccbilliards._crossing_loops`), as many as the chain is long.
     """
-    n = len(result.chain.copies) if bounces is None else bounces
-    return crossing_labels_from_tangent(poly, *result.start_tangent, n)
+    return crossing_labels_from_tangent(poly, *result.start_tangent,
+                                        len(result.chain.copies))
 
 
 def crossing_labels(poly, b, n):

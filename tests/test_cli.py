@@ -381,6 +381,30 @@ class TestParserReuse:
         assert got == [run_fresh(args) for args in runs]
 
 
+def test_broken_pipe_points_stdout_at_devnull(monkeypatch, tmp_path):
+    # in process: the flush after the command raises BrokenPipeError, and
+    # main returns 1 with stdout's descriptor moved onto /dev/null, so the
+    # interpreter's flush at exit fails no more
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return write_end
+
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main(["topology", "--table", "square", "--out", str(tmp_path)])
+        fd, null = os.fstat(write_end), os.stat(os.devnull)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert code == 1
+    assert (fd.st_dev, fd.st_ino) == (null.st_dev, null.st_ino)
+
+
 def test_closed_stdout_exits_quietly():
     # stdout is a pipe whose reader has already gone: the first write or
     # flush raises BrokenPipeError, which must end the run with exit code

@@ -234,6 +234,23 @@ class TestClassify:
         assert E._sphere_pair_witness(tri1, budget) is None
         assert probed == sides
 
+    def test_pair_probe_that_raises_is_skipped(self, monkeypatch, tri1):
+        # a probe whose probe_pair raises GeometryError is passed over: the
+        # search goes on to the next probe, which here finds the pair
+        probed = []
+
+        def raising_once(a, b, poly, horizon):
+            probed.append(a.side)
+            if len(probed) == 1:
+                raise GeometryError("degenerate probe")
+            return E.PairProbe(a, b, horizon, "itineraries_agree", None,
+                               False, (horizon, horizon))
+
+        monkeypatch.setattr(E, "probe_pair", raising_once)
+        pair = E._sphere_pair_witness(tri1, SMALL._replace(pair_probes=3))
+        assert probed == [1, 2]
+        assert pair.a.side == 2
+
     def test_no_pair_witness_without_pair_probes(self):
         # pair_probes=0 used to probe one pair per side, and found a pair
         tri = sphere_triangle(math.pi / 4)
@@ -316,19 +333,26 @@ class TestNeighborhoodCheck:
         assert chk.failures == ()
 
     def test_displacement_off_side_flagged(self, sq):
-        rep = next(r for r in find_periodic(sq, 8, 300, seed=1)
-                   if set(r.labels) == {1, 3})
-        big = tuple(d * 1000 for d in (-1e-3, -5e-4, 2.5e-4, 5e-4, 1e-3))
-        chk = periodic_orbit_neighborhood_check(rep, sq, displacements=big)
+        # perpendicular orbits 5e-4 from the start of side 1 and 2.5e-4 from
+        # its end: the displacements that reach past an end (s = 0 included)
+        # leave the side, and the others stay periodic
+        chk = periodic_orbit_neighborhood_check(
+            self.report(5e-4, math.pi / 2, (3, 1)), sq)
         assert not chk.ok
-        assert chk.failures
+        assert chk.failures == ((-1e-3, "displacement leaves the side"),
+                                (-5e-4, "displacement leaves the side"))
+        chk = periodic_orbit_neighborhood_check(
+            self.report(1.0 - 2.5e-4, math.pi / 2, (3, 1)), sq)
+        assert not chk.ok
+        assert chk.failures == tuple((d, "displacement leaves the side")
+                                     for d in (2.5e-4, 5e-4, 1e-3))
 
     def test_non_flat_rejected(self, tri1):
         rep = find_periodic(sphere_triangle(math.pi / 6), 20, 120, seed=3)[0]
         with pytest.raises(GeometryError):
             periodic_orbit_neighborhood_check(rep, tri1)
 
-    DISPLACEMENTS = (-1e-3, -5e-4, 2.5e-4, 5e-4, 1e-3)
+    DISPLACEMENTS = E.BAND_DISPLACEMENTS
 
     @staticmethod
     def report(s, psi, labels):
@@ -360,12 +384,14 @@ class TestNeighborhoodCheck:
                 2 * math.tan(delta), rel=1e-3)
 
     def test_vertex_hit_flagged(self, sq):
-        # displaced by 5e-4 the start is (0.5, 0), aimed at the corner (1, 1)
+        # displaced by 5e-4 the start is (0.5, 0), aimed at the corner (1, 1);
+        # the other displacements miss the corner and the reported sides
         chk = periodic_orbit_neighborhood_check(
-            self.report(0.5 - 5e-4, math.atan2(1.0, 0.5), (3, 1)), sq,
-            displacements=(5e-4,))
+            self.report(0.5 - 5e-4, math.atan2(1.0, 0.5), (3, 1)), sq)
         assert not chk
-        assert chk.failures == ((5e-4, "displaced orbit hits a vertex"),)
+        assert chk.failures == tuple(
+            (d, "displaced orbit hits a vertex" if d == 5e-4
+             else "bounce sequence changed") for d in self.DISPLACEMENTS)
 
 
 TABLES = {"square": square,

@@ -71,6 +71,17 @@ class TestDistance:
                           np.array([0., 0., -1.])) == \
             pytest.approx(math.pi, abs=1e-15)
 
+    def test_antipodal_chord_above_two_is_pi(self):
+        # the chord between this unit point and its antipode rounds above 2,
+        # where asin of half of it would raise; the half chord is clamped to 1
+        p = K.renorm_point(1, (0.975, -0.389, -0.659))
+        q = tuple(-x for x in p)
+        chord = math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+        assert chord > 2.0
+        with pytest.raises(ValueError):
+            math.asin(0.5 * chord)
+        assert K.distance(1, p, q) == math.pi
+
     def test_symmetry_and_triangle(self):
         for k in KS:
             rng = np.random.default_rng(17 + k)

@@ -11,10 +11,11 @@ crossing loop before it was written out per curvature.  ``chart_flow``
 holds runs of the Dormand-Prince integrator, recorded while its step loop
 still worked on numpy arrays: ``integrate_chart_flow`` to the chart exit
 at the first vertex of each built-in table, one run tracking arc time,
-one backward in time, one without records, and one run of the singular
-polar field, ``polar_flow``, which the package no longer integrates: it
-comes from ``kernel_oracle.integrate_polar_flow``, whose ``rk45`` gives
-the bits the package's gave.  The tests require every bit to match, so a
+one backward in time, one, ``no-record``, of which only the last row is
+stored (a run that kept no other row recorded it), and one run of the
+singular polar field, ``polar_flow``, which the package no longer
+integrates: it comes from ``kernel_oracle.integrate_polar_flow``, whose
+``rk45`` gives the bits the package's gave.  The tests require every bit to match, so a
 rewrite of the kernels that changes any rounding fails here.
 Tolerance-based tests cannot see that.
 
@@ -72,8 +73,9 @@ CHART_FLOWS = (
     ("arc-time", "sphere-triangle-1", 1, 0.5, 0.4, 2.2, 50.0,
      {"track_arc_time": True}),
     ("backward", "hyperbolic-pentagon", 2, 0.5, 0.6, 2.6, -50.0, {}),
-    ("no-record", "square", 2, 0.3, 0.2, 0.3, 2.0, {"record": False}),
+    ("no-record", "square", 2, 0.3, 0.2, 0.3, 2.0, {}),
     ("vertex-circle", "sphere-triangle-1", 2, 0.0, 0.0, 2.9, 6.0, {}))
+LAST_ROW_ONLY = "no-record"     # stored as its run's last row alone
 
 
 def _chart_flow_record(table, vertex, rf, gf, beta, time, opts):
@@ -120,6 +122,9 @@ def record():
     pent = hyperbolic_pentagon()
     step = C.collision_step(_state(pent, 2, 0.3, 1.0), pent)
     crossings = U.crossing_labels(tri, _state(tri, 2, 0.3, 1.2), 50)
+    chart_flows = {c[0]: _chart_flow_record(*c[1:]) for c in CHART_FLOWS}
+    last = chart_flows[LAST_ROW_ONLY]
+    last["t"], last["states"] = last["t"][-1:], last["states"][-1:]
     return {"trace": traces, "fan_ray": _trace_record(fan),
             "collision_step": [step.side, float(step.s).hex(),
                                float(step.psi).hex()],
@@ -127,7 +132,7 @@ def record():
             "crossing_runs": {name: list(U.crossing_labels(
                 TABLES[name](), _state(TABLES[name](), side, frac, psi), n))
                 for name, side, frac, psi, n in CROSSING_RUNS},
-            "chart_flow": {c[0]: _chart_flow_record(*c[1:]) for c in CHART_FLOWS},
+            "chart_flow": chart_flows,
             "polar_flow": _polar_flow_record()}
 
 

@@ -69,6 +69,15 @@ def test_periodic_loads_the_sweep_engine():
     assert "_batch" in loaded and "unfolding" in loaded
 
 
+def test_vertex_flow_loads_no_collision_layer():
+    # the chart flow (simulate --vertex) needs the kernels, not collision
+    loaded = _fresh(
+        "import json, sys\n"
+        "import ccbilliards.flow\n"
+        f"print(json.dumps({LOADED}))")
+    assert "flow" in loaded and "collision" not in loaded
+
+
 @pytest.mark.parametrize("name", [n for n in ccbilliards.__all__
                                   if n != "NUMBA_ENABLED"])
 def test_public_name_is_its_module_object(name):
