@@ -29,11 +29,10 @@ import numbers
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _kernels as K
 from . import collision as C
 from . import unfolding as U
+from ._stream import Stream
 from .errors import GeometryError
 
 # two boundary states on one side are one state of the billiard map when
@@ -79,6 +78,8 @@ class SearchBudget(NamedTuple):
     diagonal_length: float = 4.0 * math.pi
     diagonal_angles: int = 10000
     pair_probes: int = 48        # same-itinerary pair attempts (sphere)
+    # the sweep's jitter draws from _stream.Stream(seed), the pair probes'
+    # from Stream(seed + 1): numpy's Generator(PCG64(seed)) bit for bit
     seed: int = 0
 
 
@@ -211,16 +212,18 @@ def _sphere_pair_witness(poly, budget):
 
     Probes pairs of nearby directions from common base points, the
     configuration in which non-expansive spherical tables exhibit equal
-    itineraries.
+    itineraries.  The base points and directions are ``uniform`` draws of
+    ``_stream.Stream(seed + 1)``, numpy's ``Generator(PCG64(seed + 1))``
+    bit for bit.
     """
-    rng = np.random.default_rng(budget.seed + 1)
+    rng = Stream(budget.seed + 1)
     # below n_sides probes, one on each of the first pair_probes sides
     per_side = max(1, budget.pair_probes // poly.n_sides)
     for label in range(1, min(poly.n_sides, budget.pair_probes) + 1):
         L = poly.side(label).length
         for _ in range(per_side):
-            s = float(rng.uniform(0.2, 0.8)) * L
-            psi = float(rng.uniform(0.3, math.pi - 0.3))
+            s = rng.uniform(0.2, 0.8) * L
+            psi = rng.uniform(0.3, math.pi - 0.3)
             a = C.BoundaryState(label, s, psi)
             b = C.BoundaryState(label, s, psi + PAIR_DIRECTION_OFFSET)
             try:

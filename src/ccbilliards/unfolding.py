@@ -25,6 +25,7 @@ import numpy as np
 from . import _kernels as K
 from . import collision as C
 from . import geometry as G
+from ._stream import Stream
 from .errors import GeometryError
 
 SWEEP_BLOCK = 2048            # sweep states per engine grid in find_periodic
@@ -343,6 +344,8 @@ def find_periodic(poly, max_bounces, samples, seed):
     at most max(1, samples // n_sides) states, so samples bounds the
     jittered part, not the total (200 samples sweep 276 states on the
     square and 300 on the pentagon), each one that ``trace`` accepts.  The
+    jitter comes from the package's own ``_stream.Stream(seed)``, numpy's
+    ``Generator(PCG64(seed))`` bit for bit without ``numpy.random``.  The
     sweep traces them with the batched numpy engine
     (``_batch.trace_columns``, SWEEP_BLOCK states to a grid, no state
     checked), all of them one bounce at a time, and scans each bounce for
@@ -437,29 +440,29 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
 
 def _sweep_states(poly, samples, seed):
     """The (side, s, psi) arrays ``find_periodic`` sweeps, in sweep order:
-    per side, the 21 canonical states, then the jittered n_s x n_psi grid
-    (the draws for s and psi alternate along one ``rng.random`` stream)."""
-    rng = np.random.default_rng(seed)
+    per side, the 21 canonical states, then the jittered n_s x n_psi grid.
+    The jitter is one ``_stream.Stream(seed).random`` draw for all sides,
+    side after side, with the draws for s and psi alternating; the stream
+    is numpy's ``Generator(PCG64(seed))``, bit for bit."""
     ns = poly.n_sides
     per_side = max(1, samples // ns)
     n_s = max(1, int(math.sqrt(per_side / 3)))
     n_psi = max(1, per_side // n_s)
-    i, j = np.divmod(np.arange(n_s * n_psi), n_psi)
+    m = n_s * n_psi
+    i, j = np.divmod(np.arange(m), n_psi)
+    r = np.array(Stream(seed).random(ns * 2 * m)).reshape(ns, 2 * m)
+    L = np.array([poly.side(label).length
+                  for label in range(1, ns + 1)])[:, None]
+    s = L * (i + 0.5 + 0.8 * (r[:, 0::2] - 0.5)) / n_s
+    psi = math.pi * (j + 0.5 + 0.8 * (r[:, 1::2] - 0.5)) / n_psi
     frac = np.tile(_CANONICAL_FRACS, len(_CANONICAL_ANGLES))
     canonical_psi = np.repeat(_CANONICAL_ANGLES, len(_CANONICAL_FRACS))
-    s_parts, psi_parts = [], []
-    for label in range(1, ns + 1):
-        L = poly.side(label).length
-        r = rng.random(2 * n_s * n_psi)
-        s = L * (i + 0.5 + 0.8 * (r[0::2] - 0.5)) / n_s
-        psi = math.pi * (j + 0.5 + 0.8 * (r[1::2] - 0.5)) / n_psi
-        s_parts += [frac * L, np.minimum(np.maximum(s, 1e-6 * L),
-                                         (1 - 1e-6) * L)]
-        psi_parts += [canonical_psi, np.minimum(np.maximum(psi, 1e-3),
-                                                math.pi - 1e-3)]
-    side = np.repeat(np.arange(1, ns + 1, dtype=np.int64),
-                     len(canonical_psi) + n_s * n_psi)
-    return side, np.concatenate(s_parts), np.concatenate(psi_parts)
+    s = np.hstack([frac * L, np.minimum(np.maximum(s, 1e-6 * L),
+                                        (1 - 1e-6) * L)])
+    psi = np.hstack([np.tile(canonical_psi, (ns, 1)),
+                     np.minimum(np.maximum(psi, 1e-3), math.pi - 1e-3)])
+    side = np.repeat(np.arange(1, ns + 1, dtype=np.int64), s.shape[1])
+    return side, s.ravel(), psi.ravel()
 
 
 def _near_returns(start, open_rows, idx, labels, svals, psis):

@@ -39,6 +39,11 @@ was before the sweep moved to arrays: one ``BoundaryState`` per sample,
 from scalar ``rng.random()`` draws.  ``unfolding._sweep_states`` must give
 the same (side, s, psi) bits in the same order (``test_unfolding.py``).
 
+``sweep_state_arrays`` is ``unfolding._sweep_states`` as it was before
+its draws left ``numpy.random``: one ``default_rng(seed).random`` array
+per side.  The package's ``_stream.Stream`` draws all sides at once and
+must give the same arrays bit for bit (``test_unfolding.py``).
+
 ``find_periodic`` (with ``canonical_sequence``, ``polish_row`` and
 ``flat_direction_check``) is the periodic-orbit search with its candidate
 scan as it was before the scan learned one set lookup per candidate, and
@@ -661,6 +666,32 @@ def sweep_states(poly, samples, seed):
                 psi = min(max(psi, 1e-3), math.pi - 1e-3)
                 states.append(C.BoundaryState(label, s, psi))
     return states
+
+
+def sweep_state_arrays(poly, samples, seed):
+    """``unfolding._sweep_states`` with its jitter drawn side by side from
+    ``numpy.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    ns = poly.n_sides
+    per_side = max(1, samples // ns)
+    n_s = max(1, int(math.sqrt(per_side / 3)))
+    n_psi = max(1, per_side // n_s)
+    i, j = np.divmod(np.arange(n_s * n_psi), n_psi)
+    frac = np.tile(U._CANONICAL_FRACS, len(U._CANONICAL_ANGLES))
+    canonical_psi = np.repeat(U._CANONICAL_ANGLES, len(U._CANONICAL_FRACS))
+    s_parts, psi_parts = [], []
+    for label in range(1, ns + 1):
+        L = poly.side(label).length
+        r = rng.random(2 * n_s * n_psi)
+        s = L * (i + 0.5 + 0.8 * (r[0::2] - 0.5)) / n_s
+        psi = math.pi * (j + 0.5 + 0.8 * (r[1::2] - 0.5)) / n_psi
+        s_parts += [frac * L, np.minimum(np.maximum(s, 1e-6 * L),
+                                         (1 - 1e-6) * L)]
+        psi_parts += [canonical_psi, np.minimum(np.maximum(psi, 1e-3),
+                                                math.pi - 1e-3)]
+    side = np.repeat(np.arange(1, ns + 1, dtype=np.int64),
+                     len(canonical_psi) + n_s * n_psi)
+    return side, np.concatenate(s_parts), np.concatenate(psi_parts)
 
 
 def canonical_sequence(labels):

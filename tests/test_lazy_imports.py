@@ -69,6 +69,28 @@ def test_periodic_loads_the_sweep_engine():
     assert "_batch" in loaded and "unfolding" in loaded
 
 
+# what numpy's random package loads: its extension modules, and through
+# ``secrets`` the OpenSSL bindings ``_hashlib``
+RANDOM_MODULES = ("numpy.random", "secrets", "_hashlib")
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--table", "square", "--samples", "4", "--max-bounces", "2",
+     "--json"],
+    ["expansivity", "--table", "sphere-triangle", "--theta", "1.0",
+     "--samples", "1", "--max-bounces", "2", "--horizon", "2", "--depth",
+     "2", "--angles", "1", "--json"]], ids=["periodic", "expansivity"])
+def test_seeded_search_loads_no_numpy_random(argv):
+    # the sweep and the pair probes draw from the package's own stream
+    loaded = _fresh(
+        "import json, sys\n"
+        "from ccbilliards import cli\n"
+        f"cli.main({argv!r})\n"
+        f"print(json.dumps([m for m in {RANDOM_MODULES!r} "
+        "if m in sys.modules]))")
+    assert loaded == []
+
+
 def test_vertex_flow_loads_no_collision_layer():
     # the chart flow (simulate --vertex) needs the kernels, not collision
     loaded = _fresh(

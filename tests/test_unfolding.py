@@ -366,6 +366,23 @@ def test_sweep_states_match_scalar_loop(make, samples, seed):
         np.testing.assert_array_equal(got.view(np.int64), bits)
 
 
+@pytest.mark.parametrize("make", [
+    square, lambda: sphere_triangle(math.pi / 4),
+    lambda: sphere_triangle(1.0), hyperbolic_pentagon],
+    ids=["square", "triangle-pi4", "triangle-1", "pentagon"])
+@pytest.mark.parametrize("samples", [1, 37, 200, 10_000])
+def test_sweep_states_match_numpy_draws(make, samples):
+    # one stream draw for all sides gives the arrays of one numpy
+    # default_rng draw per side, bit for bit and in the same order
+    poly = make()
+    for seed in (0, 1, 15):
+        got = U._sweep_states(poly, samples, seed)
+        want = O.sweep_state_arrays(poly, samples, seed)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 def skew_quadrilateral():
     return build_polygon(0, [(0.0, 0.0), (1.3, 0.1), (1.1, 0.9), (0.2, 1.2)])
 
