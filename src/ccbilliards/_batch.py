@@ -14,9 +14,10 @@ yields them one bounce at a time.
 
 The grids are same-shape contiguous arrays, so numpy's inner loops run
 over the whole grid, not over one row of nsides: ``trace_columns`` tiles
-the side functionals once per call as (block, nsides) arrays, a bounce takes
-their first n rows (compaction keeps the rays in order, and every row of
-a tile is the same), and repeats the rays' points and directions once.
+the side functionals once per call as (min(N, BLOCK), nsides) arrays, a
+bounce takes their first n rows (compaction keeps the rays in order, and
+every row of a tile is the same), and repeats the rays' points and
+directions once.
 A ray starts its next bounce from the normalised hit point and the
 reflected unit direction that this bounce computed; only the start
 states, and rows whose s was clamped, are embedded from (s, psi), as the
@@ -54,8 +55,9 @@ keep ``** 2``, the oracle's operations).
 The scalar loops stay the N = 1 engine: for one ray of 20-50 bounces
 this one takes 18-26x as long as ``collision.trace`` (square, theta = 1
 triangle and pentagon, 2 vCPUs).  Its one caller is the periodic sweep of
-``unfolding``, in blocks of ``SWEEP_BLOCK`` states that ``_sweep_states``
-draws in range, so the engine checks no state.
+``unfolding``, on states that ``_sweep_states`` draws in range, so the
+engine checks no state.  It runs them in blocks of ``BLOCK`` rays, one
+grid per block, and the sweep reads its candidates in lists of as many.
 """
 
 import math
@@ -66,6 +68,8 @@ from ._collision_loops import (FLIGHT_MIN, GRAZE_TOL, INF, VERTEX_TOL,
                                VERTEX_WINDOW)
 # mdot and perp take tuples of arrays as they take float triples
 from ._kernels import mdot, perp
+
+BLOCK = 2048    # rays per grid: a grid holds at most BLOCK x nsides crossings
 
 
 def _cos_sin(k, t):
@@ -326,8 +330,7 @@ def _bounce(k, sides, p, v):
     return ok, j, s, psi, q, r
 
 
-def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side, s, psi, nmax,
-                  block):
+def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side, s, psi, nmax):
     """Vectorised ``trace_orbit`` over the boundary states (side, s, psi)
     of the polygon whose ``kernel_pack()[:7]`` is (sa, ..., verts), one
     bounce at a time.
@@ -340,7 +343,7 @@ def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side, s, psi, nmax,
     leaves no ray live.  Each bounce runs under its own ``np.errstate``, so
     none is open while the caller holds a column.
 
-    The rays run in blocks of ``block`` input rows, one grid per block, so
+    The rays run in blocks of ``BLOCK`` input rows, one grid per block, so
     the grids hold at most that many rows; a ray's bits do not depend on
     its block.  Between bounces a block keeps for each live ray only its
     row, the point it starts from and its unit direction.
@@ -348,12 +351,12 @@ def trace_columns(k, sa, su, sn, sl, sv0, sv1, verts, side, s, psi, nmax,
     nray = side.shape[0]
     if nray == 0 or nmax == 0:
         return
-    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, min(nray, block))
+    sides = _Sides(k, sa, su, sn, sl, sv0, sv1, verts, min(nray, BLOCK))
     with np.errstate(all="ignore"):
-        blocks = [(np.arange(lo, min(lo + block, nray)),
-                   *_embed(k, sides.table[:, side[lo:lo + block] - 1],
-                           s[lo:lo + block], psi[lo:lo + block]))
-                  for lo in range(0, nray, block)]
+        blocks = [(np.arange(lo, min(lo + BLOCK, nray)),
+                   *_embed(k, sides.table[:, side[lo:lo + BLOCK] - 1],
+                           s[lo:lo + BLOCK], psi[lo:lo + BLOCK]))
+                  for lo in range(0, nray, BLOCK)]
     for _ in range(nmax):
         # in place, so that no more than one block's old state is live
         with np.errstate(all="ignore"):

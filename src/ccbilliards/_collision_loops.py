@@ -34,7 +34,12 @@ rewrites, and why each is exact:
   ``(0.0, pi, 2.0 * pi)``, which are ``0 * pi``, ``1 * pi`` and ``2 *
   pi`` exactly (``t0 + 0.0`` is ``t0 + 0 * pi``); the first pass takes
   ``t0`` itself for ``t0 + 0.0``, the same float, since a remainder mod
-  pi is never -0.0.
+  pi is never -0.0.  The first pass tries ``t0`` and ``t0 + pi`` only:
+  t0 = atan2(-a, b) mod pi lies in [0, pi] (the remainder may round up
+  to pi), so when t0 <= tmin, t0 + pi > tmin for every tmin < pi, which
+  the ``_kernels`` entries require.  The full searches keep the step
+  2 pi: a fan ray from a reflex hole vertex can go round a whole great
+  circle back to its start.
 * Sphere norms: ``sqrt(x*x + y*y + z*z)`` without the ``abs`` of the
   helper's ``sqrt(abs(mdot(o, o)))``: a sum of squares is never below +0.
 
@@ -250,7 +255,6 @@ def _trace_sphere(sides, tangents, funcs, sl, sv0, sv1, verts, p, v, nmax,
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
-    pi2 = 2.0 * pi
     near = tol_v + VERTEX_WINDOW
     total = 0.0
     for i in range(nmax):
@@ -261,15 +265,12 @@ def _trace_sphere(sides, tangents, funcs, sl, sv0, sv1, verts, p, v, nmax,
             b = nx * vx + ny * vy + nz * vz
             if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
                 continue
-            # the side's first root t0 + m pi past tmin (t0 + 0.0 is t0)
+            # the side's first root t0 + m pi past tmin (t0 + 0.0 is t0):
+            # t0 lies in [0, pi] and tmin below pi, so m is 0 or 1
             t0 = math.atan2(-a, b) % pi
             t = t0
             if t <= tmin:
                 t = t0 + pi
-                if t <= tmin:
-                    t = t0 + pi2
-                    if t <= tmin:
-                        continue
             if t < best_t:
                 best_t, best_j = t, j
         if best_j >= 0:

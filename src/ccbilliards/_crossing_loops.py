@@ -76,7 +76,6 @@ def _cross_sphere(sides, funcs, refl, p, v, nmax, tmin, labels):
     px, py, pz = p
     vx, vy, vz = v
     pi = math.pi
-    pi2 = 2.0 * pi
     for m in range(nmax):
         best_t = INF
         best_j = -1
@@ -85,15 +84,12 @@ def _cross_sphere(sides, funcs, refl, p, v, nmax, tmin, labels):
             b = nx * vx + ny * vy + nz * vz
             if -1e-15 < a < 1e-15 and -1e-15 < b < 1e-15:
                 continue
-            # the side's first root t0 + m pi past tmin (t0 + 0.0 is t0)
+            # the side's first root t0 + m pi past tmin (t0 + 0.0 is t0):
+            # t0 lies in [0, pi] and tmin below pi, so m is 0 or 1
             t0 = math.atan2(-a, b) % pi
             t = t0
             if t <= tmin:
                 t = t0 + pi
-                if t <= tmin:
-                    t = t0 + pi2
-                    if t <= tmin:
-                        continue
             if t < best_t:
                 best_t, best_j = t, j
         if best_j >= 0:

@@ -66,7 +66,7 @@ in numpy, which records labels, s and psi per bounce and no stop reasons.
 import math
 
 # the step / trace status codes and INF belong to the loops
-from ._collision_loops import (INF, STEP_ESCAPED, STEP_GRAZING,
+from ._collision_loops import (FLIGHT_MIN, INF, STEP_ESCAPED, STEP_GRAZING,
                                STEP_MAXLEN, STEP_OK, STEP_VERTEX,
                                TRACE_LOOPS, VERTEX_TOL, side_records)
 
@@ -212,7 +212,8 @@ def trace_orbit(k, sa, su, sn, sl, sv0, sv1, verts, sides,
                 side0, s0, psi0, nmax, maxlen, tmin, tol_v, graze,
                 labels, svals, psis, flens):
     """Iterate the collision map from a boundary state (see
-    trace_from_point, whose preconditions hold here too)."""
+    trace_from_point, whose preconditions hold here too, tmin < pi among
+    them)."""
     p, v = boundary_embed(k, sa[side0], su[side0], float(s0), float(psi0))
     return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts, p, v, nmax,
                           float(maxlen), float(tmin), float(tol_v),
@@ -230,10 +231,12 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts, sides,
     tol_v.  Fills the per-bounce buffers and returns (n_done, status,
     vertex, length).  The diagonal search starts its rays at polygon
     vertices; ``collision_step`` is this with nmax = 1.  A plane ray must
-    lie on z = 1 with a z-direction of 0.  The batched engine ``_batch``
-    pads its windows and tests vertex hits at ``VERTEX_TOL``, the records'
-    pad, so the two engines agree at tol_v = ``VERTEX_TOL``, which
-    ``collision`` passes.
+    lie on z = 1 with a z-direction of 0, and tmin must be below pi: a
+    sphere loop's first pass tries a side's roots t0 in [0, pi] and
+    t0 + pi only (``collision`` passes ``FLIGHT_MIN``).  The batched
+    engine ``_batch`` pads its windows and tests vertex hits at
+    ``VERTEX_TOL``, the records' pad, so the two engines agree at tol_v =
+    ``VERTEX_TOL``, which ``collision`` passes.
     """
     return TRACE_LOOPS[k](*sides, sl, sv0, sv1, verts,
                           (float(p[0]), float(p[1]), float(p[2])),
@@ -242,7 +245,7 @@ def trace_from_point(k, sa, su, sn, sl, sv0, sv1, verts, sides,
                           float(graze), labels, svals, psis, flens)
 
 
-def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
+def unfold_crossings(k, sides, refl, p0, v0, nmax, labels):
     """Crossing labels of the unfolded straight line, pulled back stepwise,
     with the loop for curvature k.
 
@@ -251,13 +254,15 @@ def unfold_crossings(k, sides, refl, p0, v0, nmax, tmin, labels):
     matrix per side, as a tuple of three row tuples.  Writes 0-based side
     labels to labels and returns their count; never touches boundary (s,
     psi) coordinates, so this is an independent route to the itinerary.
-    A plane line must lie on z = 1 with a z-direction of 0.
+    A plane line must lie on z = 1 with a z-direction of 0.  The loop
+    takes tmin = ``FLIGHT_MIN``, a crossing's least distance past the one
+    before, which is below pi as ``trace_from_point`` requires of tmin.
     """
     from ._crossing_loops import CROSSING_LOOPS
     return CROSSING_LOOPS[k](sides[0], sides[2], refl,
                              (float(p0[0]), float(p0[1]), float(p0[2])),
                              (float(v0[0]), float(v0[1]), float(v0[2])),
-                             nmax, float(tmin), labels)
+                             nmax, FLIGHT_MIN, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ future, within ``SAME_ORBIT_WINDOW`` bounces, compared as boundary states
 """
 
 import math
-import numbers
 from enum import Enum
 from typing import NamedTuple
 
@@ -42,6 +41,10 @@ SAME_ORBIT_WINDOW = 20      # bounces of the map scanned, past and future
 PAIR_DIRECTION_OFFSET = 1e-5
 # shifts of the start's arc parameter in the parallel-band check
 BAND_DISPLACEMENTS = (-1e-3, -5e-4, 2.5e-4, 5e-4, 1e-3)
+PAIR_PROBES = 48            # same-itinerary pair attempts on the sphere
+# the conjugate-vertex search on the sphere follows diagonals up to this
+# length: m pi for m <= 4
+DIAGONAL_LENGTH = 4.0 * math.pi
 
 
 class Rule(str, Enum):
@@ -67,6 +70,10 @@ class PairProbe(NamedTuple):
 
 
 class SearchBudget(NamedTuple):
+    """The search sizes and seed of ``classify``: the values the CLI's
+    ``expansivity`` flags set.  The pair probes' count (``PAIR_PROBES``)
+    and the diagonal length (``DIAGONAL_LENGTH``) are module constants."""
+
     horizon: int = 1000          # itinerary comparison span, bounces
     # periodic-orbit sweep: per side, 21 canonical states and a jittered
     # grid of at most max(1, samples // n_sides) states
@@ -75,18 +82,16 @@ class SearchBudget(NamedTuple):
     # and classify stops it after the first that gives a verified orbit
     periodic_bounces: int = 50
     diagonal_depth: int = 20     # max bounces in the diagonal search
-    diagonal_length: float = 4.0 * math.pi
     diagonal_angles: int = 10000
-    pair_probes: int = 48        # same-itinerary pair attempts (sphere)
     # the sweep's jitter draws from _stream.Stream(seed), the pair probes'
     # from Stream(seed + 1): numpy's Generator(PCG64(seed)) bit for bit
     seed: int = 0
 
 
-# SearchBudget's count fields and their least values
+# the least value of each SearchBudget field, all integers
 _BUDGET_COUNTS = (("horizon", 1), ("samples", 1), ("periodic_bounces", 1),
                   ("diagonal_depth", 0), ("diagonal_angles", 1),
-                  ("pair_probes", 0), ("seed", 0))
+                  ("seed", 0))
 
 
 class Witness(NamedTuple):
@@ -212,14 +217,15 @@ def _sphere_pair_witness(poly, budget):
 
     Probes pairs of nearby directions from common base points, the
     configuration in which non-expansive spherical tables exhibit equal
-    itineraries.  The base points and directions are ``uniform`` draws of
+    itineraries: ``PAIR_PROBES`` of them, ``PAIR_PROBES // n_sides`` on
+    each side (below n_sides, one on each of the first PAIR_PROBES sides).
+    The base points and directions are ``uniform`` draws of
     ``_stream.Stream(seed + 1)``, numpy's ``Generator(PCG64(seed + 1))``
     bit for bit.
     """
     rng = Stream(budget.seed + 1)
-    # below n_sides probes, one on each of the first pair_probes sides
-    per_side = max(1, budget.pair_probes // poly.n_sides)
-    for label in range(1, min(poly.n_sides, budget.pair_probes) + 1):
+    per_side = max(1, PAIR_PROBES // poly.n_sides)
+    for label in range(1, min(poly.n_sides, PAIR_PROBES) + 1):
         L = poly.side(label).length
         for _ in range(per_side):
             s = rng.uniform(0.2, 0.8) * L
@@ -248,20 +254,17 @@ def classify(poly, budget=None):
     ``unfolding.first_verified_orbit`` finds it and stops the sweep after
     the bounce that gives it, since later bounces give longer periods only.
 
+    On the sphere ``_sphere_pair_witness`` makes PAIR_PROBES probes and
+    the conjugate-vertex search follows diagonals up to DIAGONAL_LENGTH.
+
     The budget is checked before any search, on hyperbolic tables too,
-    which use none of it: its counts must be integers (diagonal_depth,
-    pair_probes and seed >= 0, the others >= 1) and diagonal_length a
-    finite number > 0.
+    which use none of it: its fields must be integers (diagonal_depth and
+    seed >= 0, the others >= 1).
     """
     if budget is None:
         budget = SearchBudget()
     for name, least in _BUDGET_COUNTS:
         C.check_count(getattr(budget, name), name, least)
-    length = budget.diagonal_length
-    if (isinstance(length, bool) or not isinstance(length, numbers.Real)
-            or not (math.isfinite(length) and length > 0)):
-        raise ValueError(f"diagonal_length must be a finite number > 0, "
-                         f"got {length!r}")
     if poly.k == -1:
         return ExpansivenessVerdict(
             "expansive", (Rule.HYPERBOLIC_EXPANSIVE,), (), budget,
@@ -294,8 +297,7 @@ def classify(poly, budget=None):
         witnesses.append(Witness("same_itinerary_pair",
                                  Rule.SPHERE_SAME_ITINERARY, pair, True))
     conj = C.conjugated_vertices(poly, budget.diagonal_depth,
-                                 budget.diagonal_length,
-                                 budget.diagonal_angles)
+                                 DIAGONAL_LENGTH, budget.diagonal_angles)
     if conj:
         rules.append(Rule.SPHERE_CONJUGATE_VERTICES)
         witnesses.append(Witness("conjugated_vertices",

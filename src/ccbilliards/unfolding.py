@@ -28,7 +28,6 @@ from . import geometry as G
 from ._stream import Stream
 from .errors import GeometryError
 
-SWEEP_BLOCK = 2048            # sweep states per engine grid in find_periodic
 RETURN_CANDIDATE_TOL = 1e-4   # pre-refinement closeness of the return map
 RETURN_VERIFY_TOL = 1e-8      # residual for a verified periodic orbit
 CLASSIFY_TOL = 1e-9
@@ -138,8 +137,7 @@ def crossing_labels_from_tangent(poly, p, v, n):
     p, v = C.check_ray(poly, p, v)
     labels = [0] * n
     n_done = K.unfold_crossings(poly.k, poly.kernel_pack()[7],
-                                poly.reflection_pack(), p, v, n,
-                                C.FLIGHT_MIN, labels)
+                                poly.reflection_pack(), p, v, n, labels)
     return tuple([j + 1 for j in labels[:n_done]])
 
 
@@ -347,7 +345,7 @@ def find_periodic(poly, max_bounces, samples, seed):
     jitter comes from the package's own ``_stream.Stream(seed)``, numpy's
     ``Generator(PCG64(seed))`` bit for bit without ``numpy.random``.  The
     sweep traces them with the batched numpy engine
-    (``_batch.trace_columns``, SWEEP_BLOCK states to a grid, no state
+    (``_batch.trace_columns``, ``_batch.BLOCK`` states to a grid, no state
     checked), all of them one bounce at a time, and scans each bounce for
     candidates in numpy as well: a return to the starting side that lands
     within 1e-4 in (s, psi).  One report is kept per bounce sequence up to
@@ -407,8 +405,9 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
 
     Between bounces the sweep keeps each sample's labels so far, one byte
     a bounce on tables of up to 255 sides, and whether it is still open.
-    The batched engine is imported here, on the first sweep: no other
-    path of the package runs it.
+    It reads a bounce's candidates in Python lists of ``_batch.BLOCK``
+    at a time, the engine's grid size.  The batched engine is imported
+    here, on the first sweep: no other path of the package runs it.
     """
     from . import _batch
     start = side, s, psi = _sweep_states(poly, samples, seed)
@@ -417,15 +416,15 @@ def _periodic_sweep(poly, max_bounces, samples, seed):
     open_rows = np.ones(len(side), dtype=bool)
     seen = set()
     columns = _batch.trace_columns(poly.k, *poly.kernel_pack()[:7], *start,
-                                   max_bounces, SWEEP_BLOCK)
+                                   max_bounces)
     for n, column in enumerate(columns, 1):
         labels[column[0], n - 1] = column[1]
         reports = []
         cand = _near_returns(start, open_rows, *column)
-        # Python lists of SWEEP_BLOCK candidates at a time: a bounce may
-        # return every sample
-        for lo in range(0, cand.size, SWEEP_BLOCK):
-            rows = cand[lo:lo + SWEEP_BLOCK]
+        # Python lists of BLOCK candidates at a time: a bounce may return
+        # every sample
+        for lo in range(0, cand.size, _batch.BLOCK):
+            rows = cand[lo:lo + _batch.BLOCK]
             for r, seq in zip(rows.tolist(), labels[rows, :n].tolist()):
                 if tuple(seq) in seen:
                     open_rows[r] = False

@@ -725,7 +725,7 @@ def trace_many(poly, side, s, psi, n):
     (N, n) arrays (labels, svals, psis): row r holds what ``trace`` records
     for state r, then label 0 and nan past its last bounce."""
     columns = B.trace_columns(poly.k, *poly.kernel_pack()[:7], side, s, psi,
-                              n, U.SWEEP_BLOCK)
+                              n)
     return gather(columns, len(side), n, 0)
 
 

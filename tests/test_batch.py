@@ -108,14 +108,15 @@ def test_first_flight_vertex_hit(tri1):
     assert not labels[0].any() and labels[1].all()
 
 
-def test_columns_end_when_every_ray_has_stopped(sq):
+def test_columns_end_when_every_ray_has_stopped(monkeypatch, sq):
     # aimed from (0.5, 0) at the corner (1, 1): the one ray stops at its
     # first bounce, so the engine yields that bounce's empty column and
     # none of the other four
+    monkeypatch.setattr(B, "BLOCK", 16)
     psi = math.atan2(1.0, 0.5)
     assert C.trace(sq, BoundaryState(1, 0.5, psi), 5).status == K.STEP_VERTEX
     cols = list(B.trace_columns(0, *sq.kernel_pack()[:7], np.array([1]),
-                                np.array([0.5]), np.array([psi]), 5, 16))
+                                np.array([0.5]), np.array([psi]), 5))
     assert len(cols) == 1
     assert all(x.size == 0 for x in cols[0])
 
@@ -182,7 +183,7 @@ def test_find_periodic_matches_scalar_sweep(monkeypatch, name):
     traced = {}
 
     def scalar_columns(*args):
-        side, s, psi, n = args[-5:-1]
+        side, s, psi, n = args[-4:]
         key = s.tobytes()
         if key not in traced:
             traced[key] = scalar_trace_many(poly, side, s, psi, n)
@@ -206,7 +207,7 @@ def engine_and_oracle(poly, side, s, psi, n, pack=None):
     side = np.asarray(side)
     s, psi = np.asarray(s, float), np.asarray(psi, float)
     labels, svals, psis = O.gather(B.trace_columns(poly.k, *pack, side, s,
-                                                   psi, n, U.SWEEP_BLOCK),
+                                                   psi, n),
                                    len(side), n, 0)
     want = O.batch_trace_states(poly.k, *pack, side - 1, s, psi, n,
                                 C.FLIGHT_MIN, B.VERTEX_TOL, C.GRAZE_TOL)
@@ -227,7 +228,7 @@ def sweep_batch(poly, samples, seeds):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_TABLES))
-def test_blocks_do_not_change_the_bits(name):
+def test_blocks_do_not_change_the_bits(monkeypatch, name):
     # 7 rays to a grid puts block edges all through the sweep; the first
     # block holds 7 rays aimed at a vertex, so it empties at the first
     # bounce while the others go on
@@ -240,9 +241,11 @@ def test_blocks_do_not_change_the_bits(name):
     aimed = [1] * 7, [0.5 * sl[0]] * 7, [psi] * 7
     states = tuple(np.concatenate(x) for x in
                    zip(aimed, U._sweep_states(poly, 200, 0)))
-    got = O.gather(B.trace_columns(k, *poly.kernel_pack()[:7], *states, 20,
-                                   7), len(states[0]), 20, 0)
-    assert_same_bits(got, O.trace_many(poly, *states, 20))
+    want = O.trace_many(poly, *states, 20)
+    monkeypatch.setattr(B, "BLOCK", 7)
+    got = O.gather(B.trace_columns(k, *poly.kernel_pack()[:7], *states, 20),
+                   len(states[0]), 20, 0)
+    assert_same_bits(got, want)
     assert not got[0][:7].any() and got[0][7:, -1].any()
 
 

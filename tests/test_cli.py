@@ -273,6 +273,29 @@ class TestCommands:
         assert code == 0
         assert "3-sphere" in out
 
+    def test_expansivity_flags_set_every_budget_field(self, monkeypatch,
+                                                      tmp_path):
+        # every flag at a value other than its default: a SearchBudget
+        # field that no flag sets keeps its default and fails the test
+        from ccbilliards import expansivity as E
+        budgets = []
+
+        def captured(poly, budget):
+            budgets.append(budget)
+            return E.ExpansivenessVerdict("unknown", (), (), budget)
+
+        monkeypatch.setattr(E, "classify", captured)
+        code, _ = run_cli(["expansivity", "--table", "square", "--horizon",
+                           "7", "--samples", "9", "--max-bounces", "3",
+                           "--depth", "2", "--angles", "5", "--seed", "4",
+                           "--out", str(tmp_path)])
+        assert code == 0
+        (budget,) = budgets
+        default = E.SearchBudget()
+        assert [f for f in budget._fields
+                if getattr(budget, f) == getattr(default, f)] == []
+        assert budget == (7, 9, 3, 2, 5, 4)
+
     def test_expansivity_pentagon(self, tmp_path):
         code, out = run_cli(["expansivity", "--table", "hyperbolic-pentagon",
                              "--horizon", "50", "--samples", "50",

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ccbilliards import (BoundaryState, DegenerateStateError, GeometryError,
-                         PolygonError, SearchBudget, VertexHit, classify,
-                         collision_step, conjugated_vertices, crossing_labels,
-                         generalized_diagonals, itinerary, probe_pair,
-                         sphere_triangle, unfold)
+                         PolygonError, SearchBudget, VertexHit, build_polygon,
+                         classify, collision_step, conjugated_vertices,
+                         crossing_labels, generalized_diagonals, itinerary,
+                         probe_pair, sphere_triangle, unfold)
 from ccbilliards import _kernels as K
 from ccbilliards import collision as C
 
@@ -324,6 +324,30 @@ class TestGeneralizedDiagonals:
         pole = [d for d in ds if d.start == 1 and d.end == 1 and d.sequence == (2,)]
         assert len(pole) == 1
         assert pole[0].length == pytest.approx(math.pi, abs=1e-12)
+
+    def test_no_targeted_shot_at_antipodal_vertex(self, monkeypatch):
+        # a hexagon with vertices at both poles: log_map from a vertex to
+        # its antipode has no direction, so the targeted shots from N skip
+        # S and those from S skip N, and every other vertex is aimed at
+        def at(lat, lon):
+            f, lam = math.radians(lat), math.radians(lon)
+            return (math.cos(f) * math.cos(lam), math.cos(f) * math.sin(lam),
+                    math.sin(f))
+
+        hexagon = build_polygon(1, [at(90, 0), at(40, 0), at(-40, 40),
+                                    at(-90, 0), at(-40, 120), at(40, 80)])
+        verts = [tuple(w) for w in hexagon.vertices]
+        aimed = {vi: set() for vi in range(6)}
+        log_map = K.log_map
+
+        def recorded(k, p, q):
+            aimed[verts.index(tuple(p))].add(verts.index(tuple(q)))
+            return log_map(k, p, q)
+
+        monkeypatch.setattr(K, "log_map", recorded)
+        assert generalized_diagonals(hexagon, 3, 4 * math.pi, 4)
+        assert aimed[0] == aimed[3] == {1, 2, 4, 5}
+        assert all(aimed[vi] == set(range(6)) - {vi} for vi in (1, 2, 4, 5))
 
     def test_max_length_cutoff(self, sq):
         assert generalized_diagonals(sq, 0, 0.5, angles_per_vertex=32) == []

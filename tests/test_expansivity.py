@@ -17,8 +17,14 @@ import kernel_oracle as O
 from test_polygon import PROJECTED
 
 SMALL = SearchBudget(horizon=300, samples=400, periodic_bounces=20,
-                     diagonal_depth=3, diagonal_angles=256, pair_probes=12,
-                     seed=9)
+                     diagonal_depth=3, diagonal_angles=256, seed=9)
+
+
+@pytest.fixture(autouse=True)
+def small_pair_search(monkeypatch):
+    # 12 pair probes, not PAIR_PROBES = 48, so the sphere verdicts at SMALL
+    # stay quick
+    monkeypatch.setattr(E, "PAIR_PROBES", 12)
 
 
 class TestProbePair:
@@ -159,10 +165,7 @@ class TestClassify:
         ("horizon", 2.5), ("horizon", 0), ("horizon", True),
         ("horizon", math.nan), ("samples", 0), ("periodic_bounces", 0),
         ("diagonal_depth", -1), ("diagonal_angles", 0),
-        ("diagonal_angles", 2.0), ("pair_probes", -3),
-        ("diagonal_length", 0.0), ("diagonal_length", -1.0),
-        ("diagonal_length", math.nan), ("diagonal_length", math.inf),
-        ("diagonal_length", True), ("diagonal_length", "4")])
+        ("diagonal_angles", 2.0)])
     def test_bad_budget_rejected_before_search(self, monkeypatch, sq, tri1,
                                                pentagon, field, value):
         # a bad horizon used to fail on the sphere only after the periodic
@@ -179,13 +182,17 @@ class TestClassify:
             with pytest.raises(ValueError, match=field):
                 classify(poly, budget)
 
-    def test_least_budget_accepted(self, sq, tri1):
+    def test_least_budget_accepted(self, monkeypatch, sq, tri1):
+        # with no pair probes and diagonals shorter than pi as well, the
+        # sphere search finds no witness
+        monkeypatch.setattr(E, "PAIR_PROBES", 0)
+        monkeypatch.setattr(E, "DIAGONAL_LENGTH", 3.0)
         budget = SearchBudget(horizon=1, samples=1, periodic_bounces=1,
-                              diagonal_depth=0, diagonal_length=3,
-                              diagonal_angles=np.int64(1), pair_probes=0,
+                              diagonal_depth=0, diagonal_angles=np.int64(1),
                               seed=np.int64(0))
         for poly in (sq, tri1):
-            assert classify(poly, budget).budget is budget
+            v = classify(poly, budget)
+            assert v.budget is budget and v.verdict == "unknown"
 
     def test_square_not_expansive_with_witness(self, sq):
         v = classify(sq, SMALL)
@@ -220,8 +227,9 @@ class TestClassify:
         (7, [1, 1, 2, 2, 3, 3]), (48, [1] * 16 + [2] * 16 + [3] * 16)])
     def test_pair_probes_within_budget(self, monkeypatch, tri1, pair_probes,
                                        sides):
-        # below n_sides, one probe on each of the first pair_probes sides;
-        # from there on pair_probes // n_sides on each side
+        # below n_sides, one probe on each of the first PAIR_PROBES sides;
+        # from there on PAIR_PROBES // n_sides on each side
+        monkeypatch.setattr(E, "PAIR_PROBES", pair_probes)
         probed = []
 
         def diverging(a, b, poly, horizon):
@@ -230,8 +238,7 @@ class TestClassify:
                                False, (0, 1))
 
         monkeypatch.setattr(E, "probe_pair", diverging)
-        budget = SMALL._replace(pair_probes=pair_probes)
-        assert E._sphere_pair_witness(tri1, budget) is None
+        assert E._sphere_pair_witness(tri1, SMALL) is None
         assert probed == sides
 
     def test_pair_probe_that_raises_is_skipped(self, monkeypatch, tri1):
@@ -247,14 +254,16 @@ class TestClassify:
                                False, (horizon, horizon))
 
         monkeypatch.setattr(E, "probe_pair", raising_once)
-        pair = E._sphere_pair_witness(tri1, SMALL._replace(pair_probes=3))
+        monkeypatch.setattr(E, "PAIR_PROBES", 3)
+        pair = E._sphere_pair_witness(tri1, SMALL)
         assert probed == [1, 2]
         assert pair.a.side == 2
 
-    def test_no_pair_witness_without_pair_probes(self):
-        # pair_probes=0 used to probe one pair per side, and found a pair
+    def test_no_pair_witness_without_pair_probes(self, monkeypatch):
+        # PAIR_PROBES = 0 used to probe one pair per side, and found a pair
+        monkeypatch.setattr(E, "PAIR_PROBES", 0)
         tri = sphere_triangle(math.pi / 4)
-        v = classify(tri, SMALL._replace(pair_probes=0))
+        v = classify(tri, SMALL)
         assert "same_itinerary_pair" not in {w.kind for w in v.witnesses}
 
     def test_report_text(self, tri1):

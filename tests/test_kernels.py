@@ -412,12 +412,10 @@ def test_dispatchers_convert_numpy_arguments():
                 got.append(_record(*out, *bufs))
             assert got[0] == got[1]
         got = []
-        for ray, tmin in (((p, v), C.FLIGHT_MIN),
-                          ((np.array(p), np.array(v)),
-                           np.float64(C.FLIGHT_MIN))):
+        for ray in ((p, v), (np.array(p), np.array(v))):
             labels = np.empty(30, dtype=np.int64)
             m = K.unfold_crossings(poly.k, pack[7], poly.reflection_pack(),
-                                   *ray, 30, tmin, labels)
+                                   *ray, 30, labels)
             got.append(labels[:m].tolist())
         assert got[0] == got[1]
         assert len(got[0]) == 30

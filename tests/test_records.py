@@ -27,7 +27,8 @@ from ccbilliards import (BoundaryState, CartesianChartState, ChartState,
                          UnfoldingChain, UnfoldResult, VertexHit, classify,
                          square)
 from ccbilliards.collision import TraceResult
-from ccbilliards.expansivity import NeighborhoodCheck, Witness
+from ccbilliards.expansivity import (DIAGONAL_LENGTH, PAIR_PROBES,
+                                     NeighborhoodCheck, Witness)
 from ccbilliards.flow import ChartTrajectory
 from ccbilliards.geometry import Geodesic
 from ccbilliards.polygon import Side
@@ -58,8 +59,7 @@ SAMPLES = {
                      outcome="itineraries_diverge", diverge_index=-3,
                      truncated=False, compared=(10, 10)), True),
     SearchBudget: (dict(horizon=5, samples=20, periodic_bounces=4,
-                        diagonal_depth=3, diagonal_length=2.0,
-                        diagonal_angles=30, pair_probes=2, seed=7), True),
+                        diagonal_depth=3, diagonal_angles=30, seed=7), True),
     Witness: (dict(kind="conjugated_vertices",
                    rule=Rule.SPHERE_CONJUGATE_VERTICES, data=DIAGONAL,
                    verified=True), True),
@@ -134,8 +134,8 @@ def test_keyword_construction_in_field_order(cls):
 
 
 def test_defaults():
-    assert SearchBudget() == SearchBudget(1000, 10000, 50, 20, 4.0 * math.pi,
-                                          10000, 48, 0)
+    assert SearchBudget() == SearchBudget(1000, 10000, 50, 20, 10000, 0)
+    assert (PAIR_PROBES, DIAGONAL_LENGTH) == (48, 4.0 * math.pi)
     assert Itinerary((1,), 0, "horizon").termination_backward is None
     assert ExpansivenessVerdict("unknown", (), (), SearchBudget()).notes == ()
     assert ChartTrajectory(np.zeros(1), np.zeros((1, 3)), False,
@@ -194,5 +194,3 @@ def test_search_budget_replace():
     assert SearchBudget().seed == 0
     with pytest.raises(ValueError, match="horizon"):
         classify(square(), SearchBudget()._replace(horizon=0))
-    with pytest.raises(ValueError, match="diagonal_length"):
-        classify(square(), budget._replace(diagonal_length=math.nan))

@@ -314,8 +314,8 @@ def polish_every_candidate(poly, max_bounces, samples, seed):
     """
     side, s, psi = U._sweep_states(poly, samples, seed)
     reports = {}
-    for lo in range(0, len(side), U.SWEEP_BLOCK):
-        block = slice(lo, lo + U.SWEEP_BLOCK)
+    for lo in range(0, len(side), B.BLOCK):
+        block = slice(lo, lo + B.BLOCK)
         labels, svals, psis = O.trace_many(poly, side[block], s[block],
                                            psi[block], max_bounces)
         for r in range(len(labels)):
@@ -447,13 +447,13 @@ class TestFindPeriodicOracle:
 
         want = run()
         assert want[1]
-        monkeypatch.setattr(U, "SWEEP_BLOCK", 7)
+        monkeypatch.setattr(B, "BLOCK", 7)
         assert run() == want
 
     def test_three_block_sweep(self, sq):
         # 4 * (21 + 40 * 30) = 5,044 states: two full blocks and a partial
         side, _, _ = U._sweep_states(sq, 5000, 0)
-        assert len(side) == 5044 > 2 * U.SWEEP_BLOCK
+        assert len(side) == 5044 > 2 * B.BLOCK
         got = find_periodic(sq, 6, 5000, 0)
         assert got
         assert got == polish_every_candidate(sq, 6, 5000, 0)
@@ -518,7 +518,7 @@ def test_equals_row_scan_oracle(monkeypatch, name):
     traced = traced_sweeps(poly)
 
     def shared(*args):
-        side, s, psi, n = args[-5:-1]
+        side, s, psi, n = args[-4:]
         key = side.tobytes(), s.tobytes(), psi.tobytes()
         return O.columns(tuple(a[:, :n] for a in traced[key]), n)
 
